@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race e2e bench bench-profile fuzz-smoke ci clean
+.PHONY: all build test vet lint bench-module check race e2e bench bench-profile fuzz-smoke ci clean
 
 all: build
 
@@ -25,6 +25,22 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/mayavet $(VETFLAGS) ./...
 
+# lint fails on any gofmt-unclean Go file outside the analyzer's fixture
+# module, and on any `// Deprecated:` doc comment: an operation has one
+# entrypoint, so a replaced API is deleted, not kept beside its successor.
+lint:
+	@unformatted=$$(gofmt -l . | grep -v '^internal/vet/testdata/' || true); \
+	if [ -n "$$unformatted" ]; then \
+	  echo "lint: gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
+	@if grep -rn --include='*.go' '^[[:space:]]*// Deprecated:' . >&2; then \
+	  echo "lint: delete the deprecated API instead of keeping it" >&2; exit 1; fi
+
+# bench-module vets and tests the benchmark's nested module, which the
+# root `go test ./...` skips, so an API it compiles against cannot be
+# removed unnoticed.
+bench-module:
+	cd internal/bench/workload && $(GO) vet ./... && $(GO) test ./...
+
 # check re-runs the suite with the mayacheck build tag: the hot cache
 # structures self-verify their FPTR/RPTR bijection, occupancy conservation,
 # and ball-count invariants on every run, and the fault-injection tests
@@ -43,7 +59,7 @@ race:
 	$(GO) test -race ./internal/vet/ ./cmd/mayavet/
 	$(GO) test -race -short ./internal/mc/... ./internal/pprofutil/...
 	$(GO) test -race -short -run 'Sharded' ./internal/buckets/
-	$(GO) test -race -short -run 'Trials|MedianDistinguishWorker|MedianDistinguishStream|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
+	$(GO) test -race -short -run 'Trials|MedianDistinguishWorker|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
 
 # e2e exercises the CLIs end to end: mayasim fault isolation (one
 # injected panicking cell, nonzero exit, FAILED row), checkpoint resume
@@ -152,7 +168,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot/
 
 # ci is the tier-1 verification gate.
-ci: build test vet check race e2e bench
+ci: build test vet lint bench-module check race e2e bench
 
 clean:
 	$(GO) clean ./...

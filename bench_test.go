@@ -8,6 +8,7 @@ package mayacache
 // Run with: go test -bench=. -benchtime=1x
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -18,6 +19,7 @@ import (
 	"mayacache/internal/cachemodel"
 	maya "mayacache/internal/core"
 	"mayacache/internal/experiments"
+	"mayacache/internal/harness"
 	"mayacache/internal/power"
 	"mayacache/internal/trace"
 )
@@ -33,7 +35,32 @@ func mustLLC[T cachemodel.LLC](c T, err error) T {
 
 // benchScale keeps each benchmark iteration around a second.
 func benchScale() experiments.Scale {
-	return experiments.Scale{WarmupInstr: 400_000, ROIInstr: 200_000, Seed: 1, Parallel: true}
+	return experiments.Scale{WarmupInstr: 400_000, ROIInstr: 200_000, Seed: 1}
+}
+
+// sweep runs a harness-routed figure runner at benchScale on all CPUs but
+// one, failing the benchmark if any cell failed.
+func sweep[T any](b *testing.B, run func(context.Context, *harness.Runner, experiments.Scale) ([]T, []bool, error)) []T {
+	b.Helper()
+	r := harness.New(harness.Options{})
+	rows, _, err := run(context.Background(), r, benchScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if r.Failed() {
+		b.Fatalf("failed cells: %v", r.Failures())
+	}
+	return rows
+}
+
+// mix simulates one (mix, design) pair at benchScale.
+func mix(b *testing.B, name string, benches []string, d experiments.Design) experiments.MixResult {
+	b.Helper()
+	res, err := experiments.RunMixDesignCtx(context.Background(), name, benches, d, benchScale())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // benchSubset is a representative slice of the benchmark registry: one
@@ -42,9 +69,8 @@ func benchScale() experiments.Scale {
 var benchSubset = []string{"mcf", "lbm", "cactuBSSN", "xz", "cc", "pr"}
 
 func Benchmark_Fig1_DeadBlocks(b *testing.B) {
-	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig1(sc)
+		rows := sweep(b, experiments.Fig1Sweep)
 		ab, am := experiments.Fig1Average(rows)
 		b.ReportMetric(ab, "dead%baseline")
 		b.ReportMetric(am, "dead%mirage")
@@ -61,12 +87,18 @@ func Benchmark_Fig4_ReuseWaySweep(b *testing.B) {
 		for _, ways := range []int{1, 3} {
 			var sum, n float64
 			for _, bench := range benchSubset[:3] {
-				mix := homog(bench, 8)
-				base := experiments.RunMixDesign(bench, mix, experiments.DesignBaseline, sc)
-				llc := experiments.NewLLC(experiments.DesignMaya, experiments.LLCOptions{
+				benches := homog(bench, 8)
+				base := mix(b, bench, benches, experiments.DesignBaseline)
+				llc, err := experiments.NewLLCChecked(experiments.DesignMaya, experiments.LLCOptions{
 					Cores: 8, Seed: sc.Seed, FastHash: true, ReuseWays: ways,
 				})
-				res := experiments.RunMixLLC(bench, mix, experiments.DesignMaya, llc, sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := experiments.RunMixLLCCtx(context.Background(), bench, benches, experiments.DesignMaya, llc, sc)
+				if err != nil {
+					b.Fatal(err)
+				}
 				sum += res.WS / base.WS
 				n++
 			}
@@ -135,11 +167,15 @@ func Benchmark_Fig8_OccupancyAttack(b *testing.B) {
 			}, 2 * sets * 16},
 		}
 		for _, d := range designs {
-			med := attack.MedianDistinguish(d.mk, func(c cachemodel.LLC) (attack.Victim, attack.Victim) {
-				va := attack.NewModExpVictim(1, 64, 1<<21, attack.CacheToucher(c, 2))
-				vb := attack.NewModExpVictim(4, 64, 1<<21, attack.CacheToucher(c, 3))
-				return va, vb
-			}, d.occupancy, 16, 1, 4000, 4.5, 1)
+			med, err := attack.Trials{Runs: 1, Workers: 1, Seed: 1}.MedianDistinguishCtx(context.Background(), d.mk,
+				func(c cachemodel.LLC) (attack.Victim, attack.Victim) {
+					va := attack.NewModExpVictim(1, 64, 1<<21, attack.CacheToucher(c, 2))
+					vb := attack.NewModExpVictim(4, 64, 1<<21, attack.CacheToucher(c, 3))
+					return va, vb
+				}, d.occupancy, 16, 4000, 4.5)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if i == 0 {
 				b.Logf("Fig 8 (modexp): %s needs %.0f encryptions to distinguish keys", d.name, med)
 			}
@@ -156,13 +192,12 @@ func homog(bench string, n int) []string {
 }
 
 func Benchmark_Fig9_Homogeneous(b *testing.B) {
-	sc := benchScale()
 	for i := 0; i < b.N; i++ {
 		for _, bench := range benchSubset {
-			mix := homog(bench, 8)
-			base := experiments.RunMixDesign(bench, mix, experiments.DesignBaseline, sc)
-			mir := experiments.RunMixDesign(bench, mix, experiments.DesignMirage, sc)
-			may := experiments.RunMixDesign(bench, mix, experiments.DesignMaya, sc)
+			benches := homog(bench, 8)
+			base := mix(b, bench, benches, experiments.DesignBaseline)
+			mir := mix(b, bench, benches, experiments.DesignMirage)
+			may := mix(b, bench, benches, experiments.DesignMaya)
 			if i == 0 {
 				b.Logf("Fig 9: %-10s Mirage %.3f Maya %.3f (baseline MPKI %.1f)",
 					bench, mir.WS/base.WS, may.WS/base.WS, base.MPKI)
@@ -172,13 +207,12 @@ func Benchmark_Fig9_Homogeneous(b *testing.B) {
 }
 
 func Benchmark_Fig10_Heterogeneous(b *testing.B) {
-	sc := benchScale()
 	mixes := trace.HeteroMixes()[:4] // M1-M4 at bench scale
 	for i := 0; i < b.N; i++ {
 		for _, m := range mixes {
-			base := experiments.RunMixDesign(m.Name, m.Benchmarks, experiments.DesignBaseline, sc)
-			mir := experiments.RunMixDesign(m.Name, m.Benchmarks, experiments.DesignMirage, sc)
-			may := experiments.RunMixDesign(m.Name, m.Benchmarks, experiments.DesignMaya, sc)
+			base := mix(b, m.Name, m.Benchmarks, experiments.DesignBaseline)
+			mir := mix(b, m.Name, m.Benchmarks, experiments.DesignMirage)
+			may := mix(b, m.Name, m.Benchmarks, experiments.DesignMaya)
 			if i == 0 {
 				b.Logf("Fig 10: %-4s (%s) Mirage %.3f Maya %.3f",
 					m.Name, m.Bin, mir.WS/base.WS, may.WS/base.WS)
@@ -224,14 +258,13 @@ func Benchmark_Table4_Associativity(b *testing.B) {
 }
 
 func Benchmark_Table7_MPKI(b *testing.B) {
-	sc := benchScale()
 	for i := 0; i < b.N; i++ {
 		var base, mir, may float64
 		for _, bench := range benchSubset {
-			mix := homog(bench, 8)
-			base += experiments.RunMixDesign(bench, mix, experiments.DesignBaseline, sc).MPKI
-			mir += experiments.RunMixDesign(bench, mix, experiments.DesignMirage, sc).MPKI
-			may += experiments.RunMixDesign(bench, mix, experiments.DesignMaya, sc).MPKI
+			benches := homog(bench, 8)
+			base += mix(b, bench, benches, experiments.DesignBaseline).MPKI
+			mir += mix(b, bench, benches, experiments.DesignMirage).MPKI
+			may += mix(b, bench, benches, experiments.DesignMaya).MPKI
 		}
 		n := float64(len(benchSubset))
 		b.ReportMetric(base/n, "mpki-base")
@@ -268,9 +301,9 @@ func Benchmark_Table9_Energy(b *testing.B) {
 func Benchmark_Table10_Summary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := []struct {
-			d        power.Design
-			T        float64
-			ways     int
+			d    power.Design
+			T    float64
+			ways int
 		}{
 			{power.Maya, 9, 15},
 			{power.Mirage, 8, 14},
@@ -292,9 +325,8 @@ func Benchmark_Table10_Summary(b *testing.B) {
 }
 
 func Benchmark_Table11_Partitioning(b *testing.B) {
-	sc := benchScale()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table11(sc)
+		rows := sweep(b, experiments.Table11Sweep)
 		for _, r := range rows {
 			if i == 0 {
 				b.Logf("Table XI: %-13s performance %+.1f%% storage +%.1f%%", r.Technique, r.PerfDelta, r.StorageOver)

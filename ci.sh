@@ -16,6 +16,23 @@ go vet ./...
 # snapshotfields, goroutinectx, atomicmix).
 go run ./cmd/mayavet -baseline ci-baseline.json ./...
 
+echo "==> gofmt + no deprecated twins"
+# Every Go file outside the analyzer's fixture module must be gofmt-clean,
+# and no doc comment may mark an API deprecated: an operation has one
+# entrypoint, so a replaced API is deleted, not kept beside its successor.
+unformatted=$(gofmt -l . | grep -v '^internal/vet/testdata/' || true)
+if [ -n "$unformatted" ]; then
+  echo "ci: gofmt needed on:" >&2; echo "$unformatted" >&2; exit 1
+fi
+if grep -rn --include='*.go' '^[[:space:]]*// Deprecated:' . >&2; then
+  echo "ci: delete the deprecated API instead of keeping it" >&2; exit 1
+fi
+
+echo "==> benchmark module (internal/bench/workload): vet + test"
+# A nested module, so the root go test ./... skips it; a removed API it
+# compiles against must fail here, not only when the benchmark runs.
+(cd internal/bench/workload && go vet ./... && go test ./...)
+
 echo "==> race detector (mayavet parallel loader + analyzer pool)"
 go test -race ./internal/vet/ ./cmd/mayavet/
 
@@ -37,7 +54,7 @@ echo "==> race detector (Monte-Carlo engine: shard invariance + cancellation ham
 # sharded buckets/attack tests at CI scale.
 go test -race -short ./internal/mc/... ./internal/pprofutil/...
 go test -race -short -run 'Sharded' ./internal/buckets/
-go test -race -short -run 'Trials|MedianDistinguishWorker|MedianDistinguishStream|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
+go test -race -short -run 'Trials|MedianDistinguishWorker|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
 
 echo "==> e2e: fault isolation + checkpoint resume (mayasim)"
 TMP=$(mktemp -d)

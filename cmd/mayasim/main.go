@@ -188,7 +188,7 @@ func run() int {
 		func(msg string) { fmt.Fprintln(os.Stderr, "mayasim: "+msg) })
 	defer cancel()
 
-	sc := experiments.Scale{WarmupInstr: *warmup, ROIInstr: *roi, Seed: *seed, Parallel: !*serial}
+	sc := experiments.Scale{WarmupInstr: *warmup, ROIInstr: *roi, Seed: *seed}
 	out := os.Stdout
 
 	emit := func(t *report.Table, incomplete int) {
@@ -245,7 +245,7 @@ func run() int {
 	runFig9Sweep := func() {
 		if fig9Rows == nil {
 			fig9Rows, fig9OK, _ = experiments.Fig9Sweep(ctx, runner, sc)
-			sortFig9WithMask(fig9Rows, fig9OK)
+			experiments.SortFig9(fig9Rows, fig9OK)
 		}
 	}
 	runFig9 := func() {
@@ -517,30 +517,6 @@ func min3(a, b, c int) int {
 		a = c
 	}
 	return a
-}
-
-// sortFig9WithMask applies the Fig 9 display order (SPEC first, then by
-// name) to rows and its completeness mask together.
-func sortFig9WithMask(rows []experiments.Fig9Row, ok []bool) {
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ra, rb := rows[idx[a]], rows[idx[b]]
-		if ra.Suite != rb.Suite {
-			return ra.Suite == "SPEC"
-		}
-		return ra.Bench < rb.Bench
-	})
-	outRows := make([]experiments.Fig9Row, len(rows))
-	outOK := make([]bool, len(ok))
-	for i, j := range idx {
-		outRows[i] = rows[j]
-		outOK[i] = ok[j]
-	}
-	copy(rows, outRows)
-	copy(ok, outOK)
 }
 
 // maskRows filters rows down to the complete ones.

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -40,20 +41,25 @@ func main() {
 		fmt.Println()
 	}
 
+	var err error
 	switch *table {
 	case "storage":
 		storageTable(emit)
 	case "energy":
 		energyTable(emit)
 	case "summary":
-		summaryTable(emit, *perf, *warmup, *roi)
+		err = summaryTable(emit, *perf, *warmup, *roi)
 	case "all":
 		storageTable(emit)
 		energyTable(emit)
-		summaryTable(emit, *perf, *warmup, *roi)
+		err = summaryTable(emit, *perf, *warmup, *roi)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown table %q\n", *table)
 		os.Exit(2)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "overheads: %v\n", err)
+		os.Exit(1)
 	}
 }
 
@@ -119,7 +125,7 @@ func securityFor(d power.Design) string {
 	return analytic.FormatInstalls(dist.InstallsPerSAE(ways))
 }
 
-func summaryTable(emit func(*report.Table), perf bool, warmup, roi uint64) {
+func summaryTable(emit func(*report.Table), perf bool, warmup, roi uint64) error {
 	t := report.NewTable("Table X: security, storage, performance summary",
 		"design", "security (installs/SAE)", "storage", "performance")
 	designs := []struct {
@@ -133,14 +139,21 @@ func summaryTable(emit func(*report.Table), perf bool, warmup, roi uint64) {
 	}
 	perfCol := map[power.Design]string{}
 	if perf {
-		sc := experiments.Scale{WarmupInstr: warmup, ROIInstr: roi, Seed: 1, Parallel: true}
+		ctx := context.Background()
+		sc := experiments.Scale{WarmupInstr: warmup, ROIInstr: roi, Seed: 1}
 		benches := trace.SpecMemIntensive()
 		for _, d := range designs {
 			var norms []float64
 			for _, b := range benches {
 				mix := []string{b, b, b, b, b, b, b, b}
-				base := experiments.RunMixDesign(b, mix, experiments.DesignBaseline, sc)
-				res := experiments.RunMixDesign(b, mix, d.e, sc)
+				base, err := experiments.RunMixDesignCtx(ctx, b, mix, experiments.DesignBaseline, sc)
+				if err != nil {
+					return err
+				}
+				res, err := experiments.RunMixDesignCtx(ctx, b, mix, d.e, sc)
+				if err != nil {
+					return err
+				}
 				norms = append(norms, res.WS/base.WS)
 			}
 			gm, _ := metrics.GeoMean(norms)
@@ -157,4 +170,5 @@ func summaryTable(emit func(*report.Table), perf bool, warmup, roi uint64) {
 			fmt.Sprintf("%+.1f%%", st.OverheadVsBaseline()*100), perfStr)
 	}
 	emit(t)
+	return nil
 }

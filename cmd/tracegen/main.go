@@ -6,11 +6,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"mayacache/internal/cachemodel"
 	"mayacache/internal/cachesim"
 	"mayacache/internal/experiments"
 	"mayacache/internal/report"
@@ -20,7 +22,7 @@ import (
 func main() {
 	var (
 		bench  = flag.String("bench", "mcf", "benchmark name or 'all'")
-		design = flag.String("design", "Baseline", "Baseline|Mirage|Mirage-Lite|Maya|Maya-ISO")
+		design = flag.String("design", "Baseline", strings.Join(cachemodel.Registered(), "|"))
 		cores  = flag.Int("cores", 1, "number of cores (homogeneous)")
 		warmup = flag.Uint64("warmup", 1_000_000, "warmup instructions per core")
 		roi    = flag.Uint64("roi", 500_000, "ROI instructions per core")
@@ -46,7 +48,14 @@ func main() {
 		fmt.Sprintf("%s @ %d cores (warmup %d, roi %d)", *design, *cores, *warmup, *roi),
 		"bench", "IPC0", "MPKI", "dead%", "taghit%", "datahit%", "dram R", "dram W", "rowhit%")
 	for _, b := range benches {
-		res := diag(b, experiments.Design(*design), *cores, *warmup, *roi, *seed)
+		res, err := diag(b, experiments.Design(*design), *cores, *warmup, *roi, *seed)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+			if errors.Is(err, cachemodel.ErrBadConfig) {
+				os.Exit(2)
+			}
+			os.Exit(1)
+		}
 		st := res.LLCStats
 		rowHit := 0.0
 		if res.DRAMRowHits+res.DRAMRowMisses > 0 {
@@ -72,16 +81,24 @@ func pct(a, b uint64) float64 {
 	return float64(a) / float64(b) * 100
 }
 
-func diag(bench string, d experiments.Design, cores int, warmup, roi, seed uint64) cachesim.Results {
-	if !valid(d) {
-		fmt.Fprintf(os.Stderr, "unknown design %q\n", d)
-		os.Exit(2)
+// diag simulates bench on every core of a shared LLC of design d. An
+// unknown or unbuildable design returns an error wrapping
+// cachemodel.ErrBadConfig before anything is simulated.
+func diag(bench string, d experiments.Design, cores int, warmup, roi, seed uint64) (cachesim.Results, error) {
+	llc, err := experiments.NewLLCChecked(d, experiments.LLCOptions{Cores: cores, Seed: seed, FastHash: true})
+	if err != nil {
+		return cachesim.Results{}, err
+	}
+	p, err := trace.Lookup(bench)
+	if err != nil {
+		return cachesim.Results{}, err
 	}
 	gens := make([]trace.Generator, cores)
 	for i := range gens {
-		gens[i] = trace.MustGenerator(trace.MustLookup(bench), i, seed)
+		if gens[i], err = trace.NewGenerator(p, i, seed); err != nil {
+			return cachesim.Results{}, err
+		}
 	}
-	llc := experiments.NewLLC(d, experiments.LLCOptions{Cores: cores, Seed: seed, FastHash: true})
 	sys := cachesim.New(cachesim.Config{
 		Cores: cores,
 		Core:  cachesim.DefaultCoreParams(),
@@ -89,22 +106,5 @@ func diag(bench string, d experiments.Design, cores int, warmup, roi, seed uint6
 		DRAM:  cachesim.DefaultDRAMConfig(),
 		Seed:  seed,
 	}, gens)
-	res, err := cachesim.Run(context.Background(), sys, cachesim.RunSpec{Warmup: warmup, ROI: roi})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "simulation failed: %v\n", err)
-		os.Exit(1)
-	}
-	return res
-}
-
-func valid(d experiments.Design) bool {
-	for _, k := range []experiments.Design{
-		experiments.DesignBaseline, experiments.DesignMirage, experiments.DesignMirageLite,
-		experiments.DesignMaya, experiments.DesignMayaISO,
-	} {
-		if d == k {
-			return true
-		}
-	}
-	return strings.EqualFold(string(d), "baseline")
+	return cachesim.Run(context.Background(), sys, cachesim.RunSpec{Warmup: warmup, ROI: roi})
 }

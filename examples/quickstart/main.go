@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"mayacache/maya"
@@ -48,7 +49,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		res, err := sys.Run(1_000_000, 500_000)
+		res, err := sys.Run(context.Background(), maya.RunSpec{Warmup: 1_000_000, ROI: 500_000})
 		if err != nil {
 			panic(err)
 		}

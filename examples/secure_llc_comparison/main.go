@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"mayacache/maya"
@@ -36,7 +37,7 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			res, err := sys.Run(2_000_000, 800_000)
+			res, err := sys.Run(context.Background(), maya.RunSpec{Warmup: 2_000_000, ROI: 800_000})
 			if err != nil {
 				panic(err)
 			}

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"crypto/aes"
 	"math/big"
 	"testing"
@@ -159,7 +160,7 @@ func smallFA(seed uint64) cachemodel.LLC {
 func TestOccupancySignalExists(t *testing.T) {
 	// The attacker must observe a nonzero footprint from AES runs.
 	c := smallFA(1)
-	v := NewAESVictim([16]byte{1}, 1 << 20, 16, CacheToucher(c, 2))
+	v := NewAESVictim([16]byte{1}, 1<<20, 16, CacheToucher(c, 2))
 	o := NewOccupancy(OccupancyConfig{Cache: c, OccupancyLines: 1024, SDID: 1, NoiseLines: 8, Seed: 1})
 	total := 0
 	for i := 0; i < 20; i++ {
@@ -221,7 +222,7 @@ func BenchmarkAESEncrypt(b *testing.B) {
 
 func BenchmarkOccupancySample(b *testing.B) {
 	c := smallFA(1)
-	v := NewAESVictim([16]byte{1}, 1 << 20, 16, CacheToucher(c, 2))
+	v := NewAESVictim([16]byte{1}, 1<<20, 16, CacheToucher(c, 2))
 	o := NewOccupancy(OccupancyConfig{Cache: c, OccupancyLines: 1024, SDID: 1, NoiseLines: 8, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -285,9 +286,12 @@ func TestFlushAssistedFailsOnMaya(t *testing.T) {
 func TestReloadRefreshPredictableOnLRU(t *testing.T) {
 	// Recency-based replacement makes the victim's eviction predictable
 	// — the Reload+Refresh prerequisite.
-	p := ReplacementPredictability(func(seed uint64) cachemodel.LLC {
+	p, err := Trials{Runs: 40, Workers: 1, Seed: 1}.ReplacementPredictabilityCtx(context.Background(), func(seed uint64) cachemodel.LLC {
 		return mustLLC(baseline.NewChecked(baseline.Config{Sets: 16, Ways: 8, Replacement: baseline.LRU, Seed: seed, MatchSDID: true}))
-	}, 40, 1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p < 0.9 {
 		t.Fatalf("LRU victim-eviction predictability %.2f, want ~1", p)
 	}
@@ -296,12 +300,15 @@ func TestReloadRefreshPredictableOnLRU(t *testing.T) {
 func TestReloadRefreshDefeatedByMaya(t *testing.T) {
 	// Global random eviction: no conditioning makes a specific line the
 	// next victim (Section IV-C's Reload+Refresh mitigation).
-	p := ReplacementPredictability(func(seed uint64) cachemodel.LLC {
+	p, err := Trials{Runs: 40, Workers: 1, Seed: 2}.ReplacementPredictabilityCtx(context.Background(), func(seed uint64) cachemodel.LLC {
 		return mustLLC(maya.NewChecked(maya.Config{
 			SetsPerSkew: 16, Skews: 2, BaseWays: 6, ReuseWays: 3, InvalidWays: 6,
 			Seed: seed, Hasher: cachemodel.NewXorHasher(2, 4, seed),
 		}))
-	}, 40, 2)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p > 0.5 {
 		t.Fatalf("Maya victim-eviction predictability %.2f, want near chance", p)
 	}

@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/big"
@@ -288,19 +287,4 @@ func (o *Occupancy) Distinguish(a, b Victim, threshold float64, maxSamples int) 
 // counts when the means actually differ.
 func meanDiffers(a, b []float64) bool {
 	return metrics.Mean(a) != metrics.Mean(b)
-}
-
-// MedianDistinguish repeats Distinguish over several attack instances and
-// returns the median, mirroring the paper's median-of-runs methodology.
-// It is the serial legacy entry point: a one-worker trial run with the
-// historical additive seed scheme, result-identical to the pre-engine
-// loop. Parallel drivers use Trials.MedianDistinguishCtx.
-func MedianDistinguish(mkCache func(seed uint64) cachemodel.LLC, mkVictims func(c cachemodel.LLC) (Victim, Victim),
-	occupancyLines, noiseLines, runs, maxSamples int, threshold float64, seed uint64) float64 {
-	med, err := Trials{Runs: runs, Workers: 1, Seed: seed}.
-		MedianDistinguishCtx(context.Background(), mkCache, mkVictims, occupancyLines, noiseLines, maxSamples, threshold)
-	if err != nil {
-		panic(fmt.Sprintf("attack: %v", err)) // only a cancelled ctx can fail; Background never is
-	}
-	return med
 }

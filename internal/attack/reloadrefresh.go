@@ -15,40 +15,19 @@ import (
 // of attacker accesses can make a specific line the deterministic next
 // victim.
 //
-// ReplacementPredictability measures the primitive directly: the attacker
-// fully controls a cache, plants a victim line, performs a fixed
-// "conditioning" access pattern, triggers one fill, and checks whether the
-// victim line was the one evicted. Against an LRU set-associative cache
-// the attacker succeeds (probability ~1); against global random eviction
-// the hit rate is the inverse of the eviction pool size.
-
-// ReplacementPredictability returns the fraction of trials in which the
-// attacker-conditioned fill evicted the planted victim line.
-func ReplacementPredictability(mk func(seed uint64) cachemodel.LLC, trials int, seed uint64) float64 {
-	if trials <= 0 {
-		trials = 100
-	}
-	r := rng.New(seed ^ 0x4e10ad)
-	hits := 0
-	for trial := 0; trial < trials; trial++ {
-		if predictabilityTrial(mk(seed+uint64(trial)), uint64(0x700000)+r.Uint64n(1024)) {
-			hits++
-		}
-	}
-	return float64(hits) / float64(trials)
-}
-
-// replacementPredictabilityTrial is the parallel-trial form: the victim
-// line comes from a per-trial RNG instead of the serial loop's shared
-// stream, so trials are independent.
-func replacementPredictabilityTrial(mk func(seed uint64) cachemodel.LLC, seed uint64) bool {
-	r := rng.New(seed ^ 0x4e10ad)
-	return predictabilityTrial(mk(seed), uint64(0x700000)+r.Uint64n(1024))
-}
+// Trials.ReplacementPredictabilityCtx measures the primitive directly: the
+// attacker fully controls a cache, plants a victim line, performs a fixed
+// "conditioning" access pattern, triggers one fill, and checks whether
+// the victim line was the one evicted. Against an LRU set-associative
+// cache the attacker succeeds (probability ~1); against global random
+// eviction the hit rate is the inverse of the eviction pool size.
 
 // predictabilityTrial runs one conditioning-and-fill experiment on a
-// fresh cache and reports whether the planted victim was the line evicted.
-func predictabilityTrial(c cachemodel.LLC, vLine uint64) bool {
+// fresh cache built from seed, with a victim line drawn from the same
+// seed, and reports whether the planted victim was the line evicted.
+func predictabilityTrial(mk func(seed uint64) cachemodel.LLC, seed uint64) bool {
+	c := mk(seed)
+	vLine := uint64(0x700000) + rng.New(seed^0x4e10ad).Uint64n(1024)
 	const (
 		attacker = 1
 		victim   = 2

@@ -6,7 +6,6 @@ import (
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/mc"
 	"mayacache/internal/metrics"
-	"mayacache/internal/rng"
 )
 
 // This file routes the cacheFX-style attack drivers through the
@@ -25,24 +24,17 @@ type Trials struct {
 	// Workers bounds pool parallelism (0 = one per CPU). It never
 	// affects results, only wall clock.
 	Workers int
-	// Seed is the base seed for per-trial derivation.
+	// Seed is the base seed for per-trial derivation: trial i runs at
+	// Seed + i*stride, with a stride of 1000003 for occupancy attacks and
+	// 1 otherwise.
 	Seed uint64
-	// StreamSeeds selects rng.Stream(Seed, trial) derivation. When
-	// false, trials use the historical additive schemes (seed +
-	// trial*1000003 for occupancy, seed + trial for predictability), so
-	// existing pinned results stay valid.
-	StreamSeeds bool
 	// Tracker, when non-nil, receives one tick per completed trial.
 	Tracker *mc.Tracker
 }
 
-// trialSeed derives the seed of one repetition. legacyStride is the
-// additive step of the pre-engine serial loop being reproduced.
-func (tr Trials) trialSeed(trial int, legacyStride uint64) uint64 {
-	if tr.StreamSeeds {
-		return rng.Stream(tr.Seed, uint64(trial))
-	}
-	return tr.Seed + uint64(trial)*legacyStride
+// trialSeed derives the seed of one repetition.
+func (tr Trials) trialSeed(trial int, stride uint64) uint64 {
+	return tr.Seed + uint64(trial)*stride
 }
 
 func (tr Trials) runs() int {
@@ -53,10 +45,8 @@ func (tr Trials) runs() int {
 }
 
 // MedianDistinguishCtx runs independent occupancy-attack instances across
-// the pool and returns the median sample count, mirroring the paper's
-// median-of-runs methodology. With StreamSeeds unset the per-trial seeds
-// (and therefore the result) are identical to the serial
-// MedianDistinguish.
+// the pool and returns the median number of samples Distinguish needed,
+// mirroring the paper's median-of-runs methodology.
 func (tr Trials) MedianDistinguishCtx(ctx context.Context,
 	mkCache func(seed uint64) cachemodel.LLC, mkVictims func(c cachemodel.LLC) (Victim, Victim),
 	occupancyLines, noiseLines, maxSamples int, threshold float64) (float64, error) {
@@ -129,18 +119,16 @@ func (tr Trials) EvictionSetTrialsCtx(ctx context.Context, mkCache func(seed uin
 	return out, nil
 }
 
-// ReplacementPredictabilityCtx is the parallel form of
-// ReplacementPredictability: trials fan across the pool, each on its own
-// cache instance, and the hit fraction is a pure function of (seed,
-// trials). With StreamSeeds unset the per-trial cache seeds match the
-// serial loop's seed+trial scheme; note the serial function additionally
-// shares one noise RNG across trials, so only the Stream derivation is
-// offered here and results are compared statistically, not byte-wise.
+// ReplacementPredictabilityCtx returns the fraction of trials in which
+// the attacker-conditioned fill evicted the planted victim line (see
+// reloadrefresh.go). Trials fan across the pool, each on its own cache
+// instance with its own victim line, so the fraction is a pure function
+// of (seed, trials).
 func (tr Trials) ReplacementPredictabilityCtx(ctx context.Context,
 	mk func(seed uint64) cachemodel.LLC) (float64, error) {
 	hits, err := mc.ForEach(ctx, tr.Workers, tr.runs(), func(ctx context.Context, i int) (int, error) {
 		s := tr.trialSeed(i, 1)
-		hit := replacementPredictabilityTrial(mk, s)
+		hit := predictabilityTrial(mk, s)
 		tr.Tracker.Add(1)
 		if hit {
 			return 1, nil

@@ -22,8 +22,7 @@ func trialVictims(c cachemodel.LLC) (Victim, Victim) {
 }
 
 // TestMedianDistinguishWorkerInvariance: the parallel occupancy trials
-// return the same median whatever the worker count, and the one-worker
-// legacy wrapper agrees with them.
+// return the same median whatever the worker count.
 func TestMedianDistinguishWorkerInvariance(t *testing.T) {
 	const (
 		runs   = 5
@@ -33,33 +32,19 @@ func TestMedianDistinguishWorkerInvariance(t *testing.T) {
 		seed   = 3
 		thresh = 4.5
 	)
-	legacy := MedianDistinguish(trialCache, trialVictims, occ, noise, runs, max, thresh, seed)
-	for _, workers := range []int{1, 2, 4} {
+	median := func(workers int) float64 {
 		got, err := Trials{Runs: runs, Workers: workers, Seed: seed}.
 			MedianDistinguishCtx(context.Background(), trialCache, trialVictims, occ, noise, max, thresh)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got != legacy {
-			t.Fatalf("workers=%d: median %v, legacy serial %v", workers, got, legacy)
+		return got
+	}
+	serial := median(1)
+	for _, workers := range []int{2, 4} {
+		if got := median(workers); got != serial {
+			t.Fatalf("workers=%d: median %v, one worker %v", workers, got, serial)
 		}
-	}
-}
-
-// TestMedianDistinguishStreamSeeds: the Stream derivation is a different
-// (but deterministic) experiment — pinned by determinism, not by value.
-func TestMedianDistinguishStreamSeeds(t *testing.T) {
-	tr := Trials{Runs: 3, Workers: 2, Seed: 9, StreamSeeds: true}
-	a, err := tr.MedianDistinguishCtx(context.Background(), trialCache, trialVictims, 16*8, 2, 40, 4.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tr.MedianDistinguishCtx(context.Background(), trialCache, trialVictims, 16*8, 2, 40, 4.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("stream-seeded trials not deterministic: %v vs %v", a, b)
 	}
 }
 

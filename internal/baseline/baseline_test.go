@@ -112,7 +112,7 @@ func TestWritebackAllocatesDirty(t *testing.T) {
 func TestWritebackHitMarksDirty(t *testing.T) {
 	c := mkCache(t, LRU, 1, 2)
 	c.Access(read(1)) // clean fill
-	c.Access(wb(1))  // now dirty
+	c.Access(wb(1))   // now dirty
 	c.Access(read(2))
 	r := c.Access(read(3)) // evicts line 1 (LRU)
 	found := false
@@ -218,7 +218,7 @@ func TestDRRIPBasic(t *testing.T) {
 	c := mkCache(t, DRRIP, 64, 4)
 	// Mixed stream: hot set + streaming; DRRIP must behave sanely.
 	for i := 0; i < 20000; i++ {
-		c.Access(read(uint64(i % 32)))  // hot
+		c.Access(read(uint64(i % 32)))    // hot
 		c.Access(read(uint64(10000 + i))) // stream
 	}
 	s := c.StatsSnapshot()

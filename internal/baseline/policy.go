@@ -208,6 +208,7 @@ func (p *rripPolicy) restoreState(d *snapshot.Decoder) {
 		}
 	}
 }
+
 // drripPolicy duels SRRIP against BRRIP using leader sets and a saturating
 // PSEL counter, as in the original DRRIP proposal.
 type drripPolicy struct {

@@ -98,7 +98,7 @@ type MacroResult struct {
 	// Parallelism is the cachesim.RunSpec.Parallelism the row ran under
 	// (1 = the serial drive loop). Results are byte-identical either way;
 	// only throughput differs.
-	Parallelism  int     `json:"parallelism"`
+	Parallelism int `json:"parallelism"`
 	// CpusLimited marks a parallel row recorded on a single-CPU machine:
 	// the number measures the mode's overhead, not a speedup, so
 	// CompareMacro skips the row on either side of a comparison.

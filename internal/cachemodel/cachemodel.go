@@ -139,18 +139,18 @@ type Stats struct {
 	Reads      uint64 // demand reads
 	Writebacks uint64 // L2 writebacks received
 
-	TagHits     uint64 // accesses that found their tag
-	DataHits    uint64 // accesses that found their data
-	TagOnlyHits uint64 // Maya: tag hit on a priority-0 entry (still a data miss)
-	Misses      uint64 // accesses with no data hit (fetch from memory)
+	TagHits         uint64 // accesses that found their tag
+	DataHits        uint64 // accesses that found their data
+	TagOnlyHits     uint64 // Maya: tag hit on a priority-0 entry (still a data miss)
+	Misses          uint64 // accesses with no data hit (fetch from memory)
 	DemandMisses    uint64 // demand-read subset of Misses (the MPKI numerator)
 	WritebackMisses uint64 // writeback subset of Misses
 
 	Fills     uint64 // tag-store installs
 	DataFills uint64 // data-store installs
 
-	SAEs               uint64 // set-associative evictions (security events)
-	GlobalTagEvictions uint64 // Maya: random global priority-0 tag evictions
+	SAEs                uint64 // set-associative evictions (security events)
+	GlobalTagEvictions  uint64 // Maya: random global priority-0 tag evictions
 	GlobalDataEvictions uint64 // Maya/Mirage: random global data evictions
 
 	WritebacksToMem uint64 // dirty lines evicted to memory

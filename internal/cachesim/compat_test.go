@@ -39,7 +39,7 @@ func TestSnapshotWireCompat(t *testing.T) {
 
 			if *updateCompat {
 				state := captureMidROI(t, snapSystem(d.mk()))
-				full, err := snapSystem(d.mk()).RunCtx(context.Background(), snapWarmup, snapROI)
+				full, err := Run(context.Background(), snapSystem(d.mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,7 +83,7 @@ func TestSnapshotWireCompat(t *testing.T) {
 				t.Fatalf("re-encoded state diverges from the pre-PR blob (%d vs %d bytes): wire format changed", len(reenc), len(blob))
 			}
 
-			res, err := sys.ResumeCtx(context.Background())
+			res, err := Run(context.Background(), sys, RunSpec{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -175,18 +175,15 @@ func TestErrSpent(t *testing.T) {
 	sys := snapSystem(d.mk())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sys.RunCtx(ctx, snapWarmup, snapROI); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, sys, RunSpec{Warmup: snapWarmup, ROI: snapROI}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v", err)
 	}
 
-	if _, err := sys.RunCtx(context.Background(), snapWarmup, snapROI); !errors.Is(err, ErrSpent) {
-		t.Fatalf("RunCtx after cancel returned %v, want ErrSpent", err)
-	}
-	if _, err := sys.ResumeCtx(context.Background()); !errors.Is(err, ErrSpent) {
-		t.Fatalf("ResumeCtx after cancel returned %v, want ErrSpent", err)
-	}
 	if _, err := Run(context.Background(), sys, RunSpec{Warmup: 1, ROI: 1}); !errors.Is(err, ErrSpent) {
 		t.Fatalf("Run after cancel returned %v, want ErrSpent", err)
+	}
+	if _, err := Run(context.Background(), sys, RunSpec{}); !errors.Is(err, ErrSpent) {
+		t.Fatalf("resuming Run after cancel returned %v, want ErrSpent", err)
 	}
 
 	// A restore installs coherent state: the System is usable again.

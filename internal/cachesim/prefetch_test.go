@@ -79,7 +79,7 @@ func TestPrefetchImprovesStreaming(t *testing.T) {
 			DRAM:  DefaultDRAMConfig(),
 			Seed:  1,
 		}, []trace.Generator{g})
-		return sys.Run(200_000, 400_000).Cores[0].IPC
+		return mustRun(t, sys, 200_000, 400_000).Cores[0].IPC
 	}
 	off, on := run(0), run(4)
 	if on <= off {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestProgressTracking: a tracker attached to the context reaches
-// RunResumable's simulation and accumulates every retired instruction
+// Run's simulation and accumulates every retired instruction
 // (warmup and ROI, all cores). The drive loop can overshoot a core's
 // target by the final event's gap, so the assertion is total-or-slightly-
 // more, never less.
@@ -19,7 +19,7 @@ func TestProgressTracking(t *testing.T) {
 	const total = 2 * (snapWarmup + snapROI) // two cores
 	tr := mc.NewTracker(total, nil)
 	ctx := mc.WithTracker(context.Background(), tr)
-	if _, err := RunResumable(ctx, snapSystem(snapDesigns[2].mk()), nil, "mix", snapWarmup, snapROI); err != nil {
+	if _, err := Run(ctx, snapSystem(snapDesigns[2].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI}); err != nil {
 		t.Fatal(err)
 	}
 	if done := tr.Done(); done < total || done > total+total/2 {
@@ -47,8 +47,8 @@ func TestProgressTrackingResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr1 := mc.NewTracker(total, nil)
-	_, err = RunResumable(mc.WithTracker(context.Background(), tr1),
-		snapSystem(snapDesigns[0].mk()), cell, "mix", snapWarmup, snapROI)
+	_, err = Run(mc.WithTracker(context.Background(), tr1), snapSystem(snapDesigns[0].mk()),
+		RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell, Sub: "mix"})
 	if !errors.Is(err, snapshot.ErrStopped) {
 		t.Fatalf("interrupted run returned %v, want ErrStopped", err)
 	}
@@ -62,8 +62,8 @@ func TestProgressTrackingResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr2 := mc.NewTracker(total, nil)
-	if _, err := RunResumable(mc.WithTracker(context.Background(), tr2),
-		snapSystem(snapDesigns[0].mk()), cell2, "mix", snapWarmup, snapROI); err != nil {
+	if _, err := Run(mc.WithTracker(context.Background(), tr2), snapSystem(snapDesigns[0].mk()),
+		RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell2, Sub: "mix"}); err != nil {
 		t.Fatal(err)
 	}
 	second := tr2.Done()

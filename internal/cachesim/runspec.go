@@ -1,10 +1,8 @@
 package cachesim
 
-// The unified run entrypoint. Historically the package grew four ways to
-// run a System — Run, RunCtx, ResumeCtx, and RunResumable — each adding
-// one orthogonal capability (panics→errors→resume→cell persistence). A
-// RunSpec expresses all of them, plus the deterministic parallel mode, in
-// one call; the legacy entrypoints remain as thin deprecated wrappers.
+// The run entrypoint: one call covers a fresh run, the continuation of a
+// restored System, sweep-cell persistence, and the deterministic parallel
+// mode, each selected by the RunSpec.
 
 import (
 	"context"
@@ -50,18 +48,21 @@ type RunSpec struct {
 	SnapshotEvery uint64
 }
 
-// Run executes one simulation run described by spec. It subsumes the
-// legacy entrypoints:
+// Run executes one simulation run described by spec:
 //
-//	sys.Run(w, r)                      → Run(ctx, sys, RunSpec{Warmup: w, ROI: r})
-//	sys.RunCtx(ctx, w, r)              → same
-//	sys.RestoreState(b); sys.ResumeCtx → sys.RestoreState(b); Run(ctx, sys, RunSpec{})
-//	RunResumable(ctx, sys, cell, sub, w, r) → Run(ctx, sys, RunSpec{Warmup: w, ROI: r, Cell: cell, Sub: sub})
+//	Run(ctx, sys, RunSpec{Warmup: w, ROI: r})                     // fresh run
+//	sys.RestoreState(b); Run(ctx, sys, RunSpec{})                 // resume a snapshot
+//	Run(ctx, sys, RunSpec{Warmup: w, ROI: r, Cell: cell, Sub: s}) // sweep-cell protocol
 //
-// A tracker on the context (mc.WithTracker) streams retired-instruction
-// progress on every path. A System whose prior run failed returns
-// ErrSpent. On a deadline stop the partial state has been persisted to
-// the Cell and the error is snapshot.ErrStopped.
+// The drive loop polls ctx every cancelCheckPeriod steps and abandons the
+// simulation with ctx.Err() when it is cancelled, which is how the
+// experiment harness implements per-cell timeouts and Ctrl-C. A tracker
+// on the context (mc.WithTracker) streams retired-instruction progress on
+// every path. A failed or cancelled run returns zero Results and leaves
+// the System spent: simulation state is not rewound, so a further Run
+// returns ErrSpent until RestoreState installs coherent state. On a
+// deadline stop the partial state has been persisted to the Cell and the
+// error is snapshot.ErrStopped.
 func Run(ctx context.Context, sys *System, spec RunSpec) (Results, error) {
 	tracker := mc.TrackerFrom(ctx)
 	if spec.Cell == nil || !sys.Snapshottable() {

@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -146,7 +145,7 @@ func (s *System) EncodeState() ([]byte, error) {
 // RestoreState loads a snapshot into a freshly constructed System with
 // identical configuration. Foreign snapshots are rejected with a
 // MismatchError naming the first disagreeing field; damaged ones with a
-// CorruptError. On success the System is ready for ResumeCtx.
+// CorruptError. On success the next Run resumes from the snapshot.
 func (s *System) RestoreState(data []byte) error {
 	snap, err := snapshot.Decode(data)
 	if err != nil {
@@ -400,21 +399,3 @@ func (d *DRAM) RestoreState(dec *snapshot.Decoder) error {
 }
 
 var _ snapshot.Stateful = (*DRAM)(nil)
-
-// RunResumable runs one sub-run of a sweep cell under the cell's snapshot
-// protocol:
-//
-//   - a previously completed sub-run is served from its recorded result
-//     without simulating;
-//   - an in-progress snapshot for this sub-run is restored and continued;
-//   - otherwise the run starts fresh with the cell's auto-snapshot cadence
-//     and deadline trigger wired in.
-//
-// A nil cell, or a system whose design or workloads cannot serialize,
-// degrades to a plain RunCtx. On a deadline stop the partial state has
-// been persisted and the error is snapshot.ErrStopped.
-//
-// Deprecated: use Run with a RunSpec carrying Cell and Sub.
-func RunResumable(ctx context.Context, sys *System, cell *snapshot.Cell, sub string, warmup, roi uint64) (Results, error) {
-	return Run(ctx, sys, RunSpec{Warmup: warmup, ROI: roi, Cell: cell, Sub: sub})
-}

@@ -79,7 +79,7 @@ func captureMidROI(t *testing.T, sys *System) []byte {
 			return errCaptured
 		},
 	})
-	if _, err := sys.RunCtx(context.Background(), snapWarmup, snapROI); !errors.Is(err, errCaptured) {
+	if _, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI}); !errors.Is(err, errCaptured) {
 		t.Fatalf("interrupted run returned %v", err)
 	}
 	if state == nil {
@@ -95,7 +95,7 @@ func captureMidROI(t *testing.T, sys *System) []byte {
 func TestResumeBitExact(t *testing.T) {
 	for _, d := range snapDesigns {
 		t.Run(d.name, func(t *testing.T) {
-			full, err := snapSystem(d.mk()).RunCtx(context.Background(), snapWarmup, snapROI)
+			full, err := Run(context.Background(), snapSystem(d.mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestResumeBitExact(t *testing.T) {
 			if err := resumed.RestoreState(state); err != nil {
 				t.Fatalf("RestoreState: %v", err)
 			}
-			res, err := resumed.ResumeCtx(context.Background())
+			res, err := Run(context.Background(), resumed, RunSpec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestResumeBitExact(t *testing.T) {
 // invisible to the simulation — a run that saves every 2048 steps yields
 // the same results as one that never saves.
 func TestSnapshotTimingDoesNotPerturb(t *testing.T) {
-	quiet, err := snapSystem(snapDesigns[0].mk()).RunCtx(context.Background(), snapWarmup, snapROI)
+	quiet, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSnapshotTimingDoesNotPerturb(t *testing.T) {
 		Every: 2048,
 		Save:  func([]byte) error { saves++; return nil },
 	})
-	res, err := noisy.RunCtx(context.Background(), snapWarmup, snapROI)
+	res, err := Run(context.Background(), noisy, RunSpec{Warmup: snapWarmup, ROI: snapROI})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSnapshotTimingDoesNotPerturb(t *testing.T) {
 // save once more and stop with ErrStopped, and the saved state resumes to
 // the uninterrupted answer.
 func TestTriggerWritesDeadlineSnapshot(t *testing.T) {
-	full, err := snapSystem(snapDesigns[0].mk()).RunCtx(context.Background(), snapWarmup, snapROI)
+	full, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestTriggerWritesDeadlineSnapshot(t *testing.T) {
 		Trigger: &trig,
 		Save:    func(data []byte) error { state = data; return nil },
 	})
-	if _, err := sys.RunCtx(context.Background(), snapWarmup, snapROI); !errors.Is(err, snapshot.ErrStopped) {
+	if _, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI}); !errors.Is(err, snapshot.ErrStopped) {
 		t.Fatalf("triggered run returned %v, want ErrStopped", err)
 	}
 	if state == nil {
@@ -176,7 +176,7 @@ func TestTriggerWritesDeadlineSnapshot(t *testing.T) {
 	if err := resumed.RestoreState(state); err != nil {
 		t.Fatal(err)
 	}
-	res, err := resumed.ResumeCtx(context.Background())
+	res, err := Run(context.Background(), resumed, RunSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 // in a "new process" (fresh cell, fresh system) completing to the
 // uninterrupted answer, then a third call served from the recorded result.
 func TestRunResumableCellProtocol(t *testing.T) {
-	full, err := snapSystem(snapDesigns[0].mk()).RunCtx(context.Background(), snapWarmup, snapROI)
+	full, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +270,9 @@ func TestRunResumableCellProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunResumable(context.Background(), snapSystem(snapDesigns[0].mk()), cell, "mix", snapWarmup, snapROI)
+	_, err = Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell, Sub: "mix"})
 	if !errors.Is(err, snapshot.ErrStopped) {
-		t.Fatalf("interrupted RunResumable returned %v, want ErrStopped", err)
+		t.Fatalf("interrupted cell run returned %v, want ErrStopped", err)
 	}
 
 	cell2, err := snapshot.OpenCell(snapshot.CellSpec{Path: path}, "cell")
@@ -282,7 +282,7 @@ func TestRunResumableCellProtocol(t *testing.T) {
 	if cell2.SystemState("mix") == nil {
 		t.Fatal("reopened cell has no in-progress state")
 	}
-	res, err := RunResumable(context.Background(), snapSystem(snapDesigns[0].mk()), cell2, "mix", snapWarmup, snapROI)
+	res, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell2, Sub: "mix"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,26 +293,17 @@ func TestRunResumableCellProtocol(t *testing.T) {
 	}
 
 	// Completed sub-runs are served from the record without simulating:
-	// hand RunResumable a system that would panic if driven.
+	// hand Run a system that would panic if driven.
 	cell3, err := snapshot.OpenCell(snapshot.CellSpec{Path: path}, "cell")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := RunResumable(context.Background(), snapSystem(snapDesigns[0].mk()), cell3, "mix", snapWarmup, snapROI)
+	cached, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell3, Sub: "mix"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c, _ := json.Marshal(cached)
 	if !bytes.Equal(a, c) {
 		t.Fatal("cached result differs from live result")
-	}
-}
-
-// TestResumeCtxRequiresState guards the misuse of resuming a system that
-// never ran and never restored.
-func TestResumeCtxRequiresState(t *testing.T) {
-	sys := snapSystem(snapDesigns[0].mk())
-	if _, err := sys.ResumeCtx(context.Background()); err == nil {
-		t.Fatal("ResumeCtx on a fresh system succeeded")
 	}
 }

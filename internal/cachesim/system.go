@@ -101,10 +101,10 @@ type core struct {
 	outstanding []uint64
 	outHead     int
 	//mayavet:ignore snapshotfields -- saved through saveState's pf parameter (parallel runs substitute a snapshot replica's prefetcher)
-	pf *prefetcher
-	retired     uint64
-	target      uint64
-	done        bool
+	pf      *prefetcher
+	retired uint64
+	target  uint64
+	done    bool
 	// roiStart* snapshot the ROI beginning for IPC computation.
 	roiStartClock   uint64
 	roiStartRetired uint64
@@ -122,11 +122,11 @@ type System struct {
 	// restored System can resume mid-phase.
 	warmup, roi uint64
 	phase       uint8 // snapshot.PhaseWarmup or snapshot.PhaseROI
-	started     bool  // a run is in progress (RunCtx began or RestoreState succeeded)
+	started     bool  // a run is in progress (Run began or RestoreState succeeded)
 	// spent marks the state as consumed by a failed or cancelled run:
 	// simulation state is never rewound, so continuing from it would
-	// silently compute garbage. Run entrypoints return ErrSpent instead;
-	// RestoreState clears the mark (a restore installs coherent state).
+	// silently compute garbage. Run returns ErrSpent instead; RestoreState
+	// clears the mark (a restore installs coherent state).
 	spent bool
 
 	auto *AutoSnapshot
@@ -154,16 +154,16 @@ type AutoSnapshot struct {
 }
 
 // SetAutoSnapshot installs (or, with nil, removes) auto-snapshotting for
-// subsequent RunCtx/ResumeCtx calls.
+// subsequent runs.
 func (s *System) SetAutoSnapshot(a *AutoSnapshot) { s.auto = a }
 
 // SetProgress installs (or, with nil, removes) a progress tracker for
-// subsequent RunCtx/ResumeCtx calls. The drive loop forwards cumulative
-// retired-instruction deltas (summed across cores, warmup included) at
-// the same cadence as the cancellation poll, plus once at phase end, so
-// a streaming consumer sees liveness without a per-step atomic. Resumed
-// runs report only instructions retired in this process: the tracker
-// baseline is the System's state at SetProgress time.
+// subsequent runs. The drive loop forwards cumulative retired-instruction
+// deltas (summed across cores, warmup included) at the same cadence as
+// the cancellation poll, plus once at phase end, so a streaming consumer
+// sees liveness without a per-step atomic. Resumed runs report only
+// instructions retired in this process: the tracker baseline is the
+// System's state at SetProgress time.
 func (s *System) SetProgress(t *mc.Tracker) {
 	s.progress = t
 	s.progressSent = 0
@@ -284,32 +284,6 @@ func (r Results) IPCSum() float64 {
 	return sum
 }
 
-// Run simulates warmup instructions per core without statistics, then
-// roi instructions per core with statistics, and returns the results.
-//
-// Deprecated: use the package-level Run with a RunSpec, which subsumes
-// all four legacy entrypoints. This wrapper remains for existing callers.
-func (s *System) Run(warmup, roi uint64) Results {
-	res, err := s.RunCtx(context.Background(), warmup, roi)
-	if err != nil {
-		// Unreachable: the background context never cancels.
-		panic(fmt.Sprintf("cachesim: %v", err))
-	}
-	return res
-}
-
-// RunCtx is Run under a context: the drive loop polls ctx every
-// cancelCheckPeriod steps and abandons the simulation with ctx.Err() when
-// it is cancelled, which is how the experiment harness implements per-run
-// timeouts and Ctrl-C. A cancelled run returns zero Results; simulation
-// state is not rewound, so any further run attempt on the same System
-// returns ErrSpent.
-//
-// Deprecated: use the package-level Run with a RunSpec.
-func (s *System) RunCtx(ctx context.Context, warmup, roi uint64) (Results, error) {
-	return s.runWith(ctx, warmup, roi, 1)
-}
-
 // runWith starts a fresh run with the given per-phase budgets, serial
 // when par <= 1 and in the deterministic parallel mode otherwise.
 func (s *System) runWith(ctx context.Context, warmup, roi uint64, par int) (Results, error) {
@@ -326,23 +300,11 @@ func (s *System) runWith(ctx context.Context, warmup, roi uint64, par int) (Resu
 	return s.runFrom(ctx, par)
 }
 
-// ResumeCtx continues a run restored by RestoreState from wherever the
-// snapshot was taken — mid-warmup or mid-ROI — and returns the final
-// results. Calling it on a System that has neither run nor been restored
-// is an error.
-//
-// Deprecated: use the package-level Run with a RunSpec; a restored System
-// resumes automatically.
-func (s *System) ResumeCtx(ctx context.Context) (Results, error) {
-	return s.resumeWith(ctx, 1)
-}
-
+// resumeWith continues the current run — one restored by RestoreState,
+// mid-warmup or mid-ROI — to its end.
 func (s *System) resumeWith(ctx context.Context, par int) (Results, error) {
 	if s.spent {
 		return Results{}, ErrSpent
-	}
-	if !s.started {
-		return Results{}, fmt.Errorf("cachesim: ResumeCtx before RunCtx or RestoreState")
 	}
 	return s.runFrom(ctx, par)
 }

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"context"
 	"testing"
 
 	"mayacache/internal/baseline"
@@ -23,6 +24,17 @@ func testLLC(seed uint64) cachemodel.LLC {
 	return mustLLC(baseline.NewChecked(baseline.Config{Sets: 2048, Ways: 16, Replacement: baseline.SRRIP, Seed: seed}))
 }
 
+// mustRun runs sys from the start for the given per-core budgets,
+// failing the test on error.
+func mustRun(t testing.TB, sys *System, warmup, roi uint64) Results {
+	t.Helper()
+	res, err := Run(context.Background(), sys, RunSpec{Warmup: warmup, ROI: roi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func singleCoreSystem(t *testing.T, bench string, llc cachemodel.LLC) *System {
 	t.Helper()
 	g, err := trace.NewGenerator(trace.MustLookup(bench), 0, 1)
@@ -40,7 +52,7 @@ func singleCoreSystem(t *testing.T, bench string, llc cachemodel.LLC) *System {
 
 func TestRunProducesPlausibleIPC(t *testing.T) {
 	s := singleCoreSystem(t, "mcf", testLLC(1))
-	res := s.Run(50000, 200000)
+	res := mustRun(t, s, 50000, 200000)
 	if len(res.Cores) != 1 {
 		t.Fatalf("%d core results", len(res.Cores))
 	}
@@ -56,7 +68,7 @@ func TestRunProducesPlausibleIPC(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	mk := func() Results {
 		s := singleCoreSystem(t, "xz", testLLC(7))
-		return s.Run(20000, 50000)
+		return mustRun(t, s, 20000, 50000)
 	}
 	a, b := mk(), mk()
 	if a.Cores[0].Cycles != b.Cores[0].Cycles {
@@ -72,8 +84,8 @@ func TestHotWorkloadFasterThanStreaming(t *testing.T) {
 	// (streaming).
 	sHot := singleCoreSystem(t, "leela", testLLC(2))
 	sStream := singleCoreSystem(t, "lbm", testLLC(3))
-	rHot := sHot.Run(2000000, 500000)
-	rStream := sStream.Run(2000000, 500000)
+	rHot := mustRun(t, sHot, 2000000, 500000)
+	rStream := mustRun(t, sStream, 2000000, 500000)
 	if rHot.Cores[0].IPC <= rStream.Cores[0].IPC {
 		t.Fatalf("leela IPC %.3f not above lbm IPC %.3f",
 			rHot.Cores[0].IPC, rStream.Cores[0].IPC)
@@ -87,7 +99,7 @@ func TestLLCFittingHasLowMPKI(t *testing.T) {
 	// The 24K-line footprint needs a long warmup to load before the ROI
 	// measures steady-state behaviour (compulsory misses excluded).
 	s := singleCoreSystem(t, "leela", testLLC(4))
-	res := s.Run(3000000, 1000000)
+	res := mustRun(t, s, 3000000, 1000000)
 	if mpki := res.MPKI(); mpki > 2.0 {
 		t.Fatalf("leela LLC MPKI %.2f; expected an LLC-fitting workload", mpki)
 	}
@@ -95,7 +107,7 @@ func TestLLCFittingHasLowMPKI(t *testing.T) {
 
 func TestMemIntensiveHasHighMPKI(t *testing.T) {
 	s := singleCoreSystem(t, "mcf", testLLC(5))
-	res := s.Run(50000, 200000)
+	res := mustRun(t, s, 50000, 200000)
 	if mpki := res.MPKI(); mpki < 2.0 {
 		t.Fatalf("mcf LLC MPKI %.2f; expected memory-intensive (>2)", mpki)
 	}
@@ -117,8 +129,8 @@ func TestMultiCoreSharedLLCContention(t *testing.T) {
 			Seed:  1,
 		}, gens)
 	}
-	alone := mkSystem(1).Run(20000, 100000)
-	shared := mkSystem(8).Run(20000, 100000)
+	alone := mustRun(t, mkSystem(1), 20000, 100000)
+	shared := mustRun(t, mkSystem(8), 20000, 100000)
 	if shared.Cores[0].IPC >= alone.Cores[0].IPC {
 		t.Fatalf("no contention effect: alone %.3f, shared %.3f",
 			alone.Cores[0].IPC, shared.Cores[0].IPC)
@@ -133,7 +145,7 @@ func TestMayaLLCIntegration(t *testing.T) {
 		Seed: 1, Hasher: cachemodel.NewXorHasher(2, 11, 1),
 	}
 	s := singleCoreSystem(t, "mcf", mustLLC(maya.NewChecked(cfg)))
-	res := s.Run(50000, 200000)
+	res := mustRun(t, s, 50000, 200000)
 	if res.LLCStats.TagOnlyHits == 0 {
 		t.Fatal("Maya never saw a tag-only hit under mcf")
 	}
@@ -146,7 +158,7 @@ func TestWritebacksReachDRAM(t *testing.T) {
 	// The stream must wrap the 32K-line LLC before dirty evictions reach
 	// memory, hence the longer run.
 	s := singleCoreSystem(t, "lbm", testLLC(6))
-	res := s.Run(200000, 1000000)
+	res := mustRun(t, s, 200000, 1000000)
 	if res.DRAMWrites == 0 {
 		t.Fatal("streaming store workload produced no DRAM writes")
 	}
@@ -155,7 +167,7 @@ func TestWritebacksReachDRAM(t *testing.T) {
 func TestDRAMRowBufferLocality(t *testing.T) {
 	// Sequential streams should see high row-hit rates.
 	s := singleCoreSystem(t, "lbm", testLLC(7))
-	res := s.Run(20000, 200000)
+	res := mustRun(t, s, 20000, 200000)
 	if res.DRAMRowHits == 0 {
 		t.Fatal("no row hits for a sequential stream")
 	}
@@ -167,7 +179,7 @@ func TestDRAMRowBufferLocality(t *testing.T) {
 
 func TestROIStatsExcludeWarmup(t *testing.T) {
 	s := singleCoreSystem(t, "xz", testLLC(8))
-	res := s.Run(100000, 100000)
+	res := mustRun(t, s, 100000, 100000)
 	// Accesses counted must be consistent with the ROI only: misses
 	// cannot exceed accesses, instructions must equal the ROI target
 	// (within one event's gap).

@@ -92,12 +92,12 @@ type Cache struct {
 	// memo caches each line's all-skew set indexes keyed by the rekey
 	// epoch (see core.Maya.memo; nil when disabled). CEASER has no probe
 	// fingerprints, so the memo's fp lane is unused here.
-	memo *probe.Memo //mayavet:ignore snapshotfields -- derived: pure function of (line, rekey epoch); wiped on restore
-	r    *rng.Rand
-	clock     uint64
-	fills     uint64
-	stats     cachemodel.Stats
-	wbBuf     []cachemodel.WritebackOut //mayavet:ignore snapshotfields -- per-call output buffer; dead between accesses
+	memo  *probe.Memo //mayavet:ignore snapshotfields -- derived: pure function of (line, rekey epoch); wiped on restore
+	r     *rng.Rand
+	clock uint64
+	fills uint64
+	stats cachemodel.Stats
+	wbBuf []cachemodel.WritebackOut //mayavet:ignore snapshotfields -- per-call output buffer; dead between accesses
 
 	// skewIdx caches each skew's set index from the most recent lookup;
 	// the miss path installs right after a failed lookup of the same line,

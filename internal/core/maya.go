@@ -165,7 +165,7 @@ type Maya struct {
 	memo  *probe.Memo //mayavet:ignore snapshotfields -- derived: pure function of (line, rekey epoch); wiped on restore
 	r     *rng.Rand
 	stats cachemodel.Stats
-	wbBuf  []cachemodel.WritebackOut //mayavet:ignore snapshotfields -- per-call output buffer; dead between accesses
+	wbBuf []cachemodel.WritebackOut //mayavet:ignore snapshotfields -- per-call output buffer; dead between accesses
 
 	// Per-access scratch, reused to keep the steady-state access path
 	// allocation-free. skewIdx caches the set index lookup computed per
@@ -228,7 +228,7 @@ func NewChecked(cfg Config) (*Maya, error) {
 	}
 	memo := probe.NewMemo(ar, cfg.Skews, memoBits)
 	m := &Maya{
-		memo: memo,
+		memo:     memo,
 		cfg:      cfg,
 		ways:     ways,
 		sets:     cfg.SetsPerSkew,

@@ -2,10 +2,9 @@ package core
 
 import "mayacache/internal/cachemodel"
 
-// The registry factories carry the paper-geometry scaling that used to
-// live in experiments.NewLLC's switch: Maya keeps its default way mix
-// scaled to the core count, Maya-ISO grows the data store back to the
-// Mirage area envelope (8 base + 4 reuse ways per skew).
+// The registry factories carry the paper-geometry scaling: Maya keeps its
+// default way mix scaled to the core count, Maya-ISO grows the data store
+// back to the Mirage area envelope (8 base + 4 reuse ways per skew).
 func init() {
 	cachemodel.Register("Maya", func(o cachemodel.BuildOptions) (cachemodel.LLC, error) {
 		sets, err := o.Sets()

@@ -70,21 +70,3 @@ func (o LLCOptions) buildOptions() cachemodel.BuildOptions {
 func NewLLCChecked(d Design, opts LLCOptions) (cachemodel.LLC, error) {
 	return cachemodel.Build(string(d), opts.buildOptions())
 }
-
-// NewLLC constructs the named design scaled to opts.Cores.
-//
-// Deprecated: use NewLLCChecked, which reports configuration errors
-// instead of crashing; NewLLC remains for callers with statically
-// known-good designs.
-func NewLLC(d Design, opts LLCOptions) cachemodel.LLC {
-	llc, err := NewLLCChecked(d, opts)
-	if err != nil {
-		panic(err)
-	}
-	return llc
-}
-
-// AllDesigns returns the designs of the paper's headline comparison.
-func AllDesigns() []Design {
-	return []Design{DesignBaseline, DesignMirage, DesignMaya}
-}

@@ -1,23 +1,33 @@
 package experiments
 
 import (
+	"context"
+	"strings"
 	"testing"
 
+	"mayacache/internal/cachemodel"
+	"mayacache/internal/harness"
 	"mayacache/internal/trace"
 )
 
 // tiny keeps experiment tests fast; shapes are asserted loosely.
 func tiny() Scale {
-	return Scale{WarmupInstr: 200_000, ROIInstr: 100_000, Seed: 1, Parallel: true}
+	return Scale{WarmupInstr: 200_000, ROIInstr: 100_000, Seed: 1}
+}
+
+// mustBuild constructs a registered design, failing the test on error.
+func mustBuild(t testing.TB, d Design, opts LLCOptions) cachemodel.LLC {
+	t.Helper()
+	llc, err := NewLLCChecked(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return llc
 }
 
 func TestNewLLCAllDesigns(t *testing.T) {
 	for _, d := range []Design{DesignBaseline, DesignMirage, DesignMirageLite, DesignMaya, DesignMayaISO} {
-		llc := NewLLC(d, LLCOptions{Cores: 1, Seed: 1, FastHash: true})
-		if llc == nil {
-			t.Fatalf("%s: nil LLC", d)
-		}
-		g := llc.Geometry()
+		g := mustBuild(t, d, LLCOptions{Cores: 1, Seed: 1, FastHash: true}).Geometry()
 		if g.DataEntries <= 0 {
 			t.Fatalf("%s: bad geometry %+v", d, g)
 		}
@@ -25,8 +35,8 @@ func TestNewLLCAllDesigns(t *testing.T) {
 }
 
 func TestNewLLCGeometryScaling(t *testing.T) {
-	one := NewLLC(DesignMaya, LLCOptions{Cores: 1, Seed: 1, FastHash: true}).Geometry()
-	eight := NewLLC(DesignMaya, LLCOptions{Cores: 8, Seed: 1, FastHash: true}).Geometry()
+	one := mustBuild(t, DesignMaya, LLCOptions{Cores: 1, Seed: 1, FastHash: true}).Geometry()
+	eight := mustBuild(t, DesignMaya, LLCOptions{Cores: 8, Seed: 1, FastHash: true}).Geometry()
 	if eight.DataEntries != 8*one.DataEntries {
 		t.Fatalf("data entries do not scale with cores: %d vs 8x%d", eight.DataEntries, one.DataEntries)
 	}
@@ -37,15 +47,17 @@ func TestNewLLCGeometryScaling(t *testing.T) {
 }
 
 func TestMayaOptionOverrides(t *testing.T) {
-	g := NewLLC(DesignMaya, LLCOptions{Cores: 1, Seed: 1, FastHash: true, ReuseWays: 7, InvalidWays: 5}).Geometry()
+	g := mustBuild(t, DesignMaya, LLCOptions{Cores: 1, Seed: 1, FastHash: true, ReuseWays: 7, InvalidWays: 5}).Geometry()
 	if g.WaysPerSkew != 6+7+5 {
 		t.Fatalf("ways per skew = %d, want 18", g.WaysPerSkew)
 	}
 }
 
 func TestRunMixDesignProducesWS(t *testing.T) {
-	sc := tiny()
-	res := RunMixDesign("m", []string{"xz", "xz"}, DesignBaseline, sc)
+	res, err := RunMixDesignCtx(context.Background(), "m", []string{"xz", "xz"}, DesignBaseline, tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.WS <= 0 || res.WS > 2.1 {
 		t.Fatalf("weighted speedup %v out of range for 2 cores", res.WS)
 	}
@@ -55,9 +67,14 @@ func TestRunMixDesignProducesWS(t *testing.T) {
 }
 
 func TestAloneIPCMemoized(t *testing.T) {
-	sc := tiny()
-	a := AloneIPC("xz", sc)
-	b := AloneIPC("xz", sc)
+	a, err := AloneIPCCtx(context.Background(), "xz", tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := AloneIPCCtx(context.Background(), "xz", tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a != b {
 		t.Fatalf("memoized alone IPC differs: %v vs %v", a, b)
 	}
@@ -70,8 +87,15 @@ func TestFig1ShapesAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	sc := tiny()
-	rows := Fig1(sc)
+	rows, ok, err := Fig1Sweep(context.Background(), harness.New(harness.Options{}), tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ok {
+		if !ok[i] {
+			t.Fatalf("Fig 1 row %d (%s) incomplete", i, rows[i].Bench)
+		}
+	}
 	if len(rows) != 20 {
 		t.Fatalf("%d Fig 1 rows, want 20", len(rows))
 	}
@@ -127,38 +151,21 @@ func TestSortFig9(t *testing.T) {
 		{Bench: "pr", Suite: "GAP"},
 		{Bench: "mcf", Suite: "SPEC"},
 		{Bench: "bc", Suite: "GAP"},
+		{Bench: "lbm", Suite: "SPEC"},
 	}
-	SortFig9(rows)
-	if rows[0].Suite != "SPEC" || rows[1].Bench != "bc" {
-		t.Fatalf("bad order: %+v", rows)
+	ok := []bool{false, true, true, true}
+	SortFig9(rows, ok)
+	var order []string
+	for _, r := range rows {
+		order = append(order, r.Bench)
 	}
-}
-
-func TestRunMixDesignSeeds(t *testing.T) {
-	sc := tiny()
-	res := RunMixDesignSeeds("xz", []string{"xz", "xz"}, DesignBaseline, sc, 3)
-	if res.WS.N != 3 {
-		t.Fatalf("N = %d, want 3", res.WS.N)
+	if got := strings.Join(order, ","); got != "lbm,mcf,bc,pr" {
+		t.Fatalf("order %s, want lbm,mcf,bc,pr", got)
 	}
-	if res.WS.Mean <= 0 {
-		t.Fatalf("mean WS %v", res.WS.Mean)
-	}
-	if res.WS.CI95 < 0 {
-		t.Fatalf("negative CI %v", res.WS.CI95)
-	}
-}
-
-func TestNormalizedAcrossSeeds(t *testing.T) {
-	sc := tiny()
-	st := NormalizedAcrossSeeds("lbm", []string{"lbm", "lbm"}, DesignMaya, sc, 2)
-	if st.N != 2 || st.Mean <= 0 {
-		t.Fatalf("bad stats %+v", st)
-	}
-}
-
-func TestSummarizeSingleton(t *testing.T) {
-	s := summarize([]float64{5})
-	if s.Mean != 5 || s.CI95 != 0 || s.Stddev != 0 {
-		t.Fatalf("singleton stats %+v", s)
+	// The completeness mask moves with its rows: only pr failed.
+	for i, r := range rows {
+		if ok[i] != (r.Bench != "pr") {
+			t.Fatalf("row %d (%s): ok %v", i, r.Bench, ok[i])
+		}
 	}
 }

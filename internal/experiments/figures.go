@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"sort"
+	"strconv"
 
 	"mayacache/internal/metrics"
 	"mayacache/internal/trace"
@@ -16,25 +17,6 @@ type Fig1Row struct {
 	Suite        string
 	DeadBaseline float64 // percent
 	DeadMirage   float64 // percent
-}
-
-// Fig1 reproduces Figure 1: the fraction of LLC data fills that are never
-// reused, per benchmark, single-core with a 2MB LLC.
-func Fig1(sc Scale) []Fig1Row {
-	benches := append(trace.SpecMemIntensive(), trace.GapMemIntensive()...)
-	rows := make([]Fig1Row, len(benches))
-	parallelFor(len(benches), sc.Parallel, func(i int) {
-		b := benches[i]
-		base := runMix([]string{b}, NewLLC(DesignBaseline, LLCOptions{Cores: 1, Seed: sc.Seed}), sc)
-		mir := runMix([]string{b}, NewLLC(DesignMirage, LLCOptions{Cores: 1, Seed: sc.Seed, FastHash: true}), sc)
-		rows[i] = Fig1Row{
-			Bench:        b,
-			Suite:        trace.MustLookup(b).Suite,
-			DeadBaseline: base.LLCStats.DeadBlockFraction() * 100,
-			DeadMirage:   mir.LLCStats.DeadBlockFraction() * 100,
-		}
-	})
-	return rows
 }
 
 // Fig1Average returns the mean dead-block percentage across rows.
@@ -58,30 +40,6 @@ type Fig9Row struct {
 	MPKIBase   float64
 	MPKIMirage float64
 	MPKIMaya   float64
-}
-
-// Fig9 reproduces Figure 9: 8-core homogeneous mixes, Maya and Mirage
-// normalized to the non-secure baseline, plus the Table VII MPKI data.
-func Fig9(sc Scale) []Fig9Row {
-	benches := append(trace.SpecMemIntensive(), trace.GapMemIntensive()...)
-	rows := make([]Fig9Row, len(benches))
-	parallelFor(len(benches), sc.Parallel, func(i int) {
-		b := benches[i]
-		mix := homogeneous(b, 8)
-		base := RunMixDesign(b, mix, DesignBaseline, sc)
-		mir := RunMixDesign(b, mix, DesignMirage, sc)
-		maya := RunMixDesign(b, mix, DesignMaya, sc)
-		rows[i] = Fig9Row{
-			Bench:      b,
-			Suite:      trace.MustLookup(b).Suite,
-			NormMirage: mir.WS / base.WS,
-			NormMaya:   maya.WS / base.WS,
-			MPKIBase:   base.MPKI,
-			MPKIMirage: mir.MPKI,
-			MPKIMaya:   maya.MPKI,
-		}
-	})
-	return rows
 }
 
 // Fig9Summary returns per-suite geometric means of the normalized
@@ -130,32 +88,11 @@ type Fig10Row struct {
 	MPKIMaya   float64
 }
 
-// Fig10 reproduces Figure 10: the 21 heterogeneous mixes of Table VI.
-func Fig10(sc Scale) []Fig10Row {
-	mixes := trace.HeteroMixes()
-	rows := make([]Fig10Row, len(mixes))
-	parallelFor(len(mixes), sc.Parallel, func(i int) {
-		m := mixes[i]
-		base := RunMixDesign(m.Name, m.Benchmarks, DesignBaseline, sc)
-		mir := RunMixDesign(m.Name, m.Benchmarks, DesignMirage, sc)
-		maya := RunMixDesign(m.Name, m.Benchmarks, DesignMaya, sc)
-		rows[i] = Fig10Row{
-			Mix: m.Name, Bin: m.Bin,
-			NormMirage: mir.WS / base.WS,
-			NormMaya:   maya.WS / base.WS,
-			MPKIBase:   base.MPKI,
-			MPKIMirage: mir.MPKI,
-			MPKIMaya:   maya.MPKI,
-		}
-	})
-	return rows
-}
-
 // ---------------------------------------------------------------- Table VII
 
 // Table7Row is one workload class's average LLC MPKI per design.
 type Table7Row struct {
-	Class            string
+	Class                  string
 	Baseline, Mirage, Maya float64
 }
 
@@ -193,51 +130,6 @@ type Fig4Row struct {
 	NormWS    float64 // geometric mean over SPEC homogeneous mixes
 }
 
-// Fig4 reproduces Figure 4: Maya's performance as reuse ways per skew vary
-// over {1, 3, 5, 7}, on SPEC homogeneous mixes, normalized to baseline.
-// The data store is held at its default size, as in the paper.
-func Fig4(sc Scale) []Fig4Row {
-	benches := trace.SpecMemIntensive()
-	ways := []int{1, 3, 5, 7}
-	type cell struct{ norm float64 }
-	grid := make([][]cell, len(ways))
-	for i := range grid {
-		grid[i] = make([]cell, len(benches))
-	}
-	// Baselines once per bench.
-	baseWS := make([]float64, len(benches))
-	parallelFor(len(benches), sc.Parallel, func(j int) {
-		mix := homogeneous(benches[j], 8)
-		baseWS[j] = RunMixDesign(benches[j], mix, DesignBaseline, sc).WS
-	})
-	for i, w := range ways {
-		w := w
-		parallelFor(len(benches), sc.Parallel, func(j int) {
-			mix := homogeneous(benches[j], 8)
-			llc := NewLLC(DesignMaya, LLCOptions{Cores: 8, Seed: sc.Seed, FastHash: true, ReuseWays: w})
-			res := runMix(mix, llc, sc)
-			ipcs := make([]float64, len(res.Cores))
-			alone := make([]float64, len(res.Cores))
-			for k, c := range res.Cores {
-				ipcs[k] = c.IPC
-				alone[k] = AloneIPC(benches[j], sc)
-			}
-			ws, _ := metrics.WeightedSpeedup(ipcs, alone)
-			grid[i][j] = cell{norm: ws / baseWS[j]}
-		})
-	}
-	rows := make([]Fig4Row, len(ways))
-	for i, w := range ways {
-		vals := make([]float64, len(benches))
-		for j := range benches {
-			vals[j] = grid[i][j].norm
-		}
-		gm, _ := metrics.GeoMean(vals)
-		rows[i] = Fig4Row{ReuseWays: w, NormWS: gm}
-	}
-	return rows
-}
-
 // ---------------------------------------------------------------- Table XI
 
 // Table11Row is one partitioning technique's overheads.
@@ -245,43 +137,6 @@ type Table11Row struct {
 	Technique   string
 	PerfDelta   float64 // percent vs baseline (negative = slowdown)
 	StorageOver float64 // percent extra storage (from the paper's metadata accounting)
-}
-
-// Table11 reproduces Table XI: secure partitioning techniques on SPEC
-// homogeneous mixes at 8 cores. Storage overheads are the published
-// metadata costs (mask registers / color tables), which are not simulated.
-func Table11(sc Scale) []Table11Row {
-	benches := trace.SpecMemIntensive()
-	kinds := []partitionSpec{
-		{"Page coloring", "set", 0.5},
-		{"DAWG", "way", 0.5},
-		{"BCE", "flex", 2.0},
-	}
-	rows := make([]Table11Row, len(kinds))
-	for i, k := range kinds {
-		k := k
-		norms := make([]float64, len(benches))
-		parallelFor(len(benches), sc.Parallel, func(j int) {
-			mix := homogeneous(benches[j], 8)
-			base := RunMixDesign(benches[j], mix, DesignBaseline, sc)
-			part := runMix(mix, newPartitionLLC(k.kind, 8, sc.Seed), sc)
-			ipcs := make([]float64, len(part.Cores))
-			alone := make([]float64, len(part.Cores))
-			for c, cr := range part.Cores {
-				ipcs[c] = cr.IPC
-				alone[c] = AloneIPC(benches[j], sc)
-			}
-			ws, _ := metrics.WeightedSpeedup(ipcs, alone)
-			norms[j] = ws / base.WS
-		})
-		gm, _ := metrics.GeoMean(norms)
-		rows[i] = Table11Row{
-			Technique:   k.name,
-			PerfDelta:   (gm - 1) * 100,
-			StorageOver: k.storagePct,
-		}
-	}
-	return rows
 }
 
 type partitionSpec struct {
@@ -298,56 +153,6 @@ type SensitivityRow struct {
 	NormMaya float64
 }
 
-// LLCFittingSensitivity measures Maya on LLC-fitting benchmarks (Section
-// V-B reports a 0.63% average loss).
-func LLCFittingSensitivity(sc Scale) []SensitivityRow {
-	benches := trace.LLCFitting()
-	rows := make([]SensitivityRow, len(benches))
-	parallelFor(len(benches), sc.Parallel, func(i int) {
-		mix := homogeneous(benches[i], 8)
-		base := RunMixDesign(benches[i], mix, DesignBaseline, sc)
-		maya := RunMixDesign(benches[i], mix, DesignMaya, sc)
-		rows[i] = SensitivityRow{Label: benches[i], NormMaya: maya.WS / base.WS}
-	})
-	return rows
-}
-
-// LLCSizeSensitivity sweeps the Maya data-store size via the DataScale
-// knob (Section V-B evaluates 6MB to 96MB data stores; the scale factors
-// here multiply the default 12MB). Tag stores scale proportionally, as in
-// the paper.
-func LLCSizeSensitivity(sc Scale, scales []float64) []SensitivityRow {
-	if len(scales) == 0 {
-		scales = []float64{0.5, 1.0, 2.0, 4.0}
-	}
-	benches := trace.SpecMemIntensive()
-	rows := make([]SensitivityRow, len(scales))
-	for i, f := range scales {
-		f := f
-		norms := make([]float64, len(benches))
-		parallelFor(len(benches), sc.Parallel, func(j int) {
-			mix := homogeneous(benches[j], 8)
-			// The baseline scales with the same factor: a 0.5x Maya
-			// (6MB) compares against a 0.5x baseline (8MB), matching
-			// the paper's like-for-like sweep.
-			scaledSets := nextPow2(int(float64(setsPerCore*8)*f + 0.5))
-			baseLLC := newScaledBaseline(scaledSets, sc.Seed)
-			base := RunMixLLC(benches[j], mix, DesignBaseline, baseLLC, sc)
-			// Maya scales by set count so the way structure (and thus
-			// the security argument) is preserved, as in the paper.
-			llc := newScaledMaya(scaledSets, sc.Seed)
-			res := RunMixLLC(benches[j], mix, DesignMaya, llc, sc)
-			norms[j] = res.WS / base.WS
-		})
-		gm, _ := metrics.GeoMean(norms)
-		rows[i] = SensitivityRow{
-			Label:    fmtInt(int(12*f+0.5)) + "MB data store",
-			NormMaya: gm,
-		}
-	}
-	return rows
-}
-
 func nextPow2(n int) int {
 	p := 1
 	for p < n {
@@ -356,52 +161,31 @@ func nextPow2(n int) int {
 	return p
 }
 
-// CoreCountSensitivity runs a representative mix at 8/16/32 cores,
-// normalizing Maya to the like-for-like baseline.
-func CoreCountSensitivity(sc Scale, coreCounts []int) []SensitivityRow {
-	if len(coreCounts) == 0 {
-		coreCounts = []int{8, 16, 32}
-	}
-	// Rotate through the memory-intensive benchmarks for the mix.
-	pool := append(trace.SpecMemIntensive(), trace.GapMemIntensive()...)
-	rows := make([]SensitivityRow, len(coreCounts))
-	for i, n := range coreCounts {
-		mix := make([]string, n)
-		for j := range mix {
-			mix[j] = pool[j%len(pool)]
-		}
-		base := RunMixDesign("cores", mix, DesignBaseline, sc)
-		maya := RunMixDesign("cores", mix, DesignMaya, sc)
-		rows[i] = SensitivityRow{
-			Label:    fmtCores(n),
-			NormMaya: maya.WS / base.WS,
-		}
-	}
-	return rows
-}
-
 func fmtCores(n int) string {
-	return fmtInt(n) + " cores"
+	return strconv.Itoa(n) + " cores"
 }
 
-func fmtInt(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var digits []byte
-	for n > 0 {
-		digits = append([]byte{byte('0' + n%10)}, digits...)
-		n /= 10
-	}
-	return string(digits)
+// SortFig9 orders rows SPEC-first then by name, matching the paper's
+// axis. ok is the rows' completeness mask and moves with them.
+func SortFig9(rows []Fig9Row, ok []bool) {
+	sort.Sort(fig9Order{rows, ok})
 }
 
-// SortFig9 orders rows SPEC-first then by name, matching the paper's axis.
-func SortFig9(rows []Fig9Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Suite != rows[j].Suite {
-			return rows[i].Suite == "SPEC"
-		}
-		return rows[i].Bench < rows[j].Bench
-	})
+type fig9Order struct {
+	rows []Fig9Row
+	ok   []bool
+}
+
+func (o fig9Order) Len() int { return len(o.rows) }
+
+func (o fig9Order) Less(i, j int) bool {
+	if o.rows[i].Suite != o.rows[j].Suite {
+		return o.rows[i].Suite == "SPEC"
+	}
+	return o.rows[i].Bench < o.rows[j].Bench
+}
+
+func (o fig9Order) Swap(i, j int) {
+	o.rows[i], o.rows[j] = o.rows[j], o.rows[i]
+	o.ok[i], o.ok[j] = o.ok[j], o.ok[i]
 }

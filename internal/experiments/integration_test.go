@@ -10,10 +10,10 @@ import (
 // Cross-design invariants: properties every LLC in the repository must
 // share, exercised through the same interface the simulator uses.
 
-func allLLCs(seed uint64) map[Design]cachemodel.LLC {
+func allLLCs(t testing.TB, seed uint64) map[Design]cachemodel.LLC {
 	out := map[Design]cachemodel.LLC{}
 	for _, d := range []Design{DesignBaseline, DesignMirage, DesignMirageLite, DesignMaya, DesignMayaISO} {
-		out[d] = NewLLC(d, LLCOptions{Cores: 1, Seed: seed, FastHash: true})
+		out[d] = mustBuild(t, d, LLCOptions{Cores: 1, Seed: seed, FastHash: true})
 	}
 	return out
 }
@@ -21,7 +21,7 @@ func allLLCs(seed uint64) map[Design]cachemodel.LLC {
 func TestAllDesignsConvergeOnFittingWorkingSet(t *testing.T) {
 	// 1000 hot lines fit every design's data store; after warmup every
 	// design must serve them at near-100% hit rate.
-	for d, c := range allLLCs(1) {
+	for d, c := range allLLCs(t, 1) {
 		r := rng.New(uint64(len(d)))
 		for i := 0; i < 60_000; i++ {
 			c.Access(cachemodel.Access{Line: uint64(r.Intn(1000)), Type: cachemodel.Read})
@@ -38,7 +38,7 @@ func TestAllDesignsConvergeOnFittingWorkingSet(t *testing.T) {
 
 func TestSecureDesignsSeeNoSAEsUnderLoad(t *testing.T) {
 	for _, d := range []Design{DesignMirage, DesignMaya, DesignMayaISO} {
-		c := NewLLC(d, LLCOptions{Cores: 1, Seed: 2, FastHash: true})
+		c := mustBuild(t, d, LLCOptions{Cores: 1, Seed: 2, FastHash: true})
 		r := rng.New(7)
 		for i := 0; i < 500_000; i++ {
 			typ := cachemodel.Read
@@ -54,7 +54,7 @@ func TestSecureDesignsSeeNoSAEsUnderLoad(t *testing.T) {
 }
 
 func TestBaselineSeesSAEsUnderLoad(t *testing.T) {
-	c := NewLLC(DesignBaseline, LLCOptions{Cores: 1, Seed: 3})
+	c := mustBuild(t, DesignBaseline, LLCOptions{Cores: 1, Seed: 3})
 	r := rng.New(9)
 	for i := 0; i < 200_000; i++ {
 		c.Access(cachemodel.Access{Line: uint64(r.Uint32()), Type: cachemodel.Read})
@@ -65,7 +65,7 @@ func TestBaselineSeesSAEsUnderLoad(t *testing.T) {
 }
 
 func TestAllDesignsFlushConsistency(t *testing.T) {
-	for d, c := range allLLCs(4) {
+	for d, c := range allLLCs(t, 4) {
 		c.Access(cachemodel.Access{Line: 5, Type: cachemodel.Read, SDID: 1})
 		c.Access(cachemodel.Access{Line: 5, Type: cachemodel.Read, SDID: 1}) // promote in Maya
 		if ok := c.Flush(5, 1); !ok {
@@ -82,7 +82,7 @@ func TestAllDesignsFlushConsistency(t *testing.T) {
 }
 
 func TestAllDesignsDirtyWritebackEventually(t *testing.T) {
-	for d, c := range allLLCs(5) {
+	for d, c := range allLLCs(t, 5) {
 		c.Access(cachemodel.Access{Line: 9, Type: cachemodel.Writeback})
 		r := rng.New(11)
 		saw := false
@@ -105,7 +105,7 @@ func TestLookupPenalties(t *testing.T) {
 		DesignBaseline: 0, DesignMirage: 4, DesignMirageLite: 4,
 		DesignMaya: 4, DesignMayaISO: 4,
 	}
-	for d, c := range allLLCs(6) {
+	for d, c := range allLLCs(t, 6) {
 		if p := c.LookupPenalty(); p != want[d] {
 			t.Errorf("%s: LookupPenalty %d, want %d", d, p, want[d])
 		}

@@ -1,60 +1,20 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
 	"sync"
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/cachesim"
-	"mayacache/internal/harness"
-	"mayacache/internal/rng"
 )
 
 // Scale controls simulation effort. The paper runs 200M warmup + 200M ROI
-// instructions per core; the default here is scaled down so the full
-// experiment suite completes in minutes, with shapes already stable.
+// instructions per core; the drivers default to a scaled-down budget so
+// the full experiment suite completes in minutes, with shapes already
+// stable.
 type Scale struct {
 	WarmupInstr uint64
 	ROIInstr    uint64
 	Seed        uint64
-	Parallel    bool // run independent configurations on all CPUs
-	// IntraParallelism forwards to cachesim.RunSpec.Parallelism: worker
-	// goroutines inside each simulation (0/1 = serial). Like Parallel it
-	// is a scheduling knob only — results are identical at any value.
-	IntraParallelism int
-	// StreamSeeds selects rng.Stream(Seed, i) derivation for multi-seed
-	// sweeps. When false (default) they keep the historical Seed+i
-	// scheme, so existing pinned results stay valid.
-	StreamSeeds bool
-}
-
-// seedFor derives the i-th seed of a multi-seed sweep.
-func (sc Scale) seedFor(i int) uint64 {
-	if sc.StreamSeeds {
-		return rng.Stream(sc.Seed, uint64(i))
-	}
-	return sc.Seed + uint64(i)
-}
-
-// QuickScale is the default reduced scale.
-func QuickScale() Scale {
-	return Scale{WarmupInstr: 2_000_000, ROIInstr: 1_000_000, Seed: 1, Parallel: true}
-}
-
-// TinyScale is for unit tests and -short benchmarks.
-func TinyScale() Scale {
-	return Scale{WarmupInstr: 300_000, ROIInstr: 200_000, Seed: 1}
-}
-
-// runMix simulates one workload assignment under one LLC. It is the
-// non-context legacy entry point; harness-routed sweeps use runMixCtx.
-func runMix(benchNames []string, llc cachemodel.LLC, sc Scale) cachesim.Results {
-	res, err := runMixCtx(context.Background(), "mix|"+llc.Name(), benchNames, llc, sc)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return res
 }
 
 // dramFor scales channels with core count (2 channels per 8 cores).
@@ -77,28 +37,18 @@ func homogeneous(bench string, n int) []string {
 	return names
 }
 
-// aloneIPCCache memoizes single-core baseline IPCs per (bench, scale).
+// aloneKey identifies a memoized single-core baseline IPC by (bench, scale).
 type aloneKey struct {
-	bench  string
-	warm   uint64
-	roi    uint64
-	seed   uint64
+	bench string
+	warm  uint64
+	roi   uint64
+	seed  uint64
 }
 
 var (
 	aloneMu    sync.Mutex
 	aloneCache = map[aloneKey]float64{}
 )
-
-// AloneIPC returns the benchmark's single-core IPC on a private 2MB
-// baseline LLC — the denominator of the weighted-speedup metric.
-func AloneIPC(bench string, sc Scale) float64 {
-	v, err := AloneIPCCtx(context.Background(), bench, sc)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return v
-}
 
 // MixResult is one (mix, design) performance measurement.
 type MixResult struct {
@@ -108,42 +58,4 @@ type MixResult struct {
 	MPKI     float64
 	IPCs     []float64
 	LLCStats cachemodel.Stats
-}
-
-// RunMixDesign simulates the benchmark assignment under the named design
-// and computes the weighted speedup against single-core baseline IPCs.
-func RunMixDesign(mixName string, benchNames []string, d Design, sc Scale) MixResult {
-	res, err := RunMixDesignCtx(context.Background(), mixName, benchNames, d, sc)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return res
-}
-
-// RunMixLLC is RunMixDesign with a caller-supplied LLC instance (used for
-// configuration sweeps like Fig 4's reuse-way study).
-func RunMixLLC(mixName string, benchNames []string, d Design, llc cachemodel.LLC, sc Scale) MixResult {
-	res, err := RunMixLLCCtx(context.Background(), mixName, benchNames, d, llc, sc)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return res
-}
-
-// parallelFor runs f(i) for i in [0, n), optionally across CPUs, through
-// the harness's bounded pool. Panics in f are recovered by the pool and
-// re-raised here, preserving the legacy fail-fast behavior for callers
-// that have not adopted the harness error path.
-func parallelFor(n int, parallel bool, f func(i int)) {
-	workers := 1
-	if parallel {
-		workers = harness.DefaultWorkers()
-	}
-	err := harness.ParallelFor(context.Background(), workers, n, func(_ context.Context, i int) error {
-		f(i)
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
 }

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"mayacache/internal/baseline"
-	"mayacache/internal/core"
 	"mayacache/internal/cachemodel"
+	"mayacache/internal/core"
 )
 
 func log2(n int) uint {

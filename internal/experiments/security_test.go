@@ -121,44 +121,3 @@ func TestFig6RejectsBadSpec(t *testing.T) {
 		t.Fatal("zero-iteration Fig6 accepted")
 	}
 }
-
-// TestMultiSeedStreamSeeds: the Stream derivation changes the per-seed
-// seeds (a different, deterministic experiment) while the default keeps
-// the historical consecutive scheme.
-func TestMultiSeedStreamSeeds(t *testing.T) {
-	sc := TinyScale()
-	for i := 0; i < 3; i++ {
-		if got, want := sc.seedFor(i), sc.Seed+uint64(i); got != want {
-			t.Fatalf("legacy seedFor(%d) = %d, want %d", i, got, want)
-		}
-	}
-	sc.StreamSeeds = true
-	seen := map[uint64]bool{}
-	for i := 0; i < 3; i++ {
-		s := sc.seedFor(i)
-		if seen[s] {
-			t.Fatalf("stream seedFor collision at %d", i)
-		}
-		seen[s] = true
-	}
-	a, err := RunMixDesignSeedsCtx(context.Background(), "xz", []string{"xz"}, DesignBaseline, sc, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunMixDesignSeedsCtx(context.Background(), "xz", []string{"xz"}, DesignBaseline, sc, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("stream-seeded sweep not deterministic: %+v vs %+v", a, b)
-	}
-}
-
-// TestMultiSeedCancellation: a cancelled context aborts the sweep.
-func TestMultiSeedCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunMixDesignSeedsCtx(ctx, "xz", []string{"xz"}, DesignBaseline, TinyScale(), 4); err == nil {
-		t.Fatal("cancelled multi-seed sweep returned nil error")
-	}
-}

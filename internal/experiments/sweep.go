@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/cachesim"
@@ -55,16 +56,16 @@ func runMixCtx(ctx context.Context, sub string, benchNames []string, llc cachemo
 		Seed:  sc.Seed,
 	}, gens)
 	return cachesim.Run(ctx, sys, cachesim.RunSpec{
-		Warmup:      sc.WarmupInstr,
-		ROI:         sc.ROIInstr,
-		Cell:        snapshot.CellFrom(ctx),
-		Sub:         sub,
-		Parallelism: sc.IntraParallelism,
+		Warmup: sc.WarmupInstr,
+		ROI:    sc.ROIInstr,
+		Cell:   snapshot.CellFrom(ctx),
+		Sub:    sub,
 	})
 }
 
-// AloneIPCCtx is AloneIPC under a context; failed computations are not
-// memoized.
+// AloneIPCCtx returns the benchmark's single-core IPC on a private 2MB
+// baseline LLC — the denominator of the weighted-speedup metric. Results
+// are memoized per (bench, scale); failed computations are not.
 func AloneIPCCtx(ctx context.Context, bench string, sc Scale) (float64, error) {
 	k := aloneKey{bench, sc.WarmupInstr, sc.ROIInstr, sc.Seed}
 	aloneMu.Lock()
@@ -88,8 +89,9 @@ func AloneIPCCtx(ctx context.Context, bench string, sc Scale) (float64, error) {
 	return v, nil
 }
 
-// RunMixDesignCtx is RunMixDesign under a context, returning errors
-// instead of panicking.
+// RunMixDesignCtx simulates the benchmark assignment under the named
+// design and computes the weighted speedup against single-core baseline
+// IPCs.
 func RunMixDesignCtx(ctx context.Context, mixName string, benchNames []string, d Design, sc Scale) (MixResult, error) {
 	llc, err := NewLLCChecked(d, LLCOptions{Cores: len(benchNames), Seed: sc.Seed, FastHash: true})
 	if err != nil {
@@ -98,8 +100,8 @@ func RunMixDesignCtx(ctx context.Context, mixName string, benchNames []string, d
 	return RunMixLLCCtx(ctx, mixName, benchNames, d, llc, sc)
 }
 
-// RunMixLLCCtx is RunMixLLC under a context, returning errors instead of
-// panicking.
+// RunMixLLCCtx is RunMixDesignCtx with a caller-supplied LLC instance,
+// for configuration sweeps like Fig 4's reuse-way study.
 func RunMixLLCCtx(ctx context.Context, mixName string, benchNames []string, d Design, llc cachemodel.LLC, sc Scale) (MixResult, error) {
 	res, err := runMixCtx(ctx, "mix|"+llc.Name(), benchNames, llc, sc)
 	if err != nil {
@@ -124,7 +126,9 @@ func RunMixLLCCtx(ctx context.Context, mixName string, benchNames []string, d De
 	}, nil
 }
 
-// Fig1Sweep is Fig1 routed through the harness: one cell per benchmark.
+// Fig1Sweep reproduces Figure 1: the fraction of LLC data fills that are
+// never reused, per benchmark, single-core with a 2MB LLC. One cell per
+// benchmark.
 func Fig1Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig1Row, []bool, error) {
 	benches := append(trace.SpecMemIntensive(), trace.GapMemIntensive()...)
 	keys := make([]string, len(benches))
@@ -166,8 +170,9 @@ func Fig1Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig1Row, []b
 	return rows, ok, err
 }
 
-// Fig9Sweep is Fig9 routed through the harness: one cell per benchmark,
-// each simulating the three designs on the 8-core homogeneous mix.
+// Fig9Sweep reproduces Figure 9 (8-core homogeneous mixes, Maya and
+// Mirage normalized to the non-secure baseline) plus the Table VII MPKI
+// data: one cell per benchmark, each simulating the three designs.
 func Fig9Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig9Row, []bool, error) {
 	benches := append(trace.SpecMemIntensive(), trace.GapMemIntensive()...)
 	keys := make([]string, len(benches))
@@ -208,8 +213,8 @@ func Fig9Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig9Row, []b
 	return rows, ok, err
 }
 
-// Fig10Sweep is Fig10 routed through the harness: one cell per
-// heterogeneous mix.
+// Fig10Sweep reproduces Figure 10: the 21 heterogeneous mixes of Table
+// VI, one cell per mix.
 func Fig10Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig10Row, []bool, error) {
 	mixes := trace.HeteroMixes()
 	keys := make([]string, len(mixes))
@@ -248,11 +253,14 @@ func Fig10Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig10Row, [
 	return rows, ok, err
 }
 
-// Fig4Sweep is Fig4 routed through the harness in two phases: baseline
-// weighted speedups (one cell per benchmark), then raw Maya weighted
-// speedups (one cell per reuse-way x benchmark). Normalization happens
-// at aggregation, so a failed baseline only degrades the rows that need
-// it. ok[i] is true when every cell feeding row i completed.
+// Fig4Sweep reproduces Figure 4: Maya's performance as reuse ways per
+// skew vary over {1, 3, 5, 7}, on SPEC homogeneous mixes, normalized to
+// baseline, with the data store held at its default size as in the
+// paper. It runs in two phases: baseline weighted speedups (one cell per
+// benchmark), then raw Maya weighted speedups (one cell per reuse-way x
+// benchmark). Normalization happens at aggregation, so a failed baseline
+// only degrades the rows that need it. ok[i] is true when every cell
+// feeding row i completed.
 func Fig4Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig4Row, []bool, error) {
 	benches := trace.SpecMemIntensive()
 	ways := []int{1, 3, 5, 7}
@@ -317,9 +325,11 @@ func Fig4Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig4Row, []b
 	return rows, ok, nil
 }
 
-// Table11Sweep is Table11 routed through the harness: one cell per
-// (technique, benchmark) normalized weighted speedup, aggregated per
-// technique.
+// Table11Sweep reproduces Table XI: secure partitioning techniques on
+// SPEC homogeneous mixes at 8 cores, one cell per (technique, benchmark)
+// normalized weighted speedup, aggregated per technique. Storage
+// overheads are the published metadata costs (mask registers / color
+// tables), which are not simulated.
 func Table11Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Table11Row, []bool, error) {
 	benches := trace.SpecMemIntensive()
 	kinds := []partitionSpec{
@@ -375,8 +385,8 @@ func Table11Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Table11Ro
 	return rows, ok, nil
 }
 
-// FittingSweep is LLCFittingSensitivity routed through the harness: one
-// cell per LLC-fitting benchmark.
+// FittingSweep measures Maya on the LLC-fitting benchmarks (Section V-B
+// reports a 0.63% average loss), one cell per benchmark.
 func FittingSweep(ctx context.Context, r *harness.Runner, sc Scale) ([]SensitivityRow, []bool, error) {
 	benches := trace.LLCFitting()
 	keys := make([]string, len(benches))
@@ -403,8 +413,9 @@ func FittingSweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Sensitivi
 	return rows, ok, err
 }
 
-// CoreCountSweep is CoreCountSensitivity routed through the harness: one
-// cell per core count.
+// CoreCountSweep runs a representative mix at each core count (8/16/32
+// when coreCounts is empty), normalizing Maya to the like-for-like
+// baseline; one cell per core count.
 func CoreCountSweep(ctx context.Context, r *harness.Runner, sc Scale, coreCounts []int) ([]SensitivityRow, []bool, error) {
 	if len(coreCounts) == 0 {
 		coreCounts = []int{8, 16, 32}
@@ -438,8 +449,12 @@ func CoreCountSweep(ctx context.Context, r *harness.Runner, sc Scale, coreCounts
 	return rows, ok, err
 }
 
-// LLCSizeSweep is LLCSizeSensitivity routed through the harness: one cell
-// per (size factor, benchmark), aggregated per factor.
+// LLCSizeSweep sweeps the Maya data-store size (Section V-B evaluates 6MB
+// to 96MB data stores; the default factors multiply the default 12MB),
+// one cell per (size factor, benchmark), aggregated per factor. Both
+// designs scale by set count with the same factor, so a 0.5x Maya (6MB)
+// compares against a 0.5x baseline (8MB) and Maya keeps its way
+// structure, and thus its security argument, as in the paper.
 func LLCSizeSweep(ctx context.Context, r *harness.Runner, sc Scale, scales []float64) ([]SensitivityRow, []bool, error) {
 	if len(scales) == 0 {
 		scales = []float64{0.5, 1.0, 2.0, 4.0}
@@ -485,7 +500,7 @@ func LLCSizeSweep(ctx context.Context, r *harness.Runner, sc Scale, scales []flo
 			gm, _ = metrics.GeoMean(vals)
 		}
 		rows[i] = SensitivityRow{
-			Label:    fmtInt(int(12*f+0.5)) + "MB data store",
+			Label:    strconv.Itoa(int(12*f+0.5)) + "MB data store",
 			NormMaya: gm,
 		}
 		ok[i] = complete

@@ -19,38 +19,6 @@ func sweepScale() Scale {
 	return Scale{WarmupInstr: 60_000, ROIInstr: 30_000, Seed: 1}
 }
 
-func TestSweepMatchesLegacySensitivity(t *testing.T) {
-	sc := sweepScale()
-	counts := []int{1, 2}
-	r := harness.New(harness.Options{Workers: 1})
-	rows, ok, err := CoreCountSweep(context.Background(), r, sc, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ok {
-		if !ok[i] {
-			t.Fatalf("cell %d incomplete", i)
-		}
-	}
-	if r.Failed() {
-		t.Fatalf("failures: %v", r.Failures())
-	}
-	legacy := CoreCountSensitivity(sc, counts)
-	if len(rows) != len(legacy) {
-		t.Fatalf("%d rows vs %d legacy", len(rows), len(legacy))
-	}
-	for i := range rows {
-		if rows[i].Label != legacy[i].Label {
-			t.Fatalf("row %d label %q vs %q", i, rows[i].Label, legacy[i].Label)
-		}
-		// The sweep value passed through a JSON round-trip, which is exact
-		// for float64, so even the floats must match bit-for-bit.
-		if rows[i].NormMaya != legacy[i].NormMaya {
-			t.Fatalf("row %d norm %v vs %v", i, rows[i].NormMaya, legacy[i].NormMaya)
-		}
-	}
-}
-
 func TestSweepResumeMatchesFreshRun(t *testing.T) {
 	sc := sweepScale()
 	counts := []int{1, 2, 4}

@@ -156,7 +156,7 @@ type Options struct {
 	// CellTimeout is the per-cell deadline; 0 disables it. A timed-out
 	// cell fails with context.DeadlineExceeded (wrapped in a RunError);
 	// the simulator observes the cancellation cooperatively via
-	// cachesim.System.RunCtx, so the cell's goroutine exits promptly.
+	// cachesim.Run, so the cell's goroutine exits promptly.
 	CellTimeout time.Duration
 	// Retries is how many times a cell failing with a Transient error is
 	// re-run (total attempts = Retries+1). Non-transient failures are

@@ -242,7 +242,7 @@ func (t *Tracker) Total() uint64 {
 type trackerCtxKey struct{}
 
 // WithTracker attaches a Tracker to ctx so layers that cannot take one as
-// a parameter (the simulator behind cachesim.RunResumable) can still
+// a parameter (the simulator behind cachesim.Run) can still
 // report progress. A nil tracker is fine: TrackerFrom returns it and all
 // Tracker methods are nil-safe.
 func WithTracker(ctx context.Context, t *Tracker) context.Context {

@@ -140,7 +140,7 @@ type Mirage struct {
 	memo  *probe.Memo //mayavet:ignore snapshotfields -- derived: pure function of (line, rekey epoch); wiped on restore
 	r     *rng.Rand
 	stats cachemodel.Stats
-	wbBuf  []cachemodel.WritebackOut //mayavet:ignore snapshotfields -- per-call output buffer; dead between accesses
+	wbBuf []cachemodel.WritebackOut //mayavet:ignore snapshotfields -- per-call output buffer; dead between accesses
 
 	// skewIdx caches the per-skew set indices computed by lookup so the
 	// install path that follows a miss never re-hashes the same line.
@@ -195,7 +195,7 @@ func NewChecked(cfg Config) (*Mirage, error) {
 	}
 	memo := probe.NewMemo(ar, cfg.Skews, memoBits)
 	c := &Mirage{
-		memo: memo,
+		memo:     memo,
 		cfg:      cfg,
 		ways:     ways,
 		sets:     cfg.SetsPerSkew,

@@ -43,10 +43,10 @@ type nextUseItem struct {
 
 type nextUseHeap []nextUseItem
 
-func (h nextUseHeap) Len() int            { return len(h) }
-func (h nextUseHeap) Less(i, j int) bool  { return h[i].nextUse > h[j].nextUse }
-func (h nextUseHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nextUseHeap) Push(x any)         { *h = append(*h, x.(nextUseItem)) }
+func (h nextUseHeap) Len() int           { return len(h) }
+func (h nextUseHeap) Less(i, j int) bool { return h[i].nextUse > h[j].nextUse }
+func (h nextUseHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *nextUseHeap) Push(x any)        { *h = append(*h, x.(nextUseItem)) }
 func (h *nextUseHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -177,25 +179,27 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Chaos: same specs, hard-stopped once every session has at least one
-	// durable save (so every resume is genuinely mid-run).
+	// Chaos: same specs. Each session is held in OnSave after its first
+	// durable save until every session has one, so none can finish and
+	// journal a done record (every resume is genuinely mid-run). A copy of
+	// the data directory taken then is exactly what a kill -9 would leave.
 	dir := t.TempDir()
 	var mu sync.Mutex
-	saved := map[string]int{}
+	saved := map[string]bool{}
 	allSaved := make(chan struct{})
+	release := make(chan struct{})
 	victim := openServer(t, Config{
 		Dir: dir, Workers: len(specs),
-		OnSave: func(key string, saves int) {
+		OnSave: func(key string, _ int) {
 			mu.Lock()
-			saved[key]++
-			n := len(saved)
+			first := !saved[key]
+			saved[key] = true
+			if first && len(saved) == len(specs) {
+				close(allSaved)
+			}
 			mu.Unlock()
-			if n == len(specs) {
-				select {
-				case <-allSaved:
-				default:
-					close(allSaved)
-				}
+			if first {
+				<-release
 			}
 		},
 	})
@@ -211,14 +215,18 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 	select {
 	case <-allSaved:
 	case <-time.After(60 * time.Second):
+		close(release)
 		t.Fatal("sessions never reached a durable save")
 	}
+	crashed := t.TempDir()
+	copyDurableState(t, dir, crashed)
+	close(release)
 	if err := victim.Close(); err != nil { // hard cancel: no drain, no records
 		t.Fatal(err)
 	}
 
 	// Recovery: every session re-admitted and resumed to the same bytes.
-	rec := openServer(t, Config{Dir: dir, Workers: 2})
+	rec := openServer(t, Config{Dir: crashed, Workers: 2})
 	if got := rec.StatsNow(); got.Recovered != len(specs) {
 		t.Fatalf("recovered %d sessions, want %d", got.Recovered, len(specs))
 	}
@@ -235,6 +243,33 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// copyDurableState copies a server's durable state (the journal and the
+// session cells) from src to dst, leaving the journal's lock sidecar
+// behind as a killed process would.
+func copyDurableState(t *testing.T, src, dst string) {
+	t.Helper()
+	files := []string{"journal.jsonl"}
+	cells, err := os.ReadDir(filepath.Join(src, "cells"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		files = append(files, filepath.Join("cells", c.Name()))
+	}
+	if err := os.MkdirAll(filepath.Join(dst, "cells"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(src, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, f), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -5,13 +5,13 @@
 // actually depends on:
 //
 //   - hot:    a small, Zipf-skewed working set that the private caches
-//             mostly absorb (register/L1/L2 locality)
+//     mostly absorb (register/L1/L2 locality)
 //   - medium: an LLC-scale working set whose reuse distance straddles the
-//             12–16MB boundary — the population Maya's reuse filter helps
+//     12–16MB boundary — the population Maya's reuse filter helps
 //   - scan:   a cyclic sequential sweep; when its footprint exceeds the
-//             LLC, RRIP-family policies collapse to ~0% hit rate while
-//             random replacement retains capacity/footprint of it (the
-//             mechanism behind the GAP pr result)
+//     LLC, RRIP-family policies collapse to ~0% hit rate while
+//     random replacement retains capacity/footprint of it (the
+//     mechanism behind the GAP pr result)
 //   - stream: a never-revisited sequential stream (dead on arrival)
 //   - random: a never-revisited uniform stream over a huge footprint
 //
@@ -123,7 +123,7 @@ const (
 type gen struct {
 	p        Profile
 	coreBase uint64
-	r *rng.Rand
+	r        *rng.Rand
 	//mayavet:ignore snapshotfields -- immutable sampler parameters; its only mutable state is the shared RNG r, which the codec saves (Clone rebinds it, hence the write)
 	zipf *rng.Zipf // medium-set sampler (nil: uniform)
 	// geom samples the gap distribution; it draws from r with exactly the
@@ -142,8 +142,8 @@ type gen struct {
 	stridePos uint64
 
 	// line-repeat state: remaining repeats of curLine.
-	curLine   uint64
-	curWrite  bool
+	curLine     uint64
+	curWrite    bool
 	repeatsLeft int
 }
 

@@ -18,7 +18,7 @@
 //	    Workloads: []string{"mcf", "mcf", "lbm", "lbm"},
 //	    Design:    maya.DesignMaya,
 //	})
-//	results, err := sys.Run(1_000_000, 500_000)
+//	results, err := sys.Run(ctx, maya.RunSpec{Warmup: 1_000_000, ROI: 500_000})
 //
 // See the examples directory and the cmd tools for complete experiment
 // drivers.
@@ -232,16 +232,11 @@ func log2(n int) uint {
 // budgets plus scheduling knobs (checkpoint cell, worker parallelism).
 type RunSpec = cachesim.RunSpec
 
-// Run simulates warmup then roi instructions per core and returns the
-// results.
-func (s *System) Run(warmup, roi uint64) (SystemResults, error) {
-	return cachesim.Run(context.Background(), s.inner, cachesim.RunSpec{Warmup: warmup, ROI: roi})
-}
-
-// RunWith executes the system under a full RunSpec: cancellation via ctx,
-// checkpoint/resume through spec.Cell, and deterministic parallel
-// simulation at spec.Parallelism (results are identical at any value).
-func (s *System) RunWith(ctx context.Context, spec RunSpec) (SystemResults, error) {
+// Run simulates spec.Warmup then spec.ROI instructions per core and
+// returns the results: cancellation via ctx, checkpoint/resume through
+// spec.Cell, and deterministic parallel simulation at spec.Parallelism
+// (results are identical at any value).
+func (s *System) Run(ctx context.Context, spec RunSpec) (SystemResults, error) {
 	return cachesim.Run(ctx, s.inner, spec)
 }
 

@@ -1,6 +1,7 @@
 package maya
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -43,7 +44,7 @@ func TestSystemBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run(100_000, 100_000)
+	res, err := sys.Run(context.Background(), RunSpec{Warmup: 100_000, ROI: 100_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestAllDesignsBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
 		}
-		res, err := sys.Run(50_000, 50_000)
+		res, err := sys.Run(context.Background(), RunSpec{Warmup: 50_000, ROI: 50_000})
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
 		}
