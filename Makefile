@@ -61,78 +61,15 @@ race:
 	$(GO) test -race -short -run 'Sharded' ./internal/buckets/
 	$(GO) test -race -short -run 'Trials|MedianDistinguishWorker|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
 
-# e2e exercises the CLIs end to end: mayasim fault isolation (one
-# injected panicking cell, nonzero exit, FAILED row), checkpoint resume
-# (byte-identical tables), SIGKILL-mid-ROI snapshot resume (bit-exact
-# continuation from durable cell state), the mayafleet chaos fabric, and
-# the mayaserve session daemon's kill -9 recovery (a daemon SIGKILLed
-# mid-ROI restarts and completes every acknowledged session with
-# byte-identical results). ci.sh runs the same smoke inline.
+# e2e exercises the CLIs end to end through e2e.sh, the same script
+# ci.sh runs: mayasim fault isolation, checkpoint resume and
+# SIGKILL-mid-ROI snapshot resume (byte-identical tables), securitysim
+# shard invariance and flag validation, the mayafleet chaos fabric,
+# retry exhaustion and flag misuse, and the mayaserve session daemon's
+# kill -9 recovery (byte-identical results) and 429 load shedding. The
+# script runs under `set -eu`, so any failed check fails the target.
 e2e:
-	@TMP=$$(mktemp -d); trap 'rm -rf "$$TMP"' EXIT; \
-	$(GO) build -o "$$TMP/mayasim" ./cmd/mayasim; \
-	if "$$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -serial \
-	    -checkpoint "$$TMP/ck.jsonl" -fault panic:cores=8 \
-	    > "$$TMP/fault.out" 2> "$$TMP/fault.err"; then \
-	  echo "e2e: fault-injected sweep exited zero" >&2; exit 1; fi; \
-	grep -q FAILED "$$TMP/fault.out"; \
-	grep -q "FAILURE SUMMARY" "$$TMP/fault.err"; \
-	"$$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -serial \
-	    -checkpoint "$$TMP/ck.jsonl" > "$$TMP/resume.out"; \
-	"$$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -serial \
-	    > "$$TMP/fresh.out"; \
-	cmp "$$TMP/resume.out" "$$TMP/fresh.out"; \
-	echo "e2e: resume byte-identical"; \
-	if "$$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -serial \
-	    -checkpoint "$$TMP/kill.ckpt" -snapshot-dir "$$TMP/snaps" -snapshot-every 4096 \
-	    -fault killsnap:cores=16:4 > "$$TMP/kill.out" 2> "$$TMP/kill.err"; then \
-	  echo "e2e: killsnap run survived its own SIGKILL" >&2; exit 1; fi; \
-	test -n "$$(ls "$$TMP/snaps")"; \
-	"$$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -serial \
-	    -checkpoint "$$TMP/kill.ckpt" -snapshot-dir "$$TMP/snaps" > "$$TMP/killresume.out"; \
-	cmp "$$TMP/killresume.out" "$$TMP/fresh.out"; \
-	test -z "$$(ls "$$TMP/snaps")"; \
-	echo "e2e: SIGKILL resume bit-exact"; \
-	$(GO) build -o "$$TMP/mayafleet" ./cmd/mayafleet; \
-	"$$TMP/mayafleet" serial -benches mcf,lbm -cores 2 -warmup 30000 \
-	    -roi 15000 -seeds 2 > "$$TMP/fleet-serial.tsv"; \
-	"$$TMP/mayafleet" coordinate -inproc 3 -benches mcf,lbm -cores 2 \
-	    -warmup 30000 -roi 15000 -seeds 2 -lease 2s -heartbeat 100ms \
-	    -snapshot-every 4096 -fault distkill:bench=mcf:2 \
-	    -fault distdrop:bench=lbm:1 -fault distdelay:bench=:5ms \
-	    > "$$TMP/fleet-chaos.tsv" 2> "$$TMP/fleet-chaos.err"; \
-	cmp "$$TMP/fleet-serial.tsv" "$$TMP/fleet-chaos.tsv"; \
-	grep -q "injected kill" "$$TMP/fleet-chaos.err"; \
-	grep -q "migrating cell" "$$TMP/fleet-chaos.err"; \
-	echo "e2e: fleet chaos run byte-identical to serial"; \
-	$(GO) build -o "$$TMP/mayaserve" ./cmd/mayaserve; \
-	"$$TMP/mayaserve" serve -data-dir "$$TMP/sv-ref" -addr-file "$$TMP/sv.addr" \
-	    -workers 3 -snapshot-every 4096 2>/dev/null & SRV=$$!; \
-	while [ ! -s "$$TMP/sv.addr" ]; do sleep 0.1; done; A=$$(cat "$$TMP/sv.addr"); \
-	for t in acme beta acme; do "$$TMP/mayaserve" submit -addr "$$A" -tenant $$t \
-	    -cores 1 -warmup 20000 -roi 40000 -seed 7; done > "$$TMP/sv.ids"; \
-	"$$TMP/mayaserve" wait -addr "$$A" -timeout 120s $$(cat "$$TMP/sv.ids") 2>/dev/null; \
-	for id in $$(cat "$$TMP/sv.ids"); do \
-	    "$$TMP/mayaserve" result -addr "$$A" $$id > "$$TMP/sv-ref-$$id.json"; done; \
-	kill -TERM $$SRV; wait $$SRV; \
-	rm -f "$$TMP/sv.addr"; \
-	"$$TMP/mayaserve" serve -data-dir "$$TMP/sv-chaos" -addr-file "$$TMP/sv.addr" \
-	    -workers 3 -snapshot-every 4096 -fault killsnap:s000003:2 2>/dev/null & SRV=$$!; \
-	while [ ! -s "$$TMP/sv.addr" ]; do sleep 0.1; done; A=$$(cat "$$TMP/sv.addr"); \
-	for t in acme beta acme; do "$$TMP/mayaserve" submit -addr "$$A" -tenant $$t \
-	    -cores 1 -warmup 20000 -roi 40000 -seed 7; done > "$$TMP/sv.ids2"; \
-	st=0; wait $$SRV || st=$$?; \
-	if [ "$$st" -ne 137 ]; then echo "e2e: killsnap daemon exited $$st, want 137" >&2; exit 1; fi; \
-	rm -f "$$TMP/sv.addr"; \
-	"$$TMP/mayaserve" serve -data-dir "$$TMP/sv-chaos" -addr-file "$$TMP/sv.addr" \
-	    -workers 3 -snapshot-every 4096 2>/dev/null & SRV=$$!; \
-	while [ ! -s "$$TMP/sv.addr" ]; do sleep 0.1; done; A=$$(cat "$$TMP/sv.addr"); \
-	"$$TMP/mayaserve" wait -addr "$$A" -timeout 120s $$(cat "$$TMP/sv.ids2") 2>/dev/null; \
-	for id in $$(cat "$$TMP/sv.ids2"); do \
-	    "$$TMP/mayaserve" result -addr "$$A" $$id > "$$TMP/sv-got-$$id.json"; \
-	    cmp "$$TMP/sv-ref-$$id.json" "$$TMP/sv-got-$$id.json"; done; \
-	kill -TERM $$SRV; wait $$SRV; \
-	echo "e2e: mayaserve kill -9 recovery byte-identical"
+	sh ./e2e.sh
 
 # bench runs the continuous benchmark suite in quick mode and writes
 # BENCH.json: per-design LLC access-path microbenchmarks (ns/access,

@@ -31,11 +31,14 @@
 // surviving worker — a SIGKILL instead costs at most one snapshot
 // interval of recomputation.
 //
-// -fault injects faults for chaos drills (repeatable): distkill:S:N
-// (SIGKILL the worker at the N-th durable save of a cell matching
-// substring S), distdrop:S:N (blackhole the next N cell-scoped RPCs),
-// distdelay:S:D (stall heartbeats by D), plus the harness specs
-// panic:S, error:S, transient:S:K applied before matching cells.
+// -fault injects faults for chaos drills (repeatable; see faults.Parse):
+// distkill:S:N or killsnap:S:N (kill the worker at the N-th durable save
+// of a cell matching substring S), snapfail:S:N (fail that save),
+// distdrop:S:N (blackhole the next N cell-scoped RPCs), distdelay:S:D
+// (stall heartbeats by D), plus panic:S, error:S, transient:S:K, and
+// slowtenant:F:D, applied before matching cells. serial has only the
+// last four; a coordinator with -listen takes none (pass them to the
+// workers).
 //
 // Both report paths emit one TSV row per cell on stdout —
 // key<TAB>OK<TAB>json or key<TAB>FAILED<TAB>error — sorted by key.
@@ -174,42 +177,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// parseFaults splits fault specs into distributed injectors and a
-// harness pre-run hook chain.
-func parseFaults(specs []string) ([]*faults.DistFault, func(string) error, error) {
-	var dists []*faults.DistFault
-	var hooks []func(string) error
-	for _, spec := range specs {
-		df, err := faults.ParseDist(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		if df != nil {
-			dists = append(dists, df)
-			continue
-		}
-		h, err := faults.ParseHook(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		if h != nil {
-			hooks = append(hooks, h)
-		}
-	}
-	var hook func(string) error
-	if len(hooks) > 0 {
-		hook = func(key string) error {
-			for _, h := range hooks {
-				if err := h(key); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	return dists, hook, nil
-}
-
 // emitReport writes the TSV and folds the outcome into an exit code.
 func emitReport(rep dist.Report, interrupted bool) int {
 	if err := rep.WriteTSV(os.Stdout); err != nil {
@@ -247,12 +214,12 @@ func runSerial(args []string) int {
 	if *workers < 0 || *retries < 0 {
 		return fail("-workers and -retries must be >= 0")
 	}
-	dists, hook, err := parseFaults(faultSpecs)
+	set, err := faults.Parse(faultSpecs)
 	if err != nil {
 		return fail("%v", err)
 	}
-	if len(dists) > 0 {
-		return fail("distributed fault specs need a worker fleet; use them with coordinate -inproc or work")
+	if err := set.Within(faults.PreRun); err != nil {
+		return fail("%v; save and RPC faults need a worker fleet: use coordinate -inproc or work", err)
 	}
 	var cp *harness.Checkpoint
 	if *checkpoint != "" {
@@ -269,7 +236,7 @@ func runSerial(args []string) int {
 		Retries:    *retries,
 		Seed:       g.seed,
 		Checkpoint: cp,
-		PreRun:     hook,
+		Faults:     set,
 	})
 	rep, err := dist.RunSerial(ctx, runner, grid)
 	if err != nil && ctx.Err() == nil {
@@ -293,7 +260,7 @@ func runCoordinate(args []string) int {
 		checkpoint = fs.String("checkpoint", "", "JSONL checkpoint file: completed cells are appended and restored on rerun")
 		faultSpecs multiFlag
 	)
-	fs.Var(&faultSpecs, "fault", "inject a fault (repeatable): distkill:<substr>:<n> | distdrop:<substr>:<n> | distdelay:<substr>:<dur> | panic:<substr> | error:<substr> | transient:<substr>:<k>")
+	fs.Var(&faultSpecs, "fault", "inject a fault (repeatable): distkill:<substr>:<n> | snapfail:<substr>:<n> | distdrop:<substr>:<n> | distdelay:<substr>:<dur> | panic:<substr> | error:<substr> | transient:<substr>:<k>")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -307,11 +274,11 @@ func runCoordinate(args []string) int {
 	if *inproc < 0 || *retries < 0 {
 		return fail("-inproc and -retries must be >= 0")
 	}
-	dists, hook, err := parseFaults(faultSpecs)
+	set, err := faults.Parse(faultSpecs)
 	if err != nil {
 		return fail("%v", err)
 	}
-	if *listen != "" && (len(dists) > 0 || hook != nil) {
+	if *listen != "" && len(set) > 0 {
 		return fail("with -listen, pass -fault to the worker processes instead")
 	}
 	var cp *harness.Checkpoint
@@ -351,10 +318,9 @@ func runCoordinate(args []string) int {
 			workers[i] = dist.InprocWorker{Opts: dist.WorkerOptions{
 				Name:    fmt.Sprintf("inproc%d", i),
 				SnapDir: filepath.Join(root, fmt.Sprintf("w%d", i)),
-				// Fault instances are shared fleet-wide: a distkill fires
-				// on whichever worker reaches the trigger first, once.
-				Faults: dists,
-				Hook:   hook,
+				// The fault set is shared fleet-wide: a distkill fires on
+				// whichever worker reaches the trigger first, once.
+				Faults: set,
 				Logf:   logf,
 			}}
 		}
@@ -383,7 +349,7 @@ func serveTCP(ctx context.Context, coord *dist.Coordinator, addr, addrFile strin
 	if addrFile != "" {
 		// Atomic write: a script polling the file must never observe a
 		// partially written address.
-		if err := harness.WriteFileAtomic(addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
+		if err := snapshot.WriteFileAtomic(addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
 			return fail("writing -addr-file: %v", err)
 		}
 	}
@@ -441,7 +407,7 @@ func runWork(args []string) int {
 		leases     = fs.Int("leases", 1, "concurrent cell leases this worker holds and executes")
 		faultSpecs multiFlag
 	)
-	fs.Var(&faultSpecs, "fault", "inject a fault (repeatable): distkill:<substr>:<n> | distdrop:<substr>:<n> | distdelay:<substr>:<dur> | panic:<substr> | error:<substr> | transient:<substr>:<k>")
+	fs.Var(&faultSpecs, "fault", "inject a fault (repeatable): distkill:<substr>:<n> | snapfail:<substr>:<n> | distdrop:<substr>:<n> | distdelay:<substr>:<dur> | panic:<substr> | error:<substr> | transient:<substr>:<k>")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -454,7 +420,7 @@ func runWork(args []string) int {
 	if *leases < 1 {
 		return fail("-leases must be >= 1 (got %d)", *leases)
 	}
-	dists, hook, err := parseFaults(faultSpecs)
+	set, err := faults.Parse(faultSpecs)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -479,8 +445,7 @@ func runWork(args []string) int {
 	w, err := dist.NewWorker(ctx, client, dist.WorkerOptions{
 		Name:    *name,
 		SnapDir: dir,
-		Faults:  dists,
-		Hook:    hook,
+		Faults:  set,
 		Trigger: trig,
 		Leases:  *leases,
 		Logf:    logf,

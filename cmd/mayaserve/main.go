@@ -28,17 +28,22 @@
 // idle; a second signal or the -grace deadline hard-cancels (exit 1).
 // Restarting with the same -data-dir re-admits every unfinished session.
 //
-// -fault injects service faults for chaos drills (repeatable):
-// slowtenant:<tenant>:<dur> stalls that tenant's runs (admission and
-// shedding still observable), snapfail:<substr>:<n> fails the n-th
-// snapshot write of matching sessions, killsnap:<substr>:<n> SIGKILLs
-// the whole daemon at the n-th durable save of a matching session —
-// the recovery path's test harness.
+// -fault injects service faults for chaos drills (repeatable; see
+// faults.Parse), matched against session keys of the form
+// serve|<id>|<tenant>|<grid cell key>: slowtenant:<tenant>:<dur> stalls
+// that tenant's runs inside their deadline (admission and shedding
+// still observable), snapfail:<substr>:<n> fails the n-th snapshot
+// write of matching sessions, killsnap:<substr>:<n> (or distkill)
+// SIGKILLs the whole daemon at the n-th durable save of a matching
+// session — the recovery path's test harness — and panic:, error: and
+// transient: fail matching sessions before they run. The fleet's RPC
+// faults (distdrop, distdelay) have no site here and exit 2.
 //
 // submit prints the new session ID on stdout; on a 429 it honors the
 // server's Retry-After hint and retries. wait polls until every listed
 // session reaches a terminal state, tolerating connection failures so it
-// rides through a daemon restart. result prints the session's Results
+// rides through a daemon restart; -timeout bounds it even against a
+// daemon that accepts connections and never answers. result prints the session's Results
 // JSON verbatim — byte-identical across daemons that computed the same
 // session, which is how the chaos smoke test checks recovery.
 //
@@ -63,6 +68,7 @@ import (
 	"mayacache/internal/faults"
 	"mayacache/internal/harness"
 	"mayacache/internal/serve"
+	"mayacache/internal/snapshot"
 )
 
 func main() {
@@ -113,40 +119,6 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
-// parseFaults splits -fault specs into serve injectors and an OnSave
-// chain of killsnap crash hooks.
-func parseFaults(specs []string) ([]*faults.ServeFault, func(key string, saves int), error) {
-	var svc []*faults.ServeFault
-	var kills []func(key string, saves int)
-	for _, spec := range specs {
-		sf, err := faults.ParseServe(spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		if sf != nil {
-			svc = append(svc, sf)
-			continue
-		}
-		k, err := faults.KillOnSave(spec, nil) // nil kill = real SIGKILL
-		if err != nil {
-			return nil, nil, err
-		}
-		if k == nil {
-			return nil, nil, fmt.Errorf("unknown fault spec %q (want slowtenant:…, snapfail:…, or killsnap:…)", spec)
-		}
-		kills = append(kills, k)
-	}
-	var onSave func(key string, saves int)
-	if len(kills) > 0 {
-		onSave = func(key string, saves int) {
-			for _, k := range kills {
-				k(key, saves)
-			}
-		}
-	}
-	return svc, onSave, nil
-}
-
 func runServe(args []string) int {
 	fs := flag.NewFlagSet("mayaserve serve", flag.ContinueOnError)
 	var (
@@ -165,15 +137,18 @@ func runServe(args []string) int {
 		jitterSeed    = fs.Uint64("jitter-seed", 1, "seed for the Retry-After jitter stream")
 		faultSpecs    multiFlag
 	)
-	fs.Var(&faultSpecs, "fault", "inject a fault (repeatable): slowtenant:<tenant>:<dur> | snapfail:<substr>:<n> | killsnap:<substr>:<n>")
+	fs.Var(&faultSpecs, "fault", "inject a fault (repeatable): slowtenant:<tenant>:<dur> | snapfail:<substr>:<n> | killsnap:<substr>:<n> | panic:<substr> | error:<substr> | transient:<substr>:<k>")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *dataDir == "" {
 		return fail("-data-dir is required")
 	}
-	svcFaults, onSave, err := parseFaults(faultSpecs)
+	set, err := faults.Parse(faultSpecs)
 	if err != nil {
+		return fail("%v", err)
+	}
+	if err := set.Within(faults.PreRun | faults.PreSave | faults.Save); err != nil {
 		return fail("%v", err)
 	}
 	s, err := serve.Open(serve.Config{
@@ -188,8 +163,7 @@ func runServe(args []string) int {
 		ShedP99:     *shedP99,
 		RunDeadline: *deadline,
 		JitterSeed:  *jitterSeed,
-		Faults:      svcFaults,
-		OnSave:      onSave,
+		Faults:      set,
 		Logf:        logf,
 	})
 	if err != nil {
@@ -214,7 +188,7 @@ func runServe(args []string) int {
 	}
 	logf("serving on %s (data under %s)", ln.Addr(), *dataDir)
 	if *addrFile != "" {
-		if err := harness.WriteFileAtomic(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
+		if err := snapshot.WriteFileAtomic(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
 			_ = ln.Close()
 			_ = s.Close()
 			return fail("writing -addr-file: %v", err)
@@ -222,7 +196,7 @@ func runServe(args []string) int {
 	}
 	if *pidFile != "" {
 		pid := strconv.Itoa(os.Getpid())
-		if err := harness.WriteFileAtomic(*pidFile, []byte(pid), 0o644); err != nil {
+		if err := snapshot.WriteFileAtomic(*pidFile, []byte(pid), 0o644); err != nil {
 			_ = ln.Close()
 			_ = s.Close()
 			return fail("writing -pid-file: %v", err)
@@ -387,10 +361,14 @@ func runSubmit(args []string) int {
 	return 0
 }
 
-// fetchSession GETs one session's state. Connection errors return
-// (nil, err) so wait can ride through a daemon restart.
-func fetchSession(base, id string) (*serve.SessionInfo, error) {
-	resp, err := http.Get(base + "/v1/sessions/" + id)
+// fetchSession GETs one session's state, bounded by ctx. Connection
+// errors return (nil, err) so wait can ride through a daemon restart.
+func fetchSession(ctx context.Context, base, id string) (*serve.SessionInfo, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/sessions/"+id, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -406,34 +384,31 @@ func fetchSession(base, id string) (*serve.SessionInfo, error) {
 	return &info, nil
 }
 
-// waitAll polls until every session is terminal (or the deadline). It
-// tolerates connection failures — the daemon may be mid-restart — and
-// only fails when a session reports a terminal error or time runs out.
-func waitAll(base string, ids []string, timeout time.Duration) int {
-	deadline := time.Now().Add(timeout)
+// waitAll polls until every session is terminal or the timeout passes;
+// each request is bounded by the time left, so a hung daemon cannot hold
+// it past the deadline. It tolerates connection failures — the daemon
+// may be mid-restart — and only fails when a session reports a terminal
+// error or time runs out. It returns the exit code and the last state
+// seen of each session.
+func waitAll(base string, ids []string, timeout time.Duration) (int, map[string]*serve.SessionInfo) {
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	seen := map[string]*serve.SessionInfo{}
 	pending := map[string]bool{}
 	for _, id := range ids {
 		pending[id] = true
 	}
 	code := 0
 	for len(pending) > 0 {
-		if time.Now().After(deadline) {
-			for _, id := range ids {
-				if pending[id] {
-					logf("timed out waiting for %s", id)
-				}
-			}
-			return 1
-		}
 		for _, id := range ids {
 			if !pending[id] {
 				continue
 			}
-			info, err := fetchSession(base, id)
+			info, err := fetchSession(ctx, base, id)
 			if err != nil {
-				// Daemon down or restarting: keep polling until the deadline.
-				continue
+				continue // daemon down, restarting, or hung: poll until the deadline
 			}
+			seen[id] = info
 			switch info.State {
 			case serve.StateDone:
 				logf("%s done (%d/%d instructions)", id, info.Done, info.Total)
@@ -445,10 +420,18 @@ func waitAll(base string, ids []string, timeout time.Duration) int {
 			}
 		}
 		if len(pending) > 0 {
-			time.Sleep(100 * time.Millisecond)
+			harness.Sleep(ctx, 100*time.Millisecond)
+		}
+		if ctx.Err() != nil && len(pending) > 0 {
+			for _, id := range ids {
+				if pending[id] {
+					logf("timed out waiting for %s", id)
+				}
+			}
+			return 1, seen
 		}
 	}
-	return code
+	return code, seen
 }
 
 func runWait(args []string) int {
@@ -461,7 +444,8 @@ func runWait(args []string) int {
 	if *addr == "" || fs.NArg() == 0 {
 		return fail("usage: mayaserve wait -addr HOST:PORT ID...")
 	}
-	return waitAll(baseURL(*addr), fs.Args(), *timeout)
+	code, _ := waitAll(baseURL(*addr), fs.Args(), *timeout)
+	return code
 }
 
 func runResult(args []string) int {
@@ -532,11 +516,11 @@ func runSwarm(args []string) int {
 			ids = append(ids, id)
 		}
 	}
-	code := waitAll(base, ids, *timeout)
+	code, seen := waitAll(base, ids, *timeout)
 	for _, id := range ids {
-		info, err := fetchSession(base, id)
-		if err != nil {
-			fmt.Printf("%s\tUNKNOWN\t%v\n", id, err)
+		info := seen[id]
+		if info == nil {
+			fmt.Printf("%s\tUNKNOWN\tno state seen before the timeout\n", id)
 			code = 1
 			continue
 		}

@@ -6,7 +6,7 @@
 //
 //	mayasim -experiment fig9 [-warmup 2000000] [-roi 1000000] [-seed 1]
 //	        [-csv] [-checkpoint sweep.ckpt] [-timeout 10m] [-retries 2]
-//	        [-workers N] [-serial]
+//	        [-workers N] [-serial] [-fault SPEC]
 //	        [-snapshot-dir DIR] [-snapshot-every N] [-grace 30s]
 //
 // Experiments: fig1, fig4, fig9, fig10, table7, table11, fitting, cores,
@@ -32,6 +32,14 @@
 // bound to their configuration: a rerun with a different seed, scale, or
 // geometry rejects the stale state and exits 2 naming the mismatched
 // field.
+//
+// -fault injects one deterministic fault for drills (see faults.Parse):
+// panic:S, error:S, and transient:S:K fail the cells whose key contains
+// S before they run, slowtenant:F:D stalls cells whose key has the
+// field F by D, and — with -snapshot-dir — snapfail:S:N fails a
+// matching cell's N-th state save and killsnap:S:N (or distkill:S:N)
+// SIGKILLs the process at it. The fleet's RPC faults (distdrop,
+// distdelay) have no site here and exit 2.
 //
 // Exit status: 0 when every cell of every requested experiment completed
 // (including runs resumed from snapshots); 1 when interrupted or when
@@ -81,7 +89,7 @@ func run() int {
 		timeout    = flag.Duration("timeout", 0, "per-cell timeout (0 disables)")
 		retries    = flag.Int("retries", 0, "retries for cells failing with transient errors")
 		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint file: completed cells are appended and restored on rerun")
-		fault      = flag.String("fault", "", "inject a fault into matching cells: panic:<substr> | error:<substr> | transient:<substr>:<k> | killsnap:<substr>:<n>")
+		fault      = flag.String("fault", "", "inject a fault into matching cells: panic:<substr> | error:<substr> | transient:<substr>:<k> | slowtenant:<field>:<dur> | snapfail:<substr>:<n> | killsnap:<substr>:<n>")
 		snapDir    = flag.String("snapshot-dir", "", "directory for durable mid-cell simulator state; enables intra-cell resume and snapshot-on-signal")
 		snapEvery  = flag.Uint64("snapshot-every", 0, "periodic auto-snapshot cadence in simulator steps (requires -snapshot-dir; 0 saves only on signal)")
 		grace      = flag.Duration("grace", 30*time.Second, "how long the first signal waits for cell snapshots to save before cancelling (0 cancels immediately)")
@@ -135,18 +143,16 @@ func run() int {
 	if *grace < 0 {
 		return fail("-grace must be >= 0 (got %v)", *grace)
 	}
-	killHook, err := faults.KillOnSave(*fault, nil)
-	if err != nil {
-		return fail("%v", err)
-	}
-	if killHook != nil && *snapDir == "" {
-		return fail("-fault %s fires on snapshot saves; it needs -snapshot-dir (and usually -snapshot-every)", *fault)
-	}
-	var hook func(key string) error
-	if killHook == nil {
-		hook, err = faults.ParseHook(*fault)
-		if err != nil {
+	var set faults.Set
+	if *fault != "" {
+		if set, err = faults.Parse([]string{*fault}); err != nil {
 			return fail("%v", err)
+		}
+		if err := set.Within(faults.PreRun | faults.PreSave | faults.Save); err != nil {
+			return fail("%v", err)
+		}
+		if set.Within(faults.PreRun) != nil && *snapDir == "" {
+			return fail("-fault %s fires on snapshot saves; it needs -snapshot-dir (and usually -snapshot-every)", *fault)
 		}
 	}
 	if *snapDir != "" {
@@ -177,11 +183,10 @@ func run() int {
 		Retries:         *retries,
 		Seed:            *seed,
 		Checkpoint:      cp,
-		PreRun:          hook,
+		Faults:          set,
 		SnapshotDir:     *snapDir,
 		SnapshotEvery:   *snapEvery,
 		SnapshotTrigger: trig,
-		SnapshotOnSave:  killHook,
 	})
 
 	ctx, cancel := harness.NotifyShutdown(context.Background(), trig, *grace,

@@ -174,7 +174,7 @@ func RunServeOverload(burst int, warmup, roi, seed uint64) (ServeResult, error) 
 		return ServeResult{}, err
 	}
 	defer os.RemoveAll(dir)
-	slow, err := faults.ParseServe("slowtenant:hog:1m")
+	slow, err := faults.Parse([]string{"slowtenant:hog:1m"})
 	if err != nil {
 		return ServeResult{}, err
 	}
@@ -182,7 +182,7 @@ func RunServeOverload(burst int, warmup, roi, seed uint64) (ServeResult, error) 
 		Dir: dir, Workers: 1,
 		Quotas:     serve.Quotas{TenantRunning: 1, TenantQueued: 2, GlobalQueued: 4},
 		JitterSeed: seed,
-		Faults:     []*faults.ServeFault{slow},
+		Faults:     slow,
 	})
 	if err != nil {
 		return ServeResult{}, err

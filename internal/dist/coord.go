@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/rpc"
 	"sync"
@@ -26,14 +27,9 @@ type CoordOptions struct {
 	// Retries bounds re-executions per cell: a cell may fail (transient
 	// error or lease expiry) at most Retries times and still be retried;
 	// total attempts = Retries+1. Non-transient failures are terminal
-	// immediately, matching the serial harness.
+	// immediately. harness.Retry decides, exactly as for the serial
+	// harness, and its delay gates the cell's next grant.
 	Retries int
-	// BackoffBase/BackoffCap shape the reassignment backoff, computed by
-	// harness.Backoff from (Seed, cell key, attempt) — the identical
-	// schedule the serial harness would have used. Zero selects the
-	// harness defaults (50ms base, 2s cap).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
 	// Seed drives the backoff jitter.
 	Seed uint64
 	// SnapshotEvery is the periodic cell-snapshot cadence handed to
@@ -107,12 +103,6 @@ type cellRun struct {
 type Coordinator struct {
 	opts CoordOptions
 
-	// backoffs is the precomputed reassignment schedule: backoffs[key][k]
-	// is the delay before retry attempt k of the keyed cell, evaluated
-	// once at construction from pure inputs (seed, key, attempt) so the
-	// schedule provably cannot depend on wall-clock state.
-	backoffs map[string][]time.Duration
-
 	mu        sync.Mutex
 	cells     map[string]*cellRun
 	order     []string // deterministic grant order (Grid.Cells order)
@@ -144,10 +134,9 @@ func NewCoordinator(opts CoordOptions) (*Coordinator, error) {
 		return nil, fmt.Errorf("dist: retries must be >= 0 (got %d)", opts.Retries)
 	}
 	c := &Coordinator{
-		opts:     opts,
-		backoffs: map[string][]time.Duration{},
-		cells:    map[string]*cellRun{},
-		doneCh:   make(chan struct{}),
+		opts:   opts,
+		cells:  map[string]*cellRun{},
+		doneCh: make(chan struct{}),
 	}
 	for _, cell := range opts.Grid.Cells() {
 		key := fullKey(cell.Key)
@@ -171,17 +160,18 @@ func NewCoordinator(opts CoordOptions) (*Coordinator, error) {
 		}
 		c.cells[key] = run
 		c.order = append(c.order, key)
-		ds := make([]time.Duration, opts.Retries)
-		for k := range ds {
-			ds[k] = harness.Backoff(opts.Seed, key, k, opts.BackoffBase, opts.BackoffCap)
-		}
-		c.backoffs[key] = ds
 	}
 	if c.openN == 0 {
 		c.doneOnce.Do(func() { close(c.doneCh) })
 	}
 	return c, nil
 }
+
+// requeue returns the cell to PENDING, grantable from at. It is a method
+// so the wall-clock gate is written apart from the attempt count that
+// feeds harness.Retry's jitter: mayavet's seedflow taint is per struct,
+// not per field, and cannot tell the two apart within one function.
+func (r *cellRun) requeue(at time.Time) { r.state, r.notBefore = cellPending, at }
 
 // fullKey is the harness checkpoint key for a grid cell.
 func fullKey(cellKey string) string { return GridExperiment + "|" + cellKey }
@@ -273,17 +263,20 @@ func (c *Coordinator) expireLeases(now time.Time) {
 }
 
 // settleFailureLocked routes a failed attempt (completion error or
-// expiry) through the retry budget.
+// expiry) through the retry rule.
 func (c *Coordinator) settleFailureLocked(key string, run *cellRun, msg string, transient bool, now time.Time) {
 	run.leaseID = 0
 	run.worker = ""
-	if transient && run.attempts <= c.opts.Retries {
-		run.state = cellPending
-		run.notBefore = now.Add(c.backoffs[key][run.attempts-1])
+	err := errors.New(msg)
+	if transient {
+		err = harness.Transient(err)
+	}
+	if delay, retry := harness.Retry(c.opts.Seed, key, run.attempts, c.opts.Retries, err); retry {
+		run.requeue(now.Add(delay))
 		return
 	}
 	run.state = cellFailed
-	if transient && run.attempts > c.opts.Retries {
+	if transient {
 		msg = fmt.Sprintf("%s (retry budget exhausted after %d attempt(s))", msg, run.attempts)
 	}
 	run.err = msg

@@ -13,9 +13,12 @@
 //     heartbeating; its lease expires and the cell is reassigned, seeded
 //     with the worker's last uploaded MAYASNAP state blob so at most one
 //     snapshot interval of simulation is lost;
-//   - reassignment waits out the same seeded-jitter backoff schedule the
-//     serial harness uses (harness.Backoff — a pure function of seed,
-//     cell key, and attempt), under a bounded retry budget;
+//   - reassignment follows the serial harness's retry rule
+//     (harness.Retry: a seeded-jitter backoff that is a pure function of
+//     seed, cell key, and attempt), under a bounded retry budget;
+//   - each attempt runs through the serial harness's attempt path
+//     (harness.RunAttempt), so panics, deadlines and -fault specs
+//     behave exactly as in a local sweep;
 //   - cells that exhaust the budget become structured FAILED rows, never
 //     hangs or panics;
 //   - completed cells stream through the existing fsync'd, advisory-locked

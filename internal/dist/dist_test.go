@@ -55,7 +55,7 @@ func serialTSV(t *testing.T, g Grid) []byte {
 }
 
 // fabricCoord builds a coordinator with CI-scale timing: short leases so
-// injected deaths resolve fast, backoff in the milliseconds.
+// injected deaths resolve fast.
 func fabricCoord(t *testing.T, g Grid, retries int) *Coordinator {
 	t.Helper()
 	// Lease sizing: generous relative to heartbeat cadence so scheduler
@@ -66,8 +66,6 @@ func fabricCoord(t *testing.T, g Grid, retries int) *Coordinator {
 		Lease:         2 * time.Second,
 		Heartbeat:     100 * time.Millisecond,
 		Retries:       retries,
-		BackoffBase:   time.Millisecond,
-		BackoffCap:    4 * time.Millisecond,
 		Seed:          99,
 		SnapshotEvery: 4096,
 		Logf:          t.Logf,
@@ -78,12 +76,12 @@ func fabricCoord(t *testing.T, g Grid, retries int) *Coordinator {
 	return coord
 }
 
-func inprocWorkers(t *testing.T, n int, fault func(i int) []*faults.DistFault) []InprocWorker {
+func inprocWorkers(t *testing.T, n int, fault func(i int) Faults) []InprocWorker {
 	t.Helper()
 	dir := t.TempDir()
 	ws := make([]InprocWorker, n)
 	for i := range ws {
-		var f []*faults.DistFault
+		var f Faults
 		if fault != nil {
 			f = fault(i)
 		}
@@ -114,6 +112,25 @@ func freshSaves(t *testing.T, c Cell, every uint64) int {
 	}
 	return cell.Saves()
 }
+
+func mustParse(t *testing.T, specs ...string) faults.Set {
+	t.Helper()
+	s, err := faults.Parse(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// ownRPC gives one worker its own RPC faults on top of a fault set its
+// whole fleet shares.
+type ownRPC struct {
+	faults.Set
+	rpc faults.Set
+}
+
+func (f ownRPC) Drop(key string) bool                    { return f.rpc.Drop(key) }
+func (f ownRPC) HeartbeatDelay(key string) time.Duration { return f.rpc.HeartbeatDelay(key) }
 
 func fabricTSV(t *testing.T, coord *Coordinator, workers []InprocWorker) []byte {
 	t.Helper()
@@ -148,27 +165,18 @@ func TestFabricByteMatchesSerial(t *testing.T) {
 		// the second durable save of a bench=mcf cell dies — exactly
 		// once, like a machine loss. Individual workers additionally drop
 		// RPCs and stall heartbeats.
-		kill, err := faults.ParseDist("distkill:bench=mcf:2")
-		if err != nil {
-			t.Fatal(err)
-		}
-		drop, err := faults.ParseDist("distdrop:bench=lbm:1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		delay, err := faults.ParseDist("distdelay:bench=:10ms")
-		if err != nil {
-			t.Fatal(err)
-		}
+		kill := mustParse(t, "distkill:bench=mcf:2")
+		drop := mustParse(t, "distdrop:bench=lbm:1")
+		delay := mustParse(t, "distdelay:bench=:10ms")
 		coord := fabricCoord(t, g, 3)
-		got := fabricTSV(t, coord, inprocWorkers(t, 3, func(i int) []*faults.DistFault {
+		got := fabricTSV(t, coord, inprocWorkers(t, 3, func(i int) Faults {
 			switch i {
 			case 1:
-				return []*faults.DistFault{kill, drop}
+				return ownRPC{kill, drop}
 			case 2:
-				return []*faults.DistFault{kill, delay}
+				return ownRPC{kill, delay}
 			default:
-				return []*faults.DistFault{kill}
+				return kill
 			}
 		}))
 		if !bytes.Equal(got, want) {
@@ -236,15 +244,9 @@ func TestFabricByteMatchesSerial(t *testing.T) {
 // complete.
 func TestRetryBudgetExhaustionFails(t *testing.T) {
 	g := testGrid()
-	hook, err := faults.ParseHook("transient:bench=mcf|cores=2|w=30000:100")
-	if err != nil {
-		t.Fatal(err)
-	}
+	flaky := mustParse(t, "transient:bench=mcf|cores=2|w=30000:100")
 	coord := fabricCoord(t, g, 1)
-	workers := inprocWorkers(t, 2, nil)
-	for i := range workers {
-		workers[i].Opts.Hook = hook
-	}
+	workers := inprocWorkers(t, 2, func(int) Faults { return flaky })
 	rep, err := RunFabric(context.Background(), coord, workers)
 	if err != nil {
 		t.Fatalf("RunFabric: %v", err)

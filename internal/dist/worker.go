@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mayacache/internal/faults"
 	"mayacache/internal/harness"
 	"mayacache/internal/snapshot"
 )
@@ -19,6 +18,16 @@ import (
 // errDropped marks an RPC blackholed by a distdrop fault: from the
 // worker's perspective the call simply never came back.
 var errDropped = errors.New("dist: rpc dropped (injected partition)")
+
+// Faults is the fault surface a worker consults: the attempt's sites plus
+// the RPC site (faults.Set implements it).
+type Faults interface {
+	harness.Faults
+	// Drop reports whether a cell-scoped RPC for key is blackholed.
+	Drop(key string) bool
+	// HeartbeatDelay is how long a heartbeat for key stalls.
+	HeartbeatDelay(key string) time.Duration
+}
 
 // WorkerOptions configures a Worker.
 type WorkerOptions struct {
@@ -28,19 +37,15 @@ type WorkerOptions struct {
 	// SnapDir is the worker-local directory for durable mid-cell state
 	// (required: migration needs somewhere to land blobs).
 	SnapDir string
-	// Faults injects distributed faults (distkill/distdrop/distdelay);
-	// empty injects nothing. Workers may share a fault instance, giving
-	// it fleet-wide "first worker to reach the trigger" semantics — a
-	// shared distkill kills whichever worker reaches the n-th save of a
-	// matching cell first, exactly once.
-	Faults []*faults.DistFault
-	// Hook, when non-nil, runs (under panic recovery) before every cell
-	// attempt with the full cell key — the same contract as the serial
-	// harness's PreRun, so panic:/error:/transient: fault specs work
-	// identically on workers.
-	Hook func(key string) error
-	// Kill is invoked when a distkill fault fires; nil selects the real
-	// fault — SIGKILL to this process, no unwind, no deferred cleanup.
+	// Faults, when non-nil, is consulted at each attempt's sites (the
+	// same as the serial harness's, so every -fault spec fires alike on
+	// workers) and around cell-scoped RPCs. Workers may share one value,
+	// giving it fleet-wide "first worker to reach the trigger" semantics
+	// — a shared distkill kills whichever worker reaches the n-th save of
+	// a matching cell first, exactly once.
+	Faults Faults
+	// Kill is invoked when a save-site kill fault fires; nil selects the
+	// real fault — harness.KillProcess, no unwind, no deferred cleanup.
 	// In-process fabrics substitute a hard cancel of the worker.
 	Kill func()
 	// Trigger, when fired (SIGINT/SIGTERM via harness.NotifyShutdown),
@@ -79,10 +84,7 @@ func NewWorker(ctx context.Context, client *rpc.Client, opts WorkerOptions) (*Wo
 		return nil, fmt.Errorf("dist: creating worker snapshot dir: %w", err)
 	}
 	if opts.Kill == nil {
-		opts.Kill = func() {
-			p, _ := os.FindProcess(os.Getpid())
-			_ = p.Kill() // SIGKILL: no unwind, no deferred cleanup
-		}
+		opts.Kill = harness.KillProcess
 	}
 	w := &Worker{opts: opts, client: client}
 	var reply RegisterReply
@@ -110,7 +112,7 @@ func (w *Worker) logf(format string, args ...any) {
 // errDropped without touching the wire, exactly as a partition would
 // look from this side (minus the waiting).
 func (w *Worker) call(ctx context.Context, method string, args, reply any, cellKey string) error {
-	if cellKey != "" && w.dropRPC(cellKey) {
+	if cellKey != "" && w.opts.Faults != nil && w.opts.Faults.Drop(cellKey) {
 		w.logf("dropping %s for %s (injected partition)", method, cellKey)
 		return errDropped
 	}
@@ -164,36 +166,24 @@ func (w *Worker) runLoop(ctx context.Context) error {
 		case lease.Done:
 			return nil
 		case !lease.Granted:
-			w.sleep(ctx, lease.RetryAfter)
+			harness.Sleep(ctx, lease.RetryAfter)
 			continue
 		}
 		w.runCell(ctx, &lease)
 	}
 }
 
-// sleep waits d or until ctx ends.
-func (w *Worker) sleep(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
-
 // runCell executes one leased cell: materialize the migrated snapshot
-// blob (if any), run the simulation through the snapshot-resumable path
-// while a heartbeat goroutine keeps the lease alive, then report the
-// outcome — unless the lease was lost, in which case the result is
-// abandoned (the reassigned attempt recomputes the identical value).
+// blob (if any), run the attempt while a heartbeat goroutine keeps the
+// lease alive, then report the outcome — unless the lease was lost, in
+// which case the result is abandoned (the reassigned attempt recomputes
+// the identical value).
 func (w *Worker) runCell(ctx context.Context, lease *LeaseReply) {
 	key := fullKey(lease.Cell.Key)
 	path := filepath.Join(w.opts.SnapDir, snapshot.CellFileName(key))
-	if len(lease.Snapshot) > 0 {
-		if err := os.WriteFile(path, lease.Snapshot, 0o644); err != nil {
+	migrated := len(lease.Snapshot) > 0
+	if migrated {
+		if err := snapshot.WriteFileAtomic(path, lease.Snapshot, 0o644); err != nil {
 			w.completeErr(ctx, lease, fmt.Errorf("dist: writing migrated snapshot: %w", err), false, 0)
 			return
 		}
@@ -215,34 +205,21 @@ func (w *Worker) runCell(ctx context.Context, lease *LeaseReply) {
 	hbDone := make(chan struct{})
 	go w.heartbeats(cctx, cancel, lease, key, &revoked, &stopped, hbDone)
 
-	cell, err := snapshot.OpenCell(snapshot.CellSpec{
+	res := harness.RunAttempt(cctx, harness.Attempt{
+		Key:     key,
 		Path:    path,
 		Every:   w.snapEvery,
 		Trigger: w.opts.Trigger,
-		OnSave: func(saves int) {
-			w.uploadState(cctx, lease, key, path, saves)
-			if w.killSave(key, saves) {
-				w.logf("%s: injected kill on save %d of %s", w.id, saves, lease.Cell.Key)
-				w.opts.Kill()
-			}
+		OnSave:  func(saves int) { w.uploadState(cctx, lease, key, path, saves) },
+		Faults:  w.opts.Faults,
+		Kill: func() {
+			w.logf("%s: injected kill during cell %s", w.id, lease.Cell.Key)
+			w.opts.Kill()
 		},
-	}, key)
-
-	var value []byte
+	}, lease.Cell.Run)
 	saves := 0
-	runErr := err
-	if runErr == nil {
-		runErr = harness.Recover(func() error {
-			if w.opts.Hook != nil {
-				if herr := w.opts.Hook(key); herr != nil {
-					return herr
-				}
-			}
-			v, rerr := lease.Cell.Run(snapshot.WithCell(cctx, cell))
-			value = v
-			return rerr
-		})
-		saves = cell.Saves()
+	if res.Cell != nil {
+		saves = res.Cell.Saves()
 	}
 	cancel()
 	<-hbDone
@@ -256,29 +233,27 @@ func (w *Worker) runCell(ctx context.Context, lease *LeaseReply) {
 		// Coordinator shutdown interrupted the cell; its unwinding
 		// context error is cancellation fallout, not a cell failure.
 		w.logf("%s: abandoning cell %s (coordinator stopped)", w.id, lease.Cell.Key)
-	case runErr != nil && errors.Is(runErr, snapshot.ErrStopped):
+	case res.Outcome == harness.Stopped:
 		// Graceful shutdown: state is durable locally and uploaded to
 		// the coordinator; the lease will expire and migrate it.
 		w.logf("%s: cell %s stopped after deadline snapshot", w.id, lease.Cell.Key)
-	case runErr != nil && ctx.Err() != nil && errors.Is(runErr, context.Canceled):
+	case res.Outcome == harness.Cancelled:
 		// Worker-level cancellation (coordinator Stop or local signal):
 		// not a cell failure.
-	case runErr != nil:
-		w.completeErr(ctx, lease, runErr, len(lease.Snapshot) > 0, saves)
+	case res.Err != nil:
+		w.completeErr(ctx, lease, res.Err, migrated, saves)
 	default:
 		w.complete(ctx, lease, &CompleteArgs{
 			WorkerID: w.id,
 			LeaseID:  lease.LeaseID,
-			Value:    value,
-			Migrated: len(lease.Snapshot) > 0,
+			Value:    res.Value,
+			Migrated: migrated,
 			Saves:    saves,
 		})
 		// The value is reported; this worker's mid-cell state file is
 		// obsolete (if rejected as stale, the live attempt has its own).
-		if cell != nil {
-			if derr := cell.Discard(); derr != nil {
-				w.logf("%s: discarding cell state: %v", w.id, derr)
-			}
+		if derr := res.Cell.Discard(); derr != nil {
+			w.logf("%s: discarding cell state: %v", w.id, derr)
 		}
 	}
 }
@@ -298,8 +273,8 @@ func (w *Worker) heartbeats(cctx context.Context, cancel context.CancelFunc, lea
 			return
 		case <-t.C:
 		}
-		if d := w.heartbeatDelay(key); d > 0 {
-			w.sleep(cctx, d)
+		if w.opts.Faults != nil {
+			harness.Sleep(cctx, w.opts.Faults.HeartbeatDelay(key))
 		}
 		var reply HeartbeatReply
 		err := w.call(cctx, "Coord.Heartbeat", &HeartbeatArgs{WorkerID: w.id, LeaseID: lease.LeaseID}, &reply, key)
@@ -329,38 +304,6 @@ func (w *Worker) heartbeats(cctx context.Context, cancel context.CancelFunc, lea
 			fails = 0
 		}
 	}
-}
-
-// dropRPC reports whether any injected fault blackholes a cell-scoped
-// RPC for key.
-func (w *Worker) dropRPC(key string) bool {
-	for _, f := range w.opts.Faults {
-		if f.Drop(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// killSave reports whether any injected kill fault fires on this save.
-func (w *Worker) killSave(key string, saves int) bool {
-	for _, f := range w.opts.Faults {
-		if f.KillSave(key, saves) {
-			return true
-		}
-	}
-	return false
-}
-
-// heartbeatDelay returns the longest injected heartbeat stall for key.
-func (w *Worker) heartbeatDelay(key string) time.Duration {
-	var d time.Duration
-	for _, f := range w.opts.Faults {
-		if fd := f.HeartbeatDelay(key); fd > d {
-			d = fd
-		}
-	}
-	return d
 }
 
 // uploadState ships the just-saved cell file to the coordinator as the

@@ -33,13 +33,13 @@ func TestSweepResumeMatchesFreshRun(t *testing.T) {
 	ctx1, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls int32
-	r1 := harness.New(harness.Options{Workers: 1, Checkpoint: cp1, PreRun: func(string) error {
+	r1 := harness.New(harness.Options{Workers: 1, Checkpoint: cp1, Faults: preRun(func() error {
 		if atomic.AddInt32(&calls, 1) > 1 {
 			cancel()
 			return context.Canceled
 		}
 		return nil
-	}})
+	})})
 	_, ok1, err := CoreCountSweep(ctx1, r1, sc, counts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep returned %v, want context.Canceled", err)
@@ -94,13 +94,20 @@ func TestSweepResumeMatchesFreshRun(t *testing.T) {
 	}
 }
 
+// preRun is a harness.Faults fake with only a pre-run site.
+type preRun func() error
+
+func (f preRun) PreRun(context.Context, string) error { return f() }
+func (preRun) PreSave(string, int) error              { return nil }
+func (preRun) OnSave(string, int) bool                { return false }
+
 func TestSweepIsolatesInjectedFault(t *testing.T) {
 	sc := sweepScale()
-	hook, err := faults.ParseHook("panic:cores=2")
+	set, err := faults.Parse([]string{"panic:cores=2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := harness.New(harness.Options{Workers: 1, PreRun: hook})
+	r := harness.New(harness.Options{Workers: 1, Faults: set})
 	rows, ok, err := CoreCountSweep(context.Background(), r, sc, []int{1, 2, 4})
 	if err != nil {
 		t.Fatal(err)

@@ -1,25 +1,29 @@
 // Package faults provides deterministic fault injection for the
-// experiment harness. Its purpose is to prove two properties of the
+// experiment runtimes. Its purpose is to prove properties of the
 // surrounding machinery rather than to model hardware faults faithfully:
 //
-//  1. the harness isolates failures — a corrupted or panicking cell
-//     becomes one structured RunError while sibling cells complete; and
-//  2. the mayacheck invariant audits actually fire under corruption —
+//  1. every runtime isolates failures — a corrupted or panicking cell
+//     becomes one structured failure while sibling cells complete;
+//  2. crash recovery is exact — a process killed mid-ROI resumes from
+//     what was durable and produces byte-identical results; and
+//  3. the mayacheck invariant audits actually fire under corruption —
 //     a flipped tag-store bit in the Maya cache is caught by Audit, not
 //     silently folded into the simulated eviction distribution (the
 //     failure mode behind the Mirage broken/refuted exchange).
 //
-// Every injector is deterministic: faults fire at fixed event indices or
-// attempt counts, or are selected by a seeded internal/rng stream, so a
-// failing fault-injection run reproduces bit-for-bit.
+// The CLIs' -fault specifications compile through Parse into one Set,
+// which the sweep harness, the fleet worker, and the session server each
+// consult at the sites they have (see Site).
+//
+// Every injector is deterministic: faults fire at fixed event indices,
+// save ordinals or attempt counts, or are selected by a seeded
+// internal/rng stream, so a failing fault-injection run reproduces
+// bit-for-bit.
 package faults
 
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 
 	"mayacache/internal/harness"
@@ -168,104 +172,4 @@ func (p *Plan) Fire(site string, i uint64) bool {
 	}
 	r := rng.New(rng.Mix64(h ^ i))
 	return r.Float64() < p.prob
-}
-
-// KillOnSave compiles a "killsnap:<substr>:<n>" fault specification into
-// a harness SnapshotOnSave hook: after the n-th durable state save
-// (1-based) of any cell whose key contains substr, the hook invokes kill
-// exactly once. A nil kill selects the real fault — SIGKILL delivered to
-// the current process — which models losing the machine mid-ROI with no
-// chance to flush, unwind, or run deferred cleanup; the snapshot/resume
-// machinery must recover from exactly what was already durable. Tests
-// substitute a recording kill func. A spec of a different kind (or an
-// empty one) returns a nil hook and no error, so callers can probe for
-// killsnap before handing the spec to ParseHook.
-func KillOnSave(spec string, kill func()) (func(key string, saves int), error) {
-	if !strings.HasPrefix(spec, "killsnap:") {
-		return nil, nil
-	}
-	parts := strings.SplitN(spec, ":", 3)
-	if len(parts) != 3 || parts[1] == "" {
-		return nil, fmt.Errorf("faults: bad spec %q (want killsnap:<substr>:<n>)", spec)
-	}
-	n, err := strconv.Atoi(parts[2])
-	if err != nil || n < 1 {
-		return nil, fmt.Errorf("faults: bad killsnap save count %q (want a positive integer)", parts[2])
-	}
-	substr := parts[1]
-	if kill == nil {
-		kill = func() {
-			p, _ := os.FindProcess(os.Getpid())
-			_ = p.Kill() // SIGKILL: no unwind, no deferred cleanup
-		}
-	}
-	var once sync.Once
-	return func(key string, saves int) {
-		if saves >= n && strings.Contains(key, substr) {
-			once.Do(kill)
-		}
-	}, nil
-}
-
-// ParseHook compiles a CLI fault specification into a harness PreRun
-// hook. Specifications:
-//
-//	panic:<substr>          panic in every cell whose key contains substr
-//	error:<substr>          fail (non-transient) cells matching substr
-//	transient:<substr>:<k>  fail matching cells' first k attempts with a
-//	                        retryable error (exercises backoff + retry)
-//
-// The fourth kind, killsnap:<substr>:<n>, is not a PreRun hook — it rides
-// the snapshot-save path; compile it with KillOnSave before calling
-// ParseHook. An empty spec returns a nil hook.
-func ParseHook(spec string) (func(key string) error, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	parts := strings.SplitN(spec, ":", 3)
-	if len(parts) < 2 || parts[1] == "" {
-		return nil, fmt.Errorf("faults: bad spec %q (want kind:substr[:k])", spec)
-	}
-	kind, substr := parts[0], parts[1]
-	switch kind {
-	case "panic":
-		return func(key string) error {
-			if strings.Contains(key, substr) {
-				panic(fmt.Errorf("%w: cell %s", ErrInjected, key))
-			}
-			return nil
-		}, nil
-	case "error":
-		return func(key string) error {
-			if strings.Contains(key, substr) {
-				return fmt.Errorf("%w: cell %s", ErrInjected, key)
-			}
-			return nil
-		}, nil
-	case "transient":
-		k := 1
-		if len(parts) == 3 {
-			v, err := strconv.Atoi(parts[2])
-			if err != nil || v < 1 {
-				return nil, fmt.Errorf("faults: bad transient count %q", parts[2])
-			}
-			k = v
-		}
-		var mu sync.Mutex
-		counts := map[string]int{}
-		return func(key string) error {
-			if !strings.Contains(key, substr) {
-				return nil
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if counts[key] >= k {
-				return nil
-			}
-			counts[key]++
-			return harness.Transient(fmt.Errorf("%w: cell %s attempt %d", ErrInjected, key, counts[key]))
-		}, nil
-	default:
-		return nil, fmt.Errorf("faults: unknown fault kind %q (want panic, error, or transient)", kind)
-	}
 }

@@ -112,50 +112,3 @@ func TestFlipTagBitNeedsAHook(t *testing.T) {
 		t.Fatal("hookless value reported corruptible")
 	}
 }
-
-func TestParseHookSpecs(t *testing.T) {
-	if h, err := ParseHook(""); h != nil || err != nil {
-		t.Fatalf("empty spec: hook=%v err=%v", h != nil, err)
-	}
-	for _, bad := range []string{"panic", "panic:", "nope:x", "transient:x:zero", "transient:x:0"} {
-		if _, err := ParseHook(bad); err == nil {
-			t.Errorf("spec %q accepted", bad)
-		}
-	}
-
-	h, err := ParseHook("error:bench=mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h("fig9|bench=lbm|seed=1"); err != nil {
-		t.Fatalf("non-matching cell failed: %v", err)
-	}
-	if err := h("fig9|bench=mcf|seed=1"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("matching cell: %v", err)
-	}
-
-	ph, err := ParseHook("panic:cell=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	perr := harness.Recover(func() error { return ph("exp|cell=1") })
-	if !errors.Is(perr, ErrInjected) {
-		t.Fatalf("panic hook through Recover: %v", perr)
-	}
-
-	th, err := ParseHook("transient:cell=2:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := th("exp|cell=2"); !harness.IsTransient(err) {
-			t.Fatalf("attempt %d: %v", i, err)
-		}
-	}
-	if err := th("exp|cell=2"); err != nil {
-		t.Fatalf("third attempt should pass: %v", err)
-	}
-	if err := th("exp|cell=3"); err != nil {
-		t.Fatalf("other cell affected: %v", err)
-	}
-}

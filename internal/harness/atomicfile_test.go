@@ -1,65 +1,53 @@
 package harness
 
 import (
-	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
+
+	"mayacache/internal/snapshot"
 )
 
+// TestWriteFileAtomic: every durable save of an attempt replaces the
+// cell's state file whole — it decodes, with no temp litter beside it —
+// and the next attempt resumes from the last save.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "addr")
-
-	if err := WriteFileAtomic(path, []byte("127.0.0.1:4100"), 0o644); err != nil {
-		t.Fatalf("WriteFileAtomic: %v", err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read back: %v", err)
-	}
-	if !bytes.Equal(got, []byte("127.0.0.1:4100")) {
-		t.Fatalf("content = %q", got)
-	}
-
-	// Overwrite replaces the full content, never appends or truncates short.
-	if err := WriteFileAtomic(path, []byte("[::1]:65535"), 0o600); err != nil {
-		t.Fatalf("overwrite: %v", err)
-	}
-	got, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read back 2: %v", err)
-	}
-	if !bytes.Equal(got, []byte("[::1]:65535")) {
-		t.Fatalf("content after overwrite = %q", got)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatalf("stat: %v", err)
-	}
-	if perm := info.Mode().Perm(); perm != 0o600 {
-		t.Fatalf("perm = %o, want 600", perm)
-	}
-
-	// No temp litter left behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("readdir: %v", err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp") {
-			t.Fatalf("leftover temp file %q", e.Name())
+	a := Attempt{Key: "exp|cell=1", Path: filepath.Join(dir, "cell.snap")}
+	for save := byte(1); save <= 3; save++ {
+		res := RunAttempt(context.Background(), a, func(ctx context.Context) (int, error) {
+			cell := snapshot.CellFrom(ctx)
+			if got := cell.SystemState("sub"); save > 1 && (len(got) != 1 || got[0] != save-1) {
+				t.Errorf("attempt %d resumed state %v, want the previous save", save, got)
+			}
+			return 0, cell.SaveSystem("sub", []byte{save})
+		})
+		data, err := os.ReadFile(a.Path)
+		if res.Outcome != Succeeded || err != nil {
+			t.Fatalf("save %d: outcome %v (%v), read %v", save, res.Outcome, res.Err, err)
 		}
-	}
-	if len(entries) != 1 {
-		t.Fatalf("dir has %d entries, want 1", len(entries))
+		if _, err := snapshot.Decode(data); err != nil {
+			t.Fatalf("save %d left a torn state file: %v", save, err)
+		}
+		if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+			t.Fatalf("save %d: state dir holds %v (%v), want the cell file alone", save, entries, err)
+		}
 	}
 }
 
+// TestWriteFileAtomicMissingDir: a save into a missing state directory
+// fails the attempt with the write error and leaves no file.
 func TestWriteFileAtomicMissingDir(t *testing.T) {
-	err := WriteFileAtomic(filepath.Join(t.TempDir(), "nope", "addr"), []byte("x"), 0o644)
-	if err == nil {
-		t.Fatal("expected error for missing parent directory")
+	a := Attempt{Key: "exp|cell=1", Path: filepath.Join(t.TempDir(), "nope", "cell.snap")}
+	res := RunAttempt(context.Background(), a, func(ctx context.Context) (int, error) {
+		return 0, snapshot.CellFrom(ctx).SaveSystem("sub", []byte("x"))
+	})
+	if res.Outcome != Failed || res.Err == nil {
+		t.Fatalf("outcome %v (%v), want Failed with the write error", res.Outcome, res.Err)
+	}
+	if _, err := os.Stat(a.Path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("state file after a failed save: %v", err)
 	}
 }

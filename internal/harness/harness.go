@@ -11,8 +11,8 @@
 //   - every cell runs under a context.Context, so Ctrl-C cancellation and
 //     per-cell timeouts propagate through the bounded worker pool;
 //   - cells that fail with a transient error (see Transient) are retried
-//     with capped exponential backoff, jittered from internal/rng so retry
-//     schedules are deterministic given the harness seed;
+//     under Retry's capped exponential backoff, jittered from internal/rng
+//     so retry schedules are deterministic given the harness seed;
 //   - completed cells are appended to a JSONL checkpoint file, so an
 //     interrupted sweep resumes without recomputing them — the values are
 //     JSON round-tripped both when written and when skipped, keeping
@@ -23,7 +23,9 @@
 //     nonzero on).
 //
 // The package is deliberately simulator-agnostic: cells are closures and
-// cell values are anything JSON-marshalable.
+// cell values are anything JSON-marshalable. The fleet worker and the
+// session server run their cells through the same attempt (RunAttempt)
+// and retry rule (Retry).
 package harness
 
 import (
@@ -38,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"mayacache/internal/rng"
 	"mayacache/internal/snapshot"
 )
 
@@ -159,28 +160,20 @@ type Options struct {
 	// cachesim.Run, so the cell's goroutine exits promptly.
 	CellTimeout time.Duration
 	// Retries is how many times a cell failing with a Transient error is
-	// re-run (total attempts = Retries+1). Non-transient failures are
-	// never retried.
+	// re-run (total attempts = Retries+1), after the delays Retry gives.
+	// Non-transient failures are never retried.
 	Retries int
-	// BackoffBase is the first retry delay; attempt k waits
-	// BackoffBase<<k plus uniform jitter in [0, BackoffBase). 0 defaults
-	// to 50ms. Delays are capped at BackoffCap.
-	BackoffBase time.Duration
-	// BackoffCap caps a single backoff delay; 0 defaults to 2s.
-	BackoffCap time.Duration
-	// Seed drives the backoff jitter (see Backoff: every delay is a pure
+	// Seed drives the backoff jitter (see Retry: every delay is a pure
 	// function of Seed, the cell key, and the attempt number).
 	Seed uint64
 	// Checkpoint, when non-nil, is consulted before running a cell and
 	// appended to after each completed cell.
 	Checkpoint *Checkpoint
-	// PreRun, when non-nil, runs inside the recovery wrapper immediately
-	// before every cell attempt. It exists for fault injection: a hook
-	// may panic or return an error (possibly Transient) to simulate a
-	// failing cell deterministically. A nil return proceeds to the run.
-	PreRun func(key string) error
-	// Sleep is the backoff sleeper; nil selects a context-aware
-	// time.After wait. Tests substitute instant sleeps.
+	// Faults, when non-nil, is consulted at every attempt's fault sites
+	// (see Attempt) to fail, stall, or kill cells deterministically.
+	Faults Faults
+	// Sleep is the backoff sleeper; nil selects Sleep. Tests substitute
+	// instant sleeps.
 	Sleep func(ctx context.Context, d time.Duration)
 
 	// SnapshotDir, when non-empty, enables mid-cell snapshot/resume: each
@@ -197,10 +190,6 @@ type Options struct {
 	// SnapshotTrigger, when fired, makes running cells save their state
 	// and stop; cells not yet launched are skipped (left resumable).
 	SnapshotTrigger *snapshot.Trigger
-	// SnapshotOnSave, when non-nil, observes every durable cell-state
-	// write with the cell key and the cell's cumulative save count (the
-	// kill-mid-run fault injector's hook).
-	SnapshotOnSave func(key string, saves int)
 }
 
 // Runner executes sweeps and accumulates their failures. One Runner is
@@ -217,30 +206,21 @@ type Runner struct {
 
 // New builds a Runner. Zero-valued fields of opts select defaults.
 func New(opts Options) *Runner {
-	if opts.Workers == 0 {
-		opts.Workers = DefaultWorkers()
-	}
-	if opts.BackoffBase == 0 {
-		opts.BackoffBase = 50 * time.Millisecond
-	}
-	if opts.BackoffCap == 0 {
-		opts.BackoffCap = 2 * time.Second
-	}
 	if opts.Sleep == nil {
-		opts.Sleep = func(ctx context.Context, d time.Duration) {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-			case <-t.C:
-			}
-		}
+		opts.Sleep = Sleep
 	}
 	return &Runner{opts: opts}
 }
 
-// Options returns the runner's resolved options.
-func (r *Runner) Options() Options { return r.opts }
+// Sleep waits d or until ctx ends.
+func Sleep(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+	case <-t.C:
+	}
+}
 
 // record appends a cell failure.
 func (r *Runner) record(e *RunError) {
@@ -317,40 +297,6 @@ func indentStack(stack []byte, maxLines int) string {
 		}
 	}
 	return string(out)
-}
-
-// backoff returns the jittered delay before retry attempt k (0-based) of
-// the cell identified by key.
-func (r *Runner) backoff(key string, k int) time.Duration {
-	return Backoff(r.opts.Seed, key, k, r.opts.BackoffBase, r.opts.BackoffCap)
-}
-
-// Backoff returns the delay before retry attempt k (0-based) of the cell
-// identified by key: base<<k capped at cap, plus uniform jitter in
-// [0, base) drawn from a stream keyed by (seed, key, k). The delay is a
-// pure function of its arguments — it does not depend on how many other
-// cells retried first, on worker scheduling, or on any shared stream
-// position — so a retry schedule reproduces exactly given the harness
-// seed, and the distributed coordinator (internal/dist) computes the
-// identical schedule for a cell no matter which worker's failure
-// triggered the retry. base <= 0 defaults to 50ms, cap <= 0 to 2s.
-func Backoff(seed uint64, key string, k int, base, cap time.Duration) time.Duration {
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 2 * time.Second
-	}
-	d := base << uint(k)
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	h := seed ^ 0x6861726e657373 // "harness"
-	for _, b := range []byte(key) {
-		h = rng.Mix64(h ^ uint64(b))
-	}
-	j := time.Duration(rng.New(rng.Mix64(h^uint64(k))).Float64() * float64(base))
-	return d + j
 }
 
 // ParallelFor runs f(ctx, i) for i in [0, n) on at most workers
@@ -432,56 +378,46 @@ func RunCells[T any](ctx context.Context, r *Runner, experiment string, keys []s
 		if r.opts.SnapshotTrigger.Fired() {
 			return nil
 		}
-		cell, cerr := r.openCell(key)
-		if cerr != nil {
-			r.record(&RunError{Experiment: experiment, Cell: keys[i], Attempts: 1, Err: cerr})
-			return nil
-		}
-		v, attempts, err := runOne(ctx, r, key, func(cctx context.Context) (T, error) {
-			if cell != nil {
-				cctx = snapshot.WithCell(cctx, cell)
-			}
-			return run(cctx, i)
-		})
-		if err != nil {
-			if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-				return nil // cancelled, not failed: resumable
-			}
-			if errors.Is(err, snapshot.ErrStopped) {
-				// Deadline stop: the cell state is durable. Note its
-				// location so the resumed sweep continues mid-cell.
-				if cell != nil && r.opts.Checkpoint != nil {
-					if werr := r.opts.Checkpoint.RecordSnapshot(key, cell.Path()); werr != nil {
-						r.record(&RunError{Experiment: experiment, Cell: keys[i], Attempts: attempts, Err: werr})
-					}
-				}
-				return nil
-			}
+		res, attempts := runOne(ctx, r, key, func(cctx context.Context) (T, error) { return run(cctx, i) })
+		fail := func(err error) {
 			r.record(&RunError{Experiment: experiment, Cell: keys[i], Attempts: attempts,
 				Err: err, Stack: PanicStack(err)})
+		}
+		switch res.Outcome {
+		case Cancelled:
+			return nil // not failed: a resumed sweep recomputes it
+		case Stopped:
+			// Deadline stop: the cell state is durable. Note its location
+			// so the resumed sweep continues mid-cell.
+			if res.Cell != nil && r.opts.Checkpoint != nil {
+				if err := r.opts.Checkpoint.RecordSnapshot(key, res.Cell.Path()); err != nil {
+					fail(err)
+				}
+			}
+			return nil
+		case Failed, FailedTransient:
+			fail(res.Err)
 			return nil
 		}
 		// JSON round-trip the value through the checkpoint encoding even
 		// when checkpointing is off, so resumed and fresh runs render
 		// byte-identically.
-		rt, rerr := roundTrip(v)
-		if rerr != nil {
-			r.record(&RunError{Experiment: experiment, Cell: keys[i], Attempts: attempts,
-				Err: fmt.Errorf("cell value not checkpointable: %w", rerr)})
+		rt, err := roundTrip(res.Value)
+		if err != nil {
+			fail(fmt.Errorf("cell value not checkpointable: %w", err))
 			return nil
 		}
 		if r.opts.Checkpoint != nil {
-			if werr := r.opts.Checkpoint.Record(key, rt); werr != nil {
-				r.record(&RunError{Experiment: experiment, Cell: keys[i], Attempts: attempts,
-					Err: fmt.Errorf("checkpoint write failed: %w", werr)})
+			if err := r.opts.Checkpoint.Record(key, rt); err != nil {
+				fail(fmt.Errorf("checkpoint write failed: %w", err))
 				return nil
 			}
 		}
-		if cell != nil {
+		if res.Cell != nil {
 			// The checkpoint now holds the cell's value; its mid-run
 			// state file is obsolete.
-			if derr := cell.Discard(); derr != nil {
-				r.record(&RunError{Experiment: experiment, Cell: keys[i], Attempts: attempts, Err: derr})
+			if err := res.Cell.Discard(); err != nil {
+				fail(err)
 				return nil
 			}
 		}
@@ -492,85 +428,35 @@ func RunCells[T any](ctx context.Context, r *Runner, experiment string, keys []s
 	return out, ok, ctx.Err()
 }
 
-// openCell opens (or resumes) the durable mid-cell state for key, honoring
-// a snapshot path recorded in the checkpoint by an interrupted sweep.
-// Snapshotting disabled returns (nil, nil).
-func (r *Runner) openCell(key string) (*snapshot.Cell, error) {
-	if r.opts.SnapshotDir == "" {
-		return nil, nil
-	}
-	path := filepath.Join(r.opts.SnapshotDir, snapshot.CellFileName(key))
-	if r.opts.Checkpoint != nil {
-		if p, ok := r.opts.Checkpoint.SnapshotPath(key); ok {
-			path = p
+// runOne runs a cell's attempts until one succeeds, stops, or fails in a
+// way Retry does not retry, sleeping out the backoff in between. It
+// returns the last attempt's result and the number of attempts.
+func runOne[T any](ctx context.Context, r *Runner, key string, run func(ctx context.Context) (T, error)) (Result[T], int) {
+	a := Attempt{Key: key, Deadline: r.opts.CellTimeout, Faults: r.opts.Faults}
+	if r.opts.SnapshotDir != "" {
+		// Honour a snapshot path recorded by an interrupted sweep.
+		a.Path = filepath.Join(r.opts.SnapshotDir, snapshot.CellFileName(key))
+		if r.opts.Checkpoint != nil {
+			if p, ok := r.opts.Checkpoint.SnapshotPath(key); ok {
+				a.Path = p
+			}
 		}
+		a.Every, a.Trigger = r.opts.SnapshotEvery, r.opts.SnapshotTrigger
 	}
-	var onSave func(int)
-	if r.opts.SnapshotOnSave != nil {
-		hook := r.opts.SnapshotOnSave
-		onSave = func(saves int) { hook(key, saves) }
-	}
-	cell, err := snapshot.OpenCell(snapshot.CellSpec{
-		Path:    path,
-		Every:   r.opts.SnapshotEvery,
-		Trigger: r.opts.SnapshotTrigger,
-		OnSave:  onSave,
-	}, key)
-	if err != nil {
-		return nil, fmt.Errorf("opening cell snapshot: %w", err)
-	}
-	return cell, nil
-}
-
-// runOne executes a single cell with recovery, timeout, and retry.
-func runOne[T any](ctx context.Context, r *Runner, key string, run func(ctx context.Context) (T, error)) (T, int, error) {
-	var v T
-	var err error
-	attempts := 0
-	for {
-		attempts++
+	for attempts := 1; ; attempts++ {
 		r.mu.Lock()
 		r.cells++
 		r.mu.Unlock()
-		v, err = attempt(ctx, r, key, run)
-		if err == nil {
-			return v, attempts, nil
+		res := RunAttempt(ctx, a, run)
+		delay, retry := Retry(r.opts.Seed, key, attempts, r.opts.Retries, res.Err)
+		if res.Outcome != FailedTransient || !retry || ctx.Err() != nil {
+			return res, attempts
 		}
-		if !IsTransient(err) || attempts > r.opts.Retries || ctx.Err() != nil {
-			return v, attempts, err
-		}
-		r.opts.Sleep(ctx, r.backoff(key, attempts-1))
+		r.opts.Sleep(ctx, delay)
 		// A cancellation that arrived mid-backoff must not buy the cell one
 		// more full attempt: surface the last failure now.
 		if ctx.Err() != nil {
-			return v, attempts, err
+			return res, attempts
 		}
 	}
-}
-
-// attempt is one recovered, deadline-bounded execution of a cell.
-func attempt[T any](ctx context.Context, r *Runner, key string, run func(ctx context.Context) (T, error)) (T, error) {
-	cctx := ctx
-	if r.opts.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(ctx, r.opts.CellTimeout)
-		defer cancel()
-	}
-	var v T
-	err := Recover(func() error {
-		if r.opts.PreRun != nil {
-			if herr := r.opts.PreRun(key); herr != nil {
-				return herr
-			}
-		}
-		var rerr error
-		v, rerr = run(cctx)
-		return rerr
-	})
-	// Surface a per-cell deadline as DeadlineExceeded even if the run
-	// wrapped it.
-	if err != nil && cctx.Err() != nil && ctx.Err() == nil {
-		err = fmt.Errorf("cell timed out after %v: %w", r.opts.CellTimeout, context.DeadlineExceeded)
-	}
-	return v, err
 }

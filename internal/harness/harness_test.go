@@ -214,13 +214,20 @@ func TestRunCellsSkipsCheckpointedCells(t *testing.T) {
 	}
 }
 
+// preRunFunc is a Faults fake with only a pre-run site.
+type preRunFunc func(key string) error
+
+func (f preRunFunc) PreRun(_ context.Context, key string) error { return f(key) }
+func (preRunFunc) PreSave(string, int) error                    { return nil }
+func (preRunFunc) OnSave(string, int) bool                      { return false }
+
 func TestPreRunHookInjectsFailures(t *testing.T) {
-	r := New(noSleep(Options{Workers: 1, PreRun: func(key string) error {
+	r := New(noSleep(Options{Workers: 1, Faults: preRunFunc(func(key string) error {
 		if strings.Contains(key, "cell=2") {
 			panic("injected by hook")
 		}
 		return nil
-	}}))
+	})}))
 	_, ok, _ := RunCells(context.Background(), r, "exp", keysN(4),
 		func(_ context.Context, i int) (int, error) { return i, nil })
 	if ok[2] {
@@ -255,15 +262,45 @@ func TestParallelForRecoversAndJoins(t *testing.T) {
 }
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	r := New(Options{BackoffBase: 10 * time.Millisecond, BackoffCap: 35 * time.Millisecond, Seed: 1})
-	d0 := r.backoff("cell", 0)
-	d3 := r.backoff("cell", 3)
-	if d0 < 10*time.Millisecond || d0 >= 20*time.Millisecond {
+	d0 := backoff(1, "cell", 0)
+	d2 := backoff(1, "cell", 2)
+	d6 := backoff(1, "cell", 6)
+	if d0 < backoffBase || d0 >= 2*backoffBase {
 		t.Fatalf("first backoff %v outside [base, 2*base)", d0)
 	}
-	// attempt 3 would be 80ms; capped at 35ms plus jitter < 10ms.
-	if d3 < 35*time.Millisecond || d3 >= 45*time.Millisecond {
-		t.Fatalf("capped backoff %v outside [cap, cap+base)", d3)
+	if d2 < 4*backoffBase || d2 >= 5*backoffBase {
+		t.Fatalf("third backoff %v outside [4*base, 5*base)", d2)
+	}
+	// retry 6 would be 64*base = 3.2s; capped at 2s plus jitter < base.
+	if d6 < backoffCap || d6 >= backoffCap+backoffBase {
+		t.Fatalf("capped backoff %v outside [cap, cap+base)", d6)
+	}
+}
+
+// TestRetryRule: only transient failures retry, within the budget, after
+// the pure backoff of the failed attempt.
+func TestRetryRule(t *testing.T) {
+	flaky := Transient(errors.New("flaky"))
+	cases := []struct {
+		attempt, retries int
+		err              error
+		retry            bool
+	}{
+		{1, 2, flaky, true},
+		{2, 2, flaky, true},
+		{3, 2, flaky, false}, // budget spent
+		{1, 0, flaky, false},
+		{1, 2, errors.New("hard"), false},
+		{1, 2, nil, false},
+	}
+	for _, c := range cases {
+		d, retry := Retry(7, "exp|cell=0", c.attempt, c.retries, c.err)
+		if retry != c.retry {
+			t.Errorf("Retry(attempt %d, retries %d, %v) retry = %v, want %v", c.attempt, c.retries, c.err, retry, c.retry)
+		}
+		if retry && d != backoff(7, "exp|cell=0", c.attempt-1) {
+			t.Errorf("Retry(attempt %d) delay %v, want the backoff of retry %d", c.attempt, d, c.attempt-1)
+		}
 	}
 }
 
@@ -274,19 +311,18 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 func TestBackoffPureFunction(t *testing.T) {
 	const seed = 42
 	keys := []string{"fig9|bench=mcf|seed=1", "fig9|bench=lbm|seed=1", "grid|design=Maya|bench=mcf|seed=3"}
-	base, cap := 10*time.Millisecond, 2*time.Second
 
 	// Reference schedule, computed in natural order.
 	want := map[string][]time.Duration{}
 	for _, k := range keys {
 		for a := 0; a < 6; a++ {
-			want[k] = append(want[k], Backoff(seed, k, a, base, cap))
+			want[k] = append(want[k], backoff(seed, k, a))
 		}
 	}
 	// Recomputed in reversed, interleaved order: every delay must match.
 	for a := 5; a >= 0; a-- {
 		for i := len(keys) - 1; i >= 0; i-- {
-			if got := Backoff(seed, keys[i], a, base, cap); got != want[keys[i]][a] {
+			if got := backoff(seed, keys[i], a); got != want[keys[i]][a] {
 				t.Fatalf("Backoff(%q, %d) = %v on re-evaluation, want %v", keys[i], a, got, want[keys[i]][a])
 			}
 		}
@@ -299,7 +335,7 @@ func TestBackoffPureFunction(t *testing.T) {
 			wg.Add(1)
 			go func(k string, a int) {
 				defer wg.Done()
-				if got := Backoff(seed, k, a, base, cap); got != want[k][a] {
+				if got := backoff(seed, k, a); got != want[k][a] {
 					errs <- fmt.Errorf("concurrent Backoff(%q, %d) = %v, want %v", k, a, got, want[k][a])
 				}
 			}(k, a)
@@ -315,10 +351,9 @@ func TestBackoffPureFunction(t *testing.T) {
 	if want[keys[0]][0] == want[keys[1]][0] && want[keys[1]][0] == want[keys[2]][0] {
 		t.Fatalf("jitter identical across keys: %v", want[keys[0]][0])
 	}
-	// A Runner-mediated schedule equals the pure function (same seed).
-	r := New(Options{BackoffBase: base, BackoffCap: cap, Seed: seed})
-	if got := r.backoff(keys[0], 2); got != want[keys[0]][2] {
-		t.Fatalf("runner backoff %v, want %v", got, want[keys[0]][2])
+	// The retry rule's schedule equals the pure function (same seed).
+	if got, _ := Retry(seed, keys[0], 3, 5, Transient(errors.New("x"))); got != want[keys[0]][2] {
+		t.Fatalf("Retry delay %v, want %v", got, want[keys[0]][2])
 	}
 }
 

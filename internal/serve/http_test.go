@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"mayacache/internal/faults"
 )
 
 func startHTTP(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -150,14 +148,10 @@ func TestHTTPLifecycle(t *testing.T) {
 // TestHTTPShedding: an overloaded server answers 429 with a Retry-After
 // header and a structured body; a draining server answers 503.
 func TestHTTPShedding(t *testing.T) {
-	slow, err := faults.ParseServe("slowtenant:hog:30s")
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, ts := startHTTP(t, Config{
 		Dir: t.TempDir(), Workers: 1,
 		Quotas: Quotas{TenantRunning: 1, TenantQueued: 1, GlobalQueued: 1},
-		Faults: []*faults.ServeFault{slow},
+		Faults: mustParse(t, "slowtenant:hog:30s"),
 	})
 
 	resp := postSpec(t, ts, testSpec("hog", 1))
@@ -211,13 +205,9 @@ func TestSSE(t *testing.T) {
 	heartbeatEvery = 20 * time.Millisecond
 	defer func() { heartbeatEvery = prev }()
 
-	slow, err := faults.ParseServe("slowtenant:acme:300ms")
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, ts := startHTTP(t, Config{
 		Dir: t.TempDir(), Workers: 1,
-		Faults: []*faults.ServeFault{slow},
+		Faults: mustParse(t, "slowtenant:acme:300ms"),
 	})
 	resp := postSpec(t, ts, testSpec("acme", 1))
 	created := decodeBody[map[string]string](t, resp)

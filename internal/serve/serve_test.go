@@ -31,6 +31,26 @@ func testSpec(tenant string, seed uint64) Spec {
 	}
 }
 
+func mustParse(t *testing.T, specs ...string) faults.Set {
+	t.Helper()
+	s, err := faults.Parse(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// onSave is a Faults fake with only a save site: it observes every
+// durable session save (and never kills).
+type onSave func(key string, saves int)
+
+func (onSave) PreRun(context.Context, string) error { return nil }
+func (onSave) PreSave(string, int) error            { return nil }
+func (f onSave) OnSave(key string, saves int) bool {
+	f(key, saves)
+	return false
+}
+
 func openServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.SnapshotEvery == 0 {
@@ -149,6 +169,13 @@ func TestBadSpecs(t *testing.T) {
 			t.Fatalf("bad spec %d admitted (err=%v)", i, err)
 		}
 	}
+	// Every design registered with cachemodel is a valid spec, including
+	// the ones beyond the paper's comparison set.
+	for _, d := range []string{"CEASER", "CEASER-S", "ScatterCache", "Maya-ISO"} {
+		if err := (Spec{Tenant: "t", Design: d, Bench: "mcf", Cores: 1, ROI: 1}).Validate(); err != nil {
+			t.Fatalf("registered design %s rejected: %v", d, err)
+		}
+	}
 	if n := len(s.ck.Keys()); n != 0 {
 		t.Fatalf("rejected specs left %d journal records", n)
 	}
@@ -190,7 +217,7 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 	release := make(chan struct{})
 	victim := openServer(t, Config{
 		Dir: dir, Workers: len(specs),
-		OnSave: func(key string, _ int) {
+		Faults: onSave(func(key string, _ int) {
 			mu.Lock()
 			first := !saved[key]
 			saved[key] = true
@@ -201,7 +228,7 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 			if first {
 				<-release
 			}
-		},
+		}),
 	})
 	victim.Start(context.Background())
 	ids := make([]string, len(specs))
@@ -243,6 +270,45 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPanicIsolation: a panicking session is one failed record, not a
+// dead daemon. Its sibling completes, and a server reopened on the same
+// directory serves the journaled failure instead of re-admitting the
+// session (which would panic again on every restart).
+func TestPanicIsolation(t *testing.T) {
+	dir := t.TempDir()
+	s := openServer(t, Config{Dir: dir, Workers: 2, Faults: mustParse(t, "panic:s000001")})
+	s.Start(context.Background())
+	victim, err := s.Admit(testSpec("acme", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling, err := s.Admit(testSpec("beta", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := waitState(t, s, victim, StateFailed)
+	if !strings.Contains(failed.Error, "panic: injected fault") {
+		t.Fatalf("victim error %q does not carry the panic", failed.Error)
+	}
+	waitState(t, s, sibling, StateDone)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openServer(t, Config{Dir: dir, Workers: 2})
+	defer func() {
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if st := s2.StatsNow(); st.Recovered != 0 || st.Queued != 0 || st.Failed != 1 || st.Completed != 1 {
+		t.Fatalf("reopened stats %+v, want the failure served from the journal, nothing re-queued", st)
+	}
+	if _, errMsg, ok := s2.Result(victim); !ok || errMsg != failed.Error {
+		t.Fatalf("reopened victim result: ok=%v err=%q, want %q", ok, errMsg, failed.Error)
 	}
 }
 
@@ -296,7 +362,7 @@ func TestDrainResume(t *testing.T) {
 	var once sync.Once
 	s := openServer(t, Config{
 		Dir: dir, Workers: 1,
-		OnSave: func(string, int) { once.Do(func() { close(firstSave) }) },
+		Faults: onSave(func(string, int) { once.Do(func() { close(firstSave) }) }),
 	})
 	s.Start(context.Background())
 	id, err := s.Admit(testSpec("acme", 9))
@@ -339,14 +405,10 @@ func TestDrainResume(t *testing.T) {
 // TestLoadShedding: each watermark sheds with a structured ShedError and
 // a sane Retry-After instead of queueing unboundedly.
 func TestLoadShedding(t *testing.T) {
-	slow, err := faults.ParseServe("slowtenant:hog:30s")
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := openServer(t, Config{
 		Dir: t.TempDir(), Workers: 1,
 		Quotas: Quotas{TenantRunning: 1, TenantQueued: 1, GlobalQueued: 2},
-		Faults: []*faults.ServeFault{slow},
+		Faults: mustParse(t, "slowtenant:hog:30s"),
 	})
 	s.Start(context.Background())
 	defer func() {
@@ -366,7 +428,7 @@ func TestLoadShedding(t *testing.T) {
 	}
 
 	// Tenant queue full for hog…
-	_, err = s.Admit(testSpec("hog", 3))
+	_, err := s.Admit(testSpec("hog", 3))
 	var shed *ShedError
 	if !errors.As(err, &shed) || shed.Reason != "tenant queue" {
 		t.Fatalf("hog admission = %v, want tenant-queue shed", err)
@@ -424,13 +486,9 @@ func TestLatencyWatermarkShed(t *testing.T) {
 // TestSnapfailIsolation: an injected snapshot-write failure is one
 // session's structured terminal error, not the server's.
 func TestSnapfailIsolation(t *testing.T) {
-	snapfail, err := faults.ParseServe("snapfail:s000001:2")
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := openServer(t, Config{
 		Dir: t.TempDir(), Workers: 2,
-		Faults: []*faults.ServeFault{snapfail},
+		Faults: mustParse(t, "snapfail:s000001:2"),
 	})
 	s.Start(context.Background())
 	defer func() {
@@ -469,13 +527,9 @@ func TestSnapfailIsolation(t *testing.T) {
 // TestDeadline: a session past its per-run deadline fails terminally
 // with a deadline error while the server keeps serving.
 func TestDeadline(t *testing.T) {
-	slow, err := faults.ParseServe("slowtenant:sloth:20s")
-	if err != nil {
-		t.Fatal(err)
-	}
 	s := openServer(t, Config{
 		Dir: t.TempDir(), Workers: 2,
-		Faults: []*faults.ServeFault{slow},
+		Faults: mustParse(t, "slowtenant:sloth:20s"),
 	})
 	s.Start(context.Background())
 	defer func() {

@@ -16,7 +16,6 @@ import (
 
 	"mayacache/internal/cachesim"
 	"mayacache/internal/experiments"
-	"mayacache/internal/faults"
 	"mayacache/internal/harness"
 	"mayacache/internal/mc"
 	"mayacache/internal/snapshot"
@@ -42,11 +41,9 @@ type Config struct {
 	RunDeadline time.Duration
 	// JitterSeed seeds the Retry-After jitter stream.
 	JitterSeed uint64
-	// Faults are the serve-side injectors (nil in production).
-	Faults []*faults.ServeFault
-	// OnSave, if set, observes every durable session save with the
-	// session cell key — the killsnap crash injector's hook.
-	OnSave func(key string, saves int)
+	// Faults, when non-nil, is consulted at every session attempt's
+	// fault sites (nil in production; see harness.Attempt).
+	Faults harness.Faults
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...any)
 }
@@ -506,108 +503,61 @@ func sessionKey(id string, sp Spec) string {
 		experiments.GridCellKey(experiments.Design(sp.Design), sp.Bench, sp.Cores, sp.Scale()))
 }
 
-// runSession executes one session end to end and settles its outcome:
+// runSession executes one session end to end through the shared
+// attempt path and settles its outcome:
 //
 //   - success → fsynced done record, cell discarded;
 //   - snapshot.ErrStopped (drain) → state saved, session stays admitted,
 //     the next boot resumes it;
 //   - hard cancel → nothing recorded, the last durable save resumes;
-//   - deadline exceeded or any other error → terminal failure record.
+//   - a deadline, error, or panic → terminal failure record, so a
+//     restarted daemon serves the failure instead of re-running it.
 func (s *Server) runSession(ctx context.Context, sess *session) {
-	key := sessionKey(sess.id, sess.spec)
-	cell, err := snapshot.OpenCell(snapshot.CellSpec{
-		Path:    s.cellPath(sess),
-		Every:   s.cfg.snapshotEvery(),
-		Trigger: &s.trig,
-		OnSave: func(saves int) {
-			if s.cfg.OnSave != nil {
-				s.cfg.OnSave(key, saves)
-			}
-		},
-		PreSave: func(saves int) error {
-			for _, f := range s.cfg.Faults {
-				if ferr := f.SaveErr(key, saves); ferr != nil {
-					return ferr
-				}
-			}
-			return nil
-		},
-	}, key)
-	if err != nil {
-		s.settle(sess, nil, fmt.Errorf("opening session state: %w", err))
-		return
-	}
 	deadline := s.cfg.RunDeadline
 	if sess.spec.DeadlineMS > 0 {
 		deadline = time.Duration(sess.spec.DeadlineMS) * time.Millisecond
 	}
-	runCtx, cancel := ctx, func() {}
-	if deadline > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, deadline)
-	}
-	defer cancel()
-
-	// The slow-tenant injector stalls the run while it occupies a worker.
-	// The stall burns the session's own deadline, not just wall clock.
-	var delay time.Duration
-	for _, f := range s.cfg.Faults {
-		if d := f.RunDelay(sess.spec.Tenant); d > delay {
-			delay = d
-		}
-	}
-	if delay > 0 {
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-			t.Stop()
-		case <-runCtx.Done():
-			t.Stop()
-			if ctx.Err() != nil {
-				s.interrupted(sess)
-				return
-			}
-			s.settle(sess, nil, fmt.Errorf("deadline exceeded after %s", deadline))
-			return
-		}
-	}
-
 	tracker := mc.NewTracker(sess.spec.TotalInstr(), func(done, total uint64) { sess.kick() })
 	s.mu.Lock()
 	sess.tracker = tracker
 	s.mu.Unlock()
 
+	// The clock starts before the pre-run faults, so a slow-tenant stall
+	// spends the session's deadline and shows in the shedder's p99.
 	start := time.Now()
-	simCtx := mc.WithTracker(snapshot.WithCell(runCtx, cell), tracker)
-	res, err := experiments.RunGridCell(simCtx, experiments.Design(sess.spec.Design),
-		sess.spec.Bench, sess.spec.Cores, sess.spec.Scale())
-	switch {
-	case err == nil:
-		s.shed.observe(time.Since(start))
-		s.settle(sess, &res, nil)
-		if derr := cell.Discard(); derr != nil {
-			s.cfg.logf("serve: %s: discarding cell: %v", sess.id, derr)
-		}
-	case errors.Is(err, snapshot.ErrStopped):
+	res := harness.RunAttempt(ctx, harness.Attempt{
+		Key:      sessionKey(sess.id, sess.spec),
+		Path:     s.cellPath(sess),
+		Every:    s.cfg.snapshotEvery(),
+		Trigger:  &s.trig,
+		Deadline: deadline,
+		Faults:   s.cfg.Faults,
+	}, func(ctx context.Context) (cachesim.Results, error) {
+		return experiments.RunGridCell(mc.WithTracker(ctx, tracker), experiments.Design(sess.spec.Design),
+			sess.spec.Bench, sess.spec.Cores, sess.spec.Scale())
+	})
+	switch res.Outcome {
+	case harness.Stopped:
 		// Drain: the final snapshot is durable; the session remains
 		// admitted in the journal and resumes on the next boot.
-		s.cfg.logf("serve: %s: state saved for resume (%d saves)", sess.id, cell.Saves())
+		s.cfg.logf("serve: %s: state saved for resume (%d saves)", sess.id, res.Cell.Saves())
 		s.interrupted(sess)
-	case ctx.Err() != nil:
+		return
+	case harness.Cancelled:
 		// Hard cancel: the process is exiting; recovery happens from the
 		// last durable save at the next Open.
 		s.interrupted(sess)
-	case runCtx.Err() != nil:
-		s.shed.observe(time.Since(start))
-		s.settle(sess, nil, fmt.Errorf("deadline exceeded after %s", deadline))
-		if derr := cell.Discard(); derr != nil {
-			s.cfg.logf("serve: %s: discarding cell: %v", sess.id, derr)
-		}
-	default:
-		s.shed.observe(time.Since(start))
-		s.settle(sess, nil, err)
-		if derr := cell.Discard(); derr != nil {
-			s.cfg.logf("serve: %s: discarding cell: %v", sess.id, derr)
-		}
+		return
+	}
+	if res.Cell == nil {
+		// The state file could not be opened: nothing ran.
+		s.settle(sess, nil, res.Err)
+		return
+	}
+	s.shed.observe(time.Since(start))
+	s.settle(sess, &res.Value, res.Err)
+	if derr := res.Cell.Discard(); derr != nil {
+		s.cfg.logf("serve: %s: discarding cell: %v", sess.id, derr)
 	}
 }
 
@@ -624,9 +574,9 @@ func (s *Server) interrupted(sess *session) {
 	s.mu.Unlock()
 }
 
-// settle journals a session's terminal outcome (fsynced before the state
-// transition is visible, so an acknowledged result survives kill -9) and
-// wakes waiters.
+// settle journals a session's terminal outcome — err, or else res —
+// fsynced before the state transition is visible, so an acknowledged
+// result survives kill -9, and wakes waiters.
 func (s *Server) settle(sess *session, res *cachesim.Results, err error) {
 	var out Outcome
 	if err != nil {

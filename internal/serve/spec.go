@@ -1,8 +1,8 @@
 // Package serve is the simulation-as-a-service layer: a long-running,
 // crash-resilient session scheduler over the same machinery the batch
-// CLIs use — experiments.RunGridCell for execution, snapshot.Cell for
-// durable mid-run state, and the harness checkpoint as a journaled
-// session manifest.
+// CLIs use — harness.RunAttempt of experiments.RunGridCell for execution,
+// snapshot.Cell for durable mid-run state, and the harness checkpoint as
+// a journaled session manifest.
 //
 // Robustness contract (DESIGN.md §12):
 //
@@ -28,8 +28,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
+	"mayacache/internal/cachemodel"
 	"mayacache/internal/experiments"
 	"mayacache/internal/trace"
 )
@@ -54,8 +56,8 @@ type Spec struct {
 	// Tenant identifies the requesting tenant for quota accounting
 	// ([a-z0-9_-], 1..32 chars).
 	Tenant string `json:"tenant"`
-	// Design is a registered cache design (e.g. "Maya", "Mirage",
-	// "Baseline").
+	// Design is a design registered with cachemodel (e.g. "Maya",
+	// "Mirage", "Baseline", "CEASER").
 	Design string `json:"design"`
 	// Bench is a workload profile name (e.g. "mcf", "lbm").
 	Bench string `json:"bench"`
@@ -84,18 +86,7 @@ func (sp Spec) Validate() error {
 			return badSpecf("tenant %q: only [a-z0-9_-] allowed", sp.Tenant)
 		}
 	}
-	known := false
-	for _, d := range []experiments.Design{
-		experiments.DesignBaseline, experiments.DesignMirage,
-		experiments.DesignMirageLite, experiments.DesignMaya,
-		experiments.DesignMayaISO,
-	} {
-		if string(d) == sp.Design {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(cachemodel.Registered(), sp.Design) {
 		return badSpecf("unknown design %q", sp.Design)
 	}
 	if _, err := trace.Lookup(sp.Bench); err != nil {

@@ -237,7 +237,7 @@ func (c *Cell) persistLocked() error {
 		snap.Add("subrun", se.Data())
 		snap.Add("system", c.curState)
 	}
-	return snap.WriteFile(c.spec.Path)
+	return WriteFileAtomic(c.spec.Path, snap.Encode(), 0o644)
 }
 
 // Discard removes the cell file; called when the cell's value has been

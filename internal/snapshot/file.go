@@ -6,54 +6,48 @@ import (
 	"path/filepath"
 )
 
-// WriteFile durably and atomically writes the encoded container to path:
-// the bytes go to a temporary file in the same directory, are fsynced,
-// renamed over path, and the directory is fsynced. A crash at any point
-// leaves either the previous snapshot or the new one — never a torn file.
-func (s *Snapshot) WriteFile(path string) error {
-	data := s.Encode()
+// WriteFileAtomic writes data to path so that a reader, or a process
+// restarted after a crash, observes either the previous contents or the
+// complete new contents, never a partial write: the data lands in a temp
+// file in the same directory, is fsynced, and is renamed over path. The
+// containing directory is synced best-effort afterwards so the rename
+// itself survives a crash.
+//
+// It is the one durable-write path: cell state files, migrated state
+// blobs, and the CLIs' rendezvous files (listener address, pid) that
+// other processes poll for.
+func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("snapshot: %w", err)
+		return fmt.Errorf("snapshot: atomic write %s: %w", path, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("snapshot: write %s: %w", tmp, err)
+	tmpName := tmp.Name()
+	cleanup := func(err error) error {
+		_ = tmp.Close()
+		_ = os.Remove(tmpName)
+		return fmt.Errorf("snapshot: atomic write %s: %w", path, err)
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("snapshot: sync %s: %w", tmp, err)
+	if _, err := tmp.Write(data); err != nil {
+		return cleanup(err)
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("snapshot: close %s: %w", tmp, err)
+	if err := tmp.Chmod(perm); err != nil {
+		return cleanup(err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("snapshot: rename %s: %w", path, err)
+	if err := tmp.Sync(); err != nil {
+		return cleanup(err)
 	}
-	// Best-effort directory sync so the rename itself is durable; some
-	// filesystems do not support fsync on directories.
-	if df, err := os.Open(dir); err == nil {
-		_ = df.Sync()
-		_ = df.Close()
+	if err := tmp.Close(); err != nil {
+		_ = os.Remove(tmpName)
+		return fmt.Errorf("snapshot: atomic write %s: %w", path, err)
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		_ = os.Remove(tmpName)
+		return fmt.Errorf("snapshot: atomic write %s: %w", path, err)
+	}
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync() // best effort: not all filesystems support dir fsync
+		_ = d.Close()
 	}
 	return nil
-}
-
-// ReadFile reads and decodes a snapshot container from path.
-func ReadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

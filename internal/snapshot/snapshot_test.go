@@ -158,28 +158,50 @@ func TestEncoderDecoderRNG(t *testing.T) {
 	}
 }
 
-// TestWriteFileAtomic checks durable write + read round-trip and that a
-// leftover .tmp file from a simulated crash does not shadow the real one.
+// TestWriteFileAtomic checks the durable write path: a container round
+// trip, an overwrite that replaces the whole file and its mode, no temp
+// litter, and an error (not a stray file) for a missing directory.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sys.snap")
 	s := NewSnapshot(testHeader())
 	s.Add("run", []byte("x"))
-	if err := s.WriteFile(path); err != nil {
+	if err := WriteFileAtomic(path, s.Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path+".tmp", []byte("torn"), 0o644); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadFile(path)
+	got, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Header != s.Header {
 		t.Fatal("read-back header mismatch")
 	}
-	if _, err := ReadFile(filepath.Join(dir, "missing.snap")); err == nil {
-		t.Fatal("missing file read succeeded")
+
+	// An overwrite replaces the full content, never appends or truncates
+	// short, and applies the new mode.
+	if err := WriteFileAtomic(path, []byte("[::1]:65535"), 0o600); err != nil {
+		t.Fatalf("overwrite: %v", err)
+	}
+	if data, err = os.ReadFile(path); err != nil || string(data) != "[::1]:65535" {
+		t.Fatalf("content after overwrite = %q (%v)", data, err)
+	}
+	if info, err := os.Stat(path); err != nil || info.Mode().Perm() != 0o600 {
+		t.Fatalf("mode after overwrite: %v %v", info.Mode(), err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("dir has %d entries, want 1 (temp litter?)", len(entries))
+	}
+
+	if err := WriteFileAtomic(filepath.Join(dir, "nope", "addr"), []byte("x"), 0o644); err == nil {
+		t.Fatal("write into a missing directory succeeded")
 	}
 }
 
