@@ -64,10 +64,11 @@ race:
 # e2e exercises the CLIs end to end through e2e.sh, the same script
 # ci.sh runs: mayasim fault isolation, checkpoint resume and
 # SIGKILL-mid-ROI snapshot resume (byte-identical tables), securitysim
-# shard invariance and flag validation, the mayafleet chaos fabric,
-# retry exhaustion and flag misuse, and the mayaserve session daemon's
-# kill -9 recovery (byte-identical results) and 429 load shedding. The
-# script runs under `set -eu`, so any failed check fails the target.
+# shard invariance and flag validation, attacksim worker invariance and
+# flag validation, the mayafleet chaos fabric, retry exhaustion and flag
+# misuse, and the mayaserve session daemon's kill -9 recovery
+# (byte-identical results) and 429 load shedding. The script runs under
+# `set -eu`, so any failed check fails the target.
 e2e:
 	sh ./e2e.sh
 
@@ -95,14 +96,16 @@ bench-profile:
 	$(GO) tool pprof -top -nodecount=10 "$$TMP/micro.pprof"
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
-# regressions in the PRINCE round-trip and trace-parser robustness without
-# stalling CI. Corpus crashers live under testdata/fuzz and replay in
-# normal `go test` runs.
+# regressions in the PRINCE round-trip, trace-parser robustness and the
+# fully-associative cache's flat index (against its map-based reference)
+# without stalling CI. Corpus crashers live under testdata/fuzz and
+# replay in normal `go test` runs.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzEncryptDecryptRoundTrip -fuzztime=10s ./internal/prince/
 	$(GO) test -run=^$$ -fuzz=FuzzReadEvents$$ -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzReadEventsRoundTrip -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot/
+	$(GO) test -run=^$$ -fuzz=FuzzFAIndex -fuzztime=10s ./internal/baseline/
 
 # ci is the tier-1 verification gate.
 ci: build test vet lint bench-module check race e2e bench

@@ -32,19 +32,53 @@ func main() {
 	os.Exit(run())
 }
 
+// flags holds the parsed command line.
+type flags struct {
+	exp                             string
+	runs, max, sets, noise, workers int
+	seed                            uint64
+}
+
+// validateFlags enforces the usage contract before any simulation runs;
+// any error here exits 2.
+func validateFlags(f flags) error {
+	switch f.exp {
+	case "fig8", "evictionset", "all":
+	default:
+		return fmt.Errorf("unknown experiment %q (valid: fig8, evictionset, all)", f.exp)
+	}
+	if f.runs < 1 {
+		return fmt.Errorf("-runs must be >= 1, got %d", f.runs)
+	}
+	if f.max < 1 {
+		return fmt.Errorf("-max must be >= 1, got %d", f.max)
+	}
+	if f.noise < 0 {
+		return fmt.Errorf("-noise must be >= 0, got %d", f.noise)
+	}
+	// The randomized designs index sets with PRINCE, which needs at least
+	// one set-index bit, and every design needs a power-of-two set count.
+	if f.sets < 2 || f.sets&(f.sets-1) != 0 {
+		return fmt.Errorf("-sets must be a power of two >= 2, got %d", f.sets)
+	}
+	if f.workers < 1 {
+		return fmt.Errorf("-workers must be >= 1, got %d", f.workers)
+	}
+	return nil
+}
+
 func run() int {
-	var (
-		exp     = flag.String("experiment", "all", "fig8|evictionset|all")
-		runs    = flag.Int("runs", 3, "attack repetitions (median reported)")
-		max     = flag.Int("max", 20000, "max encryptions per attack")
-		sets    = flag.Int("sets", 64, "cache sets (scale knob; 64 = 256KB-class caches)")
-		noise   = flag.Int("noise", 16, "background noise accesses per sample")
-		seed    = flag.Uint64("seed", 1, "seed")
-		workers = flag.Int("workers", 1, "worker pool width for attack repetitions (1 = historical serial run; never affects results)")
-	)
+	var f flags
+	flag.StringVar(&f.exp, "experiment", "all", "fig8|evictionset|all")
+	flag.IntVar(&f.runs, "runs", 3, "attack repetitions (median reported)")
+	flag.IntVar(&f.max, "max", 20000, "max encryptions per attack")
+	flag.IntVar(&f.sets, "sets", 64, "cache sets, a power of two >= 2 (scale knob; 64 = 256KB-class caches)")
+	flag.IntVar(&f.noise, "noise", 16, "background noise accesses per sample")
+	flag.Uint64Var(&f.seed, "seed", 1, "seed")
+	flag.IntVar(&f.workers, "workers", 1, "worker pool width for attack repetitions (1 = historical serial run; never affects results)")
 	flag.Parse()
-	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "attacksim: -workers must be >= 1, got %d\n", *workers)
+	if err := validateFlags(f); err != nil {
+		fmt.Fprintf(os.Stderr, "attacksim: %v\n", err)
 		return 2
 	}
 
@@ -59,17 +93,11 @@ func run() int {
 		})
 	}
 
-	switch *exp {
-	case "fig8":
-		runExp("fig8", func() error { return fig8(ctx, *sets, *runs, *max, *noise, *workers, *seed) })
-	case "evictionset":
-		runExp("evictionset", func() error { return evictionSets(*sets, *seed) })
-	case "all":
-		runExp("fig8", func() error { return fig8(ctx, *sets, *runs, *max, *noise, *workers, *seed) })
-		runExp("evictionset", func() error { return evictionSets(*sets, *seed) })
-	default:
-		fmt.Fprintf(os.Stderr, "attacksim: unknown experiment %q (valid: fig8, evictionset, all)\n", *exp)
-		return 2
+	if f.exp == "fig8" || f.exp == "all" {
+		runExp("fig8", func() error { return fig8(ctx, f.sets, f.runs, f.max, f.noise, f.workers, f.seed) })
+	}
+	if f.exp == "evictionset" || f.exp == "all" {
+		runExp("evictionset", func() error { return evictionSets(f.sets, f.seed) })
 	}
 
 	if runner.Failed() {

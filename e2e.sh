@@ -2,10 +2,11 @@
 # e2e.sh — end-to-end smoke of the CLIs, run by ci.sh and `make e2e`:
 # mayasim fault isolation, checkpoint resume (byte-identical tables) and
 # SIGKILL-mid-ROI snapshot resume; shard-parallel securitysim byte
-# compatibility and flag validation; the mayafleet chaos fabric, retry
-# exhaustion and flag misuse; and the mayaserve session daemon's kill -9
-# recovery (every acknowledged session completes with byte-identical
-# results) and 429 load shedding. Every check must pass.
+# compatibility and flag validation; attacksim worker invariance and flag
+# validation; the mayafleet chaos fabric, retry exhaustion and flag
+# misuse; and the mayaserve session daemon's kill -9 recovery (every
+# acknowledged session completes with byte-identical results) and 429
+# load shedding. Every check must pass.
 set -eu
 
 echo "==> e2e: fault isolation + checkpoint resume (mayasim)"
@@ -66,6 +67,23 @@ for bad in "-iters 0" "-shards 0" "-shards -2" "-workers 0" "-experiment fig99";
   "$TMP/securitysim" $bad > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then
     echo "ci: securitysim '$bad' exited $status, want 2" >&2; exit 1
+  fi
+done
+
+echo "==> e2e: Fig 8 occupancy attack (attacksim worker invariance + flag validation)"
+go build -o "$TMP/attacksim" ./cmd/attacksim
+# Trials carry their own seeds, so the pool width never changes a median:
+# two workers must render the serial run's table byte for byte.
+"$TMP/attacksim" -experiment fig8 -runs 2 -max 600 -workers 1 > "$TMP/fig8w1.out"
+"$TMP/attacksim" -experiment fig8 -runs 2 -max 600 -workers 2 > "$TMP/fig8w2.out"
+cmp "$TMP/fig8w1.out" "$TMP/fig8w2.out"
+# Flag misuse must exit 2 before any simulation runs.
+for bad in "-max 0" "-runs 0" "-runs -1" "-noise -1" "-sets 0" "-sets 1" \
+    "-sets 3" "-sets -64" "-workers 0" "-experiment fig99"; do
+  status=0
+  "$TMP/attacksim" $bad > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "ci: attacksim '$bad' exited $status, want 2" >&2; exit 1
   fi
 done
 

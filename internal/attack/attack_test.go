@@ -3,7 +3,9 @@ package attack
 import (
 	"context"
 	"crypto/aes"
+	"math"
 	"math/big"
+	"slices"
 	"testing"
 
 	"mayacache/internal/baseline"
@@ -138,6 +140,79 @@ func TestModExpVictimDeterministic(t *testing.T) {
 	for i := range la {
 		if la[i] != lb[i] {
 			t.Fatal("same seed, different traces")
+		}
+	}
+}
+
+// TestModExpVictimReplaysLiveTrace pins the replayed victim to the live
+// computation: every Run must emit exactly the table lines a live
+// exponentiation over the same operands reads.
+func TestModExpVictimReplaysLiveTrace(t *testing.T) {
+	const tableBase = 1 << 21
+	for _, keySeed := range []uint64{1, 4, 42} {
+		for _, expBits := range []int{8, 64, 128} {
+			var live, got []uint64
+			g, mod, exp := modExpOperands(keySeed, expBits)
+			NewModExp(g, mod, tableBase, modExpEntryLines, func(l uint64) { live = append(live, l) }).Exp(exp)
+			if len(live) == 0 {
+				t.Fatalf("seed %d, %d bits: live exponentiation read no table lines", keySeed, expBits)
+			}
+			v := NewModExpVictim(keySeed, expBits, tableBase, func(l uint64) { got = append(got, l) })
+			for run := 1; run <= 2; run++ {
+				got = got[:0]
+				v.Run()
+				if !slices.Equal(got, live) {
+					t.Fatalf("seed %d, %d bits, run %d: replayed %d lines %v, live exponentiation read %d lines %v",
+						keySeed, expBits, run, len(got), got, len(live), live)
+				}
+			}
+		}
+	}
+	v := NewModExpVictim(1, 64, tableBase, nil)
+	v.Run()
+	if len(v.lines) != 0 {
+		t.Fatalf("victim without a tracer holds %d lines to touch", len(v.lines))
+	}
+}
+
+// mapMeanDistinctLines is the reference for MeanDistinctLines: it counts
+// each encryption's touched lines in a map, with no bound on their range.
+func mapMeanDistinctLines(key [16]byte, poolSize int) float64 {
+	seen := map[uint64]bool{}
+	v := NewAESVictim(key, 0, poolSize, func(l uint64) { seen[l] = true })
+	total := 0
+	for i := 0; i < poolSize; i++ {
+		clear(seen)
+		v.Run()
+		total += len(seen)
+	}
+	return float64(total) / float64(poolSize)
+}
+
+// TestMeanDistinctLinesMatchesMap checks the bitset footprint count
+// against a map-based count on every candidate FindContrastingAESKeys
+// draws, and that the search picks the pair the map counts pick.
+func TestMeanDistinctLinesMatchesMap(t *testing.T) {
+	const candidates, poolSize = 64, 16
+	for seed := uint64(1); seed <= 3; seed++ {
+		sm := seed ^ 0xae5
+		var lowKey, highKey [16]byte
+		low, high := math.Inf(1), math.Inf(-1)
+		for i := 0; i < candidates; i++ {
+			key := nextCandidateKey(&sm)
+			want := mapMeanDistinctLines(key, poolSize)
+			if got := MeanDistinctLines(key, poolSize); got != want {
+				t.Fatalf("seed %d candidate %d: bitset mean %v, map mean %v", seed, i, got, want)
+			}
+			if want < low {
+				low, lowKey = want, key
+			}
+			if want > high {
+				high, highKey = want, key
+			}
+		}
+		if a, b := FindContrastingAESKeys(candidates, poolSize, seed); a != lowKey || b != highKey {
+			t.Fatalf("seed %d: FindContrastingAESKeys chose %x/%x, map counts choose %x/%x", seed, a, b, lowKey, highKey)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/metrics"
@@ -76,21 +77,18 @@ func (v *AESVictim) Name() string { return v.name }
 
 // MeanDistinctLines returns the mean number of distinct table lines an
 // AES key touches per encryption over its plaintext pool — its cache
-// "reuse profile".
+// "reuse profile". At table base 0 the tables span lines 0–67, so one
+// 128-bit set holds an encryption's footprint.
 func MeanDistinctLines(key [16]byte, poolSize int) float64 {
-	var count int
-	seen := map[uint64]bool{}
-	v := NewAESVictim(key, 0, poolSize, func(l uint64) { seen[l] = true })
+	var seen [2]uint64
+	v := NewAESVictim(key, 0, poolSize, func(l uint64) { seen[l>>6] |= 1 << (l & 63) })
 	total := 0
 	for i := 0; i < poolSize; i++ {
-		for k := range seen {
-			delete(seen, k)
-		}
+		seen = [2]uint64{}
 		v.Run()
-		total += len(seen)
+		total += bits.OnesCount64(seen[0]) + bits.OnesCount64(seen[1])
 	}
-	count = total
-	return float64(count) / float64(poolSize)
+	return float64(total) / float64(poolSize)
 }
 
 // FindContrastingAESKeys searches candidate keys for the pair with the
@@ -107,13 +105,7 @@ func FindContrastingAESKeys(candidates, poolSize int, seed uint64) ([16]byte, [1
 	}
 	lowest, highest := cand{mean: math.Inf(1)}, cand{mean: math.Inf(-1)}
 	for i := 0; i < candidates; i++ {
-		var key [16]byte
-		for j := 0; j < 16; j += 8 {
-			x := rng.SplitMix64(&sm)
-			for k := 0; k < 8; k++ {
-				key[j+k] = byte(x >> (8 * uint(k)))
-			}
-		}
+		key := nextCandidateKey(&sm)
 		m := MeanDistinctLines(key, poolSize)
 		if m < lowest.mean {
 			lowest = cand{key, m}
@@ -125,48 +117,86 @@ func FindContrastingAESKeys(candidates, poolSize int, seed uint64) ([16]byte, [1
 	return lowest.key, highest.key
 }
 
-// ModExpVictim performs fixed-window modular exponentiations with a fixed
-// secret exponent — the Fig 8 "modular exponentiation" victim.
-type ModExpVictim struct {
-	m    *ModExp
-	exp  *big.Int
-	name string
+// nextCandidateKey draws FindContrastingAESKeys' next candidate key from
+// the splitmix64 state sm.
+func nextCandidateKey(sm *uint64) [16]byte {
+	var key [16]byte
+	for j := 0; j < 16; j += 8 {
+		x := rng.SplitMix64(sm)
+		for k := 0; k < 8; k++ {
+			key[j+k] = byte(x >> (8 * uint(k)))
+		}
+	}
+	return key
 }
 
-// NewModExpVictim derives a deterministic pseudo-random expBits-bit
-// exponent from keySeed over RSA-2048-style operands: the modulus is 2048
-// bits, so each window-table entry spans four cache lines and the set of
-// windows a key uses translates directly into its cache footprint.
-func NewModExpVictim(keySeed uint64, expBits int, tableBase uint64, trace func(uint64)) *ModExpVictim {
+// ModExpVictim performs fixed-window modular exponentiations with a fixed
+// secret exponent — the Fig 8 "modular exponentiation" victim. The table
+// lines an exponentiation reads depend only on the exponent, and the
+// attack never uses the product, so the constructor runs the real
+// ModExp.Exp once, recording its line sequence, and Run replays that
+// sequence through the tracer instead of recomputing a 2048-bit
+// exponentiation per sample.
+type ModExpVictim struct {
+	lines []uint64
+	trace func(uint64)
+	name  string
+}
+
+// Operand geometry of the modexp victim: an RSA-2048-style modulus, so
+// each window-table entry spans four cache lines (one 64B line per 512
+// operand bits).
+const (
+	modExpModBits    = 2048
+	modExpEntryLines = modExpModBits / 512
+)
+
+// modExpOperands derives the victim's base (3), odd modExpModBits-bit
+// modulus and secret exponent from keySeed. Both are drawn in whole
+// 64-bit words with bit n-1 forced on, so an exponent whose expBits (at
+// least 8) is not a multiple of 64 keeps the rest of its top word.
+func modExpOperands(keySeed uint64, expBits int) (g, mod, exp *big.Int) {
 	if expBits < 8 {
 		expBits = 8
 	}
-	const modBits = 2048
 	sm := keySeed
-	randBig := func(bits int) *big.Int {
-		words := (bits + 63) / 64
+	randBig := func(n int) *big.Int {
+		words := (n + 63) / 64
 		x := new(big.Int)
 		for i := 0; i < words; i++ {
 			x.Lsh(x, 64)
 			x.Or(x, new(big.Int).SetUint64(rng.SplitMix64(&sm)))
 		}
-		x.SetBit(x, bits-1, 1) // full bit length
+		x.SetBit(x, n-1, 1) // full bit length
 		return x
 	}
-	exp := randBig(expBits)
-	mod := randBig(modBits)
+	exp = randBig(expBits)
+	mod = randBig(modExpModBits)
 	mod.SetBit(mod, 0, 1) // odd modulus
-	g := big.NewInt(3)
-	entryLines := modBits / 512 // one 64B line per 512 operand bits
-	return &ModExpVictim{
-		m:    NewModExp(g, mod, tableBase, entryLines, trace),
-		exp:  exp,
-		name: fmt.Sprintf("modexp-%x", keySeed),
-	}
+	return big.NewInt(3), mod, exp
 }
 
-// Run implements Victim: one full exponentiation with the secret exponent.
-func (v *ModExpVictim) Run() { v.m.Exp(v.exp) }
+// NewModExpVictim derives a deterministic pseudo-random expBits-bit
+// exponent from keySeed over RSA-2048-style operands (see
+// modExpOperands), so the set of windows a key uses translates directly
+// into its cache footprint. It computes one exponentiation to record the
+// table lines Run replays; with a nil trace there is nothing to record
+// and Run touches nothing.
+func NewModExpVictim(keySeed uint64, expBits int, tableBase uint64, trace func(uint64)) *ModExpVictim {
+	v := &ModExpVictim{trace: trace, name: fmt.Sprintf("modexp-%x", keySeed)}
+	if trace != nil {
+		g, mod, exp := modExpOperands(keySeed, expBits)
+		NewModExp(g, mod, tableBase, modExpEntryLines, func(l uint64) { v.lines = append(v.lines, l) }).Exp(exp)
+	}
+	return v
+}
+
+// Run implements Victim: one exponentiation's table reads, in order.
+func (v *ModExpVictim) Run() {
+	for _, l := range v.lines {
+		v.trace(l)
+	}
+}
 
 // Name implements Victim.
 func (v *ModExpVictim) Name() string { return v.name }
