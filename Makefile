@@ -43,10 +43,12 @@ bench-module:
 
 # check re-runs the suite with the mayacheck build tag: the hot cache
 # structures self-verify their FPTR/RPTR bijection, occupancy conservation,
-# and ball-count invariants on every run, and the fault-injection tests
-# prove the audits fire on corrupted tag stores.
+# and ball-count invariants on every run, the index front cross-checks
+# every memo hit, and the fault-injection tests prove the audits fire on
+# corrupted tag stores.
 check:
-	$(GO) test -tags mayacheck ./internal/core/... ./internal/mirage/... ./internal/buckets/... ./internal/cachesim/... ./internal/faults/...
+	$(GO) test -tags mayacheck ./internal/core/... ./internal/mirage/... ./internal/buckets/... ./internal/cachesim/... ./internal/faults/... ./internal/ceaser/... ./internal/baseline/... ./internal/probe/... ./internal/cachemodel/...
+	$(GO) test -tags mayacheck ./internal/bench -run 'TestGolden|TestMemoEquivalenceProperty'
 
 # race runs the race detector over the multi-core simulator paths, the
 # concurrent sweep harness, and the shard-parallel Monte-Carlo engine

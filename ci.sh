@@ -37,7 +37,11 @@ echo "==> race detector (mayavet parallel loader + analyzer pool)"
 go test -race ./internal/vet/ ./cmd/mayavet/
 
 echo "==> invariant-checked tests (-tags mayacheck)"
-go test -tags mayacheck ./internal/core/... ./internal/mirage/... ./internal/buckets/... ./internal/cachesim/... ./internal/faults/...
+# The index front cross-checks every memo hit and the skewed store audits
+# itself under this tag, so every design that uses them runs here, plus
+# the golden and memo-equivalence runs of the bench package.
+go test -tags mayacheck ./internal/core/... ./internal/mirage/... ./internal/buckets/... ./internal/cachesim/... ./internal/faults/... ./internal/ceaser/... ./internal/baseline/... ./internal/probe/... ./internal/cachemodel/...
+go test -tags mayacheck ./internal/bench -run 'TestGolden|TestMemoEquivalenceProperty'
 
 echo "==> race detector (multi-core simulator paths)"
 go test -race ./internal/cachesim/... ./internal/core/... ./internal/experiments/... ./internal/harness/... ./internal/faults/... ./internal/snapshot/...

@@ -13,10 +13,10 @@
 // so numbers are comparable across commits on the same machine.
 //
 // The micro tier reports two rows per randomized design: the overhead
-// tier (XorHasher, memo off — simulator bookkeeping, comparable across
-// history) and the real tier (production PRINCE hasher with the
-// epoch-tagged index memo, reporting the memo hit rate). -memo=off
-// disables the memo on real-tier rows to quantify what it buys.
+// tier (XorHasher, which runs without the index memo — simulator
+// bookkeeping, comparable across history) and the real tier (production
+// PRINCE hasher with the epoch-tagged index memo, reporting the memo hit
+// rate).
 //
 // -quick shrinks instruction budgets ~5x for CI smoke runs. A summary is
 // printed to stdout; the full report goes to -out as indented JSON.
@@ -48,7 +48,6 @@ func run() int {
 	out := flag.String("out", "BENCH.json", "path for the JSON report")
 	seed := flag.Uint64("seed", 1, "seed for all benchmark randomness")
 	compare := flag.String("compare", "", "baseline BENCH.json: fail when any micro or macro row regresses more than 10% against it (machine-speed normalized)")
-	memo := flag.String("memo", "on", "index memoization for real-hash micro rows: on or off (off quantifies what the memo buys; results are identical either way)")
 	microOnly := flag.Bool("micro", false, "run only the micro tier (for profiling the access path)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -56,10 +55,6 @@ func run() int {
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "mayabench: unexpected arguments %v\n", flag.Args())
 		flag.Usage()
-		return 2
-	}
-	if *memo != "on" && *memo != "off" {
-		fmt.Fprintf(os.Stderr, "mayabench: -memo must be on or off, got %q\n", *memo)
 		return 2
 	}
 	stopCPU, err := pprofutil.StartCPU(*cpuprofile)
@@ -77,7 +72,6 @@ func run() int {
 	r, err := bench.Run(bench.Options{
 		Quick:     *quick,
 		Seed:      *seed,
-		MemoOff:   *memo == "off",
 		MicroOnly: *microOnly,
 	})
 	if err != nil {

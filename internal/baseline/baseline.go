@@ -32,12 +32,6 @@ type Config struct {
 	MatchSDID bool
 	// NamePrefix overrides the reported name.
 	NamePrefix string
-	// NoSWAR disables the packed-fingerprint SWAR probe path (scalar
-	// per-way scan instead). Results are identical either way.
-	NoSWAR bool
-	// NoArena allocates the arrays individually instead of carving them
-	// from one flat arena. Layout only; results identical.
-	NoArena bool
 }
 
 // Per-way metadata is packed into one uint32 (flags in bits 0-2, the
@@ -105,14 +99,6 @@ type SetAssoc struct {
 	lineArr  []uint64
 	meta     []uint32
 	validCnt []int32 //mayavet:ignore snapshotfields -- derived: rebuilt from meta on restore
-
-	// fpArr packs one 16-bit probe fingerprint per way (probe.Fingerprint
-	// of the line, 0 when invalid), fpWords words per set: the lookup
-	// scan SWAR-compares a whole set per packed word and the miss path
-	// finds the first free way from the zero lanes, both verified against
-	// lineArr/meta. Nil when cfg.NoSWAR.
-	fpArr   []uint64 //mayavet:ignore snapshotfields -- derived: rebuilt from meta on restore
-	fpWords int
 }
 
 // NewChecked constructs a set-associative cache, returning an error
@@ -127,21 +113,11 @@ func NewChecked(cfg Config) (*SetAssoc, error) {
 	}
 	polR := rng.New(cfg.Seed ^ 0xba5e)
 	nWays := cfg.Sets * cfg.Ways
-	fpWords := probe.WordsFor(cfg.Ways)
-	nFP := cfg.Sets * fpWords
-	if cfg.NoSWAR {
-		nFP = 0
-	}
-	// One flat arena for the parallel arrays, probe-hottest first; Alloc
-	// falls back to standalone allocations on a nil arena (NoArena).
-	var ar *probe.Arena
-	if !cfg.NoArena {
-		ar = probe.NewArena(
-			probe.Size[uint64](nFP) +
-				probe.Size[uint64](nWays) + // lineArr
-				probe.Size[uint32](nWays) + // meta
-				probe.Size[int32](2*cfg.Sets)) // validCnt + mru
-	}
+	// One flat arena for the parallel arrays, probe-hottest first.
+	ar := probe.NewArena(
+		probe.Size[uint64](nWays) + // lineArr
+			probe.Size[uint32](nWays) + // meta
+			probe.Size[int32](2*cfg.Sets)) // validCnt + mru
 	c := &SetAssoc{
 		cfg:      cfg,
 		sets:     cfg.Sets,
@@ -149,15 +125,13 @@ func NewChecked(cfg Config) (*SetAssoc, error) {
 		pol:      newPolicy(cfg.Replacement, cfg.Sets, cfg.Ways, polR),
 		polR:     polR,
 		hasher:   cfg.Hasher,
-		fpWords:  fpWords,
-		fpArr:    probe.Alloc[uint64](ar, nFP),
 		lineArr:  probe.Alloc[uint64](ar, nWays),
 		meta:     probe.Alloc[uint32](ar, nWays),
 		validCnt: probe.Alloc[int32](ar, cfg.Sets),
 		mru:      probe.Alloc[int32](ar, cfg.Sets),
 	}
 	if c.hasher == nil {
-		c.hasher = cachemodel.NewModuloHasher(log2(cfg.Sets))
+		c.hasher = cachemodel.NewModuloHasher(cachemodel.Log2(cfg.Sets))
 	}
 	if mh, ok := c.hasher.(*cachemodel.ModuloHasher); ok {
 		c.modMask = mh.Mask()
@@ -174,25 +148,6 @@ func (c *SetAssoc) index(line uint64) int {
 		return int(line & c.modMask)
 	}
 	return c.hasher.Index(0, line)
-}
-
-func log2(n int) uint {
-	var b uint
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
-
-// setFP writes global way index i's packed probe fingerprint (0 marks
-// invalid). Called everywhere lineArr/meta flip validity or identity.
-func (c *SetAssoc) setFP(i int, fp uint16) {
-	if c.fpArr == nil {
-		return
-	}
-	set := i / c.ways
-	probe.Set(c.fpArr[set*c.fpWords:], i-set*c.ways, fp)
 }
 
 // matchAt reports whether global way index i holds (line, sdid).
@@ -225,36 +180,10 @@ func (c *SetAssoc) Access(a cachemodel.Access) cachemodel.Result {
 			return c.hit(a, idx, h, &meta[h])
 		}
 	}
-	if c.fpArr != nil {
-		// SWAR scan: flagged lanes are visited lowest-first and verified
-		// against lineArr/meta, so the first verified hit is the same way
-		// the scalar scan would return.
-		bfp := probe.Broadcast(probe.Fingerprint(a.Line))
-		words := c.fpArr[idx*c.fpWords : (idx+1)*c.fpWords]
-		for wi := range words {
-			cand := probe.Candidates(words[wi], bfp)
-			for cand != 0 {
-				var lane int
-				lane, cand = probe.NextLane(cand)
-				w := wi*probe.LanesPerWord + lane
-				if w >= c.ways {
-					// Padding lanes hold fingerprint 0 and only flag as
-					// false positives; the rest of the word is padding.
-					break
-				}
-				if lines[w] == a.Line {
-					if mv := meta[w]; mv&metaValid != 0 && (!matchSD || metaSDID(mv) == a.SDID) {
-						return c.hit(a, idx, w, &meta[w])
-					}
-				}
-			}
-		}
-	} else {
-		for w := range lines {
-			if lines[w] == a.Line {
-				if mv := meta[w]; mv&metaValid != 0 && (!matchSD || metaSDID(mv) == a.SDID) {
-					return c.hit(a, idx, w, &meta[w])
-				}
+	for w := range lines {
+		if lines[w] == a.Line {
+			if mv := meta[w]; mv&metaValid != 0 && (!matchSD || metaSDID(mv) == a.SDID) {
+				return c.hit(a, idx, w, &meta[w])
 			}
 		}
 	}
@@ -268,26 +197,10 @@ func (c *SetAssoc) Access(a cachemodel.Access) cachemodel.Result {
 	}
 	way := -1
 	if int(c.validCnt[idx]) < c.ways {
-		if c.fpArr != nil {
-			// Invalid ways hold fingerprint 0 and Fingerprint never
-			// returns 0, so the lowest zero lane (always a true zero) is
-			// exactly the first invalid way the scalar scan would find.
-			words := c.fpArr[idx*c.fpWords : (idx+1)*c.fpWords]
-			for wi := range words {
-				if z := probe.ZeroLanes(words[wi]); z != 0 {
-					lane, _ := probe.NextLane(z)
-					if w := wi*probe.LanesPerWord + lane; w < c.ways {
-						way = w
-					}
-					break
-				}
-			}
-		} else {
-			for w := range meta {
-				if meta[w]&metaValid == 0 {
-					way = w
-					break
-				}
+		for w := range meta {
+			if meta[w]&metaValid == 0 {
+				way = w
+				break
 			}
 		}
 	}
@@ -314,7 +227,6 @@ func (c *SetAssoc) Access(a cachemodel.Access) cachemodel.Result {
 	}
 	meta[way] = packMeta(a.SDID, a.Core, true, a.Type == cachemodel.Writeback, false)
 	lines[way] = a.Line
-	c.setFP(base+way, probe.Fingerprint(a.Line))
 	s.Fills++
 	s.DataFills++
 	c.mru[idx] = int32(way)
@@ -376,7 +288,6 @@ func (c *SetAssoc) Flush(line uint64, sdid uint8) bool {
 		if c.matchAt(base+w, line, sdid) {
 			c.lineArr[base+w] = 0
 			c.meta[base+w] = 0
-			c.setFP(base+w, 0)
 			c.validCnt[idx]--
 			c.stats.Flushes++
 			return true

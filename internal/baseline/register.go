@@ -16,8 +16,6 @@ func init() {
 			Ways:        16,
 			Replacement: SRRIP,
 			Seed:        o.Seed,
-			NoSWAR:      o.NoSWAR,
-			NoArena:     o.NoArena,
 		})
 	})
 }

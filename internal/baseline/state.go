@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"mayacache/internal/probe"
 	"mayacache/internal/snapshot"
 )
 
@@ -51,18 +50,14 @@ func (c *SetAssoc) RestoreState(d *snapshot.Decoder) error {
 	}
 	c.pol.restoreState(d)
 	if d.Err() == nil {
-		// validCnt and fpArr are derived from the valid bits and lines;
-		// rebuild rather than serialize them.
+		// validCnt is derived from the valid bits; rebuild rather than
+		// serialize it.
 		for i := range c.validCnt {
 			c.validCnt[i] = 0
-		}
-		for i := range c.fpArr {
-			c.fpArr[i] = 0
 		}
 		for i := range c.meta {
 			if c.meta[i]&metaValid != 0 {
 				c.validCnt[i/c.ways]++
-				c.setFP(i, probe.Fingerprint(c.lineArr[i]))
 			}
 		}
 	}

@@ -53,7 +53,7 @@ func TestAccessPathZeroAlloc(t *testing.T) {
 // allocation count the run performed, with the collector quiesced.
 func macroMallocs(t *testing.T, design string, roi uint64, parallelism int) uint64 {
 	t.Helper()
-	llc, err := buildLLC(design, len(DefaultMix()), 1, true, -1)
+	llc, err := buildLLC(design, len(DefaultMix()), 1, true)
 	if err != nil {
 		t.Fatalf("build %s: %v", design, err)
 	}

@@ -56,10 +56,6 @@ type Options struct {
 	Quick bool
 	// Seed drives all randomness; 0 means the pinned default (1).
 	Seed uint64
-	// MemoOff disables the designs' epoch-tagged index memo tables
-	// (probe.Memo), so a run pair quantifies what the memo buys. Results
-	// are identical either way; only ns/access moves.
-	MemoOff bool
 	// MicroOnly runs just the micro tier (used by `make bench-profile`,
 	// where the profile should capture the access path alone).
 	MicroOnly bool
@@ -81,9 +77,9 @@ type MicroResult struct {
 	BytesPerAccess  float64 `json:"bytes_per_access"`
 	// Memo telemetry for the timed region: index-memo hits/misses and the
 	// hit fraction. Zero across the board when the design has no memo
-	// (Baseline), the row is overhead-tier (memoizing a three-instruction
-	// hash is a measured loss, so the xor tier runs memo-free), or the run
-	// disabled it (Options.MemoOff).
+	// (Baseline) or the row is overhead-tier (the memo fronts only the
+	// PRINCE randomizer; memoizing a three-instruction hash is a measured
+	// loss).
 	MemoHits    uint64  `json:"memo_hits,omitempty"`
 	MemoMisses  uint64  `json:"memo_misses,omitempty"`
 	MemoHitRate float64 `json:"memo_hit_rate,omitempty"`
@@ -150,22 +146,8 @@ type Report struct {
 // buildLLC constructs a design through the registry at the bench's pinned
 // geometry. FastHash keeps micro/macro numbers about simulator overhead
 // rather than PRINCE throughput; the golden fixtures use the real hasher.
-func buildLLC(design string, cores int, seed uint64, fastHash bool, memoBits int) (cachemodel.LLC, error) {
-	return cachemodel.Build(design, cachemodel.BuildOptions{
-		Cores:    cores,
-		Seed:     seed,
-		FastHash: fastHash,
-		MemoBits: memoBits,
-	})
-}
-
-// memoBits maps Options.MemoOff onto the BuildOptions knob: 0 is the
-// design default, negative disables the memo outright.
-func memoBits(off bool) int {
-	if off {
-		return -1
-	}
-	return 0
+func buildLLC(design string, cores int, seed uint64, fastHash bool) (cachemodel.LLC, error) {
+	return cachemodel.Build(design, cachemodel.BuildOptions{Cores: cores, Seed: seed, FastHash: fastHash})
 }
 
 // accessStream precomputes a deterministic single-core access sequence
@@ -194,11 +176,16 @@ func accessStream(n int, seed uint64) ([]cachemodel.Access, error) {
 
 // RunMicro measures one design's access path over `accesses` operations
 // after a full warmup pass, reporting wall time and allocation deltas.
-func RunMicro(design string, accesses uint64, seed uint64, realHash bool, memo int) (MicroResult, error) {
-	llc, err := buildLLC(design, 1, seed, !realHash, memo)
+func RunMicro(design string, accesses uint64, seed uint64, realHash bool) (MicroResult, error) {
+	llc, err := buildLLC(design, 1, seed, !realHash)
 	if err != nil {
 		return MicroResult{}, err
 	}
+	return runMicro(llc, design, accesses, seed, realHash)
+}
+
+// runMicro is RunMicro on an already built single-core llc.
+func runMicro(llc cachemodel.LLC, design string, accesses uint64, seed uint64, realHash bool) (MicroResult, error) {
 	const streamLen = 1 << 16
 	stream, err := accessStream(streamLen, seed)
 	if err != nil {
@@ -260,10 +247,10 @@ func (c *countingGen) Name() string      { return c.g.Name() }
 // CompareMacro regression gate needs to hold a tight tolerance.
 const macroReps = 3
 
-func bestMacro(design string, warmup, roi, seed uint64, parallelism, memo int) (MacroResult, error) {
+func bestMacro(design string, warmup, roi, seed uint64, parallelism int) (MacroResult, error) {
 	var best MacroResult
 	for i := 0; i < macroReps; i++ {
-		m, err := RunMacro(design, DefaultMix(), warmup, roi, seed, parallelism, memo)
+		m, err := RunMacro(design, DefaultMix(), warmup, roi, seed, parallelism)
 		if err != nil {
 			return MacroResult{}, err
 		}
@@ -276,8 +263,8 @@ func bestMacro(design string, warmup, roi, seed uint64, parallelism, memo int) (
 
 // RunMacro measures one design's full-system simulation throughput over
 // the given mix, under the given run parallelism (<= 1 serial).
-func RunMacro(design string, mix []string, warmup, roi, seed uint64, parallelism, memo int) (MacroResult, error) {
-	llc, err := buildLLC(design, len(mix), seed, true, memo)
+func RunMacro(design string, mix []string, warmup, roi, seed uint64, parallelism int) (MacroResult, error) {
+	llc, err := buildLLC(design, len(mix), seed, true)
 	if err != nil {
 		return MacroResult{}, err
 	}
@@ -400,11 +387,10 @@ func Run(opts Options) (*Report, error) {
 		Quick:     opts.Quick,
 		Seed:      seed,
 	}
-	memo := memoBits(opts.MemoOff)
-	// Overhead tier: XorHasher, memo off — bookkeeping cost, comparable
+	// Overhead tier: XorHasher, so no memo — bookkeeping cost, comparable
 	// with every historical baseline row.
 	for _, d := range Designs() {
-		m, err := RunMicro(d, microAccesses, seed, false, -1)
+		m, err := RunMicro(d, microAccesses, seed, false)
 		if err != nil {
 			return nil, fmt.Errorf("micro %s: %w", d, err)
 		}
@@ -417,7 +403,7 @@ func Run(opts Options) (*Report, error) {
 		if d == "Baseline" {
 			continue
 		}
-		m, err := RunMicro(d, microAccesses, seed, true, memo)
+		m, err := RunMicro(d, microAccesses, seed, true)
 		if err != nil {
 			return nil, fmt.Errorf("micro %s (real hash): %w", d, err)
 		}
@@ -437,12 +423,12 @@ func Run(opts Options) (*Report, error) {
 	// the whole-system drive loop and transport, and must stay comparable
 	// with historical baselines.
 	for _, d := range Designs() {
-		serial, err := bestMacro(d, warmup, roi, seed, 1, -1)
+		serial, err := bestMacro(d, warmup, roi, seed, 1)
 		if err != nil {
 			return nil, fmt.Errorf("macro %s: %w", d, err)
 		}
 		serial.Speedup = 1
-		par, err := bestMacro(d, warmup, roi, seed, macroPar, -1)
+		par, err := bestMacro(d, warmup, roi, seed, macroPar)
 		if err != nil {
 			return nil, fmt.Errorf("macro %s (parallel): %w", d, err)
 		}

@@ -8,53 +8,49 @@ import (
 	"mayacache/internal/trace"
 )
 
-// GoldenRun executes the pinned golden workload for one design: a 2-core
-// mcf+xz mix with the real PRINCE hasher, seed 42, 20k warmup and 50k ROI
-// instructions per core. The returned Results, marshaled to JSON, are the
-// design's golden fixture (testdata/golden_*.json): hot-path optimizations
-// must keep them byte-identical, because any drift means the optimization
-// changed observable behavior — a different victim, RNG draw order, or
-// float arithmetic — not just its speed.
-func GoldenRun(design string) (cachesim.Results, error) {
-	return GoldenRunMemo(design, 0)
-}
+// The golden workload: a 2-core mcf+xz mix with the real PRINCE hasher,
+// seed 42, 20k warmup and 50k ROI instructions per core.
+const goldenSeed = 42
 
-// GoldenRunMemo is GoldenRun with the index-memo knob exposed (0 default,
-// negative off). The fixture must not depend on the setting: the memo is
-// a speed lever only, and the memo-off byte-match in TestGoldenMemoOff
-// (plus the ci.sh smoke) is what proves that.
-func GoldenRunMemo(design string, memoBits int) (cachesim.Results, error) {
-	const (
-		seed   = 42
-		warmup = 20_000
-		roi    = 50_000
-	)
-	mix := []string{"mcf", "xz"}
-	llc, err := cachemodel.Build(design, cachemodel.BuildOptions{
-		Cores:    len(mix),
-		Seed:     seed,
-		MemoBits: memoBits,
-	})
+var goldenMix = []string{"mcf", "xz"}
+
+// GoldenRun executes the pinned golden workload for one design built
+// through the registry. The returned Results, marshaled to JSON, are the
+// design's golden fixture (testdata/golden_*.json): hot-path
+// optimizations must keep them byte-identical, because any drift means
+// the optimization changed observable behavior — a different victim, RNG
+// draw order, or float arithmetic — not just its speed.
+func GoldenRun(design string) (cachesim.Results, error) {
+	llc, err := cachemodel.Build(design, cachemodel.BuildOptions{Cores: len(goldenMix), Seed: goldenSeed})
 	if err != nil {
 		return cachesim.Results{}, err
 	}
-	gens := make([]trace.Generator, len(mix))
-	for i, name := range mix {
+	return goldenRunLLC(llc)
+}
+
+// goldenRunLLC runs the golden workload on llc.
+func goldenRunLLC(llc cachemodel.LLC) (cachesim.Results, error) {
+	const (
+		warmup = 20_000
+		roi    = 50_000
+	)
+	gens := make([]trace.Generator, len(goldenMix))
+	for i, name := range goldenMix {
 		p, err := trace.Lookup(name)
 		if err != nil {
 			return cachesim.Results{}, err
 		}
-		gens[i], err = trace.NewGenerator(p, i, seed)
+		gens[i], err = trace.NewGenerator(p, i, goldenSeed)
 		if err != nil {
 			return cachesim.Results{}, err
 		}
 	}
 	sys := cachesim.New(cachesim.Config{
-		Cores: len(mix),
+		Cores: len(goldenMix),
 		Core:  cachesim.DefaultCoreParams(),
 		LLC:   llc,
 		DRAM:  cachesim.DefaultDRAMConfig(),
-		Seed:  seed,
+		Seed:  goldenSeed,
 	}, gens)
 	return cachesim.Run(context.Background(), sys, cachesim.RunSpec{Warmup: warmup, ROI: roi})
 }

@@ -58,16 +58,21 @@ func TestGolden(t *testing.T) {
 }
 
 // TestGoldenMemoOff proves the index memo is a pure speed lever: every
-// design re-runs the golden workload with the memo disabled and the
-// Results JSON must still byte-match the committed fixture (which the
-// memo-on run in TestGolden also matches). Any divergence means the memo
-// leaked into observable behavior.
+// design re-runs the golden workload as its memo-off twin (the registry's
+// geometry and name, PRINCE without the memo) and the Results JSON must
+// still byte-match the committed fixture (which the memo-on run in
+// TestGolden also matches). Any divergence means the memo leaked into
+// observable behavior.
 func TestGoldenMemoOff(t *testing.T) {
 	for _, design := range Designs() {
 		t.Run(design, func(t *testing.T) {
-			res, err := GoldenRunMemo(design, -1)
+			twin := memoOffTwin(t, design, len(goldenMix), goldenSeed)
+			res, err := goldenRunLLC(twin)
 			if err != nil {
-				t.Fatalf("GoldenRunMemo(%q, -1): %v", design, err)
+				t.Fatalf("golden run of memo-off %s: %v", design, err)
+			}
+			if s := twin.StatsSnapshot(); s.MemoHits+s.MemoMisses != 0 {
+				t.Fatalf("memo-off %s recorded memo traffic: %d hits, %d misses", design, s.MemoHits, s.MemoMisses)
 			}
 			got, err := json.MarshalIndent(res, "", "  ")
 			if err != nil {

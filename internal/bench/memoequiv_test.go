@@ -6,7 +6,7 @@ package bench
 // indistinguishable — same per-access Results, same Probe answers, same
 // snapshot bytes, same stats (minus the memo's own telemetry). The fuzz
 // target and the seeded property test below drive twin caches with the
-// real PRINCE hasher through interleavings of accesses, flushes, probes,
+// real PRINCE cipher through interleavings of accesses, flushes, probes,
 // forced rekeys (RekeyOnSAE / RemapPeriod on tiny geometries) and
 // SaveState/RestoreState round-trips, including *cross* restores (the
 // memo-on twin restored from the memo-off twin's blob) to prove the wire
@@ -16,12 +16,71 @@ import (
 	"bytes"
 	"testing"
 
+	"mayacache/internal/baseline"
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/ceaser"
 	"mayacache/internal/core"
 	"mayacache/internal/mirage"
+	"mayacache/internal/prince"
 	"mayacache/internal/snapshot"
 )
+
+// unmemoizedPrince is the PRINCE randomizer under a type of its own. It
+// indexes exactly as the randomizer a nil Hasher selects, but the index
+// front memoizes only *prince.Randomizer itself, so a design built with
+// it is the memo-off twin of the default build.
+type unmemoizedPrince struct{ *prince.Randomizer }
+
+// memoOffPrince is the hasher a nil Hasher would select for skews skews
+// of sets sets, without the memo.
+func memoOffPrince(skews, sets int, seed uint64) cachemodel.IndexHasher {
+	return unmemoizedPrince{prince.NewRandomizer(skews, cachemodel.Log2(sets), seed)}
+}
+
+// memoOffTwin builds design as the registry does for cores cores and
+// seed, PRINCE-indexed but memo-off, and checks it reports the registry
+// build's name and geometry.
+func memoOffTwin(t testing.TB, design string, cores int, seed uint64) cachemodel.LLC {
+	t.Helper()
+	sets := cores * cachemodel.DefaultSetsPerCore
+	var (
+		twin cachemodel.LLC
+		err  error
+	)
+	switch design {
+	case "Maya":
+		cfg := core.DefaultConfig(seed)
+		cfg.SetsPerSkew = sets
+		cfg.Hasher = memoOffPrince(cfg.Skews, sets, seed)
+		twin, err = core.NewChecked(cfg)
+	case "Mirage":
+		cfg := mirage.DefaultConfig(seed)
+		cfg.SetsPerSkew = sets
+		cfg.Hasher = memoOffPrince(cfg.Skews, sets, seed)
+		twin, err = mirage.NewChecked(cfg)
+	case "CEASER-S":
+		twin, err = ceaser.NewChecked(ceaser.Config{
+			Sets: sets, Ways: 16, Variant: ceaser.CEASERS, Seed: seed, Hasher: memoOffPrince(2, sets, seed),
+		})
+	case "Baseline":
+		// Physically indexed: there is no memo to switch off.
+		twin, err = baseline.NewChecked(baseline.Config{Sets: sets, Ways: 16, Replacement: baseline.SRRIP, Seed: seed})
+	default:
+		t.Fatalf("no memo-off twin for design %q", design)
+	}
+	if err != nil {
+		t.Fatalf("build memo-off %s: %v", design, err)
+	}
+	reg, err := cachemodel.Build(design, cachemodel.BuildOptions{Cores: cores, Seed: seed})
+	if err != nil {
+		t.Fatalf("Build(%q): %v", design, err)
+	}
+	if twin.Name() != reg.Name() || twin.Geometry() != reg.Geometry() {
+		t.Fatalf("memo-off %s is %s %+v, the registry builds %s %+v",
+			design, twin.Name(), twin.Geometry(), reg.Name(), reg.Geometry())
+	}
+	return twin
+}
 
 // memoEquivDesigns are the randomized designs that carry a memo; Baseline
 // is physically indexed and has none.
@@ -34,13 +93,20 @@ type stater interface {
 }
 
 // buildMemoEquivLLC builds a deliberately tiny, rekey-happy instance of
-// the named design with the real PRINCE hasher (Hasher nil). Small sets
-// and a single spare way make SAEs — and therefore RekeyOnSAE key
-// refreshes — reachable within a few thousand accesses, so the fuzzer
-// exercises the memo's epoch-invalidation path, not just warm hits.
-func buildMemoEquivLLC(t testing.TB, design string, memoBits int) cachemodel.LLC {
+// the named design with the real PRINCE cipher: the default randomizer
+// (memo on) or its unmemoizedPrince twin. Small sets and a single spare
+// way make SAEs — and therefore RekeyOnSAE key refreshes — reachable
+// within a few thousand accesses, so the fuzzer exercises the memo's
+// epoch-invalidation path, not just warm hits.
+func buildMemoEquivLLC(t testing.TB, design string, memo bool) cachemodel.LLC {
 	t.Helper()
 	const seed = 0xA11CE
+	hasher := func(skews, sets int) cachemodel.IndexHasher {
+		if memo {
+			return nil
+		}
+		return memoOffPrince(skews, sets, seed)
+	}
 	var (
 		llc cachemodel.LLC
 		err error
@@ -51,19 +117,19 @@ func buildMemoEquivLLC(t testing.TB, design string, memoBits int) cachemodel.LLC
 		cfg.SetsPerSkew = 64
 		cfg.InvalidWays = 1
 		cfg.RekeyOnSAE = true
-		cfg.MemoBits = memoBits
+		cfg.Hasher = hasher(cfg.Skews, cfg.SetsPerSkew)
 		llc, err = core.NewChecked(cfg)
 	case "Mirage":
 		cfg := mirage.DefaultConfig(seed)
 		cfg.SetsPerSkew = 64
 		cfg.ExtraWays = 1
 		cfg.RekeyOnSAE = true
-		cfg.MemoBits = memoBits
+		cfg.Hasher = hasher(cfg.Skews, cfg.SetsPerSkew)
 		llc, err = mirage.NewChecked(cfg)
 	case "CEASER-S":
 		llc, err = ceaser.NewChecked(ceaser.Config{
 			Sets: 128, Ways: 16, Variant: ceaser.CEASERS,
-			Seed: seed, RemapPeriod: 400, MemoBits: memoBits,
+			Seed: seed, RemapPeriod: 400, Hasher: hasher(2, 128),
 		})
 	default:
 		t.Fatalf("unknown memo-equiv design %q", design)
@@ -115,10 +181,8 @@ func memoEquivRoundTrip(t testing.TB, design string, step int, on, off cachemode
 // assert the memo actually saw traffic.
 func driveMemoEquiv(t testing.TB, design string, program []byte) cachemodel.Stats {
 	t.Helper()
-	// A small table (256 entries) maximizes aliasing between lines, so
-	// entry reuse and stale-epoch checks fire constantly.
-	on := buildMemoEquivLLC(t, design, 8)
-	off := buildMemoEquivLLC(t, design, -1)
+	on := buildMemoEquivLLC(t, design, true)
+	off := buildMemoEquivLLC(t, design, false)
 
 	// Deterministic line stream seeded from the program itself (xorshift64).
 	s := uint64(len(program))*0x9E3779B97F4A7C15 + 0x1234567

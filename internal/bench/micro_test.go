@@ -17,11 +17,11 @@ func TestMemoSpeedsUpRealHasher(t *testing.T) {
 	const accesses = 200_000
 	for _, d := range []string{"Maya", "Mirage", "CEASER-S"} {
 		t.Run(d, func(t *testing.T) {
-			off, err := RunMicro(d, accesses, 1, true, -1)
+			off, err := runMicro(memoOffTwin(t, d, 1, 1), d, accesses, 1, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			on, err := RunMicro(d, accesses, 1, true, 0)
+			on, err := RunMicro(d, accesses, 1, true)
 			if err != nil {
 				t.Fatal(err)
 			}

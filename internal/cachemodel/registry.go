@@ -3,10 +3,9 @@ package cachemodel
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
-
-	"mayacache/internal/probe"
 )
 
 // ErrBadConfig is wrapped by every construction error a design's checked
@@ -46,19 +45,6 @@ type BuildOptions struct {
 	// DataScale multiplies Maya's base ways for the LLC-size sensitivity
 	// study (0 = default 1.0).
 	DataScale float64
-	// NoSWAR disables the designs' packed-fingerprint SWAR probe path
-	// (scalar per-way scans instead). Layout/speed only: results are
-	// identical either way, which tests cross-check.
-	NoSWAR bool
-	// MemoBits sizes the designs' epoch-tagged index memo table
-	// (probe.Memo): 0 selects the default size, negative disables
-	// memoization. Speed only: a memo hit replays exactly the indexes a
-	// direct hasher computation would produce (cross-checked under the
-	// mayacheck build tag), so results are identical at any setting.
-	MemoBits int
-	// NoArena allocates each design's parallel arrays individually
-	// instead of carving them from one flat arena. Layout only.
-	NoArena bool
 }
 
 // Sets returns the scaled set count, or an ErrBadConfig error when Cores
@@ -77,41 +63,19 @@ func (o BuildOptions) Sets() (int, error) {
 	return per * o.Cores, nil
 }
 
-// MemoBitsFor resolves a design's memo-size knob against the configured
-// hasher: a nil hasher means the design defaults to PRINCE (which is
-// epoch-pure), otherwise the hasher must expose Epoch/RestoreEpoch —
-// the signal that Index is a pure function of (skew, line, epoch), so a
-// memoized entry can never go stale between rekeys. Hashers without it
-// (e.g. ModuloHasher, test stubs) silently disable the memo. Returns
-// the table size in bits, 0 when disabled.
-func MemoBitsFor(h IndexHasher, knob int) int {
-	if h != nil {
-		if _, ok := h.(interface {
-			Epoch() uint64
-			RestoreEpoch(uint64)
-		}); !ok {
-			return 0
-		}
-	}
-	return probe.ResolveMemoBits(knob)
-}
-
 // Hasher returns the index hasher the options select: an XorHasher when
 // FastHash is set, nil otherwise (designs then default to PRINCE).
 func (o BuildOptions) Hasher(skews, sets int) IndexHasher {
 	if !o.FastHash {
 		return nil
 	}
-	return NewXorHasher(skews, log2u(sets), o.Seed)
+	return NewXorHasher(skews, Log2(sets), o.Seed)
 }
 
-func log2u(n int) uint {
-	var b uint
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
+// Log2 is the base-2 logarithm of n, a power of two the caller has
+// already validated (set counts are checked by every constructor).
+func Log2(n int) uint {
+	return uint(bits.TrailingZeros(uint(n)))
 }
 
 // Factory constructs a design from build options. Factories return an

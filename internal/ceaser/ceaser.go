@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"mayacache/internal/cachemodel"
-	"mayacache/internal/invariant"
 	"mayacache/internal/prince"
 	"mayacache/internal/probe"
 	"mayacache/internal/rng"
@@ -60,14 +59,9 @@ type Config struct {
 	RemapPeriod uint64
 	// Seed drives keys and randomness.
 	Seed uint64
-	// UsePrince selects the PRINCE randomizer (default true when nil
-	// Hasher); tests may inject a faster hasher.
+	// Hasher overrides the index function; nil selects the PRINCE
+	// randomizer.
 	Hasher cachemodel.IndexHasher
-	// MemoBits sizes the epoch-tagged index memo table (probe.Memo):
-	// 0 selects probe.DefaultMemoBits, negative disables memoization.
-	// Speed only; results are identical at any setting, and the memo is
-	// silently disabled when Hasher lacks the Epoch purity signal.
-	MemoBits int
 }
 
 type entry struct {
@@ -88,22 +82,15 @@ type Cache struct {
 	skews     int // 1 for CEASER, 2 for CEASER-S, Ways for Scatter
 	waysPerSk int
 	entries   []entry
-	hasher    cachemodel.IndexHasher
-	// memo caches each line's all-skew set indexes keyed by the rekey
-	// epoch (see core.Maya.memo; nil when disabled). CEASER has no probe
-	// fingerprints, so the memo's fp lane is unused here.
-	memo  *probe.Memo //mayavet:ignore snapshotfields -- derived: pure function of (line, rekey epoch); wiped on restore
+	// front resolves each skew's set index; the miss path installs right
+	// after a failed lookup of the same line, so it reads the indices the
+	// lookup left there instead of re-running the randomizer.
+	front probe.Front
 	r     *rng.Rand
 	clock uint64
 	fills uint64
 	stats cachemodel.Stats
 	wbBuf []cachemodel.WritebackOut //mayavet:ignore snapshotfields -- per-call output buffer; dead between accesses
-
-	// skewIdx caches each skew's set index from the most recent lookup;
-	// the miss path installs right after a failed lookup of the same line,
-	// so it can reuse the indices instead of re-running the randomizer.
-	// Derived scratch state — not serialized by SaveState.
-	skewIdx []int32 //mayavet:ignore snapshotfields -- per-access scratch; dead between accesses
 }
 
 // NewChecked constructs the selected variant, returning an error wrapping
@@ -130,56 +117,17 @@ func NewChecked(cfg Config) (*Cache, error) {
 		return nil, cachemodel.BadConfigf("ceaser: unknown variant %d", uint8(cfg.Variant))
 	}
 	c.entries = make([]entry, cfg.Sets*cfg.Ways)
-	c.skewIdx = make([]int32, c.skews)
-	c.memo = probe.NewMemo(nil, c.skews, cachemodel.MemoBitsFor(cfg.Hasher, cfg.MemoBits))
-	c.hasher = cfg.Hasher
-	if c.hasher == nil {
-		c.hasher = prince.NewRandomizer(c.skews, log2(cfg.Sets), cfg.Seed)
-	}
+	c.front = probe.NewFront(nil, cfg.Hasher, c.skews, cfg.Sets, cfg.Seed)
 	return c, nil
 }
 
-// resolveIndexes fills skewIdx with every skew's set index for line,
-// consulting the epoch-tagged memo first (see core.Maya.resolveIndexes;
-// CEASER stores no fingerprints, so the memo's fp lane carries zero).
-func (c *Cache) resolveIndexes(line uint64) {
-	if c.memo != nil {
-		if _, ok := c.memo.Lookup(line, c.skewIdx); ok {
-			if invariant.Enabled {
-				for skew := 0; skew < c.skews; skew++ {
-					invariant.Check(int(c.skewIdx[skew]) == c.hasher.Index(skew, line),
-						"ceaser: memo index diverged at skew %d for line %#x", skew, line)
-				}
-			}
-			return
-		}
-		for skew := 0; skew < c.skews; skew++ {
-			c.skewIdx[skew] = int32(c.hasher.Index(skew, line))
-		}
-		c.memo.Insert(line, c.skewIdx, 0)
-		return
-	}
-	for skew := 0; skew < c.skews; skew++ {
-		c.skewIdx[skew] = int32(c.hasher.Index(skew, line))
-	}
-}
-
-func log2(n int) uint {
-	var b uint
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
-
-// lookup finds (line, sdid), returning the entry index or -1. It caches
-// each skew's set index in skewIdx so the install path that immediately
+// lookup finds (line, sdid), returning the entry index or -1. The front
+// keeps each skew's set index so the install path that immediately
 // follows a miss can skip re-running the randomizer.
 func (c *Cache) lookup(line uint64, sdid uint8) int {
-	c.resolveIndexes(line)
+	c.front.Resolve(line)
 	for skew := 0; skew < c.skews; skew++ {
-		base := int(c.skewIdx[skew])*c.ways + skew*c.waysPerSk
+		base := c.front.Index(skew)*c.ways + skew*c.waysPerSk
 		row := c.entries[base : base+c.waysPerSk]
 		for w := range row {
 			e := &row[w]
@@ -231,7 +179,7 @@ func (c *Cache) Access(a cachemodel.Access) cachemodel.Result {
 	if c.skews > 1 {
 		skew = c.r.Intn(c.skews)
 	}
-	set := int(c.skewIdx[skew])
+	set := c.front.Index(skew)
 	base := set*c.ways + skew*c.waysPerSk
 	row := c.entries[base : base+c.waysPerSk]
 	// Prefer an invalid way within the chosen skew's portion of the set.
@@ -293,12 +241,7 @@ func (c *Cache) remap() {
 		}
 		*e = entry{}
 	}
-	c.hasher.Rekey()
-	if c.memo != nil {
-		// Cached index vectors belong to the old keys; one epoch bump
-		// retires them all.
-		c.memo.Invalidate()
-	}
+	c.front.Rekey()
 	c.stats.Rekeys++
 }
 
@@ -328,18 +271,14 @@ func (c *Cache) LookupPenalty() int { return prince.LatencyCycles }
 // StatsSnapshot implements cachemodel.LLC.
 func (c *Cache) StatsSnapshot() cachemodel.Stats {
 	s := c.stats
-	if c.memo != nil {
-		s.MemoHits, s.MemoMisses = c.memo.Counters()
-	}
+	s.MemoHits, s.MemoMisses = c.front.MemoCounters()
 	return s
 }
 
 // ResetStats implements cachemodel.LLC.
 func (c *Cache) ResetStats() {
 	c.stats.Reset()
-	if c.memo != nil {
-		c.memo.ResetCounters()
-	}
+	c.front.ResetMemoCounters()
 }
 
 // Name implements cachemodel.LLC.

@@ -13,7 +13,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			cfg := Config{Sets: sets, Ways: 16, Variant: v, Seed: o.Seed, MemoBits: o.MemoBits}
+			cfg := Config{Sets: sets, Ways: 16, Variant: v, Seed: o.Seed}
 			skews := 1
 			switch v {
 			case CEASERS:

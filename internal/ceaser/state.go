@@ -9,7 +9,7 @@ import (
 // was killed with, mid remap period (fills mod RemapPeriod included).
 func (c *Cache) SaveState(e *snapshot.Encoder) {
 	e.RNG(c.r)
-	snapshot.SaveHasherEpoch(e, c.hasher)
+	c.front.SaveState(e)
 	c.stats.SaveState(e)
 	e.U64(c.clock)
 	e.U64(c.fills)
@@ -30,7 +30,7 @@ func (c *Cache) SaveState(e *snapshot.Encoder) {
 // Cache with identical configuration.
 func (c *Cache) RestoreState(d *snapshot.Decoder) error {
 	d.RNG(c.r)
-	snapshot.RestoreHasherEpoch(d, c.hasher)
+	c.front.RestoreState(d)
 	if err := c.stats.RestoreState(d); err != nil {
 		return err
 	}
@@ -54,11 +54,6 @@ func (c *Cache) RestoreState(d *snapshot.Decoder) error {
 				break
 			}
 		}
-	}
-	// Memo entries were computed against pre-restore keys; wipe the table
-	// (it repopulates lazily — a speed effect only, never a results one).
-	if c.memo != nil {
-		c.memo.Reset()
 	}
 	return d.Err()
 }

@@ -58,26 +58,40 @@ func TestMayacheckCleanRunPasses(t *testing.T) {
 	}
 }
 
+// firstP1 returns the first priority-1 tag at or after tag from.
+func firstP1(t *testing.T, m *Maya, from int) int {
+	t.Helper()
+	for ti := from; ti < len(m.tags); ti++ {
+		if m.tags[ti].state == stP1 {
+			return ti
+		}
+	}
+	t.Fatal("no data entries populated")
+	return -1
+}
+
 func TestMayacheckDetectsBrokenRPTR(t *testing.T) {
 	m := mustNew(smallCheckConfig(11))
-	drive(m, 12, auditPeriod/2)
-	if len(m.dataUsed) == 0 {
-		t.Fatal("no data entries populated")
-	}
-	// Break the bijection: point a live data entry at the wrong tag.
-	slot := m.dataUsed[0]
-	m.data[slot].rptr++
+	// Stop one access short of an audit: global data eviction would heal
+	// the damage below if it drew the slot first.
+	drive(m, 12, auditPeriod-1)
+	// Break the bijection: point a live tag at another tag's data slot,
+	// whose RPTR does not name it.
+	ti := firstP1(t, m, 0)
+	tj := firstP1(t, m, ti+1)
+	m.tags[ti].fptr = m.tags[tj].fptr
 	expectViolation(t, func() { drive(m, 13, 2*auditPeriod) })
 }
 
 func TestMayacheckDetectsOccupancySkew(t *testing.T) {
 	m := mustNew(smallCheckConfig(17))
-	drive(m, 18, auditPeriod/2)
-	// Double-count a data slot: priority-1 tag count no longer matches
-	// data-store occupancy.
-	if len(m.dataUsed) == 0 {
-		t.Fatal("no data entries populated")
-	}
-	m.dataUsed = append(m.dataUsed, m.dataUsed[0])
+	drive(m, 18, auditPeriod-1)
+	// A priority-1 tag forgets its data slot and drops to priority-0: the
+	// slot stays in use with no owner, so the priority-1 population no
+	// longer matches data-store occupancy.
+	ti := firstP1(t, m, 0)
+	m.tags[ti].state = stP0
+	m.tags[ti].fptr = -1
+	m.addP0(int32(ti))
 	expectViolation(t, func() { drive(m, 19, 2*auditPeriod) })
 }

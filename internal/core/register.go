@@ -31,7 +31,6 @@ func init() {
 			}
 		}
 		cfg.Hasher = o.Hasher(cfg.Skews, sets)
-		cfg.NoSWAR, cfg.NoArena, cfg.MemoBits = o.NoSWAR, o.NoArena, o.MemoBits
 		return NewChecked(cfg)
 	})
 	cachemodel.Register("Maya-ISO", func(o cachemodel.BuildOptions) (cachemodel.LLC, error) {
@@ -44,7 +43,6 @@ func init() {
 		cfg.BaseWays = 8
 		cfg.ReuseWays = 4
 		cfg.Hasher = o.Hasher(cfg.Skews, sets)
-		cfg.NoSWAR, cfg.NoArena, cfg.MemoBits = o.NoSWAR, o.NoArena, o.MemoBits
 		return NewChecked(cfg)
 	})
 }

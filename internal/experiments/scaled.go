@@ -6,15 +6,6 @@ import (
 	"mayacache/internal/core"
 )
 
-func log2(n int) uint {
-	var b uint
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
-}
-
 // mustScaled unwraps a checked constructor: sweep geometries are derived
 // from validated powers of two, so an error is a programming bug.
 func mustScaled(c cachemodel.LLC, err error) cachemodel.LLC {
@@ -37,6 +28,6 @@ func newScaledBaseline(sets int, seed uint64) cachemodel.LLC {
 func newScaledMaya(setsPerSkew int, seed uint64) cachemodel.LLC {
 	cfg := core.DefaultConfig(seed)
 	cfg.SetsPerSkew = setsPerSkew
-	cfg.Hasher = cachemodel.NewXorHasher(cfg.Skews, log2(setsPerSkew), seed)
+	cfg.Hasher = cachemodel.NewXorHasher(cfg.Skews, cachemodel.Log2(setsPerSkew), seed)
 	return mustScaled(core.NewChecked(cfg))
 }

@@ -41,10 +41,18 @@ func TestMayacheckCleanRunPasses(t *testing.T) {
 
 func TestMayacheckDetectsValidCntDrift(t *testing.T) {
 	c := mustNew(smallCheckConfig(5))
-	drive(c, 6, auditPeriod/2)
+	// Stop one access short of an audit, so no eviction can overwrite
+	// the damaged tag first.
+	drive(c, 6, auditPeriod-1)
 	// Skew the valid/invalid-way accounting that load-aware skew
-	// selection depends on.
-	c.validCnt[0]++
+	// selection depends on: a tag turns invalid behind the store's back,
+	// so its set's valid count no longer matches the tags.
+	ti := 0
+	for !c.tags[ti].valid {
+		ti++
+	}
+	c.tags[ti].valid = false
+	c.tags[ti].fptr = -1
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -12,7 +12,6 @@ func init() {
 			cfg := base(o.Seed)
 			cfg.SetsPerSkew = sets
 			cfg.Hasher = o.Hasher(cfg.Skews, sets)
-			cfg.NoSWAR, cfg.NoArena, cfg.MemoBits = o.NoSWAR, o.NoArena, o.MemoBits
 			return NewChecked(cfg)
 		})
 	}

@@ -117,7 +117,7 @@ func New(cfg Config) *Cache {
 			if cfg.Kind == FlexSetPartition {
 				// BCE decouples LLC sets from DRAM layout by hashing
 				// lines into the domain's set group.
-				hcfg.Hasher = cachemodel.NewXorHasher(1, log2(per), cfg.Seed^uint64(d)<<8)
+				hcfg.Hasher = cachemodel.NewXorHasher(1, cachemodel.Log2(per), cfg.Seed^uint64(d)<<8)
 			}
 			c.parts = append(c.parts, mustPart(baseline.NewChecked(hcfg)))
 		}
@@ -125,15 +125,6 @@ func New(cfg Config) *Cache {
 		panic("partition: unknown kind")
 	}
 	return c
-}
-
-func log2(n int) uint {
-	var b uint
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
 }
 
 func (c *Cache) part(sdid uint8) *baseline.SetAssoc {

@@ -4,28 +4,26 @@ package probe
 // IndexHasher.Index — a software TLB for the cipher-indexed designs.
 // Each slot caches the full per-skew index vector and the packed probe
 // fingerprint for one line address. Entries are a pure function of
-// (line, rekey epoch): the owning design bumps the epoch on every
+// (line, rekey epoch): the owning Front bumps the epoch on every
 // hasher.Rekey(), which invalidates the whole table in O(1) without
 // touching memory; a restore from snapshot calls Reset, which wipes the
 // slots outright (the restored hasher epoch need not line up with the
 // memo's local counter).
 //
-// Correctness contract: the memo may only front hashers whose Index is
-// a pure function of (skew, line, epoch) — i.e. hashers implementing
-// Epoch()/RestoreEpoch() (prince.Randomizer, cachemodel.XorHasher).
-// Designs enforce that at construction and keep the memo private, so
-// every Rekey of the backing hasher flows through the design's rekey
-// path and lands on Invalidate. Under the mayacheck build tag the
-// designs additionally cross-check every memo hit against a direct
+// Correctness contract: the memo may only front a hasher whose Index is
+// a pure function of (skew, line, rekey epoch). Front owns the one memo
+// of a design, builds it only for the PRINCE randomizer, and routes every
+// Rekey of that hasher through Invalidate. Under the mayacheck build tag
+// Front also cross-checks every memo hit against a direct
 // hasher.Index/Fingerprint recomputation.
 const (
-	// DefaultMemoBits sizes the table when the config knob is zero.
-	// 2^15 slots covers the pinned bench working sets with high hit
-	// rates while staying well under the simulated cache's own tag
-	// store footprint.
-	DefaultMemoBits = 15
-	minMemoBits     = 6
-	maxMemoBits     = 22
+	// memoBits sizes the table. 2^15 slots covers the pinned bench
+	// working sets with high hit rates while staying well under the
+	// simulated cache's own tag store footprint. The size is fixed
+	// rather than derived from the cache geometry, which would starve
+	// small caches probed by large footprints: the Fig 8 attack drives
+	// a 1,536-line attacker footprint through a 64-set Maya.
+	memoBits = 15
 
 	// memoNoEpoch marks an empty slot. The live epoch counter starts
 	// at zero and only increments, so it can never collide.
@@ -36,24 +34,7 @@ const (
 	memoHashMul = 0x9E3779B97F4A7C15
 )
 
-// ResolveMemoBits maps a config knob to a table size: negative
-// disables the memo (returns 0), zero selects DefaultMemoBits, and a
-// positive value is clamped to [minMemoBits, maxMemoBits].
-func ResolveMemoBits(knob int) int {
-	switch {
-	case knob < 0:
-		return 0
-	case knob == 0:
-		return DefaultMemoBits
-	case knob < minMemoBits:
-		return minMemoBits
-	case knob > maxMemoBits:
-		return maxMemoBits
-	}
-	return knob
-}
-
-// Memo is not safe for concurrent use; each design owns exactly one.
+// Memo is not safe for concurrent use; each Front owns at most one.
 type Memo struct {
 	lines  []uint64 // slot tag: cached line address
 	epochs []uint64 // epoch the slot was filled in; memoNoEpoch = empty
@@ -66,31 +47,23 @@ type Memo struct {
 	misses uint64
 }
 
-// MemoBytes reports the arena bytes NewMemo will carve for a table of
-// 2^bits slots covering skews skews (zero when bits is zero).
-func MemoBytes(skews, bits int) int {
-	if bits <= 0 {
-		return 0
-	}
-	n := 1 << bits
+// MemoBytes reports the arena bytes NewMemo carves for skews skews.
+func MemoBytes(skews int) int {
+	const n = 1 << memoBits
 	return Size[uint64](n) + Size[uint64](n) + Size[int32](n*skews) + Size[uint16](n)
 }
 
-// NewMemo builds a table of 2^bits slots backed by the arena (nil
-// arena or zero bits are fine: zero bits returns nil, nil arena falls
-// back to the heap via Alloc's overflow path).
-func NewMemo(a *Arena, skews, bits int) *Memo {
-	if bits <= 0 {
-		return nil
-	}
-	n := 1 << bits
+// NewMemo builds a table of 2^memoBits slots backed by the arena (a nil
+// arena falls back to the heap via Alloc).
+func NewMemo(a *Arena, skews int) *Memo {
+	const n = 1 << memoBits
 	m := &Memo{
 		lines:  Alloc[uint64](a, n),
 		epochs: Alloc[uint64](a, n),
 		idx:    Alloc[int32](a, n*skews),
 		fps:    Alloc[uint16](a, n),
 		skews:  skews,
-		shift:  uint(64 - bits),
+		shift:  64 - memoBits,
 	}
 	for i := range m.epochs {
 		m.epochs[i] = memoNoEpoch
@@ -129,7 +102,7 @@ func (m *Memo) Insert(line uint64, src []int32, fp uint16) {
 }
 
 // Invalidate drops every entry by bumping the epoch — O(1), no memory
-// traffic. Call sites: every design rekey (hasher.Rekey()).
+// traffic. Front.Rekey calls it right after hasher.Rekey().
 func (m *Memo) Invalidate() {
 	m.epoch++
 }
@@ -151,7 +124,7 @@ func (m *Memo) Counters() (hits, misses uint64) {
 }
 
 // ResetCounters zeroes the hit/miss counters (table contents are
-// untouched); designs call it from ResetStats.
+// untouched); Front calls it from the designs' ResetStats.
 func (m *Memo) ResetCounters() {
 	m.hits, m.misses = 0, 0
 }

@@ -1,31 +1,45 @@
 package probe
 
-import "testing"
+import (
+	"testing"
 
+	"mayacache/internal/cachemodel"
+	"mayacache/internal/prince"
+)
+
+// wrappedPrince is the PRINCE randomizer under another type: it indexes
+// identically but is not the randomizer itself, so Front runs it memo-off.
+type wrappedPrince struct{ *prince.Randomizer }
+
+// TestResolveMemoBits pins the memo rule: Front memoizes the PRINCE
+// randomizer, which a nil hasher selects, and nothing else.
 func TestResolveMemoBits(t *testing.T) {
-	cases := []struct{ knob, want int }{
-		{-1, 0},
-		{-100, 0},
-		{0, DefaultMemoBits},
-		{1, minMemoBits},
-		{minMemoBits, minMemoBits},
-		{12, 12},
-		{maxMemoBits, maxMemoBits},
-		{maxMemoBits + 5, maxMemoBits},
+	const skews, sets, seed = 2, 64, 1
+	cases := []struct {
+		name string
+		h    cachemodel.IndexHasher
+		want bool
+	}{
+		{"nil", nil, true},
+		{"prince", prince.NewRandomizer(skews, 6, seed), true},
+		{"xor", cachemodel.NewXorHasher(skews, 6, seed), false},
+		{"modulo", cachemodel.NewModuloHasher(6), false},
+		{"wrapped prince", wrappedPrince{prince.NewRandomizer(skews, 6, seed)}, false},
 	}
 	for _, c := range cases {
-		if got := ResolveMemoBits(c.knob); got != c.want {
-			t.Errorf("ResolveMemoBits(%d) = %d, want %d", c.knob, got, c.want)
+		f := NewFront(nil, c.h, skews, sets, seed)
+		if got := f.memo != nil; got != c.want {
+			t.Errorf("%s: memo on = %v, want %v", c.name, got, c.want)
 		}
-	}
-	if NewMemo(nil, 2, 0) != nil {
-		t.Fatal("NewMemo with zero bits must return nil (memo disabled)")
+		if want := frontBytes(c.h, skews) != 0; want != c.want {
+			t.Errorf("%s: frontBytes sizes a memo = %v, want %v", c.name, want, c.want)
+		}
 	}
 }
 
 func TestMemoRoundTrip(t *testing.T) {
 	const skews = 3
-	m := NewMemo(nil, skews, minMemoBits)
+	m := NewMemo(nil, skews)
 	dst := make([]int32, skews)
 
 	if _, ok := m.Lookup(42, dst); ok {
@@ -56,7 +70,7 @@ func TestMemoRoundTrip(t *testing.T) {
 
 func TestMemoEpochInvalidation(t *testing.T) {
 	const skews = 2
-	m := NewMemo(nil, skews, minMemoBits)
+	m := NewMemo(nil, skews)
 	dst := make([]int32, skews)
 
 	m.Insert(9, []int32{1, 2}, 3)
@@ -83,7 +97,7 @@ func TestMemoEpochInvalidation(t *testing.T) {
 
 func TestMemoCollisionDisplaces(t *testing.T) {
 	const skews = 1
-	m := NewMemo(nil, skews, minMemoBits)
+	m := NewMemo(nil, skews)
 	dst := make([]int32, skews)
 
 	// Find two distinct lines that map to the same slot.
@@ -107,11 +121,9 @@ func TestMemoCollisionDisplaces(t *testing.T) {
 }
 
 func TestMemoArenaPlacement(t *testing.T) {
-	const skews, bits = 2, minMemoBits
-	a := NewArena(MemoBytes(skews, bits))
-	if m := NewMemo(a, skews, bits); m == nil {
-		t.Fatal("NewMemo returned nil for positive bits")
-	}
+	const skews = 2
+	a := NewArena(MemoBytes(skews))
+	NewMemo(a, skews)
 	if a.Overflows() != 0 {
 		t.Fatalf("MemoBytes under-sized the arena: %d overflows", a.Overflows())
 	}

@@ -1,5 +1,9 @@
-// Package probe provides the shared SWAR tag-probe kernels and the flat
-// arena allocator used by the LLC designs' hot paths.
+// Package probe is the lookup machinery of the randomized LLC designs:
+// Front, the one index path of Maya, Mirage and the CEASER family (the
+// hasher, PRINCE by default, and its epoch-tagged memo); Skewed, the
+// skewed tag store and pointer-decoupled data store Maya and Mirage
+// share; and beneath them the SWAR tag-probe kernels, the memo table and
+// the flat arena allocator.
 //
 // # SWAR probes
 //

@@ -48,31 +48,15 @@ func sanctionedDerivation(fn *types.Func) bool {
 }
 
 // sanctionedSpecField reports whether a named struct type's field is a
-// documented scheduling knob whose value never influences results:
-//
-//   - cachesim.RunSpec.Parallelism selects the worker count of the
-//     deterministic parallel mode, which is bit-exact versus serial by
-//     construction (and pinned by golden-fixture tests);
-//   - cachemodel.BuildOptions.MemoBits sizes the epoch-tagged index memo
-//     (probe.Memo), a pure cache over hasher.Index whose only effect is
-//     speed — results are byte-identical at any size, including disabled
-//     (pinned by the golden memo-off tests and the memo fuzz harness).
-//
-// Values flowing into these fields are not tracked. Matching the package
-// by name keeps the fixture module's shims covered like the real
-// packages.
+// documented scheduling knob whose value never influences results. The
+// one such field is cachesim.RunSpec.Parallelism: it selects the worker
+// count of the deterministic parallel mode, which is bit-exact versus
+// serial by construction (and pinned by golden-fixture tests). Values
+// flowing into it are not tracked. Matching the package by name keeps
+// the fixture module's shim covered like the real package.
 func sanctionedSpecField(named *types.Named, field string) bool {
 	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	switch {
-	case obj.Pkg().Name() == "cachesim" && obj.Name() == "RunSpec" && field == "Parallelism":
-		return true
-	case obj.Pkg().Name() == "cachemodel" && obj.Name() == "BuildOptions" && field == "MemoBits":
-		return true
-	}
-	return false
+	return obj.Pkg() != nil && obj.Pkg().Name() == "cachesim" && obj.Name() == "RunSpec" && field == "Parallelism"
 }
 
 // taint is the lattice element: the set of source descriptions that may

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"vetfixture/cachemodel"
 	"vetfixture/cachesim"
 	"vetfixture/internal/mc"
 	"vetfixture/rng"
@@ -77,19 +76,4 @@ func ParallelKnobWrite(warmup uint64) *rng.Rand {
 	spec := cachesim.RunSpec{Warmup: warmup}
 	spec.Parallelism = runtime.NumCPU()
 	return cachesim.Run(spec)
-}
-
-// MemoBitsFromEnv sizes the index memo from the environment. MemoBits is
-// a sanctioned scheduling-only knob — the memo is bit-exact at any size —
-// so the env taint must not leak onto the caller-provided seed.
-func MemoBitsFromEnv(seed uint64) *rng.Rand {
-	return cachemodel.Build(cachemodel.BuildOptions{Seed: seed, MemoBits: len(os.Getenv("MAYA_MEMO_BITS"))})
-}
-
-// MemoKnobWrite does the same through a field write after construction;
-// the assignment must not taint the containing struct.
-func MemoKnobWrite(seed uint64) *rng.Rand {
-	o := cachemodel.BuildOptions{Seed: seed}
-	o.MemoBits = runtime.NumCPU()
-	return cachemodel.Build(o)
 }

@@ -4,7 +4,6 @@ import (
 	"os"
 	"runtime"
 
-	"vetfixture/cachemodel"
 	"vetfixture/cachesim"
 	"vetfixture/rng"
 	"vetfixture/snapshot"
@@ -64,12 +63,4 @@ func PidIntoSnapshot(e *snapshot.Encoder) {
 func GomaxprocsBudget() *rng.Rand {
 	spec := cachesim.RunSpec{Warmup: uint64(runtime.GOMAXPROCS(0)), Parallelism: 1}
 	return cachesim.Run(spec) // want: seedflow
-}
-
-// CpuSeedIntoBuild puts machine width into the registry seed: only
-// BuildOptions.MemoBits is a sanctioned scheduling knob, the Seed field
-// next to it is results-affecting seed material and keeps its taint.
-func CpuSeedIntoBuild() *rng.Rand {
-	o := cachemodel.BuildOptions{Seed: uint64(runtime.NumCPU()), MemoBits: 14}
-	return cachemodel.Build(o) // want: seedflow
 }

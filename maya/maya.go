@@ -119,10 +119,12 @@ const (
 // configuration errors.
 func NewCeaser(cfg CeaserConfig) (*ceaser.Cache, error) { return ceaser.NewChecked(cfg) }
 
-// Design names a cache design for the system builder.
+// Design names a registered cache design for the system builder: the
+// constants below or any other registered name, such as "Maya-ISO",
+// "Mirage-Lite" or "CEASER-S".
 type Design string
 
-// Built-in designs for SystemConfig.
+// The paper's three headline designs for SystemConfig.
 const (
 	DesignBaseline Design = "Baseline"
 	DesignMirage   Design = "Mirage"
@@ -135,8 +137,9 @@ const (
 type SystemConfig struct {
 	// Workloads lists one benchmark name per core.
 	Workloads []string
-	// Design selects the shared LLC (DesignBaseline/DesignMirage/
-	// DesignMaya), ignored if LLC is set.
+	// Design selects the shared LLC by registered name (empty means
+	// DesignBaseline), ignored if LLC is set. An unknown name is an error
+	// wrapping cachemodel.ErrBadConfig.
 	Design Design
 	// LLC optionally supplies a custom LLC instance.
 	LLC LLC
@@ -145,12 +148,6 @@ type SystemConfig struct {
 	// FastHash uses the non-cryptographic index hasher in randomized
 	// designs (recommended for bulk sweeps; PRINCE otherwise).
 	FastHash bool
-	// MemoBits sizes the randomized designs' epoch-tagged index memo
-	// (0: default size, negative: disabled). Speed only — results are
-	// bit-identical at any setting. The memo pays off under PRINCE and
-	// is a small loss under FastHash, so size it only when FastHash is
-	// false.
-	MemoBits int
 }
 
 // System is a runnable multi-core simulation.
@@ -177,8 +174,17 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	llc := cfg.LLC
 	if llc == nil {
+		design := cfg.Design
+		if design == "" {
+			design = DesignBaseline
+		}
 		var err error
-		if llc, err = buildLLC(cfg); err != nil {
+		llc, err = cachemodel.Build(string(design), cachemodel.BuildOptions{
+			Cores:    len(cfg.Workloads),
+			Seed:     cfg.Seed,
+			FastHash: cfg.FastHash,
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -190,42 +196,6 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		Seed:  cfg.Seed,
 	}, gens)
 	return &System{inner: sys}, nil
-}
-
-func buildLLC(cfg SystemConfig) (LLC, error) {
-	cores := len(cfg.Workloads)
-	sets := 2048 * cores
-	var hasher IndexHasher
-	if cfg.FastHash {
-		hasher = cachemodel.NewXorHasher(2, log2(sets), cfg.Seed)
-	}
-	switch cfg.Design {
-	case DesignMirage:
-		c := mirage.DefaultConfig(cfg.Seed)
-		c.SetsPerSkew = sets
-		c.Hasher = hasher
-		c.MemoBits = cfg.MemoBits
-		return mirage.NewChecked(c)
-	case DesignMaya:
-		c := core.DefaultConfig(cfg.Seed)
-		c.SetsPerSkew = sets
-		c.Hasher = hasher
-		c.MemoBits = cfg.MemoBits
-		return core.NewChecked(c)
-	default:
-		return baseline.NewChecked(baseline.Config{
-			Sets: sets, Ways: 16, Replacement: baseline.SRRIP, Seed: cfg.Seed,
-		})
-	}
-}
-
-func log2(n int) uint {
-	var b uint
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
 }
 
 // RunSpec re-exports the simulator's run specification: instruction

@@ -1,9 +1,14 @@
 package maya
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"math"
 	"testing"
+
+	"mayacache/internal/cachemodel"
 )
 
 // mustCache unwraps NewCache for tests with known-good configs.
@@ -84,6 +89,63 @@ func TestAllDesignsBuild(t *testing.T) {
 		}
 		if res.Cores[0].Instructions == 0 {
 			t.Fatalf("%s: no instructions retired", d)
+		}
+	}
+}
+
+// TestSystemBuilderUsesRegistry pins NewSystem to the design registry: an
+// unknown name is a configuration error instead of a silent Baseline, any
+// registered name builds that design, and the facade's Baseline, Mirage
+// and Maya produce byte for byte the Results of a registry-built LLC.
+func TestSystemBuilderUsesRegistry(t *testing.T) {
+	workloads := []string{"mcf", "lbm"}
+	for _, d := range []Design{"maya", "Maya-Typo"} {
+		if _, err := NewSystem(SystemConfig{Workloads: workloads, Design: d}); !errors.Is(err, cachemodel.ErrBadConfig) {
+			t.Errorf("Design %q: err = %v, want one wrapping cachemodel.ErrBadConfig", d, err)
+		}
+	}
+	opts := cachemodel.BuildOptions{Cores: len(workloads), Seed: 3, FastHash: true}
+	iso, err := NewSystem(SystemConfig{Workloads: workloads, Design: "Maya-ISO", Seed: 3, FastHash: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cachemodel.Build("Maya-ISO", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := iso.LLC(); got.Name() != want.Name() || got.Geometry() != want.Geometry() {
+		t.Fatalf("Maya-ISO built %s %+v, want %s %+v", got.Name(), got.Geometry(), want.Name(), want.Geometry())
+	}
+
+	run := func(cfg SystemConfig) []byte {
+		t.Helper()
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run(context.Background(), RunSpec{Warmup: 30_000, ROI: 30_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, d := range []Design{"", DesignBaseline, DesignMirage, DesignMaya} {
+		name := d
+		if name == "" {
+			name = DesignBaseline
+		}
+		llc, err := cachemodel.Build(string(name), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		facade := run(SystemConfig{Workloads: workloads, Design: d, Seed: 3, FastHash: true})
+		registry := run(SystemConfig{Workloads: workloads, LLC: llc, Seed: 3})
+		if !bytes.Equal(facade, registry) {
+			t.Errorf("Design %q: facade Results differ from the registry-built %s", d, name)
 		}
 	}
 }
