@@ -109,8 +109,11 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot/
 	$(GO) test -run=^$$ -fuzz=FuzzFAIndex -fuzztime=10s ./internal/baseline/
 
-# ci is the tier-1 verification gate.
-ci: build test vet lint bench-module check race e2e bench
+# ci is the tier-1 verification gate: ci.sh, the one script that runs
+# every step in order (correctness first, the mayabench -compare timing
+# gate last).
+ci:
+	sh ./ci.sh
 
 clean:
 	$(GO) clean ./...

@@ -68,6 +68,12 @@ go test -race -cover ./internal/serve/
 echo "==> e2e smoke (e2e.sh)"
 sh ./e2e.sh
 
+echo "==> bench: memo-off golden byte-match"
+# Disabling index memoization must not move a single result bit: the
+# golden end-to-end fixtures are regenerated with the memo forced off and
+# byte-compared against the committed (memo-on) encodings.
+go test ./internal/bench -run 'TestGoldenMemoOff' -count=1
+
 echo "==> bench: continuous benchmark suite (quick) + regression gate"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
@@ -80,8 +86,11 @@ trap 'rm -rf "$TMP"' EXIT
 # machine-speed factor, so shared-runner noise does not flake the gate
 # (regenerate the baseline with
 # `go run ./cmd/mayabench -quick -out ci-bench-baseline.json` after an
-# intentional perf change).
-go run ./cmd/mayabench -quick -out "$TMP/BENCH.json" -compare ci-bench-baseline.json
+# intentional perf change). mayabench writes the report before it
+# compares, so the pipeline checks run first and the gate's exit status
+# applies last: a timing failure never hides a correctness one.
+gate=0
+go run ./cmd/mayabench -quick -out "$TMP/BENCH.json" -compare ci-bench-baseline.json || gate=$?
 test -s "$TMP/BENCH.json"
 grep -q '"mc"' "$TMP/BENCH.json"
 grep -q '"serve"' "$TMP/BENCH.json"
@@ -90,11 +99,8 @@ grep -q '"parallelism"' "$TMP/BENCH.json"
 # no hit-rate field means the memo silently disabled itself.
 grep -q '"real_hash"' "$TMP/BENCH.json"
 grep -q '"memo_hit_rate"' "$TMP/BENCH.json"
-
-echo "==> bench: memo-off golden byte-match"
-# Disabling index memoization must not move a single result bit: the
-# golden end-to-end fixtures are regenerated with the memo forced off and
-# byte-compared against the committed (memo-on) encodings.
-go test ./internal/bench -run 'TestGoldenMemoOff' -count=1
+if [ "$gate" -ne 0 ]; then
+  echo "ci: mayabench -compare regression gate failed (exit $gate)" >&2; exit "$gate"
+fi
 
 echo "ci: all green"

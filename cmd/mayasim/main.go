@@ -6,7 +6,7 @@
 //
 //	mayasim -experiment fig9 [-warmup 2000000] [-roi 1000000] [-seed 1]
 //	        [-csv] [-checkpoint sweep.ckpt] [-timeout 10m] [-retries 2]
-//	        [-workers N] [-serial] [-fault SPEC]
+//	        [-workers N] [-fault SPEC]
 //	        [-snapshot-dir DIR] [-snapshot-every N] [-grace 30s]
 //
 // Experiments: fig1, fig4, fig9, fig10, table7, table11, fitting, cores,
@@ -84,7 +84,6 @@ func run() int {
 		roi        = flag.Uint64("roi", 1_000_000, "measured instructions per core (must be positive)")
 		seed       = flag.Uint64("seed", 1, "experiment seed")
 		csv        = flag.Bool("csv", false, "emit CSV instead of tables")
-		serial     = flag.Bool("serial", false, "disable parallel configuration runs")
 		workers    = flag.Int("workers", 0, "worker-pool width (0 = all CPUs but one; implies parallel)")
 		timeout    = flag.Duration("timeout", 0, "per-cell timeout (0 disables)")
 		retries    = flag.Int("retries", 0, "retries for cells failing with transient errors")
@@ -127,9 +126,6 @@ func run() int {
 	if *timeout < 0 {
 		return fail("-timeout must be >= 0 (got %v)", *timeout)
 	}
-	if *serial && *workers > 1 {
-		return fail("-serial contradicts -workers %d: pick one", *workers)
-	}
 	if !isValidExperiment(*exp) {
 		msg := fmt.Sprintf("unknown experiment %q", *exp)
 		if sug := suggestExperiments(*exp); len(sug) > 0 {
@@ -169,16 +165,12 @@ func run() int {
 		}
 		defer cp.Close()
 	}
-	poolWorkers := *workers
-	if *serial {
-		poolWorkers = 1
-	}
 	var trig *snapshot.Trigger
 	if *snapDir != "" {
 		trig = new(snapshot.Trigger)
 	}
 	runner := harness.New(harness.Options{
-		Workers:         poolWorkers,
+		Workers:         *workers,
 		CellTimeout:     *timeout,
 		Retries:         *retries,
 		Seed:            *seed,

@@ -15,7 +15,7 @@ trap 'rm -rf "$TMP"' EXIT
 go build -o "$TMP/mayasim" ./cmd/mayasim
 # A sweep with one injected panicking cell must complete the other cells,
 # render the failed row, and exit nonzero.
-if "$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -serial \
+if "$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -workers 1 \
     -checkpoint "$TMP/ck.jsonl" -fault panic:cores=8 \
     > "$TMP/fault.out" 2> "$TMP/fault.err"; then
   echo "ci: fault-injected sweep exited zero" >&2; exit 1
@@ -24,9 +24,9 @@ grep -q FAILED "$TMP/fault.out"
 grep -q "FAILURE SUMMARY" "$TMP/fault.err"
 # Rerunning with the checkpoint (fault removed) must recompute only the
 # missing cell and render byte-identical tables to an uninterrupted run.
-"$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -serial \
+"$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -workers 1 \
     -checkpoint "$TMP/ck.jsonl" > "$TMP/resume.out"
-"$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -serial \
+"$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -workers 1 \
     > "$TMP/fresh.out"
 cmp "$TMP/resume.out" "$TMP/fresh.out"
 
@@ -35,13 +35,13 @@ echo "==> e2e: SIGKILL mid-ROI + snapshot resume (mayasim)"
 # save of the cores=16 cell — mid-ROI, with no unwind or cleanup. The
 # rerun must restore the interrupted cell's exact simulator state from
 # its snapshot and render tables byte-identical to the uninterrupted run.
-if "$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -serial \
+if "$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -workers 1 \
     -checkpoint "$TMP/kill.ckpt" -snapshot-dir "$TMP/snaps" -snapshot-every 4096 \
     -fault killsnap:cores=16:4 > "$TMP/kill.out" 2> "$TMP/kill.err"; then
   echo "ci: killsnap run survived its own SIGKILL" >&2; exit 1
 fi
 test -n "$(ls "$TMP/snaps")"  # a mid-run cell snapshot is durable
-"$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -serial \
+"$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -workers 1 \
     -checkpoint "$TMP/kill.ckpt" -snapshot-dir "$TMP/snaps" > "$TMP/killresume.out"
 cmp "$TMP/killresume.out" "$TMP/fresh.out"
 test -z "$(ls "$TMP/snaps")"  # completed cells discard their snapshots

@@ -1,29 +1,30 @@
 package cachesim
 
-// The deterministic parallel run mode (RunSpec.Parallelism > 1) splits each
-// core's simulation into two halves with very different data dependencies:
+// Every run splits each core's simulation into two halves with very
+// different data dependencies:
 //
 //   - the *front*: trace generator, L1D, L2, and prefetcher. Which events a
 //     core issues and how they behave in its private hierarchy depend only
 //     on the access sequence, never on any clock or on other cores — the
 //     generators are pure state machines and the private caches decide
 //     hits, fills, and victims from access order alone. The front is
-//     therefore a timing-independent pure function of its own state and
-//     can be run ahead by a per-core worker goroutine.
+//     therefore a timing-independent pure function of its own state.
 //
 //   - everything else: per-core clocks, the ROB/MSHR outstanding window,
 //     the shared LLC, and DRAM. These couple cores to each other (LLC and
 //     DRAM state are order-sensitive) and feed latencies back into clocks,
-//     so a single merge thread replays them in exactly the serial
-//     interleaving order.
+//     so the drive loop applies them (System.applyStep) in laggard order.
 //
-// Workers stream per-step records — the event gap, how deep the access
-// went (L1 hit / L2 hit / LLC demand), and the ordered list of shared-LLC
-// operations the step performs — through per-core SPSC ring buffers in
-// batches of batchSteps records (see ring.go). The merge consumes records
-// in the serial drive loop's laggard order, so every shared access, DRAM
-// transaction, clock advance, and snapshot poll happens with
-// byte-identical state to the serial run.
+// A front step emits one record — the event gap, how deep the access went
+// (L1 hit / L2 hit / LLC demand), and the ordered list of shared-LLC
+// operations the step performs — and the drive loop applies it. A serial
+// run steps the laggard's front inline; the deterministic parallel mode
+// (RunSpec.Parallelism > 1) runs each front ahead on its own worker
+// goroutine, streaming records through per-core SPSC rings in batches of
+// batchSteps (see ring.go and parallel.go). Either way every shared
+// access, DRAM transaction, clock advance, and snapshot poll happens in
+// the same order with the same state, so Results and snapshots are
+// byte-identical.
 
 import (
 	"fmt"
@@ -55,11 +56,10 @@ type sharedOp struct {
 	sdid uint8
 }
 
-// front is the timing-independent half of one core. In a parallel run it
-// aliases the core's own generator, private caches, and prefetcher (the
-// merge never touches those during the run), so when the workers finish
-// the System's cores hold the exact end-of-run private state with no
-// copy-back. Snapshot replicas use independently cloned fronts instead.
+// front is the timing-independent half of one core: its components and
+// the worker cursor (run progress as the front has stepped it). In a
+// parallel run the worker owns the core's front until it is joined, so
+// the merge never touches it; snapshot replicas use cloned fronts.
 type front struct {
 	id  int
 	gen trace.Generator
@@ -74,20 +74,19 @@ type front struct {
 	done    bool
 }
 
-// frontOf snapshots core c's run-progress cursor into a front sharing its
-// components.
-func (s *System) frontOf(c *core) *front {
-	return &front{
-		id: c.id, gen: c.gen, l1d: c.l1d, l2: c.l2, pf: c.pf,
-		retired: c.retired, target: c.target, roi: s.roi,
-		phase: s.phase, done: c.done,
-	}
+// seek moves f's cursor to core c's position in the current run.
+func (f *front) seek(c *core, s *System) {
+	f.retired, f.target, f.done = c.retired, c.target, c.done
+	f.roi, f.phase = s.roi, s.phase
 }
 
 // privateStep advances the front by one trace event and appends its
-// record to b. The access walk mirrors System.memAccess/prefetchAfter
-// exactly, with every LLC-touching call recorded instead of performed:
-// the op order here is the order the serial code would call the LLC.
+// record to b. It is the only walk of the private hierarchy: every
+// LLC-touching call is recorded instead of performed, in the order
+// applyStep must perform it. Stores hit the L1D as writebacks (RFO +
+// dirty); the fetch on a miss is a demand read, and dirtiness propagates
+// down the hierarchy through natural eviction. Prefetches walk the same
+// hierarchy and pollute it exactly as hardware prefetches do.
 func (f *front) privateStep(b *batch) {
 	ev := f.gen.Next()
 	f.retired += uint64(ev.Gap) + 1
@@ -144,8 +143,8 @@ func (f *front) privateStep(b *batch) {
 	b.n++
 }
 
-// l2WB is the front half of System.l2WB: the L1 victim enters the L2 and
-// any L2 victims it displaces are recorded for the merge's LLC.
+// l2WB sends an L1 dirty victim into the L2 (writeback-allocate) and
+// records any L2 victims it displaces for the LLC.
 func (f *front) l2WB(b *batch, wb cachemodel.WritebackOut) {
 	r := f.l2.Access(cachemodel.Access{Line: wb.Line, Type: cachemodel.Writeback, SDID: wb.SDID, Core: uint8(f.id)})
 	for _, w := range r.Writebacks {
@@ -153,14 +152,13 @@ func (f *front) l2WB(b *batch, wb cachemodel.WritebackOut) {
 	}
 }
 
-// localBeginROI is the front half of beginROI, applied at the core's own
-// warmup→ROI sequence boundary. The worker applies it when its warmup
-// budget is spent — before its first ROI-phase access, which is when the
-// reset becomes observable — while the serial code applies it at the
-// global phase barrier; the two orders are indistinguishable because a
-// finished core issues no accesses in between. (Snapshot replicas, whose
-// state IS observed in between, defer this to the global barrier; see
-// replica.advanceTo.)
+// localBeginROI is the front half of beginROI. A worker applies it at its
+// core's own warmup→ROI sequence boundary, when its warmup budget is
+// spent — before its first ROI-phase access, which is when the reset
+// becomes observable. Inline fronts and snapshot replicas, whose state a
+// snapshot may observe in between, apply it at the global phase barrier
+// (System.beginROI, replica.advanceTo); the orders are indistinguishable
+// in Results because a finished core issues no accesses in between.
 func (f *front) localBeginROI() {
 	f.phase = snapshot.PhaseROI
 	f.l1d.ResetStats()

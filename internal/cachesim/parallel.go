@@ -1,141 +1,144 @@
 package cachesim
 
-// Merge half of the deterministic parallel run mode: consumes the per-core
-// record streams the front workers produce (see front.go) in the exact
-// order the serial drive loop would generate them, applying every shared
-// LLC/DRAM operation, clock advance, and snapshot/cancellation poll with
-// byte-identical state transitions.
+// Where the drive loop takes its step records from (see front.go): the
+// laggard's own front stepped inline, or the ring its worker goroutine
+// fills ahead of the merge, with snapshot replicas that reconstruct each
+// front at the merge's position.
 
 import (
-	"context"
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"mayacache/internal/baseline"
-	"mayacache/internal/cachemodel"
-	"mayacache/internal/invariant"
 	"mayacache/internal/snapshot"
 	"mayacache/internal/trace"
 )
 
-// recordSource hands the merge one core's next step record, blocking on
-// that core's ring when the worker is behind. Blocking is what keeps
-// the replay order exact: the merge never skips ahead to another core just
-// because the laggard's records aren't ready yet.
+// recordSource hands the drive loop one core's next step record. Inline
+// (a serial run: no rings) it steps the core's live front into a
+// one-record scratch batch. Otherwise it reads the core's ring, blocking
+// while the worker is behind. Blocking is what keeps the replay order
+// exact: the merge never skips ahead to another core just because the
+// laggard's records aren't ready yet.
 type recordSource struct {
-	rings    []*ring
-	errs     []error // one slot per worker, written before its ring closes
-	cur      []*batch
-	pos      []int
-	opPos    []int
-	consumed []uint64 // records applied per core; drives replica sync
+	scratch  batch
+	streams  []stream // one per core; nil inline
+	stop     chan struct{}
+	wg       sync.WaitGroup
+	stopOnce sync.Once
 }
 
-func newRecordSource(cores int) *recordSource {
-	rs := &recordSource{
-		rings:    make([]*ring, cores),
-		errs:     make([]error, cores),
-		cur:      make([]*batch, cores),
-		pos:      make([]int, cores),
-		opPos:    make([]int, cores),
-		consumed: make([]uint64, cores),
-	}
-	for i := range rs.rings {
-		rs.rings[i] = newRing()
-	}
-	return rs
+// stream is the merge's read position in one worker's ring.
+type stream struct {
+	ring       *ring
+	err        error // written by the worker before its ring closes
+	cur        *batch
+	pos, opPos int
+	consumed   uint64   // records applied; drives replica sync
+	rep        *replica // set when snapshots are armed
 }
 
-func (rs *recordSource) next(i int) (gap int32, kind uint8, ops []sharedOp, err error) {
-	b := rs.cur[i]
-	if b == nil || rs.pos[i] >= b.n {
-		if b != nil {
-			rs.rings[i].release()
+// records returns the record source for the rest of the current run:
+// inline when par <= 1, else one worker goroutine per core (the Go
+// scheduler multiplexes them over however many CPUs the process has).
+// The caller must join it.
+func (s *System) records(par int) (*recordSource, error) {
+	for _, c := range s.cores {
+		c.f.seek(c, s)
+	}
+	rs := &recordSource{}
+	if par <= 1 {
+		return rs, nil
+	}
+	rs.streams = make([]stream, len(s.cores))
+	if s.auto != nil {
+		for i, c := range s.cores {
+			rep, err := s.replicate(c)
+			if err != nil {
+				return nil, err
+			}
+			rs.streams[i].rep = rep
 		}
-		b = rs.rings[i].consume()
+	}
+	rs.stop = make(chan struct{})
+	for i, c := range s.cores {
+		st := &rs.streams[i]
+		st.ring = newRing()
+		rs.wg.Add(1)
+		go func(f *front) {
+			defer rs.wg.Done()
+			workerRun(f, st.ring, rs.stop, &st.err)
+		}(c.f)
+	}
+	return rs, nil
+}
+
+// inline reports whether the source steps the live fronts itself.
+func (rs *recordSource) inline() bool { return rs.streams == nil }
+
+// join stops any workers and waits for them to exit. Idempotent.
+func (rs *recordSource) join() {
+	if rs.inline() {
+		return
+	}
+	rs.stopOnce.Do(func() { close(rs.stop); rs.wg.Wait() })
+}
+
+// next returns core c's next step record.
+func (rs *recordSource) next(c *core) (gap int32, kind uint8, ops []sharedOp, err error) {
+	if !rs.inline() {
+		return rs.streams[c.id].next(c.id)
+	}
+	b := &rs.scratch
+	b.reset()
+	c.f.privateStep(b)
+	return b.gaps[0], b.kinds[0], b.ops, nil
+}
+
+// next returns core id's next record from its worker's ring.
+func (st *stream) next(id int) (gap int32, kind uint8, ops []sharedOp, err error) {
+	b := st.cur
+	if b == nil || st.pos >= b.n {
+		if b != nil {
+			st.ring.release()
+		}
+		b = st.ring.consume()
 		if b == nil {
-			rs.cur[i] = nil
-			if rs.errs[i] != nil {
-				return 0, 0, nil, rs.errs[i]
+			st.cur = nil
+			if st.err != nil {
+				return 0, 0, nil, st.err
 			}
 			// Unreachable unless the worker and merge disagree on the
 			// phase budgets — a bug, not a runtime condition.
-			return 0, 0, nil, fmt.Errorf("cachesim: core %d record stream ended early", i)
+			return 0, 0, nil, fmt.Errorf("cachesim: core %d record stream ended early", id)
 		}
-		rs.cur[i] = b
-		rs.pos[i], rs.opPos[i] = 0, 0
+		st.cur = b
+		st.pos, st.opPos = 0, 0
 	}
-	p := rs.pos[i]
-	n := int(b.nOps[p])
-	gap, kind = b.gaps[p], b.kinds[p]
-	ops = b.ops[rs.opPos[i] : rs.opPos[i]+n]
-	rs.pos[i]++
-	rs.opPos[i] += n
-	rs.consumed[i]++
+	n := int(b.nOps[st.pos])
+	gap, kind = b.gaps[st.pos], b.kinds[st.pos]
+	ops = b.ops[st.opPos : st.opPos+n]
+	st.pos++
+	st.opPos += n
+	st.consumed++
 	return gap, kind, ops, nil
 }
 
-// applyStep is the merge half of System.step: clock/retired accounting,
-// the recorded shared LLC/DRAM operations in order, and the ROB/MSHR
-// outstanding window — all state the serial step would touch outside the
-// core's private hierarchy, mutated identically.
-func (s *System) applyStep(c *core, gap int32, kind uint8, ops []sharedOp) {
-	width := s.cfg.Core.RetireWidth
-	c.subIssue += int(gap)
-	if width&(width-1) == 0 {
-		c.clock += uint64(c.subIssue >> uint(bits.TrailingZeros(uint(width))))
-		c.subIssue &= width - 1
-	} else {
-		c.clock += uint64(c.subIssue / width)
-		c.subIssue %= width
-	}
-	c.retired += uint64(gap) + 1
-
-	p := &s.cfg.Core
-	var lat uint64
-	for _, op := range ops {
-		switch op.kind {
-		case opWB:
-			r := s.llc.Access(cachemodel.Access{Line: op.line, Type: cachemodel.Writeback, SDID: op.sdid, Core: uint8(c.id)})
-			s.pushWBs(c, r.Writebacks)
-		case opDemand:
-			llcLat := p.LLCLatency + uint64(s.llc.LookupPenalty())
-			r := s.llc.Access(cachemodel.Access{Line: op.line, Type: cachemodel.Read, SDID: op.sdid, Core: uint8(c.id)})
-			s.pushWBs(c, r.Writebacks)
-			lat = p.L1DLatency + p.L2Latency + llcLat
-			if !r.DataHit {
-				lat += s.dram.Read(c.clock+lat, op.line)
-			}
-		case opPrefetch:
-			r := s.llc.Access(cachemodel.Access{Line: op.line, Type: cachemodel.Read, SDID: op.sdid, Core: uint8(c.id)})
-			s.pushWBs(c, r.Writebacks)
-			if !r.DataHit {
-				s.dram.Read(c.clock, op.line) // bandwidth only; nothing waits
-			}
+// fronts returns every core's private front at the drive loop's position,
+// for a snapshot: the live fronts inline, else the replicas replayed up to
+// the records the merge has applied (the workers are ahead of it).
+func (rs *recordSource) fronts(s *System) []*front {
+	out := make([]*front, len(s.cores))
+	for i, c := range s.cores {
+		if rs.inline() {
+			out[i] = c.f
+			continue
 		}
+		st := &rs.streams[i]
+		st.rep.advanceTo(st.consumed, s.phase)
+		out[i] = st.rep.f
 	}
-
-	if kind == stepL1Hit {
-		return
-	}
-	if kind == stepL2Hit {
-		lat = p.L1DLatency + p.L2Latency
-	}
-	completion := c.clock + lat
-	limit := s.mlpCap(int(gap))
-	for len(c.outstanding)-c.outHead >= limit {
-		head := c.outstanding[c.outHead]
-		c.outHead++
-		if head > c.clock {
-			c.clock = head
-		}
-	}
-	if c.outHead > 64 && c.outHead*2 >= len(c.outstanding) {
-		c.outstanding = append(c.outstanding[:0], c.outstanding[c.outHead:]...)
-		c.outHead = 0
-	}
-	c.outstanding = append(c.outstanding, completion)
+	return out
 }
 
 // replica reconstructs one core's private front at the merge's replay
@@ -152,9 +155,9 @@ type replica struct {
 // advanceTo replays private steps until the replica has executed n, then
 // applies the warmup→ROI stats reset if the merge has passed the global
 // phase barrier. The reset is keyed to the *global* phase, not the
-// replica's own boundary: serially, a core that finishes warmup early
-// keeps its warmup stats until every core arrives at beginROI, and a
-// snapshot taken in between must show them un-reset.
+// replica's own boundary: a core that finishes warmup early keeps its
+// warmup stats until every core arrives at beginROI, and a snapshot
+// taken in between must show them un-reset.
 func (r *replica) advanceTo(n uint64, globalPhase uint8) {
 	for r.pos < n {
 		if r.f.phase == snapshot.PhaseWarmup && r.f.retired >= r.f.target {
@@ -201,162 +204,22 @@ func (p *prefetcher) clone() *prefetcher {
 	return &c
 }
 
-// buildReplicas clones every core's front at the current run position.
-// Called before the workers start, while the live fronts are quiescent.
-func (s *System) buildReplicas() ([]*replica, error) {
-	reps := make([]*replica, len(s.cores))
-	for i, c := range s.cores {
-		cg, ok := c.gen.(cloneableGen)
-		if !ok {
-			return nil, fmt.Errorf("cachesim: parallel snapshots need a cloneable workload, %q is not", c.gen.Name())
-		}
-		l1d, err := cloneCache(c.l1d, func() *baseline.SetAssoc { return s.newL1D(i) })
-		if err != nil {
-			return nil, fmt.Errorf("cachesim: core %d L1D replica: %w", i, err)
-		}
-		l2, err := cloneCache(c.l2, func() *baseline.SetAssoc { return s.newL2(i) })
-		if err != nil {
-			return nil, fmt.Errorf("cachesim: core %d L2 replica: %w", i, err)
-		}
-		f := s.frontOf(c)
-		f.gen, f.l1d, f.l2, f.pf = cg.Clone(), l1d, l2, c.pf.clone()
-		reps[i] = &replica{f: f, scratch: new(batch)}
+// replicate clones core c's front at the current run position. Called
+// before the workers start, while the live fronts are quiescent.
+func (s *System) replicate(c *core) (*replica, error) {
+	cg, ok := c.f.gen.(cloneableGen)
+	if !ok {
+		return nil, fmt.Errorf("cachesim: parallel snapshots need a cloneable workload, %q is not", c.f.gen.Name())
 	}
-	return reps, nil
-}
-
-// beginROIMerge is beginROI minus the private-cache stats resets, which
-// the workers (and replicas) apply at their own sequence boundaries.
-func (s *System) beginROIMerge() {
-	s.phase = snapshot.PhaseROI
-	s.llc.ResetStats()
-	s.dram.ResetCounters()
-	for _, c := range s.cores {
-		c.roiStartClock = c.clock
-		c.roiStartRetired = c.retired
-		c.target = c.retired + s.roi
-		c.done = false
+	l1d, err := cloneCache(c.f.l1d, func() *baseline.SetAssoc { return s.newL1D(c.id) })
+	if err != nil {
+		return nil, fmt.Errorf("cachesim: core %d L1D replica: %w", c.id, err)
 	}
-}
-
-// runPhasesParallel is runPhases with the fronts run ahead by worker
-// goroutines (one per core; the Go scheduler multiplexes them over
-// however many CPUs the process has) and the shared state replayed here
-// on the caller's goroutine. Every result and every snapshot is
-// byte-identical to the serial path.
-func (s *System) runPhasesParallel(ctx context.Context) (Results, error) {
-	var reps []*replica
-	if s.auto != nil {
-		var err error
-		reps, err = s.buildReplicas()
-		if err != nil {
-			return Results{}, err
-		}
-		s.snapHook = func(i int) frontView {
-			f := reps[i].f
-			return frontView{gen: f.gen, l1d: f.l1d, l2: f.l2, pf: f.pf}
-		}
-		defer func() { s.snapHook = nil }()
+	l2, err := cloneCache(c.f.l2, func() *baseline.SetAssoc { return s.newL2(c.id) })
+	if err != nil {
+		return nil, fmt.Errorf("cachesim: core %d L2 replica: %w", c.id, err)
 	}
-
-	rs := newRecordSource(len(s.cores))
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i, c := range s.cores {
-		f := s.frontOf(c)
-		wg.Add(1)
-		go func(i int, f *front) {
-			defer wg.Done()
-			workerRun(f, rs.rings[i], stop, &rs.errs[i])
-		}(i, f)
-	}
-	var stopOnce sync.Once
-	shutdown := func() { stopOnce.Do(func() { close(stop); wg.Wait() }) }
-	defer shutdown()
-
-	if s.phase == snapshot.PhaseWarmup {
-		if err := s.driveParallel(ctx, rs, reps); err != nil {
-			return Results{}, err
-		}
-		s.beginROIMerge()
-	}
-	if err := s.driveParallel(ctx, rs, reps); err != nil {
-		return Results{}, err
-	}
-	s.reportProgress()
-	// The workers have produced every record the budgets allow and the
-	// merge consumed them all, so the live fronts hold the exact
-	// end-of-run private state. Join before reading it.
-	shutdown()
-	return s.collect(), nil
-}
-
-// driveParallel is the drive loop with step(next) replaced by a record
-// replay. Laggard selection, the runner-up threshold, the steps counter,
-// and every poll cadence are identical, so snapshots fire at the same
-// global step with the same state.
-func (s *System) driveParallel(ctx context.Context, rs *recordSource, reps []*replica) error {
-	save := func() error {
-		for i, r := range reps {
-			r.advanceTo(rs.consumed[i], s.phase)
-		}
-		return s.saveAuto()
-	}
-	var steps uint64
-	for {
-		var next, ru *core
-		nextIdx, ruIdx := -1, -1
-		for i, c := range s.cores {
-			if c.done {
-				continue
-			}
-			switch {
-			case next == nil || c.clock < next.clock:
-				ru, ruIdx = next, nextIdx
-				next, nextIdx = c, i
-			case ru == nil || c.clock < ru.clock:
-				ru, ruIdx = c, i
-			}
-		}
-		if next == nil {
-			return nil
-		}
-		for ru == nil || next.clock < ru.clock || (next.clock == ru.clock && nextIdx < ruIdx) {
-			steps++
-			if steps%cancelCheckPeriod == 0 {
-				s.reportProgress()
-				if s.auto != nil && s.auto.Trigger.Fired() {
-					if err := save(); err != nil {
-						return err
-					}
-					return snapshot.ErrStopped
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if s.auto != nil && s.auto.Every > 0 && steps%s.auto.Every == 0 {
-				if err := save(); err != nil {
-					return err
-				}
-			}
-			if invariant.Enabled {
-				if invariant.Every(steps, llcAuditPeriod) {
-					if a, ok := s.llc.(auditor); ok {
-						invariant.CheckErr(a.Audit())
-					}
-				}
-			}
-			gap, kind, ops, err := rs.next(next.id)
-			if err != nil {
-				return err
-			}
-			s.applyStep(next, gap, kind, ops)
-			if next.retired >= next.target {
-				next.drain()
-				next.done = true
-				break
-			}
-		}
-	}
+	f := *c.f
+	f.gen, f.l1d, f.l2, f.pf = cg.Clone(), l1d, l2, c.f.pf.clone()
+	return &replica{f: &f, scratch: new(batch)}, nil
 }

@@ -1,9 +1,14 @@
 package cachesim
 
 import (
+	"bytes"
+	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mayacache/internal/baseline"
+	"mayacache/internal/cachemodel"
 	"mayacache/internal/trace"
 )
 
@@ -84,5 +89,61 @@ func TestPrefetchImprovesStreaming(t *testing.T) {
 	off, on := run(0), run(4)
 	if on <= off {
 		t.Fatalf("prefetching did not help streaming: IPC %0.3f -> %0.3f", off, on)
+	}
+}
+
+// prefetchSystem builds a two-core lbm + cc system with degree-2 stride
+// prefetchers. snapSystem's mcf + xz mix issues no prefetch at the snap
+// budgets; lbm's streams and cc's strided sweeps do.
+func prefetchSystem(llc cachemodel.LLC) *System {
+	params := DefaultCoreParams()
+	params.Prefetch = PrefetchConfig{Degree: 2}
+	gens := []trace.Generator{
+		trace.MustGenerator(trace.MustLookup("lbm"), 0, 5),
+		trace.MustGenerator(trace.MustLookup("cc"), 1, 5),
+	}
+	return New(Config{Cores: 2, Core: params, LLC: llc, DRAM: DefaultDRAMConfig(), Seed: 5}, gens)
+}
+
+// TestPrefetchRunFixtures pins a prefetching run byte for byte: for every
+// LLC design, serially and in the parallel mode, the Results JSON must
+// match the committed testdata/prefetch_<design>.json. The prefetch walk
+// (its L1D/L2 fills, the LLC reads it issues and the DRAM bandwidth they
+// consume) is otherwise unchecked: no golden or compat run prefetches.
+// The fixtures are frozen like the compat ones and regenerate only with
+// -update-compat.
+func TestPrefetchRunFixtures(t *testing.T) {
+	for _, d := range snapDesigns {
+		t.Run(d.name, func(t *testing.T) {
+			path := filepath.Join("testdata", "prefetch_"+d.name+".json")
+			for _, par := range []int{1, 4} {
+				sys := prefetchSystem(d.mk())
+				res, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI, Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var issued uint64
+				for _, c := range sys.cores {
+					issued += c.f.pf.Issued()
+				}
+				if issued < 1000 {
+					t.Fatalf("parallelism %d issued %d prefetches, want at least 1000", par, issued)
+				}
+				got := append(resultsJSON(t, res), '\n')
+				if *updateCompat {
+					if err := os.WriteFile(path, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("missing fixture (generate with -update-compat): %v", err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("parallelism %d results diverge from %s:\n got  %s\n want %s", par, path, got, want)
+				}
+			}
+		})
 	}
 }

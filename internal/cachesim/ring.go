@@ -14,8 +14,8 @@ package cachesim
 // Order is trivially preserved: one producer appends at tail, one consumer
 // reads at head, and slot i is only ever reused after the consumer
 // advances past it. The merge's laggard replay order is therefore exactly
-// what it was over channels, which is what keeps Results and mid-run
-// snapshot blobs byte-identical to the serial run.
+// the order a serial run steps its fronts inline, which is what keeps
+// Results and mid-run snapshot blobs byte-identical to the serial run.
 
 import "sync/atomic"
 
@@ -29,10 +29,11 @@ const batchSteps = 64
 const ringSlots = 32
 
 // batch is one slot's worth of consecutive step records for one core,
-// struct-of-arrays like the serial step works: step i's shared ops are the
-// next nOps[i] entries of ops, in replay order. The fixed-size lanes live
-// inline in the slot; ops is the only dynamic part and is reused in place,
-// so after the first few batches grow it, publishing allocates nothing.
+// struct-of-arrays: step i's shared ops are the next nOps[i] entries of
+// ops, in replay order. The fixed-size lanes live inline in the slot; ops
+// is the only dynamic part and is reused in place, so after the first few
+// batches grow it, publishing allocates nothing. A serial run's inline
+// source reuses one batch that holds a single record.
 type batch struct {
 	n     int
 	gaps  [batchSteps]int32
@@ -115,7 +116,7 @@ func (r *ring) publish() {
 }
 
 // close marks the stream complete. The producer's error slot (see
-// recordSource.errs) must be written before close, so a consumer that
+// stream.err) must be written before close, so a consumer that
 // observes the drained, closed ring also observes the error.
 func (r *ring) close() {
 	close(r.done)

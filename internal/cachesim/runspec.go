@@ -36,11 +36,11 @@ type RunSpec struct {
 	// Sub is the sub-run key within Cell.
 	Sub string
 
-	// Parallelism selects the execution mode: <= 1 runs the exact serial
-	// code path; > 1 runs each core's private front on its own goroutine
-	// with a deterministic merge of the shared state (see front.go).
-	// Results and snapshots are byte-identical either way — this is a
-	// scheduling knob, never a model parameter.
+	// Parallelism selects the execution mode: <= 1 steps each core's
+	// private front inline on the caller's goroutine; > 1 runs each front
+	// ahead on its own goroutine, feeding the same drive loop (see
+	// front.go). Results and snapshots are byte-identical either way —
+	// this is a scheduling knob, never a model parameter.
 	Parallelism int
 
 	// SnapshotEvery, when > 0, overrides the cell's auto-snapshot cadence

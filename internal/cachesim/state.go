@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"mayacache/internal/baseline"
 	"mayacache/internal/snapshot"
-	"mayacache/internal/trace"
 )
 
 // SystemKind identifies a full-System snapshot container.
@@ -31,28 +29,9 @@ func (s *System) geometry() [6]uint64 {
 func (s *System) workloadNames() string {
 	names := make([]string, len(s.cores))
 	for i, c := range s.cores {
-		names[i] = c.gen.Name()
+		names[i] = c.f.gen.Name()
 	}
 	return strings.Join(names, ",")
-}
-
-// frontView is the slice of a core EncodeState serializes from a
-// position-dependent source: the core itself in serial runs, a replica
-// advanced to the merge position in parallel runs (workers have mutated
-// the live front past the point being snapshotted).
-type frontView struct {
-	gen trace.Generator
-	l1d *baseline.SetAssoc
-	l2  *baseline.SetAssoc
-	pf  *prefetcher
-}
-
-func (s *System) snapFront(i int) frontView {
-	if s.snapHook != nil {
-		return s.snapHook(i)
-	}
-	c := s.cores[i]
-	return frontView{gen: c.gen, l1d: c.l1d, l2: c.l2, pf: c.pf}
 }
 
 // Snapshottable reports whether every pluggable component (the LLC design
@@ -63,17 +42,17 @@ func (s *System) Snapshottable() bool {
 		return false
 	}
 	for _, c := range s.cores {
-		if _, ok := c.gen.(snapshot.Stateful); !ok {
+		if _, ok := c.f.gen.(snapshot.Stateful); !ok {
 			return false
 		}
 	}
 	return true
 }
 
-// saveAuto encodes the current state and hands it to the auto-snapshot
-// sink.
-func (s *System) saveAuto() error {
-	state, err := s.EncodeState()
+// saveAuto encodes the current state, with each core's private front
+// taken from fronts, and hands it to the auto-snapshot sink.
+func (s *System) saveAuto(fronts []*front) error {
+	state, err := s.encodeState(fronts)
 	if err != nil {
 		return err
 	}
@@ -85,6 +64,17 @@ func (s *System) saveAuto() error {
 // the shared LLC — into a snapshot container. Encoding only reads state,
 // so taking a snapshot never perturbs the simulation.
 func (s *System) EncodeState() ([]byte, error) {
+	fronts := make([]*front, len(s.cores))
+	for i, c := range s.cores {
+		fronts[i] = c.f
+	}
+	return s.encodeState(fronts)
+}
+
+// encodeState is EncodeState with core i's private front read from
+// fronts[i]: a parallel run's live fronts are ahead of the merge, so its
+// snapshots read replicas at the merge position instead.
+func (s *System) encodeState(fronts []*front) ([]byte, error) {
 	llcS, ok := s.llc.(snapshot.Stateful)
 	if !ok {
 		return nil, fmt.Errorf("cachesim: LLC design %q does not support snapshots", s.llc.Name())
@@ -108,24 +98,22 @@ func (s *System) EncodeState() ([]byte, error) {
 
 	var ce snapshot.Encoder
 	for i, c := range s.cores {
-		c.saveState(&ce, s.snapFront(i).pf)
+		c.saveState(&ce, fronts[i].pf)
 	}
 	snap.Add("cores", ce.Data())
 
 	var pe snapshot.Encoder
-	for i := range s.cores {
-		v := s.snapFront(i)
-		v.l1d.SaveState(&pe)
-		v.l2.SaveState(&pe)
+	for _, f := range fronts {
+		f.l1d.SaveState(&pe)
+		f.l2.SaveState(&pe)
 	}
 	snap.Add("private", pe.Data())
 
 	var ge snapshot.Encoder
-	for i := range s.cores {
-		g := s.snapFront(i).gen
-		gen, ok := g.(snapshot.Stateful)
+	for _, f := range fronts {
+		gen, ok := f.gen.(snapshot.Stateful)
 		if !ok {
-			return nil, fmt.Errorf("cachesim: workload %q does not support snapshots", g.Name())
+			return nil, fmt.Errorf("cachesim: workload %q does not support snapshots", f.gen.Name())
 		}
 		gen.SaveState(&ge)
 	}
@@ -210,10 +198,10 @@ func (s *System) RestoreState(data []byte) error {
 		return err
 	}
 	for _, c := range s.cores {
-		if err := c.l1d.RestoreState(pd); err != nil {
+		if err := c.f.l1d.RestoreState(pd); err != nil {
 			return err
 		}
-		if err := c.l2.RestoreState(pd); err != nil {
+		if err := c.f.l2.RestoreState(pd); err != nil {
 			return err
 		}
 	}
@@ -226,9 +214,9 @@ func (s *System) RestoreState(data []byte) error {
 		return err
 	}
 	for _, c := range s.cores {
-		gen, ok := c.gen.(snapshot.Stateful)
+		gen, ok := c.f.gen.(snapshot.Stateful)
 		if !ok {
-			return fmt.Errorf("cachesim: workload %q does not support snapshots", c.gen.Name())
+			return fmt.Errorf("cachesim: workload %q does not support snapshots", c.f.gen.Name())
 		}
 		if err := gen.RestoreState(gd); err != nil {
 			return err
@@ -267,11 +255,10 @@ func (s *System) RestoreState(data []byte) error {
 }
 
 // saveState serializes one core's pipeline scheduling state and the
-// given prefetcher (the core's own in serial runs, a replica's in
-// parallel runs — pf lives in the timing-independent front, unlike the
-// merge-owned fields above it). The outstanding window is written
-// compacted (from outHead) — only the live entries affect future
-// behaviour.
+// given prefetcher (the core's own, or a replica's in a parallel run —
+// pf lives in the timing-independent front, unlike the drive loop's
+// fields above it). The outstanding window is written compacted (from
+// outHead) — only the live entries affect future behaviour.
 func (c *core) saveState(e *snapshot.Encoder, pf *prefetcher) {
 	e.U64(c.clock)
 	e.Int(c.subIssue)
@@ -328,18 +315,19 @@ func (c *core) restoreState(d *snapshot.Decoder, s *System) error {
 		return d.Err()
 	}
 	hasPF := d.Bool()
-	if hasPF != (c.pf != nil) {
+	pf := c.f.pf
+	if hasPF != (pf != nil) {
 		d.Fail("core", "prefetcher presence mismatch")
 		return d.Err()
 	}
 	if !hasPF {
 		return d.Err()
 	}
-	if !d.FixedCount(len(c.pf.entries), "prefetch table") {
+	if !d.FixedCount(len(pf.entries), "prefetch table") {
 		return d.Err()
 	}
-	for i := range c.pf.entries {
-		se := &c.pf.entries[i]
+	for i := range pf.entries {
+		se := &pf.entries[i]
 		se.region = d.U64()
 		se.lastOffset = d.I32()
 		se.stride = d.I32()
@@ -353,7 +341,7 @@ func (c *core) restoreState(d *snapshot.Decoder, s *System) error {
 			return d.Err()
 		}
 	}
-	c.pf.issued = d.U64()
+	pf.issued = d.U64()
 	return d.Err()
 }
 

@@ -86,12 +86,11 @@ type Config struct {
 	Seed uint64
 }
 
-// core holds one core's simulation state.
+// core holds one core's simulation state: its private front (generator,
+// L1D, L2, prefetcher) and the timing state the drive loop owns.
 type core struct {
 	id    int
-	gen   trace.Generator
-	l1d   *baseline.SetAssoc
-	l2    *baseline.SetAssoc
+	f     *front
 	clock uint64
 	// subIssue accumulates fractional cycles from gap instructions.
 	subIssue int
@@ -100,11 +99,9 @@ type core struct {
 	// indexes the oldest entry; the slice is compacted when it drifts.
 	outstanding []uint64
 	outHead     int
-	//mayavet:ignore snapshotfields -- saved through saveState's pf parameter (parallel runs substitute a snapshot replica's prefetcher)
-	pf      *prefetcher
-	retired uint64
-	target  uint64
-	done    bool
+	retired     uint64
+	target      uint64
+	done        bool
 	// roiStart* snapshot the ROI beginning for IPC computation.
 	roiStartClock   uint64
 	roiStartRetired uint64
@@ -130,10 +127,6 @@ type System struct {
 	spent bool
 
 	auto *AutoSnapshot
-	// snapHook, when set (parallel runs with snapshots armed), redirects
-	// EncodeState's view of each core's private front to a replica at the
-	// merge's replay position; see parallel.go.
-	snapHook func(i int) frontView
 
 	// Progress reporting (not serialized: a restored System starts a new
 	// tracker epoch; progressSent rebases on the restored retired counts
@@ -203,15 +196,8 @@ func New(cfg Config, workloads []trace.Generator) *System {
 	}
 	s := &System{cfg: cfg, llc: cfg.LLC, dram: NewDRAM(cfg.DRAM)}
 	for i := 0; i < cfg.Cores; i++ {
-		c := &core{
-			id:          i,
-			gen:         workloads[i],
-			l1d:         s.newL1D(i),
-			l2:          s.newL2(i),
-			outstanding: make([]uint64, 0, cfg.Core.MSHRs),
-			pf:          newPrefetcher(cfg.Core.Prefetch),
-		}
-		s.cores = append(s.cores, c)
+		f := &front{id: i, gen: workloads[i], l1d: s.newL1D(i), l2: s.newL2(i), pf: newPrefetcher(cfg.Core.Prefetch)}
+		s.cores = append(s.cores, &core{id: i, f: f, outstanding: make([]uint64, 0, cfg.Core.MSHRs)})
 	}
 	return s
 }
@@ -314,13 +300,7 @@ func (s *System) resumeWith(ctx context.Context, par int) (Results, error) {
 // deadline stop, snapshot-save failure) leaves partial state behind and
 // marks the System spent.
 func (s *System) runFrom(ctx context.Context, par int) (Results, error) {
-	var res Results
-	var err error
-	if par > 1 {
-		res, err = s.runPhasesParallel(ctx)
-	} else {
-		res, err = s.runPhases(ctx)
-	}
+	res, err := s.runPhases(ctx, par)
 	if err != nil {
 		s.spent = true
 		return Results{}, err
@@ -329,30 +309,43 @@ func (s *System) runFrom(ctx context.Context, par int) (Results, error) {
 	return res, nil
 }
 
-// runPhases is the serial drive path — exactly the code every run used
-// before the parallel mode existed (Parallelism <= 1 still lands here).
-func (s *System) runPhases(ctx context.Context) (Results, error) {
+// runPhases drives the remaining phases with each step's record taken
+// from a source built for par (see records).
+func (s *System) runPhases(ctx context.Context, par int) (Results, error) {
+	src, err := s.records(par)
+	if err != nil {
+		return Results{}, err
+	}
+	defer src.join()
 	if s.phase == snapshot.PhaseWarmup {
-		if err := s.drive(ctx); err != nil {
+		if err := s.drive(ctx, src); err != nil {
 			return Results{}, err
 		}
-		s.beginROI()
+		s.beginROI(src.inline())
 	}
-	if err := s.drive(ctx); err != nil {
+	if err := s.drive(ctx, src); err != nil {
 		return Results{}, err
 	}
 	s.reportProgress()
+	// Every record the budgets allow was produced and consumed, so the
+	// live fronts hold the exact end-of-run private state. Join any
+	// workers before reading it.
+	src.join()
 	return s.collect(), nil
 }
 
-// beginROI transitions warmup → ROI: reset stats, snapshot clocks.
-func (s *System) beginROI() {
+// beginROI transitions warmup → ROI at the global phase barrier: reset
+// stats, snapshot clocks. Fronts stepped inline reset their private stats
+// here; a parallel run's workers reset their own at their local boundary
+// (front.localBeginROI).
+func (s *System) beginROI(inline bool) {
 	s.phase = snapshot.PhaseROI
 	s.llc.ResetStats()
 	s.dram.ResetCounters()
 	for _, c := range s.cores {
-		c.l1d.ResetStats()
-		c.l2.ResetStats()
+		if inline {
+			c.f.localBeginROI()
+		}
 		c.roiStartClock = c.clock
 		c.roiStartRetired = c.retired
 		c.target = c.retired + s.roi
@@ -372,7 +365,7 @@ func (s *System) collect() Results {
 		}
 		res.Cores = append(res.Cores, CoreResult{
 			Core:         c.id,
-			Workload:     c.gen.Name(),
+			Workload:     c.f.gen.Name(),
 			Instructions: instr,
 			Cycles:       cycles,
 			IPC:          ipc,
@@ -381,11 +374,12 @@ func (s *System) collect() Results {
 	return res
 }
 
-// drive interleaves cores by local clock until every core reaches target.
-// It returns ctx.Err() if the context is cancelled mid-phase, and
-// snapshot.ErrStopped if the auto-snapshot trigger fired (after writing
-// the deadline snapshot).
-func (s *System) drive(ctx context.Context) error {
+// drive interleaves cores by local clock until every core reaches target,
+// applying each laggard's next record from src. It returns ctx.Err() if
+// the context is cancelled mid-phase, and snapshot.ErrStopped if the
+// auto-snapshot trigger fired (after writing the deadline snapshot).
+func (s *System) drive(ctx context.Context, src *recordSource) error {
+	save := func() error { return s.saveAuto(src.fronts(s)) }
 	var steps uint64
 	for {
 		// Pick the laggard core still running (first core in index order
@@ -420,7 +414,7 @@ func (s *System) drive(ctx context.Context) error {
 				// The trigger outranks plain cancellation: a deadline stop
 				// must persist its snapshot before the context unwinds.
 				if s.auto != nil && s.auto.Trigger.Fired() {
-					if err := s.saveAuto(); err != nil {
+					if err := save(); err != nil {
 						return err
 					}
 					return snapshot.ErrStopped
@@ -430,7 +424,7 @@ func (s *System) drive(ctx context.Context) error {
 				}
 			}
 			if s.auto != nil && s.auto.Every > 0 && steps%s.auto.Every == 0 {
-				if err := s.saveAuto(); err != nil {
+				if err := save(); err != nil {
 					return err
 				}
 			}
@@ -441,7 +435,11 @@ func (s *System) drive(ctx context.Context) error {
 					}
 				}
 			}
-			s.step(next)
+			gap, kind, ops, err := src.next(next)
+			if err != nil {
+				return err
+			}
+			s.applyStep(next, gap, kind, ops)
 			if next.retired >= next.target {
 				next.drain()
 				next.done = true
@@ -451,14 +449,16 @@ func (s *System) drive(ctx context.Context) error {
 	}
 }
 
-// step advances one core by one trace event.
-func (s *System) step(c *core) {
-	ev := c.gen.Next()
+// applyStep advances core c by one step record: clock/retired accounting,
+// the recorded shared LLC/DRAM operations in order, and the ROB/MSHR
+// outstanding window — everything a step touches outside the core's
+// private front.
+func (s *System) applyStep(c *core, gap int32, kind uint8, ops []sharedOp) {
 	// Gap instructions cost gap/retireWidth cycles (the narrower of
 	// issue/retire bounds steady-state throughput). subIssue is always
 	// non-negative, so shift/mask equals div/mod for power-of-two widths.
 	width := s.cfg.Core.RetireWidth
-	c.subIssue += int(ev.Gap)
+	c.subIssue += int(gap)
 	if width&(width-1) == 0 {
 		c.clock += uint64(c.subIssue >> uint(bits.TrailingZeros(uint(width))))
 		c.subIssue &= width - 1
@@ -466,17 +466,45 @@ func (s *System) step(c *core) {
 		c.clock += uint64(c.subIssue / width)
 		c.subIssue %= width
 	}
-	c.retired += uint64(ev.Gap) + 1
+	c.retired += uint64(gap) + 1
 
-	lat, longMiss := s.memAccess(c, ev)
-	s.prefetchAfter(c, ev.Line)
-	if !longMiss {
+	p := &s.cfg.Core
+	var lat uint64
+	for _, op := range ops {
+		switch op.kind {
+		case opWB:
+			r := s.llc.Access(cachemodel.Access{Line: op.line, Type: cachemodel.Writeback, SDID: op.sdid, Core: uint8(c.id)})
+			s.pushWBs(c, r.Writebacks)
+		case opDemand:
+			llcLat := p.LLCLatency + uint64(s.llc.LookupPenalty())
+			r := s.llc.Access(cachemodel.Access{Line: op.line, Type: cachemodel.Read, SDID: op.sdid, Core: uint8(c.id)})
+			s.pushWBs(c, r.Writebacks)
+			lat = p.L1DLatency + p.L2Latency + llcLat
+			if !r.DataHit {
+				// The request reaches the controller after the lookup chain.
+				lat += s.dram.Read(c.clock+lat, op.line)
+			}
+		case opPrefetch:
+			// Prefetches run asynchronously (the core never waits) but
+			// fill the LLC and consume DRAM bandwidth.
+			r := s.llc.Access(cachemodel.Access{Line: op.line, Type: cachemodel.Read, SDID: op.sdid, Core: uint8(c.id)})
+			s.pushWBs(c, r.Writebacks)
+			if !r.DataHit {
+				s.dram.Read(c.clock, op.line) // bandwidth only; nothing waits
+			}
+		}
+	}
+
+	if kind == stepL1Hit {
 		// L1 hits are fully pipelined; they cost issue slot only.
 		return
 	}
+	if kind == stepL2Hit {
+		lat = p.L1DLatency + p.L2Latency
+	}
 	// Long-latency access: runs under the ROB/MSHR window.
 	completion := c.clock + lat
-	limit := s.mlpCap(int(ev.Gap))
+	limit := s.mlpCap(int(gap))
 	for len(c.outstanding)-c.outHead >= limit {
 		head := c.outstanding[c.outHead]
 		c.outHead++
@@ -513,97 +541,6 @@ func (c *core) drain() {
 	}
 	c.outstanding = c.outstanding[:0]
 	c.outHead = 0
-}
-
-// memAccess walks the hierarchy for one access and returns (latency,
-// longMiss). longMiss is false for L1D hits, which the pipeline hides.
-func (s *System) memAccess(c *core, ev trace.Event) (uint64, bool) {
-	p := &s.cfg.Core
-	// Stores hit the L1D as writebacks (RFO + dirty); the fetch below on
-	// a miss is a demand read. Dirtiness then propagates down the
-	// hierarchy through natural eviction.
-	l1Type := cachemodel.Read
-	if ev.Write {
-		l1Type = cachemodel.Writeback
-	}
-	r1 := c.l1d.Access(cachemodel.Access{Line: ev.Line, Type: l1Type, SDID: uint8(c.id), Core: uint8(c.id)})
-	// L1 victims writeback into L2.
-	for _, wb := range r1.Writebacks {
-		s.l2WB(c, wb)
-	}
-	if r1.DataHit {
-		return p.L1DLatency, false
-	}
-
-	// L2.
-	acc := cachemodel.Access{Line: ev.Line, Type: cachemodel.Read, SDID: uint8(c.id), Core: uint8(c.id)}
-	r2 := c.l2.Access(acc)
-	if r2.DataHit {
-		return p.L1DLatency + p.L2Latency, true
-	}
-	for _, wb := range r2.Writebacks {
-		s.llcWB(c, wb)
-	}
-
-	// LLC (shared, pluggable design under test).
-	llcLat := p.LLCLatency + uint64(s.llc.LookupPenalty())
-	r3 := s.llc.Access(acc)
-	s.pushWBs(c, r3.Writebacks)
-	lat := p.L1DLatency + p.L2Latency + llcLat
-	if r3.DataHit {
-		return lat, true
-	}
-
-	// DRAM fetch. The request reaches the controller after the lookup
-	// chain.
-	lat += s.dram.Read(c.clock+lat, ev.Line)
-	return lat, true
-}
-
-// prefetchAfter issues the prefetcher's predictions for a demand access.
-// Prefetches run asynchronously (the core never waits) but walk the real
-// hierarchy: they fill L1D/L2/LLC-as-applicable, consume DRAM bandwidth,
-// and pollute exactly as hardware prefetches do.
-func (s *System) prefetchAfter(c *core, line uint64) {
-	if c.pf == nil {
-		return
-	}
-	for _, pl := range c.pf.observe(line) {
-		acc := cachemodel.Access{Line: pl, Type: cachemodel.Read, SDID: uint8(c.id), Core: uint8(c.id)}
-		if r1 := c.l1d.Access(acc); r1.DataHit {
-			continue
-		} else {
-			for _, wb := range r1.Writebacks {
-				s.l2WB(c, wb)
-			}
-		}
-		if r2 := c.l2.Access(acc); r2.DataHit {
-			continue
-		} else {
-			for _, wb := range r2.Writebacks {
-				s.llcWB(c, wb)
-			}
-		}
-		r3 := s.llc.Access(acc)
-		s.pushWBs(c, r3.Writebacks)
-		if !r3.DataHit {
-			s.dram.Read(c.clock, pl) // bandwidth only; nothing waits
-		}
-	}
-}
-
-// l2WB sends an L1 dirty victim into the L2 (writeback-allocate).
-func (s *System) l2WB(c *core, wb cachemodel.WritebackOut) {
-	r := c.l2.Access(cachemodel.Access{Line: wb.Line, Type: cachemodel.Writeback, SDID: wb.SDID, Core: uint8(c.id)})
-	for _, w := range r.Writebacks {
-		s.llcWB(c, w)
-	}
-}
-
-// llcWB sends an L2 dirty victim into the LLC.
-func (s *System) llcWB(c *core, wb cachemodel.WritebackOut) {
-	r := s.llc.Access(cachemodel.Access{Line: wb.Line, Type: cachemodel.Writeback, SDID: wb.SDID, Core: uint8(c.id)})
-	s.pushWBs(c, r.Writebacks)
 }
 
 // pushWBs retires LLC dirty victims to memory.

@@ -224,8 +224,11 @@ func BenchmarkSystemStep(b *testing.B) {
 		LLC:  mustLLC(baseline.NewChecked(baseline.Config{Sets: 2048, Ways: 16, Replacement: baseline.SRRIP, Seed: 1})),
 		DRAM: DefaultDRAMConfig(), Seed: 1,
 	}, []trace.Generator{g})
+	c := s.cores[0]
+	var src recordSource
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.step(s.cores[0])
+		gap, kind, ops, _ := src.next(c)
+		s.applyStep(c, gap, kind, ops)
 	}
 }

@@ -135,7 +135,8 @@ const (
 // core (see Workloads for the registry) and a shared LLC design scaled to
 // 2MB baseline-equivalent per core.
 type SystemConfig struct {
-	// Workloads lists one benchmark name per core.
+	// Workloads lists one benchmark name per core. An empty list is an
+	// error wrapping cachemodel.ErrBadConfig.
 	Workloads []string
 	// Design selects the shared LLC by registered name (empty means
 	// DesignBaseline), ignored if LLC is set. An unknown name is an error
@@ -160,6 +161,9 @@ type SystemResults = cachesim.Results
 
 // NewSystem builds a system from cfg.
 func NewSystem(cfg SystemConfig) (*System, error) {
+	if len(cfg.Workloads) == 0 {
+		return nil, cachemodel.BadConfigf("maya: a system needs at least one workload")
+	}
 	gens := make([]trace.Generator, len(cfg.Workloads))
 	for i, name := range cfg.Workloads {
 		p, err := trace.Lookup(name)

@@ -105,6 +105,16 @@ func TestSystemBuilderUsesRegistry(t *testing.T) {
 		}
 	}
 	opts := cachemodel.BuildOptions{Cores: len(workloads), Seed: 3, FastHash: true}
+	llc, err := cachemodel.Build("Baseline", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No workloads is a configuration error, with or without a supplied LLC.
+	for _, cfg := range []SystemConfig{{}, {LLC: llc}} {
+		if _, err := NewSystem(cfg); !errors.Is(err, cachemodel.ErrBadConfig) {
+			t.Errorf("no workloads, LLC %v: err = %v, want one wrapping cachemodel.ErrBadConfig", cfg.LLC != nil, err)
+		}
+	}
 	iso, err := NewSystem(SystemConfig{Workloads: workloads, Design: "Maya-ISO", Seed: 3, FastHash: true})
 	if err != nil {
 		t.Fatal(err)
