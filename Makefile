@@ -76,14 +76,12 @@ e2e:
 
 # bench runs the continuous benchmark suite in quick mode and writes
 # BENCH.json: per-design LLC access-path microbenchmarks (ns/access,
-# allocs/access, B/access), a 4-core macro mix (events/sec), the
-# shard-parallel Monte-Carlo security micro (iters/sec, serial vs 8x8,
-# with the measured speedup), and the session-service load scenarios
-# (admission/turnaround latency percentiles, sessions/sec, shed rate). The
-# numbers are pinned and seed-deterministic, so comparing BENCH.json
-# across commits on the same machine tracks simulator performance; the
-# run also re-exercises the zero-alloc and golden-fixture guards via the
-# bench package's init paths. Drop -quick for the full-length suite.
+# allocs/access, B/access, memo hit rate) and a 4-core macro mix
+# (events/sec, serial and parallel). The workloads are pinned and
+# seed-deterministic, so comparing BENCH.json across commits on the same
+# machine tracks simulator performance. Serve and Monte-Carlo cost are
+# the benchmark of record's serve-closed and secmc workloads
+# (internal/bench/workload/run.sh). Drop -quick for the full-length suite.
 bench:
 	$(GO) run ./cmd/mayabench -quick -out BENCH.json
 

@@ -102,18 +102,6 @@ func run() int {
 		}
 		fmt.Printf("%-10s %4d %14.0f %10d %8.3f %7.2fx%s\n", m.Design, m.Parallelism, m.EventsPerSec, m.Events, m.IPCSum, m.Speedup, limited)
 	}
-	fmt.Println()
-	fmt.Printf("%-12s %7s %8s %14s %8s\n", "mc config", "shards", "workers", "iters/sec", "speedup")
-	for _, m := range r.MC {
-		fmt.Printf("%-12s %7d %8d %14.0f %8.2fx\n", m.Label, m.Shards, m.Workers, m.ItersPerSec, m.Speedup)
-	}
-	fmt.Println()
-	fmt.Printf("%-10s %9s %6s %5s %12s %12s %10s %9s\n",
-		"serve", "submitted", "shed", "rate", "admit p99", "turn p99", "sess/sec", "workers")
-	for _, m := range r.Serve {
-		fmt.Printf("%-10s %9d %6d %5.2f %10.2fms %10.2fms %10.2f %9d\n",
-			m.Label, m.Submitted, m.Shed, m.ShedRate, m.AdmitP99MS, m.TurnP99MS, m.SessionsPerSec, m.Workers)
-	}
 	fmt.Printf("\nreport written to %s\n", *out)
 	if *compare != "" {
 		base, err := bench.ReadJSON(*compare)

@@ -17,10 +17,8 @@
 //	atomicmix      fields accessed both atomically and with plain loads
 //
 // Exit taxonomy: 0 clean, 1 findings, 2 usage or load error. Findings are
-// printed in file:line:col form (-format json for the machine interface);
-// a -baseline file filters previously accepted findings so new code is
-// held to the full suite while legacy findings are burned down
-// incrementally. Individual lines are suppressed with
+// printed in file:line:col form (-format json for the machine interface).
+// Every finding fails the run; individual lines are suppressed with
 // `//mayavet:ignore [analyzer] -- reason` directives.
 package main
 
@@ -43,12 +41,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mayavet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		only      = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-		list      = fs.Bool("list", false, "list analyzers and exit")
-		typeerr   = fs.Bool("typeerrors", false, "also print type-checker diagnostics")
-		format    = fs.String("format", "text", "output format: text or json")
-		baseline  = fs.String("baseline", "", "baseline file of accepted findings (empty file = repo must be clean)")
-		writeBase = fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
+		only    = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+		list    = fs.Bool("list", false, "list analyzers and exit")
+		typeerr = fs.Bool("typeerrors", false, "also print type-checker diagnostics")
+		format  = fs.String("format", "text", "output format: text or json")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: mayavet [flags] [packages]\n\n")
@@ -121,24 +117,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	findings := vet.RunAnalyzers(pkgs, analyzers)
-
-	if *writeBase != "" {
-		if err := vet.WriteBaseline(*writeBase, findings, cwd); err != nil {
-			fmt.Fprintf(stderr, "mayavet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "mayavet: wrote %d finding(s) to %s\n", len(findings), *writeBase)
-		return 0
-	}
-	if *baseline != "" {
-		b, err := vet.ReadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "mayavet: %v\n", err)
-			return 2
-		}
-		findings = b.Filter(findings, cwd)
-	}
-
 	if *format == "json" {
 		if err := vet.WriteJSON(stdout, findings, cwd); err != nil {
 			fmt.Fprintf(stderr, "mayavet: %v\n", err)

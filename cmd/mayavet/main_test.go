@@ -73,32 +73,6 @@ func TestExitTwoTaxonomy(t *testing.T) {
 	}
 }
 
-// TestBaselineWorkflow exercises -write-baseline then -baseline: accepted
-// findings stop failing the run, and an empty baseline file means clean.
-func TestBaselineWorkflow(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	chdirFixture(t)
-
-	code, _, stderr := runCLI(t, "-write-baseline", base, "./...")
-	if code != 0 {
-		t.Fatalf("write-baseline: want exit 0, got %d (stderr: %s)", code, stderr)
-	}
-
-	code, stdout, _ := runCLI(t, "-baseline", base, "-format", "json", "./...")
-	if code != 0 {
-		t.Fatalf("baselined run: want exit 0, got %d\n%s", code, stdout)
-	}
-
-	empty := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, _ = runCLI(t, "-baseline", empty, "./...")
-	if code != 1 {
-		t.Fatalf("empty baseline must not swallow findings: want exit 1, got %d", code)
-	}
-}
-
 func TestListAnalyzers(t *testing.T) {
 	code, stdout, _ := runCLI(t, "-list")
 	if code != 0 {

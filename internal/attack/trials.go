@@ -28,8 +28,6 @@ type Trials struct {
 	// Seed + i*stride, with a stride of 1000003 for occupancy attacks and
 	// 1 otherwise.
 	Seed uint64
-	// Tracker, when non-nil, receives one tick per completed trial.
-	Tracker *mc.Tracker
 }
 
 // trialSeed derives the seed of one repetition.
@@ -61,9 +59,7 @@ func (tr Trials) MedianDistinguishCtx(ctx context.Context,
 			NoiseLines:     noiseLines,
 			Seed:           s,
 		})
-		n := float64(o.Distinguish(va, vb, threshold, maxSamples))
-		tr.Tracker.Add(1)
-		return n, nil
+		return float64(o.Distinguish(va, vb, threshold, maxSamples)), nil
 	})
 	if err != nil {
 		return 0, err
@@ -100,7 +96,6 @@ func (tr Trials) EvictionSetTrialsCtx(ctx context.Context, mkCache func(seed uin
 		} else {
 			res = BuildEvictionSet(c, victimLine, candidates, budget, s)
 		}
-		tr.Tracker.Add(1)
 		return res, nil
 	})
 	if err != nil {
@@ -128,9 +123,7 @@ func (tr Trials) ReplacementPredictabilityCtx(ctx context.Context,
 	mk func(seed uint64) cachemodel.LLC) (float64, error) {
 	hits, err := mc.ForEach(ctx, tr.Workers, tr.runs(), func(ctx context.Context, i int) (int, error) {
 		s := tr.trialSeed(i, 1)
-		hit := predictabilityTrial(mk, s)
-		tr.Tracker.Add(1)
-		if hit {
+		if predictabilityTrial(mk, s) {
 			return 1, nil
 		}
 		return 0, nil

@@ -7,7 +7,6 @@ import (
 
 	"mayacache/internal/baseline"
 	"mayacache/internal/cachemodel"
-	"mayacache/internal/mc"
 )
 
 func trialCache(seed uint64) cachemodel.LLC {
@@ -111,18 +110,5 @@ func TestTrialsCancellation(t *testing.T) {
 		MedianDistinguishCtx(ctx, trialCache, trialVictims, 16*8, 2, 1_000_000, 1e9)
 	if err == nil {
 		t.Fatal("cancelled trial run returned nil error")
-	}
-}
-
-// TestTrialsProgress: the tracker sees one tick per completed trial.
-func TestTrialsProgress(t *testing.T) {
-	tr := mc.NewTracker(6, nil)
-	_, err := Trials{Runs: 6, Workers: 2, Seed: 1, Tracker: tr}.
-		ReplacementPredictabilityCtx(context.Background(), trialCache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Done() != 6 {
-		t.Fatalf("tracker at %d, want 6", tr.Done())
 	}
 }

@@ -25,8 +25,6 @@ type Config struct {
 	// Hasher optionally overrides set indexing; nil means physical
 	// modulo indexing (the non-secure baseline).
 	Hasher cachemodel.IndexHasher
-	// ExtraPenalty is added to LookupPenalty (0 for the baseline).
-	ExtraPenalty int
 	// MatchSDID makes tag matching include the security domain ID
 	// (secure designs); the plain baseline matches on line only.
 	MatchSDID bool
@@ -307,8 +305,8 @@ func (c *SetAssoc) Probe(line uint64, sdid uint8) (bool, bool) {
 	return false, false
 }
 
-// LookupPenalty implements cachemodel.LLC.
-func (c *SetAssoc) LookupPenalty() int { return c.cfg.ExtraPenalty }
+// LookupPenalty implements cachemodel.LLC: physical indexing is free.
+func (c *SetAssoc) LookupPenalty() int { return 0 }
 
 // StatsSnapshot implements cachemodel.LLC.
 func (c *SetAssoc) StatsSnapshot() cachemodel.Stats { return c.stats }

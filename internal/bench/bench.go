@@ -28,7 +28,6 @@ import (
 	"strings"
 	"time"
 
-	"mayacache/internal/buckets"
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/cachesim"
 	"mayacache/internal/trace"
@@ -108,20 +107,6 @@ type MacroResult struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// MCResult is one configuration of the security-model Monte-Carlo micro:
-// the bucket-and-balls model run through the shard-parallel engine.
-type MCResult struct {
-	Label       string  `json:"label"`
-	Shards      int     `json:"shards"`
-	Workers     int     `json:"workers"`
-	Iterations  uint64  `json:"iterations"`
-	Seconds     float64 `json:"seconds"`
-	ItersPerSec float64 `json:"iters_per_sec"`
-	// Speedup is this configuration's iteration rate over the serial
-	// configuration's (1.0 for the serial row itself).
-	Speedup float64 `json:"speedup"`
-}
-
 // Report is the machine-readable output of a suite run (BENCH.json).
 type Report struct {
 	GoVersion string        `json:"go_version"`
@@ -132,15 +117,6 @@ type Report struct {
 	Seed      uint64        `json:"seed"`
 	Micro     []MicroResult `json:"micro"`
 	Macro     []MacroResult `json:"macro"`
-	// MC measures the shard-parallel Monte-Carlo engine on the security
-	// model: a serial run vs an 8-shard/8-worker run. On a single-CPU
-	// machine the speedup is necessarily ~1; the row records what the
-	// hardware delivered.
-	MC []MCResult `json:"mc"`
-	// Serve measures the session service (internal/serve) over its HTTP
-	// surface: a steady scenario (admission + turnaround latency,
-	// sessions/sec) and an overload scenario (shed rate under a burst).
-	Serve []ServeResult `json:"serve"`
 }
 
 // buildLLC constructs a design through the registry at the bench's pinned
@@ -316,55 +292,6 @@ func RunMacro(design string, mix []string, warmup, roi, seed uint64, parallelism
 	}, nil
 }
 
-// RunMC measures the shard-parallel Monte-Carlo engine's throughput on
-// the pinned bucket-and-balls security model at the given configuration.
-func RunMC(label string, shards, workers int, iters, seed uint64) (MCResult, error) {
-	cfg := buckets.MayaDefault(4096, seed)
-	start := time.Now()
-	res, err := buckets.RunSharded(context.Background(), buckets.ShardedRun{
-		Config:  cfg,
-		Iters:   iters,
-		Shards:  shards,
-		Workers: workers,
-	})
-	elapsed := time.Since(start)
-	if err != nil {
-		return MCResult{}, err
-	}
-	return MCResult{
-		Label:       label,
-		Shards:      shards,
-		Workers:     workers,
-		Iterations:  res.Iterations,
-		Seconds:     elapsed.Seconds(),
-		ItersPerSec: float64(res.Iterations) / elapsed.Seconds(),
-	}, nil
-}
-
-// runMCSuite runs the pinned engine configurations and fills in speedups
-// relative to the first (serial) row.
-func runMCSuite(iters, seed uint64) ([]MCResult, error) {
-	configs := []struct {
-		label           string
-		shards, workers int
-	}{
-		{"serial", 1, 1},
-		{"sharded-8x8", 8, 8},
-	}
-	out := make([]MCResult, 0, len(configs))
-	for _, c := range configs {
-		m, err := RunMC(c.label, c.shards, c.workers, iters, seed)
-		if err != nil {
-			return nil, fmt.Errorf("mc %s: %w", c.label, err)
-		}
-		out = append(out, m)
-	}
-	for i := range out {
-		out[i].Speedup = out[i].ItersPerSec / out[0].ItersPerSec
-	}
-	return out, nil
-}
-
 // Run executes the full suite and assembles the report.
 func Run(opts Options) (*Report, error) {
 	seed := opts.Seed
@@ -373,11 +300,9 @@ func Run(opts Options) (*Report, error) {
 	}
 	microAccesses := uint64(2_000_000)
 	warmup, roi := uint64(1_000_000), uint64(1_000_000)
-	mcIters := uint64(8_000_000)
 	if opts.Quick {
 		microAccesses = 400_000
 		warmup, roi = 100_000, 200_000
-		mcIters = 1_600_000
 	}
 	r := &Report{
 		GoVersion: runtime.Version(),
@@ -438,16 +363,6 @@ func Run(opts Options) (*Report, error) {
 		par.CpusLimited = runtime.NumCPU() == 1
 		r.Macro = append(r.Macro, serial, par)
 	}
-	mc, err := runMCSuite(mcIters, seed)
-	if err != nil {
-		return nil, err
-	}
-	r.MC = mc
-	sv, err := runServeSuite(opts.Quick, seed)
-	if err != nil {
-		return nil, err
-	}
-	r.Serve = sv
 	return r, nil
 }
 
@@ -491,7 +406,9 @@ func ReadJSON(path string) (*Report, error) {
 // gate never breaks on legitimate suite growth. Rows flagged CpusLimited
 // on either side are likewise skipped: a single-CPU "parallel" row
 // measures transport overhead, and gating it would punish any change to
-// that overhead twice.
+// that overhead twice. Skipping never empties the gate: when r has
+// gate-eligible rows and none of them matches a baseline row (an empty or
+// renamed baseline), the tier fails.
 func CompareMacro(r, base *Report, tol float64) error {
 	type key struct {
 		design string
@@ -510,10 +427,14 @@ func CompareMacro(r, base *Report, tol float64) error {
 		ratio float64
 	}
 	var pairs []pair
-	logSum := 0.0
+	logSum, eligible := 0.0, 0
 	for _, m := range r.Macro {
+		if m.EventsPerSec <= 0 || m.CpusLimited {
+			continue
+		}
+		eligible++
 		b, ok := ref[key{m.Design, m.Parallelism}]
-		if !ok || b.eps <= 0 || m.EventsPerSec <= 0 || m.CpusLimited || b.limited {
+		if !ok || b.eps <= 0 || b.limited {
 			continue
 		}
 		rat := m.EventsPerSec / b.eps
@@ -521,7 +442,7 @@ func CompareMacro(r, base *Report, tol float64) error {
 		logSum += math.Log(rat)
 	}
 	if len(pairs) == 0 {
-		return nil
+		return unmatched("macro", eligible)
 	}
 	scale := math.Exp(logSum / float64(len(pairs)))
 	var bad []string
@@ -545,7 +466,8 @@ func CompareMacro(r, base *Report, tol float64) error {
 // factor (geometric mean of per-row baseline/current ns ratios, so a
 // bigger ratio means faster). Rows are matched on (design, real_hash);
 // rows missing from either report — e.g. real-tier rows against a
-// baseline predating the tier — are skipped.
+// baseline predating the tier — are skipped, but as in CompareMacro a
+// tier none of whose rows matches fails.
 func CompareMicro(r, base *Report, tol float64) error {
 	type key struct {
 		design   string
@@ -560,10 +482,14 @@ func CompareMicro(r, base *Report, tol float64) error {
 		ratio float64 // base ns / current ns: >1 means this run is faster
 	}
 	var pairs []pair
-	logSum := 0.0
+	logSum, eligible := 0.0, 0
 	for _, m := range r.Micro {
+		if m.NsPerAccess <= 0 {
+			continue
+		}
+		eligible++
 		b, ok := ref[key{m.Design, m.RealHash}]
-		if !ok || b <= 0 || m.NsPerAccess <= 0 {
+		if !ok || b <= 0 {
 			continue
 		}
 		rat := b / m.NsPerAccess
@@ -571,7 +497,7 @@ func CompareMicro(r, base *Report, tol float64) error {
 		logSum += math.Log(rat)
 	}
 	if len(pairs) == 0 {
-		return nil
+		return unmatched("micro", eligible)
 	}
 	scale := math.Exp(logSum / float64(len(pairs)))
 	var bad []string
@@ -587,4 +513,14 @@ func CompareMicro(r, base *Report, tol float64) error {
 			tol*100, scale, strings.Join(bad, "\n  "))
 	}
 	return nil
+}
+
+// unmatched is the verdict on a tier none of whose rows found a baseline
+// counterpart: vacuous success only when the tier had no gate-eligible
+// row to compare.
+func unmatched(tier string, eligible int) error {
+	if eligible == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s tier: none of this run's %d gate-eligible rows matches a baseline row", tier, eligible)
 }

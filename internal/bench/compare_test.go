@@ -58,3 +58,30 @@ func TestCompareMacroEmptyIntersection(t *testing.T) {
 		t.Fatalf("empty reports must pass vacuously: %v", err)
 	}
 }
+
+// TestCompareMacroNoMatchFails: a baseline whose rows match none of this
+// run's (here the design names lowercased) must fail the macro tier, not
+// pass it for want of anything to compare.
+func TestCompareMacroNoMatchFails(t *testing.T) {
+	base := &Report{Macro: []MacroResult{macroRow("maya", 1, 10e6), macroRow("mirage", 1, 10e6)}}
+	cur := &Report{Macro: []MacroResult{macroRow("Maya", 1, 10e6), macroRow("Mirage", 1, 10e6)}}
+	err := CompareMacro(cur, base, 0.10)
+	if err == nil || !strings.Contains(err.Error(), "macro") {
+		t.Fatalf("unmatched macro tier must fail naming the tier, got %v", err)
+	}
+}
+
+// TestCompareMicroNoMatchFails: an empty baseline ({}) must fail the
+// micro tier of a run that has micro rows.
+func TestCompareMicroNoMatchFails(t *testing.T) {
+	cur := &Report{Micro: []MicroResult{
+		{Design: "Maya", NsPerAccess: 50}, {Design: "Maya", RealHash: true, NsPerAccess: 80},
+	}}
+	err := CompareMicro(cur, &Report{}, 0.10)
+	if err == nil || !strings.Contains(err.Error(), "micro") {
+		t.Fatalf("unmatched micro tier must fail naming the tier, got %v", err)
+	}
+	if err := CompareMicro(&Report{}, &Report{}, 0.10); err != nil {
+		t.Fatalf("a run with no micro rows must pass vacuously: %v", err)
+	}
+}

@@ -5,36 +5,52 @@ import (
 	"testing"
 )
 
-// TestMemoSpeedsUpRealHasher is the tentpole's performance claim as a
+// TestMemoSpeedsUpRealHasher is the index memo's performance claim as a
 // test: with the production PRINCE hasher, the index memo must make the
-// access path at least 1.5x faster than direct computation. The two
-// measurements interleave in one process, so machine load cancels; the
-// measured margin is ~4-5x, leaving ample headroom over the 1.5x gate.
+// access path at least 1.5x faster than direct computation. The two sides
+// alternate in one process, memoRounds timed rounds each on the same two
+// caches, and the fastest round of each side is compared — the estimator
+// bestMacro uses, since interference only ever adds time. The measured
+// margin is ~4-5x, leaving ample headroom over the 1.5x gate.
 func TestMemoSpeedsUpRealHasher(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	const accesses = 200_000
+	const accesses, memoRounds = 200_000, 3
 	for _, d := range []string{"Maya", "Mirage", "CEASER-S"} {
 		t.Run(d, func(t *testing.T) {
-			off, err := runMicro(memoOffTwin(t, d, 1, 1), d, accesses, 1, true)
+			offLLC := memoOffTwin(t, d, 1, 1)
+			onLLC, err := buildLLC(d, 1, 1, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			on, err := RunMicro(d, accesses, 1, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if on.MemoHits == 0 {
-				t.Fatalf("memo-on run recorded no memo hits (misses %d)", on.MemoMisses)
-			}
-			if off.MemoHits != 0 || off.MemoMisses != 0 {
-				t.Fatalf("memo-off run recorded memo traffic: %d hits, %d misses", off.MemoHits, off.MemoMisses)
+			var off, on MicroResult
+			for round := 0; round < memoRounds; round++ {
+				o, err := runMicro(offLLC, d, accesses, 1, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if o.MemoHits != 0 || o.MemoMisses != 0 {
+					t.Fatalf("memo-off run recorded memo traffic: %d hits, %d misses", o.MemoHits, o.MemoMisses)
+				}
+				n, err := runMicro(onLLC, d, accesses, 1, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n.MemoHits == 0 {
+					t.Fatalf("memo-on run recorded no memo hits (misses %d)", n.MemoMisses)
+				}
+				if round == 0 || o.NsPerAccess < off.NsPerAccess {
+					off = o
+				}
+				if round == 0 || n.NsPerAccess < on.NsPerAccess {
+					on = n
+				}
 			}
 			speedup := off.NsPerAccess / on.NsPerAccess
 			if speedup < 1.5 {
-				t.Errorf("%s: memo speedup %.2fx (on %.1f ns, off %.1f ns), want >= 1.5x",
-					d, speedup, on.NsPerAccess, off.NsPerAccess)
+				t.Errorf("%s: memo speedup %.2fx (fastest of %d rounds: on %.1f ns, off %.1f ns), want >= 1.5x",
+					d, speedup, memoRounds, on.NsPerAccess, off.NsPerAccess)
 			}
 		})
 	}
@@ -73,8 +89,13 @@ func TestCompareMicro(t *testing.T) {
 	if !strings.Contains(err.Error(), "Maya") {
 		t.Fatalf("regression error does not name the offending design: %v", err)
 	}
-	// Same-name rows in different tiers must not cross-match.
+	// Same-name rows in different tiers must not cross-match: matched
+	// against Maya's 20 ns overhead row, the 80 ns real-tier row would
+	// sit far above the trend of the rows that do match.
 	tiered := &Report{Micro: []MicroResult{
+		{Design: "Maya", NsPerAccess: 20},
+		{Design: "Mirage", NsPerAccess: 20},
+		{Design: "Baseline", NsPerAccess: 10},
 		{Design: "Maya", RealHash: true, NsPerAccess: 80},
 	}}
 	if err := CompareMicro(tiered, base, 0.10); err != nil {

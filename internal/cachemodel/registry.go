@@ -40,11 +40,6 @@ type BuildOptions struct {
 	FastHash bool
 	// ReuseWays overrides Maya's reuse ways per skew (0 = design default).
 	ReuseWays int
-	// InvalidWays overrides Maya's invalid ways per skew (0 = default).
-	InvalidWays int
-	// DataScale multiplies Maya's base ways for the LLC-size sensitivity
-	// study (0 = default 1.0).
-	DataScale float64
 }
 
 // Sets returns the scaled set count, or an ErrBadConfig error when Cores

@@ -42,10 +42,6 @@ type RunSpec struct {
 	// front.go). Results and snapshots are byte-identical either way —
 	// this is a scheduling knob, never a model parameter.
 	Parallelism int
-
-	// SnapshotEvery, when > 0, overrides the cell's auto-snapshot cadence
-	// in drive-loop steps. Only meaningful with a Cell.
-	SnapshotEvery uint64
 }
 
 // Run executes one simulation run described by spec:
@@ -79,12 +75,8 @@ func Run(ctx context.Context, sys *System, spec RunSpec) (Results, error) {
 	} else if ok {
 		return cached, nil
 	}
-	every := spec.Cell.Every()
-	if spec.SnapshotEvery > 0 {
-		every = spec.SnapshotEvery
-	}
 	sys.SetAutoSnapshot(&AutoSnapshot{
-		Every:   every,
+		Every:   spec.Cell.Every(),
 		Trigger: spec.Cell.Trigger(),
 		Save:    func(state []byte) error { return spec.Cell.SaveSystem(spec.Sub, state) },
 	})

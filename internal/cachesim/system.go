@@ -1,8 +1,8 @@
 // Package cachesim is the trace-driven, cycle-approximate multi-core
 // simulator this reproduction uses in place of ChampSim. It models the
-// paper's Table V system: out-of-order cores abstracted as an
-// issue/retire-width pipeline with a 512-entry ROB window and MSHR-bounded
-// memory-level parallelism, per-core L1D and L2 caches, a shared pluggable
+// paper's Table V system: out-of-order cores abstracted as a retire-width
+// pipeline with a 512-entry ROB window and MSHR-bounded memory-level
+// parallelism, per-core L1D and L2 caches, a shared pluggable
 // LLC (any cachemodel.LLC), and a banked DDR4-like DRAM.
 //
 // Fidelity notes (see DESIGN.md §4): instruction fetch is assumed perfect
@@ -44,7 +44,6 @@ type auditor interface {
 
 // CoreParams describes one core and its private hierarchy (Table V).
 type CoreParams struct {
-	IssueWidth  int // instructions fetched/issued per cycle (6)
 	RetireWidth int // instructions retired per cycle (4; bounds gap cost)
 	ROB         int // reorder-buffer entries (512)
 	MSHRs       int // outstanding LLC-bound misses per core (64)
@@ -66,7 +65,6 @@ type CoreParams struct {
 // 12-way L1D and 512KB 8-way L2 match Table V.
 func DefaultCoreParams() CoreParams {
 	return CoreParams{
-		IssueWidth:  6,
 		RetireWidth: 4,
 		ROB:         512,
 		MSHRs:       64,
@@ -454,8 +452,9 @@ func (s *System) drive(ctx context.Context, src *recordSource) error {
 // outstanding window — everything a step touches outside the core's
 // private front.
 func (s *System) applyStep(c *core, gap int32, kind uint8, ops []sharedOp) {
-	// Gap instructions cost gap/retireWidth cycles (the narrower of
-	// issue/retire bounds steady-state throughput). subIssue is always
+	// Gap instructions cost gap/retireWidth cycles (retire, the narrower of
+	// Table V's 6-wide issue and 4-wide retire, bounds steady-state
+	// throughput; issue width is not modelled). subIssue is always
 	// non-negative, so shift/mask equals div/mod for power-of-two widths.
 	width := s.cfg.Core.RetireWidth
 	c.subIssue += int(gap)

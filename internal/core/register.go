@@ -21,15 +21,6 @@ func init() {
 				cfg.ExtraLookupLatency = 1
 			}
 		}
-		if o.InvalidWays > 0 {
-			cfg.InvalidWays = o.InvalidWays
-		}
-		if o.DataScale > 0 {
-			cfg.BaseWays = int(float64(cfg.BaseWays)*o.DataScale + 0.5)
-			if cfg.BaseWays < 1 {
-				cfg.BaseWays = 1
-			}
-		}
 		cfg.Hasher = o.Hasher(cfg.Skews, sets)
 		return NewChecked(cfg)
 	})

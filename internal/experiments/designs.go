@@ -44,11 +44,6 @@ type LLCOptions struct {
 	FastHash bool
 	// ReuseWays overrides Maya's reuse ways per skew (0 = default 3).
 	ReuseWays int
-	// InvalidWays overrides Maya's invalid ways per skew (0 = default 6).
-	InvalidWays int
-	// DataScale multiplies Maya's base ways for the LLC-size sensitivity
-	// study (0 = default 1.0).
-	DataScale float64
 }
 
 // buildOptions translates LLCOptions into the registry's BuildOptions.
@@ -59,8 +54,6 @@ func (o LLCOptions) buildOptions() cachemodel.BuildOptions {
 		Seed:        o.Seed,
 		FastHash:    o.FastHash,
 		ReuseWays:   o.ReuseWays,
-		InvalidWays: o.InvalidWays,
-		DataScale:   o.DataScale,
 	}
 }
 

@@ -47,9 +47,9 @@ func TestNewLLCGeometryScaling(t *testing.T) {
 }
 
 func TestMayaOptionOverrides(t *testing.T) {
-	g := mustBuild(t, DesignMaya, LLCOptions{Cores: 1, Seed: 1, FastHash: true, ReuseWays: 7, InvalidWays: 5}).Geometry()
-	if g.WaysPerSkew != 6+7+5 {
-		t.Fatalf("ways per skew = %d, want 18", g.WaysPerSkew)
+	g := mustBuild(t, DesignMaya, LLCOptions{Cores: 1, Seed: 1, FastHash: true, ReuseWays: 7}).Geometry()
+	if g.WaysPerSkew != 6+7+6 {
+		t.Fatalf("ways per skew = %d, want 19", g.WaysPerSkew)
 	}
 }
 

@@ -5,19 +5,23 @@
 // 10^12+ ball throws" (Figs 6/7, Tables I/IV), with Mirage extrapolating
 // to 10^16 — and every one of those samples is embarrassingly parallel:
 // bucket-model iterations, attack trials, and per-seed simulations share
-// no state. This package turns an N-sample run into K independent shards
-// with splitmix64-derived per-shard seeds (rng.Stream), executes them on
-// a bounded worker pool (reusing the resilient pool in internal/harness,
-// so panics become errors and cancellation propagates), and hands results
-// back in shard-index order so the caller's merge is deterministic.
+// no state. Plan turns an N-sample run into K independent shards with
+// splitmix64-derived per-shard seeds (rng.Stream). ForEach executes jobs
+// on a bounded worker pool (reusing the resilient pool in
+// internal/harness, so panics become errors and cancellation propagates)
+// and hands results back in job-index order, so the caller's merge is
+// deterministic. A sharded run is ForEach over a plan's shards, as in
+// buckets.RunShardedMulti.
 //
-// The determinism contract: the slice Run returns — and therefore any
-// left-to-right merge of it — is a pure function of (Seed, Iters, Shards).
-// Worker count and goroutine scheduling can change only wall-clock time,
-// never a result. Shard seeding follows one compatibility rule: a
-// one-shard plan uses the base seed unchanged, so `-shards 1` reproduces
-// the historical serial runs byte for byte; multi-shard plans derive
-// shard i's seed as rng.Stream(Seed, i).
+// The determinism contract: a plan is a pure function of (Seed, Iters,
+// Shards), and ForEach returns results in job order whatever the worker
+// count, so a left-to-right merge of a pure shard body's results is a
+// pure function of (Seed, Iters, Shards) too. Worker count and goroutine
+// scheduling can change only wall-clock time, never a result. Shard
+// seeding follows one compatibility rule: a one-shard plan uses the base
+// seed unchanged, so `-shards 1` reproduces the historical serial runs
+// byte for byte; multi-shard plans derive shard i's seed as
+// rng.Stream(Seed, i).
 package mc
 
 import (
@@ -51,9 +55,6 @@ type Spec struct {
 	// It is part of the experiment definition: results are a pure
 	// function of (Seed, Iters, Shards). 0 selects DefaultShards.
 	Shards int
-	// Workers bounds pool parallelism; it never affects results.
-	// 0 selects DefaultWorkers.
-	Workers int
 }
 
 // DefaultShards is the default shard count: one per available CPU, so the
@@ -92,9 +93,6 @@ func (s Spec) Validate() error {
 	}
 	if uint64(shards) > s.Iters {
 		return BadSpecf("%d shards exceed %d iterations: a shard cannot run a fractional iteration", shards, s.Iters)
-	}
-	if s.Workers < 0 {
-		return BadSpecf("workers must be >= 0, got %d", s.Workers)
 	}
 	return nil
 }
@@ -138,44 +136,13 @@ func Plan(spec Spec) ([]Shard, error) {
 	return plan, nil
 }
 
-// workers resolves the pool width.
-func (s Spec) workers() int {
-	if s.Workers > 0 {
-		return s.Workers
-	}
-	return DefaultWorkers()
-}
-
-// Run plans the spec and executes fn once per shard on a bounded worker
-// pool, returning the per-shard results in shard-index order. Panics in
-// fn are recovered by the pool and returned as errors (tagged with the
-// shard index); a cancelled ctx stops launching shards and surfaces
-// ctx.Err(). The result slice is a pure function of (Seed, Iters, Shards)
-// whenever fn is a pure function of its Shard.
-func Run[T any](ctx context.Context, spec Spec, fn func(ctx context.Context, s Shard) (T, error)) ([]T, error) {
-	plan, err := Plan(spec)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, len(plan))
-	err = harness.ParallelFor(ctx, spec.workers(), len(plan), func(ctx context.Context, i int) error {
-		v, ferr := fn(ctx, plan[i])
-		if ferr != nil {
-			return fmt.Errorf("shard %d/%d: %w", i, len(plan), ferr)
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ForEach fans n independent jobs (attack trials, per-seed repetitions,
 // flattened sweep points) across the pool and returns results in index
-// order. It is Run without the iteration-splitting: the caller owns seed
-// derivation per job. workers <= 0 selects DefaultWorkers.
+// order. An error from fn comes back tagged with its job index, a panic
+// in fn is recovered by the pool into an error, and a cancelled ctx stops
+// launching jobs and surfaces ctx.Err(). The caller owns seed derivation
+// per job — for a sharded run, job i is the plan's shard i. workers <= 0
+// selects DefaultWorkers.
 func ForEach[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if workers <= 0 {
 		workers = DefaultWorkers()

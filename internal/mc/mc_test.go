@@ -56,7 +56,6 @@ func TestSpecValidation(t *testing.T) {
 		{"zero iters", Spec{Seed: 1, Iters: 0, Shards: 2}, false},
 		{"negative shards", Spec{Seed: 1, Iters: 10, Shards: -1}, false},
 		{"shards exceed iters", Spec{Seed: 1, Iters: 3, Shards: 4}, false},
-		{"negative workers", Spec{Seed: 1, Iters: 10, Shards: 2, Workers: -1}, false},
 		{"ok", Spec{Seed: 1, Iters: 10, Shards: 2}, true},
 		{"auto shards", Spec{Seed: 1, Iters: 1 << 20}, true},
 	}
@@ -73,6 +72,19 @@ func TestSpecValidation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runPlan is a sharded run as production composes it
+// (buckets.RunShardedMulti): ForEach over the plan's shards on a pool of
+// the given width.
+func runPlan[T any](ctx context.Context, spec Spec, workers int, fn func(ctx context.Context, s Shard) (T, error)) ([]T, error) {
+	plan, err := Plan(spec)
+	if err != nil {
+		return nil, err
+	}
+	return ForEach(ctx, workers, len(plan), func(ctx context.Context, i int) (T, error) {
+		return fn(ctx, plan[i])
+	})
 }
 
 // shardDigest is a deterministic stand-in for a Monte-Carlo shard body:
@@ -92,12 +104,10 @@ func shardDigest(s Shard) uint64 {
 // slice is identical whatever the worker count — including a serial pool —
 // so merged statistics can never depend on scheduling.
 func TestRunSchedulingInvariance(t *testing.T) {
-	base := Spec{Seed: 7, Iters: 10_000, Shards: 16}
+	spec := Spec{Seed: 7, Iters: 10_000, Shards: 16}
 	var want []uint64
 	for _, workers := range []int{1, 2, 7, 16} {
-		spec := base
-		spec.Workers = workers
-		got, err := Run(context.Background(), spec, func(_ context.Context, s Shard) (uint64, error) {
+		got, err := runPlan(context.Background(), spec, workers, func(_ context.Context, s Shard) (uint64, error) {
 			return shardDigest(s), nil
 		})
 		if err != nil {
@@ -115,7 +125,7 @@ func TestRunSchedulingInvariance(t *testing.T) {
 
 func TestRunShardError(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Run(context.Background(), Spec{Seed: 1, Iters: 8, Shards: 4, Workers: 2},
+	_, err := runPlan(context.Background(), Spec{Seed: 1, Iters: 8, Shards: 4}, 2,
 		func(_ context.Context, s Shard) (int, error) {
 			if s.Index == 2 {
 				return 0, boom
@@ -128,7 +138,7 @@ func TestRunShardError(t *testing.T) {
 }
 
 func TestRunRecoversPanic(t *testing.T) {
-	_, err := Run(context.Background(), Spec{Seed: 1, Iters: 4, Shards: 2, Workers: 2},
+	_, err := runPlan(context.Background(), Spec{Seed: 1, Iters: 4, Shards: 2}, 2,
 		func(_ context.Context, s Shard) (int, error) {
 			if s.Index == 1 {
 				panic("shard exploded")
@@ -153,7 +163,7 @@ func TestRunCancellationHammer(t *testing.T) {
 			<-started // cancel only after at least one shard is live
 			cancel()
 		}()
-		_, err := Run(ctx, Spec{Seed: uint64(round), Iters: 1 << 20, Shards: 32, Workers: 4},
+		_, err := runPlan(ctx, Spec{Seed: uint64(round), Iters: 1 << 20, Shards: 32}, 4,
 			func(ctx context.Context, s Shard) (uint64, error) {
 				once.Do(func() { started <- struct{}{} })
 				var h uint64

@@ -1,7 +1,7 @@
 // Package metrics computes the evaluation metrics of the paper: weighted
-// speedup for multi-programmed mixes (Snavely & Tullsen), normalized
-// performance, and small statistical helpers shared by the experiment
-// drivers.
+// speedup for multi-programmed mixes (Snavely & Tullsen), the geometric
+// mean of normalized performance, and small statistical helpers shared by
+// the experiment drivers.
 package metrics
 
 import (
@@ -24,14 +24,6 @@ func WeightedSpeedup(ipcShared, ipcAlone []float64) (float64, error) {
 		ws += ipcShared[i] / ipcAlone[i]
 	}
 	return ws, nil
-}
-
-// Normalized returns value/baseline, guarding against a zero baseline.
-func Normalized(value, baseline float64) (float64, error) {
-	if baseline == 0 {
-		return 0, fmt.Errorf("metrics: zero baseline")
-	}
-	return value / baseline, nil
 }
 
 // GeoMean returns the geometric mean of xs (which must all be positive).

@@ -158,12 +158,3 @@ func TestWelchT(t *testing.T) {
 		t.Errorf("zero-variance separated samples give t = %v, want -inf", tt)
 	}
 }
-
-func TestNormalized(t *testing.T) {
-	if v, _ := Normalized(3, 2); v != 1.5 {
-		t.Errorf("Normalized = %v", v)
-	}
-	if _, err := Normalized(1, 0); err == nil {
-		t.Error("zero baseline accepted")
-	}
-}

@@ -134,16 +134,6 @@ func New(k0, k1 uint64) *Cipher {
 	}
 }
 
-// NewFromBytes constructs a cipher from a 16-byte big-endian key.
-func NewFromBytes(key [16]byte) *Cipher {
-	var k0, k1 uint64
-	for i := 0; i < 8; i++ {
-		k0 = k0<<8 | uint64(key[i])
-		k1 = k1<<8 | uint64(key[8+i])
-	}
-	return New(k0, k1)
-}
-
 // Encrypt enciphers one 64-bit block.
 func (c *Cipher) Encrypt(pt uint64) uint64 {
 	x := pt ^ c.k0

@@ -91,17 +91,6 @@ func TestEncryptionIsPermutation(t *testing.T) {
 	}
 }
 
-func TestNewFromBytes(t *testing.T) {
-	var key [16]byte
-	key[7] = 0x01 // k0 = 1
-	key[15] = 0x02
-	c := NewFromBytes(key)
-	want := New(1, 2)
-	if c.Encrypt(42) != want.Encrypt(42) {
-		t.Fatal("NewFromBytes disagrees with New")
-	}
-}
-
 func TestAvalanche(t *testing.T) {
 	// Flipping one plaintext bit should flip roughly half the output bits.
 	c := New(0x1111111111111111, 0x2222222222222222)

@@ -107,62 +107,3 @@ func pad(s string, w int) string {
 	}
 	return s + strings.Repeat(" ", w-len(s))
 }
-
-// Series renders an ASCII bar series, used for figure-shaped output.
-type Series struct {
-	Title  string
-	Labels []string
-	Values []float64
-	// RefValue draws a reference line annotation (e.g. baseline = 1.0).
-	RefValue float64
-	HasRef   bool
-}
-
-// NewSeries creates a labeled value series.
-func NewSeries(title string) *Series { return &Series{Title: title} }
-
-// Add appends one bar.
-func (s *Series) Add(label string, v float64) {
-	s.Labels = append(s.Labels, label)
-	s.Values = append(s.Values, v)
-}
-
-// SetRef sets the reference annotation.
-func (s *Series) SetRef(v float64) {
-	s.RefValue, s.HasRef = v, true
-}
-
-// Render writes bars scaled to maxWidth columns.
-func (s *Series) Render(w io.Writer, maxWidth int) {
-	if maxWidth <= 0 {
-		maxWidth = 50
-	}
-	if s.Title != "" {
-		fmt.Fprintf(w, "== %s ==\n", s.Title)
-	}
-	maxV := 0.0
-	lw := 0
-	for i, v := range s.Values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(s.Labels[i]) > lw {
-			lw = len(s.Labels[i])
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	for i, v := range s.Values {
-		n := int(v / maxV * float64(maxWidth))
-		if n < 0 {
-			n = 0
-		}
-		ref := ""
-		if s.HasRef {
-			delta := (v/s.RefValue - 1) * 100
-			ref = fmt.Sprintf("  (%+.1f%%)", delta)
-		}
-		fmt.Fprintf(w, "%s  %8.3f  %s%s\n", pad(s.Labels[i], lw), v, strings.Repeat("#", n), ref)
-	}
-}

@@ -45,29 +45,3 @@ func TestCSVQuotesQuotes(t *testing.T) {
 		t.Errorf("quotes not escaped: %q", sb.String())
 	}
 }
-
-func TestSeriesRender(t *testing.T) {
-	s := NewSeries("perf")
-	s.Add("one", 1)
-	s.Add("two", 2)
-	s.SetRef(1)
-	var sb strings.Builder
-	s.Render(&sb, 10)
-	out := sb.String()
-	if !strings.Contains(out, "##########") {
-		t.Errorf("max bar not full width:\n%s", out)
-	}
-	if !strings.Contains(out, "(+100.0%)") {
-		t.Errorf("reference deltas missing:\n%s", out)
-	}
-}
-
-func TestSeriesHandlesZeros(t *testing.T) {
-	s := NewSeries("empty")
-	s.Add("z", 0)
-	var sb strings.Builder
-	s.Render(&sb, 10) // must not divide by zero
-	if !strings.Contains(sb.String(), "z") {
-		t.Error("label missing")
-	}
-}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"testing"
 )
 
@@ -49,10 +50,10 @@ func FuzzReadEvents(f *testing.F) {
 	f.Add(gzipped(f, []byte{'M', 'Y', 'T', 'R', 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := ReadEvents(bytes.NewReader(data)); err != nil {
+		if _, err := ReadEvents(context.Background(), bytes.NewReader(data)); err != nil {
 			_ = err // malformed input must be reported, not panic
 		}
-		if _, err := ReadEvents(bytes.NewReader(gzipped(t, data))); err != nil {
+		if _, err := ReadEvents(context.Background(), bytes.NewReader(gzipped(t, data))); err != nil {
 			_ = err
 		}
 	})
@@ -81,7 +82,7 @@ func FuzzReadEventsRoundTrip(f *testing.F) {
 		if err := WriteEvents(&buf, in); err != nil {
 			t.Fatalf("WriteEvents: %v", err)
 		}
-		out, err := ReadEvents(bytes.NewReader(buf.Bytes()))
+		out, err := ReadEvents(context.Background(), bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("ReadEvents: %v", err)
 		}

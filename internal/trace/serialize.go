@@ -90,16 +90,10 @@ func (o *offsetReader) Read(p []byte) (int, error) {
 }
 
 // ReadEvents deserializes a trace written by WriteEvents. Decode errors
-// identify the failing event index and its decompressed byte offset.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	return ReadEventsCtx(context.Background(), r)
-}
-
-// ReadEventsCtx is ReadEvents bounded by a context: deserializing a
-// multi-gigabyte (or maliciously slow) trace checks ctx periodically and
-// abandons the decode soon after cancellation, so a coordinator pulling
-// the plug on a cell does not wait out the whole file.
-func ReadEventsCtx(ctx context.Context, r io.Reader) ([]Event, error) {
+// identify the failing event index and its decompressed byte offset. The
+// decode checks ctx periodically and abandons a multi-gigabyte (or
+// maliciously slow) trace soon after cancellation.
+func ReadEvents(ctx context.Context, r io.Reader) ([]Event, error) {
 	gz, err := gzip.NewReader(r)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)

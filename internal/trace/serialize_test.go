@@ -10,7 +10,7 @@ import (
 
 // A cancelled context must abandon the decode partway rather than
 // materializing the rest of the trace.
-func TestReadEventsCtxCancelled(t *testing.T) {
+func TestReadEventsCancelled(t *testing.T) {
 	g := MustGenerator(MustLookup("mcf"), 0, 7)
 	events := Capture(g, 100_000)
 	var buf bytes.Buffer
@@ -19,9 +19,9 @@ func TestReadEventsCtxCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := ReadEventsCtx(ctx, &buf)
+	got, err := ReadEvents(ctx, &buf)
 	if err == nil {
-		t.Fatal("ReadEventsCtx returned events under a cancelled context")
+		t.Fatal("ReadEvents returned events under a cancelled context")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
@@ -38,7 +38,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := WriteEvents(&buf, events); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadEvents(&buf)
+	got, err := ReadEvents(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if WriteEvents(&buf, events) != nil {
 			return false
 		}
-		got, err := ReadEvents(&buf)
+		got, err := ReadEvents(context.Background(), &buf)
 		if err != nil || len(got) != len(events) {
 			return false
 		}
@@ -91,7 +91,7 @@ func TestCompressionIsEffective(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := ReadEvents(bytes.NewReader([]byte("not a trace"))); err == nil {
+	if _, err := ReadEvents(context.Background(), bytes.NewReader([]byte("not a trace"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	// Valid gzip, wrong magic.
@@ -101,7 +101,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	corrupted := buf.Bytes()
 	// Truncation must error, not panic.
-	if _, err := ReadEvents(bytes.NewReader(corrupted[:len(corrupted)/2])); err == nil {
+	if _, err := ReadEvents(context.Background(), bytes.NewReader(corrupted[:len(corrupted)/2])); err == nil {
 		t.Fatal("truncated trace accepted")
 	}
 }
@@ -115,7 +115,7 @@ func TestDecodeErrorsCarryOffsets(t *testing.T) {
 	if err := WriteEvents(&full, events); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := ReadEvents(bytes.NewReader(full.Bytes()))
+	payload, err := ReadEvents(context.Background(), bytes.NewReader(full.Bytes()))
 	if err != nil || len(payload) != 100 {
 		t.Fatalf("sanity round trip: %v (%d events)", err, len(payload))
 	}
@@ -124,7 +124,7 @@ func TestDecodeErrorsCarryOffsets(t *testing.T) {
 	raw := full.Bytes()
 	var decodeErr error
 	for cut := len(raw) - 1; cut > 0; cut-- {
-		if _, decodeErr = ReadEvents(bytes.NewReader(raw[:cut])); decodeErr != nil {
+		if _, decodeErr = ReadEvents(context.Background(), bytes.NewReader(raw[:cut])); decodeErr != nil {
 			break
 		}
 	}

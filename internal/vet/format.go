@@ -4,13 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-// Output formatting and the findings baseline. JSON output is the machine
+// Output formatting. JSON output is the machine
 // interface: stable field order (struct order below), paths relativized to
 // a caller-supplied root so golden files and downstream tooling are
 // machine-independent, findings pre-sorted by RunAnalyzers.
@@ -77,64 +76,6 @@ func WriteJSON(w io.Writer, findings []Finding, root string) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
-}
-
-// Baseline is a set of accepted findings, matched on (file, analyzer,
-// message) — line and column are deliberately excluded so unrelated edits
-// above a baselined finding don't resurrect it.
-type Baseline struct {
-	entries map[string]bool
-}
-
-func baselineKey(file, analyzer, message string) string {
-	return file + "\x00" + analyzer + "\x00" + message
-}
-
-// ReadBaseline loads a baseline file: the JSON findings document written
-// by -write-baseline. An empty or all-whitespace file is an empty
-// baseline, so `-baseline ci-baseline.json` with an empty committed file
-// expresses "the repo must be clean".
-func ReadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	b := &Baseline{entries: map[string]bool{}}
-	if len(strings.TrimSpace(string(data))) == 0 {
-		return b, nil
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("baseline %s: %v", path, err)
-	}
-	for _, f := range rep.Findings {
-		b.entries[baselineKey(f.File, f.Analyzer, f.Message)] = true
-	}
-	return b, nil
-}
-
-// Filter returns the findings not covered by the baseline.
-func (b *Baseline) Filter(findings []Finding, root string) []Finding {
-	if b == nil || len(b.entries) == 0 {
-		return findings
-	}
-	var out []Finding
-	for _, f := range findings {
-		if b.entries[baselineKey(relativize(f.Pos.Filename, root), f.Analyzer, f.Message)] {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// WriteBaseline persists the current findings as the accepted baseline.
-func WriteBaseline(path string, findings []Finding, root string) error {
-	var sb strings.Builder
-	if err := WriteJSON(&sb, findings, root); err != nil {
-		return err
-	}
-	return os.WriteFile(path, []byte(sb.String()), 0o644)
 }
 
 // sortFindings orders findings fully deterministically: file, line,

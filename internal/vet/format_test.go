@@ -2,7 +2,6 @@ package vet
 
 import (
 	"go/token"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -74,60 +73,5 @@ func TestWriteTextRelativizes(t *testing.T) {
 		"pkg/b.go:3:9: [seedflow] nondeterministic value flows\n"
 	if sb.String() != want {
 		t.Errorf("text output drifted:\n%s", sb.String())
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	root := string(filepath.Separator) + "repo"
-	findings := sampleFindings(root)
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaseline(path, findings[:1], root); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	left := b.Filter(findings, root)
-	if len(left) != 1 || left[0].Analyzer != "seedflow" {
-		t.Errorf("baseline should swallow the maporder finding only, got %v", left)
-	}
-}
-
-// TestBaselineIgnoresLineDrift is the point of matching on (file,
-// analyzer, message): an edit above a baselined finding must not
-// resurrect it.
-func TestBaselineIgnoresLineDrift(t *testing.T) {
-	root := string(filepath.Separator) + "repo"
-	findings := sampleFindings(root)
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := WriteBaseline(path, findings, root); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := make([]Finding, len(findings))
-	copy(moved, findings)
-	moved[0].Pos.Line += 40
-	moved[1].Pos.Column = 1
-	if left := b.Filter(moved, root); len(left) != 0 {
-		t.Errorf("line drift resurrected baselined findings: %v", left)
-	}
-}
-
-func TestBaselineEmptyFileMeansClean(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(path, []byte("\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := sampleFindings("")
-	if left := b.Filter(findings, ""); len(left) != len(findings) {
-		t.Errorf("empty baseline must pass all findings through, got %v", left)
 	}
 }

@@ -1,6 +1,7 @@
 package maya
 
 import (
+	"context"
 	"io"
 
 	"mayacache/internal/opt"
@@ -43,7 +44,9 @@ func CaptureTrace(g TraceGenerator, n int) []TraceEvent { return trace.Capture(g
 func WriteTrace(w io.Writer, events []TraceEvent) error { return trace.WriteEvents(w, events) }
 
 // ReadTrace deserializes a trace written by WriteTrace.
-func ReadTrace(r io.Reader) ([]TraceEvent, error) { return trace.ReadEvents(r) }
+func ReadTrace(r io.Reader) ([]TraceEvent, error) {
+	return trace.ReadEvents(context.Background(), r)
+}
 
 // NewTraceReplayer wraps recorded events as a generator (wrapping at the
 // end), usable as a custom workload via SystemConfig. An empty event
