@@ -16,6 +16,22 @@ go vet ./...
 # goroutinectx, atomicmix).
 go run ./cmd/mayavet ./...
 
+echo "==> inlined Monte-Carlo draws (go build -gcflags=-m)"
+# The bucket-and-balls kernel is fast because every draw compiles inline:
+# rng's xoshiro step (Rand.Next, and (*Rand).Uint64 built on it) and the
+# precomputed bound's accept test (Bound.Map) must stay under the
+# compiler's inlining budget, and the kernel in buckets.go must inline
+# both. An edit that pushes one over the budget passes every test while
+# silently costing the Monte Carlo its speed, so it fails here.
+inl=$(go build -gcflags=-m ./internal/rng ./internal/buckets 2>&1)
+for want in 'rng\.go:.*can inline (\*Rand)\.Uint64$' 'rng\.go:.*can inline Rand\.Next$' \
+    'rng\.go:.*can inline Bound\.Map$' 'buckets\.go:.*inlining call to rng\.Rand\.Next$' \
+    'buckets\.go:.*inlining call to rng\.Bound\.Map$'; do
+  if ! printf '%s\n' "$inl" | grep -q "$want"; then
+    echo "ci: '$want' missing from the -gcflags=-m output: a draw no longer inlines" >&2; exit 1
+  fi
+done
+
 echo "==> gofmt + no deprecated twins"
 # Every Go file outside the analyzer's fixture module must be gofmt-clean,
 # and no doc comment may mark an API deprecated: an operation has one

@@ -74,6 +74,9 @@ func validateFlags(f flags) error {
 	if uint64(f.shards) > f.iters {
 		return fmt.Errorf("-shards %d exceeds -iters %d: a shard cannot run a fractional iteration", f.shards, f.iters)
 	}
+	if per := f.iters / uint64(f.shards); (f.exp == "fig7" || f.exp == "all") && per < experiments.Fig7Samples {
+		return fmt.Errorf("-iters %d over -shards %d leaves %d iterations per shard, fewer than Fig 7's %d histogram samples", f.iters, f.shards, per, experiments.Fig7Samples)
+	}
 	if f.workers < 1 {
 		return fmt.Errorf("-workers must be >= 1, got %d", f.workers)
 	}

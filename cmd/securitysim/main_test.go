@@ -19,6 +19,10 @@ func TestValidateFlags(t *testing.T) {
 		{"zero shards", func(f *flags) { f.shards = 0 }, false},
 		{"negative shards", func(f *flags) { f.shards = -3 }, false},
 		{"shards exceed iters", func(f *flags) { f.shards = 1001 }, false},
+		{"fig7 at one sample per shard", func(f *flags) { f.exp = "fig7"; f.iters = 800 }, true},
+		{"fig7 fewer iters per shard than samples", func(f *flags) { f.exp = "fig7"; f.iters = 799 }, false},
+		{"all fewer iters than samples", func(f *flags) { f.exp = "all"; f.iters = 100; f.shards = 1 }, false},
+		{"fig6 fewer iters than samples", func(f *flags) { f.iters = 100; f.shards = 1 }, true},
 		{"zero workers", func(f *flags) { f.workers = 0 }, false},
 		{"negative workers", func(f *flags) { f.workers = -1 }, false},
 		{"zero buckets", func(f *flags) { f.buckets = 0 }, false},

@@ -62,7 +62,7 @@ cmp "$TMP/sec1.out" "$TMP/sec1w4.out"
     -shards 8 -workers 7 -progress off > "$TMP/sec8b.out"
 cmp "$TMP/sec8a.out" "$TMP/sec8b.out"
 # Flag misuse must exit 2 before any simulation runs.
-for bad in "-iters 0" "-shards 0" "-shards -2" "-workers 0" "-experiment fig99"; do
+for bad in "-iters 0" "-shards 0" "-shards -2" "-workers 0" "-experiment fig99" "-experiment fig7 -iters 100"; do
   status=0
   "$TMP/securitysim" $bad > /dev/null 2>&1 || status=$?
   if [ "$status" -ne 2 ]; then

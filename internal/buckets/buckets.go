@@ -119,10 +119,16 @@ type Model struct {
 	nb       int // total buckets
 	total    []uint8
 	p0       []uint8
-	r        *rng.Rand
+	r        rng.Rand
 	spills   uint64
 	iters    uint64
 	installs uint64
+
+	// Draw bounds, precomputed once (each draws exactly as Intn of the
+	// same n): a bucket within one skew, any bucket, the rejection test's
+	// [0, Capacity+1), and tie[k] for a k-way tie.
+	skewB, allB, capB rng.Bound
+	tie               []rng.Bound
 
 	// firstSpill is the iteration count at the first spill (valid when
 	// spills > 0); the sharded runner merges these into the first-spill
@@ -153,8 +159,15 @@ func New(cfg Config) *Model {
 		nb:    nb,
 		total: make([]uint8, nb),
 		p0:    make([]uint8, nb),
-		r:     rng.New(cfg.Seed ^ 0xba11),
+		r:     *rng.New(cfg.Seed ^ 0xba11),
+		skewB: rng.NewBound(uint64(cfg.BucketsPerSkew)),
+		allB:  rng.NewBound(uint64(nb)),
+		capB:  rng.NewBound(uint64(cfg.Capacity + 1)),
+		tie:   make([]rng.Bound, cfg.Skews+1),
 		hist:  make([]uint64, cfg.Capacity+2),
+	}
+	for k := 2; k <= cfg.Skews; k++ {
+		m.tie[k] = rng.NewBound(uint64(k))
 	}
 	for b := 0; b < nb; b++ {
 		m.total[b] = uint8(cfg.AvgP0 + cfg.AvgP1)
@@ -163,187 +176,178 @@ func New(cfg Config) *Model {
 	return m
 }
 
-// bucketIn returns a uniformly random bucket in skew s.
-func (m *Model) bucketIn(s int) int {
-	return s*m.cfg.BucketsPerSkew + m.r.Intn(m.cfg.BucketsPerSkew)
-}
-
-// chooseLoadAware picks one bucket per skew and returns the less-loaded
-// one (ties broken uniformly) plus whether it has room.
-func (m *Model) chooseLoadAware() (int, bool) {
-	best := m.bucketIn(0)
-	tie := 1
-	for s := 1; s < m.cfg.Skews; s++ {
-		b := m.bucketIn(s)
-		switch {
-		case m.total[b] < m.total[best]:
-			best = b
-			tie = 1
-		case m.total[b] == m.total[best]:
-			tie++
-			if m.r.Intn(tie) == 0 {
-				best = b
-			}
-		}
-	}
-	return best, int(m.total[best]) < m.cfg.Capacity
-}
-
-// randomP0 selects a bucket proportionally to its priority-0 ball count
-// (uniform over priority-0 balls) via rejection sampling.
-func (m *Model) randomP0() int {
-	for {
-		b := m.r.Intn(m.nb)
-		if int(m.p0[b]) > m.r.Intn(m.cfg.Capacity+1) {
-			return b
-		}
-	}
-}
-
-// randomP1 selects uniformly over priority-1 balls.
-func (m *Model) randomP1() int {
-	for {
-		b := m.r.Intn(m.nb)
-		if int(m.total[b]-m.p0[b]) > m.r.Intn(m.cfg.Capacity+1) {
-			return b
-		}
-	}
-}
-
-// randomAny selects uniformly over all balls.
-func (m *Model) randomAny() int {
-	for {
-		b := m.r.Intn(m.nb)
-		if int(m.total[b]) > m.r.Intn(m.cfg.Capacity+1) {
-			return b
-		}
-	}
-}
-
-// spillFrom handles a throw into a full pair: a ball leaves the target
-// bucket (a priority-0 ball when one exists, per the Maya design). It
-// returns true if the removed ball was priority-0. When the spill removes
-// a priority-1 ball (no priority-0 present — vanishingly rare), a random
-// priority-0 ball elsewhere is upgraded so the class populations stay at
-// their steady-state values, mirroring the freed data entry being
-// reassigned.
-func (m *Model) spillFrom(b int) {
-	m.spills++
-	if m.spills == 1 {
-		m.firstSpill = m.iters
-	}
-	if m.p0[b] > 0 {
-		m.p0[b]--
-		m.total[b]--
-		return
-	}
-	m.total[b]--
-	if m.cfg.Mode == ModeMaya {
-		up := m.randomP0()
-		m.p0[up]--
-	}
-}
-
 // Step runs one iteration (three accesses for Maya, one throw otherwise).
-func (m *Model) Step() {
-	m.iters++
-	switch m.cfg.Mode {
-	case ModeMaya:
-		m.demandTagMiss()
-		m.tagHitP0()
-		m.writebackTagMiss()
-	case ModeMirage, ModeThreshold:
-		m.mirageThrow()
-	}
-	if invariant.Enabled && invariant.Every(m.iters, conservationPeriod) {
-		invariant.CheckErr(m.Conservation())
-	}
-}
-
-// demandTagMiss: throw a priority-0 ball load-aware; then global random
-// tag eviction removes one priority-0 ball (Fig 5a). On a spill the
-// removed ball already restored the population, so no global eviction
-// runs (as in the cache, where the priority-0 pool is back at its cap).
-func (m *Model) demandTagMiss() {
-	m.installs++
-	b, ok := m.chooseLoadAware()
-	m.p0[b]++
-	m.total[b]++
-	if !ok {
-		m.spillFrom(b)
-		return
-	}
-	e := m.randomP0()
-	m.p0[e]--
-	m.total[e]--
-}
-
-// tagHitP0: upgrade a random priority-0 ball; downgrade a random
-// priority-1 ball (global random data eviction; Fig 5b). Bucket totals are
-// unchanged.
-func (m *Model) tagHitP0() {
-	up := m.randomP0()
-	m.p0[up]--
-	down := m.randomP1()
-	m.p0[down]++
-}
-
-// writebackTagMiss: throw a priority-1 ball load-aware; downgrade a random
-// priority-1 ball (global random data eviction); evict a random
-// priority-0 ball (global random tag eviction; Fig 5c). On a spill the
-// removed priority-0 ball stands in for the tag eviction.
-func (m *Model) writebackTagMiss() {
-	m.installs++
-	b, ok := m.chooseLoadAware()
-	m.total[b]++ // priority-1 arrives
-	down := m.randomP1()
-	m.p0[down]++ // P1 -> P0 in place (data entry freed)
-	if !ok {
-		m.spillFrom(b)
-		return
-	}
-	e := m.randomP0()
-	m.p0[e]--
-	m.total[e]--
-}
-
-// mirageThrow: one ball in (load-aware), one global random ball out. On a
-// spill the set-associative victim stands in for the global eviction.
-func (m *Model) mirageThrow() {
-	m.installs++
-	b, ok := m.chooseLoadAware()
-	m.total[b]++
-	if !ok {
-		m.spills++
-		if m.spills == 1 {
-			m.firstSpill = m.iters
-		}
-		m.total[b]--
-		return
-	}
-	e := m.randomAny()
-	m.total[e]--
-}
+func (m *Model) Step() { m.run(1, false) }
 
 // Run executes n iterations.
-func (m *Model) Run(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		m.Step()
-	}
-}
+func (m *Model) Run(n uint64) { m.run(n, false) }
 
 // RunUntilSpill runs until the next spill or maxIters, returning the
 // iterations executed and whether a spill occurred.
 func (m *Model) RunUntilSpill(maxIters uint64) (uint64, bool) {
-	start := m.iters
-	startSpills := m.spills
-	for m.iters-start < maxIters {
-		m.Step()
-		if m.spills != startSpills {
-			return m.iters - start, true
+	spills := m.spills
+	n := m.run(maxIters, true)
+	return n, m.spills != spills
+}
+
+// run is the model's one iteration kernel, behind Step, Run and
+// RunUntilSpill. It executes up to n iterations and returns how many ran,
+// stopping after an iteration that spills when untilSpill is set.
+//
+// The generator lives in a local for the whole call and is written back
+// before returning, and every draw goes through a bound precomputed in
+// New, so a draw compiles to an inlined xoshiro step, a multiply and a
+// compare (ci.sh checks that both calls inline). A Maya iteration makes
+// about 47 of them.
+func (m *Model) run(n uint64, untilSpill bool) uint64 {
+	g := m.r
+	total, p0 := m.total, m.p0
+	per, skews, capacity := m.cfg.BucketsPerSkew, m.cfg.Skews, uint8(m.cfg.Capacity)
+	skewB, allB, capB := m.skewB, m.allB, m.capB
+
+	// draw returns a uniform value in the bound's range, taking exactly
+	// the draws Intn would.
+	draw := func(b rng.Bound) int {
+		for {
+			var x uint64
+			x, g = g.Next()
+			if v, ok := b.Map(x); ok {
+				return int(v)
+			}
 		}
 	}
-	return m.iters - start, false
+	// randomP0, randomP1 and randomAny pick a bucket uniformly over its
+	// priority-0, priority-1 or all balls, by rejection: a bucket holding
+	// k of them is kept with probability k/(Capacity+1).
+	randomP0 := func() int {
+		for {
+			b := draw(allB)
+			if int(p0[b]) > draw(capB) {
+				return b
+			}
+		}
+	}
+	randomP1 := func() int {
+		for {
+			b := draw(allB)
+			if int(total[b]-p0[b]) > draw(capB) {
+				return b
+			}
+		}
+	}
+	randomAny := func() int {
+		for {
+			b := draw(allB)
+			if int(total[b]) > draw(capB) {
+				return b
+			}
+		}
+	}
+	// throw picks one bucket per skew and returns the less loaded one
+	// (ties broken uniformly), and whether it has room.
+	throw := func() (int, bool) {
+		m.installs++
+		best := draw(skewB)
+		tie := 1
+		for s := 1; s < skews; s++ {
+			b := s*per + draw(skewB)
+			switch {
+			case total[b] < total[best]:
+				best, tie = b, 1
+			case total[b] == total[best]:
+				tie++
+				if draw(m.tie[tie]) == 0 {
+					best = b
+				}
+			}
+		}
+		return best, total[best] < capacity
+	}
+	// spill handles a throw into a full pair: a ball leaves the target
+	// bucket again, standing in for the eviction the throw would have
+	// caused. It is a priority-0 ball when the bucket holds any, per the
+	// Maya design. When it is a priority-1 ball instead (vanishingly rare
+	// at paper scale), a random priority-0 ball elsewhere is upgraded so
+	// the class populations stay at their steady-state values, mirroring
+	// the freed data entry being reassigned. Mirage and the threshold
+	// design have no priority-0 balls.
+	spill := func(b int) {
+		m.spills++
+		if m.spills == 1 {
+			m.firstSpill = m.iters
+		}
+		total[b]--
+		switch {
+		case p0[b] > 0:
+			p0[b]--
+		case m.cfg.Mode == ModeMaya:
+			p0[randomP0()]--
+		}
+	}
+
+	spills := m.spills
+	var i uint64
+	for i < n {
+		i++
+		m.iters++
+		switch m.cfg.Mode {
+		case ModeMaya:
+			// Demand tag miss (Fig 5a): a priority-0 ball arrives
+			// load-aware, and global random tag eviction removes one. On
+			// a spill the removed ball already restored the population,
+			// as in the cache, where the priority-0 pool is back at its
+			// cap.
+			b, ok := throw()
+			p0[b]++
+			total[b]++
+			if ok {
+				e := randomP0()
+				p0[e]--
+				total[e]--
+			} else {
+				spill(b)
+			}
+			// Tag hit on a priority-0 ball (Fig 5b): it is upgraded, and
+			// global random data eviction downgrades a priority-1 ball.
+			// Bucket totals are unchanged.
+			p0[randomP0()]--
+			p0[randomP1()]++
+			// Writeback tag miss (Fig 5c): a priority-1 ball arrives
+			// load-aware, data eviction downgrades a random priority-1
+			// ball in place, and tag eviction removes a random
+			// priority-0 ball; on a spill the removed ball stands in for
+			// the tag eviction.
+			b, ok = throw()
+			total[b]++
+			p0[randomP1()]++
+			if ok {
+				e := randomP0()
+				p0[e]--
+				total[e]--
+			} else {
+				spill(b)
+			}
+		case ModeMirage, ModeThreshold:
+			// One ball in (load-aware), one global random ball out. On a
+			// spill the set-associative victim stands in for the global
+			// eviction.
+			b, ok := throw()
+			total[b]++
+			if ok {
+				total[randomAny()]--
+			} else {
+				spill(b)
+			}
+		}
+		if invariant.Enabled && invariant.Every(m.iters, conservationPeriod) {
+			invariant.CheckErr(m.Conservation())
+		}
+		if untilSpill && m.spills != spills {
+			break
+		}
+	}
+	m.r = g
+	return i
 }
 
 // SampleHistogram accumulates the current occupancy distribution into the

@@ -38,7 +38,9 @@ type ShardedRun struct {
 	// Samples, when positive, splits each shard's budget into Samples
 	// equal chunks and samples the occupancy histogram after each (the
 	// Fig 7 cadence; each shard then executes floor(budget/Samples)*
-	// Samples iterations, exactly like the serial driver did).
+	// Samples iterations, exactly like the serial driver did). It may not
+	// exceed the smallest shard's budget, floor(Iters/Shards): a shard
+	// cannot sample after a chunk of zero iterations.
 	Samples int
 	// UntilSpill stops each shard at its first spill instead of running
 	// its full budget (the Section VI first-spill measurement).
@@ -135,6 +137,10 @@ func RunShardedMulti(ctx context.Context, workers int, runs ...ShardedRun) ([]*S
 		plan, err := mc.Plan(mc.Spec{Seed: run.Config.Seed, Iters: run.Iters, Shards: run.Shards})
 		if err != nil {
 			return nil, fmt.Errorf("run %d: %w", ri, err)
+		}
+		// The last shard has the smallest budget.
+		if least := plan[len(plan)-1].Iters; uint64(run.Samples) > least {
+			return nil, mc.BadSpecf("run %d: %d samples exceed the smallest shard's budget of %d iterations", ri, run.Samples, least)
 		}
 		for _, s := range plan {
 			flat = append(flat, item{run: ri, shard: s})
@@ -239,9 +245,6 @@ func runShard(ctx context.Context, cfg Config, budget uint64, samples int, until
 		}
 	case samples > 0:
 		chunk := budget / uint64(samples)
-		if chunk == 0 {
-			chunk = 1
-		}
 		for i := 0; i < samples; i++ {
 			if err := runChunk(chunk); err != nil {
 				return shardOutcome{}, err

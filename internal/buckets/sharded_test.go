@@ -257,6 +257,10 @@ func TestShardedRejectsBadSpec(t *testing.T) {
 		{Config: smallMaya(1), Iters: 4, Shards: 8},
 		{Config: smallMaya(1), Iters: 100, Shards: 1, Samples: -1},
 		{Config: smallMaya(1), Iters: 100, Shards: 1, Samples: 2, UntilSpill: true},
+		// Fewer iterations per shard than histogram samples: the smallest
+		// shard's chunk would be zero.
+		{Config: smallMaya(1), Iters: 100, Shards: 2, Samples: 200},
+		{Config: smallMaya(1), Iters: 399, Shards: 2, Samples: 200},
 	}
 	for i, c := range cases {
 		if _, err := RunSharded(context.Background(), c); err == nil {

@@ -37,8 +37,13 @@ func Mix64(x uint64) uint64 {
 
 // Rand is a xoshiro256** generator. The zero value is invalid; construct
 // with New.
+//
+// The four state words are named fields rather than an array: that keeps
+// Next and Uint64 under the compiler's inlining budget, and a struct of
+// four scalars, unlike an array, is one the compiler can hold in
+// registers. State orders them s0..s3.
 type Rand struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // New returns a generator seeded from the given seed via splitmix64.
@@ -52,13 +57,14 @@ func New(seed uint64) *Rand {
 // Seed resets the generator state from seed.
 func (r *Rand) Seed(seed uint64) {
 	sm := seed
-	for i := range r.s {
-		r.s[i] = SplitMix64(&sm)
-	}
+	r.s0 = SplitMix64(&sm)
+	r.s1 = SplitMix64(&sm)
+	r.s2 = SplitMix64(&sm)
+	r.s3 = SplitMix64(&sm)
 	// xoshiro must not be seeded with all zeros; splitmix64 of any seed
 	// cannot produce four zero words, but guard anyway.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if r.s0|r.s1|r.s2|r.s3 == 0 {
+		r.s0 = 0x9e3779b97f4a7c15
 	}
 }
 
@@ -70,7 +76,7 @@ type State [4]uint64
 // Save returns a copy of the generator's current state. A generator
 // restored from the returned State produces exactly the same stream of
 // draws as the original from this point on.
-func (r *Rand) Save() State { return State(r.s) }
+func (r *Rand) Save() State { return State{r.s0, r.s1, r.s2, r.s3} }
 
 // Restore overwrites the generator state with a previously saved State.
 // The all-zero state is the one fixed point xoshiro256** can never leave,
@@ -79,22 +85,33 @@ func (r *Rand) Restore(st State) error {
 	if st[0]|st[1]|st[2]|st[3] == 0 {
 		return errors.New("rng: refusing to restore all-zero state")
 	}
-	r.s = st
+	r.s0, r.s1, r.s2, r.s3 = st[0], st[1], st[2], st[3]
 	return nil
 }
 
-// Uint64 returns the next 64 bits of the stream.
-func (r *Rand) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+// Uint64 returns the next 64 bits of the stream. It must stay inlinable
+// (ci.sh checks), as must Next.
+func (r *Rand) Uint64() (x uint64) {
+	x, *r = r.Next()
+	return x
+}
+
+// Next returns the next 64 bits of the stream and the generator advanced
+// past them, leaving r itself unchanged: it is the one xoshiro256** step,
+// which Uint64 applies in place. A hot loop that keeps its generator in a
+// local draws with x, g = g.Next(), so g's address is never taken and
+// the compiler can hold the four state words in registers for the whole
+// loop.
+func (r Rand) Next() (uint64, Rand) {
+	result := bits.RotateLeft64(r.s1*5, 7) * 9
+	t := r.s1 << 17
+	r.s2 ^= r.s0
+	r.s3 ^= r.s1
+	r.s1 ^= r.s2
+	r.s0 ^= r.s3
+	r.s2 ^= t
+	r.s3 = bits.RotateLeft64(r.s3, 45)
+	return result, r
 }
 
 // Uint32 returns the next 32 bits of the stream.
@@ -114,16 +131,53 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n called with n == 0")
 	}
-	// Lemire rejection sampling.
+	// Lemire rejection sampling. A draw can only be rejected when lo < n
+	// (the threshold is 2^64 mod n < n), so the division that computes
+	// the threshold runs only then.
 	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
+		b := NewBound(n)
+		for !b.accepts(lo) {
 			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
 }
+
+// Bound is a precomputed Lemire bound: it draws uniformly from [0, n)
+// exactly as Uint64n(n) does, returning the same values from the same
+// draws, without Uint64n's per-call checks or division. Loops that draw
+// from a fixed range many times build it once:
+//
+//	for {
+//		if v, ok := b.Map(r.Uint64()); ok {
+//			return v
+//		}
+//	}
+type Bound struct {
+	n      uint64
+	thresh uint64 // 2^64 mod n: low words below it are rejected
+}
+
+// NewBound precomputes the bound for [0, n). It panics if n == 0.
+func NewBound(n uint64) Bound {
+	if n == 0 {
+		panic("rng: NewBound called with n == 0")
+	}
+	return Bound{n: n, thresh: -n % n}
+}
+
+// Map maps the 64-bit draw x onto [0, n) and reports whether Lemire's
+// method accepts it; on false the caller draws again. It must stay
+// inlinable (ci.sh checks).
+func (b Bound) Map(x uint64) (uint64, bool) {
+	hi, lo := bits.Mul64(x, b.n)
+	return hi, b.accepts(lo)
+}
+
+// accepts is Lemire's acceptance rule, shared by Uint64n and Map: the
+// low word of x*n must be at least 2^64 mod n.
+func (b Bound) accepts(lo uint64) bool { return lo >= b.thresh }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
@@ -183,9 +237,11 @@ func (r *Rand) Geometric(p float64) int {
 func logFloat(x float64) float64 { return mathLog(x) }
 
 // Zipf samples from a bounded Zipf distribution over [0, n) with exponent
-// s using rejection-inversion (Hormann & Derflinger). For the simulator's
-// purposes a simple cached-CDF sampler is used for small n and
-// rejection-free inversion over the harmonic approximation for large n.
+// s. Every n uses the same method: one uniform draw inverted through the
+// continuous envelope (the integral of x^-s over [0.5, n+0.5]), then
+// truncated and clamped to n-1. That approximates the discrete law closely
+// enough for the workload model, which needs rank-frequency skew, not
+// exact Zipf probabilities.
 type Zipf struct {
 	r    *Rand
 	n    uint64
