@@ -1,6 +1,9 @@
 # Maya cache reproduction — build/verify targets.
 #
-# `make ci` is the tier-1 gate: everything a PR must keep green.
+# `make ci` is the tier-1 gate: everything a PR must keep green. The lint,
+# bench-module, check and race targets run ci.sh's steps of the same
+# names, so their package lists live in ci.sh only (those steps call `go`
+# from PATH, not $(GO)).
 
 GO ?= go
 
@@ -29,17 +32,13 @@ vet:
 # module, and on any `// Deprecated:` doc comment: an operation has one
 # entrypoint, so a replaced API is deleted, not kept beside its successor.
 lint:
-	@unformatted=$$(gofmt -l . | grep -v '^internal/vet/testdata/' || true); \
-	if [ -n "$$unformatted" ]; then \
-	  echo "lint: gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
-	@if grep -rn --include='*.go' '^[[:space:]]*// Deprecated:' . >&2; then \
-	  echo "lint: delete the deprecated API instead of keeping it" >&2; exit 1; fi
+	sh ./ci.sh lint
 
 # bench-module vets and tests the benchmark's nested module, which the
 # root `go test ./...` skips, so an API it compiles against cannot be
 # removed unnoticed.
 bench-module:
-	cd internal/bench/workload && $(GO) vet ./... && $(GO) test ./...
+	sh ./ci.sh bench-module
 
 # check re-runs the suite with the mayacheck build tag: the hot cache
 # structures self-verify their FPTR/RPTR bijection, occupancy conservation,
@@ -47,25 +46,19 @@ bench-module:
 # every memo hit, and the fault-injection tests prove the audits fire on
 # corrupted tag stores.
 check:
-	$(GO) test -tags mayacheck ./internal/core/... ./internal/mirage/... ./internal/buckets/... ./internal/cachesim/... ./internal/faults/... ./internal/ceaser/... ./internal/baseline/... ./internal/probe/... ./internal/cachemodel/...
-	$(GO) test -tags mayacheck ./internal/bench -run 'TestGolden|TestMemoEquivalenceProperty'
+	sh ./ci.sh check
 
 # race runs the race detector over the multi-core simulator paths, the
 # concurrent sweep harness, and the shard-parallel Monte-Carlo engine
 # (scheduling-invariance and mid-run cancellation hammers; -short keeps
 # the sharded model/attack tests at CI scale).
 race:
-	$(GO) test -race ./internal/cachesim/... ./internal/core/... ./internal/experiments/... ./internal/harness/... ./internal/faults/... ./internal/snapshot/...
-	$(GO) test -race ./internal/dist/
-	$(GO) test -race -cover ./internal/serve/
-	$(GO) test -race ./internal/vet/ ./cmd/mayavet/
-	$(GO) test -race -short ./internal/mc/... ./internal/pprofutil/...
-	$(GO) test -race -short -run 'Sharded' ./internal/buckets/
-	$(GO) test -race -short -run 'Trials|MedianDistinguishWorker|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
+	sh ./ci.sh race-sim race-dist race-serve race-vet race-mc
 
 # e2e exercises the CLIs end to end through e2e.sh, the same script
-# ci.sh runs: mayasim fault isolation, checkpoint resume and
-# SIGKILL-mid-ROI snapshot resume (byte-identical tables), securitysim
+# ci.sh runs: mayasim fault isolation, checkpoint resume, a checkpoint
+# shared across experiments and SIGKILL-mid-ROI snapshot resume
+# (byte-identical tables), securitysim
 # shard invariance and flag validation, attacksim worker invariance and
 # flag validation, the mayafleet chaos fabric, retry exhaustion and flag
 # misuse, and the mayaserve session daemon's kill -9 recovery

@@ -17,9 +17,11 @@ import (
 	"mayacache/internal/baseline"
 	"mayacache/internal/buckets"
 	"mayacache/internal/cachemodel"
+	"mayacache/internal/cachesim"
 	maya "mayacache/internal/core"
 	"mayacache/internal/experiments"
 	"mayacache/internal/harness"
+	"mayacache/internal/metrics"
 	"mayacache/internal/power"
 	"mayacache/internal/trace"
 )
@@ -53,14 +55,45 @@ func sweep[T any](b *testing.B, run func(context.Context, *harness.Runner, exper
 	return rows
 }
 
-// mix simulates one (mix, design) pair at benchScale.
-func mix(b *testing.B, name string, benches []string, d experiments.Design) experiments.MixResult {
+// aloneIPC holds each benchmark's IPC alone on a one-core baseline, the
+// denominator of every weighted speedup involving it, by simulation key.
+var aloneIPC = map[string]float64{}
+
+// run simulates s at benchScale.
+func run(b *testing.B, s experiments.Sim) cachesim.Results {
 	b.Helper()
-	res, err := experiments.RunMixDesignCtx(context.Background(), name, benches, d, benchScale())
+	res, err := s.Run(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
 	return res
+}
+
+// mixResult is one simulation's weighted speedup and LLC MPKI.
+type mixResult struct{ WS, MPKI float64 }
+
+// mix simulates benches on design d at benchScale, with Maya's reuse ways
+// per skew set to reuseWays (0: the default).
+func mix(b *testing.B, benches []string, d experiments.Design, reuseWays int) mixResult {
+	b.Helper()
+	sc := benchScale()
+	res := run(b, experiments.Sim{Design: d, ReuseWays: reuseWays, Benches: benches, Scale: sc})
+	ipcs := make([]float64, len(res.Cores))
+	alone := make([]float64, len(res.Cores))
+	for i, c := range res.Cores {
+		solo := experiments.Sim{Design: experiments.DesignBaseline, Benches: benches[i : i+1], Scale: sc}
+		ipc, ok := aloneIPC[solo.Key()]
+		if !ok {
+			ipc = run(b, solo).Cores[0].IPC
+			aloneIPC[solo.Key()] = ipc
+		}
+		ipcs[i], alone[i] = c.IPC, ipc
+	}
+	ws, err := metrics.WeightedSpeedup(ipcs, alone)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return mixResult{WS: ws, MPKI: res.MPKI()}
 }
 
 // benchSubset is a representative slice of the benchmark registry: one
@@ -81,24 +114,14 @@ func Benchmark_Fig1_DeadBlocks(b *testing.B) {
 }
 
 func Benchmark_Fig4_ReuseWaySweep(b *testing.B) {
-	sc := benchScale()
 	for i := 0; i < b.N; i++ {
 		// Reduced sweep: reuse ways {1, 3} on the subset.
 		for _, ways := range []int{1, 3} {
 			var sum, n float64
 			for _, bench := range benchSubset[:3] {
 				benches := homog(bench, 8)
-				base := mix(b, bench, benches, experiments.DesignBaseline)
-				llc, err := experiments.NewLLCChecked(experiments.DesignMaya, experiments.LLCOptions{
-					Cores: 8, Seed: sc.Seed, FastHash: true, ReuseWays: ways,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := experiments.RunMixLLCCtx(context.Background(), bench, benches, experiments.DesignMaya, llc, sc)
-				if err != nil {
-					b.Fatal(err)
-				}
+				base := mix(b, benches, experiments.DesignBaseline, 0)
+				res := mix(b, benches, experiments.DesignMaya, ways)
 				sum += res.WS / base.WS
 				n++
 			}
@@ -195,9 +218,9 @@ func Benchmark_Fig9_Homogeneous(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, bench := range benchSubset {
 			benches := homog(bench, 8)
-			base := mix(b, bench, benches, experiments.DesignBaseline)
-			mir := mix(b, bench, benches, experiments.DesignMirage)
-			may := mix(b, bench, benches, experiments.DesignMaya)
+			base := mix(b, benches, experiments.DesignBaseline, 0)
+			mir := mix(b, benches, experiments.DesignMirage, 0)
+			may := mix(b, benches, experiments.DesignMaya, 0)
 			if i == 0 {
 				b.Logf("Fig 9: %-10s Mirage %.3f Maya %.3f (baseline MPKI %.1f)",
 					bench, mir.WS/base.WS, may.WS/base.WS, base.MPKI)
@@ -210,9 +233,9 @@ func Benchmark_Fig10_Heterogeneous(b *testing.B) {
 	mixes := trace.HeteroMixes()[:4] // M1-M4 at bench scale
 	for i := 0; i < b.N; i++ {
 		for _, m := range mixes {
-			base := mix(b, m.Name, m.Benchmarks, experiments.DesignBaseline)
-			mir := mix(b, m.Name, m.Benchmarks, experiments.DesignMirage)
-			may := mix(b, m.Name, m.Benchmarks, experiments.DesignMaya)
+			base := mix(b, m.Benchmarks, experiments.DesignBaseline, 0)
+			mir := mix(b, m.Benchmarks, experiments.DesignMirage, 0)
+			may := mix(b, m.Benchmarks, experiments.DesignMaya, 0)
 			if i == 0 {
 				b.Logf("Fig 10: %-4s (%s) Mirage %.3f Maya %.3f",
 					m.Name, m.Bin, mir.WS/base.WS, may.WS/base.WS)
@@ -262,9 +285,9 @@ func Benchmark_Table7_MPKI(b *testing.B) {
 		var base, mir, may float64
 		for _, bench := range benchSubset {
 			benches := homog(bench, 8)
-			base += mix(b, bench, benches, experiments.DesignBaseline).MPKI
-			mir += mix(b, bench, benches, experiments.DesignMirage).MPKI
-			may += mix(b, bench, benches, experiments.DesignMaya).MPKI
+			base += mix(b, benches, experiments.DesignBaseline, 0).MPKI
+			mir += mix(b, benches, experiments.DesignMirage, 0).MPKI
+			may += mix(b, benches, experiments.DesignMaya, 0).MPKI
 		}
 		n := float64(len(benchSubset))
 		b.ReportMetric(base/n, "mpki-base")

@@ -12,32 +12,43 @@
 // Experiments: fig1, fig4, fig9, fig10, table7, table11, fitting, cores,
 // llcsize, all.
 //
-// Every experiment is a sweep of independent cells executed through the
-// resilient harness: a panicking or failing cell is reported in the final
-// failure summary (and its table row reads FAILED) while sibling cells
-// complete. With -checkpoint, completed cells are appended to the named
-// file and an interrupted run (Ctrl-C, kill, timeout) can be rerun with
-// the same flags to resume, recomputing only the missing cells; resumed
+// Every experiment is the list of simulations it needs plus a pure
+// aggregation over their results. A simulation (an LLC, a workload mix
+// and a scale) is one cell of the resilient harness, and all experiments
+// share one runner, so a simulation two figures need (Fig 9's Maya mixes
+// are Fig 4's at three reuse ways, its baselines feed Table XI, Fig 1's
+// single-core baselines are every weighted speedup's alone runs) is
+// simulated once per invocation. A panicking or failing simulation is
+// reported in the final failure summary (and the table rows it feeds
+// read FAILED) while sibling simulations complete. With -checkpoint,
+// completed simulations are appended to the named file and an
+// interrupted run (Ctrl-C, kill, timeout) can be rerun with the same
+// flags to resume, recomputing only the missing simulations; resumed
 // runs render byte-identical tables to uninterrupted ones. -timeout
-// bounds each cell, not the whole run.
+// bounds each simulation, not the whole run, and -retries counts per
+// simulation.
 //
-// With -snapshot-dir, resume becomes intra-cell: each in-flight cell
-// keeps a durable, CRC-checked state file under the directory, refreshed
-// every -snapshot-every simulator steps, and the first SIGINT/SIGTERM
-// makes running cells save their exact simulator state and stop instead
-// of discarding progress; the run is cancelled outright only after the
-// -grace window elapses or a second, impatient signal arrives. A rerun
-// with the same flags restores each saved cell mid-simulation and
-// produces bit-identical results to an uninterrupted run. Snapshots are
-// bound to their configuration: a rerun with a different seed, scale, or
-// geometry rejects the stale state and exits 2 naming the mismatched
-// field.
+// With -snapshot-dir, resume becomes intra-simulation: each in-flight
+// simulation keeps a durable, CRC-checked state file under the
+// directory, refreshed every -snapshot-every simulator steps, and the
+// first SIGINT/SIGTERM makes running simulations save their exact
+// simulator state and stop instead of discarding progress; the run is
+// cancelled outright only after the -grace window elapses or a second,
+// impatient signal arrives. A rerun with the same flags restores each
+// saved simulation mid-run and produces bit-identical results to an
+// uninterrupted run. Without -checkpoint only those in-flight
+// simulations resume: the completed ones were held in memory and are
+// recomputed. Snapshots are bound to their configuration: a rerun with a
+// different seed, scale, or geometry rejects the stale state and exits 2
+// naming the mismatched field.
 //
 // -fault injects one deterministic fault for drills (see faults.Parse):
-// panic:S, error:S, and transient:S:K fail the cells whose key contains
-// S before they run, slowtenant:F:D stalls cells whose key has the
-// field F by D, and — with -snapshot-dir — snapfail:S:N fails a
-// matching cell's N-th state save and killsnap:S:N (or distkill:S:N)
+// panic:S, error:S, and transient:S:K fail the simulations whose key
+// contains S before they run (keys read
+// "design=Maya|bench=mcf|cores=8|...", so S may name a design=, bench=
+// or cores= field), slowtenant:F:D stalls simulations whose key has the
+// field F by D, and — with -snapshot-dir — snapfail:S:N fails a matching
+// simulation's N-th state save and killsnap:S:N (or distkill:S:N)
 // SIGKILLs the process at it. The fleet's RPC faults (distdrop,
 // distdelay) have no site here and exit 2.
 //
@@ -85,11 +96,11 @@ func run() int {
 		seed       = flag.Uint64("seed", 1, "experiment seed")
 		csv        = flag.Bool("csv", false, "emit CSV instead of tables")
 		workers    = flag.Int("workers", 0, "worker-pool width (0 = all CPUs but one; implies parallel)")
-		timeout    = flag.Duration("timeout", 0, "per-cell timeout (0 disables)")
-		retries    = flag.Int("retries", 0, "retries for cells failing with transient errors")
-		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint file: completed cells are appended and restored on rerun")
-		fault      = flag.String("fault", "", "inject a fault into matching cells: panic:<substr> | error:<substr> | transient:<substr>:<k> | slowtenant:<field>:<dur> | snapfail:<substr>:<n> | killsnap:<substr>:<n>")
-		snapDir    = flag.String("snapshot-dir", "", "directory for durable mid-cell simulator state; enables intra-cell resume and snapshot-on-signal")
+		timeout    = flag.Duration("timeout", 0, "per-simulation timeout (0 disables)")
+		retries    = flag.Int("retries", 0, "retries for simulations failing with transient errors")
+		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint file: completed simulations are appended and restored on rerun")
+		fault      = flag.String("fault", "", "inject a fault into matching simulations: panic:<substr> | error:<substr> | transient:<substr>:<k> | slowtenant:<field>:<dur> | snapfail:<substr>:<n> | killsnap:<substr>:<n>")
+		snapDir    = flag.String("snapshot-dir", "", "directory for durable mid-run simulator state; enables intra-simulation resume and snapshot-on-signal")
 		snapEvery  = flag.Uint64("snapshot-every", 0, "periodic auto-snapshot cadence in simulator steps (requires -snapshot-dir; 0 saves only on signal)")
 		grace      = flag.Duration("grace", 30*time.Second, "how long the first signal waits for cell snapshots to save before cancelling (0 cancels immediately)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -157,7 +168,10 @@ func run() int {
 		}
 	}
 
-	var cp *harness.Checkpoint
+	// Every figure runs its simulations on one runner, and the runner's
+	// checkpoint serves a simulation any earlier figure already ran; an
+	// in-memory one when no -checkpoint file persists them.
+	cp := harness.NewMemCheckpoint()
 	if *checkpoint != "" {
 		cp, err = harness.OpenCheckpoint(*checkpoint)
 		if err != nil {
@@ -200,11 +214,6 @@ func run() int {
 		fmt.Fprintln(out)
 	}
 
-	var fig9Rows []experiments.Fig9Row
-	var fig9OK []bool
-	var fig10Rows []experiments.Fig10Row
-	var fig10OK []bool
-
 	runFig1 := func() {
 		rows, ok, _ := experiments.Fig1Sweep(ctx, runner, sc)
 		t := report.NewTable("Fig 1: % dead blocks inserted into a 2MB single-core LLC",
@@ -239,42 +248,38 @@ func run() int {
 		}
 		emit(t, incomplete)
 	}
-	runFig9Sweep := func() {
-		if fig9Rows == nil {
-			fig9Rows, fig9OK, _ = experiments.Fig9Sweep(ctx, runner, sc)
-			experiments.SortFig9(fig9Rows, fig9OK)
-		}
+	// fig9 returns Fig 9's rows in the paper's axis order; Table VII
+	// averages them in that order too.
+	fig9 := func() ([]experiments.Fig9Row, []bool) {
+		rows, ok, _ := experiments.Fig9Sweep(ctx, runner, sc)
+		experiments.SortFig9(rows, ok)
+		return rows, ok
 	}
 	runFig9 := func() {
-		runFig9Sweep()
+		rows, ok := fig9()
 		t := report.NewTable("Fig 9: 8-core homogeneous mixes (weighted speedup normalized to baseline)",
 			"benchmark", "suite", "Mirage", "Maya", "base MPKI", "mirage MPKI", "maya MPKI")
 		incomplete := 0
-		for i, r := range fig9Rows {
-			if fig9OK[i] {
+		for i, r := range rows {
+			if ok[i] {
 				t.AddRow(r.Bench, r.Suite, r.NormMirage, r.NormMaya, r.MPKIBase, r.MPKIMirage, r.MPKIMaya)
 			} else {
 				t.AddRow(r.Bench, r.Suite, "FAILED", "FAILED", "", "", "")
 				incomplete++
 			}
 		}
-		for _, s := range experiments.SummarizeFig9(maskRows(fig9Rows, fig9OK)) {
+		for _, s := range experiments.SummarizeFig9(maskRows(rows, ok)) {
 			t.AddRow("GMEAN-"+s.Suite, "", s.NormMirage, s.NormMaya, "", "", "")
 		}
 		emit(t, incomplete)
 	}
-	runFig10Sweep := func() {
-		if fig10Rows == nil {
-			fig10Rows, fig10OK, _ = experiments.Fig10Sweep(ctx, runner, sc)
-		}
-	}
 	runFig10 := func() {
-		runFig10Sweep()
+		rows, ok, _ := experiments.Fig10Sweep(ctx, runner, sc)
 		t := report.NewTable("Fig 10: 8-core heterogeneous mixes (weighted speedup normalized to baseline)",
 			"mix", "bin", "Mirage", "Maya")
 		incomplete := 0
-		for i, r := range fig10Rows {
-			if fig10OK[i] {
+		for i, r := range rows {
+			if ok[i] {
 				t.AddRow(r.Mix, string(r.Bin), r.NormMirage, r.NormMaya)
 			} else {
 				t.AddRow(r.Mix, string(r.Bin), "FAILED", "FAILED")
@@ -284,8 +289,10 @@ func run() int {
 		emit(t, incomplete)
 	}
 	runTable7 := func() {
-		runFig9Sweep()
-		runFig10Sweep()
+		// Re-reads Fig 9 and 10: their simulations come back from the
+		// checkpoint when those figures already ran.
+		fig9Rows, fig9OK := fig9()
+		fig10Rows, fig10OK, _ := experiments.Fig10Sweep(ctx, runner, sc)
 		t := report.NewTable("Table VII: average LLC MPKI", "workloads", "Baseline", "Mirage", "Maya")
 		for _, r := range experiments.Table7(maskRows(fig9Rows, fig9OK), maskRows(fig10Rows, fig10OK)) {
 			t.AddRow(r.Class, r.Baseline, r.Mirage, r.Maya)

@@ -16,10 +16,9 @@ import (
 
 	"mayacache/internal/analytic"
 	"mayacache/internal/experiments"
-	"mayacache/internal/metrics"
+	"mayacache/internal/harness"
 	"mayacache/internal/power"
 	"mayacache/internal/report"
-	"mayacache/internal/trace"
 )
 
 func main() {
@@ -31,6 +30,10 @@ func main() {
 		csv    = flag.Bool("csv", false, "emit CSV")
 	)
 	flag.Parse()
+	if *perf && *roi == 0 {
+		fmt.Fprintln(os.Stderr, "overheads: -roi must be positive with -perf: weighted speedups divide by IPCs measured over the ROI")
+		os.Exit(2)
+	}
 
 	emit := func(t *report.Table) {
 		if *csv {
@@ -139,25 +142,24 @@ func summaryTable(emit func(*report.Table), perf bool, warmup, roi uint64) error
 	}
 	perfCol := map[power.Design]string{}
 	if perf {
-		ctx := context.Background()
+		// The designs share the baseline runs: one runner simulates each
+		// distinct simulation once.
+		r := harness.New(harness.Options{})
 		sc := experiments.Scale{WarmupInstr: warmup, ROIInstr: roi, Seed: 1}
-		benches := trace.SpecMemIntensive()
-		for _, d := range designs {
-			var norms []float64
-			for _, b := range benches {
-				mix := []string{b, b, b, b, b, b, b, b}
-				base, err := experiments.RunMixDesignCtx(ctx, b, mix, experiments.DesignBaseline, sc)
-				if err != nil {
-					return err
-				}
-				res, err := experiments.RunMixDesignCtx(ctx, b, mix, d.e, sc)
-				if err != nil {
-					return err
-				}
-				norms = append(norms, res.WS/base.WS)
-			}
-			gm, _ := metrics.GeoMean(norms)
-			perfCol[d.p] = fmt.Sprintf("%+.2f%%", (gm-1)*100)
+		es := make([]experiments.Design, len(designs))
+		for i, d := range designs {
+			es[i] = d.e
+		}
+		gms, _, err := experiments.Table10Sweep(context.Background(), r, sc, es)
+		if err != nil {
+			return err
+		}
+		if r.Failed() {
+			r.WriteFailureSummary(os.Stderr)
+			return fmt.Errorf("%d simulation(s) failed", len(r.Failures()))
+		}
+		for i, d := range designs {
+			perfCol[d.p] = fmt.Sprintf("%+.2f%%", (gms[i]-1)*100)
 		}
 	}
 	for _, d := range designs {

@@ -1,7 +1,8 @@
 // Command tracegen inspects the synthetic workload models: it prints
 // per-benchmark single-run diagnostics (IPC, MPKI, dead-block fraction,
 // DRAM behaviour) for any design, and can dump raw trace events. It is the
-// calibration companion to cmd/mayasim.
+// calibration companion to cmd/mayasim: each row is the homogeneous
+// simulation mayasim runs (experiments.RunGridCell), on the same system.
 package main
 
 import (
@@ -81,30 +82,12 @@ func pct(a, b uint64) float64 {
 	return float64(a) / float64(b) * 100
 }
 
-// diag simulates bench on every core of a shared LLC of design d. An
-// unknown or unbuildable design returns an error wrapping
-// cachemodel.ErrBadConfig before anything is simulated.
+// diag simulates bench on every core of a shared LLC of design d: the
+// grid cell mayasim's sweeps, the fleet and the session service run,
+// memory system included (one DRAM channel per four cores). An unknown or
+// unbuildable design, or a core count below one, returns an error
+// wrapping cachemodel.ErrBadConfig before anything is simulated.
 func diag(bench string, d experiments.Design, cores int, warmup, roi, seed uint64) (cachesim.Results, error) {
-	llc, err := experiments.NewLLCChecked(d, experiments.LLCOptions{Cores: cores, Seed: seed, FastHash: true})
-	if err != nil {
-		return cachesim.Results{}, err
-	}
-	p, err := trace.Lookup(bench)
-	if err != nil {
-		return cachesim.Results{}, err
-	}
-	gens := make([]trace.Generator, cores)
-	for i := range gens {
-		if gens[i], err = trace.NewGenerator(p, i, seed); err != nil {
-			return cachesim.Results{}, err
-		}
-	}
-	sys := cachesim.New(cachesim.Config{
-		Cores: cores,
-		Core:  cachesim.DefaultCoreParams(),
-		LLC:   llc,
-		DRAM:  cachesim.DefaultDRAMConfig(),
-		Seed:  seed,
-	}, gens)
-	return cachesim.Run(context.Background(), sys, cachesim.RunSpec{Warmup: warmup, ROI: roi})
+	return experiments.RunGridCell(context.Background(), d, bench, cores,
+		experiments.Scale{WarmupInstr: warmup, ROIInstr: roi, Seed: seed})
 }

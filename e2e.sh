@@ -1,6 +1,7 @@
 #!/bin/sh
 # e2e.sh — end-to-end smoke of the CLIs, run by ci.sh and `make e2e`:
-# mayasim fault isolation, checkpoint resume (byte-identical tables) and
+# mayasim fault isolation, checkpoint resume (byte-identical tables),
+# simulations shared across experiments through one checkpoint, and
 # SIGKILL-mid-ROI snapshot resume; shard-parallel securitysim byte
 # compatibility and flag validation; attacksim worker invariance and flag
 # validation; the mayafleet chaos fabric, retry exhaustion and flag
@@ -13,8 +14,8 @@ echo "==> e2e: fault isolation + checkpoint resume (mayasim)"
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 go build -o "$TMP/mayasim" ./cmd/mayasim
-# A sweep with one injected panicking cell must complete the other cells,
-# render the failed row, and exit nonzero.
+# A sweep whose cores=8 simulations (baseline and Maya) panic must
+# complete the others, render the failed row, and exit nonzero.
 if "$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -workers 1 \
     -checkpoint "$TMP/ck.jsonl" -fault panic:cores=8 \
     > "$TMP/fault.out" 2> "$TMP/fault.err"; then
@@ -23,18 +24,36 @@ fi
 grep -q FAILED "$TMP/fault.out"
 grep -q "FAILURE SUMMARY" "$TMP/fault.err"
 # Rerunning with the checkpoint (fault removed) must recompute only the
-# missing cell and render byte-identical tables to an uninterrupted run.
+# missing simulations and render byte-identical tables to an
+# uninterrupted run.
 "$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -workers 1 \
     -checkpoint "$TMP/ck.jsonl" > "$TMP/resume.out"
 "$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -workers 1 \
     > "$TMP/fresh.out"
 cmp "$TMP/resume.out" "$TMP/fresh.out"
 
+echo "==> e2e: simulations shared across experiments (mayasim)"
+# Table XI's baselines and alone runs are Fig 9's simulations. A checkpoint
+# written by fig9 must serve them to a later table11 run, which then adds
+# only its 45 partitioned runs to the 80 fig9 records, and must print the
+# same Table XI as a fresh run.
+"$TMP/mayasim" -experiment fig9 -warmup 20000 -roi 10000 \
+    -checkpoint "$TMP/share.ckpt" > /dev/null
+"$TMP/mayasim" -experiment table11 -warmup 20000 -roi 10000 \
+    -checkpoint "$TMP/share.ckpt" > "$TMP/share.out"
+"$TMP/mayasim" -experiment table11 -warmup 20000 -roi 10000 > "$TMP/share-fresh.out"
+cmp "$TMP/share.out" "$TMP/share-fresh.out"
+records=$(grep -c '"key"' "$TMP/share.ckpt")
+if [ "$records" -ne 125 ]; then
+  echo "ci: fig9 + table11 checkpoint holds $records simulations, want 125 (shared runs recomputed?)" >&2; exit 1
+fi
+
 echo "==> e2e: SIGKILL mid-ROI + snapshot resume (mayasim)"
 # The killsnap injector SIGKILLs the process after the 4th durable state
-# save of the cores=16 cell — mid-ROI, with no unwind or cleanup. The
-# rerun must restore the interrupted cell's exact simulator state from
-# its snapshot and render tables byte-identical to the uninterrupted run.
+# save of the first cores=16 simulation — mid-ROI, with no unwind or
+# cleanup. The rerun must restore the interrupted simulation's exact
+# state from its snapshot and render tables byte-identical to the
+# uninterrupted run.
 if "$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -workers 1 \
     -checkpoint "$TMP/kill.ckpt" -snapshot-dir "$TMP/snaps" -snapshot-every 4096 \
     -fault killsnap:cores=16:4 > "$TMP/kill.out" 2> "$TMP/kill.err"; then
@@ -44,7 +63,7 @@ test -n "$(ls "$TMP/snaps")"  # a mid-run cell snapshot is durable
 "$TMP/mayasim" -experiment cores -warmup 60000 -roi 30000 -workers 1 \
     -checkpoint "$TMP/kill.ckpt" -snapshot-dir "$TMP/snaps" > "$TMP/killresume.out"
 cmp "$TMP/killresume.out" "$TMP/fresh.out"
-test -z "$(ls "$TMP/snaps")"  # completed cells discard their snapshots
+test -z "$(ls "$TMP/snaps")"  # completed simulations discard their snapshots
 
 echo "==> e2e: shard-parallel securitysim (byte-compat + worker invariance + flag validation)"
 go build -o "$TMP/securitysim" ./cmd/securitysim

@@ -48,7 +48,7 @@ func TestProgressTrackingResume(t *testing.T) {
 	}
 	tr1 := mc.NewTracker(total, nil)
 	_, err = Run(mc.WithTracker(context.Background(), tr1), snapSystem(snapDesigns[0].mk()),
-		RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell, Sub: "mix"})
+		RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell})
 	if !errors.Is(err, snapshot.ErrStopped) {
 		t.Fatalf("interrupted run returned %v, want ErrStopped", err)
 	}
@@ -63,7 +63,7 @@ func TestProgressTrackingResume(t *testing.T) {
 	}
 	tr2 := mc.NewTracker(total, nil)
 	if _, err := Run(mc.WithTracker(context.Background(), tr2), snapSystem(snapDesigns[0].mk()),
-		RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell2, Sub: "mix"}); err != nil {
+		RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell2}); err != nil {
 		t.Fatal(err)
 	}
 	second := tr2.Done()

@@ -26,15 +26,12 @@ type RunSpec struct {
 	// which carries its own budgets.
 	Warmup, ROI uint64
 
-	// Cell, when non-nil, runs under the sweep-cell snapshot protocol: a
-	// previously recorded result for Sub is returned without simulating,
-	// an in-progress snapshot is restored and continued, and the run
-	// saves resumable snapshots on the cell's cadence and deadline
-	// trigger. A nil Cell (or a System whose design or workloads cannot
-	// serialize) runs plain.
+	// Cell, when non-nil, runs under the harness-cell snapshot protocol:
+	// the cell's in-progress snapshot, if any, is restored and continued,
+	// and the run saves resumable snapshots on the cell's cadence and
+	// deadline trigger. A nil Cell (or a System whose design or workloads
+	// cannot serialize) runs plain.
 	Cell *snapshot.Cell
-	// Sub is the sub-run key within Cell.
-	Sub string
 
 	// Parallelism selects the execution mode: <= 1 steps each core's
 	// private front inline on the caller's goroutine; > 1 runs each front
@@ -46,9 +43,9 @@ type RunSpec struct {
 
 // Run executes one simulation run described by spec:
 //
-//	Run(ctx, sys, RunSpec{Warmup: w, ROI: r})                     // fresh run
-//	sys.RestoreState(b); Run(ctx, sys, RunSpec{})                 // resume a snapshot
-//	Run(ctx, sys, RunSpec{Warmup: w, ROI: r, Cell: cell, Sub: s}) // sweep-cell protocol
+//	Run(ctx, sys, RunSpec{Warmup: w, ROI: r})             // fresh run
+//	sys.RestoreState(b); Run(ctx, sys, RunSpec{})         // resume a snapshot
+//	Run(ctx, sys, RunSpec{Warmup: w, ROI: r, Cell: cell}) // harness-cell protocol
 //
 // The drive loop polls ctx every cancelCheckPeriod steps and abandons the
 // simulation with ctx.Err() when it is cancelled, which is how the
@@ -69,36 +66,20 @@ func Run(ctx context.Context, sys *System, spec RunSpec) (Results, error) {
 		return sys.runWith(ctx, spec.Warmup, spec.ROI, spec.Parallelism)
 	}
 
-	var cached Results
-	if ok, err := spec.Cell.LookupResult(spec.Sub, &cached); err != nil {
-		return Results{}, err
-	} else if ok {
-		return cached, nil
-	}
 	sys.SetAutoSnapshot(&AutoSnapshot{
 		Every:   spec.Cell.Every(),
 		Trigger: spec.Cell.Trigger(),
-		Save:    func(state []byte) error { return spec.Cell.SaveSystem(spec.Sub, state) },
+		Save:    spec.Cell.SaveSystem,
 	})
-	var res Results
-	var err error
-	if st := spec.Cell.SystemState(spec.Sub); st != nil {
-		if rerr := sys.RestoreState(st); rerr != nil {
-			return Results{}, fmt.Errorf("resume %q: %w", spec.Sub, rerr)
+	if st := spec.Cell.SystemState(); st != nil {
+		if err := sys.RestoreState(st); err != nil {
+			return Results{}, fmt.Errorf("resume cell %q: %w", spec.Cell.Key(), err)
 		}
 		// Installed after the restore so the tracker baseline is the
 		// resumed state: only instructions retired here are reported.
 		sys.SetProgress(tracker)
-		res, err = sys.resumeWith(ctx, spec.Parallelism)
-	} else {
-		sys.SetProgress(tracker)
-		res, err = sys.runWith(ctx, spec.Warmup, spec.ROI, spec.Parallelism)
+		return sys.resumeWith(ctx, spec.Parallelism)
 	}
-	if err != nil {
-		return Results{}, err
-	}
-	if err := spec.Cell.RecordResult(spec.Sub, res); err != nil {
-		return Results{}, err
-	}
-	return res, nil
+	sys.SetProgress(tracker)
+	return sys.runWith(ctx, spec.Warmup, spec.ROI, spec.Parallelism)
 }

@@ -250,7 +250,9 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 // TestRunResumableCellProtocol drives the full cell lifecycle: fresh run
 // interrupted by a trigger fired from the OnSave hook, then a resumed run
 // in a "new process" (fresh cell, fresh system) completing to the
-// uninterrupted answer, then a third call served from the recorded result.
+// uninterrupted answer, then a third call on the same file — a process
+// that died after the run completed but before its value reached the
+// checkpoint — resuming the last durable state to the same answer.
 func TestRunResumableCellProtocol(t *testing.T) {
 	full, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
 	if err != nil {
@@ -270,7 +272,7 @@ func TestRunResumableCellProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell, Sub: "mix"})
+	_, err = Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell})
 	if !errors.Is(err, snapshot.ErrStopped) {
 		t.Fatalf("interrupted cell run returned %v, want ErrStopped", err)
 	}
@@ -279,10 +281,10 @@ func TestRunResumableCellProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell2.SystemState("mix") == nil {
+	if cell2.SystemState() == nil {
 		t.Fatal("reopened cell has no in-progress state")
 	}
-	res, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell2, Sub: "mix"})
+	res, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,18 +294,18 @@ func TestRunResumableCellProtocol(t *testing.T) {
 		t.Fatalf("resumed cell run differs:\n full   %s\n resumed %s", a, b)
 	}
 
-	// Completed sub-runs are served from the record without simulating:
-	// hand Run a system that would panic if driven.
+	// The cell file holds only in-progress state, so a completed run's
+	// leftover file resumes and recomputes the identical result.
 	cell3, err := snapshot.OpenCell(snapshot.CellSpec{Path: path}, "cell")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell3, Sub: "mix"})
+	again, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := json.Marshal(cached)
+	c, _ := json.Marshal(again)
 	if !bytes.Equal(a, c) {
-		t.Fatal("cached result differs from live result")
+		t.Fatal("re-resumed result differs from live result")
 	}
 }

@@ -28,10 +28,6 @@ const (
 	DesignMayaISO    Design = "Maya-ISO"
 )
 
-// setsPerCore is the per-core set count: a 2MB/core 16-way baseline slice
-// has 2MB / 64B / 16 = 2048 sets.
-const setsPerCore = 2048
-
 // LLCOptions parameterizes design construction.
 type LLCOptions struct {
 	// Cores scales capacity (2MB baseline-equivalent per core).
@@ -42,19 +38,11 @@ type LLCOptions struct {
 	// performance sweeps (see cachemodel.XorHasher); security and attack
 	// experiments leave it false to use PRINCE.
 	FastHash bool
-	// ReuseWays overrides Maya's reuse ways per skew (0 = default 3).
-	ReuseWays int
 }
 
 // buildOptions translates LLCOptions into the registry's BuildOptions.
 func (o LLCOptions) buildOptions() cachemodel.BuildOptions {
-	return cachemodel.BuildOptions{
-		Cores:       o.Cores,
-		SetsPerCore: setsPerCore,
-		Seed:        o.Seed,
-		FastHash:    o.FastHash,
-		ReuseWays:   o.ReuseWays,
-	}
+	return cachemodel.BuildOptions{Cores: o.Cores, Seed: o.Seed, FastHash: o.FastHash}
 }
 
 // NewLLCChecked constructs the named design scaled to opts.Cores through

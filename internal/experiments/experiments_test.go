@@ -47,39 +47,64 @@ func TestNewLLCGeometryScaling(t *testing.T) {
 }
 
 func TestMayaOptionOverrides(t *testing.T) {
-	g := mustBuild(t, DesignMaya, LLCOptions{Cores: 1, Seed: 1, FastHash: true, ReuseWays: 7}).Geometry()
-	if g.WaysPerSkew != 6+7+6 {
+	llc, err := fig4Maya(7, "mcf", tiny()).llc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := llc.Geometry(); g.WaysPerSkew != 6+7+6 {
 		t.Fatalf("ways per skew = %d, want 19", g.WaysPerSkew)
+	}
+	// The LLC-size sweep's half-size Maya halves the data store.
+	half, err := llcSizePairs(tiny(), []float64{0.5})[0][0].x.llc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := half.Geometry().DataEntries, mustBuild(t, DesignMaya, LLCOptions{Cores: 8, Seed: 1, FastHash: true}).Geometry().DataEntries/2; got != want {
+		t.Fatalf("0.5x Maya data entries = %d, want %d", got, want)
 	}
 }
 
 func TestRunMixDesignProducesWS(t *testing.T) {
-	res, err := RunMixDesignCtx(context.Background(), "m", []string{"xz", "xz"}, DesignBaseline, tiny())
+	mix := homSim(DesignBaseline, "xz", 2, tiny())
+	d, err := runSims(context.Background(), harness.New(harness.Options{Workers: 1}), []Sim{mix})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.WS <= 0 || res.WS > 2.1 {
-		t.Fatalf("weighted speedup %v out of range for 2 cores", res.WS)
+	ws, ok := d.ws(mix)
+	if !ok {
+		t.Fatal("weighted speedup missing after a completed run")
 	}
-	if res.MPKI < 0 {
+	if ws <= 0 || ws > 2.1 {
+		t.Fatalf("weighted speedup %v out of range for 2 cores", ws)
+	}
+	if d[mix.Key()].MPKI() < 0 {
 		t.Fatalf("negative MPKI")
 	}
 }
 
+// TestAloneIPCMemoized checks that a benchmark's alone run, which every
+// weighted speedup involving it reads, is simulated once per runner and
+// served from the checkpoint to every later sweep.
 func TestAloneIPCMemoized(t *testing.T) {
-	a, err := AloneIPCCtx(context.Background(), "xz", tiny())
+	r := harness.New(harness.Options{Workers: 1, Checkpoint: harness.NewMemCheckpoint()})
+	alone := aloneSim("xz", tiny())
+	a, err := runSims(context.Background(), r, []Sim{homSim(DesignBaseline, "xz", 2, tiny())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AloneIPCCtx(context.Background(), "xz", tiny())
+	b, err := runSims(context.Background(), r, []Sim{homSim(DesignMaya, "xz", 2, tiny())})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatalf("memoized alone IPC differs: %v vs %v", a, b)
+	if ran, restored, _ := r.Stats(); ran != 3 || restored != 1 {
+		t.Fatalf("ran %d and restored %d simulations, want 3 and the alone run restored once", ran, restored)
 	}
-	if a <= 0 {
-		t.Fatalf("alone IPC %v", a)
+	ipcA, ipcB := a[alone.Key()].Cores[0].IPC, b[alone.Key()].Cores[0].IPC
+	if ipcA != ipcB {
+		t.Fatalf("memoized alone IPC differs: %v vs %v", ipcA, ipcB)
+	}
+	if ipcA <= 0 {
+		t.Fatalf("alone IPC %v", ipcA)
 	}
 }
 

@@ -2,38 +2,35 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
+	"mayacache/internal/cachemodel"
 	"mayacache/internal/cachesim"
 )
 
-// The grid cell is the unit of work the distributed fleet schedules: one
-// (design, benchmark, core count, scale) point of a homogeneous-mix
-// sweep. It deliberately reuses the sweep cell machinery — scaleKey in
-// the key, runMixCtx for execution — so a grid cell computed remotely is
-// byte-identical to the same cell computed by the serial harness, and so
-// an attached snapshot.Cell (via snapshot.WithCell on ctx) gives it
-// mid-simulation save/resume for free.
+// The grid cell is the unit of work the distributed fleet schedules and
+// the session service runs: one homogeneous-mix Sim on a default
+// registry design. It is the same Sim the sweeps run, so a grid cell
+// computed remotely is byte-identical to the same simulation computed by
+// the serial harness, and an attached snapshot.Cell (via
+// snapshot.WithCell on ctx) gives it mid-simulation save/resume for
+// free.
 
-// GridCellKey names one grid cell. Keys embed every input that affects
-// the result, so a checkpoint or snapshot written for one configuration
-// is inapplicable — not corrupting — at another.
+// GridCellKey names one grid cell: its Sim's key. Keys embed every input
+// that affects the result, so a checkpoint or snapshot written for one
+// configuration is inapplicable — not corrupting — at another.
 func GridCellKey(d Design, bench string, cores int, sc Scale) string {
-	return fmt.Sprintf("design=%s|bench=%s|cores=%d|%s", d, bench, cores, scaleKey(sc))
+	return homSim(d, bench, cores, sc).Key()
 }
 
 // RunGridCell simulates one grid cell. Results are a pure function of
 // the arguments: nothing about which process, machine, or attempt runs
 // the cell can leak into them. Unknown designs and unbuildable
-// configurations return errors wrapping cachemodel.ErrBadConfig (no
-// simulation runs); unknown benchmarks fail trace lookup.
+// configurations, a core count below one included, return errors
+// wrapping cachemodel.ErrBadConfig (no simulation runs); unknown
+// benchmarks fail trace lookup.
 func RunGridCell(ctx context.Context, d Design, bench string, cores int, sc Scale) (cachesim.Results, error) {
 	if cores <= 0 {
-		return cachesim.Results{}, fmt.Errorf("experiments: grid cell needs cores > 0 (got %d)", cores)
+		return cachesim.Results{}, cachemodel.BadConfigf("experiments: grid cell needs cores > 0 (got %d)", cores)
 	}
-	llc, err := NewLLCChecked(d, LLCOptions{Cores: cores, Seed: sc.Seed, FastHash: true})
-	if err != nil {
-		return cachesim.Results{}, err
-	}
-	return runMixCtx(ctx, "mix|"+llc.Name(), homogeneous(bench, cores), llc, sc)
+	return homSim(d, bench, cores, sc).Run(ctx)
 }

@@ -21,7 +21,7 @@ func newPartitionLLC(kind string, cores int, seed uint64) cachemodel.LLC {
 		panic("experiments: unknown partition kind " + kind)
 	}
 	return partition.New(partition.Config{
-		Sets:        setsPerCore * cores,
+		Sets:        cachemodel.DefaultSetsPerCore * cores,
 		Ways:        16,
 		Domains:     cores,
 		Kind:        k,

@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"sync"
-
-	"mayacache/internal/cachemodel"
-	"mayacache/internal/cachesim"
-)
+import "mayacache/internal/cachesim"
 
 // Scale controls simulation effort. The paper runs 200M warmup + 200M ROI
 // instructions per core; the drivers default to a scaled-down budget so
@@ -35,27 +30,4 @@ func homogeneous(bench string, n int) []string {
 		names[i] = bench
 	}
 	return names
-}
-
-// aloneKey identifies a memoized single-core baseline IPC by (bench, scale).
-type aloneKey struct {
-	bench string
-	warm  uint64
-	roi   uint64
-	seed  uint64
-}
-
-var (
-	aloneMu    sync.Mutex
-	aloneCache = map[aloneKey]float64{}
-)
-
-// MixResult is one (mix, design) performance measurement.
-type MixResult struct {
-	Mix      string
-	Design   Design
-	WS       float64 // weighted speedup
-	MPKI     float64
-	IPCs     []float64
-	LLCStats cachemodel.Stats
 }

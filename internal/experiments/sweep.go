@@ -2,508 +2,386 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 
 	"mayacache/internal/cachemodel"
-	"mayacache/internal/cachesim"
 	"mayacache/internal/harness"
 	"mayacache/internal/metrics"
-	"mayacache/internal/snapshot"
 	"mayacache/internal/trace"
 )
 
-// Harness-routed sweeps: every figure/table of the evaluation expressed
-// as a set of independent cells executed through harness.RunCells. Each
-// cell key embeds the benchmark/configuration AND the scale (warmup, ROI,
-// seed), so a checkpoint taken at one scale can never satisfy a lookup at
-// another. The *Sweep functions return their rows plus a completeness
-// mask: ok[i] is false when any cell feeding row i failed or was
-// cancelled, and the drivers render such rows as FAILED while aggregates
-// use only complete rows.
+// Harness-routed sweeps: every figure and table of the evaluation is the
+// list of simulations it needs plus a pure aggregation over their
+// Results. runSims runs each distinct simulation as one harness cell
+// keyed by Sim.Key, so on a runner with a checkpoint a simulation one
+// figure ran serves every later figure that needs it, and a resumed sweep
+// recomputes only the simulations that did not complete. The *Sweep
+// functions return their rows plus a completeness mask: ok[i] is false
+// when any simulation feeding row i failed or was cancelled, and the
+// CLIs render such rows as FAILED while aggregates use only complete
+// rows.
 
-// scaleKey renders the scale portion of a cell key.
-func scaleKey(sc Scale) string {
-	return fmt.Sprintf("w=%d|roi=%d|seed=%d", sc.WarmupInstr, sc.ROIInstr, sc.Seed)
+// memIntensive is the SPEC and GAP memory-intensive benchmarks, the x
+// axis of Figs 1 and 9.
+func memIntensive() []string {
+	return append(trace.SpecMemIntensive(), trace.GapMemIntensive()...)
 }
 
-// runMixCtx simulates one workload assignment under one LLC, honoring
-// ctx cancellation and returning trace/construction failures as errors.
-// sub names this sub-run within its sweep cell ("mix|<design>",
-// "alone|<bench>"); when the harness attached a snapshot.Cell to ctx the
-// run goes through the checkpointing path of cachesim.Run, so completed
-// sub-runs are served from the cell record, an interrupted one resumes
-// mid-simulation, and deadline stops persist state before returning
-// snapshot.ErrStopped.
-func runMixCtx(ctx context.Context, sub string, benchNames []string, llc cachemodel.LLC, sc Scale) (cachesim.Results, error) {
-	gens := make([]trace.Generator, len(benchNames))
-	for i, b := range benchNames {
-		p, err := trace.Lookup(b)
-		if err != nil {
-			return cachesim.Results{}, err
-		}
-		g, err := trace.NewGenerator(p, i, sc.Seed)
-		if err != nil {
-			return cachesim.Results{}, err
-		}
-		gens[i] = g
-	}
-	sys := cachesim.New(cachesim.Config{
-		Cores: len(benchNames),
-		Core:  cachesim.DefaultCoreParams(),
-		LLC:   llc,
-		DRAM:  dramFor(len(benchNames)),
-		Seed:  sc.Seed,
-	}, gens)
-	return cachesim.Run(ctx, sys, cachesim.RunSpec{
-		Warmup: sc.WarmupInstr,
-		ROI:    sc.ROIInstr,
-		Cell:   snapshot.CellFrom(ctx),
-		Sub:    sub,
-	})
-}
+// A pair is a design's simulation and the like-for-like baseline
+// simulation it is normalized against.
+type pair struct{ x, base Sim }
 
-// AloneIPCCtx returns the benchmark's single-core IPC on a private 2MB
-// baseline LLC — the denominator of the weighted-speedup metric. Results
-// are memoized per (bench, scale); failed computations are not.
-func AloneIPCCtx(ctx context.Context, bench string, sc Scale) (float64, error) {
-	k := aloneKey{bench, sc.WarmupInstr, sc.ROIInstr, sc.Seed}
-	aloneMu.Lock()
-	v, ok := aloneCache[k]
-	aloneMu.Unlock()
-	if ok {
-		return v, nil
-	}
-	llc, err := NewLLCChecked(DesignBaseline, LLCOptions{Cores: 1, Seed: sc.Seed})
-	if err != nil {
-		return 0, err
-	}
-	res, err := runMixCtx(ctx, "alone|"+bench, []string{bench}, llc, sc)
-	if err != nil {
-		return 0, err
-	}
-	v = res.Cores[0].IPC
-	aloneMu.Lock()
-	aloneCache[k] = v
-	aloneMu.Unlock()
-	return v, nil
-}
-
-// RunMixDesignCtx simulates the benchmark assignment under the named
-// design and computes the weighted speedup against single-core baseline
-// IPCs.
-func RunMixDesignCtx(ctx context.Context, mixName string, benchNames []string, d Design, sc Scale) (MixResult, error) {
-	llc, err := NewLLCChecked(d, LLCOptions{Cores: len(benchNames), Seed: sc.Seed, FastHash: true})
-	if err != nil {
-		return MixResult{}, err
-	}
-	return RunMixLLCCtx(ctx, mixName, benchNames, d, llc, sc)
-}
-
-// RunMixLLCCtx is RunMixDesignCtx with a caller-supplied LLC instance,
-// for configuration sweeps like Fig 4's reuse-way study.
-func RunMixLLCCtx(ctx context.Context, mixName string, benchNames []string, d Design, llc cachemodel.LLC, sc Scale) (MixResult, error) {
-	res, err := runMixCtx(ctx, "mix|"+llc.Name(), benchNames, llc, sc)
-	if err != nil {
-		return MixResult{}, err
-	}
-	ipcs := make([]float64, len(res.Cores))
-	alone := make([]float64, len(res.Cores))
-	for i, c := range res.Cores {
-		ipcs[i] = c.IPC
-		alone[i], err = AloneIPCCtx(ctx, benchNames[i], sc)
-		if err != nil {
-			return MixResult{}, err
+// pairSims lists the simulations of rows of pairs, each pair's baseline
+// first.
+func pairSims(rows ...[]pair) []Sim {
+	var sims []Sim
+	for _, row := range rows {
+		for _, p := range row {
+			sims = append(sims, p.base, p.x)
 		}
 	}
-	ws, err := metrics.WeightedSpeedup(ipcs, alone)
-	if err != nil {
-		return MixResult{}, fmt.Errorf("experiments: %w", err)
+	return sims
+}
+
+// gmNorm returns the geometric mean of the normalized weighted speedups
+// of the pairs that completed, and whether all of them did.
+func (d done) gmNorm(pairs []pair) (float64, bool) {
+	var norms []float64
+	for _, p := range pairs {
+		if n, ok := d.norm(p.x, p.base); ok {
+			norms = append(norms, n)
+		}
 	}
-	return MixResult{
-		Mix: mixName, Design: d, WS: ws, MPKI: res.MPKI(),
-		IPCs: ipcs, LLCStats: res.LLCStats,
-	}, nil
+	gm := 0.0
+	if len(norms) > 0 {
+		gm, _ = metrics.GeoMean(norms)
+	}
+	return gm, len(norms) == len(pairs)
+}
+
+// trio is one mix on the baseline, Mirage and Maya: the bars of Figs 9
+// and 10.
+func trio(mix []string, sc Scale) []Sim {
+	return []Sim{
+		{Design: DesignBaseline, Benches: mix, Scale: sc},
+		{Design: DesignMirage, Benches: mix, Scale: sc},
+		{Design: DesignMaya, Benches: mix, Scale: sc},
+	}
+}
+
+// compare reads one mix's Fig 9/10 data: Mirage's and Maya's weighted
+// speedups normalized to the baseline's, and each design's LLC MPKI in
+// trio order.
+func (d done) compare(mix []string, sc Scale) (mirage, maya float64, mpki [3]float64, ok bool) {
+	t := trio(mix, sc)
+	mirage, okMirage := d.norm(t[1], t[0])
+	maya, okMaya := d.norm(t[2], t[0])
+	for i, s := range t {
+		mpki[i] = d[s.Key()].MPKI()
+	}
+	return mirage, maya, mpki, okMirage && okMaya
+}
+
+// fig1Sims lists Figure 1's simulations: each benchmark alone on a
+// one-core baseline and on a one-core Mirage.
+func fig1Sims(sc Scale) []Sim {
+	var sims []Sim
+	for _, b := range memIntensive() {
+		sims = append(sims, aloneSim(b, sc), homSim(DesignMirage, b, 1, sc))
+	}
+	return sims
 }
 
 // Fig1Sweep reproduces Figure 1: the fraction of LLC data fills that are
-// never reused, per benchmark, single-core with a 2MB LLC. One cell per
-// benchmark.
+// never reused, per benchmark, single-core with a 2MB LLC.
 func Fig1Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig1Row, []bool, error) {
-	benches := append(trace.SpecMemIntensive(), trace.GapMemIntensive()...)
-	keys := make([]string, len(benches))
+	d, err := runSims(ctx, r, fig1Sims(sc))
+	benches := memIntensive()
+	rows := make([]Fig1Row, len(benches))
+	ok := make([]bool, len(benches))
 	for i, b := range benches {
-		keys[i] = "bench=" + b + "|" + scaleKey(sc)
-	}
-	rows, ok, err := harness.RunCells(ctx, r, "fig1", keys, func(cctx context.Context, i int) (Fig1Row, error) {
-		b := benches[i]
-		baseLLC, err := NewLLCChecked(DesignBaseline, LLCOptions{Cores: 1, Seed: sc.Seed})
-		if err != nil {
-			return Fig1Row{}, err
-		}
-		base, err := runMixCtx(cctx, "mix|"+baseLLC.Name(), []string{b}, baseLLC, sc)
-		if err != nil {
-			return Fig1Row{}, err
-		}
-		mirLLC, err := NewLLCChecked(DesignMirage, LLCOptions{Cores: 1, Seed: sc.Seed, FastHash: true})
-		if err != nil {
-			return Fig1Row{}, err
-		}
-		mir, err := runMixCtx(cctx, "mix|"+mirLLC.Name(), []string{b}, mirLLC, sc)
-		if err != nil {
-			return Fig1Row{}, err
-		}
-		return Fig1Row{
-			Bench:        b,
-			Suite:        trace.MustLookup(b).Suite,
-			DeadBaseline: base.LLCStats.DeadBlockFraction() * 100,
-			DeadMirage:   mir.LLCStats.DeadBlockFraction() * 100,
-		}, nil
-	})
-	// Identify failed rows so drivers can label them.
-	for i := range rows {
-		if !ok[i] {
-			rows[i].Bench = benches[i]
-			rows[i].Suite = trace.MustLookup(benches[i]).Suite
+		rows[i] = Fig1Row{Bench: b, Suite: trace.MustLookup(b).Suite}
+		base, okBase := d[aloneSim(b, sc).Key()]
+		mir, okMirage := d[homSim(DesignMirage, b, 1, sc).Key()]
+		if ok[i] = okBase && okMirage; ok[i] {
+			rows[i].DeadBaseline = base.LLCStats.DeadBlockFraction() * 100
+			rows[i].DeadMirage = mir.LLCStats.DeadBlockFraction() * 100
 		}
 	}
 	return rows, ok, err
+}
+
+// fig9Sims lists Figure 9's simulations: each benchmark's 8-core
+// homogeneous mix on the baseline, Mirage and Maya.
+func fig9Sims(sc Scale) []Sim {
+	var sims []Sim
+	for _, b := range memIntensive() {
+		sims = append(sims, trio(homogeneous(b, 8), sc)...)
+	}
+	return sims
 }
 
 // Fig9Sweep reproduces Figure 9 (8-core homogeneous mixes, Maya and
 // Mirage normalized to the non-secure baseline) plus the Table VII MPKI
-// data: one cell per benchmark, each simulating the three designs.
+// data.
 func Fig9Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig9Row, []bool, error) {
-	benches := append(trace.SpecMemIntensive(), trace.GapMemIntensive()...)
-	keys := make([]string, len(benches))
+	d, err := runSims(ctx, r, fig9Sims(sc))
+	benches := memIntensive()
+	rows := make([]Fig9Row, len(benches))
+	ok := make([]bool, len(benches))
 	for i, b := range benches {
-		keys[i] = "bench=" + b + "|" + scaleKey(sc)
-	}
-	rows, ok, err := harness.RunCells(ctx, r, "fig9", keys, func(cctx context.Context, i int) (Fig9Row, error) {
-		b := benches[i]
-		mix := homogeneous(b, 8)
-		base, err := RunMixDesignCtx(cctx, b, mix, DesignBaseline, sc)
-		if err != nil {
-			return Fig9Row{}, err
-		}
-		mir, err := RunMixDesignCtx(cctx, b, mix, DesignMirage, sc)
-		if err != nil {
-			return Fig9Row{}, err
-		}
-		maya, err := RunMixDesignCtx(cctx, b, mix, DesignMaya, sc)
-		if err != nil {
-			return Fig9Row{}, err
-		}
-		return Fig9Row{
-			Bench:      b,
-			Suite:      trace.MustLookup(b).Suite,
-			NormMirage: mir.WS / base.WS,
-			NormMaya:   maya.WS / base.WS,
-			MPKIBase:   base.MPKI,
-			MPKIMirage: mir.MPKI,
-			MPKIMaya:   maya.MPKI,
-		}, nil
-	})
-	for i := range rows {
-		if !ok[i] {
-			rows[i].Bench = benches[i]
-			rows[i].Suite = trace.MustLookup(benches[i]).Suite
+		rows[i] = Fig9Row{Bench: b, Suite: trace.MustLookup(b).Suite}
+		mir, maya, mpki, complete := d.compare(homogeneous(b, 8), sc)
+		if ok[i] = complete; complete {
+			rows[i].NormMirage, rows[i].NormMaya = mir, maya
+			rows[i].MPKIBase, rows[i].MPKIMirage, rows[i].MPKIMaya = mpki[0], mpki[1], mpki[2]
 		}
 	}
 	return rows, ok, err
 }
 
-// Fig10Sweep reproduces Figure 10: the 21 heterogeneous mixes of Table
-// VI, one cell per mix.
-func Fig10Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig10Row, []bool, error) {
-	mixes := trace.HeteroMixes()
-	keys := make([]string, len(mixes))
-	for i, m := range mixes {
-		keys[i] = "mix=" + m.Name + "|" + scaleKey(sc)
+// fig10Sims lists Figure 10's simulations: each heterogeneous mix of
+// Table VI on the baseline, Mirage and Maya.
+func fig10Sims(sc Scale) []Sim {
+	var sims []Sim
+	for _, m := range trace.HeteroMixes() {
+		sims = append(sims, trio(m.Benchmarks, sc)...)
 	}
-	rows, ok, err := harness.RunCells(ctx, r, "fig10", keys, func(cctx context.Context, i int) (Fig10Row, error) {
-		m := mixes[i]
-		base, err := RunMixDesignCtx(cctx, m.Name, m.Benchmarks, DesignBaseline, sc)
-		if err != nil {
-			return Fig10Row{}, err
-		}
-		mir, err := RunMixDesignCtx(cctx, m.Name, m.Benchmarks, DesignMirage, sc)
-		if err != nil {
-			return Fig10Row{}, err
-		}
-		maya, err := RunMixDesignCtx(cctx, m.Name, m.Benchmarks, DesignMaya, sc)
-		if err != nil {
-			return Fig10Row{}, err
-		}
-		return Fig10Row{
-			Mix: m.Name, Bin: m.Bin,
-			NormMirage: mir.WS / base.WS,
-			NormMaya:   maya.WS / base.WS,
-			MPKIBase:   base.MPKI,
-			MPKIMirage: mir.MPKI,
-			MPKIMaya:   maya.MPKI,
-		}, nil
-	})
-	for i := range rows {
-		if !ok[i] {
-			rows[i].Mix = mixes[i].Name
-			rows[i].Bin = mixes[i].Bin
+	return sims
+}
+
+// Fig10Sweep reproduces Figure 10: the 21 heterogeneous mixes of Table
+// VI.
+func Fig10Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig10Row, []bool, error) {
+	d, err := runSims(ctx, r, fig10Sims(sc))
+	mixes := trace.HeteroMixes()
+	rows := make([]Fig10Row, len(mixes))
+	ok := make([]bool, len(mixes))
+	for i, m := range mixes {
+		rows[i] = Fig10Row{Mix: m.Name, Bin: m.Bin}
+		mir, maya, mpki, complete := d.compare(m.Benchmarks, sc)
+		if ok[i] = complete; complete {
+			rows[i].NormMirage, rows[i].NormMaya = mir, maya
+			rows[i].MPKIBase, rows[i].MPKIMirage, rows[i].MPKIMaya = mpki[0], mpki[1], mpki[2]
 		}
 	}
 	return rows, ok, err
+}
+
+// fig4Ways are Figure 4's reuse ways per skew.
+var fig4Ways = []int{1, 3, 5, 7}
+
+// fig4Maya is bench's 8-core homogeneous mix on Maya with w reuse ways
+// per skew and the data store at its default size.
+func fig4Maya(w int, bench string, sc Scale) Sim {
+	s := homSim(DesignMaya, bench, 8, sc)
+	s.ReuseWays = w
+	return s
+}
+
+// fig4Sims lists Figure 4's simulations: each SPEC benchmark's 8-core
+// homogeneous mix on the baseline, then on Maya at each reuse-way count.
+func fig4Sims(sc Scale) []Sim {
+	benches := trace.SpecMemIntensive()
+	var sims []Sim
+	for _, b := range benches {
+		sims = append(sims, homSim(DesignBaseline, b, 8, sc))
+	}
+	for _, w := range fig4Ways {
+		for _, b := range benches {
+			sims = append(sims, fig4Maya(w, b, sc))
+		}
+	}
+	return sims
 }
 
 // Fig4Sweep reproduces Figure 4: Maya's performance as reuse ways per
 // skew vary over {1, 3, 5, 7}, on SPEC homogeneous mixes, normalized to
 // baseline, with the data store held at its default size as in the
-// paper. It runs in two phases: baseline weighted speedups (one cell per
-// benchmark), then raw Maya weighted speedups (one cell per reuse-way x
-// benchmark). Normalization happens at aggregation, so a failed baseline
-// only degrades the rows that need it. ok[i] is true when every cell
-// feeding row i completed.
+// paper. At 3 reuse ways the Maya runs are Figure 9's.
 func Fig4Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig4Row, []bool, error) {
-	benches := trace.SpecMemIntensive()
-	ways := []int{1, 3, 5, 7}
-
-	baseKeys := make([]string, len(benches))
-	for j, b := range benches {
-		baseKeys[j] = "bench=" + b + "|" + scaleKey(sc)
-	}
-	baseWS, baseOK, err := harness.RunCells(ctx, r, "fig4-base", baseKeys, func(cctx context.Context, j int) (float64, error) {
-		res, rerr := RunMixDesignCtx(cctx, benches[j], homogeneous(benches[j], 8), DesignBaseline, sc)
-		if rerr != nil {
-			return 0, rerr
+	d, err := runSims(ctx, r, fig4Sims(sc))
+	rows := make([]Fig4Row, len(fig4Ways))
+	ok := make([]bool, len(fig4Ways))
+	for i, w := range fig4Ways {
+		var pairs []pair
+		for _, b := range trace.SpecMemIntensive() {
+			pairs = append(pairs, pair{fig4Maya(w, b, sc), homSim(DesignBaseline, b, 8, sc)})
 		}
-		return res.WS, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	keys := make([]string, 0, len(ways)*len(benches))
-	for _, w := range ways {
-		for _, b := range benches {
-			keys = append(keys, fmt.Sprintf("rw=%d|bench=%s|%s", w, b, scaleKey(sc)))
-		}
-	}
-	raw, rawOK, err := harness.RunCells(ctx, r, "fig4", keys, func(cctx context.Context, k int) (float64, error) {
-		w, b := ways[k/len(benches)], benches[k%len(benches)]
-		llc, rerr := NewLLCChecked(DesignMaya, LLCOptions{Cores: 8, Seed: sc.Seed, FastHash: true, ReuseWays: w})
-		if rerr != nil {
-			return 0, rerr
-		}
-		res, rerr := RunMixLLCCtx(cctx, b, homogeneous(b, 8), DesignMaya, llc, sc)
-		if rerr != nil {
-			return 0, rerr
-		}
-		return res.WS, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	rows := make([]Fig4Row, len(ways))
-	ok := make([]bool, len(ways))
-	for i, w := range ways {
-		var norms []float64
-		complete := true
-		for j := range benches {
-			k := i*len(benches) + j
-			if baseOK[j] && rawOK[k] && baseWS[j] > 0 {
-				norms = append(norms, raw[k]/baseWS[j])
-			} else {
-				complete = false
-			}
-		}
-		gm := 0.0
-		if len(norms) > 0 {
-			gm, _ = metrics.GeoMean(norms)
-		}
-		rows[i] = Fig4Row{ReuseWays: w, NormWS: gm}
-		ok[i] = complete
-	}
-	return rows, ok, nil
-}
-
-// Table11Sweep reproduces Table XI: secure partitioning techniques on
-// SPEC homogeneous mixes at 8 cores, one cell per (technique, benchmark)
-// normalized weighted speedup, aggregated per technique. Storage
-// overheads are the published metadata costs (mask registers / color
-// tables), which are not simulated.
-func Table11Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Table11Row, []bool, error) {
-	benches := trace.SpecMemIntensive()
-	kinds := []partitionSpec{
-		{"Page coloring", "set", 0.5},
-		{"DAWG", "way", 0.5},
-		{"BCE", "flex", 2.0},
-	}
-	keys := make([]string, 0, len(kinds)*len(benches))
-	for _, k := range kinds {
-		for _, b := range benches {
-			keys = append(keys, fmt.Sprintf("tech=%s|bench=%s|%s", k.kind, b, scaleKey(sc)))
-		}
-	}
-	norms, normOK, err := harness.RunCells(ctx, r, "table11", keys, func(cctx context.Context, c int) (float64, error) {
-		k, b := kinds[c/len(benches)], benches[c%len(benches)]
-		mix := homogeneous(b, 8)
-		base, rerr := RunMixDesignCtx(cctx, b, mix, DesignBaseline, sc)
-		if rerr != nil {
-			return 0, rerr
-		}
-		part, rerr := RunMixLLCCtx(cctx, b, mix, DesignBaseline, newPartitionLLC(k.kind, 8, sc.Seed), sc)
-		if rerr != nil {
-			return 0, rerr
-		}
-		return part.WS / base.WS, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rows := make([]Table11Row, len(kinds))
-	ok := make([]bool, len(kinds))
-	for i, k := range kinds {
-		var vals []float64
-		complete := true
-		for j := range benches {
-			if normOK[i*len(benches)+j] {
-				vals = append(vals, norms[i*len(benches)+j])
-			} else {
-				complete = false
-			}
-		}
-		gm := 1.0
-		if len(vals) > 0 {
-			gm, _ = metrics.GeoMean(vals)
-		}
-		rows[i] = Table11Row{
-			Technique:   k.name,
-			PerfDelta:   (gm - 1) * 100,
-			StorageOver: k.storagePct,
-		}
-		ok[i] = complete
-	}
-	return rows, ok, nil
-}
-
-// FittingSweep measures Maya on the LLC-fitting benchmarks (Section V-B
-// reports a 0.63% average loss), one cell per benchmark.
-func FittingSweep(ctx context.Context, r *harness.Runner, sc Scale) ([]SensitivityRow, []bool, error) {
-	benches := trace.LLCFitting()
-	keys := make([]string, len(benches))
-	for i, b := range benches {
-		keys[i] = "bench=" + b + "|" + scaleKey(sc)
-	}
-	rows, ok, err := harness.RunCells(ctx, r, "fitting", keys, func(cctx context.Context, i int) (SensitivityRow, error) {
-		mix := homogeneous(benches[i], 8)
-		base, err := RunMixDesignCtx(cctx, benches[i], mix, DesignBaseline, sc)
-		if err != nil {
-			return SensitivityRow{}, err
-		}
-		maya, err := RunMixDesignCtx(cctx, benches[i], mix, DesignMaya, sc)
-		if err != nil {
-			return SensitivityRow{}, err
-		}
-		return SensitivityRow{Label: benches[i], NormMaya: maya.WS / base.WS}, nil
-	})
-	for i := range rows {
-		if !ok[i] {
-			rows[i].Label = benches[i]
-		}
+		rows[i].ReuseWays = w
+		rows[i].NormWS, ok[i] = d.gmNorm(pairs)
 	}
 	return rows, ok, err
 }
 
-// CoreCountSweep runs a representative mix at each core count (8/16/32
-// when coreCounts is empty), normalizing Maya to the like-for-like
-// baseline; one cell per core count.
-func CoreCountSweep(ctx context.Context, r *harness.Runner, sc Scale, coreCounts []int) ([]SensitivityRow, []bool, error) {
-	if len(coreCounts) == 0 {
-		coreCounts = []int{8, 16, 32}
+// table11Techniques are Table XI's partitioning techniques. Storage
+// overheads are the published metadata costs (mask registers / color
+// tables), which are not simulated.
+var table11Techniques = []partitionSpec{
+	{"Page coloring", "set", 0.5},
+	{"DAWG", "way", 0.5},
+	{"BCE", "flex", 2.0},
+}
+
+// table11Pairs lists, per technique, each SPEC benchmark's 8-core
+// homogeneous mix on the partitioned baseline against the shared one.
+func table11Pairs(sc Scale) [][]pair {
+	rows := make([][]pair, len(table11Techniques))
+	for i, k := range table11Techniques {
+		for _, b := range trace.SpecMemIntensive() {
+			base := homSim(DesignBaseline, b, 8, sc)
+			part := base
+			part.Partition = k.kind
+			rows[i] = append(rows[i], pair{part, base})
+		}
 	}
-	pool := append(trace.SpecMemIntensive(), trace.GapMemIntensive()...)
-	keys := make([]string, len(coreCounts))
-	for i, n := range coreCounts {
-		keys[i] = fmt.Sprintf("cores=%d|%s", n, scaleKey(sc))
+	return rows
+}
+
+// Table11Sweep reproduces Table XI: secure partitioning techniques on
+// SPEC homogeneous mixes at 8 cores, the normalized weighted speedup
+// aggregated per technique.
+func Table11Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Table11Row, []bool, error) {
+	pairs := table11Pairs(sc)
+	d, err := runSims(ctx, r, pairSims(pairs...))
+	rows := make([]Table11Row, len(table11Techniques))
+	ok := make([]bool, len(table11Techniques))
+	for i, k := range table11Techniques {
+		var gm float64
+		gm, ok[i] = d.gmNorm(pairs[i])
+		rows[i] = Table11Row{Technique: k.name, PerfDelta: (gm - 1) * 100, StorageOver: k.storagePct}
 	}
-	rows, ok, err := harness.RunCells(ctx, r, "cores", keys, func(cctx context.Context, i int) (SensitivityRow, error) {
-		n := coreCounts[i]
+	return rows, ok, err
+}
+
+// fittingPairs lists each LLC-fitting benchmark's 8-core homogeneous mix
+// on Maya against the baseline.
+func fittingPairs(sc Scale) []pair {
+	var pairs []pair
+	for _, b := range trace.LLCFitting() {
+		pairs = append(pairs, pair{homSim(DesignMaya, b, 8, sc), homSim(DesignBaseline, b, 8, sc)})
+	}
+	return pairs
+}
+
+// FittingSweep measures Maya on the LLC-fitting benchmarks (Section V-B
+// reports a 0.63% average loss).
+func FittingSweep(ctx context.Context, r *harness.Runner, sc Scale) ([]SensitivityRow, []bool, error) {
+	pairs := fittingPairs(sc)
+	d, err := runSims(ctx, r, pairSims(pairs))
+	rows := make([]SensitivityRow, len(pairs))
+	ok := make([]bool, len(pairs))
+	for i, p := range pairs {
+		rows[i].Label = p.x.Benches[0]
+		rows[i].NormMaya, ok[i] = d.norm(p.x, p.base)
+	}
+	return rows, ok, err
+}
+
+// corePairs lists, per core count, a representative mix (the
+// memory-intensive benchmarks in turn) on Maya against the like-for-like
+// baseline.
+func corePairs(sc Scale, coreCounts []int) []pair {
+	pool := memIntensive()
+	var pairs []pair
+	for _, n := range coreCounts {
 		mix := make([]string, n)
 		for j := range mix {
 			mix[j] = pool[j%len(pool)]
 		}
-		base, err := RunMixDesignCtx(cctx, "cores", mix, DesignBaseline, sc)
-		if err != nil {
-			return SensitivityRow{}, err
-		}
-		maya, err := RunMixDesignCtx(cctx, "cores", mix, DesignMaya, sc)
-		if err != nil {
-			return SensitivityRow{}, err
-		}
-		return SensitivityRow{Label: fmtCores(n), NormMaya: maya.WS / base.WS}, nil
-	})
-	for i := range rows {
-		if !ok[i] {
-			rows[i].Label = fmtCores(coreCounts[i])
-		}
+		pairs = append(pairs, pair{
+			Sim{Design: DesignMaya, Benches: mix, Scale: sc},
+			Sim{Design: DesignBaseline, Benches: mix, Scale: sc},
+		})
+	}
+	return pairs
+}
+
+// defaultCoreCounts are Section V-B's system sizes.
+var defaultCoreCounts = []int{8, 16, 32}
+
+// CoreCountSweep runs a representative mix at each core count
+// (defaultCoreCounts when coreCounts is empty), normalizing Maya to the
+// like-for-like baseline.
+func CoreCountSweep(ctx context.Context, r *harness.Runner, sc Scale, coreCounts []int) ([]SensitivityRow, []bool, error) {
+	if len(coreCounts) == 0 {
+		coreCounts = defaultCoreCounts
+	}
+	pairs := corePairs(sc, coreCounts)
+	d, err := runSims(ctx, r, pairSims(pairs))
+	rows := make([]SensitivityRow, len(pairs))
+	ok := make([]bool, len(pairs))
+	for i, p := range pairs {
+		rows[i].Label = fmtCores(coreCounts[i])
+		rows[i].NormMaya, ok[i] = d.norm(p.x, p.base)
 	}
 	return rows, ok, err
 }
 
+// llcSizePairs lists, per size factor, each SPEC benchmark's 8-core
+// homogeneous mix on Maya against the baseline, both with the per-core
+// set count scaled by the factor. At 1.0 these are Figure 9's runs.
+func llcSizePairs(sc Scale, factors []float64) [][]pair {
+	rows := make([][]pair, len(factors))
+	for i, f := range factors {
+		perCore := nextPow2(int(float64(cachemodel.DefaultSetsPerCore*8)*f+0.5)) / 8
+		for _, b := range trace.SpecMemIntensive() {
+			base := homSim(DesignBaseline, b, 8, sc)
+			base.SetsPerCore = perCore
+			maya := homSim(DesignMaya, b, 8, sc)
+			maya.SetsPerCore = perCore
+			rows[i] = append(rows[i], pair{maya, base})
+		}
+	}
+	return rows
+}
+
+// defaultSizeFactors multiply the default 12MB Maya data store.
+var defaultSizeFactors = []float64{0.5, 1.0, 2.0, 4.0}
+
 // LLCSizeSweep sweeps the Maya data-store size (Section V-B evaluates 6MB
-// to 96MB data stores; the default factors multiply the default 12MB),
-// one cell per (size factor, benchmark), aggregated per factor. Both
-// designs scale by set count with the same factor, so a 0.5x Maya (6MB)
-// compares against a 0.5x baseline (8MB) and Maya keeps its way
-// structure, and thus its security argument, as in the paper.
+// to 96MB data stores; defaultSizeFactors when scales is empty),
+// aggregated per factor. Both designs scale by set count with the same
+// factor, so a 0.5x Maya (6MB) compares against a 0.5x baseline (8MB) and
+// Maya keeps its way structure, and thus its security argument, as in
+// the paper.
 func LLCSizeSweep(ctx context.Context, r *harness.Runner, sc Scale, scales []float64) ([]SensitivityRow, []bool, error) {
 	if len(scales) == 0 {
-		scales = []float64{0.5, 1.0, 2.0, 4.0}
+		scales = defaultSizeFactors
 	}
-	benches := trace.SpecMemIntensive()
-	keys := make([]string, 0, len(scales)*len(benches))
-	for _, f := range scales {
-		for _, b := range benches {
-			keys = append(keys, fmt.Sprintf("f=%g|bench=%s|%s", f, b, scaleKey(sc)))
-		}
-	}
-	norms, normOK, err := harness.RunCells(ctx, r, "llcsize", keys, func(cctx context.Context, c int) (float64, error) {
-		f, b := scales[c/len(benches)], benches[c%len(benches)]
-		mix := homogeneous(b, 8)
-		scaledSets := nextPow2(int(float64(setsPerCore*8)*f + 0.5))
-		base, rerr := RunMixLLCCtx(cctx, b, mix, DesignBaseline, newScaledBaseline(scaledSets, sc.Seed), sc)
-		if rerr != nil {
-			return 0, rerr
-		}
-		res, rerr := RunMixLLCCtx(cctx, b, mix, DesignMaya, newScaledMaya(scaledSets, sc.Seed), sc)
-		if rerr != nil {
-			return 0, rerr
-		}
-		return res.WS / base.WS, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
+	pairs := llcSizePairs(sc, scales)
+	d, err := runSims(ctx, r, pairSims(pairs...))
 	rows := make([]SensitivityRow, len(scales))
 	ok := make([]bool, len(scales))
 	for i, f := range scales {
-		var vals []float64
-		complete := true
-		for j := range benches {
-			if normOK[i*len(benches)+j] {
-				vals = append(vals, norms[i*len(benches)+j])
-			} else {
-				complete = false
-			}
-		}
-		gm := 0.0
-		if len(vals) > 0 {
-			gm, _ = metrics.GeoMean(vals)
-		}
-		rows[i] = SensitivityRow{
-			Label:    strconv.Itoa(int(12*f+0.5)) + "MB data store",
-			NormMaya: gm,
-		}
-		ok[i] = complete
+		rows[i].Label = strconv.Itoa(int(12*f+0.5)) + "MB data store"
+		rows[i].NormMaya, ok[i] = d.gmNorm(pairs[i])
 	}
-	return rows, ok, nil
+	return rows, ok, err
+}
+
+// table10Pairs lists, per design, each SPEC benchmark's 8-core
+// homogeneous mix on the design against the baseline.
+func table10Pairs(sc Scale, designs []Design) [][]pair {
+	rows := make([][]pair, len(designs))
+	for i, dn := range designs {
+		for _, b := range trace.SpecMemIntensive() {
+			rows[i] = append(rows[i], pair{homSim(dn, b, 8, sc), homSim(DesignBaseline, b, 8, sc)})
+		}
+	}
+	return rows
+}
+
+// Table10Sweep measures Table X's performance column: each design's
+// weighted speedup on the SPEC homogeneous 8-core mixes normalized to
+// the baseline, as a geometric mean over the benchmarks.
+func Table10Sweep(ctx context.Context, r *harness.Runner, sc Scale, designs []Design) ([]float64, []bool, error) {
+	pairs := table10Pairs(sc, designs)
+	d, err := runSims(ctx, r, pairSims(pairs...))
+	gms := make([]float64, len(designs))
+	ok := make([]bool, len(designs))
+	for i := range designs {
+		gms[i], ok[i] = d.gmNorm(pairs[i])
+	}
+	return gms, ok, err
 }

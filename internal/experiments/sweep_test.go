@@ -24,8 +24,9 @@ func TestSweepResumeMatchesFreshRun(t *testing.T) {
 	counts := []int{1, 2, 4}
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
-	// Interrupted run: the parent context is cancelled once the first cell
-	// has completed, abandoning the rest.
+	// Interrupted run: the parent context is cancelled once the first two
+	// simulations (the 1-core baseline and Maya, which complete row 0)
+	// have completed, abandoning the rest.
 	cp1, err := harness.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +35,7 @@ func TestSweepResumeMatchesFreshRun(t *testing.T) {
 	defer cancel()
 	var calls int32
 	r1 := harness.New(harness.Options{Workers: 1, Checkpoint: cp1, Faults: preRun(func() error {
-		if atomic.AddInt32(&calls, 1) > 1 {
+		if atomic.AddInt32(&calls, 1) > 2 {
 			cancel()
 			return context.Canceled
 		}
@@ -54,15 +55,15 @@ func TestSweepResumeMatchesFreshRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Resumed run: restores cell 0 from the checkpoint and computes the
-	// remaining cells.
+	// Resumed run: restores row 0's simulations from the checkpoint and
+	// computes the rest.
 	cp2, err := harness.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cp2.Close()
-	if cp2.Len() != 1 {
-		t.Fatalf("checkpoint holds %d cells, want 1", cp2.Len())
+	if cp2.Len() != 2 {
+		t.Fatalf("checkpoint holds %d simulations, want 2", cp2.Len())
 	}
 	r2 := harness.New(harness.Options{Workers: 1, Checkpoint: cp2})
 	resumed, ok2, err := CoreCountSweep(context.Background(), r2, sc, counts)
@@ -74,7 +75,7 @@ func TestSweepResumeMatchesFreshRun(t *testing.T) {
 			t.Fatalf("resumed cell %d incomplete", i)
 		}
 	}
-	if _, restored, failed := r2.Stats(); restored != 1 || failed != 0 {
+	if _, restored, failed := r2.Stats(); restored != 2 || failed != 0 {
 		t.Fatalf("resume stats: restored=%d failed=%d", restored, failed)
 	}
 
@@ -118,19 +119,24 @@ func TestSweepIsolatesInjectedFault(t *testing.T) {
 	if rows[0].NormMaya <= 0 || rows[2].NormMaya <= 0 {
 		t.Fatalf("sibling cells did not produce results: %+v", rows)
 	}
+	// Row cores=2 reads two simulations, the baseline and Maya at two
+	// cores; each fails on its own, and nothing else does.
 	fails := r.Failures()
-	if len(fails) != 1 {
-		t.Fatalf("%d failures, want 1: %v", len(fails), fails)
+	if len(fails) != 2 {
+		t.Fatalf("%d failures, want 2: %v", len(fails), fails)
 	}
-	f := fails[0]
-	if f.Experiment != "cores" || !strings.Contains(f.Cell, "cores=2") {
-		t.Fatalf("failure misattributed: %+v", f)
-	}
-	if !errors.Is(f.Err, faults.ErrInjected) {
-		t.Fatalf("failure does not unwrap to the injected fault: %v", f.Err)
-	}
-	if len(f.Stack) == 0 {
-		t.Fatal("panic failure carries no stack")
+	for i, design := range []Design{DesignBaseline, DesignMaya} {
+		f := fails[i]
+		if f.Experiment != simExperiment || !strings.HasPrefix(f.Cell, "design="+string(design)+"|") ||
+			!strings.Contains(f.Cell, "|cores=2|") {
+			t.Fatalf("failure %d misattributed: %+v", i, f)
+		}
+		if !errors.Is(f.Err, faults.ErrInjected) {
+			t.Fatalf("failure does not unwrap to the injected fault: %v", f.Err)
+		}
+		if len(f.Stack) == 0 {
+			t.Fatal("panic failure carries no stack")
+		}
 	}
 }
 
@@ -144,12 +150,12 @@ func TestSweepKeysEmbedScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := cp.Keys()
-	if len(keys) != 1 {
-		t.Fatalf("keys: %v", keys)
+	want := []string{
+		"sim|design=Baseline|bench=perlbench|cores=1|w=60000|roi=30000|seed=1",
+		"sim|design=Maya|bench=perlbench|cores=1|w=60000|roi=30000|seed=1",
 	}
-	want := "cores|cores=1|w=60000|roi=30000|seed=1"
-	if keys[0] != want {
-		t.Fatalf("key %q, want %q", keys[0], want)
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("keys %q, want %q", keys, want)
 	}
 
 	other := sc
@@ -161,7 +167,7 @@ func TestSweepKeysEmbedScale(t *testing.T) {
 	if _, restored, _ := r2.Stats(); restored != 0 {
 		t.Fatalf("checkpoint crossed scales: %d restored", restored)
 	}
-	if cp.Len() != 2 {
-		t.Fatalf("checkpoint holds %d cells, want 2 distinct scale keys", cp.Len())
+	if cp.Len() != 4 {
+		t.Fatalf("checkpoint holds %d simulations, want 2 per scale", cp.Len())
 	}
 }

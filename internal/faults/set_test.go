@@ -215,7 +215,7 @@ func TestKillOnSaveThroughHarness(t *testing.T) {
 				t.Fatal("no cell on context")
 			}
 			for s := 1; s <= 3; s++ {
-				if err := cell.SaveSystem("sub", []byte{byte(s)}); err != nil {
+				if err := cell.SaveSystem([]byte{byte(s)}); err != nil {
 					return 0, err
 				}
 			}
@@ -341,7 +341,7 @@ func TestServeFaultNilSafe(t *testing.T) {
 		Kill: func() { t.Error("empty Set killed the process") }}
 	res := harness.RunAttempt(context.Background(), a, func(ctx context.Context) (int, error) {
 		cell := snapshot.CellFrom(ctx)
-		err := errors.Join(cell.SaveSystem("sub", []byte{1}), cell.SaveSystem("sub", []byte{2}))
+		err := errors.Join(cell.SaveSystem([]byte{1}), cell.SaveSystem([]byte{2}))
 		return cell.Saves(), err
 	})
 	if res.Outcome != harness.Succeeded || res.Value != 2 {

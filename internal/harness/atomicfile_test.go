@@ -19,10 +19,10 @@ func TestWriteFileAtomic(t *testing.T) {
 	for save := byte(1); save <= 3; save++ {
 		res := RunAttempt(context.Background(), a, func(ctx context.Context) (int, error) {
 			cell := snapshot.CellFrom(ctx)
-			if got := cell.SystemState("sub"); save > 1 && (len(got) != 1 || got[0] != save-1) {
+			if got := cell.SystemState(); save > 1 && (len(got) != 1 || got[0] != save-1) {
 				t.Errorf("attempt %d resumed state %v, want the previous save", save, got)
 			}
-			return 0, cell.SaveSystem("sub", []byte{save})
+			return 0, cell.SaveSystem([]byte{save})
 		})
 		data, err := os.ReadFile(a.Path)
 		if res.Outcome != Succeeded || err != nil {
@@ -42,7 +42,7 @@ func TestWriteFileAtomic(t *testing.T) {
 func TestWriteFileAtomicMissingDir(t *testing.T) {
 	a := Attempt{Key: "exp|cell=1", Path: filepath.Join(t.TempDir(), "nope", "cell.snap")}
 	res := RunAttempt(context.Background(), a, func(ctx context.Context) (int, error) {
-		return 0, snapshot.CellFrom(ctx).SaveSystem("sub", []byte("x"))
+		return 0, snapshot.CellFrom(ctx).SaveSystem([]byte("x"))
 	})
 	if res.Outcome != Failed || res.Err == nil {
 		t.Fatalf("outcome %v (%v), want Failed with the write error", res.Outcome, res.Err)

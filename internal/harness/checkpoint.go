@@ -12,8 +12,8 @@ import (
 // Checkpoint file format (JSON lines, append-only):
 //
 //	{"format":"maya-checkpoint","version":1}
-//	{"key":"fig9|bench=mcf|w=2000000|roi=1000000|seed=1","value":{...}}
-//	{"key":"fig9|bench=lbm|w=2000000|roi=1000000|seed=1","snapshot":"snaps/cell-....snap"}
+//	{"key":"sim|design=Maya|bench=mcf|cores=8|w=2000000|roi=1000000|seed=1","value":{...}}
+//	{"key":"sim|design=Maya|bench=lbm|cores=8|w=2000000|roi=1000000|seed=1","snapshot":"snaps/cell-....snap"}
 //	...
 //
 // One line per completed cell, flushed to the OS after each record, so a

@@ -49,10 +49,11 @@ import (
 // error, or a per-cell timeout — is wrapped here with enough context to
 // re-run the cell in isolation.
 type RunError struct {
-	// Experiment is the sweep's name (e.g. "fig9").
+	// Experiment is the cell namespace the sweep ran under (e.g. "sim"
+	// for mayasim's simulations, "grid" for the fleet's).
 	Experiment string
-	// Cell identifies the failed cell within the sweep (its checkpoint
-	// key suffix, e.g. "bench=mcf|w=2000000|roi=1000000|seed=1").
+	// Cell identifies the failed cell (its checkpoint key suffix, e.g.
+	// "design=Maya|bench=mcf|cores=8|w=2000000|roi=1000000|seed=1").
 	Cell string
 	// Attempts is how many times the cell was tried (1 + retries).
 	Attempts int

@@ -2,30 +2,20 @@ package snapshot
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io/fs"
 	"os"
-	"sort"
 	"sync"
 )
 
-// A sweep cell (one harness work unit) typically runs several sequential
-// simulator sub-runs: the shared mix plus per-core alone runs, or a
-// baseline phase feeding a scaled phase. Cell is the durable mid-cell
-// state for one such unit: the JSON results of every completed sub-run,
-// plus at most one in-progress System snapshot. On resume, completed
-// sub-runs are served from the recorded JSON (Go's encoding/json
-// round-trips float64 exactly, so downstream arithmetic is bit-identical)
-// and the in-progress sub-run restores and continues mid-ROI.
-const (
-	cellKind      = "mayasim/cell/v1"
-	maxCellSubs   = 4096
-	maxSubName    = 1024
-	maxResultJSON = 1 << 24
-)
+// A harness cell is one simulation. Cell is its durable mid-run state:
+// at most one in-progress System snapshot, written atomically on the
+// cell's save cadence and deadline trigger. A completed simulation's
+// value lives only in the sweep checkpoint (or the fleet's and session
+// service's records), and the cell file is discarded.
+const cellKind = "mayasim/cell/v1"
 
 // CellSpec configures a Cell.
 type CellSpec struct {
@@ -48,18 +38,18 @@ type CellSpec struct {
 	PreSave func(saves int) error
 }
 
-// Cell is the mid-cell resume state for one sweep cell. Methods are safe
-// for concurrent use, though a cell's sub-runs execute sequentially.
+// Cell is the mid-run resume state for one harness cell. Methods are
+// safe for concurrent use.
 type Cell struct {
 	spec CellSpec
 	key  string
+	// state is what the file held when the cell was opened: the point a
+	// run resumes from. Saves go to the file only, so a running cell
+	// keeps no copy of the state it last wrote.
+	state []byte
 
-	mu       sync.Mutex
-	results  map[string]json.RawMessage
-	order    []string // result insertion/decode order; persisted sorted
-	curSub   string
-	curState []byte
-	saves    int
+	mu    sync.Mutex
+	saves int
 }
 
 // OpenCell opens (or creates, in memory) the cell state for key. A
@@ -67,7 +57,7 @@ type Cell struct {
 // file yields a structured error so the sweep fails loudly instead of
 // silently recomputing or resuming the wrong state.
 func OpenCell(spec CellSpec, key string) (*Cell, error) {
-	c := &Cell{spec: spec, key: key, results: make(map[string]json.RawMessage)}
+	c := &Cell{spec: spec, key: key}
 	data, err := os.ReadFile(spec.Path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return c, nil
@@ -85,39 +75,7 @@ func OpenCell(spec CellSpec, key string) (*Cell, error) {
 	if snap.Header.CellKey != key {
 		return nil, &MismatchError{Field: "cell key", Want: key, Got: snap.Header.CellKey}
 	}
-	if sec := snap.Section("results"); sec != nil {
-		d := NewDecoder(sec)
-		n := d.Count(maxCellSubs)
-		for i := 0; i < n; i++ {
-			name := d.Str(maxSubName)
-			js := d.Bytes(maxResultJSON)
-			if d.Err() != nil {
-				break
-			}
-			if !json.Valid(js) {
-				return nil, &CorruptError{At: "cell result " + name, Detail: "invalid JSON"}
-			}
-			if _, dup := c.results[name]; dup {
-				return nil, &CorruptError{At: "cell result " + name, Detail: "duplicate sub-run"}
-			}
-			c.results[name] = json.RawMessage(js)
-			c.order = append(c.order, name)
-		}
-		if err := d.Finish(); err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.Path, err)
-		}
-	}
-	if sec := snap.Section("subrun"); sec != nil {
-		d := NewDecoder(sec)
-		c.curSub = d.Str(maxSubName)
-		if err := d.Finish(); err != nil {
-			return nil, fmt.Errorf("%s: %w", spec.Path, err)
-		}
-		c.curState = snap.Section("system")
-		if c.curState == nil {
-			return nil, &CorruptError{At: "cell", Detail: "subrun section without system section"}
-		}
-	}
+	c.state = snap.Section("system")
 	return c, nil
 }
 
@@ -144,54 +102,13 @@ func (c *Cell) Saves() int {
 	return c.saves
 }
 
-// LookupResult reports whether sub completed previously and, if so,
-// unmarshals its recorded result into v.
-func (c *Cell) LookupResult(sub string, v any) (bool, error) {
-	c.mu.Lock()
-	js, ok := c.results[sub]
-	c.mu.Unlock()
-	if !ok {
-		return false, nil
-	}
-	if err := json.Unmarshal(js, v); err != nil {
-		return false, fmt.Errorf("snapshot: cell result %q: %w", sub, err)
-	}
-	return true, nil
-}
+// SystemState returns the System snapshot the cell file held when it was
+// opened, or nil for a cell with no saved state.
+func (c *Cell) SystemState() []byte { return c.state }
 
-// RecordResult durably records sub's result and drops any in-progress
-// System state for it.
-func (c *Cell) RecordResult(sub string, v any) error {
-	js, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("snapshot: cell result %q: %w", sub, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.results[sub]; !dup {
-		c.order = append(c.order, sub)
-	}
-	c.results[sub] = js
-	if c.curSub == sub {
-		c.curSub, c.curState = "", nil
-	}
-	return c.persistLocked()
-}
-
-// SystemState returns the in-progress System snapshot bytes for sub, or
-// nil if none.
-func (c *Cell) SystemState(sub string) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.curSub != sub {
-		return nil
-	}
-	return c.curState
-}
-
-// SaveSystem durably records state as the in-progress snapshot of sub,
+// SaveSystem durably records state as the in-progress snapshot,
 // replacing any previous one, then invokes the OnSave hook.
-func (c *Cell) SaveSystem(sub string, state []byte) error {
+func (c *Cell) SaveSystem(state []byte) error {
 	if c.spec.PreSave != nil {
 		c.mu.Lock()
 		next := c.saves + 1
@@ -200,44 +117,20 @@ func (c *Cell) SaveSystem(sub string, state []byte) error {
 			return err
 		}
 	}
+	snap := NewSnapshot(Header{Kind: cellKind, CellKey: c.key})
+	snap.Add("system", state)
 	c.mu.Lock()
-	c.curSub, c.curState = sub, state
-	err := c.persistLocked()
-	saves := c.saves
-	if err == nil {
-		c.saves++
-		saves = c.saves
-	}
-	c.mu.Unlock()
-	if err != nil {
+	if err := WriteFileAtomic(c.spec.Path, snap.Encode(), 0o644); err != nil {
+		c.mu.Unlock()
 		return err
 	}
+	c.saves++
+	saves := c.saves
+	c.mu.Unlock()
 	if c.spec.OnSave != nil {
 		c.spec.OnSave(saves)
 	}
 	return nil
-}
-
-// persistLocked writes the cell file atomically. Results are persisted in
-// sorted sub-run order so identical cell states produce identical bytes.
-func (c *Cell) persistLocked() error {
-	snap := NewSnapshot(Header{Kind: cellKind, CellKey: c.key})
-	names := append([]string(nil), c.order...)
-	sort.Strings(names)
-	var e Encoder
-	e.Count(len(names))
-	for _, name := range names {
-		e.Str(name)
-		e.Bytes(c.results[name])
-	}
-	snap.Add("results", e.Data())
-	if c.curSub != "" {
-		var se Encoder
-		se.Str(c.curSub)
-		snap.Add("subrun", se.Data())
-		snap.Add("system", c.curState)
-	}
-	return WriteFileAtomic(c.spec.Path, snap.Encode(), 0o644)
 }
 
 // Discard removes the cell file; called when the cell's value has been

@@ -29,7 +29,7 @@ func TestCellPreSave(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.SaveSystem("mix", []byte("state-1")); err != nil {
+	if err := c.SaveSystem([]byte("state-1")); err != nil {
 		t.Fatalf("save 1: %v", err)
 	}
 	if c.Saves() != 1 {
@@ -37,7 +37,7 @@ func TestCellPreSave(t *testing.T) {
 	}
 
 	fail = true
-	if err := c.SaveSystem("mix", []byte("state-2")); !errors.Is(err, injected) {
+	if err := c.SaveSystem([]byte("state-2")); !errors.Is(err, injected) {
 		t.Fatalf("save 2 = %v, want injected error", err)
 	}
 	if c.Saves() != 1 {
@@ -48,12 +48,12 @@ func TestCellPreSave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := re.SystemState("mix"); string(got) != "state-1" {
+	if got := re.SystemState(); string(got) != "state-1" {
 		t.Fatalf("on-disk state after aborted save = %q, want state-1", got)
 	}
 
 	fail = false
-	if err := c.SaveSystem("mix", []byte("state-3")); err != nil {
+	if err := c.SaveSystem([]byte("state-3")); err != nil {
 		t.Fatalf("save 3: %v", err)
 	}
 	if c.Saves() != 2 {

@@ -205,73 +205,51 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 }
 
-// TestCellLifecycle exercises the mid-cell resume state machine: record
-// results, save an in-progress system, reopen, resume, discard.
+// TestCellLifecycle exercises the mid-run resume state machine: save an
+// in-progress system twice, reopen, read the latest state, discard.
 func TestCellLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	spec := CellSpec{Path: filepath.Join(dir, CellFileName("bench=mcf|seed=1")), Every: 100}
-	c, err := OpenCell(spec, "bench=mcf|seed=1")
+	key := "design=Maya|bench=mcf|cores=8|w=1|roi=1|seed=1"
+	spec := CellSpec{Path: filepath.Join(dir, CellFileName(key)), Every: 100}
+	c, err := OpenCell(spec, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type res struct{ IPC float64 }
-	if err := c.RecordResult("alone|mcf", res{IPC: 1.25}); err != nil {
-		t.Fatal(err)
+	if c.SystemState() != nil {
+		t.Fatal("fresh cell has in-progress state")
 	}
 	var saves []int
 	spec.OnSave = func(n int) { saves = append(saves, n) }
 	c.spec.OnSave = spec.OnSave
-	if err := c.SaveSystem("mix|Maya", []byte("STATE1")); err != nil {
+	if err := c.SaveSystem([]byte("STATE1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SaveSystem("mix|Maya", []byte("STATE2")); err != nil {
+	if err := c.SaveSystem([]byte("STATE2")); err != nil {
 		t.Fatal(err)
 	}
 	if len(saves) != 2 || saves[0] != 1 || saves[1] != 2 {
 		t.Fatalf("OnSave counts: %v", saves)
 	}
 
-	// Reopen as a fresh process would.
-	c2, err := OpenCell(spec, "bench=mcf|seed=1")
+	// Reopen as a fresh process would: the latest save is the state.
+	c2, err := OpenCell(spec, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r res
-	if ok, err := c2.LookupResult("alone|mcf", &r); err != nil || !ok || r.IPC != 1.25 {
-		t.Fatalf("LookupResult: ok=%v err=%v r=%+v", ok, err, r)
+	if string(c2.SystemState()) != "STATE2" {
+		t.Fatalf("SystemState: %q", c2.SystemState())
 	}
-	if ok, _ := c2.LookupResult("mix|Maya", &r); ok {
-		t.Fatal("incomplete sub-run reported complete")
-	}
-	if string(c2.SystemState("mix|Maya")) != "STATE2" {
-		t.Fatalf("SystemState: %q", c2.SystemState("mix|Maya"))
-	}
-	if c2.SystemState("mix|Other") != nil {
-		t.Fatal("SystemState for wrong sub not nil")
+	if c2.Saves() != 0 {
+		t.Fatalf("reopened cell reports %d saves, want 0 (the count is per process)", c2.Saves())
 	}
 
-	// Completing the in-progress sub drops its system state durably.
-	if err := c2.RecordResult("mix|Maya", res{IPC: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	c3, err := OpenCell(spec, "bench=mcf|seed=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c3.SystemState("mix|Maya") != nil {
-		t.Fatal("system state survived RecordResult")
-	}
-	if ok, _ := c3.LookupResult("mix|Maya", &r); !ok || r.IPC != 0.5 {
-		t.Fatalf("completed result lost: ok=%v r=%+v", ok, r)
-	}
-
-	if err := c3.Discard(); err != nil {
+	if err := c2.Discard(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(spec.Path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("Discard left the cell file behind")
 	}
-	if err := c3.Discard(); err != nil {
+	if err := c2.Discard(); err != nil {
 		t.Fatal("second Discard errored")
 	}
 }
@@ -285,7 +263,7 @@ func TestCellRejectsForeignAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SaveSystem("mix", []byte("S")); err != nil {
+	if err := c.SaveSystem([]byte("S")); err != nil {
 		t.Fatal(err)
 	}
 	var me *MismatchError
