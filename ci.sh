@@ -29,19 +29,25 @@ step_vet() {
 }
 
 step_inline() {
-  echo "==> inlined Monte-Carlo draws (go build -gcflags=-m)"
+  echo "==> inlined Monte-Carlo draws and snapshot encoders (go build -gcflags=-m)"
   # The bucket-and-balls kernel is fast because every draw compiles inline:
   # rng's xoshiro step (Rand.Next, and (*Rand).Uint64 built on it) and the
   # precomputed bound's accept test (Bound.Map) must stay under the
   # compiler's inlining budget, and the kernel in buckets.go must inline
-  # both. An edit that pushes one over the budget passes every test while
-  # silently costing the Monte Carlo its speed, so it fails here.
-  inl=$(go build -gcflags=-m ./internal/rng ./internal/buckets 2>&1)
+  # both. Snapshot saves are fast because the encoders' fixed-width writes
+  # and the record helper ((*Encoder).U8/U32/U64/Record) inline into the
+  # encode loops, as in Maya's tag loop. An edit that pushes one over the
+  # budget passes every test while silently costing the Monte Carlo or the
+  # saves their speed, so it fails here.
+  inl=$(go build -gcflags=-m ./internal/rng ./internal/buckets ./internal/snapshot ./internal/core 2>&1)
   for want in 'rng\.go:.*can inline (\*Rand)\.Uint64$' 'rng\.go:.*can inline Rand\.Next$' \
       'rng\.go:.*can inline Bound\.Map$' 'buckets\.go:.*inlining call to rng\.Rand\.Next$' \
-      'buckets\.go:.*inlining call to rng\.Bound\.Map$'; do
+      'buckets\.go:.*inlining call to rng\.Bound\.Map$' \
+      'codec\.go:.*can inline (\*Encoder)\.U8$' 'codec\.go:.*can inline (\*Encoder)\.U32$' \
+      'codec\.go:.*can inline (\*Encoder)\.U64$' 'codec\.go:.*can inline (\*Encoder)\.Record$' \
+      'core/state\.go:.*inlining call to snapshot\.(\*Encoder)\.Record$'; do
     if ! printf '%s\n' "$inl" | grep -q "$want"; then
-      echo "ci: '$want' missing from the -gcflags=-m output: a draw no longer inlines" >&2; exit 1
+      echo "ci: '$want' missing from the -gcflags=-m output: a draw or an encoder no longer inlines" >&2; exit 1
     fi
   done
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -33,10 +34,9 @@ func main() {
 	flag.Parse()
 
 	if *dump > 0 {
-		g := trace.MustGenerator(trace.MustLookup(*bench), 0, *seed)
-		for i := 0; i < *dump; i++ {
-			e := g.Next()
-			fmt.Printf("gap=%d line=%#x write=%v\n", e.Gap, e.Line, e.Write)
+		if err := dumpEvents(os.Stdout, *bench, *seed, *dump); err != nil {
+			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+			os.Exit(1)
 		}
 		return
 	}
@@ -80,6 +80,26 @@ func pct(a, b uint64) float64 {
 		return 0
 	}
 	return float64(a) / float64(b) * 100
+}
+
+// dumpEvents writes the first n events of bench's core-0 generator to w,
+// one line each. An unknown benchmark is an error, as on the table path.
+func dumpEvents(w io.Writer, bench string, seed uint64, n int) error {
+	p, err := trace.Lookup(bench)
+	if err != nil {
+		return err
+	}
+	g, err := trace.NewGenerator(p, 0, seed)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		e := g.Next()
+		if _, err := fmt.Fprintf(w, "gap=%d line=%#x write=%v\n", e.Gap, e.Line, e.Write); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // diag simulates bench on every core of a shared LLC of design d: the

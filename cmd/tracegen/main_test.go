@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -45,5 +46,25 @@ func TestDiagDesigns(t *testing.T) {
 		if !reflect.DeepEqual(res, cell) {
 			t.Fatalf("%s x%d: diag differs from the grid cell:\n%+v\n%+v", tc.design, tc.cores, res, cell)
 		}
+	}
+}
+
+// TestDumpEvents: -dump prints one line per event of the benchmark's
+// core-0 generator, and an unknown benchmark is the table path's error,
+// not a panic.
+func TestDumpEvents(t *testing.T) {
+	var out bytes.Buffer
+	err := dumpEvents(&out, "nosuch", 1, 3)
+	if err == nil || err.Error() != `trace: unknown benchmark "nosuch"` || out.Len() != 0 {
+		t.Fatalf("unknown benchmark: error %v, output %q", err, out.String())
+	}
+	if err := dumpEvents(&out, "mcf", 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	want := "gap=2 line=0x1500045b474 write=true\n" +
+		"gap=2 line=0x1500045b474 write=true\n" +
+		"gap=1 line=0x1500045b474 write=true\n"
+	if out.String() != want {
+		t.Fatalf("mcf dump:\n%s\nwant:\n%s", out.String(), want)
 	}
 }

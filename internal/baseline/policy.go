@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"mayacache/internal/rng"
@@ -114,7 +115,7 @@ func (p *lruPolicy) saveState(e *snapshot.Encoder) {
 	e.U64(p.clock)
 	e.Count(len(p.stamp))
 	for _, s := range p.stamp {
-		e.U64(s)
+		binary.LittleEndian.PutUint64(e.Record(8), s)
 	}
 }
 
@@ -191,9 +192,7 @@ func (p *rripPolicy) kind() ReplacementKind {
 
 func (p *rripPolicy) saveState(e *snapshot.Encoder) {
 	e.Count(len(p.rrpv))
-	for _, v := range p.rrpv {
-		e.U8(v)
-	}
+	copy(e.Record(len(p.rrpv)), p.rrpv)
 }
 
 func (p *rripPolicy) restoreState(d *snapshot.Decoder) {

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"encoding/binary"
+
 	"mayacache/internal/snapshot"
 )
 
@@ -13,14 +15,14 @@ func (c *SetAssoc) SaveState(e *snapshot.Encoder) {
 	snapshot.SaveHasherEpoch(e, c.hasher)
 	c.stats.SaveState(e)
 	e.Count(len(c.meta))
-	for i := range c.meta {
-		mv := c.meta[i]
-		e.U64(c.lineArr[i])
-		e.U8(metaSDID(mv))
-		e.U8(metaCore(mv))
-		e.Bool(mv&metaValid != 0)
-		e.Bool(mv&metaDirty != 0)
-		e.Bool(mv&metaReused != 0)
+	for i, mv := range c.meta {
+		r := e.Record(13)
+		binary.LittleEndian.PutUint64(r, c.lineArr[i])
+		r[8] = metaSDID(mv)
+		r[9] = metaCore(mv)
+		r[10] = snapshot.BoolByte(mv&metaValid != 0)
+		r[11] = snapshot.BoolByte(mv&metaDirty != 0)
+		r[12] = snapshot.BoolByte(mv&metaReused != 0)
 	}
 	c.pol.saveState(e)
 }

@@ -23,6 +23,7 @@ import (
 type recordSource struct {
 	scratch  batch
 	streams  []stream // one per core; nil inline
+	saved    []*front // fronts' result, reused across saves
 	stop     chan struct{}
 	wg       sync.WaitGroup
 	stopOnce sync.Once
@@ -128,17 +129,17 @@ func (st *stream) next(id int) (gap int32, kind uint8, ops []sharedOp, err error
 // for a snapshot: the live fronts inline, else the replicas replayed up to
 // the records the merge has applied (the workers are ahead of it).
 func (rs *recordSource) fronts(s *System) []*front {
-	out := make([]*front, len(s.cores))
+	rs.saved = rs.saved[:0]
 	for i, c := range s.cores {
 		if rs.inline() {
-			out[i] = c.f
+			rs.saved = append(rs.saved, c.f)
 			continue
 		}
 		st := &rs.streams[i]
 		st.rep.advanceTo(st.consumed, s.phase)
-		out[i] = st.rep.f
+		rs.saved = append(rs.saved, st.rep.f)
 	}
-	return out
+	return rs.saved
 }
 
 // replica reconstructs one core's private front at the merge's replay

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+
+	"mayacache/internal/snapshot"
 )
 
 // resultsJSON renders Results deterministically for byte comparison.
@@ -102,9 +104,10 @@ func runCapturing(t *testing.T, sys *System, par int) (Results, [][]byte) {
 	var snaps [][]byte
 	sys.SetAutoSnapshot(&AutoSnapshot{
 		Every: 4096,
-		Save: func(data []byte) error {
-			snaps = append(snaps, append([]byte(nil), data...))
-			return nil
+		Save: func(encode func(*snapshot.Encoder) error) error {
+			data, err := encoded(encode)
+			snaps = append(snaps, data)
+			return err
 		},
 	})
 	res, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI, Parallelism: par})

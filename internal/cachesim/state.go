@@ -2,7 +2,6 @@ package cachesim
 
 import (
 	"fmt"
-	"strings"
 
 	"mayacache/internal/snapshot"
 )
@@ -25,15 +24,6 @@ func (s *System) geometry() [6]uint64 {
 	}
 }
 
-// workloadNames joins per-core generator names for header identification.
-func (s *System) workloadNames() string {
-	names := make([]string, len(s.cores))
-	for i, c := range s.cores {
-		names[i] = c.f.gen.Name()
-	}
-	return strings.Join(names, ",")
-}
-
 // Snapshottable reports whether every pluggable component (the LLC design
 // and each workload generator) supports state serialization. Private
 // caches, DRAM, and prefetchers always do.
@@ -49,16 +39,6 @@ func (s *System) Snapshottable() bool {
 	return true
 }
 
-// saveAuto encodes the current state, with each core's private front
-// taken from fronts, and hands it to the auto-snapshot sink.
-func (s *System) saveAuto(fronts []*front) error {
-	state, err := s.encodeState(fronts)
-	if err != nil {
-		return err
-	}
-	return s.auto.Save(state)
-}
-
 // EncodeState serializes the complete simulation state — run progress,
 // every core's pipeline/cache/prefetcher/workload state, DRAM timing, and
 // the shared LLC — into a snapshot container. Encoding only reads state,
@@ -68,26 +48,32 @@ func (s *System) EncodeState() ([]byte, error) {
 	for i, c := range s.cores {
 		fronts[i] = c.f
 	}
-	return s.encodeState(fronts)
+	var e snapshot.Encoder
+	if err := s.encodeState(&e, fronts); err != nil {
+		return nil, err
+	}
+	return e.Data(), nil
 }
 
-// encodeState is EncodeState with core i's private front read from
-// fronts[i]: a parallel run's live fronts are ahead of the merge, so its
-// snapshots read replicas at the merge position instead.
-func (s *System) encodeState(fronts []*front) ([]byte, error) {
+// encodeState appends the System container to e, with core i's private
+// front read from fronts[i]: a parallel run's live fronts are ahead of
+// the merge, so its snapshots read replicas at the merge position
+// instead. Each section is written in place by one Writer, and nothing is
+// allocated once e has room for the state.
+func (s *System) encodeState(e *snapshot.Encoder, fronts []*front) error {
 	llcS, ok := s.llc.(snapshot.Stateful)
 	if !ok {
-		return nil, fmt.Errorf("cachesim: LLC design %q does not support snapshots", s.llc.Name())
+		return fmt.Errorf("cachesim: LLC design %q does not support snapshots", s.design)
 	}
 	var progress uint64
 	for _, c := range s.cores {
 		progress += c.retired
 	}
-	snap := snapshot.NewSnapshot(snapshot.Header{
+	w := snapshot.NewWriter(e, snapshot.Header{
 		Kind:      SystemKind,
 		Seed:      s.cfg.Seed,
-		Design:    s.llc.Name(),
-		Workloads: s.workloadNames(),
+		Design:    s.design,
+		Workloads: s.workloads,
 		Cores:     s.cfg.Cores,
 		Geometry:  s.geometry(),
 		Warmup:    s.warmup,
@@ -96,38 +82,34 @@ func (s *System) encodeState(fronts []*front) ([]byte, error) {
 		Progress:  progress,
 	})
 
-	var ce snapshot.Encoder
+	w.Section("cores")
 	for i, c := range s.cores {
-		c.saveState(&ce, fronts[i].pf)
+		c.saveState(e, fronts[i].pf)
 	}
-	snap.Add("cores", ce.Data())
 
-	var pe snapshot.Encoder
+	w.Section("private")
 	for _, f := range fronts {
-		f.l1d.SaveState(&pe)
-		f.l2.SaveState(&pe)
+		f.l1d.SaveState(e)
+		f.l2.SaveState(e)
 	}
-	snap.Add("private", pe.Data())
 
-	var ge snapshot.Encoder
+	w.Section("gens")
 	for _, f := range fronts {
 		gen, ok := f.gen.(snapshot.Stateful)
 		if !ok {
-			return nil, fmt.Errorf("cachesim: workload %q does not support snapshots", f.gen.Name())
+			return fmt.Errorf("cachesim: workload %q does not support snapshots", f.gen.Name())
 		}
-		gen.SaveState(&ge)
+		gen.SaveState(e)
 	}
-	snap.Add("gens", ge.Data())
 
-	var de snapshot.Encoder
-	s.dram.SaveState(&de)
-	snap.Add("dram", de.Data())
+	w.Section("dram")
+	s.dram.SaveState(e)
 
-	var le snapshot.Encoder
-	llcS.SaveState(&le)
-	snap.Add("llc", le.Data())
+	w.Section("llc")
+	llcS.SaveState(e)
 
-	return snap.Encode(), nil
+	w.End()
+	return nil
 }
 
 // RestoreState loads a snapshot into a freshly constructed System with
@@ -147,15 +129,15 @@ func (s *System) RestoreState(data []byte) error {
 		return &snapshot.MismatchError{Field: "seed",
 			Want: fmt.Sprint(s.cfg.Seed), Got: fmt.Sprint(h.Seed)}
 	}
-	if h.Design != s.llc.Name() {
-		return &snapshot.MismatchError{Field: "design", Want: s.llc.Name(), Got: h.Design}
+	if h.Design != s.design {
+		return &snapshot.MismatchError{Field: "design", Want: s.design, Got: h.Design}
 	}
 	if h.Cores != s.cfg.Cores {
 		return &snapshot.MismatchError{Field: "cores",
 			Want: fmt.Sprint(s.cfg.Cores), Got: fmt.Sprint(h.Cores)}
 	}
-	if want := s.workloadNames(); h.Workloads != want {
-		return &snapshot.MismatchError{Field: "workloads", Want: want, Got: h.Workloads}
+	if h.Workloads != s.workloads {
+		return &snapshot.MismatchError{Field: "workloads", Want: s.workloads, Got: h.Workloads}
 	}
 	if want := s.geometry(); h.Geometry != want {
 		return &snapshot.MismatchError{Field: "geometry",
@@ -163,7 +145,7 @@ func (s *System) RestoreState(data []byte) error {
 	}
 	llcS, ok := s.llc.(snapshot.Stateful)
 	if !ok {
-		return fmt.Errorf("cachesim: LLC design %q does not support snapshots", s.llc.Name())
+		return fmt.Errorf("cachesim: LLC design %q does not support snapshots", s.design)
 	}
 
 	section := func(name string) (*snapshot.Decoder, error) {

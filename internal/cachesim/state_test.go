@@ -59,6 +59,16 @@ const (
 	snapROI    = 60000
 )
 
+// encoded is an auto-snapshot sink's encoding into a fresh Encoder, so the
+// bytes stay the caller's after the save.
+func encoded(encode func(*snapshot.Encoder) error) ([]byte, error) {
+	var e snapshot.Encoder
+	if err := encode(&e); err != nil {
+		return nil, err
+	}
+	return e.Data(), nil
+}
+
 // captureMidROI runs a system with auto-snapshotting until the first save
 // taken in the ROI phase, captures those bytes, and aborts the run.
 func captureMidROI(t *testing.T, sys *System) []byte {
@@ -67,7 +77,11 @@ func captureMidROI(t *testing.T, sys *System) []byte {
 	var state []byte
 	sys.SetAutoSnapshot(&AutoSnapshot{
 		Every: 4096,
-		Save: func(data []byte) error {
+		Save: func(encode func(*snapshot.Encoder) error) error {
+			data, err := encoded(encode)
+			if err != nil {
+				return err
+			}
 			snap, err := snapshot.Decode(data)
 			if err != nil {
 				t.Fatalf("auto-snapshot does not decode: %v", err)
@@ -132,7 +146,11 @@ func TestSnapshotTimingDoesNotPerturb(t *testing.T) {
 	saves := 0
 	noisy.SetAutoSnapshot(&AutoSnapshot{
 		Every: 2048,
-		Save:  func([]byte) error { saves++; return nil },
+		Save: func(encode func(*snapshot.Encoder) error) error {
+			saves++
+			_, err := encoded(encode)
+			return err
+		},
 	})
 	res, err := Run(context.Background(), noisy, RunSpec{Warmup: snapWarmup, ROI: snapROI})
 	if err != nil {
@@ -163,7 +181,10 @@ func TestTriggerWritesDeadlineSnapshot(t *testing.T) {
 	sys := snapSystem(snapDesigns[0].mk())
 	sys.SetAutoSnapshot(&AutoSnapshot{
 		Trigger: &trig,
-		Save:    func(data []byte) error { state = data; return nil },
+		Save: func(encode func(*snapshot.Encoder) error) (err error) {
+			state, err = encoded(encode)
+			return err
+		},
 	})
 	if _, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI}); !errors.Is(err, snapshot.ErrStopped) {
 		t.Fatalf("triggered run returned %v, want ErrStopped", err)

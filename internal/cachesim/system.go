@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"mayacache/internal/baseline"
 	"mayacache/internal/cachemodel"
@@ -111,6 +112,9 @@ type System struct {
 	cores []*core
 	llc   cachemodel.LLC
 	dram  *DRAM
+	// design and workloads identify the run in snapshot headers: the
+	// LLC's name and the comma-joined per-core generator names.
+	design, workloads string
 
 	// Run-progress state: which phase the current run is in and its
 	// per-core instruction budgets. Serialized by EncodeState so a
@@ -134,14 +138,18 @@ type System struct {
 }
 
 // AutoSnapshot configures in-run state capture. The drive loop saves the
-// encoded System every Every steps (0 disables periodic saves) and, when
-// Trigger fires, writes one final snapshot and stops with
-// snapshot.ErrStopped.
+// System every Every steps (0 disables periodic saves) and, when Trigger
+// fires, writes one final snapshot and stops with snapshot.ErrStopped.
 type AutoSnapshot struct {
 	Every   uint64
 	Trigger *snapshot.Trigger
-	// Save persists one encoded snapshot; a failure aborts the run.
-	Save func(state []byte) error
+	// Save persists one snapshot: during the call it calls encode once,
+	// which appends the System container to an Encoder the sink owns. A
+	// Cell's is its reused buffer, which the next save rewrites, so the
+	// Cell keeps no bytes after Save returns. encode reads the live
+	// System and must not be called after Save returns. A failure aborts
+	// the run.
+	Save func(encode func(*snapshot.Encoder) error) error
 }
 
 // SetAutoSnapshot installs (or, with nil, removes) auto-snapshotting for
@@ -192,11 +200,14 @@ func New(cfg Config, workloads []trace.Generator) *System {
 	if cfg.LLC == nil {
 		panic("cachesim: no LLC provided")
 	}
-	s := &System{cfg: cfg, llc: cfg.LLC, dram: NewDRAM(cfg.DRAM)}
+	s := &System{cfg: cfg, llc: cfg.LLC, dram: NewDRAM(cfg.DRAM), design: cfg.LLC.Name()}
+	names := make([]string, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		f := &front{id: i, gen: workloads[i], l1d: s.newL1D(i), l2: s.newL2(i), pf: newPrefetcher(cfg.Core.Prefetch)}
 		s.cores = append(s.cores, &core{id: i, f: f, outstanding: make([]uint64, 0, cfg.Core.MSHRs)})
+		names[i] = workloads[i].Name()
 	}
+	s.workloads = strings.Join(names, ",")
 	return s
 }
 
@@ -377,7 +388,8 @@ func (s *System) collect() Results {
 // the context is cancelled mid-phase, and snapshot.ErrStopped if the
 // auto-snapshot trigger fired (after writing the deadline snapshot).
 func (s *System) drive(ctx context.Context, src *recordSource) error {
-	save := func() error { return s.saveAuto(src.fronts(s)) }
+	encode := func(e *snapshot.Encoder) error { return s.encodeState(e, src.fronts(s)) }
+	save := func() error { return s.auto.Save(encode) }
 	var steps uint64
 	for {
 		// Pick the laggard core still running (first core in index order

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"mayacache/internal/probe"
 	"mayacache/internal/snapshot"
 )
@@ -19,20 +21,18 @@ func (m *Maya) SaveState(e *snapshot.Encoder) {
 	e.Count(len(m.tags))
 	for i := range m.tags {
 		t := &m.tags[i]
-		e.U64(t.line)
-		e.I32(t.fptr)
-		e.I32(t.p0pos)
-		e.U8(t.sdid)
-		e.U8(t.core)
-		e.U8(t.state)
-		e.Bool(t.dirty)
-		e.Bool(t.reused)
+		r := e.Record(21)
+		binary.LittleEndian.PutUint64(r, t.line)
+		binary.LittleEndian.PutUint32(r[8:], uint32(t.fptr))
+		binary.LittleEndian.PutUint32(r[12:], uint32(t.p0pos))
+		r[16] = t.sdid
+		r[17] = t.core
+		r[18] = t.state
+		r[19] = snapshot.BoolByte(t.dirty)
+		r[20] = snapshot.BoolByte(t.reused)
 	}
 	m.st.SaveState(e)
-	e.Count(len(m.p0List))
-	for _, v := range m.p0List {
-		e.I32(v)
-	}
+	probe.EncodeSlotList(e, m.p0List)
 }
 
 // RestoreState implements snapshot.Stateful on a freshly constructed Maya

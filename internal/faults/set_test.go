@@ -198,6 +198,14 @@ func (r recordKill) OnSave(key string, saves int) bool {
 	return false
 }
 
+// state is a SaveSystem callback whose System state is the one byte b.
+func state(b byte) func(*snapshot.Encoder) error {
+	return func(e *snapshot.Encoder) error {
+		e.U8(b)
+		return nil
+	}
+}
+
 // TestKillOnSaveThroughHarness wires a kill fault the way mayasim does —
 // harness Options.Faults — and checks it observes the cell's durable
 // saves with the cell key and count, firing on the second.
@@ -215,7 +223,7 @@ func TestKillOnSaveThroughHarness(t *testing.T) {
 				t.Fatal("no cell on context")
 			}
 			for s := 1; s <= 3; s++ {
-				if err := cell.SaveSystem([]byte{byte(s)}); err != nil {
+				if err := cell.SaveSystem(state(byte(s))); err != nil {
 					return 0, err
 				}
 			}
@@ -341,7 +349,7 @@ func TestServeFaultNilSafe(t *testing.T) {
 		Kill: func() { t.Error("empty Set killed the process") }}
 	res := harness.RunAttempt(context.Background(), a, func(ctx context.Context) (int, error) {
 		cell := snapshot.CellFrom(ctx)
-		err := errors.Join(cell.SaveSystem([]byte{1}), cell.SaveSystem([]byte{2}))
+		err := errors.Join(cell.SaveSystem(state(1)), cell.SaveSystem(state(2)))
 		return cell.Saves(), err
 	})
 	if res.Outcome != harness.Succeeded || res.Value != 2 {

@@ -10,6 +10,15 @@ import (
 	"mayacache/internal/snapshot"
 )
 
+// state is a SaveSystem callback that writes p verbatim as the System
+// state.
+func state(p []byte) func(*snapshot.Encoder) error {
+	return func(e *snapshot.Encoder) error {
+		copy(e.Record(len(p)), p)
+		return nil
+	}
+}
+
 // TestWriteFileAtomic: every durable save of an attempt replaces the
 // cell's state file whole — it decodes, with no temp litter beside it —
 // and the next attempt resumes from the last save.
@@ -22,7 +31,7 @@ func TestWriteFileAtomic(t *testing.T) {
 			if got := cell.SystemState(); save > 1 && (len(got) != 1 || got[0] != save-1) {
 				t.Errorf("attempt %d resumed state %v, want the previous save", save, got)
 			}
-			return 0, cell.SaveSystem([]byte{save})
+			return 0, cell.SaveSystem(state([]byte{save}))
 		})
 		data, err := os.ReadFile(a.Path)
 		if res.Outcome != Succeeded || err != nil {
@@ -42,7 +51,7 @@ func TestWriteFileAtomic(t *testing.T) {
 func TestWriteFileAtomicMissingDir(t *testing.T) {
 	a := Attempt{Key: "exp|cell=1", Path: filepath.Join(t.TempDir(), "nope", "cell.snap")}
 	res := RunAttempt(context.Background(), a, func(ctx context.Context) (int, error) {
-		return 0, snapshot.CellFrom(ctx).SaveSystem([]byte("x"))
+		return 0, snapshot.CellFrom(ctx).SaveSystem(state([]byte("x")))
 	})
 	if res.Outcome != Failed || res.Err == nil {
 		t.Fatalf("outcome %v (%v), want Failed with the write error", res.Outcome, res.Err)

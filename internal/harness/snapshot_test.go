@@ -115,7 +115,7 @@ func TestRunCellsMidCellResume(t *testing.T) {
 			if cell.Every() != 100 {
 				t.Fatalf("cell cadence %d", cell.Every())
 			}
-			if err := cell.SaveSystem([]byte("partial-state")); err != nil {
+			if err := cell.SaveSystem(state([]byte("partial-state"))); err != nil {
 				return 0, err
 			}
 			return 0, snapshot.ErrStopped

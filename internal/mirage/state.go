@@ -1,6 +1,10 @@
 package mirage
 
-import "mayacache/internal/snapshot"
+import (
+	"encoding/binary"
+
+	"mayacache/internal/snapshot"
+)
 
 // SaveState implements snapshot.Stateful: the RNG, the hasher's key
 // epoch, the stats, the tags, then the store's valid counts and data
@@ -14,13 +18,14 @@ func (c *Mirage) SaveState(e *snapshot.Encoder) {
 	e.Count(len(c.tags))
 	for i := range c.tags {
 		t := &c.tags[i]
-		e.U64(t.line)
-		e.I32(t.fptr)
-		e.U8(t.sdid)
-		e.U8(t.core)
-		e.Bool(t.valid)
-		e.Bool(t.dirty)
-		e.Bool(t.reused)
+		r := e.Record(17)
+		binary.LittleEndian.PutUint64(r, t.line)
+		binary.LittleEndian.PutUint32(r[8:], uint32(t.fptr))
+		r[12] = t.sdid
+		r[13] = t.core
+		r[14] = snapshot.BoolByte(t.valid)
+		r[15] = snapshot.BoolByte(t.dirty)
+		r[16] = snapshot.BoolByte(t.reused)
 	}
 	c.st.SaveState(e)
 }

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -328,23 +329,18 @@ func (s *Skewed) FreeData(slot int32) {
 func (s *Skewed) SaveState(e *snapshot.Encoder) {
 	e.Count(len(s.validCnt))
 	for _, v := range s.validCnt {
-		e.U16(v)
+		binary.LittleEndian.PutUint16(e.Record(2), v)
 	}
 	e.Count(len(s.data))
 	for i := range s.data {
 		d := &s.data[i]
-		e.I32(d.rptr)
-		e.I32(d.usedPos)
-		e.Bool(d.valid)
+		r := e.Record(9)
+		binary.LittleEndian.PutUint32(r, uint32(d.rptr))
+		binary.LittleEndian.PutUint32(r[4:], uint32(d.usedPos))
+		r[8] = snapshot.BoolByte(d.valid)
 	}
-	e.Count(len(s.dataUsed))
-	for _, v := range s.dataUsed {
-		e.I32(v)
-	}
-	e.Count(len(s.dataFree))
-	for _, v := range s.dataFree {
-		e.I32(v)
-	}
+	EncodeSlotList(e, s.dataUsed)
+	EncodeSlotList(e, s.dataFree)
 }
 
 // RestoreState decodes what SaveState wrote into a freshly built store of
@@ -414,6 +410,16 @@ func (s *Skewed) rebuild(tag func(ti int) Tag) {
 		} else if s.invMask != nil {
 			s.invMask[skewSet] |= 1 << uint(way)
 		}
+	}
+}
+
+// EncodeSlotList writes a dense index list, order included, as its count
+// and one little-endian int32 per entry: the wire form DecodeSlotList
+// reads.
+func EncodeSlotList(e *snapshot.Encoder, list []int32) {
+	e.Count(len(list))
+	for _, v := range list {
+		binary.LittleEndian.PutUint32(e.Record(4), uint32(v))
 	}
 }
 

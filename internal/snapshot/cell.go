@@ -50,6 +50,11 @@ type Cell struct {
 
 	mu    sync.Mutex
 	saves int
+	// buf holds the file image of the last save and is reused by the
+	// next, so once the first save has sized it a save allocates nothing
+	// to encode. A save takes it out under mu, so the System's encoding
+	// runs unlocked, and puts it back before writing the file.
+	buf Encoder
 }
 
 // OpenCell opens (or creates, in memory) the cell state for key. A
@@ -106,9 +111,13 @@ func (c *Cell) Saves() int {
 // opened, or nil for a cell with no saved state.
 func (c *Cell) SystemState() []byte { return c.state }
 
-// SaveSystem durably records state as the in-progress snapshot,
-// replacing any previous one, then invokes the OnSave hook.
-func (c *Cell) SaveSystem(state []byte) error {
+// SaveSystem durably records a new in-progress snapshot, replacing any
+// previous one, then invokes the OnSave hook. system appends one System
+// container to the Encoder it is given: the cell's own buffer, in which
+// that container is the payload of the file's system section, so the
+// state is encoded once, in place, and the buffer's bytes are reused by
+// the next save.
+func (c *Cell) SaveSystem(system func(*Encoder) error) error {
 	if c.spec.PreSave != nil {
 		c.mu.Lock()
 		next := c.saves + 1
@@ -117,10 +126,17 @@ func (c *Cell) SaveSystem(state []byte) error {
 			return err
 		}
 	}
-	snap := NewSnapshot(Header{Kind: cellKind, CellKey: c.key})
-	snap.Add("system", state)
 	c.mu.Lock()
-	if err := WriteFileAtomic(c.spec.Path, snap.Encode(), 0o644); err != nil {
+	buf := c.buf
+	c.buf = Encoder{} // a concurrent save encodes into a buffer of its own
+	c.mu.Unlock()
+	data, err := c.image(&buf, system)
+	c.mu.Lock()
+	c.buf = buf
+	if err == nil {
+		err = WriteFileAtomic(c.spec.Path, data, 0o644)
+	}
+	if err != nil {
 		c.mu.Unlock()
 		return err
 	}
@@ -131,6 +147,19 @@ func (c *Cell) SaveSystem(state []byte) error {
 		c.spec.OnSave(saves)
 	}
 	return nil
+}
+
+// image replaces e's contents with the cell file's container, whose
+// system section is the System container system writes, and returns it.
+func (c *Cell) image(e *Encoder, system func(*Encoder) error) ([]byte, error) {
+	e.b = e.b[:0]
+	w := NewWriter(e, Header{Kind: cellKind, CellKey: c.key})
+	w.Section("system")
+	if err := system(e); err != nil {
+		return nil, err
+	}
+	w.End()
+	return e.b, nil
 }
 
 // Discard removes the cell file; called when the cell's value has been

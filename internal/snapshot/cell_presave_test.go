@@ -29,7 +29,7 @@ func TestCellPreSave(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.SaveSystem([]byte("state-1")); err != nil {
+	if err := c.SaveSystem(payload("state-1")); err != nil {
 		t.Fatalf("save 1: %v", err)
 	}
 	if c.Saves() != 1 {
@@ -37,7 +37,7 @@ func TestCellPreSave(t *testing.T) {
 	}
 
 	fail = true
-	if err := c.SaveSystem([]byte("state-2")); !errors.Is(err, injected) {
+	if err := c.SaveSystem(payload("state-2")); !errors.Is(err, injected) {
 		t.Fatalf("save 2 = %v, want injected error", err)
 	}
 	if c.Saves() != 1 {
@@ -53,7 +53,7 @@ func TestCellPreSave(t *testing.T) {
 	}
 
 	fail = false
-	if err := c.SaveSystem([]byte("state-3")); err != nil {
+	if err := c.SaveSystem(payload("state-3")); err != nil {
 		t.Fatalf("save 3: %v", err)
 	}
 	if c.Saves() != 2 {

@@ -5,12 +5,14 @@
 //
 // The package deliberately knows nothing about cache geometry or the
 // simulator: components implement Stateful against the Encoder/Decoder
-// here, and cachesim assembles their sections into one Snapshot.
+// here, and cachesim writes their sections into one container through a
+// Writer.
 package snapshot
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"mayacache/internal/rng"
 )
@@ -24,17 +26,36 @@ type Encoder struct {
 // Data returns the encoded bytes.
 func (e *Encoder) Data() []byte { return e.b }
 
+// Record reserves the next n bytes for one fixed-width record and returns
+// them for the caller to fill (binary.LittleEndian.Put* and BoolByte), so
+// a record of many fields costs one capacity check instead of one append
+// per field. The slice is valid until the next write to e.
+func (e *Encoder) Record(n int) []byte {
+	l := len(e.b)
+	if cap(e.b)-l < n {
+		e.grow(n)
+	}
+	e.b = e.b[:l+n]
+	return e.b[l:]
+}
+
+// grow makes room for n more bytes and at least doubles the capacity, so
+// a buffer filled record by record is copied about once per byte.
+func (e *Encoder) grow(n int) { e.b = slices.Grow(e.b, max(n, cap(e.b))) }
+
+// BoolByte is a bool's wire byte: 1 for true, 0 for false.
+func BoolByte(v bool) uint8 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.b = append(e.b, v) }
 
 // Bool appends a bool as one byte.
-func (e *Encoder) Bool(v bool) {
-	if v {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
+func (e *Encoder) Bool(v bool) { e.U8(BoolByte(v)) }
 
 // U16 appends a little-endian uint16.
 func (e *Encoder) U16(v uint16) { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
@@ -61,12 +82,6 @@ func (e *Encoder) Int(v int) { e.I64(int64(v)) }
 func (e *Encoder) Str(s string) {
 	e.U32(uint32(len(s)))
 	e.b = append(e.b, s...)
-}
-
-// Bytes appends a length-prefixed (u32) byte slice.
-func (e *Encoder) Bytes(p []byte) {
-	e.U32(uint32(len(p)))
-	e.b = append(e.b, p...)
 }
 
 // Count appends an element count (u32) for a following sequence.

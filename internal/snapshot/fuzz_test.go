@@ -8,17 +8,14 @@ import (
 // FuzzSnapshotDecode feeds adversarial bytes to the container decoder.
 // The contract under fuzz: no panic, no unbounded preallocation (every
 // count is validated against the physical input before allocating), and
-// anything that decodes successfully must re-encode to a container that
-// decodes to the same header and sections.
+// anything that decodes successfully must re-encode (through the Writer)
+// to a container that decodes to the same header and sections.
 func FuzzSnapshotDecode(f *testing.F) {
 	// Well-formed container.
-	s := NewSnapshot(Header{
+	valid := encodeSections(Header{
 		Kind: "mayasim/system/v1", Seed: 1, Design: "Maya-6b3r6i",
 		Workloads: "mix_zipf", Cores: 1, Warmup: 10, ROI: 20, Phase: PhaseROI,
-	})
-	s.Add("run", []byte{1, 2, 3, 4})
-	s.Add("llc", bytes.Repeat([]byte{0xab}, 64))
-	valid := s.Encode()
+	}, section{"run", []byte{1, 2, 3, 4}}, section{"llc", bytes.Repeat([]byte{0xab}, 64)})
 	f.Add(valid)
 	// Truncations at structural boundaries.
 	f.Add(valid[:8])
@@ -33,13 +30,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	forged = append(forged, 0xff, 0xff, 0xff, 0x7f)
 	f.Add(forged)
 	// A cell container, to cover the header string paths.
-	c := NewSnapshot(Header{Kind: cellKind, CellKey: "bench=mcf|seed=1"})
-	var e Encoder
-	e.Count(1)
-	e.Str("alone|mcf")
-	e.Bytes([]byte(`{"IPC":1.5}`))
-	c.Add("results", e.Data())
-	f.Add(c.Encode())
+	f.Add(encodeSections(Header{Kind: cellKind, CellKey: "bench=mcf|seed=1"}, section{"system", valid}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(data)
@@ -49,7 +40,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 			}
 			return
 		}
-		re, err := Decode(snap.Encode())
+		secs := make([]section, len(snap.Names()))
+		for i, name := range snap.Names() {
+			secs[i] = section{name, snap.Section(name)}
+		}
+		re, err := Decode(encodeSections(snap.Header, secs...))
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded container failed: %v", err)
 		}

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -196,37 +197,82 @@ func (h *Header) decode(d *Decoder) error {
 
 // sectionCRC covers both the section name and its payload so a corrupted
 // name cannot silently re-home an intact payload.
-func sectionCRC(name string, payload []byte) uint32 {
-	h := crc32.NewIEEE()
-	_, _ = h.Write([]byte(name)) // crc32 digest writes never fail
-	_, _ = h.Write(payload)
-	return h.Sum32()
+func sectionCRC(name, payload []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(name), crc32.IEEETable, payload)
 }
 
-// Snapshot is a decoded (or under-construction) container: a Header plus
-// named, CRC-protected sections in a stable order.
+// Writer writes one container in place at the end of an Encoder, in one
+// pass. NewWriter writes the magic, the version and the header, and
+// reserves the section count; Section opens a section whose payload is
+// everything appended to the Encoder until the next Section or End; End
+// closes the last section and patches the count. Each length is reserved
+// and then patched, and each CRC is computed over the bytes where they
+// already lie, so no payload is copied, and a section's payload may
+// itself be a container written by another Writer on the same Encoder.
+type Writer struct {
+	e     *Encoder
+	count int // offset of the reserved section count
+	n     int // sections opened
+	name  int // offset of the open section's name
+	size  int // offset of its reserved payload length; -1 when none is open
+}
+
+// NewWriter starts a container with header h at the end of e.
+func NewWriter(e *Encoder, h Header) Writer {
+	e.b = append(e.b, magic...)
+	e.U16(Version)
+	at := len(e.b)
+	e.U32(0)
+	h.encode(e)
+	header := e.b[at+4:]
+	binary.LittleEndian.PutUint32(e.b[at:], uint32(len(header)))
+	e.U32(crc32.ChecksumIEEE(header))
+	w := Writer{e: e, count: len(e.b), size: -1}
+	e.U16(0)
+	return w
+}
+
+// Section closes the open section, if any, and opens the named one.
+// Section names are fixed at the call sites, so an invalid name is a
+// programming error and panics; a duplicate name is caught by Decode.
+func (w *Writer) Section(name string) {
+	if len(name) == 0 || len(name) > maxSectionName {
+		panic("snapshot: invalid section name")
+	}
+	w.close()
+	w.n++
+	w.e.U16(uint16(len(name)))
+	w.name = len(w.e.b)
+	w.e.b = append(w.e.b, name...)
+	w.size = len(w.e.b)
+	w.e.U32(0)
+}
+
+// close patches the open section's payload length and appends its CRC.
+func (w *Writer) close() {
+	if w.size < 0 {
+		return
+	}
+	b := w.e.b
+	payload := b[w.size+4:]
+	binary.LittleEndian.PutUint32(b[w.size:], uint32(len(payload)))
+	w.e.U32(sectionCRC(b[w.name:w.size], payload))
+	w.size = -1
+}
+
+// End closes the open section and patches the section count. The
+// container is complete; further writes to the Encoder follow it.
+func (w *Writer) End() {
+	w.close()
+	binary.LittleEndian.PutUint16(w.e.b[w.count:], uint16(w.n))
+}
+
+// Snapshot is a decoded container: a Header plus named, CRC-protected
+// sections in a stable order.
 type Snapshot struct {
 	Header   Header
 	names    []string
 	sections map[string][]byte
-}
-
-// NewSnapshot returns an empty container with the given header.
-func NewSnapshot(h Header) *Snapshot {
-	return &Snapshot{Header: h, sections: make(map[string][]byte)}
-}
-
-// Add appends a named section. Adding a duplicate name panics: section
-// names are fixed at the call sites, so a duplicate is a programming error.
-func (s *Snapshot) Add(name string, payload []byte) {
-	if len(name) == 0 || len(name) > maxSectionName {
-		panic("snapshot: invalid section name")
-	}
-	if _, dup := s.sections[name]; dup {
-		panic("snapshot: duplicate section " + name)
-	}
-	s.names = append(s.names, name)
-	s.sections[name] = payload
 }
 
 // Section returns the named payload, or nil if absent.
@@ -234,28 +280,6 @@ func (s *Snapshot) Section(name string) []byte { return s.sections[name] }
 
 // Names returns the section names in container order.
 func (s *Snapshot) Names() []string { return s.names }
-
-// Encode serializes the container.
-func (s *Snapshot) Encode() []byte {
-	var e Encoder
-	e.b = append(e.b, magic...)
-	e.U16(Version)
-
-	var he Encoder
-	s.Header.encode(&he)
-	e.Bytes(he.Data())
-	e.U32(crc32.ChecksumIEEE(he.Data()))
-
-	e.U16(uint16(len(s.names)))
-	for _, name := range s.names {
-		e.U16(uint16(len(name)))
-		e.b = append(e.b, name...)
-		payload := s.sections[name]
-		e.Bytes(payload)
-		e.U32(sectionCRC(name, payload))
-	}
-	return e.Data()
-}
 
 // Decode parses and integrity-checks a container. It returns
 // ErrNotSnapshot for foreign bytes, a VersionError for unknown revisions,
@@ -293,13 +317,14 @@ func Decode(data []byte) (*Snapshot, error) {
 		if nameLen == 0 || nameLen > maxSectionName {
 			d.failf("section name", "length %d out of range", nameLen)
 		}
-		name := string(d.take(nameLen, "section name"))
+		rawName := d.take(nameLen, "section name")
 		payload := d.Bytes(len(data))
 		crc := d.U32()
 		if d.err != nil {
 			return nil, d.err
 		}
-		if sectionCRC(name, payload) != crc {
+		name := string(rawName)
+		if sectionCRC(rawName, payload) != crc {
 			return nil, &CorruptError{At: "section " + name, Detail: "CRC mismatch"}
 		}
 		if _, dup := s.sections[name]; dup {

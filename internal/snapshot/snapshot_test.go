@@ -1,10 +1,13 @@
 package snapshot
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"mayacache/internal/rng"
@@ -25,20 +28,45 @@ func testHeader() Header {
 	}
 }
 
-// TestContainerRoundTrip checks Encode→Decode preserves the header and
+// section is one named payload for encodeSections.
+type section struct {
+	name    string
+	payload []byte
+}
+
+// encodeSections writes a container of the given sections through the
+// Writer.
+func encodeSections(h Header, secs ...section) []byte {
+	var e Encoder
+	w := NewWriter(&e, h)
+	for _, s := range secs {
+		w.Section(s.name)
+		e.b = append(e.b, s.payload...)
+	}
+	w.End()
+	return e.Data()
+}
+
+// payload is a SaveSystem callback that writes p verbatim.
+func payload(p string) func(*Encoder) error {
+	return func(e *Encoder) error {
+		copy(e.Record(len(p)), p)
+		return nil
+	}
+}
+
+// TestContainerRoundTrip checks Writer→Decode preserves the header and
 // every section byte-for-byte, in order.
 func TestContainerRoundTrip(t *testing.T) {
-	s := NewSnapshot(testHeader())
-	s.Add("llc", []byte{1, 2, 3})
-	s.Add("dram", nil)
-	s.Add("run", []byte("payload"))
+	data := encodeSections(testHeader(),
+		section{"llc", []byte{1, 2, 3}}, section{"dram", nil}, section{"run", []byte("payload")})
 
-	got, err := Decode(s.Encode())
+	got, err := Decode(data)
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if got.Header != s.Header {
-		t.Fatalf("header mismatch:\n got %+v\nwant %+v", got.Header, s.Header)
+	if got.Header != testHeader() {
+		t.Fatalf("header mismatch:\n got %+v\nwant %+v", got.Header, testHeader())
 	}
 	if len(got.Names()) != 3 || got.Names()[0] != "llc" || got.Names()[1] != "dram" || got.Names()[2] != "run" {
 		t.Fatalf("section order: %v", got.Names())
@@ -51,14 +79,39 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriterNests writes a container as the payload of another
+// container's section on one Encoder, as a cell save writes the System
+// container, after bytes that are not part of either: the outer
+// container decodes, and its section is exactly the inner container.
+func TestWriterNests(t *testing.T) {
+	inner := encodeSections(testHeader(), section{"llc", []byte{1, 2, 3}}, section{"dram", []byte("d")})
+	var e Encoder
+	e.U8(0xee)
+	outer := NewWriter(&e, Header{Kind: cellKind, CellKey: "k"})
+	outer.Section("system")
+	w := NewWriter(&e, testHeader())
+	w.Section("llc")
+	e.b = append(e.b, 1, 2, 3)
+	w.Section("dram")
+	e.U8('d')
+	w.End()
+	outer.End()
+
+	got, err := Decode(e.Data()[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Header.CellKey != "k" || len(got.Names()) != 1 || !bytes.Equal(got.Section("system"), inner) {
+		t.Fatalf("outer container %+v %v does not hold the inner container", got.Header, got.Names())
+	}
+}
+
 // TestDecodeRejectsCorruption flips every byte of a valid container in
 // turn and requires Decode to fail (or, for the rare flips that keep the
 // container valid, to change nothing structural) without panicking. Flips
 // inside CRC-protected payloads must always be caught.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	s := NewSnapshot(testHeader())
-	s.Add("run", []byte("the quick brown fox"))
-	data := s.Encode()
+	data := encodeSections(testHeader(), section{"run", []byte("the quick brown fox")})
 
 	for i := range data {
 		mut := append([]byte(nil), data...)
@@ -68,7 +121,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			continue // rejected: good
 		}
 		// A surviving flip must not have altered header or payload.
-		if got.Header != s.Header || string(got.Section("run")) != "the quick brown fox" {
+		if got.Header != testHeader() || string(got.Section("run")) != "the quick brown fox" {
 			t.Fatalf("byte %d flip silently altered decoded state", i)
 		}
 	}
@@ -77,9 +130,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // TestDecodeRejectsTruncation truncates at every length and requires a
 // structured error, never a panic.
 func TestDecodeRejectsTruncation(t *testing.T) {
-	s := NewSnapshot(testHeader())
-	s.Add("run", []byte("abcdefgh"))
-	data := s.Encode()
+	data := encodeSections(testHeader(), section{"run", []byte("abcdefgh")})
 	for n := 0; n < len(data); n++ {
 		if _, err := Decode(data[:n]); err == nil {
 			t.Fatalf("truncation at %d accepted", n)
@@ -93,16 +144,14 @@ func TestDecodeErrorTaxonomy(t *testing.T) {
 	if _, err := Decode([]byte("NOTASNAP....")); !errors.Is(err, ErrNotSnapshot) {
 		t.Fatalf("bad magic: got %v", err)
 	}
-	data := NewSnapshot(testHeader()).Encode()
+	data := encodeSections(testHeader())
 	data[8] = 0xff // version low byte
 	var ve *VersionError
 	if _, err := Decode(data); !errors.As(err, &ve) {
 		t.Fatalf("bad version: got %v", err)
 	}
 
-	s := NewSnapshot(testHeader())
-	s.Add("run", []byte("abcdefgh"))
-	data = s.Encode()
+	data = encodeSections(testHeader(), section{"run", []byte("abcdefgh")})
 	data[len(data)-6] ^= 1 // inside the run payload
 	var ce *CorruptError
 	if _, err := Decode(data); !errors.As(err, &ce) {
@@ -164,9 +213,7 @@ func TestEncoderDecoderRNG(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sys.snap")
-	s := NewSnapshot(testHeader())
-	s.Add("run", []byte("x"))
-	if err := WriteFileAtomic(path, s.Encode(), 0o644); err != nil {
+	if err := WriteFileAtomic(path, encodeSections(testHeader(), section{"run", []byte("x")}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -177,7 +224,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Header != s.Header {
+	if got.Header != testHeader() {
 		t.Fatal("read-back header mismatch")
 	}
 
@@ -221,10 +268,10 @@ func TestCellLifecycle(t *testing.T) {
 	var saves []int
 	spec.OnSave = func(n int) { saves = append(saves, n) }
 	c.spec.OnSave = spec.OnSave
-	if err := c.SaveSystem([]byte("STATE1")); err != nil {
+	if err := c.SaveSystem(payload("STATE1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SaveSystem([]byte("STATE2")); err != nil {
+	if err := c.SaveSystem(payload("STATE2")); err != nil {
 		t.Fatal(err)
 	}
 	if len(saves) != 2 || saves[0] != 1 || saves[1] != 2 {
@@ -254,6 +301,41 @@ func TestCellLifecycle(t *testing.T) {
 	}
 }
 
+// TestCellConcurrentSaves saves from several goroutines at once: every
+// save counts, and the file holds one whole save, never a mix of two.
+func TestCellConcurrentSaves(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cell.snap")
+	c, err := OpenCell(CellSpec{Path: path}, "concurrent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, saves = 4, 10
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(p string) {
+			defer wg.Done()
+			for i := 0; i < saves; i++ {
+				if err := c.SaveSystem(payload(p)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(strings.Repeat(string(rune('a'+g)), 4096))
+	}
+	wg.Wait()
+	if c.Saves() != writers*saves {
+		t.Fatalf("saves = %d, want %d", c.Saves(), writers*saves)
+	}
+	re, err := OpenCell(CellSpec{Path: path}, "concurrent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := string(re.SystemState()); len(st) != 4096 || strings.Count(st, st[:1]) != 4096 {
+		t.Fatalf("the file holds %d bytes that are not one save", len(st))
+	}
+}
+
 // TestCellRejectsForeignAndCorrupt checks key mismatches and damaged cell
 // files produce structured errors.
 func TestCellRejectsForeignAndCorrupt(t *testing.T) {
@@ -263,7 +345,7 @@ func TestCellRejectsForeignAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SaveSystem([]byte("S")); err != nil {
+	if err := c.SaveSystem(payload("S")); err != nil {
 		t.Fatal(err)
 	}
 	var me *MismatchError

@@ -602,8 +602,10 @@ func (st *funcState) fieldSink(lhs ast.Expr, t taint, emit bool) {
 }
 
 // callSinks checks a call's arguments against the call-shaped sinks: the
-// seeded rng package's constructors/methods, snapshot Encoder methods, and
-// any summarized callee that forwards a parameter into a sink.
+// seeded rng package's constructors/methods, snapshot Encoder methods,
+// encoding/binary's Put methods (which fill the records Encoder.Record
+// reserves), and any summarized callee that forwards a parameter into a
+// sink.
 func (st *funcState) callSinks(call *ast.CallExpr, emit bool) {
 	fn := calleeOf(st.pkg, call)
 	if fn == nil {
@@ -623,6 +625,10 @@ func (st *funcState) callSinks(call *ast.CallExpr, emit bool) {
 			}
 			return
 		}
+	}
+	if fn.Pkg() != nil && fn.Pkg().Path() == "encoding/binary" && strings.HasPrefix(fn.Name(), "Put") && len(call.Args) == 2 {
+		st.sink(call.Args[1].Pos(), fmt.Sprintf("snapshot payload (binary.%s)", fn.Name()), st.eval(call.Args[1]), emit)
+		return
 	}
 	if sum, ok := st.e.summaries[funcIDOf(fn)]; ok && len(sum.paramSink) > 0 {
 		for i, arg := range call.Args {

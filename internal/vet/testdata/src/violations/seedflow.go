@@ -1,6 +1,7 @@
 package violations
 
 import (
+	"encoding/binary"
 	"os"
 	"runtime"
 
@@ -55,6 +56,12 @@ func EnvSeed(s *sampler) {
 // PidIntoSnapshot serializes process identity into a snapshot payload.
 func PidIntoSnapshot(e *snapshot.Encoder) {
 	e.U64(uint64(os.Getpid())) // want: seedflow
+}
+
+// PidIntoRecord fills a record reserved in a snapshot payload with
+// process identity, through encoding/binary rather than an Encoder method.
+func PidIntoRecord(r []byte) {
+	binary.LittleEndian.PutUint64(r, uint64(os.Getpid())) // want: seedflow
 }
 
 // GomaxprocsBudget puts machine width into a results-affecting budget
