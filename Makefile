@@ -29,8 +29,10 @@ vet:
 	$(GO) run ./cmd/mayavet $(VETFLAGS) ./...
 
 # lint fails on any gofmt-unclean Go file outside the analyzer's fixture
-# module, and on any `// Deprecated:` doc comment: an operation has one
-# entrypoint, so a replaced API is deleted, not kept beside its successor.
+# module, on any `// Deprecated:` doc comment, and on any exported Must...
+# function in a non-test file: an operation has one entrypoint, so a
+# replaced API is deleted, not kept beside its successor, and no
+# constructor has a panicking twin.
 lint:
 	sh ./ci.sh lint
 
@@ -89,14 +91,12 @@ bench-profile:
 	$(GO) tool pprof -top -nodecount=10 "$$TMP/micro.pprof"
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
-# regressions in the PRINCE round-trip, trace-parser robustness and the
-# fully-associative cache's flat index (against its map-based reference)
-# without stalling CI. Corpus crashers live under testdata/fuzz and
-# replay in normal `go test` runs.
+# regressions in the PRINCE round-trip, snapshot-decoder robustness and
+# the fully-associative cache's flat index (against its map-based
+# reference) without stalling CI. Corpus crashers live under
+# testdata/fuzz and replay in normal `go test` runs.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzEncryptDecryptRoundTrip -fuzztime=10s ./internal/prince/
-	$(GO) test -run=^$$ -fuzz=FuzzReadEvents$$ -fuzztime=10s ./internal/trace/
-	$(GO) test -run=^$$ -fuzz=FuzzReadEventsRoundTrip -fuzztime=10s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot/
 	$(GO) test -run=^$$ -fuzz=FuzzFAIndex -fuzztime=10s ./internal/baseline/
 

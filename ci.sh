@@ -53,16 +53,22 @@ step_inline() {
 }
 
 step_lint() {
-  echo "==> gofmt + no deprecated twins"
+  echo "==> gofmt + no deprecated or panic twins"
   # Every Go file outside the analyzer's fixture module must be gofmt-clean,
-  # and no doc comment may mark an API deprecated: an operation has one
-  # entrypoint, so a replaced API is deleted, not kept beside its successor.
+  # no doc comment may mark an API deprecated, and no non-test file may
+  # declare an exported Must... function: an operation has one entrypoint,
+  # so a replaced API is deleted, not kept beside its successor, and a
+  # constructor returns its error instead of growing a panicking twin
+  # (tests wrap the error in a helper that fails the test).
   unformatted=$(gofmt -l . | grep -v '^internal/vet/testdata/' || true)
   if [ -n "$unformatted" ]; then
     echo "ci: gofmt needed on:" >&2; echo "$unformatted" >&2; exit 1
   fi
   if grep -rn --include='*.go' '^[[:space:]]*// Deprecated:' . >&2; then
     echo "ci: delete the deprecated API instead of keeping it" >&2; exit 1
+  fi
+  if grep -rnE --include='*.go' --exclude='*_test.go' '^func (\([^)]*\) )?Must' . >&2; then
+    echo "ci: return the error instead of adding a panicking Must twin" >&2; exit 1
   fi
 }
 
@@ -107,7 +113,7 @@ step_race_mc() {
   # sharded buckets/attack tests at CI scale.
   go test -race -short ./internal/mc/... ./internal/pprofutil/...
   go test -race -short -run 'Sharded' ./internal/buckets/
-  go test -race -short -run 'Trials|MedianDistinguishWorker|EvictionSetTrials|ReplacementPredictabilityCtx' ./internal/attack/
+  go test -race -short -run 'Trials|MedianDistinguishWorker|ReplacementPredictabilityCtx' ./internal/attack/
 }
 
 step_race_serve() {

@@ -198,7 +198,7 @@ func runSerial(args []string) int {
 	fs := flag.NewFlagSet("mayafleet serial", flag.ContinueOnError)
 	g := addGridFlags(fs)
 	var (
-		workers    = fs.Int("workers", 0, "worker-pool width (0 = all CPUs but one)")
+		workers    = fs.Int("workers", 0, "worker-pool width: cells run at once (0 = GOMAXPROCS)")
 		retries    = fs.Int("retries", 0, "retries for cells failing with transient errors")
 		checkpoint = fs.String("checkpoint", "", "JSONL checkpoint file: completed cells are appended and restored on rerun")
 		faultSpecs multiFlag

@@ -95,7 +95,7 @@ func run() int {
 		roi        = flag.Uint64("roi", 1_000_000, "measured instructions per core (must be positive)")
 		seed       = flag.Uint64("seed", 1, "experiment seed")
 		csv        = flag.Bool("csv", false, "emit CSV instead of tables")
-		workers    = flag.Int("workers", 0, "worker-pool width (0 = all CPUs but one; implies parallel)")
+		workers    = flag.Int("workers", 0, "worker-pool width: simulations run at once (0 = GOMAXPROCS)")
 		timeout    = flag.Duration("timeout", 0, "per-simulation timeout (0 disables)")
 		retries    = flag.Int("retries", 0, "retries for simulations failing with transient errors")
 		checkpoint = flag.String("checkpoint", "", "JSONL checkpoint file: completed simulations are appended and restored on rerun")

@@ -95,7 +95,7 @@ func run() int {
 	flag.Uint64Var(&f.iters, "iters", 20_000_000, "Monte-Carlo iterations per configuration point")
 	flag.Uint64Var(&f.seed, "seed", 1, "seed")
 	flag.IntVar(&f.shards, "shards", runtime.GOMAXPROCS(0), "independent Monte-Carlo streams (part of the experiment definition; 1 = historical serial run)")
-	flag.IntVar(&f.workers, "workers", runtime.GOMAXPROCS(0), "worker pool width (wall clock only, never results)")
+	flag.IntVar(&f.workers, "workers", harness.DefaultWorkers(), "worker pool width (wall clock only, never results)")
 	flag.BoolVar(&f.csv, "csv", false, "emit CSV")
 	flag.StringVar(&cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&memprofile, "memprofile", "", "write an allocation profile to this file on exit")

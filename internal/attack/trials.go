@@ -10,19 +10,18 @@ import (
 
 // This file routes the cacheFX-style attack drivers through the
 // shard-parallel Monte-Carlo engine: every attack repetition — one
-// occupancy-attack instance, one eviction-set construction, one
-// replacement-predictability trial — builds its own cache and victims
-// from a per-trial seed, so repetitions share no state and fan across the
-// pool. Results are collected in trial order, making every aggregate
-// (median, found-count) a pure function of (seed, trials), independent of
-// worker scheduling.
+// occupancy-attack instance or one replacement-predictability trial —
+// builds its own cache and victims from a per-trial seed, so repetitions
+// share no state and fan across the pool. Results are collected in trial
+// order, making every aggregate (median, fraction) a pure function of
+// (seed, trials), independent of worker scheduling.
 
 // Trials configures a parallel attack-repetition run.
 type Trials struct {
 	// Runs is the number of independent repetitions.
 	Runs int
-	// Workers bounds pool parallelism (0 = one per CPU). It never
-	// affects results, only wall clock.
+	// Workers bounds pool parallelism (0 = harness.DefaultWorkers). It
+	// never affects results, only wall clock.
 	Workers int
 	// Seed is the base seed for per-trial derivation: trial i runs at
 	// Seed + i*stride, with a stride of 1000003 for occupancy attacks and
@@ -65,53 +64,6 @@ func (tr Trials) MedianDistinguishCtx(ctx context.Context,
 		return 0, err
 	}
 	return metrics.Median(results), nil
-}
-
-// EvictionSetTrialsResult aggregates independent eviction-set
-// constructions against one design.
-type EvictionSetTrialsResult struct {
-	// PerTrial holds each construction's outcome in trial order.
-	PerTrial []EvictionSetResult
-	// Found counts trials that produced a usable conflict set.
-	Found int
-	// TotalSAEs sums the set-associative evictions observed across
-	// trials — the security signal the randomized designs must keep at
-	// zero.
-	TotalSAEs uint64
-	// MedianSetSize is the median final set size across trials.
-	MedianSetSize float64
-}
-
-// EvictionSetTrialsCtx fans independent eviction-set constructions (one
-// fresh cache per trial) across the pool. flushAssisted selects the
-// Section II-A flush-based variant.
-func (tr Trials) EvictionSetTrialsCtx(ctx context.Context, mkCache func(seed uint64) cachemodel.LLC,
-	victimLine uint64, candidates int, budget uint64, flushAssisted bool) (*EvictionSetTrialsResult, error) {
-	per, err := mc.ForEach(ctx, tr.Workers, tr.runs(), func(ctx context.Context, i int) (EvictionSetResult, error) {
-		s := tr.trialSeed(i, 1)
-		c := mkCache(s)
-		var res EvictionSetResult
-		if flushAssisted {
-			res = BuildEvictionSetFlushAssisted(c, victimLine, candidates, budget, s)
-		} else {
-			res = BuildEvictionSet(c, victimLine, candidates, budget, s)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &EvictionSetTrialsResult{PerTrial: per}
-	sizes := make([]float64, 0, len(per))
-	for _, r := range per {
-		if r.Found {
-			out.Found++
-		}
-		out.TotalSAEs += r.SAEsObserved
-		sizes = append(sizes, float64(r.SetSize))
-	}
-	out.MedianSetSize = metrics.Median(sizes)
-	return out, nil
 }
 
 // ReplacementPredictabilityCtx returns the fraction of trials in which

@@ -2,7 +2,6 @@ package attack
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"mayacache/internal/baseline"
@@ -43,36 +42,6 @@ func TestMedianDistinguishWorkerInvariance(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		if got := median(workers); got != serial {
 			t.Fatalf("workers=%d: median %v, one worker %v", workers, got, serial)
-		}
-	}
-}
-
-// TestEvictionSetTrials: parallel eviction-set construction succeeds
-// against a conventional cache in every trial, deterministically across
-// worker counts, with per-trial results in trial order.
-func TestEvictionSetTrials(t *testing.T) {
-	mk := func(seed uint64) cachemodel.LLC {
-		return mustLLC(baseline.NewChecked(baseline.Config{Sets: 8, Ways: 4, Replacement: baseline.LRU, Seed: seed, MatchSDID: true}))
-	}
-	var want *EvictionSetTrialsResult
-	for _, workers := range []int{1, 3} {
-		res, err := Trials{Runs: 4, Workers: workers, Seed: 5}.
-			EvictionSetTrialsCtx(context.Background(), mk, 0x9999, 8*16, 2_000_000, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Found == 0 {
-			t.Fatal("no trial found an eviction set against an LRU cache")
-		}
-		if len(res.PerTrial) != 4 {
-			t.Fatalf("%d per-trial records, want 4", len(res.PerTrial))
-		}
-		if want == nil {
-			want = res
-			continue
-		}
-		if !reflect.DeepEqual(res, want) {
-			t.Fatalf("workers=%d: trial results differ from serial", workers)
 		}
 	}
 }

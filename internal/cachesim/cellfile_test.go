@@ -53,7 +53,7 @@ func cellFileSaves(t *testing.T, design string, benches []string, par int) []str
 	}
 	gens := make([]trace.Generator, len(benches))
 	for i, b := range benches {
-		gens[i] = trace.MustGenerator(trace.MustLookup(b), i, cellFileSeed)
+		gens[i] = benchGen(t, b, i, cellFileSeed)
 	}
 	dram := DefaultDRAMConfig()
 	dram.Channels = (len(benches) + 3) / 4

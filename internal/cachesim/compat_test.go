@@ -38,8 +38,8 @@ func TestSnapshotWireCompat(t *testing.T) {
 			resPath := compatFixture(d.name, "json")
 
 			if *updateCompat {
-				state := captureMidROI(t, snapSystem(d.mk()))
-				full, err := Run(context.Background(), snapSystem(d.mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
+				state := captureMidROI(t, snapSystem(t, d.mk()))
+				full, err := Run(context.Background(), snapSystem(t, d.mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,7 +70,7 @@ func TestSnapshotWireCompat(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			sys := snapSystem(d.mk())
+			sys := snapSystem(t, d.mk())
 			if err := sys.RestoreState(blob); err != nil {
 				t.Fatalf("pre-PR blob no longer restores: %v", err)
 			}

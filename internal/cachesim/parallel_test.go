@@ -27,12 +27,12 @@ func resultsJSON(t *testing.T, r Results) []byte {
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, d := range snapDesigns {
 		t.Run(d.name, func(t *testing.T) {
-			serial, err := Run(context.Background(), snapSystem(d.mk()),
+			serial, err := Run(context.Background(), snapSystem(t, d.mk()),
 				RunSpec{Warmup: snapWarmup, ROI: snapROI})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Run(context.Background(), snapSystem(d.mk()),
+			par, err := Run(context.Background(), snapSystem(t, d.mk()),
 				RunSpec{Warmup: snapWarmup, ROI: snapROI, Parallelism: 4})
 			if err != nil {
 				t.Fatal(err)
@@ -54,12 +54,12 @@ func TestParallelAtGOMAXPROCS(t *testing.T) {
 		par = 2
 	}
 	d := snapDesigns[0]
-	serial, err := Run(context.Background(), snapSystem(d.mk()),
+	serial, err := Run(context.Background(), snapSystem(t, d.mk()),
 		RunSpec{Warmup: snapWarmup, ROI: snapROI})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Run(context.Background(), snapSystem(d.mk()),
+	p, err := Run(context.Background(), snapSystem(t, d.mk()),
 		RunSpec{Warmup: snapWarmup, ROI: snapROI, Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
@@ -79,12 +79,12 @@ func TestParallelBatchBoundaries(t *testing.T) {
 	d := snapDesigns[0]
 	for _, budget := range []uint64{1, batchSteps - 1, batchSteps, batchSteps + 1} {
 		for _, par := range []int{2, 4} {
-			serial, err := Run(context.Background(), snapSystem(d.mk()),
+			serial, err := Run(context.Background(), snapSystem(t, d.mk()),
 				RunSpec{Warmup: budget, ROI: budget})
 			if err != nil {
 				t.Fatalf("budget %d serial: %v", budget, err)
 			}
-			p, err := Run(context.Background(), snapSystem(d.mk()),
+			p, err := Run(context.Background(), snapSystem(t, d.mk()),
 				RunSpec{Warmup: budget, ROI: budget, Parallelism: par})
 			if err != nil {
 				t.Fatalf("budget %d parallelism %d: %v", budget, par, err)
@@ -125,8 +125,8 @@ func runCapturing(t *testing.T, sys *System, par int) (Results, [][]byte) {
 func TestParallelSnapshotsByteIdentical(t *testing.T) {
 	for _, d := range snapDesigns[:2] { // maya + mirage: remap-heavy designs
 		t.Run(d.name, func(t *testing.T) {
-			sres, ssnaps := runCapturing(t, snapSystem(d.mk()), 1)
-			pres, psnaps := runCapturing(t, snapSystem(d.mk()), 4)
+			sres, ssnaps := runCapturing(t, snapSystem(t, d.mk()), 1)
+			pres, psnaps := runCapturing(t, snapSystem(t, d.mk()), 4)
 			if len(ssnaps) == 0 {
 				t.Fatal("serial run took no snapshots; cadence too coarse for the budgets")
 			}
@@ -151,10 +151,10 @@ func TestParallelSnapshotsByteIdentical(t *testing.T) {
 // partially drained windows all feed the worker/merge split.
 func TestParallelResumeFromSerialSnapshot(t *testing.T) {
 	d := snapDesigns[0]
-	state := captureMidROI(t, snapSystem(d.mk()))
+	state := captureMidROI(t, snapSystem(t, d.mk()))
 
 	finish := func(par int) Results {
-		sys := snapSystem(d.mk())
+		sys := snapSystem(t, d.mk())
 		if err := sys.RestoreState(state); err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestParallelResumeFromSerialSnapshot(t *testing.T) {
 // RestoreState clears the mark.
 func TestErrSpent(t *testing.T) {
 	d := snapDesigns[2]
-	sys := snapSystem(d.mk())
+	sys := snapSystem(t, d.mk())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := Run(ctx, sys, RunSpec{Warmup: snapWarmup, ROI: snapROI}); !errors.Is(err, context.Canceled) {
@@ -190,7 +190,7 @@ func TestErrSpent(t *testing.T) {
 	}
 
 	// A restore installs coherent state: the System is usable again.
-	state := captureMidROI(t, snapSystem(d.mk()))
+	state := captureMidROI(t, snapSystem(t, d.mk()))
 	if err := sys.RestoreState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestErrSpent(t *testing.T) {
 // lifecycle: cancellation mid-run marks the System spent and joins the
 // worker goroutines rather than leaking them.
 func TestParallelSpentOnCancel(t *testing.T) {
-	sys := snapSystem(snapDesigns[2].mk())
+	sys := snapSystem(t, snapDesigns[2].mk())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := Run(ctx, sys, RunSpec{Warmup: snapWarmup, ROI: snapROI, Parallelism: 4}); !errors.Is(err, context.Canceled) {

@@ -74,7 +74,7 @@ func TestDisabledPrefetcherIsNil(t *testing.T) {
 func TestPrefetchImprovesStreaming(t *testing.T) {
 	// lbm is a sequential stream: prefetching must raise its IPC.
 	run := func(degree int) float64 {
-		g := trace.MustGenerator(trace.MustLookup("lbm"), 0, 1)
+		g := benchGen(t, "lbm", 0, 1)
 		params := DefaultCoreParams()
 		params.Prefetch = PrefetchConfig{Degree: degree}
 		sys := New(Config{
@@ -95,12 +95,13 @@ func TestPrefetchImprovesStreaming(t *testing.T) {
 // prefetchSystem builds a two-core lbm + cc system with degree-2 stride
 // prefetchers. snapSystem's mcf + xz mix issues no prefetch at the snap
 // budgets; lbm's streams and cc's strided sweeps do.
-func prefetchSystem(llc cachemodel.LLC) *System {
+func prefetchSystem(t testing.TB, llc cachemodel.LLC) *System {
+	t.Helper()
 	params := DefaultCoreParams()
 	params.Prefetch = PrefetchConfig{Degree: 2}
 	gens := []trace.Generator{
-		trace.MustGenerator(trace.MustLookup("lbm"), 0, 5),
-		trace.MustGenerator(trace.MustLookup("cc"), 1, 5),
+		benchGen(t, "lbm", 0, 5),
+		benchGen(t, "cc", 1, 5),
 	}
 	return New(Config{Cores: 2, Core: params, LLC: llc, DRAM: DefaultDRAMConfig(), Seed: 5}, gens)
 }
@@ -117,7 +118,7 @@ func TestPrefetchRunFixtures(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "prefetch_"+d.name+".json")
 			for _, par := range []int{1, 4} {
-				sys := prefetchSystem(d.mk())
+				sys := prefetchSystem(t, d.mk())
 				res, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI, Parallelism: par})
 				if err != nil {
 					t.Fatal(err)

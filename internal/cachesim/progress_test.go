@@ -19,7 +19,7 @@ func TestProgressTracking(t *testing.T) {
 	const total = 2 * (snapWarmup + snapROI) // two cores
 	tr := mc.NewTracker(total, nil)
 	ctx := mc.WithTracker(context.Background(), tr)
-	if _, err := Run(ctx, snapSystem(snapDesigns[2].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI}); err != nil {
+	if _, err := Run(ctx, snapSystem(t, snapDesigns[2].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI}); err != nil {
 		t.Fatal(err)
 	}
 	if done := tr.Done(); done < total || done > total+total/2 {
@@ -47,7 +47,7 @@ func TestProgressTrackingResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr1 := mc.NewTracker(total, nil)
-	_, err = Run(mc.WithTracker(context.Background(), tr1), snapSystem(snapDesigns[0].mk()),
+	_, err = Run(mc.WithTracker(context.Background(), tr1), snapSystem(t, snapDesigns[0].mk()),
 		RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell})
 	if !errors.Is(err, snapshot.ErrStopped) {
 		t.Fatalf("interrupted run returned %v, want ErrStopped", err)
@@ -62,7 +62,7 @@ func TestProgressTrackingResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr2 := mc.NewTracker(total, nil)
-	if _, err := Run(mc.WithTracker(context.Background(), tr2), snapSystem(snapDesigns[0].mk()),
+	if _, err := Run(mc.WithTracker(context.Background(), tr2), snapSystem(t, snapDesigns[0].mk()),
 		RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell2}); err != nil {
 		t.Fatal(err)
 	}

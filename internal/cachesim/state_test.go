@@ -44,12 +44,13 @@ var snapDesigns = []struct {
 }
 
 // snapSystem builds a two-core system (mcf + xz) around the given LLC.
-func snapSystem(llc cachemodel.LLC) *System {
+func snapSystem(t testing.TB, llc cachemodel.LLC) *System {
+	t.Helper()
 	params := DefaultCoreParams()
 	params.Prefetch = PrefetchConfig{Degree: 2} // exercise prefetcher state
 	gens := []trace.Generator{
-		trace.MustGenerator(trace.MustLookup("mcf"), 0, 5),
-		trace.MustGenerator(trace.MustLookup("xz"), 1, 5),
+		benchGen(t, "mcf", 0, 5),
+		benchGen(t, "xz", 1, 5),
 	}
 	return New(Config{Cores: 2, Core: params, LLC: llc, DRAM: DefaultDRAMConfig(), Seed: 5}, gens)
 }
@@ -109,14 +110,14 @@ func captureMidROI(t *testing.T, sys *System) []byte {
 func TestResumeBitExact(t *testing.T) {
 	for _, d := range snapDesigns {
 		t.Run(d.name, func(t *testing.T) {
-			full, err := Run(context.Background(), snapSystem(d.mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
+			full, err := Run(context.Background(), snapSystem(t, d.mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			state := captureMidROI(t, snapSystem(d.mk()))
+			state := captureMidROI(t, snapSystem(t, d.mk()))
 
-			resumed := snapSystem(d.mk())
+			resumed := snapSystem(t, d.mk())
 			if err := resumed.RestoreState(state); err != nil {
 				t.Fatalf("RestoreState: %v", err)
 			}
@@ -138,11 +139,11 @@ func TestResumeBitExact(t *testing.T) {
 // invisible to the simulation — a run that saves every 2048 steps yields
 // the same results as one that never saves.
 func TestSnapshotTimingDoesNotPerturb(t *testing.T) {
-	quiet, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
+	quiet, err := Run(context.Background(), snapSystem(t, snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy := snapSystem(snapDesigns[0].mk())
+	noisy := snapSystem(t, snapDesigns[0].mk())
 	saves := 0
 	noisy.SetAutoSnapshot(&AutoSnapshot{
 		Every: 2048,
@@ -170,7 +171,7 @@ func TestSnapshotTimingDoesNotPerturb(t *testing.T) {
 // save once more and stop with ErrStopped, and the saved state resumes to
 // the uninterrupted answer.
 func TestTriggerWritesDeadlineSnapshot(t *testing.T) {
-	full, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
+	full, err := Run(context.Background(), snapSystem(t, snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestTriggerWritesDeadlineSnapshot(t *testing.T) {
 	var trig snapshot.Trigger
 	trig.Fire() // fired before the run: first poll must stop it
 	var state []byte
-	sys := snapSystem(snapDesigns[0].mk())
+	sys := snapSystem(t, snapDesigns[0].mk())
 	sys.SetAutoSnapshot(&AutoSnapshot{
 		Trigger: &trig,
 		Save: func(encode func(*snapshot.Encoder) error) (err error) {
@@ -193,7 +194,7 @@ func TestTriggerWritesDeadlineSnapshot(t *testing.T) {
 		t.Fatal("no deadline snapshot written")
 	}
 
-	resumed := snapSystem(snapDesigns[0].mk())
+	resumed := snapSystem(t, snapDesigns[0].mk())
 	if err := resumed.RestoreState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestTriggerWritesDeadlineSnapshot(t *testing.T) {
 // TestRestoreRejectsForeignRuns: each identity field mismatch must be a
 // MismatchError naming that field, checked before any section decodes.
 func TestRestoreRejectsForeignRuns(t *testing.T) {
-	state := captureMidROI(t, snapSystem(snapDesigns[0].mk()))
+	state := captureMidROI(t, snapSystem(t, snapDesigns[0].mk()))
 
 	expectMismatch := func(t *testing.T, sys *System, field string) {
 		t.Helper()
@@ -226,25 +227,25 @@ func TestRestoreRejectsForeignRuns(t *testing.T) {
 	}
 
 	t.Run("seed", func(t *testing.T) {
-		sys := snapSystem(snapDesigns[0].mk())
+		sys := snapSystem(t, snapDesigns[0].mk())
 		sys.cfg.Seed++
 		expectMismatch(t, sys, "seed")
 	})
 	t.Run("design", func(t *testing.T) {
-		expectMismatch(t, snapSystem(snapDesigns[2].mk()), "design")
+		expectMismatch(t, snapSystem(t, snapDesigns[2].mk()), "design")
 	})
 	t.Run("workloads", func(t *testing.T) {
 		params := DefaultCoreParams()
 		params.Prefetch = PrefetchConfig{Degree: 2}
 		gens := []trace.Generator{
-			trace.MustGenerator(trace.MustLookup("lbm"), 0, 5),
-			trace.MustGenerator(trace.MustLookup("xz"), 1, 5),
+			benchGen(t, "lbm", 0, 5),
+			benchGen(t, "xz", 1, 5),
 		}
 		sys := New(Config{Cores: 2, Core: params, LLC: snapDesigns[0].mk(), DRAM: DefaultDRAMConfig(), Seed: 5}, gens)
 		expectMismatch(t, sys, "workloads")
 	})
 	t.Run("geometry", func(t *testing.T) {
-		sys := snapSystem(snapDesigns[0].mk())
+		sys := snapSystem(t, snapDesigns[0].mk())
 		sys.cfg.Core.L2Sets *= 2
 		expectMismatch(t, sys, "geometry")
 	})
@@ -253,16 +254,16 @@ func TestRestoreRejectsForeignRuns(t *testing.T) {
 // TestRestoreRejectsCorruptState: truncations and bit flips surface as
 // structured errors, never panics or silent acceptance.
 func TestRestoreRejectsCorruptState(t *testing.T) {
-	state := captureMidROI(t, snapSystem(snapDesigns[0].mk()))
+	state := captureMidROI(t, snapSystem(t, snapDesigns[0].mk()))
 	for _, n := range []int{0, 7, 64, len(state) / 2, len(state) - 1} {
-		if err := snapSystem(snapDesigns[0].mk()).RestoreState(state[:n]); err == nil {
+		if err := snapSystem(t, snapDesigns[0].mk()).RestoreState(state[:n]); err == nil {
 			t.Fatalf("truncation at %d accepted", n)
 		}
 	}
 	for _, pos := range []int{9, 40, 200, len(state) / 2, len(state) - 2} {
 		bad := append([]byte(nil), state...)
 		bad[pos] ^= 0x10
-		if err := snapSystem(snapDesigns[0].mk()).RestoreState(bad); err == nil {
+		if err := snapSystem(t, snapDesigns[0].mk()).RestoreState(bad); err == nil {
 			t.Fatalf("bit flip at %d accepted", pos)
 		}
 	}
@@ -275,7 +276,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 // that died after the run completed but before its value reached the
 // checkpoint — resuming the last durable state to the same answer.
 func TestRunResumableCellProtocol(t *testing.T) {
-	full, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
+	full, err := Run(context.Background(), snapSystem(t, snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestRunResumableCellProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell})
+	_, err = Run(context.Background(), snapSystem(t, snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell})
 	if !errors.Is(err, snapshot.ErrStopped) {
 		t.Fatalf("interrupted cell run returned %v, want ErrStopped", err)
 	}
@@ -305,7 +306,7 @@ func TestRunResumableCellProtocol(t *testing.T) {
 	if cell2.SystemState() == nil {
 		t.Fatal("reopened cell has no in-progress state")
 	}
-	res, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell2})
+	res, err := Run(context.Background(), snapSystem(t, snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestRunResumableCellProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Run(context.Background(), snapSystem(snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell3})
+	again, err := Run(context.Background(), snapSystem(t, snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -563,6 +563,3 @@ func (s *System) pushWBs(c *core, wbs []cachemodel.WritebackOut) {
 
 // LLC exposes the design under test (for post-run inspection).
 func (s *System) LLC() cachemodel.LLC { return s.llc }
-
-// DRAM exposes the memory model.
-func (s *System) DRAM() *DRAM { return s.dram }

@@ -35,12 +35,24 @@ func mustRun(t testing.TB, sys *System, warmup, roi uint64) Results {
 	return res
 }
 
-func singleCoreSystem(t *testing.T, bench string, llc cachemodel.LLC) *System {
+// benchGen builds core coreID's generator for a registered benchmark,
+// failing the test on an unknown name.
+func benchGen(t testing.TB, bench string, coreID int, seed uint64) trace.Generator {
 	t.Helper()
-	g, err := trace.NewGenerator(trace.MustLookup(bench), 0, 1)
+	p, err := trace.Lookup(bench)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g, err := trace.NewGenerator(p, coreID, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func singleCoreSystem(t *testing.T, bench string, llc cachemodel.LLC) *System {
+	t.Helper()
+	g := benchGen(t, bench, 0, 1)
 	return New(Config{
 		Cores: 1,
 		Core:  DefaultCoreParams(),
@@ -119,7 +131,7 @@ func TestMultiCoreSharedLLCContention(t *testing.T) {
 	mkSystem := func(cores int) *System {
 		gens := make([]trace.Generator, cores)
 		for i := range gens {
-			gens[i] = trace.MustGenerator(trace.MustLookup("mcf"), i, 1)
+			gens[i] = benchGen(t, "mcf", i, 1)
 		}
 		return New(Config{
 			Cores: cores,
@@ -218,7 +230,7 @@ func TestDRAMBankContention(t *testing.T) {
 }
 
 func BenchmarkSystemStep(b *testing.B) {
-	g := trace.MustGenerator(trace.MustLookup("mcf"), 0, 1)
+	g := benchGen(b, "mcf", 0, 1)
 	s := New(Config{
 		Cores: 1, Core: DefaultCoreParams(),
 		LLC:  mustLLC(baseline.NewChecked(baseline.Config{Sets: 2048, Ways: 16, Replacement: baseline.SRRIP, Seed: 1})),

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"mayacache/internal/cachemodel"
@@ -82,11 +83,28 @@ func TestRunMixDesignProducesWS(t *testing.T) {
 	}
 }
 
+// attemptCounter is a harness.Faults that injects nothing and counts the
+// attempts at each cell key.
+type attemptCounter struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *attemptCounter) PreRun(_ context.Context, key string) error {
+	c.mu.Lock()
+	c.n[key]++
+	c.mu.Unlock()
+	return nil
+}
+func (*attemptCounter) PreSave(string, int) error { return nil }
+func (*attemptCounter) OnSave(string, int) bool   { return false }
+
 // TestAloneIPCMemoized checks that a benchmark's alone run, which every
 // weighted speedup involving it reads, is simulated once per runner and
 // served from the checkpoint to every later sweep.
 func TestAloneIPCMemoized(t *testing.T) {
-	r := harness.New(harness.Options{Workers: 1, Checkpoint: harness.NewMemCheckpoint()})
+	attempts := &attemptCounter{n: map[string]int{}}
+	r := harness.New(harness.Options{Workers: 1, Checkpoint: harness.NewMemCheckpoint(), Faults: attempts})
 	alone := aloneSim("xz", tiny())
 	a, err := runSims(context.Background(), r, []Sim{homSim(DesignBaseline, "xz", 2, tiny())})
 	if err != nil {
@@ -96,8 +114,16 @@ func TestAloneIPCMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ran, restored, _ := r.Stats(); ran != 3 || restored != 1 {
-		t.Fatalf("ran %d and restored %d simulations, want 3 and the alone run restored once", ran, restored)
+	if ran, restored, _ := r.Stats(); ran != 3 || restored != 0 {
+		t.Fatalf("ran %d and restored %d simulations, want 3 and none restored", ran, restored)
+	}
+	if len(attempts.n) != 3 || attempts.n["sim|"+alone.Key()] != 1 {
+		t.Fatalf("attempts per simulation %v, want 3 simulations with the alone run attempted once", attempts.n)
+	}
+	for key, n := range attempts.n {
+		if n != 1 {
+			t.Fatalf("%s attempted %d times, want once", key, n)
+		}
 	}
 	ipcA, ipcB := a[alone.Key()].Cores[0].IPC, b[alone.Key()].Cores[0].IPC
 	if ipcA != ipcB {

@@ -27,6 +27,14 @@ func memIntensive() []string {
 	return append(trace.SpecMemIntensive(), trace.GapMemIntensive()...)
 }
 
+// suiteOf returns a benchmark's suite. Its callers name benchmarks from
+// trace's own lists, every one of which is registered (trace's
+// TestSuiteLists), so the lookup cannot fail.
+func suiteOf(bench string) string {
+	p, _ := trace.Lookup(bench)
+	return p.Suite
+}
+
 // A pair is a design's simulation and the like-for-like baseline
 // simulation it is normalized against.
 type pair struct{ x, base Sim }
@@ -100,7 +108,7 @@ func Fig1Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig1Row, []b
 	rows := make([]Fig1Row, len(benches))
 	ok := make([]bool, len(benches))
 	for i, b := range benches {
-		rows[i] = Fig1Row{Bench: b, Suite: trace.MustLookup(b).Suite}
+		rows[i] = Fig1Row{Bench: b, Suite: suiteOf(b)}
 		base, okBase := d[aloneSim(b, sc).Key()]
 		mir, okMirage := d[homSim(DesignMirage, b, 1, sc).Key()]
 		if ok[i] = okBase && okMirage; ok[i] {
@@ -130,7 +138,7 @@ func Fig9Sweep(ctx context.Context, r *harness.Runner, sc Scale) ([]Fig9Row, []b
 	rows := make([]Fig9Row, len(benches))
 	ok := make([]bool, len(benches))
 	for i, b := range benches {
-		rows[i] = Fig9Row{Bench: b, Suite: trace.MustLookup(b).Suite}
+		rows[i] = Fig9Row{Bench: b, Suite: suiteOf(b)}
 		mir, maya, mpki, complete := d.compare(homogeneous(b, 8), sc)
 		if ok[i] = complete; complete {
 			rows[i].NormMirage, rows[i].NormMaya = mir, maya

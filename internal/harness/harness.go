@@ -139,16 +139,11 @@ func PanicStack(err error) []byte {
 	return nil
 }
 
-// DefaultWorkers is the worker-pool width used when Options.Workers is
-// zero: all CPUs but one, matching the experiment drivers' historical
-// parallelism.
-func DefaultWorkers() int {
-	n := runtime.NumCPU() - 1
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// DefaultWorkers is the pool width used wherever a width is left at zero
+// (Options.Workers, ParallelFor, mc.ForEach, the session server): one
+// worker per CPU the scheduler may run Go code on, GOMAXPROCS. A width
+// bounds wall clock only, never results.
+func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // Options configures a Runner.
 type Options struct {
@@ -195,14 +190,16 @@ type Options struct {
 
 // Runner executes sweeps and accumulates their failures. One Runner is
 // shared across all the sweeps of a driver invocation so the final
-// failure summary covers the whole run.
+// failure summary covers the whole run: sweeps that list the same cell
+// count it once, and a cell that failed is not attempted again.
 type Runner struct {
 	opts Options
 
-	mu    sync.Mutex
-	errs  []*RunError
-	cells int // total cells attempted (excluding checkpoint skips)
-	skips int // cells restored from the checkpoint
+	mu     sync.Mutex
+	errs   []*RunError
+	seen   map[string]bool // cell keys met; true when the first sighting was a checkpoint hit
+	failed map[string]bool // cell keys with a RunError
+	skips  int             // seen keys that are true
 }
 
 // New builds a Runner. Zero-valued fields of opts select defaults.
@@ -210,7 +207,7 @@ func New(opts Options) *Runner {
 	if opts.Sleep == nil {
 		opts.Sleep = Sleep
 	}
-	return &Runner{opts: opts}
+	return &Runner{opts: opts, seen: map[string]bool{}, failed: map[string]bool{}}
 }
 
 // Sleep waits d or until ctx ends.
@@ -223,11 +220,33 @@ func Sleep(ctx context.Context, d time.Duration) {
 	}
 }
 
-// record appends a cell failure.
+// see counts the first sighting of a cell key, as restored when it was a
+// checkpoint hit; later sightings count nothing.
+func (r *Runner) see(key string, restored bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.seen[key]; ok {
+		return
+	}
+	r.seen[key] = restored
+	if restored {
+		r.skips++
+	}
+}
+
+// record appends a cell failure and remembers its key.
 func (r *Runner) record(e *RunError) {
 	r.mu.Lock()
 	r.errs = append(r.errs, e)
+	r.failed[e.Experiment+"|"+e.Cell] = true
 	r.mu.Unlock()
+}
+
+// hasFailed reports whether the cell key already has a RunError.
+func (r *Runner) hasFailed(key string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.failed[key]
 }
 
 // Failures returns the accumulated cell failures, sorted by experiment
@@ -253,12 +272,13 @@ func (r *Runner) Failed() bool {
 	return len(r.errs) > 0
 }
 
-// Stats returns (cells attempted, cells restored from checkpoint,
-// failures).
+// Stats returns (cells run, cells restored from checkpoint, failures),
+// each cell counted once however many sweeps list it. A cell counts as
+// restored only when its first sighting was a checkpoint hit.
 func (r *Runner) Stats() (ran, restored, failed int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.cells, r.skips, len(r.errs)
+	return len(r.seen) - r.skips, r.skips, len(r.errs)
 }
 
 // WriteFailureSummary renders the structured failure summary. Stacks are
@@ -351,6 +371,8 @@ func ParallelFor(ctx context.Context, workers, n int, f func(ctx context.Context
 //  3. on success, appends the JSON round-tripped value to the checkpoint;
 //  4. on failure, records a RunError on the Runner.
 //
+// A cell that already failed on this Runner, in this sweep or an earlier
+// one, is left incomplete without a new attempt or a second RunError.
 // Cells cancelled by the parent context are neither completed nor
 // recorded as failures — they are simply missing from the mask, and a
 // later resume recomputes exactly them. RunCells returns ctx.Err() when
@@ -360,16 +382,18 @@ func RunCells[T any](ctx context.Context, r *Runner, experiment string, keys []s
 	ok := make([]bool, len(keys))
 	_ = ParallelFor(ctx, r.opts.Workers, len(keys), func(ctx context.Context, i int) error {
 		key := experiment + "|" + keys[i]
+		if r.hasFailed(key) {
+			return nil
+		}
 		if r.opts.Checkpoint != nil {
 			if hit, err := r.opts.Checkpoint.Lookup(key, &out[i]); err != nil {
+				r.see(key, false)
 				r.record(&RunError{Experiment: experiment, Cell: keys[i], Attempts: 1,
 					Err: fmt.Errorf("checkpoint entry unusable: %w", err)})
 				return nil
 			} else if hit {
 				ok[i] = true
-				r.mu.Lock()
-				r.skips++
-				r.mu.Unlock()
+				r.see(key, true)
 				return nil
 			}
 		}
@@ -379,6 +403,7 @@ func RunCells[T any](ctx context.Context, r *Runner, experiment string, keys []s
 		if r.opts.SnapshotTrigger.Fired() {
 			return nil
 		}
+		r.see(key, false)
 		res, attempts := runOne(ctx, r, key, func(cctx context.Context) (T, error) { return run(cctx, i) })
 		fail := func(err error) {
 			r.record(&RunError{Experiment: experiment, Cell: keys[i], Attempts: attempts,
@@ -445,9 +470,6 @@ func runOne[T any](ctx context.Context, r *Runner, key string, run func(ctx cont
 		a.Every, a.Trigger = r.opts.SnapshotEvery, r.opts.SnapshotTrigger
 	}
 	for attempts := 1; ; attempts++ {
-		r.mu.Lock()
-		r.cells++
-		r.mu.Unlock()
 		res := RunAttempt(ctx, a, run)
 		delay, retry := Retry(r.opts.Seed, key, attempts, r.opts.Retries, res.Err)
 		if res.Outcome != FailedTransient || !retry || ctx.Err() != nil {

@@ -214,6 +214,51 @@ func TestRunCellsSkipsCheckpointedCells(t *testing.T) {
 	}
 }
 
+// TestFailedCellRunsOncePerRunner: sweeps sharing a runner and a
+// checkpoint share cells, as mayasim's figures do. A cell that failed in
+// the first sweep is left incomplete by the second without a new attempt
+// or a second failure, and the summary counts each distinct cell once,
+// none of them restored.
+func TestFailedCellRunsOncePerRunner(t *testing.T) {
+	r := New(noSleep(Options{Workers: 1, Checkpoint: NewMemCheckpoint()}))
+	calls := map[string]int{}
+	run := func(keys []string) []bool {
+		_, ok, err := RunCells(context.Background(), r, "exp", keys,
+			func(_ context.Context, i int) (int, error) {
+				calls[keys[i]]++
+				if keys[i] == "cell=1" {
+					return 0, errors.New("persistent failure")
+				}
+				return i, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok
+	}
+	run(keysN(3))
+	ok := run([]string{"cell=1", "cell=2", "cell=3"})
+	if ok[0] || !ok[1] || !ok[2] {
+		t.Fatalf("second sweep completion %v, want the failed cell alone incomplete", ok)
+	}
+	for key, n := range calls {
+		if n != 1 {
+			t.Errorf("%s run %d times, want 1", key, n)
+		}
+	}
+	if fails := r.Failures(); len(fails) != 1 || fails[0].Cell != "cell=1" {
+		t.Fatalf("failures %v, want cell=1 once", fails)
+	}
+	if ran, restored, failed := r.Stats(); ran != 4 || restored != 0 || failed != 1 {
+		t.Fatalf("stats ran=%d restored=%d failed=%d, want 4, 0 and 1", ran, restored, failed)
+	}
+	var sb strings.Builder
+	r.WriteFailureSummary(&sb)
+	if !strings.HasPrefix(sb.String(), "FAILURE SUMMARY: 1 of 4 cell(s) failed (0 restored from checkpoint)\n") {
+		t.Fatalf("summary:\n%s", sb.String())
+	}
+}
+
 // preRunFunc is a Faults fake with only a pre-run site.
 type preRunFunc func(key string) error
 

@@ -61,9 +61,6 @@ type Spec struct {
 // default run saturates the machine.
 func DefaultShards() int { return runtime.GOMAXPROCS(0) }
 
-// DefaultWorkers is the default pool width.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // Shard is one unit of the plan: an independent stream with its own seed
 // and iteration budget.
 type Shard struct {
@@ -142,11 +139,8 @@ func Plan(spec Spec) ([]Shard, error) {
 // in fn is recovered by the pool into an error, and a cancelled ctx stops
 // launching jobs and surfaces ctx.Err(). The caller owns seed derivation
 // per job — for a sharded run, job i is the plan's shard i. workers <= 0
-// selects DefaultWorkers.
+// selects harness.DefaultWorkers.
 func ForEach[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
 	out := make([]T, n)
 	err := harness.ParallelFor(ctx, workers, n, func(ctx context.Context, i int) error {
 		v, ferr := fn(ctx, i)

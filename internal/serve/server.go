@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,7 +25,8 @@ type Config struct {
 	// Dir is the durable data directory: the session journal plus a
 	// cells/ subdirectory of per-session MAYASNAP state.
 	Dir string
-	// Workers bounds concurrently running sessions (0 = GOMAXPROCS).
+	// Workers bounds concurrently running sessions (0 =
+	// harness.DefaultWorkers).
 	Workers int
 	// SnapshotEvery is the auto-snapshot cadence in simulator steps
 	// (0 = DefaultSnapshotEvery). It bounds the work a crash can lose.
@@ -55,7 +55,7 @@ func (c Config) workers() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
-	return runtime.GOMAXPROCS(0)
+	return harness.DefaultWorkers()
 }
 
 func (c Config) snapshotEvery() uint64 {

@@ -15,6 +15,21 @@ import (
 	"mayacache/internal/trace"
 )
 
+// benchGen builds core coreID's generator for a registered benchmark,
+// failing the test on an unknown name.
+func benchGen(t testing.TB, bench string, coreID int, seed uint64) trace.Generator {
+	t.Helper()
+	p, err := trace.Lookup(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := trace.NewGenerator(p, coreID, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestCellSaveEncodesWithoutAllocating guards the one-pass save: once a
 // cell's first save has sized its buffer, encoding a production-shaped
 // System (Maya, two cores) into that buffer allocates nothing, and the
@@ -25,8 +40,8 @@ func TestCellSaveEncodesWithoutAllocating(t *testing.T) {
 		t.Fatal(err)
 	}
 	gens := []trace.Generator{
-		trace.MustGenerator(trace.MustLookup("mcf"), 0, 1),
-		trace.MustGenerator(trace.MustLookup("lbm"), 1, 1),
+		benchGen(t, "mcf", 0, 1),
+		benchGen(t, "lbm", 1, 1),
 	}
 	sys := cachesim.New(cachesim.Config{Cores: 2, Core: cachesim.DefaultCoreParams(), LLC: llc,
 		DRAM: cachesim.DefaultDRAMConfig(), Seed: 1}, gens)

@@ -16,10 +16,3 @@ func (g *gen) Clone() Generator {
 	}
 	return &c
 }
-
-// Clone returns an independent replayer at the same position. The event
-// list is immutable and stays shared.
-func (r *Replayer) Clone() Generator {
-	c := *r
-	return &c
-}

@@ -178,15 +178,6 @@ func Lookup(name string) (Profile, error) {
 	return p, nil
 }
 
-// MustLookup is Lookup, panicking on unknown names.
-func MustLookup(name string) Profile {
-	p, err := Lookup(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Names returns all registered benchmark names, sorted.
 func Names() []string {
 	names := make([]string, 0, len(registry))

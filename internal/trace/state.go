@@ -37,40 +37,10 @@ func (g *gen) RestoreState(d *snapshot.Decoder) error {
 	if g.p.StrideCount > 0 && g.stridePos >= uint64(g.p.StrideCount) {
 		return &snapshot.CorruptError{At: "trace gen", Detail: "stridePos out of range"}
 	}
-	if g.repeatsLeft < 0 || g.repeatsLeft >= maxIntTrace(g.p.LineRepeat, 1) {
+	if g.repeatsLeft < 0 || g.repeatsLeft >= max(g.p.LineRepeat, 1) {
 		return &snapshot.CorruptError{At: "trace gen", Detail: "repeatsLeft out of range"}
 	}
 	return nil
 }
 
-func maxIntTrace(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// SaveState implements snapshot.Stateful for the replayer: the event list
-// reloads from its source file, so the position is the whole state.
-func (r *Replayer) SaveState(e *snapshot.Encoder) {
-	e.Int(r.pos)
-}
-
-// RestoreState implements snapshot.Stateful on a Replayer rebuilt over
-// the same events.
-func (r *Replayer) RestoreState(d *snapshot.Decoder) error {
-	pos := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if pos < 0 || pos >= len(r.events) {
-		return &snapshot.CorruptError{At: "trace replayer", Detail: "position out of range"}
-	}
-	r.pos = pos
-	return nil
-}
-
-var (
-	_ snapshot.Stateful = (*gen)(nil)
-	_ snapshot.Stateful = (*Replayer)(nil)
-)
+var _ snapshot.Stateful = (*gen)(nil)

@@ -16,14 +16,14 @@ func TestGenStateRoundTrip(t *testing.T) {
 		HotLines: 64, MedLines: 4096, ScanLines: 512, RandLines: 1 << 20,
 		StrideLines: 16, StrideCount: 128, MedZipf: 0.9, LineRepeat: 4,
 	}
-	orig := MustGenerator(p, 1, 77)
+	orig := testGen(t, p, 1, 77)
 	for i := 0; i < 10007; i++ { // odd count: stop inside a repeat burst
 		orig.Next()
 	}
 
 	var e snapshot.Encoder
 	orig.(snapshot.Stateful).SaveState(&e)
-	fresh := MustGenerator(p, 1, 77)
+	fresh := testGen(t, p, 1, 77)
 	if err := fresh.(snapshot.Stateful).RestoreState(snapshot.NewDecoder(e.Data())); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}
@@ -41,50 +41,19 @@ func TestGenRestoreRejectsDamage(t *testing.T) {
 		Name: "rt", Suite: "SPEC", MemRatio: 0.5,
 		WHot: 1, WScan: 1, HotLines: 64, ScanLines: 512, LineRepeat: 2,
 	}
-	g := MustGenerator(p, 0, 1)
+	g := testGen(t, p, 0, 1)
 	var e snapshot.Encoder
 	g.(snapshot.Stateful).SaveState(&e)
 	data := e.Data()
 	for _, n := range []int{0, 8, len(data) - 1} {
-		if err := MustGenerator(p, 0, 1).(snapshot.Stateful).RestoreState(snapshot.NewDecoder(data[:n])); err == nil {
+		if err := testGen(t, p, 0, 1).(snapshot.Stateful).RestoreState(snapshot.NewDecoder(data[:n])); err == nil {
 			t.Fatalf("truncation at %d accepted", n)
 		}
 	}
 	// Corrupt scanPos beyond ScanLines (bytes 32..39 little-endian).
 	bad := append([]byte(nil), data...)
 	bad[32], bad[33] = 0xff, 0xff
-	if err := MustGenerator(p, 0, 1).(snapshot.Stateful).RestoreState(snapshot.NewDecoder(bad)); err == nil {
+	if err := testGen(t, p, 0, 1).(snapshot.Stateful).RestoreState(snapshot.NewDecoder(bad)); err == nil {
 		t.Fatal("out-of-range scanPos accepted")
-	}
-}
-
-// TestReplayerStateRoundTrip checks the position survives and bad
-// positions are refused.
-func TestReplayerStateRoundTrip(t *testing.T) {
-	events := []Event{{Line: 1}, {Line: 2}, {Line: 3}}
-	orig, err := NewReplayer("r", events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig.Next()
-	orig.Next()
-	var e snapshot.Encoder
-	orig.SaveState(&e)
-	fresh, err := NewReplayer("r", events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.RestoreState(snapshot.NewDecoder(e.Data())); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if orig.Next() != fresh.Next() {
-			t.Fatalf("replay diverged at %d", i)
-		}
-	}
-	var bad snapshot.Encoder
-	bad.Int(99)
-	if err := fresh.RestoreState(snapshot.NewDecoder(bad.Data())); err == nil {
-		t.Fatal("out-of-range position accepted")
 	}
 }

@@ -174,16 +174,6 @@ func NewGenerator(p Profile, coreID int, seed uint64) (Generator, error) {
 	return g, nil
 }
 
-// MustGenerator is NewGenerator, panicking on config errors (used with the
-// built-in registry profiles, which are validated by tests).
-func MustGenerator(p Profile, coreID int, seed uint64) Generator {
-	g, err := NewGenerator(p, coreID, seed)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // Name implements Generator.
 func (g *gen) Name() string { return g.p.Name }
 

@@ -4,9 +4,30 @@ import (
 	"testing"
 )
 
+// testProfile looks up a registered benchmark, failing the test when the
+// name is unknown.
+func testProfile(t testing.TB, name string) Profile {
+	t.Helper()
+	p, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// testGen builds a generator, failing the test on a profile error.
+func testGen(t testing.TB, p Profile, coreID int, seed uint64) Generator {
+	t.Helper()
+	g, err := NewGenerator(p, coreID, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func TestAllRegistryProfilesValid(t *testing.T) {
 	for _, name := range Names() {
-		p := MustLookup(name)
+		p := testProfile(t, name)
 		if err := p.Validate(); err != nil {
 			t.Errorf("profile %s invalid: %v", name, err)
 		}
@@ -20,9 +41,9 @@ func TestLookupUnknown(t *testing.T) {
 }
 
 func TestGeneratorDeterminism(t *testing.T) {
-	p := MustLookup("mcf")
-	a := MustGenerator(p, 0, 42)
-	b := MustGenerator(p, 0, 42)
+	p := testProfile(t, "mcf")
+	a := testGen(t, p, 0, 42)
+	b := testGen(t, p, 0, 42)
 	for i := 0; i < 10000; i++ {
 		ea, eb := a.Next(), b.Next()
 		if ea != eb {
@@ -32,9 +53,9 @@ func TestGeneratorDeterminism(t *testing.T) {
 }
 
 func TestCoresHaveDisjointAddressSpaces(t *testing.T) {
-	p := MustLookup("mcf")
-	a := MustGenerator(p, 0, 42)
-	b := MustGenerator(p, 1, 42)
+	p := testProfile(t, "mcf")
+	a := testGen(t, p, 0, 42)
+	b := testGen(t, p, 1, 42)
 	seenA := map[uint64]bool{}
 	for i := 0; i < 20000; i++ {
 		seenA[a.Next().Line] = true
@@ -48,8 +69,8 @@ func TestCoresHaveDisjointAddressSpaces(t *testing.T) {
 
 func TestMemRatioApproximatelyHonored(t *testing.T) {
 	for _, name := range []string{"mcf", "lbm", "leela"} {
-		p := MustLookup(name)
-		g := MustGenerator(p, 0, 7)
+		p := testProfile(t, name)
+		g := testGen(t, p, 0, 7)
 		var instr, mem int64
 		for i := 0; i < 200000; i++ {
 			e := g.Next()
@@ -64,8 +85,8 @@ func TestMemRatioApproximatelyHonored(t *testing.T) {
 }
 
 func TestWriteRatioApproximatelyHonored(t *testing.T) {
-	p := MustLookup("lbm")
-	g := MustGenerator(p, 0, 9)
+	p := testProfile(t, "lbm")
+	g := testGen(t, p, 0, 9)
 	writes := 0
 	const n = 100000
 	for i := 0; i < n; i++ {
@@ -86,7 +107,7 @@ func TestStreamComponentNeverRevisits(t *testing.T) {
 		Name: "purestream", MemRatio: 0.4, WStream: 1,
 		LineRepeat: 1,
 	}
-	g := MustGenerator(p, 0, 3)
+	g := testGen(t, p, 0, 3)
 	seen := map[uint64]bool{}
 	for i := 0; i < 100000; i++ {
 		l := g.Next().Line
@@ -102,7 +123,7 @@ func TestScanComponentIsCyclic(t *testing.T) {
 		Name: "purescan", MemRatio: 0.4, WScan: 1, ScanLines: 1000,
 		LineRepeat: 1,
 	}
-	g := MustGenerator(p, 0, 3)
+	g := testGen(t, p, 0, 3)
 	first := g.Next().Line
 	for i := 1; i < 1000; i++ {
 		g.Next()
@@ -116,7 +137,7 @@ func TestHotComponentBounded(t *testing.T) {
 	p := Profile{
 		Name: "purehot", MemRatio: 0.4, WHot: 1, HotLines: 256, LineRepeat: 1,
 	}
-	g := MustGenerator(p, 0, 5)
+	g := testGen(t, p, 0, 5)
 	distinct := map[uint64]bool{}
 	for i := 0; i < 50000; i++ {
 		distinct[g.Next().Line] = true
@@ -133,7 +154,7 @@ func TestLineRepeatProducesSpatialLocality(t *testing.T) {
 	p := Profile{
 		Name: "rep", MemRatio: 0.4, WRand: 1, RandLines: 1 << 20, LineRepeat: 4,
 	}
-	g := MustGenerator(p, 0, 11)
+	g := testGen(t, p, 0, 11)
 	sameAsPrev := 0
 	prev := g.Next().Line
 	const n = 40000
@@ -185,7 +206,7 @@ func TestSuiteLists(t *testing.T) {
 		}
 	}
 	for _, name := range LLCFitting() {
-		p := MustLookup(name)
+		p := testProfile(t, name)
 		if p.WHot < 0.85 {
 			t.Errorf("LLC-fitting %s has WHot %.2f; should be hot-dominated", name, p.WHot)
 		}
@@ -210,7 +231,7 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 }
 
 func BenchmarkGeneratorNext(b *testing.B) {
-	g := MustGenerator(MustLookup("mcf"), 0, 1)
+	g := testGen(b, testProfile(b, "mcf"), 0, 1)
 	for i := 0; i < b.N; i++ {
 		g.Next()
 	}

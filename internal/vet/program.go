@@ -136,10 +136,6 @@ func (prog *Program) MutatedOutsideConstructor(typeID, field string) bool {
 	return prog.mutated[typeID+"."+field]
 }
 
-// Func returns the node for a function ID, or nil when its body was not
-// loaded.
-func (prog *Program) Func(id string) *FuncNode { return prog.Funcs[id] }
-
 // ReachableFieldRefs unions the receiver-type field references of the
 // function identified by id and everything statically reachable from it.
 // The traversal is memo-free but bounded by the visited set, so recursion

@@ -34,17 +34,16 @@ var nondetSources = map[string]string{
 
 const mapOrderSource = "map range order"
 
-// sanctionedDerivations are functions whose results are defined to be part
-// of the reproducibility spec even though they consult the machine: shard
-// and worker counts default to GOMAXPROCS by documented design, and shards
-// is the third coordinate of the (seed, iters, shards) contract — results
-// may legitimately depend on it. Matching by path suffix keeps the fixture
+// sanctionedDerivation reports whether fn's result is defined to be part
+// of the reproducibility spec even though it consults the machine. The one
+// such function is mc.DefaultShards: the shard count defaults to
+// GOMAXPROCS by documented design, and shards is the third coordinate of
+// the (seed, iters, shards) contract, so results may legitimately depend
+// on it. A worker count is not sanctioned: it bounds wall clock only and
+// must never reach a result. Matching by path suffix keeps the fixture
 // module's mc shim covered too.
 func sanctionedDerivation(fn *types.Func) bool {
-	if fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/mc") {
-		return false
-	}
-	return fn.Name() == "DefaultShards" || fn.Name() == "DefaultWorkers"
+	return fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/mc") && fn.Name() == "DefaultShards"
 }
 
 // sanctionedSpecField reports whether a named struct type's field is a

@@ -1,7 +1,7 @@
 // Package mc is the fixture stand-in for the repo's Monte Carlo engine.
 // Its path ends in internal/mc so the seedflow sanctioned-derivation rule
-// (DefaultShards/DefaultWorkers are spec inputs despite consulting the
-// machine) applies to the fixtures exactly as it does to the real package.
+// (DefaultShards is a spec input despite consulting the machine) applies
+// to the fixtures exactly as it does to the real package.
 package mc
 
 import "runtime"
@@ -10,6 +10,3 @@ import "runtime"
 // the third coordinate of the (seed, iters, shards) contract: results may
 // depend on it by design.
 func DefaultShards() int { return runtime.GOMAXPROCS(0) }
-
-// DefaultWorkers returns the default worker-pool width (scheduling only).
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }

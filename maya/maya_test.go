@@ -208,3 +208,25 @@ func TestWorkloadRegistry(t *testing.T) {
 		t.Fatalf("mcf suite %q", p.Suite)
 	}
 }
+
+func TestAttackAPIFlow(t *testing.T) {
+	cfg := DefaultCacheConfig(3)
+	cfg.SetsPerSkew = 64
+	c := mustCache(t, cfg)
+	res := BuildEvictionSet(c, 0x99, 2048, 10_000_000, 3)
+	if res.Found {
+		t.Fatal("eviction set found against Maya via public API")
+	}
+	if res.SAEsObserved != 0 {
+		t.Fatal("SAEs observed against Maya")
+	}
+	keyA, keyB := FindContrastingAESKeys(8, 8, 3)
+	if keyA == keyB {
+		t.Fatal("key search returned identical keys")
+	}
+	v := NewAESVictim(keyA, 1<<20, 8, CacheToucher(c, 2))
+	o := NewOccupancy(OccupancyConfig{Cache: c, OccupancyLines: 512, SDID: 1, NoiseLines: 4, Seed: 3})
+	if s := o.Sample(v); s < 0 {
+		t.Fatal("negative sample")
+	}
+}
