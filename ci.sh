@@ -36,16 +36,23 @@ step_inline() {
   # compiler's inlining budget, and the kernel in buckets.go must inline
   # both. Snapshot saves are fast because the encoders' fixed-width writes
   # and the record helper ((*Encoder).U8/U32/U64/Record) inline into the
-  # encode loops, as in Maya's tag loop. An edit that pushes one over the
-  # budget passes every test while silently costing the Monte Carlo or the
-  # saves their speed, so it fails here.
-  inl=$(go build -gcflags=-m ./internal/rng ./internal/buckets ./internal/snapshot ./internal/core 2>&1)
+  # encode loops, as in Maya's and Mirage's tag loops, which also read each
+  # tag's line and SDID from the skewed store ((*Skewed).Line/SDID) inline.
+  # An edit that pushes one over the budget passes every test while
+  # silently costing the Monte Carlo or the saves their speed, so it fails
+  # here.
+  inl=$(go build -gcflags=-m ./internal/rng ./internal/buckets ./internal/snapshot ./internal/core ./internal/mirage 2>&1)
   for want in 'rng\.go:.*can inline (\*Rand)\.Uint64$' 'rng\.go:.*can inline Rand\.Next$' \
       'rng\.go:.*can inline Bound\.Map$' 'buckets\.go:.*inlining call to rng\.Rand\.Next$' \
       'buckets\.go:.*inlining call to rng\.Bound\.Map$' \
       'codec\.go:.*can inline (\*Encoder)\.U8$' 'codec\.go:.*can inline (\*Encoder)\.U32$' \
       'codec\.go:.*can inline (\*Encoder)\.U64$' 'codec\.go:.*can inline (\*Encoder)\.Record$' \
-      'core/state\.go:.*inlining call to snapshot\.(\*Encoder)\.Record$'; do
+      'core/state\.go:.*inlining call to snapshot\.(\*Encoder)\.Record$' \
+      'core/state\.go:.*inlining call to probe\.(\*Skewed)\.Line$' \
+      'core/state\.go:.*inlining call to probe\.(\*Skewed)\.SDID$' \
+      'mirage/state\.go:.*inlining call to snapshot\.(\*Encoder)\.Record$' \
+      'mirage/state\.go:.*inlining call to probe\.(\*Skewed)\.Line$' \
+      'mirage/state\.go:.*inlining call to probe\.(\*Skewed)\.SDID$'; do
     if ! printf '%s\n' "$inl" | grep -q "$want"; then
       echo "ci: '$want' missing from the -gcflags=-m output: a draw or an encoder no longer inlines" >&2; exit 1
     fi

@@ -69,10 +69,6 @@ func (s *scalarRef) freeWay(skew, set int) int32 {
 	return -1
 }
 
-func (s *scalarRef) tag(ti int) probe.Tag {
-	return probe.Tag{Line: s.lines[ti], FPTR: -1, SDID: s.sdids[ti], Valid: s.valid[ti]}
-}
-
 // TestSWARMatchesScalar drives the skewed store (probe.Skewed, the one
 // lookup path of Maya and Mirage) at the tag geometry of every registered
 // design and checks each step against the scalar reference: every lookup
@@ -80,8 +76,9 @@ func (s *scalarRef) tag(ti int) probe.Tag {
 // a least-loaded candidate set and reports a free way exactly when it has
 // one, and FreeWay returns the first invalid way. Designs without a skewed
 // store (Baseline and the CEASER family) lend their shapes: one skew of
-// 16 ways, two of 8, sixteen of 1. A final Audit checks the mirrors, valid
-// counts and invalid-way masks against the shadow.
+// 16 ways, two of 8, sixteen of 1. At the end every tag's line, SDID and
+// validity must match the shadow, and the store's Audit its probe words,
+// valid counts and invalid-way masks.
 func TestSWARMatchesScalar(t *testing.T) {
 	for _, design := range cachemodel.Registered() {
 		t.Run(design, func(t *testing.T) {
@@ -140,7 +137,13 @@ func TestSWARMatchesScalar(t *testing.T) {
 				}
 				fill(ti, line, sdid)
 			}
-			if err := st.Audit(ref.tag); err != nil {
+			for ti := range int32(len(ref.lines)) {
+				if st.Valid(ti) != ref.valid[ti] || st.Line(ti) != ref.lines[ti] || st.SDID(ti) != ref.sdids[ti] {
+					t.Fatalf("tag %d: store holds (%#x, %d, valid %v), shadow (%#x, %d, valid %v)", ti,
+						st.Line(ti), st.SDID(ti), st.Valid(ti), ref.lines[ti], ref.sdids[ti], ref.valid[ti])
+				}
+			}
+			if err := st.Audit(func(int) int32 { return -1 }); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -82,11 +82,11 @@ func DefaultConfig(seed uint64) Config {
 	}
 }
 
+// tagEntry is the design's part of a tag: the store (probe.Skewed) holds
+// its line, SDID and validity.
 type tagEntry struct {
-	line   uint64
 	fptr   int32 // data-store index; -1 when state != stP1
 	p0pos  int32 // position in p0List; -1 when state != stP0
-	sdid   uint8
 	core   uint8
 	state  uint8
 	dirty  bool
@@ -97,9 +97,10 @@ type tagEntry struct {
 type Maya struct {
 	cfg  Config
 	ways int // tag ways per skew per set
-	// st is the skewed tag store's lookup machinery (hasher, memo,
-	// mirrors, valid counts) and the data store; tags holds each tag's
-	// priority state beside it, indexed alike: skews, then sets, then ways.
+	// st is the skewed tag store (hasher, memo, each tag's line, SDID and
+	// validity, valid counts) and the data store; tags holds the rest of
+	// each tag's state beside it, indexed alike: skews, then sets, then
+	// ways.
 	st     probe.Skewed
 	tags   []tagEntry
 	p0List []int32 // dense list of tag indices in state P0
@@ -134,20 +135,13 @@ func NewChecked(cfg Config) (*Maya, error) {
 	if nTags > math.MaxInt32 {
 		return nil, cachemodel.BadConfigf("core: geometry with %d tag entries overflows int32 indices", nTags)
 	}
-	// p0List transiently reaches p0Cap+1 between an install and the
-	// enforceP0Cap that follows it; give it headroom so append never
-	// reallocates away from the arena.
-	p0ListCap := cfg.Skews*cfg.SetsPerSkew*max(cfg.ReuseWays, 1) + ways
-	// One flat arena: the store's arrays, probe-hottest first, then the
-	// tags and the priority-0 list.
-	ar := probe.NewArena(probe.SkewedBytes(cfg.Hasher, cfg.Skews, cfg.SetsPerSkew, ways, nData) +
-		probe.Size[tagEntry](nTags) + probe.Size[int32](p0ListCap))
+	ar := probe.NewArena(arenaBytes(cfg))
 	m := &Maya{
 		cfg:     cfg,
 		ways:    ways,
 		st:      probe.NewSkewed(ar, "maya", cfg.Hasher, cfg.Skews, cfg.SetsPerSkew, ways, nData, cfg.Seed),
 		tags:    probe.Alloc[tagEntry](ar, nTags),
-		p0List:  probe.Alloc[int32](ar, p0ListCap)[:0],
+		p0List:  probe.Alloc[int32](ar, p0ListCap(cfg))[:0],
 		p0Cap:   cfg.Skews * cfg.SetsPerSkew * cfg.ReuseWays,
 		r:       rng.New(cfg.Seed ^ 0x4d617961), // "Maya"
 		candBuf: make([]int32, 0, ways),
@@ -159,11 +153,24 @@ func NewChecked(cfg Config) (*Maya, error) {
 	return m, nil
 }
 
-// tag reports tag ti to the store's restore and audit.
-func (m *Maya) tag(ti int) probe.Tag {
-	e := &m.tags[ti]
-	return probe.Tag{Line: e.line, FPTR: e.fptr, SDID: e.sdid, Valid: e.state != stInvalid}
+// p0ListCap is p0List's capacity. The list transiently reaches p0Cap+1
+// between an install and the enforceP0Cap that follows it; the headroom
+// keeps append from reallocating away from the arena.
+func p0ListCap(cfg Config) int {
+	return cfg.Skews*cfg.SetsPerSkew*max(cfg.ReuseWays, 1) + cfg.BaseWays + cfg.ReuseWays + cfg.InvalidWays
 }
+
+// arenaBytes is the flat arena NewChecked carves: the store's arrays,
+// probe-hottest first, then the tags and the priority-0 list.
+func arenaBytes(cfg Config) int {
+	ways := cfg.BaseWays + cfg.ReuseWays + cfg.InvalidWays
+	nSets := cfg.Skews * cfg.SetsPerSkew
+	return probe.SkewedBytes(cfg.Hasher, cfg.Skews, cfg.SetsPerSkew, ways, nSets*cfg.BaseWays) +
+		probe.Size[tagEntry](nSets*ways) + probe.Size[int32](p0ListCap(cfg))
+}
+
+// fptr reports tag ti's FPTR to the store's audit.
+func (m *Maya) fptr(ti int) int32 { return m.tags[ti].fptr }
 
 // Access implements cachemodel.LLC. The transitions follow Fig 3 and the
 // bucket-and-balls event definitions of Section IV-A exactly.
@@ -254,7 +261,7 @@ func (m *Maya) install(a cachemodel.Access, isWB bool) bool {
 	}
 	ti := m.st.FreeWay(skew, set)
 	e := &m.tags[ti]
-	*e = tagEntry{line: a.Line, sdid: a.SDID, core: a.Core, state: stP0, fptr: -1, p0pos: -1}
+	*e = tagEntry{core: a.Core, state: stP0, fptr: -1, p0pos: -1}
 	if isWB {
 		e.state, e.dirty = stP1, true
 	} else {
@@ -305,8 +312,7 @@ func (m *Maya) globalDataEviction(evictorCore uint8) {
 	e := &m.tags[ti]
 	m.accountDataEviction(e, evictorCore)
 	if e.dirty {
-		m.wbBuf = append(m.wbBuf, cachemodel.WritebackOut{Line: e.line, SDID: e.sdid})
-		m.stats.WritebacksToMem++
+		m.writeback(ti)
 		e.dirty = false
 	}
 	e.state = stP0
@@ -364,12 +370,17 @@ func (m *Maya) detachData(ti int32, evictorCore uint8) {
 	e := &m.tags[ti]
 	m.accountDataEviction(e, evictorCore)
 	if e.dirty {
-		m.wbBuf = append(m.wbBuf, cachemodel.WritebackOut{Line: e.line, SDID: e.sdid})
-		m.stats.WritebacksToMem++
+		m.writeback(ti)
 		e.dirty = false
 	}
 	m.st.FreeData(e.fptr)
 	e.fptr = -1
+}
+
+// writeback queues tag ti's dirty line for memory.
+func (m *Maya) writeback(ti int32) {
+	m.wbBuf = append(m.wbBuf, cachemodel.WritebackOut{Line: m.st.Line(ti), SDID: m.st.SDID(ti)})
+	m.stats.WritebacksToMem++
 }
 
 func (m *Maya) accountDataEviction(e *tagEntry, evictorCore uint8) {
@@ -414,20 +425,19 @@ func (m *Maya) removeP0(ti int32) {
 // rekeyAndFlush implements the paper's key-management response to an SAE:
 // refresh the mapping keys and flush the entire cache.
 func (m *Maya) rekeyAndFlush() {
-	for ti := range m.tags {
+	for ti := range int32(len(m.tags)) {
 		e := &m.tags[ti]
 		if e.state == stInvalid {
 			continue
 		}
 		if e.state == stP1 {
 			if e.dirty {
-				m.wbBuf = append(m.wbBuf, cachemodel.WritebackOut{Line: e.line, SDID: e.sdid})
-				m.stats.WritebacksToMem++
+				m.writeback(ti)
 			}
 			m.st.FreeData(e.fptr)
 		}
 		if e.state == stP0 {
-			m.removeP0(int32(ti))
+			m.removeP0(ti)
 		}
 		*e = tagEntry{fptr: -1, p0pos: -1}
 	}
@@ -511,14 +521,17 @@ func (m *Maya) Population() (p0, p1, invalid int) {
 }
 
 // Audit verifies the structural invariants of the design and returns an
-// error describing the first violation: the priority states and the
-// p0List bijection here, then the store's mirrors, FPTR/RPTR bijection,
-// slot conservation and valid counts. It is O(tags) and intended for
-// tests.
+// error describing the first violation: the priority states, their
+// agreement with the store's validity and the p0List bijection here, then
+// the store's own checks (see probe.Skewed.Audit). It is O(tags) and
+// intended for tests.
 func (m *Maya) Audit() error {
 	p0 := 0
 	for ti := range m.tags {
 		e := &m.tags[ti]
+		if valid := m.st.Valid(int32(ti)); valid != (e.state != stInvalid) {
+			return fmt.Errorf("tag %d has state %d, but the store has it valid=%v", ti, e.state, valid)
+		}
 		switch e.state {
 		case stInvalid:
 			if e.fptr != -1 || e.p0pos != -1 {
@@ -546,5 +559,5 @@ func (m *Maya) Audit() error {
 	if p0 > m.p0Cap {
 		return fmt.Errorf("P0 count %d exceeds cap %d", p0, m.p0Cap)
 	}
-	return m.st.Audit(m.tag)
+	return m.st.Audit(m.fptr)
 }

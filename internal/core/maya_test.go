@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/rng"
@@ -274,6 +275,27 @@ func TestDefaultGeometryMatchesPaper(t *testing.T) {
 	}
 	if g.WaysPerSkew != 15 {
 		t.Errorf("ways per skew = %d, want 15", g.WaysPerSkew)
+	}
+}
+
+// TestModelFootprint pins what the model spends on Maya: 12 bytes per tag
+// entry beside the store, which holds each tag's line, SDID and validity
+// once, and the flat arena of the 8-core LLC the Fig 9/10 sweeps build
+// (the paper geometry with the fast hasher, so no index memo).
+func TestModelFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(tagEntry{}); got != 12 {
+		t.Errorf("tag entry takes %d bytes, want 12", got)
+	}
+	cfg := DefaultConfig(1)
+	if cfg.SetsPerSkew != 8*cachemodel.DefaultSetsPerCore {
+		t.Fatalf("default geometry has %d sets per skew, not 8 cores' worth", cfg.SetsPerSkew)
+	}
+	cfg.Hasher = cachemodel.NewXorHasher(cfg.Skews, cachemodel.Log2(cfg.SetsPerSkew), 1)
+	// Per tag: 12 B of entry, 8 B of line, 2 B of SDID and validity, 2 B
+	// of probe word; per data slot 12 B; per set a valid count and an
+	// invalid-way mask; then p0List; plus alignment padding.
+	if got, want := arenaBytes(cfg), 14_942_303; got != want {
+		t.Errorf("8-core arena is %d bytes, want %d", got, want)
 	}
 }
 

@@ -9,23 +9,24 @@ import (
 
 // SaveState implements snapshot.Stateful: the RNG, the hasher's key
 // epoch, the stats, the tags, the store's valid counts and data store,
-// then p0List. The dense lists (dataUsed, dataFree, p0List) are
-// serialized verbatim, order included: the global random eviction
-// policies index into them via r.Intn, so rebuilding them in any other
-// order would change which victim a restored run picks and break
-// bit-exact resume.
+// then p0List. Each tag record takes its line and SDID from the store,
+// which reads zeros for an invalid tag. The dense lists (the store's used
+// and free slots, p0List) are serialized verbatim, order included: the
+// global random eviction policies index into them via r.Intn, so
+// rebuilding them in any other order would change which victim a
+// restored run picks and break bit-exact resume.
 func (m *Maya) SaveState(e *snapshot.Encoder) {
 	e.RNG(m.r)
 	m.st.Front.SaveState(e)
 	m.stats.SaveState(e)
 	e.Count(len(m.tags))
-	for i := range m.tags {
-		t := &m.tags[i]
+	for ti := range int32(len(m.tags)) {
+		t := &m.tags[ti]
 		r := e.Record(21)
-		binary.LittleEndian.PutUint64(r, t.line)
+		binary.LittleEndian.PutUint64(r, m.st.Line(ti))
 		binary.LittleEndian.PutUint32(r[8:], uint32(t.fptr))
 		binary.LittleEndian.PutUint32(r[12:], uint32(t.p0pos))
-		r[16] = t.sdid
+		r[16] = m.st.SDID(ti)
 		r[17] = t.core
 		r[18] = t.state
 		r[19] = snapshot.BoolByte(t.dirty)
@@ -48,12 +49,12 @@ func (m *Maya) RestoreState(d *snapshot.Decoder) error {
 	}
 	nTags, nData := len(m.tags), m.st.DataEntries()
 	if d.FixedCount(nTags, "maya tags") {
-		for i := range m.tags {
-			t := &m.tags[i]
-			t.line = d.U64()
+		for ti := range int32(nTags) {
+			t := &m.tags[ti]
+			line := d.U64()
 			t.fptr = d.I32()
 			t.p0pos = d.I32()
-			t.sdid = d.U8()
+			sdid := d.U8()
 			t.core = d.U8()
 			t.state = d.U8()
 			t.dirty = d.Bool()
@@ -62,16 +63,20 @@ func (m *Maya) RestoreState(d *snapshot.Decoder) error {
 				break
 			}
 			if t.state > stP1 {
-				d.Fail("maya tags", "tag %d has state %d", i, t.state)
+				d.Fail("maya tags", "tag %d has state %d", ti, t.state)
 				break
 			}
 			if t.fptr < -1 || int(t.fptr) >= nData || t.p0pos < -1 || int(t.p0pos) >= nTags {
-				d.Fail("maya tags", "tag %d has out-of-range pointers", i)
+				d.Fail("maya tags", "tag %d has out-of-range pointers", ti)
+				break
+			}
+			if !m.st.RestoreTag(ti, line, sdid, t.state != stInvalid) {
+				d.Fail("maya tags", "invalid tag %d has line %#x, SDID %d", ti, line, sdid)
 				break
 			}
 		}
 	}
-	if err := m.st.RestoreState(d, m.tag); err != nil {
+	if err := m.st.RestoreState(d); err != nil {
 		return err
 	}
 	m.p0List = probe.DecodeSlotList(d, m.p0List[:0], nTags, "maya p0List")

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 
 	"mayacache/internal/cachemodel"
@@ -58,20 +60,42 @@ func TestMayaStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMayaRestoreRejectsDamage checks that truncations and a different
-// geometry produce errors, never panics, and leave no audit-invalid state
-// in use.
+// TestMayaRestoreRejectsDamage checks that truncations, tag records the
+// cache cannot have written and a different geometry produce errors,
+// never panics, and leave no audit-invalid state in use.
 func TestMayaRestoreRejectsDamage(t *testing.T) {
 	orig := mustNew(smallConfig(7))
 	driveAccesses(orig, rng.New(3), 5000)
 	var e snapshot.Encoder
 	orig.SaveState(&e)
 	data := e.Data()
+	// record is tag ti's 21-byte wire record, which follows the RNG, the
+	// key epoch, the stats and the tag count.
+	var head snapshot.Encoder
+	head.RNG(orig.r)
+	orig.st.Front.SaveState(&head)
+	orig.stats.SaveState(&head)
+	head.Count(len(orig.tags))
+	record := func(b []byte, ti int) []byte { return b[len(head.Data())+21*ti:] }
+	invalid := slices.IndexFunc(orig.tags, func(e tagEntry) bool { return e.state == stInvalid })
 
-	for _, n := range []int{0, 1, 8, 32, len(data) / 2, len(data) - 1} {
-		fresh := mustNew(smallConfig(7))
-		if err := fresh.RestoreState(snapshot.NewDecoder(data[:n])); err == nil {
-			t.Fatalf("truncation at %d accepted", n)
+	for _, c := range []struct {
+		name   string
+		damage func(b []byte) []byte
+	}{
+		{"empty", func(b []byte) []byte { return b[:0] }},
+		{"truncated to 1 byte", func(b []byte) []byte { return b[:1] }},
+		{"truncated to 8 bytes", func(b []byte) []byte { return b[:8] }},
+		{"truncated to 32 bytes", func(b []byte) []byte { return b[:32] }},
+		{"truncated to half", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"last byte missing", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"invalid tag with a line", func(b []byte) []byte { record(b, invalid)[0] = 1; return b }},
+		{"invalid tag with an SDID", func(b []byte) []byte { record(b, invalid)[16] = 1; return b }},
+	} {
+		err := mustNew(smallConfig(7)).RestoreState(snapshot.NewDecoder(c.damage(slices.Clone(data))))
+		var corrupt *snapshot.CorruptError
+		if !errors.As(err, &corrupt) {
+			t.Errorf("%s: restore returned %v, want a *snapshot.CorruptError", c.name, err)
 		}
 	}
 	other := smallConfig(7)

@@ -45,14 +45,14 @@ func TestMayacheckDetectsValidCntDrift(t *testing.T) {
 	// the damaged tag first.
 	drive(c, 6, auditPeriod-1)
 	// Skew the valid/invalid-way accounting that load-aware skew
-	// selection depends on: a tag turns invalid behind the store's back,
-	// so its set's valid count no longer matches the tags.
+	// selection depends on: a tag's design entry empties behind the
+	// store's back, so the store still counts it valid in its set while
+	// the design holds nothing there.
 	ti := 0
-	for !c.tags[ti].valid {
+	for c.tags[ti].fptr < 0 {
 		ti++
 	}
-	c.tags[ti].valid = false
-	c.tags[ti].fptr = -1
+	c.tags[ti] = tagEntry{fptr: -1}
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -69,12 +69,12 @@ func LiteConfig(seed uint64) Config {
 	return c
 }
 
+// tagEntry is the design's part of a tag: the store (probe.Skewed) holds
+// its line, SDID and validity. Every valid tag owns a data slot, so a tag
+// is valid exactly when fptr >= 0.
 type tagEntry struct {
-	line   uint64
-	fptr   int32
-	sdid   uint8
+	fptr   int32 // data-store index; -1 when invalid
 	core   uint8
-	valid  bool
 	dirty  bool
 	reused bool
 }
@@ -83,9 +83,10 @@ type tagEntry struct {
 type Mirage struct {
 	cfg  Config
 	ways int
-	// st is the skewed tag store's lookup machinery (hasher, memo,
-	// mirrors, valid counts) and the data store; tags holds each tag's
-	// state beside it, indexed alike: skews, then sets, then ways.
+	// st is the skewed tag store (hasher, memo, each tag's line, SDID and
+	// validity, valid counts) and the data store; tags holds the rest of
+	// each tag's state beside it, indexed alike: skews, then sets, then
+	// ways.
 	st   probe.Skewed
 	tags []tagEntry
 
@@ -116,10 +117,7 @@ func NewChecked(cfg Config) (*Mirage, error) {
 	if nTags > math.MaxInt32 {
 		return nil, cachemodel.BadConfigf("mirage: geometry with %d tag entries overflows int32 indices", nTags)
 	}
-	// One flat arena: the store's arrays, probe-hottest first, then the
-	// tags.
-	ar := probe.NewArena(probe.SkewedBytes(cfg.Hasher, cfg.Skews, cfg.SetsPerSkew, ways, nData) +
-		probe.Size[tagEntry](nTags))
+	ar := probe.NewArena(arenaBytes(cfg))
 	c := &Mirage{
 		cfg:  cfg,
 		ways: ways,
@@ -133,11 +131,17 @@ func NewChecked(cfg Config) (*Mirage, error) {
 	return c, nil
 }
 
-// tag reports tag ti to the store's restore and audit.
-func (c *Mirage) tag(ti int) probe.Tag {
-	e := &c.tags[ti]
-	return probe.Tag{Line: e.line, FPTR: e.fptr, SDID: e.sdid, Valid: e.valid}
+// arenaBytes is the flat arena NewChecked carves: the store's arrays,
+// probe-hottest first, then the tags.
+func arenaBytes(cfg Config) int {
+	ways := cfg.BaseWays + cfg.ExtraWays
+	nSets := cfg.Skews * cfg.SetsPerSkew
+	return probe.SkewedBytes(cfg.Hasher, cfg.Skews, cfg.SetsPerSkew, ways, nSets*cfg.BaseWays) +
+		probe.Size[tagEntry](nSets*ways)
 }
+
+// fptr reports tag ti's FPTR to the store's audit.
+func (c *Mirage) fptr(ti int) int32 { return c.tags[ti].fptr }
 
 // Access implements cachemodel.LLC.
 func (c *Mirage) Access(a cachemodel.Access) cachemodel.Result {
@@ -204,7 +208,7 @@ func (c *Mirage) install(a cachemodel.Access) bool {
 	}
 	ti := c.st.FreeWay(skew, set)
 	e := &c.tags[ti]
-	*e = tagEntry{line: a.Line, sdid: a.SDID, core: a.Core, valid: true, dirty: a.Type == cachemodel.Writeback, fptr: -1}
+	*e = tagEntry{core: a.Core, dirty: a.Type == cachemodel.Writeback, fptr: -1}
 	c.st.Fill(ti, a.Line, a.SDID)
 	c.stats.Fills++
 	slot := c.st.Attach(ti)
@@ -232,7 +236,7 @@ func (c *Mirage) globalEviction(evictorCore uint8) {
 func (c *Mirage) evictTag(ti int32, evictorCore uint8, account bool) {
 	e := &c.tags[ti]
 	if invariant.Enabled {
-		invariant.Check(e.valid, "mirage: evictTag on invalid tag %d", ti)
+		invariant.Check(e.fptr >= 0, "mirage: evictTag on invalid tag %d", ti)
 	}
 	if account {
 		if e.reused {
@@ -245,23 +249,27 @@ func (c *Mirage) evictTag(ti int32, evictorCore uint8, account bool) {
 		}
 	}
 	if e.dirty {
-		c.wbBuf = append(c.wbBuf, cachemodel.WritebackOut{Line: e.line, SDID: e.sdid})
-		c.stats.WritebacksToMem++
+		c.writeback(ti)
 	}
 	c.st.FreeData(e.fptr)
 	*e = tagEntry{fptr: -1}
 	c.st.Clear(ti)
 }
 
+// writeback queues tag ti's dirty line for memory.
+func (c *Mirage) writeback(ti int32) {
+	c.wbBuf = append(c.wbBuf, cachemodel.WritebackOut{Line: c.st.Line(ti), SDID: c.st.SDID(ti)})
+	c.stats.WritebacksToMem++
+}
+
 func (c *Mirage) rekeyAndFlush() {
-	for ti := range c.tags {
+	for ti := range int32(len(c.tags)) {
 		e := &c.tags[ti]
-		if !e.valid {
+		if e.fptr < 0 {
 			continue
 		}
 		if e.dirty {
-			c.wbBuf = append(c.wbBuf, cachemodel.WritebackOut{Line: e.line, SDID: e.sdid})
-			c.stats.WritebacksToMem++
+			c.writeback(ti)
 		}
 		c.st.FreeData(e.fptr)
 		*e = tagEntry{fptr: -1}
@@ -324,15 +332,16 @@ func (c *Mirage) Geometry() cachemodel.Geometry {
 // Occupancy returns the number of resident lines.
 func (c *Mirage) Occupancy() int { return c.st.Resident() }
 
-// Audit verifies that exactly the valid tags own data, then the store's
-// mirrors, FPTR/RPTR bijection, slot conservation and valid counts —
-// load-aware skew selection reads those counts, so drift there skews the
-// install distribution the security argument depends on.
+// Audit verifies that exactly the tags the store holds as valid own data,
+// then the store's own checks (see probe.Skewed.Audit): FPTR/RPTR
+// bijection, slot conservation and valid counts — load-aware skew
+// selection reads those counts, so drift there skews the install
+// distribution the security argument depends on.
 func (c *Mirage) Audit() error {
 	for ti := range c.tags {
-		if e := &c.tags[ti]; e.valid != (e.fptr >= 0) {
-			return fmt.Errorf("tag %d has bad fptr %d (valid %v)", ti, e.fptr, e.valid)
+		if f, valid := c.tags[ti].fptr, c.st.Valid(int32(ti)); valid != (f >= 0) {
+			return fmt.Errorf("tag %d has bad fptr %d (valid %v)", ti, f, valid)
 		}
 	}
-	return c.st.Audit(c.tag)
+	return c.st.Audit(c.fptr)
 }

@@ -3,6 +3,7 @@ package mirage
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/rng"
@@ -178,6 +179,27 @@ func TestDefaultGeometryMatchesPaper(t *testing.T) {
 	}
 	if g.DataBytes() != 16<<20 {
 		t.Errorf("data bytes = %d, want 16MB", g.DataBytes())
+	}
+}
+
+// TestModelFootprint pins what the model spends on Mirage: 8 bytes per
+// tag entry beside the store, which holds each tag's line, SDID and
+// validity once, and the flat arena of the 8-core LLC the Fig 9/10 sweeps
+// build (the paper geometry with the fast hasher, so no index memo).
+func TestModelFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(tagEntry{}); got != 8 {
+		t.Errorf("tag entry takes %d bytes, want 8", got)
+	}
+	cfg := DefaultConfig(1)
+	if cfg.SetsPerSkew != 8*cachemodel.DefaultSetsPerCore {
+		t.Fatalf("default geometry has %d sets per skew, not 8 cores' worth", cfg.SetsPerSkew)
+	}
+	cfg.Hasher = cachemodel.NewXorHasher(cfg.Skews, cachemodel.Log2(cfg.SetsPerSkew), 1)
+	// Per tag: 8 B of entry, 8 B of line, 2 B of SDID and validity, 2 B
+	// of probe word; per data slot 12 B; per set a valid count and an
+	// invalid-way mask; plus alignment padding.
+	if got, want := arenaBytes(cfg), 12_779_552; got != want {
+		t.Errorf("8-core arena is %d bytes, want %d", got, want)
 	}
 }
 

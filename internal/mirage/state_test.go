@@ -2,6 +2,8 @@ package mirage
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
 
 	"mayacache/internal/cachemodel"
@@ -55,17 +57,43 @@ func TestMirageStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMirageRestoreRejectsDamage checks truncated and foreign-geometry
-// state is refused without panicking.
+// TestMirageRestoreRejectsDamage checks that truncations, tag records the
+// cache cannot have written and a different geometry are refused without
+// panicking.
 func TestMirageRestoreRejectsDamage(t *testing.T) {
 	orig := mustNew(smallConfig(11))
 	driveAccesses(orig, rng.New(5), 5000)
 	var e snapshot.Encoder
 	orig.SaveState(&e)
 	data := e.Data()
-	for _, n := range []int{0, 8, len(data) / 2, len(data) - 1} {
-		if err := mustNew(smallConfig(11)).RestoreState(snapshot.NewDecoder(data[:n])); err == nil {
-			t.Fatalf("truncation at %d accepted", n)
+	// record is tag ti's 17-byte wire record, which follows the RNG, the
+	// key epoch, the stats and the tag count.
+	var head snapshot.Encoder
+	head.RNG(orig.r)
+	orig.st.Front.SaveState(&head)
+	orig.stats.SaveState(&head)
+	head.Count(len(orig.tags))
+	record := func(b []byte, ti int) []byte { return b[len(head.Data())+17*ti:] }
+	invalid := slices.IndexFunc(orig.tags, func(e tagEntry) bool { return e.fptr < 0 })
+	valid := slices.IndexFunc(orig.tags, func(e tagEntry) bool { return e.fptr >= 0 })
+
+	for _, c := range []struct {
+		name   string
+		damage func(b []byte) []byte
+	}{
+		{"empty", func(b []byte) []byte { return b[:0] }},
+		{"truncated to 8 bytes", func(b []byte) []byte { return b[:8] }},
+		{"truncated to half", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"last byte missing", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"invalid tag with a line", func(b []byte) []byte { record(b, invalid)[0] = 1; return b }},
+		{"invalid tag with an SDID", func(b []byte) []byte { record(b, invalid)[12] = 1; return b }},
+		{"valid tag with valid byte 0", func(b []byte) []byte { record(b, valid)[14] = 0; return b }},
+		{"invalid tag with valid byte 1", func(b []byte) []byte { record(b, invalid)[14] = 1; return b }},
+	} {
+		err := mustNew(smallConfig(11)).RestoreState(snapshot.NewDecoder(c.damage(slices.Clone(data))))
+		var corrupt *snapshot.CorruptError
+		if !errors.As(err, &corrupt) {
+			t.Errorf("%s: restore returned %v, want a *snapshot.CorruptError", c.name, err)
 		}
 	}
 	other := smallConfig(11)

@@ -3,7 +3,7 @@ package probe
 import "unsafe"
 
 // Arena carves typed slices out of one flat backing allocation so that a
-// design's parallel arrays (tag mirrors, metadata, data-store maps) land
+// design's parallel arrays (tag lines, metadata, data-store maps) land
 // on adjacent cache lines instead of wherever the allocator scattered
 // them. It is a locality optimization only: if a request does not fit in
 // the remaining capacity the arena falls back to an ordinary standalone

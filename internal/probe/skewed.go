@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/invariant"
@@ -13,27 +14,30 @@ import (
 
 // Skewed is the store Maya keeps from Mirage: a skewed-associative tag
 // store with load-aware skew selection, decoupled from a data store by
-// forward (FPTR) and reverse (RPTR) pointers. The owning design keeps its
-// tag entries, whose states differ (Maya's priority bits, Mirage's valid
-// bit), in an array indexed like the store's mirrors, and reports every
-// change of a tag's validity or identity through Fill and Clear. The
-// store keeps everything the lookup and install paths read beside them:
+// forward (FPTR) and reverse (RPTR) pointers. It is the one holder of each
+// tag's line, SDID and validity. The owning design keeps the rest of each
+// tag's state (its FPTR, Maya's priority state, the dirty and reuse bits)
+// in an array indexed like the store's, and reports every change of a
+// tag's validity or identity through Fill and Clear. The store keeps:
 //
-//   - tagLine mirrors each tag's line (zero when invalid) and tagMeta its
-//     validity and SDID as tagMetaOf(sdid) (zero when invalid), so the
-//     lookup verifies a candidate way in 10 bytes instead of a whole tag;
+//   - tagLine, each tag's line, and tagMeta, its validity and SDID as
+//     tagMetaOf(sdid); both are zero when the tag is invalid, and the
+//     lookup verifies a candidate way against them in 10 bytes;
 //   - tagFP packs one probe fingerprint per way (zero when invalid),
 //     fpWords words per set, so the lookup compares a whole set's ways a
 //     word of four at a time (see the package comment);
 //   - validCnt counts each set's valid ways for load-aware skew selection,
 //     and invMask has bit w set when way w is invalid, so the first free
 //     way is a TrailingZeros (nil when ways > 64: FreeWay then scans);
-//   - data, dataUsed and dataFree are the data store: each slot's RPTR
-//     and its position in the dense list of used slots, which the global
-//     random evictions draw from.
+//   - data and slots are the data store. slots is a permutation of the
+//     data slots: slots[:used] is the dense list of used slots, which the
+//     global random evictions draw from, and slots[used:] is the stack of
+//     free slots, its top at the boundary. data holds each slot's RPTR
+//     and its position in slots.
 //
-// The mirrors are derived state, rebuilt from the design's tags on
-// restore; validCnt and the data store are part of the snapshot.
+// tagFP and invMask are derived from tagLine and tagMeta, and rebuilt on
+// restore. Everything else is snapshot state: tagLine and tagMeta travel
+// inside the design's tag records, the rest in SaveState's section.
 type Skewed struct {
 	Front
 	name    string // owning design, prefixed to snapshot error sites
@@ -42,29 +46,21 @@ type Skewed struct {
 	fpWords int
 
 	validCnt []uint16
-	invMask  []uint64 //mayavet:ignore snapshotfields -- derived: rebuilt from the design's tags on restore
-	tagLine  []uint64 //mayavet:ignore snapshotfields -- derived: rebuilt from the design's tags on restore
-	tagMeta  []uint16 //mayavet:ignore snapshotfields -- derived: rebuilt from the design's tags on restore
-	tagFP    []uint64 //mayavet:ignore snapshotfields -- derived: rebuilt from the design's tags on restore
+	invMask  []uint64 //mayavet:ignore snapshotfields -- derived: rebuilt from tagMeta on restore
+	tagLine  []uint64 //mayavet:ignore snapshotfields -- saved and restored in the design's tag records (Line, RestoreTag)
+	tagMeta  []uint16 //mayavet:ignore snapshotfields -- saved and restored in the design's tag records (SDID, RestoreTag)
+	tagFP    []uint64 //mayavet:ignore snapshotfields -- derived: rebuilt from tagLine and tagMeta on restore
 
-	data     []dataEntry
-	dataUsed []int32
-	dataFree []int32
+	data  []dataEntry
+	slots []int32
+	used  int32 // number of used slots: the length of the used list
 }
 
 type dataEntry struct {
-	rptr    int32 // owning tag index, -1 when free
-	usedPos int32 // position in dataUsed
-	valid   bool
-}
-
-// Tag is what the store reads of a design's tag entry when it rebuilds
-// and audits its mirrors.
-type Tag struct {
-	Line  uint64
-	FPTR  int32 // data slot the tag owns, -1 for none
-	SDID  uint8
-	Valid bool
+	// rptr is the owning tag's index. A free slot keeps 0 until its first
+	// use and -1 once freed: the two free-slot wire forms SaveState writes.
+	rptr int32
+	pos  int32 // position in slots
 }
 
 // SkewedBytes is the arena footprint of NewSkewed with the same geometry
@@ -79,14 +75,14 @@ func SkewedBytes(h cachemodel.IndexHasher, skews, sets, ways, dataEntries int) i
 		Size[uint16](nSets) + // validCnt
 		Size[uint64](nSets) + // invMask
 		Size[dataEntry](dataEntries) +
-		Size[int32](2*dataEntries) // dataUsed, dataFree
+		Size[int32](dataEntries) // slots
 }
 
 // NewSkewed builds an empty store of skews skews of sets sets (a power of
 // two) of ways ways each, with dataEntries data slots, carving its arrays
-// from ar hottest first: the memo, then the probe words, the mirrors and
-// the data store. The caller has checked that skews*sets*ways fits in an
-// int32, which bounds every tag index, data slot and list position.
+// from ar hottest first: the memo, then the probe words, the tag arrays
+// and the data store. The caller has checked that skews*sets*ways fits in
+// an int32, which bounds every tag index, data slot and slot position.
 func NewSkewed(ar *Arena, name string, h cachemodel.IndexHasher, skews, sets, ways, dataEntries int, seed uint64) Skewed {
 	nSets := skews * sets
 	nTags := nSets * ways
@@ -108,10 +104,11 @@ func NewSkewed(ar *Arena, name string, h cachemodel.IndexHasher, skews, sets, wa
 		}
 	}
 	s.data = Alloc[dataEntry](ar, dataEntries)
-	s.dataUsed = Alloc[int32](ar, dataEntries)[:0]
-	s.dataFree = Alloc[int32](ar, dataEntries)[:0]
-	for i := dataEntries - 1; i >= 0; i-- {
-		s.dataFree = append(s.dataFree, int32(i))
+	s.slots = Alloc[int32](ar, dataEntries)
+	// Every slot starts free, slot 0 on top of the stack.
+	for i := range int32(dataEntries) {
+		s.slots[i] = i
+		s.data[i].pos = i
 	}
 	return s
 }
@@ -254,9 +251,18 @@ func (s *Skewed) markValid(skewSet, way int) {
 	}
 }
 
-// Rekey empties the tag mirrors and refreshes the front's keys: the end
-// of a design's rekey-and-flush, after it has invalidated its own tags
-// and freed their data slots.
+// Line is tag ti's line, zero when the tag is invalid.
+func (s *Skewed) Line(ti int32) uint64 { return s.tagLine[ti] }
+
+// SDID is tag ti's security domain, zero when the tag is invalid.
+func (s *Skewed) SDID(ti int32) uint8 { return uint8(s.tagMeta[ti] >> 8) }
+
+// Valid reports whether tag ti holds a line.
+func (s *Skewed) Valid(ti int32) bool { return s.tagMeta[ti] != 0 }
+
+// Rekey empties the tag arrays and refreshes the front's keys: the end of
+// a design's rekey-and-flush, after it has reset its own tag entries and
+// freed their data slots.
 func (s *Skewed) Rekey() {
 	clear(s.tagLine)
 	clear(s.tagMeta)
@@ -269,63 +275,63 @@ func (s *Skewed) Rekey() {
 }
 
 // Full reports whether every data slot is in use.
-func (s *Skewed) Full() bool { return len(s.dataFree) == 0 }
+func (s *Skewed) Full() bool { return int(s.used) == len(s.slots) }
 
 // Resident is the number of data slots in use.
-func (s *Skewed) Resident() int { return len(s.dataUsed) }
+func (s *Skewed) Resident() int { return int(s.used) }
 
 // DataEntries is the data store's capacity.
 func (s *Skewed) DataEntries() int { return len(s.data) }
 
-// Owner returns slot's RPTR: the tag that owns it, -1 when it is free.
+// Owner returns slot's RPTR: the tag that owns it. A free slot reads 0
+// before its first use and -1 after.
 func (s *Skewed) Owner(slot int32) int32 { return s.data[slot].rptr }
 
-// Attach links a free data slot to tag ti and returns it; the design
-// stores it as ti's FPTR. The store must not be Full.
+// Attach links the free slot on top of the stack to tag ti and returns
+// it; the design stores it as ti's FPTR. The slot already sits at the
+// boundary, so it joins the end of the used list where it is. The store
+// must not be Full.
 func (s *Skewed) Attach(ti int32) int32 {
-	slot := s.dataFree[len(s.dataFree)-1]
-	s.dataFree = s.dataFree[:len(s.dataFree)-1]
-	d := &s.data[slot]
-	d.valid = true
-	d.rptr = ti
-	d.usedPos = int32(len(s.dataUsed)) //mayavet:checked len(dataUsed) < len(data) <= MaxInt32 (NewSkewed)
-	s.dataUsed = append(s.dataUsed, slot)
-	if invariant.Enabled {
-		invariant.Check(len(s.dataUsed)+len(s.dataFree) == len(s.data),
-			"%s: data slots leak after attach: used %d + free %d != %d",
-			s.name, len(s.dataUsed), len(s.dataFree), len(s.data))
-	}
+	slot := s.slots[s.used]
+	s.data[slot].rptr = ti
+	s.used++
 	return slot
 }
 
 // RandomSlot draws a uniformly random used data slot: the victim of a
 // global random data eviction.
 func (s *Skewed) RandomSlot(r *rng.Rand) int32 {
-	return s.dataUsed[r.Intn(len(s.dataUsed))]
+	return s.slots[r.Intn(int(s.used))]
 }
 
-// FreeData returns a used slot to the free list; the design resets the
-// owning tag's FPTR itself.
+// FreeData returns a used slot to the top of the free stack; the design
+// resets the owning tag's FPTR itself. The last used slot fills the
+// freed one's place in the used list, and the freed slot takes the last
+// used position, which the shrinking boundary hands to the stack.
 func (s *Skewed) FreeData(slot int32) {
-	pos := s.data[slot].usedPos
+	d := &s.data[slot]
+	pos := d.pos
 	if invariant.Enabled {
-		invariant.Check(s.data[slot].valid, "%s: freeing invalid data slot %d", s.name, slot)
-		invariant.Check(pos >= 0 && int(pos) < len(s.dataUsed) && s.dataUsed[pos] == slot,
-			"%s: dataUsed position %d does not hold slot %d", s.name, pos, slot)
+		invariant.Check(pos >= 0 && pos < s.used && s.slots[pos] == slot,
+			"%s: freeing data slot %d, which is not in use", s.name, slot)
 	}
-	last := int32(len(s.dataUsed) - 1)
-	moved := s.dataUsed[last]
-	s.dataUsed[pos] = moved
-	s.data[moved].usedPos = pos
-	s.dataUsed = s.dataUsed[:last]
-	s.data[slot] = dataEntry{rptr: -1}
-	s.dataFree = append(s.dataFree, slot)
+	last := s.used - 1
+	moved := s.slots[last]
+	s.slots[pos] = moved
+	s.data[moved].pos = pos
+	s.slots[last] = slot
+	d.pos = last
+	d.rptr = -1
+	s.used = last
 }
 
 // SaveState encodes the valid counts and the data store, which follow
-// the design's tags in its wire format. The dense lists keep their order:
-// the global random evictions index into them, so any other order would
-// change which victim a restored run picks.
+// the design's tags in its wire format. Each slot is a record of its
+// RPTR, its used-list position and a used byte; a free slot is
+// (0, 0, 0) before its first use and (-1, 0, 0) after. The used list
+// follows in its own order, then the free stack from bottom to top: the
+// global random evictions index into the used list and Attach pops the
+// stack, so any other order would change what a restored run picks.
 func (s *Skewed) SaveState(e *snapshot.Encoder) {
 	e.Count(len(s.validCnt))
 	for _, v := range s.validCnt {
@@ -336,20 +342,43 @@ func (s *Skewed) SaveState(e *snapshot.Encoder) {
 		d := &s.data[i]
 		r := e.Record(9)
 		binary.LittleEndian.PutUint32(r, uint32(d.rptr))
-		binary.LittleEndian.PutUint32(r[4:], uint32(d.usedPos))
-		r[8] = snapshot.BoolByte(d.valid)
+		pos, used := uint32(0), d.pos < s.used
+		if used {
+			pos = uint32(d.pos)
+		}
+		binary.LittleEndian.PutUint32(r[4:], pos)
+		r[8] = snapshot.BoolByte(used)
 	}
-	EncodeSlotList(e, s.dataUsed)
-	EncodeSlotList(e, s.dataFree)
+	EncodeSlotList(e, s.slots[:s.used])
+	free := s.slots[s.used:]
+	e.Count(len(free))
+	for i := len(free) - 1; i >= 0; i-- {
+		binary.LittleEndian.PutUint32(e.Record(4), uint32(free[i]))
+	}
+}
+
+// RestoreTag sets tag ti's line, SDID and validity as the design decodes
+// its tag record, before RestoreState. It reports false when an invalid
+// tag's record carries a line or an SDID: the store reads both back as
+// zero, so that record could not be written again byte for byte.
+func (s *Skewed) RestoreTag(ti int32, line uint64, sdid uint8, valid bool) bool {
+	if !valid {
+		s.tagLine[ti], s.tagMeta[ti] = 0, 0
+		return line == 0 && sdid == 0
+	}
+	s.tagLine[ti], s.tagMeta[ti] = line, tagMetaOf(sdid)
+	return true
 }
 
 // RestoreState decodes what SaveState wrote into a freshly built store of
-// the same geometry, after the design has decoded its tags (tag reports
-// tag ti). Every index is range-checked before use. It then rebuilds the
-// mirrors from the tags and checks that the used and free lists partition
-// the data store with matching back-pointers; the design runs its full
-// Audit afterwards.
-func (s *Skewed) RestoreState(d *snapshot.Decoder, tag func(ti int) Tag) error {
+// the same geometry, after the design has restored every tag through
+// RestoreTag. Every index is range-checked before use, and a slot record
+// SaveState could not have written (a free slot with a used-list
+// position, a position that disagrees with the lists, lists that do not
+// partition the slots) is refused. It then rebuilds the probe words and
+// invalid-way masks from the tags; the design runs its full Audit
+// afterwards.
+func (s *Skewed) RestoreState(d *snapshot.Decoder) error {
 	nTags, nData := len(s.tagLine), len(s.data)
 	if d.FixedCount(len(s.validCnt), s.name+" validCnt") {
 		for i := range s.validCnt {
@@ -360,55 +389,69 @@ func (s *Skewed) RestoreState(d *snapshot.Decoder, tag func(ti int) Tag) error {
 		for i := range s.data {
 			de := &s.data[i]
 			de.rptr = d.I32()
-			de.usedPos = d.I32()
-			de.valid = d.Bool()
+			de.pos = d.I32()
+			used := d.Bool()
+			switch {
+			case d.Err() != nil:
+			case de.rptr < -1 || int(de.rptr) >= nTags:
+				d.Fail(s.name+" data", "slot %d has out-of-range RPTR %d", i, de.rptr)
+			case used && (de.pos < 0 || int(de.pos) >= nData):
+				d.Fail(s.name+" data", "used slot %d has out-of-range position %d", i, de.pos)
+			case !used && de.pos != 0:
+				d.Fail(s.name+" data", "free slot %d has used-list position %d", i, de.pos)
+			case !used:
+				de.pos = -1 // placed by the free stack below
+			}
 			if d.Err() != nil {
 				break
 			}
-			if de.rptr < -1 || int(de.rptr) >= nTags || de.usedPos < -1 || int(de.usedPos) >= nData {
-				d.Fail(s.name+" data", "slot %d has out-of-range pointers", i)
-				break
-			}
 		}
 	}
-	s.dataUsed = DecodeSlotList(d, s.dataUsed[:0], nData, s.name+" dataUsed")
-	s.dataFree = DecodeSlotList(d, s.dataFree[:0], nData, s.name+" dataFree")
+	// Both lists decode into slots' backing array: the used list from the
+	// front, the free stack (bottom first on the wire) right after it.
+	used := DecodeSlotList(d, s.slots[:0], nData, s.name+" dataUsed")
+	free := DecodeSlotList(d, s.slots[len(used):len(used)], nData, s.name+" dataFree")
 	if err := d.Err(); err != nil {
 		return err
 	}
-	s.rebuild(tag)
-	seen := make([]bool, nData)
-	for pos, slot := range s.dataUsed {
+	if len(used)+len(free) != nData {
+		return &snapshot.CorruptError{At: s.name + " data",
+			Detail: fmt.Sprintf("used %d + free %d slots != %d", len(used), len(free), nData)}
+	}
+	s.used = int32(len(used))
+	slices.Reverse(s.slots[s.used:])
+	// A used slot's record names its position; a free slot's is placed
+	// here. A slot listed twice, or on both lists, fails one of the two.
+	for p, slot := range s.slots {
 		de := &s.data[slot]
-		if !de.valid || de.usedPos != int32(pos) { //mayavet:checked pos < nData <= MaxInt32 (NewSkewed)
+		pos := int32(p) //mayavet:checked p < nData <= MaxInt32 (NewSkewed)
+		switch {
+		case pos < s.used && de.pos != pos:
 			return &snapshot.CorruptError{At: s.name + " dataUsed", Detail: "position/back-pointer mismatch"}
+		case pos >= s.used && de.pos != -1:
+			return &snapshot.CorruptError{At: s.name + " dataFree", Detail: "slot used or duplicated"}
 		}
-		seen[slot] = true
+		de.pos = pos
 	}
-	for _, slot := range s.dataFree {
-		if s.data[slot].valid || seen[slot] {
-			return &snapshot.CorruptError{At: s.name + " dataFree", Detail: "slot valid or duplicated"}
-		}
-		seen[slot] = true
-	}
+	s.rebuild()
 	return nil
 }
 
-// rebuild recomputes the mirrors and invalid-way masks from the design's
-// tags; validCnt is decoded, not rebuilt, so Audit can check it.
-func (s *Skewed) rebuild(tag func(ti int) Tag) {
+// rebuild recomputes the probe words and invalid-way masks from tagLine
+// and tagMeta; validCnt is decoded, not rebuilt, so Audit can check it.
+func (s *Skewed) rebuild() {
 	clear(s.tagFP)
-	clear(s.invMask)
-	for i := range s.tagLine {
-		t := tag(i)
-		skewSet, way := s.split(int32(i)) //mayavet:checked i < nTags <= MaxInt32 (NewSkewed)
-		s.tagLine[i] = t.Line
-		s.tagMeta[i] = 0
-		if t.Valid {
-			s.tagMeta[i] = tagMetaOf(t.SDID)
-			s.setFP(skewSet, way, Fingerprint(t.Line))
-		} else if s.invMask != nil {
-			s.invMask[skewSet] |= 1 << uint(way)
+	for skewSet := range s.validCnt {
+		base, inv := skewSet*s.ways, uint64(0)
+		for w, m := range s.tagMeta[base : base+s.ways] {
+			if m != 0 {
+				s.setFP(skewSet, w, Fingerprint(s.tagLine[base+w]))
+			} else {
+				inv |= 1 << uint(w)
+			}
+		}
+		if s.invMask != nil {
+			s.invMask[skewSet] = inv
 		}
 	}
 }
@@ -441,48 +484,49 @@ func DecodeSlotList(d *snapshot.Decoder, dst []int32, limit int, what string) []
 	return dst
 }
 
-// Audit checks the store against the design's tags (tag reports tag ti):
-// the mirrors, the FPTR/RPTR bijection, data slot conservation, and the
-// valid counts and invalid-way masks load-aware skew selection reads. It
-// is O(tags) and returns the first violation.
-func (s *Skewed) Audit(tag func(ti int) Tag) error {
+// Audit checks the store against itself and the design's FPTRs (fptr
+// reports tag ti's, -1 for none): invalid tags hold no line, the probe
+// words match the tags, every FPTR names a used slot whose RPTR names the
+// tag back, every used slot has such an owner, the slot positions invert
+// slots, and the valid counts and invalid-way masks load-aware skew
+// selection reads match the tags. It is O(tags) and returns the first
+// violation.
+func (s *Skewed) Audit(fptr func(ti int) int32) error {
 	owners := 0
-	for ti := range s.tagLine {
-		t := tag(ti)
-		if s.tagLine[ti] != t.Line {
-			return fmt.Errorf("tagLine mirror diverged at tag %d: %#x != %#x", ti, s.tagLine[ti], t.Line)
-		}
-		wantMeta, wantFP := uint16(0), uint16(0)
-		if t.Valid {
-			wantMeta, wantFP = tagMetaOf(t.SDID), Fingerprint(t.Line)
-		}
-		if s.tagMeta[ti] != wantMeta {
-			return fmt.Errorf("tagMeta mirror diverged at tag %d: %#x != %#x", ti, s.tagMeta[ti], wantMeta)
+	for ti, line := range s.tagLine {
+		m, wantFP := s.tagMeta[ti], uint16(0)
+		if m != 0 {
+			wantFP = Fingerprint(line)
+		} else if line != 0 {
+			return fmt.Errorf("invalid tag %d holds line %#x", ti, line)
 		}
 		skewSet := ti / s.ways
 		if got := Get(s.tagFP[skewSet*s.fpWords:], ti-skewSet*s.ways); got != wantFP {
-			return fmt.Errorf("tagFP mirror diverged at tag %d: %#x != %#x", ti, got, wantFP)
+			return fmt.Errorf("tagFP diverged at tag %d: %#x != %#x", ti, got, wantFP)
 		}
-		if t.FPTR == -1 {
+		f := fptr(ti)
+		if f == -1 {
 			continue
 		}
 		owners++
-		if t.FPTR < 0 || int(t.FPTR) >= len(s.data) {
-			return fmt.Errorf("tag %d has bad fptr %d", ti, t.FPTR)
+		if m == 0 {
+			return fmt.Errorf("invalid tag %d owns data slot %d", ti, f)
 		}
-		if d := &s.data[t.FPTR]; !d.valid || d.rptr != int32(ti) {
+		if f < 0 || int(f) >= len(s.data) {
+			return fmt.Errorf("tag %d has bad fptr %d", ti, f)
+		}
+		if d := &s.data[f]; d.pos >= s.used || d.rptr != int32(ti) {
 			return fmt.Errorf("tag %d: FPTR/RPTR mismatch", ti)
 		}
 	}
-	if owners != len(s.dataUsed) {
-		return fmt.Errorf("tags owning data %d != data in use %d", owners, len(s.dataUsed))
+	if owners != int(s.used) {
+		return fmt.Errorf("tags owning data %d != data in use %d", owners, s.used)
 	}
-	if len(s.dataUsed)+len(s.dataFree) != len(s.data) {
-		return fmt.Errorf("data slots leak: used %d + free %d != %d",
-			len(s.dataUsed), len(s.dataFree), len(s.data))
+	for p, slot := range s.slots {
+		if slot < 0 || int(slot) >= len(s.data) || int(s.data[slot].pos) != p {
+			return fmt.Errorf("slot list broken at position %d (slot %d)", p, slot)
+		}
 	}
-	// The mirrors agree with the tags by now, so tagMeta stands in for
-	// their validity.
 	for skewSet := range s.validCnt {
 		n, inv := uint16(0), uint64(0)
 		for w, m := range s.tagMeta[skewSet*s.ways : (skewSet+1)*s.ways] {

@@ -17,7 +17,7 @@ import (
 // Two exemption paths keep the signal clean. Fields never assigned
 // outside a constructor (geometry, masks, table shapes) are auto-exempt:
 // an identically configured rebuild already reproduces them. Everything
-// else — derived mirrors rebuilt on restore (tagLine, invMask), scratch
+// else — derived state rebuilt on restore (tagFP, invMask), scratch
 // buffers whose contents are dead between operations (wbBuf) — must carry
 // an explicit `//mayavet:ignore snapshotfields -- reason` on its
 // declaration so the exemption is a reviewed decision, not an accident.
