@@ -155,6 +155,15 @@ wait_addr() {
     sleep 0.1
   done
 }
+# cells_empty fails when a session's cell file, or the temp file of a
+# cell write, outlived the session: call it once every session is done.
+cells_empty() {
+  if [ -n "$(ls -A "$1/cells")" ]; then
+    echo "ci: $1/cells is not empty once every session is done:" >&2
+    ls -A "$1/cells" >&2
+    exit 1
+  fi
+}
 # Reference: a clean daemon computes three tenant sessions; results are
 # captured and the daemon drains on SIGTERM (exit 0).
 "$TMP/mayaserve" serve -data-dir "$TMP/serve-ref" -addr-file "$TMP/serve.addr" \
@@ -177,6 +186,7 @@ status=0; wait "$SRV" || status=$?
 if [ "$status" -ne 0 ]; then
   echo "ci: mayaserve graceful drain exited $status, want 0" >&2; exit 1
 fi
+cells_empty "$TMP/serve-ref"
 # Chaos: the same three sessions, but the daemon SIGKILLs itself at the
 # 2nd durable save of session s000003 — mid-ROI, no unwind. The restarted
 # daemon must recover every unfinished session from the fsync'd journal,
@@ -210,6 +220,7 @@ while read -r id; do
   cmp "$TMP/serve-ref-$id.json" "$TMP/serve-got-$id.json"
 done < "$TMP/serve.ids2"
 kill -TERM "$SRV"; wait "$SRV" || true
+cells_empty "$TMP/serve-chaos"
 # Load shedding: one worker pinned by a slow tenant behind tight quotas;
 # the burst's tail must get HTTP 429 with a Retry-After hint.
 "$TMP/mayaserve" serve -data-dir "$TMP/serve-shed" -addr-file "$TMP/serve.addr4" \

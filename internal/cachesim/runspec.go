@@ -56,7 +56,14 @@ type RunSpec struct {
 // returns ErrSpent until RestoreState installs coherent state. On a
 // deadline stop the partial state has been persisted to the Cell and the
 // error is snapshot.ErrStopped.
-func Run(ctx context.Context, sys *System, spec RunSpec) (Results, error) {
+//
+// A Cell writes each save behind the drive loop (see snapshot.Cell).
+// Run joins the last write before it returns, on every path, panics
+// included, so once it returns the cell file holds the last save or the
+// run has failed: a failed write is the run's error in place of success
+// or ErrStopped. A run that failed or was cancelled for another reason
+// keeps its own error; its file still holds an earlier whole save.
+func Run(ctx context.Context, sys *System, spec RunSpec) (res Results, err error) {
 	tracker := mc.TrackerFrom(ctx)
 	if spec.Cell == nil || !sys.Snapshottable() {
 		sys.SetProgress(tracker)
@@ -66,6 +73,12 @@ func Run(ctx context.Context, sys *System, spec RunSpec) (Results, error) {
 		return sys.runWith(ctx, spec.Warmup, spec.ROI, spec.Parallelism)
 	}
 
+	defer func() {
+		if werr := spec.Cell.Wait(); werr != nil && (err == nil || errors.Is(err, snapshot.ErrStopped)) {
+			res, err = Results{}, werr
+			sys.spent = true
+		}
+	}()
 	sys.SetAutoSnapshot(&AutoSnapshot{
 		Every:   spec.Cell.Every(),
 		Trigger: spec.Cell.Trigger(),

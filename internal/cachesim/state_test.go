@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -329,5 +331,103 @@ func TestRunResumableCellProtocol(t *testing.T) {
 	c, _ := json.Marshal(again)
 	if !bytes.Equal(a, c) {
 		t.Fatal("re-resumed result differs from live result")
+	}
+}
+
+// TestRunFailsOnLostWrite removes the cell's directory from OnSave(1), so
+// a later save's write fails. Run must return that write's error and
+// leave the System spent, also when OnSave(1) fires the trigger, whose
+// stop would otherwise return ErrStopped. In the last case the trigger
+// has fired and the directory is gone before the run, so the write that
+// fails is the stop's own final save, which only Run's join can see.
+func TestRunFailsOnLostWrite(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		stop, gone bool
+	}{{"run", false, false}, {"stop", true, false}, {"final save", true, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "cells")
+			if !c.gone {
+				if err := os.Mkdir(dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var trig snapshot.Trigger
+			every := uint64(4096)
+			if c.gone {
+				trig.Fire()
+				every = 0 // the stop's save is the only one
+			}
+			cell, err := snapshot.OpenCell(snapshot.CellSpec{
+				Path: filepath.Join(dir, "cell.snap"), Every: every, Trigger: &trig,
+				OnSave: func(saves int) {
+					if saves == 1 {
+						if err := os.RemoveAll(dir); err != nil {
+							t.Error(err)
+						}
+						if c.stop {
+							trig.Fire()
+						}
+					}
+				},
+			}, "lost")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys := snapSystem(t, snapDesigns[0].mk())
+			res, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell})
+			if errors.Is(err, snapshot.ErrStopped) || !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("run returned %v, want the failed write's error", err)
+			}
+			if len(res.Cores) != 0 {
+				t.Fatal("a failed run returned results")
+			}
+			if _, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI}); !errors.Is(err, ErrSpent) {
+				t.Fatalf("rerun after a failed write returned %v, want ErrSpent", err)
+			}
+		})
+	}
+}
+
+// TestRunFailsOnLostLastWrite loses the write of a run's last save, after
+// which the simulation completes: only Run's final join sees the failure,
+// and Run must return it and leave the System spent. An undisturbed run
+// first counts the saves, so PreSave knows which save is the last.
+func TestRunFailsOnLostLastWrite(t *testing.T) {
+	probe, err := snapshot.OpenCell(snapshot.CellSpec{Path: filepath.Join(t.TempDir(), "probe.snap"), Every: 4096}, "probe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), snapSystem(t, snapDesigns[0].mk()), RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: probe}); err != nil {
+		t.Fatal(err)
+	}
+	last := probe.Saves()
+	if last < 2 {
+		t.Fatalf("the run saved %d times, want at least 2", last)
+	}
+
+	dir := filepath.Join(t.TempDir(), "cells")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cell, err := snapshot.OpenCell(snapshot.CellSpec{
+		Path: filepath.Join(dir, "cell.snap"), Every: 4096,
+		PreSave: func(saves int) error {
+			if saves == last {
+				return os.RemoveAll(dir)
+			}
+			return nil
+		},
+	}, "lost-last")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := snapSystem(t, snapDesigns[0].mk())
+	res, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI, Cell: cell})
+	if !errors.Is(err, fs.ErrNotExist) || len(res.Cores) != 0 {
+		t.Fatalf("run returned %d core results and %v, want none and the failed write's error", len(res.Cores), err)
+	}
+	if _, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI}); !errors.Is(err, ErrSpent) {
+		t.Fatalf("rerun after a failed last write returned %v, want ErrSpent", err)
 	}
 }

@@ -145,10 +145,10 @@ type AutoSnapshot struct {
 	Trigger *snapshot.Trigger
 	// Save persists one snapshot: during the call it calls encode once,
 	// which appends the System container to an Encoder the sink owns. A
-	// Cell's is its reused buffer, which the next save rewrites, so the
-	// Cell keeps no bytes after Save returns. encode reads the live
-	// System and must not be called after Save returns. A failure aborts
-	// the run.
+	// Cell's is its reused buffer, which the next save rewrites once the
+	// write of this one is done; the write may outlive Save (see
+	// snapshot.Cell). encode reads the live System and must not be called
+	// after Save returns. A failure aborts the run.
 	Save func(encode func(*snapshot.Encoder) error) error
 }
 

@@ -43,7 +43,8 @@ type Attempt struct {
 	Every   uint64
 	Trigger *snapshot.Trigger
 	// OnSave, when non-nil, runs after every durable save, before the
-	// save-site faults.
+	// save-site faults, on the cell's writer goroutine (see
+	// snapshot.CellSpec.OnSave).
 	OnSave func(saves int)
 	// Deadline bounds the attempt, pre-run faults included (0: none).
 	Deadline time.Duration
@@ -78,7 +79,10 @@ type Result[T any] struct {
 
 // RunAttempt runs one attempt at a cell: it opens or resumes the state
 // file, runs the pre-run faults and then the cell under Recover and the
-// optional deadline, and classifies the outcome.
+// optional deadline, and classifies the outcome. Before it returns it
+// joins the cell's write in flight (snapshot.Cell writes behind the
+// run), so the file holds the last save or the attempt failed: a failed
+// write is never Succeeded or Stopped.
 func RunAttempt[T any](ctx context.Context, a Attempt, run func(ctx context.Context) (T, error)) Result[T] {
 	var res Result[T]
 	actx := ctx
@@ -106,6 +110,13 @@ func RunAttempt[T any](ctx context.Context, a Attempt, run func(ctx context.Cont
 		res.Value, err = run(rctx)
 		return err
 	})
+	if res.Cell != nil {
+		// No write outlives the attempt, and a failed one fails it.
+		if werr := res.Cell.Wait(); werr != nil && (res.Err == nil || errors.Is(res.Err, snapshot.ErrStopped)) {
+			var zero T
+			res.Value, res.Err = zero, werr
+		}
+	}
 	switch err := res.Err; {
 	case err == nil:
 		res.Outcome = Succeeded

@@ -3,6 +3,9 @@ package harness
 import (
 	"context"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +73,97 @@ func TestAttemptOutcomes(t *testing.T) {
 			}
 			if c.check != nil {
 				c.check(t, res.Err)
+			}
+		})
+	}
+}
+
+// saveState is a SaveSystem callback whose System state is the one byte b.
+func saveState(b byte) func(*snapshot.Encoder) error {
+	return func(e *snapshot.Encoder) error {
+		e.U8(b)
+		return nil
+	}
+}
+
+// TestAttemptJoinsHeldSave holds the cell's OnSave for its only save and
+// checks that the attempt does not return until the hook does, even
+// though the cell's run returned right after saving.
+func TestAttemptJoinsHeldSave(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cell.snap")
+	entered, release := make(chan struct{}), make(chan struct{})
+	done := make(chan Result[int], 1)
+	go func() {
+		done <- RunAttempt(context.Background(), Attempt{
+			Key: "exp|held", Path: path,
+			OnSave: func(int) {
+				close(entered)
+				<-release
+			},
+		}, func(ctx context.Context) (int, error) {
+			return 42, snapshot.CellFrom(ctx).SaveSystem(saveState(1))
+		})
+	}()
+	<-entered
+	select {
+	case res := <-done:
+		t.Fatalf("attempt returned (outcome %d) while its OnSave was held", res.Outcome)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	res := <-done
+	if res.Outcome != Succeeded || res.Value != 42 {
+		t.Fatalf("outcome %d, value %d, err %v; want Succeeded with 42", res.Outcome, res.Value, res.Err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("cell file after the attempt: %v", err)
+	}
+}
+
+// TestAttemptFailedWriteFails removes the cell's directory from OnSave(1),
+// so the second save's write fails. The attempt must fail with that
+// write's error, whether the cell returned its value or stopped on the
+// trigger after that save.
+func TestAttemptFailedWriteFails(t *testing.T) {
+	for _, stop := range []bool{false, true} {
+		t.Run(map[bool]string{false: "value", true: "stop"}[stop], func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "cells")
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			var trig snapshot.Trigger
+			res := RunAttempt(context.Background(), Attempt{
+				Key: "exp|lost", Path: filepath.Join(dir, "cell.snap"), Trigger: &trig,
+				OnSave: func(saves int) {
+					if saves == 1 {
+						if err := os.RemoveAll(dir); err != nil {
+							t.Error(err)
+						}
+						if stop {
+							trig.Fire()
+						}
+					}
+				},
+			}, func(ctx context.Context) (int, error) {
+				cell := snapshot.CellFrom(ctx)
+				for b := byte(1); b <= 2; b++ {
+					if err := cell.SaveSystem(saveState(b)); err != nil {
+						return 0, err
+					}
+				}
+				if trig.Fired() {
+					return 0, snapshot.ErrStopped
+				}
+				return 42, nil
+			})
+			if res.Outcome != Failed {
+				t.Fatalf("outcome %d (err %v), want Failed", res.Outcome, res.Err)
+			}
+			if errors.Is(res.Err, snapshot.ErrStopped) || !errors.Is(res.Err, fs.ErrNotExist) {
+				t.Fatalf("err = %v, want the failed write's error", res.Err)
+			}
+			if res.Value != 0 {
+				t.Fatalf("value %d from a failed attempt", res.Value)
 			}
 		})
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -342,7 +343,9 @@ func copyDurableState(t *testing.T, src, dst string) {
 // TestDrainResume: the graceful half of shutdown. Drain stops admissions
 // (503-class ErrDraining), persists running sessions via the snapshot
 // trigger, and parks every worker before the grace window would expire;
-// the next boot completes the drained sessions byte-identically.
+// the next boot completes the drained sessions byte-identically. A temp
+// file that a write killed before its rename would leave beside the
+// drained cell is removed by that boot, and changes nothing.
 func TestDrainResume(t *testing.T) {
 	// Reference bytes for the spec.
 	ref := openServer(t, Config{Dir: t.TempDir(), Workers: 1})
@@ -358,11 +361,19 @@ func TestDrainResume(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	firstSave := make(chan struct{})
+	firstSave, drained := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	s := openServer(t, Config{
 		Dir: dir, Workers: 1,
-		Faults: onSave(func(string, int) { once.Do(func() { close(firstSave) }) }),
+		// The first save's hook waits until the drain has fired the
+		// trigger. The session's next save waits for the hook, so the
+		// session cannot finish before a later poll sees the trigger.
+		Faults: onSave(func(string, int) {
+			once.Do(func() {
+				close(firstSave)
+				<-drained
+			})
+		}),
 	})
 	s.Start(context.Background())
 	id, err := s.Admit(testSpec("acme", 9))
@@ -371,6 +382,7 @@ func TestDrainResume(t *testing.T) {
 	}
 	<-firstSave
 	s.Drain()
+	close(drained)
 	select {
 	case <-s.Done():
 	case <-time.After(60 * time.Second):
@@ -386,10 +398,25 @@ func TestDrainResume(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	cells := filepath.Join(dir, "cells")
+	entries, err := os.ReadDir(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("cells/ holds %d entries after the drain, want the drained cell", len(entries))
+	}
+	torn := filepath.Join(cells, "."+entries[0].Name()+".tmp2718281828")
+	if err := os.WriteFile(torn, []byte("MAYASNAP torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2 := openServer(t, Config{Dir: dir, Workers: 1})
 	if got := s2.StatsNow(); got.Recovered != 1 {
 		t.Fatalf("recovered %d, want 1", got.Recovered)
+	}
+	if _, err := os.Stat(torn); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("recovery left the torn write's temp file: %v", err)
 	}
 	s2.Start(context.Background())
 	waitState(t, s2, id, StateDone)
@@ -399,6 +426,9 @@ func TestDrainResume(t *testing.T) {
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if entries, err := os.ReadDir(cells); err != nil || len(entries) != 0 {
+		t.Fatalf("cells/ after the resumed session: %d entries, err %v; want none", len(entries), err)
 	}
 }
 

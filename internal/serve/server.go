@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -180,9 +181,16 @@ func Open(cfg Config) (*Server, error) {
 
 // recover replays the journal: done sessions become servable records
 // (their stray cell files removed), unfinished ones re-enter the queue in
-// admission order.
+// admission order. A journal with records may have been left by a
+// process killed mid-write, so recover also removes the temp files of
+// cell writes that were never renamed; a fresh journal skips the scan.
 func (s *Server) recover() error {
 	keys := s.ck.Keys() // sorted; zero-padded IDs keep admission order
+	if len(keys) > 0 {
+		if err := s.removeTornWrites(); err != nil {
+			return err
+		}
+	}
 	for _, key := range keys {
 		id, ok := strings.CutPrefix(key, "admit|")
 		if !ok {
@@ -235,6 +243,26 @@ func (s *Server) recover() error {
 	}
 	if s.recovered > 0 {
 		s.cfg.logf("serve: recovered %d unfinished session(s) from journal", s.recovered)
+	}
+	return nil
+}
+
+// removeTornWrites removes the temp files that snapshot.WriteFileAtomic
+// leaves in cells/ when the process dies before its rename. A temp file
+// that was never renamed is never state, and the journal's lock rules out
+// a live writer in another process.
+func (s *Server) removeTornWrites() error {
+	dir := filepath.Join(s.cfg.Dir, "cells")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, ".cell-") && strings.Contains(name, ".snap.tmp") {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return fmt.Errorf("serve: removing a torn cell write: %w", err)
+			}
+		}
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io/fs"
 	"os"
+	"runtime/debug"
 	"sync"
 )
 
@@ -28,7 +29,10 @@ type CellSpec struct {
 	Trigger *Trigger
 	// OnSave, if set, runs after every durable snapshot write with the
 	// cumulative save count — the hook the kill-mid-ROI fault injector
-	// uses to die at a deterministic point.
+	// uses to die at a deterministic point. It runs on the cell's writer
+	// goroutine, off the drive loop, right after the write's rename. The
+	// next SaveSystem, Wait, Saves and Discard wait for it to return, so
+	// it must not call them.
 	OnSave func(saves int)
 	// PreSave, if set, runs before every durable snapshot write with the
 	// ordinal of the save about to happen (1 for the first). A non-nil
@@ -40,6 +44,12 @@ type CellSpec struct {
 
 // Cell is the mid-run resume state for one harness cell. Methods are
 // safe for concurrent use.
+//
+// A save writes behind the simulation. SaveSystem encodes the state into
+// the cell's one buffer on the caller's goroutine, starts one goroutine
+// that writes the file and then runs the OnSave hook, and returns. At
+// most one write is in flight: the next SaveSystem, Wait, Saves and
+// Discard join it first.
 type Cell struct {
 	spec CellSpec
 	key  string
@@ -48,13 +58,21 @@ type Cell struct {
 	// keeps no copy of the state it last wrote.
 	state []byte
 
-	mu    sync.Mutex
-	saves int
+	// mu serializes saves and joins. A save holds it while it joins the
+	// previous write (and so waits for that write's OnSave), runs PreSave,
+	// encodes and starts its own write, which is why none of those hooks
+	// may call a method that takes it.
+	mu sync.Mutex
 	// buf holds the file image of the last save and is reused by the
 	// next, so once the first save has sized it a save allocates nothing
-	// to encode. A save takes it out under mu, so the System's encoding
-	// runs unlocked, and puts it back before writing the file.
+	// to encode. The write in flight reads it, so nothing touches it
+	// before joining that write.
 	buf Encoder
+	// writer counts the write in flight, 0 or 1. The writer sets saves
+	// and err before it is done, so a joiner reads them after writer.Wait.
+	writer sync.WaitGroup
+	saves  int
+	err    error
 }
 
 // OpenCell opens (or creates, in memory) the cell state for key. A
@@ -98,12 +116,14 @@ func (c *Cell) Trigger() *Trigger { return c.spec.Trigger }
 
 // Saves returns the number of durable state saves this Cell has written
 // since it was opened (resume-from-file does not carry the count over:
-// it is per-process, matching what the OnSave hook observed). The
-// distributed fabric uses it for resumed-iteration accounting — proving
-// a killed worker cost at most one snapshot interval.
+// it is per-process, matching what the OnSave hook observed). It joins
+// the write in flight, so that write is counted, and leaves its error to
+// Wait. The distributed fabric uses it for resumed-iteration accounting
+// — proving a killed worker cost at most one snapshot interval.
 func (c *Cell) Saves() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.writer.Wait()
 	return c.saves
 }
 
@@ -111,42 +131,73 @@ func (c *Cell) Saves() int {
 // opened, or nil for a cell with no saved state.
 func (c *Cell) SystemState() []byte { return c.state }
 
-// SaveSystem durably records a new in-progress snapshot, replacing any
-// previous one, then invokes the OnSave hook. system appends one System
+// SaveSystem records a new in-progress snapshot, replacing any previous
+// one, and writes it behind the caller. It joins the previous write
+// first: if that write failed, SaveSystem returns its error and saves
+// nothing. Then it runs PreSave and encodes. system appends one System
 // container to the Encoder it is given: the cell's own buffer, in which
 // that container is the payload of the file's system section, so the
-// state is encoded once, in place, and the buffer's bytes are reused by
-// the next save.
+// state is encoded once, in place, and the buffer is reused by the next
+// save. Last it starts the writer goroutine, which writes the file
+// atomically and then runs OnSave, and returns. The save is durable once
+// a later join succeeds. Concurrent savers of one cell take turns.
 func (c *Cell) SaveSystem(system func(*Encoder) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.join(); err != nil {
+		return err
+	}
 	if c.spec.PreSave != nil {
-		c.mu.Lock()
-		next := c.saves + 1
-		c.mu.Unlock()
-		if err := c.spec.PreSave(next); err != nil {
+		if err := c.spec.PreSave(c.saves + 1); err != nil {
 			return err
 		}
 	}
-	c.mu.Lock()
-	buf := c.buf
-	c.buf = Encoder{} // a concurrent save encodes into a buffer of its own
-	c.mu.Unlock()
-	data, err := c.image(&buf, system)
-	c.mu.Lock()
-	c.buf = buf
-	if err == nil {
-		err = WriteFileAtomic(c.spec.Path, data, 0o644)
-	}
+	data, err := c.image(&c.buf, system)
 	if err != nil {
-		c.mu.Unlock()
 		return err
 	}
-	c.saves++
-	saves := c.saves
-	c.mu.Unlock()
-	if c.spec.OnSave != nil {
-		c.spec.OnSave(saves)
-	}
+	c.writer.Add(1)
+	go c.write(data)
 	return nil
+}
+
+// write is the writer goroutine: it replaces the cell file with data,
+// counts the save and runs the OnSave hook. A panic in the hook becomes
+// the write's error, so it fails the run instead of the process.
+func (c *Cell) write(data []byte) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.err = fmt.Errorf("snapshot: OnSave hook panicked: %v\n%s", r, debug.Stack())
+		}
+		c.writer.Done()
+	}()
+	if err := WriteFileAtomic(c.spec.Path, data, 0o644); err != nil {
+		c.err = err
+		return
+	}
+	c.saves++
+	if c.spec.OnSave != nil {
+		c.spec.OnSave(c.saves)
+	}
+}
+
+// Wait joins the write in flight, if any, and returns its error: nil if
+// it succeeded, if no write was in flight, or if an earlier join already
+// returned its error. Once Wait returns nil, the file holds the last
+// save.
+func (c *Cell) Wait() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.join()
+}
+
+// join waits for the write in flight and takes its error, so each failed
+// write is reported once. c.mu is held.
+func (c *Cell) join() error {
+	c.writer.Wait()
+	err := c.err
+	c.err = nil
+	return err
 }
 
 // image replaces e's contents with the cell file's container, whose
@@ -164,7 +215,12 @@ func (c *Cell) image(e *Encoder, system func(*Encoder) error) ([]byte, error) {
 
 // Discard removes the cell file; called when the cell's value has been
 // recorded in the sweep checkpoint and the mid-cell state is obsolete.
+// It joins the write in flight first, so no write recreates the file
+// after it, and leaves that write's error to Wait.
 func (c *Cell) Discard() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.writer.Wait()
 	err := os.Remove(c.spec.Path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err

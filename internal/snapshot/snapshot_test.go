@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -253,7 +254,10 @@ func TestWriteFileAtomic(t *testing.T) {
 }
 
 // TestCellLifecycle exercises the mid-run resume state machine: save an
-// in-progress system twice, reopen, read the latest state, discard.
+// in-progress system three times, reopen, read the latest state, discard.
+// OnSave runs once per save, in order, each time with its own save's
+// image in the file, and once Wait returns the file holds the last save
+// with no temp file beside it.
 func TestCellLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	key := "design=Maya|bench=mcf|cores=8|w=1|roi=1|seed=1"
@@ -266,16 +270,35 @@ func TestCellLifecycle(t *testing.T) {
 		t.Fatal("fresh cell has in-progress state")
 	}
 	var saves []int
-	spec.OnSave = func(n int) { saves = append(saves, n) }
+	spec.OnSave = func(n int) {
+		saves = append(saves, n)
+		re, err := OpenCell(CellSpec{Path: spec.Path}, key)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if got, want := string(re.SystemState()), fmt.Sprintf("STATE%d", n); got != want {
+			t.Errorf("OnSave(%d) found %q in the file, want %q", n, got, want)
+		}
+	}
 	c.spec.OnSave = spec.OnSave
-	if err := c.SaveSystem(payload("STATE1")); err != nil {
+	for i := 1; i <= 3; i++ {
+		if err := c.SaveSystem(payload(fmt.Sprintf("STATE%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SaveSystem(payload("STATE2")); err != nil {
-		t.Fatal(err)
-	}
-	if len(saves) != 2 || saves[0] != 1 || saves[1] != 2 {
+	if len(saves) != 3 || saves[0] != 1 || saves[1] != 2 || saves[2] != 3 {
 		t.Fatalf("OnSave counts: %v", saves)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(spec.Path) {
+		t.Fatalf("directory holds %d entries after Wait, want only the cell file", len(entries))
 	}
 
 	// Reopen as a fresh process would: the latest save is the state.
@@ -283,7 +306,7 @@ func TestCellLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(c2.SystemState()) != "STATE2" {
+	if string(c2.SystemState()) != "STATE3" {
 		t.Fatalf("SystemState: %q", c2.SystemState())
 	}
 	if c2.Saves() != 0 {
@@ -299,10 +322,26 @@ func TestCellLifecycle(t *testing.T) {
 	if err := c2.Discard(); err != nil {
 		t.Fatal("second Discard errored")
 	}
+
+	// Discard joins the write in flight, so that write cannot bring the
+	// file back after it.
+	if err := c.SaveSystem(payload("STATE4")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Discard(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(spec.Path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatal("a write in flight recreated the discarded cell file")
+	}
 }
 
-// TestCellConcurrentSaves saves from several goroutines at once: every
-// save counts, and the file holds one whole save, never a mix of two.
+// TestCellConcurrentSaves saves from several goroutines at once, while
+// another joins the writes: every save counts, and the file holds one
+// whole save, never a mix of two.
 func TestCellConcurrentSaves(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cell.snap")
 	c, err := OpenCell(CellSpec{Path: path}, "concurrent")
@@ -311,6 +350,26 @@ func TestCellConcurrentSaves(t *testing.T) {
 	}
 	const writers, saves = 4, 10
 	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := c.Wait(); err != nil {
+				t.Error(err)
+				return
+			}
+			if n := c.Saves(); n > writers*saves {
+				t.Errorf("saves = %d mid-run, more than were made", n)
+				return
+			}
+		}
+	}()
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(p string) {
@@ -324,6 +383,8 @@ func TestCellConcurrentSaves(t *testing.T) {
 		}(strings.Repeat(string(rune('a'+g)), 4096))
 	}
 	wg.Wait()
+	close(stop)
+	<-joined
 	if c.Saves() != writers*saves {
 		t.Fatalf("saves = %d, want %d", c.Saves(), writers*saves)
 	}
@@ -346,6 +407,9 @@ func TestCellRejectsForeignAndCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.SaveSystem(payload("S")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	var me *MismatchError

@@ -39,3 +39,21 @@ func (h *HalfState) SaveState(e *snapshot.Encoder) {
 }
 
 func (h *HalfState) RestoreState(d *snapshot.Decoder) { h.clock = d.U64() }
+
+// TrailState exempts its scratch field with a trailing directive. A
+// trailing directive covers its own line only, so the next field, which
+// the codec forgets, is still reported.
+type TrailState struct {
+	clock   uint64
+	scratch uint64 //mayavet:ignore snapshotfields -- per-call scratch; dead between calls
+	fills   uint64 // want: snapshotfields
+}
+
+func (s *TrailState) Tick() {
+	s.clock++
+	s.scratch++
+	s.fills++
+}
+
+func (s *TrailState) SaveState(e *snapshot.Encoder)    { e.U64(s.clock) }
+func (s *TrailState) RestoreState(d *snapshot.Decoder) { s.clock = d.U64() }

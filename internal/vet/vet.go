@@ -18,8 +18,9 @@
 // (goroutines with no cancellation path), and atomicmix (fields accessed
 // both atomically and plainly).
 //
-// Findings can be suppressed, one line at a time, with a directive comment
-// on the reported line or the line above it:
+// Findings can be suppressed, one line at a time, with a directive
+// comment. A directive that trails code covers its own line only; a
+// directive on a line by itself covers the line below it:
 //
 //	//mayavet:ignore [analyzer] -- reason
 //	//mayavet:checked reason        (alias for "ignore narrowcast")
@@ -94,6 +95,9 @@ var directiveRe = regexp.MustCompile(`^//\s*mayavet:(ignore|checked)\b[ \t]*([a-
 // directive records one suppression comment.
 type directive struct {
 	analyzers map[string]bool // empty means "all analyzers"
+	// trailing marks a directive that follows code on its line: it covers
+	// that line only, never the line below.
+	trailing bool
 }
 
 // fileLine keys a suppression directive by the file it lives in and its
@@ -106,9 +110,10 @@ type fileLine struct {
 
 // directivesByLine extracts the suppression directives of a file, keyed by
 // (filename, line) of the comment itself; suppression also honors a
-// directive on the line above the finding.
+// directive on a line by itself above the finding.
 func directivesByLine(fset *token.FileSet, file *ast.File) map[fileLine]directive {
 	out := map[fileLine]directive{}
+	code := codeLines(fset, file)
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
 			m := directiveRe.FindStringSubmatch(c.Text)
@@ -123,10 +128,29 @@ func directivesByLine(fset *token.FileSet, file *ast.File) map[fileLine]directiv
 				d.analyzers[name] = true
 			}
 			pos := fset.Position(c.Pos())
+			// A // comment runs to the end of its line, so code on
+			// the directive's line comes before it.
+			d.trailing = code[pos.Line]
 			out[fileLine{pos.Filename, pos.Line}] = d
 		}
 	}
 	return out
+}
+
+// codeLines returns the lines of file that hold code. In gofmt'd code
+// each such line holds the first or last token of some syntax node.
+func codeLines(fset *token.FileSet, file *ast.File) map[int]bool {
+	lines := map[int]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup, *ast.Comment:
+			return false
+		}
+		lines[fset.Position(n.Pos()).Line] = true
+		lines[fset.Position(n.End()-1).Line] = true
+		return true
+	})
+	return lines
 }
 
 // covers reports whether the directive suppresses the named analyzer.
@@ -201,7 +225,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Finding {
 			if d, ok := dirs[fileLine{f.Pos.Filename, f.Pos.Line}]; ok && d.covers(f.Analyzer) {
 				continue
 			}
-			if d, ok := dirs[fileLine{f.Pos.Filename, f.Pos.Line - 1}]; ok && d.covers(f.Analyzer) {
+			if d, ok := dirs[fileLine{f.Pos.Filename, f.Pos.Line - 1}]; ok && !d.trailing && d.covers(f.Analyzer) {
 				continue
 			}
 			out = append(out, f)
