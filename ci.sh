@@ -103,6 +103,10 @@ step_check() {
 step_race_sim() {
   echo "==> race detector (multi-core simulator paths)"
   go test -race ./internal/cachesim/... ./internal/core/... ./internal/experiments/... ./internal/harness/... ./internal/faults/... ./internal/snapshot/...
+  # The parallel mode's batch channels again at GOMAXPROCS 1, 2 and 4:
+  # the two-core test systems' workers and merge share one P, then
+  # oversubscribe two, then each get their own.
+  go test -race -cpu 1,2,4 -run 'Parallel|ErrSpent' ./internal/cachesim/
 }
 
 step_race_dist() {

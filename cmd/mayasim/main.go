@@ -409,7 +409,7 @@ func run() int {
 	if runner.Failed() {
 		runner.WriteFailureSummary(os.Stderr)
 		if field, only := mismatchOnly(runner.Failures()); only {
-			fmt.Fprintf(os.Stderr, "mayasim: all failures are stale-snapshot mismatches (field %q): the saved state was taken under a different configuration; rerun with the original flags, or delete the snapshot files and checkpoint entries to recompute\n", field)
+			fmt.Fprintf(os.Stderr, "mayasim: all failures are stale-snapshot mismatches (field %q): the saved state was taken under a different configuration; rerun with the original flags, or delete the snapshot files to recompute\n", field)
 			return 2
 		}
 		if badConfigOnly(runner.Failures()) {

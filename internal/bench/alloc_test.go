@@ -91,8 +91,8 @@ func macroMallocs(t *testing.T, design string, roi uint64, parallelism int) uint
 // growing the ROI budget 4x must not grow the run's allocation count,
 // because every structure the steady-state loop touches — private
 // caches, LLC, DRAM, the outstanding windows, and the parallel mode's
-// ring batches — reuses its memory. The subtraction cancels the fixed
-// per-run setup cost (system build, goroutines, ring slots); the slack
+// record batches — reuses its memory. The subtraction cancels the fixed
+// per-run setup cost (system build, goroutines, batches); the slack
 // absorbs amortized one-time growth (e.g. an outstanding-window slice
 // doubling) that a longer run can still trigger.
 func TestMacroDriveZeroAlloc(t *testing.T) {

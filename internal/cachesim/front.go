@@ -20,8 +20,8 @@ package cachesim
 // operations the step performs — and the drive loop applies it. A serial
 // run steps the laggard's front inline; the deterministic parallel mode
 // (RunSpec.Parallelism > 1) runs each front ahead on its own worker
-// goroutine, streaming records through per-core SPSC rings in batches of
-// batchSteps (see ring.go and parallel.go). Either way every shared
+// goroutine, which sends its records to the merge over a per-core channel
+// in batches of batchSteps (see parallel.go). Either way every shared
 // access, DRAM transaction, clock advance, and snapshot poll happens in
 // the same order with the same state, so Results and snapshots are
 // byte-identical.
@@ -54,6 +54,29 @@ type sharedOp struct {
 	line uint64
 	kind uint8
 	sdid uint8
+}
+
+// batchSteps is the number of step records per batch a worker sends: one
+// channel send and one receive per 64 steps.
+const batchSteps = 64
+
+// batch is up to batchSteps consecutive step records of one core,
+// struct-of-arrays: step i's shared ops are the next nOps[i] entries of
+// ops, in replay order. The fixed-size lanes live inline; ops is the only
+// dynamic part and is reused in place, so after the first few batches
+// grow it, filling a batch allocates nothing. A serial run's inline
+// source reuses one batch that holds a single record.
+type batch struct {
+	n     int
+	gaps  [batchSteps]int32
+	kinds [batchSteps]uint8
+	nOps  [batchSteps]uint16
+	ops   []sharedOp
+}
+
+func (b *batch) reset() {
+	b.n = 0
+	b.ops = b.ops[:0]
 }
 
 // front is the timing-independent half of one core: its components and
@@ -171,25 +194,37 @@ func (f *front) localBeginROI() {
 // warmup steps while retired < target (a restored not-yet-done core always
 // has retired < target), then — matching beginROI's unconditional
 // done=false — at least one ROI step even when the ROI budget is zero.
-// The deferred ring close runs after the recover handler (LIFO), so the
-// error slot is written before the merge can observe the closed stream.
-func workerRun(f *front, r *ring, stop <-chan struct{}, errp *error) {
-	defer r.close()
+// It fills batches taken from free and sends them on full, which never
+// blocks because it can hold every batch. The deferred close of full runs
+// after the recover handler (LIFO), so the error slot is written before
+// the merge can observe the closed stream.
+func workerRun(f *front, free <-chan *batch, full chan<- *batch, stop <-chan struct{}, errp *error) {
+	defer close(full)
 	defer func() {
 		if rec := recover(); rec != nil {
 			*errp = fmt.Errorf("cachesim: core %d worker: %v", f.id, rec)
 		}
 	}()
-	b := r.acquire(stop)
-	if b == nil {
+	var b *batch
+	// take waits for a free batch; it reports false once stop closes, as
+	// the merge has abandoned the run and will free no more.
+	take := func() bool {
+		select {
+		case b = <-free:
+			b.reset()
+			return true
+		case <-stop:
+			return false
+		}
+	}
+	if !take() {
 		return
 	}
 	step := func() bool {
 		f.privateStep(b)
 		if b.n >= batchSteps {
-			r.publish()
-			b = r.acquire(stop)
-			return b != nil
+			full <- b
+			return take()
 		}
 		return true
 	}
@@ -219,6 +254,6 @@ func workerRun(f *front, r *ring, stop <-chan struct{}, errp *error) {
 		}
 	}
 	if b.n > 0 {
-		r.publish()
+		full <- b
 	}
 }

@@ -1,7 +1,7 @@
 package cachesim
 
 // Where the drive loop takes its step records from (see front.go): the
-// laggard's own front stepped inline, or the ring its worker goroutine
+// laggard's own front stepped inline, or the batches its worker goroutine
 // fills ahead of the merge, with snapshot replicas that reconstruct each
 // front at the merge's position.
 
@@ -14,12 +14,17 @@ import (
 	"mayacache/internal/trace"
 )
 
+// streamBatches is the number of batches each worker cycles through. It
+// bounds the worker's run-ahead to streamBatches*batchSteps steps, which
+// in turn bounds the replay distance snapshot replicas cover.
+const streamBatches = 32
+
 // recordSource hands the drive loop one core's next step record. Inline
-// (a serial run: no rings) it steps the core's live front into a
-// one-record scratch batch. Otherwise it reads the core's ring, blocking
-// while the worker is behind. Blocking is what keeps the replay order
-// exact: the merge never skips ahead to another core just because the
-// laggard's records aren't ready yet.
+// (a serial run: no workers) it steps the core's live front into a
+// one-record scratch batch. Otherwise it reads the batches the core's
+// worker sends, blocking while the worker is behind. Blocking is what
+// keeps the replay order exact: the merge never skips ahead to another
+// core just because the laggard's records aren't ready yet.
 type recordSource struct {
 	scratch  batch
 	streams  []stream // one per core; nil inline
@@ -29,10 +34,13 @@ type recordSource struct {
 	stopOnce sync.Once
 }
 
-// stream is the merge's read position in one worker's ring.
+// stream is the merge's read position in one worker's records. The
+// worker takes batches from free and sends them filled on full, in
+// order; the merge returns each consumed batch to free. Each channel can
+// hold every batch, so only a receive from an empty one waits.
 type stream struct {
-	ring       *ring
-	err        error // written by the worker before its ring closes
+	free, full chan *batch
+	err        error // written by the worker before it closes full
 	cur        *batch
 	pos, opPos int
 	consumed   uint64   // records applied; drives replica sync
@@ -64,11 +72,17 @@ func (s *System) records(par int) (*recordSource, error) {
 	rs.stop = make(chan struct{})
 	for i, c := range s.cores {
 		st := &rs.streams[i]
-		st.ring = newRing()
+		st.free, st.full = make(chan *batch, streamBatches), make(chan *batch, streamBatches)
+		for range streamBatches {
+			// Four ops per step covers all but pathological batches, so
+			// the drive loop stays allocation-free in steady state (see
+			// bench.TestMacroDriveZeroAlloc).
+			st.free <- &batch{ops: make([]sharedOp, 0, 4*batchSteps)}
+		}
 		rs.wg.Add(1)
 		go func(f *front) {
 			defer rs.wg.Done()
-			workerRun(f, st.ring, rs.stop, &st.err)
+			workerRun(f, st.free, st.full, rs.stop, &st.err)
 		}(c.f)
 	}
 	return rs, nil
@@ -96,15 +110,15 @@ func (rs *recordSource) next(c *core) (gap int32, kind uint8, ops []sharedOp, er
 	return b.gaps[0], b.kinds[0], b.ops, nil
 }
 
-// next returns core id's next record from its worker's ring.
+// next returns core id's next record from its worker's batches.
 func (st *stream) next(id int) (gap int32, kind uint8, ops []sharedOp, err error) {
 	b := st.cur
 	if b == nil || st.pos >= b.n {
 		if b != nil {
-			st.ring.release()
+			st.free <- b
 		}
-		b = st.ring.consume()
-		if b == nil {
+		var ok bool
+		if b, ok = <-st.full; !ok {
 			st.cur = nil
 			if st.err != nil {
 				return 0, 0, nil, st.err

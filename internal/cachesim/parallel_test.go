@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mayacache/internal/snapshot"
+	"mayacache/internal/trace"
 )
 
 // resultsJSON renders Results deterministically for byte comparison.
@@ -69,11 +71,11 @@ func TestParallelAtGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestParallelBatchBoundaries pins bit-exactness at the ring transport's
+// TestParallelBatchBoundaries pins bit-exactness at the batch transport's
 // edge cases: budgets of 1, batchSteps-1, batchSteps, and batchSteps+1
 // instructions (1, 63, 64, 65) force runs whose record streams end just
 // below, exactly at, and just past a batch boundary, exercising the
-// partial final publish, the exactly-full publish, and the
+// partial final send, the exactly-full send, and the
 // one-record-into-a-fresh-batch paths on both the warmup and ROI legs.
 func TestParallelBatchBoundaries(t *testing.T) {
 	d := snapDesigns[0]
@@ -211,5 +213,35 @@ func TestParallelSpentOnCancel(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), sys, RunSpec{Warmup: 1, ROI: 1, Parallelism: 4}); !errors.Is(err, ErrSpent) {
 		t.Fatalf("parallel run after cancel returned %v, want ErrSpent", err)
+	}
+}
+
+// panicAt is a generator that panics on its at-th event.
+type panicAt struct {
+	trace.Generator
+	n, at int
+}
+
+func (g *panicAt) Next() trace.Event {
+	if g.n++; g.n == g.at {
+		panic("injected generator fault")
+	}
+	return g.Generator.Next()
+}
+
+// TestParallelWorkerPanic drives a worker's failure path: core 1's
+// generator panics mid-run, the worker recovers it into its error slot
+// and closes its stream, and the merge reports that error once it has
+// drained the batches sent before it. The failed run leaves the System
+// spent.
+func TestParallelWorkerPanic(t *testing.T) {
+	sys := snapSystem(t, snapDesigns[0].mk())
+	sys.cores[1].f.gen = &panicAt{Generator: sys.cores[1].f.gen, at: 5000}
+	_, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI, Parallelism: 2})
+	if err == nil || !strings.Contains(err.Error(), "core 1 worker") {
+		t.Fatalf("run with a panicking core 1 returned %v, want a core 1 worker error", err)
+	}
+	if _, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI, Parallelism: 2}); !errors.Is(err, ErrSpent) {
+		t.Fatalf("Run after a worker failure returned %v, want ErrSpent", err)
 	}
 }

@@ -13,7 +13,6 @@ import (
 //
 //	{"format":"maya-checkpoint","version":1}
 //	{"key":"sim|design=Maya|bench=mcf|cores=8|w=2000000|roi=1000000|seed=1","value":{...}}
-//	{"key":"sim|design=Maya|bench=lbm|cores=8|w=2000000|roi=1000000|seed=1","snapshot":"snaps/cell-....snap"}
 //	...
 //
 // One line per completed cell, flushed to the OS after each record, so a
@@ -22,10 +21,12 @@ import (
 // keys embed the sweep scale (warmup/roi/seed), so a checkpoint written
 // at one scale is silently inapplicable — not corrupting — at another.
 //
-// "snapshot" lines record where a cell's mid-run state file lives; a later
-// "value" line for the same key supersedes it (the cell completed). The
-// header line and the file itself are fsynced so a machine crash right
-// after a record cannot leave a checkpoint that loses acknowledged cells.
+// Older versions also wrote a "snapshot" line (a key and a state-file path,
+// no value) for a cell stopped mid-run. Such lines are legacy: load skips
+// them, since a stopped cell's state file is found by its name under the
+// snapshot directory. The header line and the file itself are fsynced so
+// a machine crash right after a record cannot leave a checkpoint that
+// loses acknowledged cells.
 //
 // The file is guarded by an exclusive advisory lock for the lifetime of
 // the Checkpoint: two sweeps appending to one checkpoint would interleave
@@ -44,26 +45,24 @@ type checkpointHeader struct {
 type checkpointEntry struct {
 	Key      string          `json:"key"`
 	Value    json.RawMessage `json:"value,omitempty"`
-	Snapshot string          `json:"snapshot,omitempty"`
+	Snapshot string          `json:"snapshot,omitempty"` // legacy, skipped on load
 }
 
 // Checkpoint is a concurrency-safe map of completed cell keys to their
-// JSON-encoded values (plus in-progress cells' snapshot paths), mirrored
-// to an append-only file.
+// JSON-encoded values, mirrored to an append-only file.
 type Checkpoint struct {
 	mu        sync.Mutex
 	path      string
 	cells     map[string]json.RawMessage
-	snaps     map[string]string // in-progress cell -> snapshot file path
-	f         *os.File          // nil for in-memory checkpoints
-	lock      fileLock          // held while f is open
-	hasHeader bool              // header line already present in the file
+	f         *os.File // nil for in-memory checkpoints
+	lock      fileLock // held while f is open
+	hasHeader bool     // header line already present in the file
 }
 
 // NewMemCheckpoint returns a checkpoint with no backing file (used by
 // tests and by drivers that want skip-bookkeeping without persistence).
 func NewMemCheckpoint() *Checkpoint {
-	return &Checkpoint{cells: map[string]json.RawMessage{}, snaps: map[string]string{}}
+	return &Checkpoint{cells: map[string]json.RawMessage{}}
 }
 
 // OpenCheckpoint loads the checkpoint at path (creating it if absent) and
@@ -72,7 +71,7 @@ func NewMemCheckpoint() *Checkpoint {
 // line, which is discarded. A checkpoint already locked by another
 // process is an error.
 func OpenCheckpoint(path string) (*Checkpoint, error) {
-	c := &Checkpoint{path: path, cells: map[string]json.RawMessage{}, snaps: map[string]string{}}
+	c := &Checkpoint{path: path, cells: map[string]json.RawMessage{}}
 	lock, err := acquireLock(path)
 	if err != nil {
 		return nil, err
@@ -159,11 +158,7 @@ func (c *Checkpoint) load(f *os.File) (int64, error) {
 			return 0, fmt.Errorf("harness: checkpoint %s line %d is corrupt", c.path, lineNo)
 		}
 		if len(e.Value) > 0 {
-			// A completed cell supersedes any earlier snapshot record.
 			c.cells[e.Key] = e.Value
-			delete(c.snaps, e.Key)
-		} else {
-			c.snaps[e.Key] = e.Snapshot
 		}
 		validEnd = lineEnd
 		start = nextStart
@@ -188,8 +183,7 @@ func (c *Checkpoint) Lookup(key string, v any) (bool, error) {
 	return true, nil
 }
 
-// Record stores key -> v and appends it to the backing file, superseding
-// any in-progress snapshot record for the key.
+// Record stores key -> v and appends it to the backing file.
 func (c *Checkpoint) Record(key string, v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -201,32 +195,7 @@ func (c *Checkpoint) Record(key string, v any) error {
 		return err
 	}
 	c.cells[key] = raw
-	delete(c.snaps, key)
 	return nil
-}
-
-// RecordSnapshot durably notes that the cell identified by key has an
-// in-progress state file at path, so a resumed sweep knows to continue it
-// mid-cell. A later Record for the same key supersedes the note.
-func (c *Checkpoint) RecordSnapshot(key, path string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, done := c.cells[key]; done {
-		return fmt.Errorf("harness: snapshot recorded for completed cell %q", key)
-	}
-	if err := c.appendLocked(checkpointEntry{Key: key, Snapshot: path}); err != nil {
-		return err
-	}
-	c.snaps[key] = path
-	return nil
-}
-
-// SnapshotPath returns the recorded in-progress snapshot path for key.
-func (c *Checkpoint) SnapshotPath(key string) (string, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.snaps[key]
-	return p, ok
 }
 
 // appendLocked writes one entry line, emitting (and fsyncing) the header

@@ -177,8 +177,9 @@ type Options struct {
 	// (attached to the cell's context for the experiment layer), periodic
 	// auto-snapshots every SnapshotEvery simulator steps, and a deadline
 	// stop when SnapshotTrigger fires. A cell that stops with
-	// snapshot.ErrStopped is not a failure: its snapshot path is recorded
-	// in the checkpoint and the next sweep resumes it mid-run.
+	// snapshot.ErrStopped is not a failure: its state stays in its cell
+	// file, named by the cell key (snapshot.CellFileName), and the next
+	// sweep over the same SnapshotDir resumes it mid-run.
 	SnapshotDir string
 	// SnapshotEvery is the periodic auto-snapshot cadence in simulator
 	// steps (0 disables periodic saves; deadline saves still fire).
@@ -410,16 +411,9 @@ func RunCells[T any](ctx context.Context, r *Runner, experiment string, keys []s
 				Err: err, Stack: PanicStack(err)})
 		}
 		switch res.Outcome {
-		case Cancelled:
-			return nil // not failed: a resumed sweep recomputes it
-		case Stopped:
-			// Deadline stop: the cell state is durable. Note its location
-			// so the resumed sweep continues mid-cell.
-			if res.Cell != nil && r.opts.Checkpoint != nil {
-				if err := r.opts.Checkpoint.RecordSnapshot(key, res.Cell.Path()); err != nil {
-					fail(err)
-				}
-			}
+		case Cancelled, Stopped:
+			// Not failed: a resumed sweep recomputes a cancelled cell, and
+			// continues a stopped one from its cell file, found by name.
 			return nil
 		case Failed, FailedTransient:
 			fail(res.Err)
@@ -460,13 +454,7 @@ func RunCells[T any](ctx context.Context, r *Runner, experiment string, keys []s
 func runOne[T any](ctx context.Context, r *Runner, key string, run func(ctx context.Context) (T, error)) (Result[T], int) {
 	a := Attempt{Key: key, Deadline: r.opts.CellTimeout, Faults: r.opts.Faults}
 	if r.opts.SnapshotDir != "" {
-		// Honour a snapshot path recorded by an interrupted sweep.
 		a.Path = filepath.Join(r.opts.SnapshotDir, snapshot.CellFileName(key))
-		if r.opts.Checkpoint != nil {
-			if p, ok := r.opts.Checkpoint.SnapshotPath(key); ok {
-				a.Path = p
-			}
-		}
 		a.Every, a.Trigger = r.opts.SnapshotEvery, r.opts.SnapshotTrigger
 	}
 	for attempts := 1; ; attempts++ {

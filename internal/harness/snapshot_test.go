@@ -31,32 +31,33 @@ func TestCheckpointLockExclusive(t *testing.T) {
 	_ = ck2.Close()
 }
 
-// TestCheckpointSnapshotRecords: snapshot-path entries survive a close and
-// reload, and are superseded by a completed-cell value for the same key.
-func TestCheckpointSnapshotRecords(t *testing.T) {
+// TestCheckpointLegacySnapshotLines: a checkpoint written by an older
+// version holds a "snapshot" line (a stopped cell's state-file path, no
+// value) beside its value lines. It still opens and serves the values,
+// the snapshot line is not served as a value, and appends still work.
+func TestCheckpointLegacySnapshotLines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	legacy := `{"format":"maya-checkpoint","version":1}
+{"key":"exp|cell=1","snapshot":"snaps/cell-a.snap"}
+{"key":"exp|cell=2","value":42}
+`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	ck, err := OpenCheckpoint(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("opening a checkpoint with a legacy snapshot line: %v", err)
 	}
-	if err := ck.RecordSnapshot("exp|cell=1", "snaps/cell-a.snap"); err != nil {
-		t.Fatal(err)
+	var v int
+	if hit, err := ck.Lookup("exp|cell=2", &v); err != nil || !hit || v != 42 {
+		t.Fatalf("value beside a legacy snapshot line: hit=%v err=%v v=%d", hit, err, v)
 	}
-	if err := ck.Record("exp|cell=2", 42); err != nil {
-		t.Fatal(err)
+	if hit, err := ck.Lookup("exp|cell=1", &v); err != nil || hit {
+		t.Fatalf("legacy snapshot line served as a value: hit=%v err=%v", hit, err)
 	}
-	if err := ck.Close(); err != nil {
-		t.Fatal(err)
+	if got := ck.Keys(); len(got) != 1 || got[0] != "exp|cell=2" {
+		t.Fatalf("keys %v, want only the value line's", got)
 	}
-
-	ck, err = OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := ck.SnapshotPath("exp|cell=1"); !ok || p != "snaps/cell-a.snap" {
-		t.Fatalf("snapshot path not restored: %q %v", p, ok)
-	}
-	// Completing the cell supersedes its snapshot record.
 	if err := ck.Record("exp|cell=1", 7); err != nil {
 		t.Fatal(err)
 	}
@@ -68,23 +69,16 @@ func TestCheckpointSnapshotRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ck.Close()
-	if _, ok := ck.SnapshotPath("exp|cell=1"); ok {
-		t.Fatal("snapshot record survived cell completion")
-	}
-	var v int
 	if hit, err := ck.Lookup("exp|cell=1", &v); err != nil || !hit || v != 7 {
-		t.Fatalf("completed value lost: %v %v %d", hit, err, v)
-	}
-	// Recording a snapshot for a completed cell is a programming error.
-	if err := ck.RecordSnapshot("exp|cell=1", "x"); err == nil {
-		t.Fatal("RecordSnapshot accepted for completed cell")
+		t.Fatalf("value recorded after a legacy snapshot line: hit=%v err=%v v=%d", hit, err, v)
 	}
 }
 
 // TestRunCellsMidCellResume drives the harness's cell-snapshot protocol
 // without a simulator: the first sweep's cell saves state and stops with
-// ErrStopped (a deadline stop), the second sweep finds the recorded
-// snapshot path in the checkpoint and resumes from the saved state.
+// ErrStopped (a deadline stop), the second sweep finds the cell's state
+// file by its name under the snapshot directory and resumes from the
+// saved state. The checkpoint records nothing for the stopped cell.
 func TestRunCellsMidCellResume(t *testing.T) {
 	dir := t.TempDir()
 	ckPath := filepath.Join(dir, "ck.jsonl")
@@ -129,8 +123,11 @@ func TestRunCellsMidCellResume(t *testing.T) {
 	if r.Failed() {
 		t.Fatalf("deadline stop recorded as failure: %v", r.Failures()[0])
 	}
-	if _, ok := ck.SnapshotPath("exp|k=1"); !ok {
-		t.Fatal("checkpoint did not record the cell snapshot path")
+	if ck.Len() != 0 {
+		t.Fatalf("checkpoint holds %v for a stopped cell", ck.Keys())
+	}
+	if _, err := os.Stat(filepath.Join(snapDir, snapshot.CellFileName("exp|k=1"))); err != nil {
+		t.Fatalf("stopped cell's state file: %v", err)
 	}
 	if err := ck.Close(); err != nil {
 		t.Fatal(err)
@@ -159,11 +156,7 @@ func TestRunCellsMidCellResume(t *testing.T) {
 	if r.Failed() {
 		t.Fatalf("resume failed: %v", r.Failures()[0])
 	}
-	// Completion discards the cell file and supersedes the snapshot
-	// record.
-	if _, ok := ck.SnapshotPath("exp|k=1"); ok {
-		t.Fatal("snapshot record survived completion")
-	}
+	// Completion discards the cell file.
 	if _, err := os.Stat(filepath.Join(snapDir, snapshot.CellFileName("exp|k=1"))); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("cell file not discarded: %v", err)
 	}

@@ -74,14 +74,14 @@ func (c Config) logf(format string, args ...any) {
 
 // session is one tenant run's in-memory state. Mutable fields are
 // guarded by the server mutex; tracker is internally atomic so the
-// simulator and SSE readers touch it lock-free.
+// simulator and SSE readers touch it lock-free. A done session's result
+// lives only in its journal record.
 type session struct {
 	id   string
 	spec Spec
 
 	state   string
 	errMsg  string
-	result  json.RawMessage
 	tracker *mc.Tracker
 	// notify coalesces progress kicks for SSE streams (capacity 1).
 	notify chan struct{}
@@ -221,7 +221,7 @@ func (s *Server) recover() error {
 		if out.Error != "" {
 			sess.state, sess.errMsg = StateFailed, out.Error
 		} else {
-			sess.state, sess.result = StateDone, out.Result
+			sess.state = StateDone
 		}
 		close(sess.done)
 		// A crash between the done record and cell cleanup leaves an
@@ -425,16 +425,22 @@ func (s *Server) Sessions() []*SessionInfo {
 // ok=false: unknown or not finished; a failed session yields its error.
 func (s *Server) Result(id string) (raw json.RawMessage, errMsg string, ok bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess := s.sessions[id]
-	if sess == nil {
-		return nil, "", false
+	var state string
+	if sess := s.sessions[id]; sess != nil {
+		state, errMsg = sess.state, sess.errMsg
 	}
-	switch sess.state {
+	s.mu.Unlock()
+	switch state {
 	case StateDone:
-		return sess.result, "", true
+		// Read after releasing s.mu: the journal's lock is held across
+		// fsyncs.
+		var out Outcome
+		if _, err := s.ck.Lookup("done|"+id, &out); err != nil {
+			return nil, err.Error(), true
+		}
+		return out.Result, "", true
 	case StateFailed:
-		return nil, sess.errMsg, true
+		return nil, errMsg, true
 	default:
 		return nil, "", false
 	}
@@ -604,7 +610,9 @@ func (s *Server) interrupted(sess *session) {
 
 // settle journals a session's terminal outcome — err, or else res —
 // fsynced before the state transition is visible, so an acknowledged
-// result survives kill -9, and wakes waiters.
+// result survives kill -9, and wakes waiters. A session is done only once
+// its record is written and synced; if either step fails it ends failed
+// with the journaling error.
 func (s *Server) settle(sess *session, res *cachesim.Results, err error) {
 	var out Outcome
 	if err != nil {
@@ -617,16 +625,19 @@ func (s *Server) settle(sess *session, res *cachesim.Results, err error) {
 			out.Result = raw
 		}
 	}
-	if jerr := s.ck.Record("done|"+sess.id, out); jerr != nil {
+	jerr := s.ck.Record("done|"+sess.id, out)
+	if jerr == nil {
+		jerr = s.ck.Sync()
+	}
+	if jerr != nil {
 		s.cfg.logf("serve: %s: journaling outcome: %v", sess.id, jerr)
-	} else if jerr := s.ck.Sync(); jerr != nil {
-		s.cfg.logf("serve: %s: syncing journal: %v", sess.id, jerr)
+		out.Error = fmt.Sprintf("journaling outcome: %v", jerr)
 	}
 	s.mu.Lock()
 	if out.Error != "" {
 		sess.state, sess.errMsg = StateFailed, out.Error
 	} else {
-		sess.state, sess.result = StateDone, out.Result
+		sess.state = StateDone
 	}
 	s.runningTenant[sess.spec.Tenant]--
 	s.runningCount--

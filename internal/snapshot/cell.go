@@ -105,9 +105,6 @@ func OpenCell(spec CellSpec, key string) (*Cell, error) {
 // Key returns the sweep cell key this state belongs to.
 func (c *Cell) Key() string { return c.key }
 
-// Path returns the cell's snapshot file path.
-func (c *Cell) Path() string { return c.spec.Path }
-
 // Every returns the periodic snapshot cadence in steps.
 func (c *Cell) Every() uint64 { return c.spec.Every }
 
