@@ -248,8 +248,9 @@ func Benchmark_Table1_ReuseWays(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, reuse := range []int{1, 3, 5, 7} {
 			for _, inv := range []int{5, 6} {
-				p := analytic.DesignPoint{BaseWays: 6, ReuseWays: reuse, InvalidWays: inv}
-				v, err := p.InstallsPerSAE()
+				p := cachemodel.Maya
+				p.ReuseWays, p.InvalidWays = reuse, inv
+				v, err := analytic.InstallsPerSAE(p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -263,12 +264,12 @@ func Benchmark_Table1_ReuseWays(b *testing.B) {
 
 func Benchmark_Table4_Associativity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, pt := range []analytic.DesignPoint{
+		for _, pt := range []cachemodel.Row{
 			{BaseWays: 3, ReuseWays: 1, InvalidWays: 6},
 			{BaseWays: 6, ReuseWays: 3, InvalidWays: 6},
 			{BaseWays: 12, ReuseWays: 6, InvalidWays: 6},
 		} {
-			v, err := pt.InstallsPerSAE()
+			v, err := analytic.InstallsPerSAE(pt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -300,7 +301,7 @@ func Benchmark_Table7_MPKI(b *testing.B) {
 
 func Benchmark_Table8_Storage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, d := range []power.Design{power.Baseline, power.Mirage, power.Maya} {
+		for _, d := range []cachemodel.Row{cachemodel.Baseline, cachemodel.Mirage, cachemodel.Maya} {
 			s := power.Account(d)
 			if i == 0 {
 				b.Logf("Table VIII: %-8s total %.0f KB (%+.1f%%)", d, s.TotalKB, s.OverheadVsBaseline()*100)
@@ -311,7 +312,7 @@ func Benchmark_Table8_Storage(b *testing.B) {
 
 func Benchmark_Table9_Energy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, d := range []power.Design{power.Baseline, power.Mirage, power.Maya, power.MayaISO} {
+		for _, d := range []cachemodel.Row{cachemodel.Baseline, cachemodel.Mirage, cachemodel.Maya, cachemodel.MayaISO} {
 			c := power.Estimate(d)
 			if i == 0 {
 				b.Logf("Table IX: %-8s read %.3f nJ write %.3f nJ static %.0f mW area %.3f mm2",
@@ -323,25 +324,15 @@ func Benchmark_Table9_Energy(b *testing.B) {
 
 func Benchmark_Table10_Summary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := []struct {
-			d    power.Design
-			T    float64
-			ways int
-		}{
-			{power.Maya, 9, 15},
-			{power.Mirage, 8, 14},
-			{power.MirageLite, 8, 13},
-			{power.MayaISO, 12, 18},
-		}
-		for _, r := range rows {
-			dist, err := analytic.Solve(r.T)
+		for _, d := range []cachemodel.Row{cachemodel.Maya, cachemodel.Mirage, cachemodel.MirageLite, cachemodel.MayaISO} {
+			installs, err := analytic.InstallsPerSAE(d)
 			if err != nil {
 				b.Fatal(err)
 			}
-			st := power.Account(r.d)
+			st := power.Account(d)
 			if i == 0 {
 				b.Logf("Table X: %-11s security %s storage %+.1f%%",
-					r.d, analytic.FormatInstalls(dist.InstallsPerSAE(r.ways)), st.OverheadVsBaseline()*100)
+					d, analytic.FormatInstalls(installs), st.OverheadVsBaseline()*100)
 			}
 		}
 	}

@@ -21,11 +21,14 @@ import (
 	"mayacache/internal/attack"
 	"mayacache/internal/baseline"
 	"mayacache/internal/cachemodel"
-	"mayacache/internal/ceaser"
-	maya "mayacache/internal/core"
 	"mayacache/internal/harness"
-	"mayacache/internal/mirage"
 	"mayacache/internal/report"
+
+	// The families this binary builds rows of; nothing else names them,
+	// and Row.Build fails for a family that is not linked.
+	_ "mayacache/internal/ceaser"
+	_ "mayacache/internal/core"
+	_ "mayacache/internal/mirage"
 )
 
 func main() {
@@ -111,9 +114,10 @@ func run() int {
 	return 0
 }
 
-// designUnderAttack builds each Fig 8 cache plus its occupancy-set size:
-// equal to capacity for the deterministic LRU cache, twice capacity for
-// the random-replacement designs (whose probe must churn the cache).
+// designUnderAttack builds each attacked cache plus, for Fig 8, its
+// occupancy-set size: equal to capacity for the deterministic LRU cache,
+// twice capacity for the random-replacement designs (whose probe must
+// churn the cache).
 type designUnderAttack struct {
 	name      string
 	mk        func(seed uint64) cachemodel.LLC
@@ -129,26 +133,27 @@ func mustLLC(c cachemodel.LLC, err error) cachemodel.LLC {
 	return c
 }
 
+// build returns a constructor of row r's design at sets sets per skew,
+// indexed with PRINCE.
+func build(r cachemodel.Row, sets int) func(seed uint64) cachemodel.LLC {
+	return func(seed uint64) cachemodel.LLC {
+		return mustLLC(r.Build(cachemodel.BuildOptions{Cores: 1, SetsPerCore: sets, Seed: seed}))
+	}
+}
+
+// lru16 returns a constructor of the 16-way LRU cache that both tables
+// attack, which matches SDIDs unlike the registry's SRRIP baseline.
+func lru16(sets int) func(seed uint64) cachemodel.LLC {
+	return func(seed uint64) cachemodel.LLC {
+		return mustLLC(baseline.NewChecked(baseline.Config{Sets: sets, Ways: 16, Replacement: baseline.LRU, Seed: seed, MatchSDID: true}))
+	}
+}
+
 func fig8Designs(sets int) []designUnderAttack {
 	capacity := sets * 16
 	return []designUnderAttack{
-		{
-			name: "16-way SA",
-			mk: func(seed uint64) cachemodel.LLC {
-				return mustLLC(baseline.NewChecked(baseline.Config{Sets: sets, Ways: 16, Replacement: baseline.LRU, Seed: seed, MatchSDID: true}))
-			},
-			occupancy: capacity,
-		},
-		{
-			name: "Maya",
-			mk: func(seed uint64) cachemodel.LLC {
-				return mustLLC(maya.NewChecked(maya.Config{
-					SetsPerSkew: sets, Skews: 2, BaseWays: 6, ReuseWays: 3, InvalidWays: 6,
-					Seed: seed,
-				}))
-			},
-			occupancy: 2 * sets * 2 * 6,
-		},
+		{name: "16-way SA", mk: lru16(sets), occupancy: capacity},
+		{name: "Maya", mk: build(cachemodel.Maya, sets), occupancy: 2 * cachemodel.Maya.DataEntries(sets)},
 		{
 			name: "Fully associative",
 			mk: func(seed uint64) cachemodel.LLC {
@@ -157,6 +162,17 @@ func fig8Designs(sets int) []designUnderAttack {
 			occupancy: 2 * capacity,
 		},
 	}
+}
+
+// evictionSetDesigns lists the eviction-set table's caches: the 16-way
+// LRU cache, then the CEASER family, Mirage and Maya built from their
+// rows.
+func evictionSetDesigns(sets int) []designUnderAttack {
+	ds := []designUnderAttack{{name: "Baseline 16-way", mk: lru16(sets)}}
+	for _, r := range []cachemodel.Row{cachemodel.CEASER, cachemodel.CEASERS, cachemodel.ScatterCache, cachemodel.Mirage, cachemodel.Maya} {
+		ds = append(ds, designUnderAttack{name: r.Name, mk: build(r, sets)})
+	}
+	return ds
 }
 
 func fig8(ctx context.Context, sets, runs, max, noise, workers int, seed uint64) error {
@@ -211,31 +227,8 @@ func fig8(ctx context.Context, sets, runs, max, noise, workers int, seed uint64)
 func evictionSets(sets int, seed uint64) error {
 	t := report.NewTable("Eviction-set construction across designs",
 		"design", "found", "set size", "SAEs observed", "attacker accesses")
-	designs := []struct {
-		name string
-		mk   func() cachemodel.LLC
-	}{
-		{"Baseline 16-way", func() cachemodel.LLC {
-			return mustLLC(baseline.NewChecked(baseline.Config{Sets: sets, Ways: 16, Replacement: baseline.LRU, Seed: seed, MatchSDID: true}))
-		}},
-		{"CEASER", func() cachemodel.LLC {
-			return mustLLC(ceaser.NewChecked(ceaser.Config{Sets: sets, Ways: 16, Variant: ceaser.CEASER, Seed: seed}))
-		}},
-		{"CEASER-S", func() cachemodel.LLC {
-			return mustLLC(ceaser.NewChecked(ceaser.Config{Sets: sets, Ways: 16, Variant: ceaser.CEASERS, Seed: seed}))
-		}},
-		{"ScatterCache", func() cachemodel.LLC {
-			return mustLLC(ceaser.NewChecked(ceaser.Config{Sets: sets, Ways: 16, Variant: ceaser.ScatterCache, Seed: seed}))
-		}},
-		{"Mirage", func() cachemodel.LLC {
-			return mustLLC(mirage.NewChecked(mirage.Config{SetsPerSkew: sets, Skews: 2, BaseWays: 8, ExtraWays: 6, Seed: seed}))
-		}},
-		{"Maya", func() cachemodel.LLC {
-			return mustLLC(maya.NewChecked(maya.Config{SetsPerSkew: sets, Skews: 2, BaseWays: 6, ReuseWays: 3, InvalidWays: 6, Seed: seed}))
-		}},
-	}
-	for _, d := range designs {
-		res := attack.BuildEvictionSet(d.mk(), 0x12345, sets*64, 80_000_000, seed)
+	for _, d := range evictionSetDesigns(sets) {
+		res := attack.BuildEvictionSet(d.mk(seed), 0x12345, sets*64, 80_000_000, seed)
 		t.AddRow(d.name, res.Found, res.SetSize, res.SAEsObserved, res.AccessesUsed)
 	}
 	t.Render(os.Stdout)

@@ -38,3 +38,21 @@ func TestValidateFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignsBuild builds every cache of the Fig 8 and eviction-set
+// tables, so a row whose family this binary does not link fails here
+// rather than at run time.
+func TestDesignsBuild(t *testing.T) {
+	for _, d := range append(fig8Designs(32), evictionSetDesigns(32)...) {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: %v", d.name, r)
+				}
+			}()
+			if g := d.mk(1).Geometry(); g.DataEntries <= 0 {
+				t.Errorf("%s: geometry %+v holds no data", d.name, g)
+			}
+		}()
+	}
+}

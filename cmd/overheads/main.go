@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"mayacache/internal/analytic"
+	"mayacache/internal/cachemodel"
 	"mayacache/internal/experiments"
 	"mayacache/internal/harness"
 	"mayacache/internal/power"
@@ -35,14 +36,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	emit := func(t *report.Table) {
-		if *csv {
-			t.CSV(os.Stdout)
-		} else {
-			t.Render(os.Stdout)
-		}
-		fmt.Println()
-	}
+	emit := report.Emitter(os.Stdout, *csv)
 
 	var err error
 	switch *table {
@@ -67,8 +61,14 @@ func main() {
 }
 
 func storageTable(emit func(*report.Table)) {
-	t := report.NewTable("Table VIII: storage overheads",
-		"configuration", "Baseline", "Mirage", "Maya")
+	designs := []power.Storage{
+		power.Account(cachemodel.Baseline), power.Account(cachemodel.Mirage), power.Account(cachemodel.Maya),
+	}
+	headers := []string{"configuration"}
+	for _, d := range designs {
+		headers = append(headers, d.Design)
+	}
+	t := report.NewTable("Table VIII: storage overheads", headers...)
 	rows := []struct {
 		label string
 		get   func(power.Storage) string
@@ -87,9 +87,12 @@ func storageTable(emit func(*report.Table)) {
 		{"Total KB", func(s power.Storage) string { return fmt.Sprintf("%.0f", s.TotalKB) }},
 		{"Overhead vs baseline", func(s power.Storage) string { return fmt.Sprintf("%+.1f%%", s.OverheadVsBaseline()*100) }},
 	}
-	base, mir, maya := power.Account(power.Baseline), power.Account(power.Mirage), power.Account(power.Maya)
 	for _, r := range rows {
-		t.AddRow(r.label, r.get(base), r.get(mir), r.get(maya))
+		cells := []any{r.label}
+		for _, d := range designs {
+			cells = append(cells, r.get(d))
+		}
+		t.AddRow(cells...)
 	}
 	emit(t)
 }
@@ -97,50 +100,18 @@ func storageTable(emit func(*report.Table)) {
 func energyTable(emit func(*report.Table)) {
 	t := report.NewTable("Table IX: energy, power, and area (P-CACTI-substitute model, 7nm)",
 		"design", "read energy/access (nJ)", "write energy/access (nJ)", "static power (mW)", "area (mm^2)")
-	for _, d := range []power.Design{power.Baseline, power.Mirage, power.Maya, power.MayaISO} {
-		c := power.Estimate(d)
-		t.AddRow(string(d), c.ReadEnergyNJ, c.WriteEnergyNJ, c.StaticPowerMW, c.AreaMM2)
+	for _, r := range []cachemodel.Row{cachemodel.Baseline, cachemodel.Mirage, cachemodel.Maya, cachemodel.MayaISO} {
+		c := power.Estimate(r)
+		t.AddRow(c.Design, c.ReadEnergyNJ, c.WriteEnergyNJ, c.StaticPowerMW, c.AreaMM2)
 	}
 	emit(t)
-}
-
-// securityFor returns the analytical installs-per-SAE for each Table X
-// design.
-func securityFor(d power.Design) string {
-	var T float64
-	var ways int
-	switch d {
-	case power.Maya:
-		T, ways = 9, 15
-	case power.Mirage:
-		T, ways = 8, 14
-	case power.MirageLite:
-		T, ways = 8, 13
-	case power.MayaISO:
-		T, ways = 12, 18
-	default:
-		return "none (conventional)"
-	}
-	dist, err := analytic.Solve(T)
-	if err != nil {
-		return "error"
-	}
-	return analytic.FormatInstalls(dist.InstallsPerSAE(ways))
 }
 
 func summaryTable(emit func(*report.Table), perf bool, warmup, roi uint64) error {
 	t := report.NewTable("Table X: security, storage, performance summary",
 		"design", "security (installs/SAE)", "storage", "performance")
-	designs := []struct {
-		p power.Design
-		e experiments.Design
-	}{
-		{power.Maya, experiments.DesignMaya},
-		{power.Mirage, experiments.DesignMirage},
-		{power.MirageLite, experiments.DesignMirageLite},
-		{power.MayaISO, experiments.DesignMayaISO},
-	}
-	perfCol := map[power.Design]string{}
+	designs := []cachemodel.Row{cachemodel.Maya, cachemodel.Mirage, cachemodel.MirageLite, cachemodel.MayaISO}
+	var gms []float64 // per design, with -perf
 	if perf {
 		// The designs share the baseline runs: one runner simulates each
 		// distinct simulation once.
@@ -148,28 +119,28 @@ func summaryTable(emit func(*report.Table), perf bool, warmup, roi uint64) error
 		sc := experiments.Scale{WarmupInstr: warmup, ROIInstr: roi, Seed: 1}
 		es := make([]experiments.Design, len(designs))
 		for i, d := range designs {
-			es[i] = d.e
+			es[i] = experiments.Design(d.Name)
 		}
-		gms, _, err := experiments.Table10Sweep(context.Background(), r, sc, es)
-		if err != nil {
+		var err error
+		if gms, _, err = experiments.Table10Sweep(context.Background(), r, sc, es); err != nil {
 			return err
 		}
 		if r.Failed() {
 			r.WriteFailureSummary(os.Stderr)
 			return fmt.Errorf("%d simulation(s) failed", len(r.Failures()))
 		}
-		for i, d := range designs {
-			perfCol[d.p] = fmt.Sprintf("%+.2f%%", (gms[i]-1)*100)
-		}
 	}
-	for _, d := range designs {
-		st := power.Account(d.p)
-		perfStr, ok := perfCol[d.p]
-		if !ok {
-			perfStr = "(run with -perf)"
+	for i, d := range designs {
+		installs, err := analytic.InstallsPerSAE(d)
+		if err != nil {
+			return err
 		}
-		t.AddRow(string(d.p), securityFor(d.p),
-			fmt.Sprintf("%+.1f%%", st.OverheadVsBaseline()*100), perfStr)
+		perfStr := "(run with -perf)"
+		if gms != nil {
+			perfStr = fmt.Sprintf("%+.2f%%", (gms[i]-1)*100)
+		}
+		t.AddRow(d.Name, analytic.FormatInstalls(installs),
+			fmt.Sprintf("%+.1f%%", power.Account(d).OverheadVsBaseline()*100), perfStr)
 	}
 	emit(t)
 	return nil

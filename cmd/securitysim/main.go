@@ -33,6 +33,8 @@ import (
 	"time"
 
 	"mayacache/internal/analytic"
+	"mayacache/internal/buckets"
+	"mayacache/internal/cachemodel"
 	"mayacache/internal/experiments"
 	"mayacache/internal/harness"
 	"mayacache/internal/mc"
@@ -115,15 +117,7 @@ func run() int {
 	}
 	defer stopCPU()
 
-	out := os.Stdout
-	emit := func(t *report.Table) {
-		if f.csv {
-			t.CSV(out)
-		} else {
-			t.Render(out)
-		}
-		fmt.Fprintln(out)
-	}
+	emit := report.Emitter(os.Stdout, f.csv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -245,7 +239,7 @@ func fig6(ctx context.Context, emit func(*report.Table), spec experiments.Securi
 			t.AddRow(p.Capacity, fmt.Sprintf("> %d (no spill observed)", spec.Iters), "simulated")
 		}
 	}
-	d, err := analytic.Solve(9)
+	d, err := analytic.SolveRow(cachemodel.Maya)
 	if err != nil {
 		return err
 	}
@@ -265,7 +259,7 @@ func fig7(ctx context.Context, emit func(*report.Table), spec experiments.Securi
 		return err
 	}
 	sim := res.Histogram()
-	d, err := analytic.Solve(9)
+	d, err := analytic.SolveRow(cachemodel.Maya)
 	if err != nil {
 		return err
 	}
@@ -282,17 +276,18 @@ func fig7(ctx context.Context, emit func(*report.Table), spec experiments.Securi
 	return nil
 }
 
-// table1 computes cache line installs per SAE across reuse/invalid way
-// configurations (analytical model; the paper's own table extrapolates the
-// same way for the large values).
+// table1 computes cache line installs per SAE as the Maya row's reuse and
+// invalid ways vary (analytical model; the paper's own table extrapolates
+// the same way for the large values).
 func table1(emit func(*report.Table)) error {
 	t := report.NewTable("Table I: installs per SAE vs reuse ways (analytical model)",
 		"reuse ways/skew", "5 invalid ways/skew", "6 invalid ways/skew")
 	for _, reuse := range []int{1, 3, 5, 7} {
 		row := []any{reuse}
 		for _, inv := range []int{5, 6} {
-			p := analytic.DesignPoint{BaseWays: 6, ReuseWays: reuse, InvalidWays: inv}
-			v, err := p.InstallsPerSAE()
+			p := cachemodel.Maya
+			p.ReuseWays, p.InvalidWays = reuse, inv
+			v, err := analytic.InstallsPerSAE(p)
 			if err != nil {
 				return err
 			}
@@ -308,17 +303,16 @@ func table1(emit func(*report.Table)) error {
 func table4(emit func(*report.Table)) error {
 	t := report.NewTable("Table IV: installs per SAE vs tag-store associativity (analytical model)",
 		"invalid ways/skew", "8-ways (3+1)", "18-ways (6+3)", "36-ways (12+6)")
-	points := []analytic.DesignPoint{
+	points := []cachemodel.Row{
 		{BaseWays: 3, ReuseWays: 1},
 		{BaseWays: 6, ReuseWays: 3},
 		{BaseWays: 12, ReuseWays: 6},
 	}
 	for _, inv := range []int{4, 5, 6} {
 		row := []any{inv}
-		for _, base := range points {
-			p := base
+		for _, p := range points {
 			p.InvalidWays = inv
-			v, err := p.InstallsPerSAE()
+			v, err := analytic.InstallsPerSAE(p)
 			if err != nil {
 				return err
 			}
@@ -345,11 +339,12 @@ func nonDecoupled(ctx context.Context, emit func(*report.Table), spec experiment
 	} else {
 		t.AddRow("simulated (first spill)", fmt.Sprintf("> %d", spec.Iters))
 	}
-	d, err := analytic.Solve(12)
+	th := buckets.ThresholdDefault(spec.Buckets, spec.Seed)
+	d, err := analytic.Solve(float64(th.AvgP1))
 	if err != nil {
 		return err
 	}
-	t.AddRow("analytical", analytic.FormatInstalls(d.InstallsPerSAE(16)))
+	t.AddRow("analytical", analytic.FormatInstalls(d.InstallsPerSAE(th.Capacity)))
 	emit(t)
 	return nil
 }

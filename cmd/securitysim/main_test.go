@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"mayacache/internal/report"
+)
 
 // TestValidateFlags pins the usage contract that maps to exit 2.
 func TestValidateFlags(t *testing.T) {
@@ -36,6 +43,34 @@ func TestValidateFlags(t *testing.T) {
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("%s: invalid flags accepted", tc.name)
+		}
+	}
+}
+
+// TestGoldenTables renders the analytical Tables I and IV through the
+// command's own emit and compares each with its committed copy, the
+// stdout of `securitysim -experiment table1|table4`. Their design points
+// are transforms of the Maya row, so a change to that row fails here.
+// Regenerate a copy only for a deliberate output change, e.g.
+// `go run ./cmd/securitysim -experiment table1 > cmd/securitysim/testdata/table1.txt`.
+func TestGoldenTables(t *testing.T) {
+	for _, tc := range []struct {
+		file   string
+		render func(func(*report.Table)) error
+	}{
+		{"table1.txt", table1},
+		{"table4.txt", table4},
+	} {
+		var got bytes.Buffer
+		if err := tc.render(report.Emitter(&got, false)); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: rendered table differs from the committed copy; got:\n%s", tc.file, got.Bytes())
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/cachesim"
@@ -24,7 +23,7 @@ import (
 func main() {
 	var (
 		bench  = flag.String("bench", "mcf", "benchmark name or 'all'")
-		design = flag.String("design", "Baseline", strings.Join(cachemodel.Registered(), "|"))
+		design = flag.String("design", "Baseline", fmt.Sprint("registered design: ", cachemodel.Registered()))
 		cores  = flag.Int("cores", 1, "number of cores (homogeneous)")
 		warmup = flag.Uint64("warmup", 1_000_000, "warmup instructions per core")
 		roi    = flag.Uint64("roi", 500_000, "ROI instructions per core")

@@ -52,9 +52,15 @@ func main() {
 
 	fmt.Println("\n== The cost side (16MB-class LLC, 7nm) ==")
 	fmt.Printf("%-11s %10s %12s %10s %14s\n", "design", "storage", "vs baseline", "area mm2", "static power mW")
-	for _, d := range []maya.CostDesign{maya.CostBaseline, maya.CostMirage, maya.CostMaya} {
-		st := maya.StorageAccount(d)
-		c := maya.CostEstimate(d)
+	for _, d := range []maya.Design{maya.DesignBaseline, maya.DesignMirage, maya.DesignMaya} {
+		st, err := maya.StorageAccount(d)
+		if err != nil {
+			panic(err)
+		}
+		c, err := maya.CostEstimate(d)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("%-11s %8.0fKB %+11.1f%% %10.3f %14.0f\n",
 			d, st.TotalKB, st.OverheadVsBaseline()*100, c.AreaMM2, c.StaticPowerMW)
 	}

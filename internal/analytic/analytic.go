@@ -28,6 +28,8 @@ package analytic
 import (
 	"fmt"
 	"math"
+
+	"mayacache/internal/cachemodel"
 )
 
 // maxN bounds the recursion; probabilities decay double-exponentially, so
@@ -168,27 +170,20 @@ func YearsPerSAE(installs float64) float64 {
 	return installs / nsPerYear
 }
 
-// DesignPoint describes a Maya-style configuration for the security
-// tables.
-type DesignPoint struct {
-	BaseWays    int // per skew
-	ReuseWays   int // per skew
-	InvalidWays int // per skew
+// SolveRow solves the model for design row r: its steady state holds T =
+// base + reuse ways of balls per bucket.
+func SolveRow(r cachemodel.Row) (*Distribution, error) {
+	return Solve(float64(r.BaseWays + r.ReuseWays))
 }
 
-// Ways returns the total ways per skew.
-func (p DesignPoint) Ways() int { return p.BaseWays + p.ReuseWays + p.InvalidWays }
-
-// T returns the average steady-state balls per bucket.
-func (p DesignPoint) T() float64 { return float64(p.BaseWays + p.ReuseWays) }
-
-// InstallsPerSAE solves the model for the design point.
-func (p DesignPoint) InstallsPerSAE() (float64, error) {
-	d, err := Solve(p.T())
+// InstallsPerSAE returns design row r's expected installs between SAEs: a
+// spill needs a bucket past all of its ways per skew.
+func InstallsPerSAE(r cachemodel.Row) (float64, error) {
+	d, err := SolveRow(r)
 	if err != nil {
 		return 0, err
 	}
-	return d.InstallsPerSAE(p.Ways()), nil
+	return d.InstallsPerSAE(r.Ways()), nil
 }
 
 // FormatInstalls renders an installs-per-SAE value the way the paper's

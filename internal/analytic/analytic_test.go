@@ -3,6 +3,8 @@ package analytic
 import (
 	"math"
 	"testing"
+
+	"mayacache/internal/cachemodel"
 )
 
 func TestSolveMayaMatchesPaper(t *testing.T) {
@@ -58,8 +60,9 @@ func TestTableIReuseWaySweep(t *testing.T) {
 		{7, 2e30},
 	}
 	for _, c := range cases {
-		p := DesignPoint{BaseWays: 6, ReuseWays: c.reuse, InvalidWays: 6}
-		got, err := p.InstallsPerSAE()
+		p := cachemodel.Maya
+		p.ReuseWays = c.reuse
+		got, err := InstallsPerSAE(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,17 +77,17 @@ func TestSecurityDecreasesWithAssociativity(t *testing.T) {
 	// Table IV's trend: for fixed invalid ways, larger base associativity
 	// means weaker security.
 	prev := math.Inf(1)
-	for _, pt := range []DesignPoint{
+	for _, pt := range []cachemodel.Row{
 		{BaseWays: 3, ReuseWays: 1, InvalidWays: 6},
 		{BaseWays: 6, ReuseWays: 3, InvalidWays: 6},
 		{BaseWays: 12, ReuseWays: 6, InvalidWays: 6},
 	} {
-		v, err := pt.InstallsPerSAE()
+		v, err := InstallsPerSAE(pt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if v >= prev {
-			t.Errorf("security did not decrease at %+v: %.3g >= %.3g", pt, v, prev)
+			t.Errorf("security did not decrease at %d base + %d reuse ways: %.3g >= %.3g", pt.BaseWays, pt.ReuseWays, v, prev)
 		}
 		prev = v
 	}
@@ -93,8 +96,9 @@ func TestSecurityDecreasesWithAssociativity(t *testing.T) {
 func TestSecurityIncreasesWithInvalidWays(t *testing.T) {
 	prev := 0.0
 	for _, inv := range []int{4, 5, 6} {
-		pt := DesignPoint{BaseWays: 6, ReuseWays: 3, InvalidWays: inv}
-		v, err := pt.InstallsPerSAE()
+		pt := cachemodel.Maya
+		pt.InvalidWays = inv
+		v, err := InstallsPerSAE(pt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,13 +110,12 @@ func TestSecurityIncreasesWithInvalidWays(t *testing.T) {
 }
 
 func TestMirageModel(t *testing.T) {
-	// Mirage: T=8, 14 ways/skew -> ~10^34 installs per SAE (the paper's
-	// Table X value).
-	d, err := Solve(8)
+	// The Mirage row: T=8, 14 ways/skew -> ~10^34 installs per SAE (the
+	// paper's Table X value).
+	got, err := InstallsPerSAE(cachemodel.Mirage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := d.InstallsPerSAE(14)
 	if got < 1e33 || got > 1e36 {
 		t.Errorf("Mirage installs/SAE = %.3g, paper ~1e34", got)
 	}

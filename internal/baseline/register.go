@@ -2,20 +2,11 @@ package baseline
 
 import "mayacache/internal/cachemodel"
 
-// The registry factory mirrors the paper's baseline LLC: 16-way SRRIP,
-// physically indexed, sized to the same data capacity as the secure
-// designs (Sets x 16 = Cores x SetsPerCore x 16 lines).
+// The family builder mirrors the paper's baseline LLC: SRRIP, physically
+// indexed (the hasher goes unused), with the row's ways over the scaled
+// set count.
 func init() {
-	cachemodel.Register("Baseline", func(o cachemodel.BuildOptions) (cachemodel.LLC, error) {
-		sets, err := o.Sets()
-		if err != nil {
-			return nil, err
-		}
-		return NewChecked(Config{
-			Sets:        sets,
-			Ways:        16,
-			Replacement: SRRIP,
-			Seed:        o.Seed,
-		})
+	cachemodel.LinkFamily(cachemodel.FamilyBaseline, func(r cachemodel.Row, sets int, seed uint64, _ cachemodel.IndexHasher) (cachemodel.LLC, error) {
+		return NewChecked(Config{Sets: sets, Ways: r.Ways(), Replacement: SRRIP, Seed: seed})
 	})
 }

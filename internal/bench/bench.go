@@ -32,7 +32,8 @@ import (
 	"mayacache/internal/cachesim"
 	"mayacache/internal/trace"
 
-	// Designs self-register with the cachemodel registry from init.
+	// The design families link their builders from init; mayabench
+	// builds rows of all four by name.
 	_ "mayacache/internal/baseline"
 	_ "mayacache/internal/ceaser"
 	_ "mayacache/internal/core"

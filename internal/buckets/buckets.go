@@ -15,6 +15,7 @@ package buckets
 import (
 	"fmt"
 
+	"mayacache/internal/cachemodel"
 	"mayacache/internal/invariant"
 	"mayacache/internal/rng"
 )
@@ -74,30 +75,30 @@ type Config struct {
 	Seed uint64
 }
 
-// MayaDefault is the paper's Table II configuration scaled by
-// bucketsPerSkew (16384 at full scale).
-func MayaDefault(bucketsPerSkew int, seed uint64) Config {
+// ForRow is design row r's model with bucketsPerSkew buckets per skew
+// (16384 at full scale): a bucket holds the row's ways per skew, and its
+// steady state is the row's reuse ways of priority-0 balls and base ways
+// of priority-1 balls. A row with reuse ways is modelled as Maya, any
+// other as Mirage.
+func ForRow(r cachemodel.Row, bucketsPerSkew int, seed uint64) Config {
+	mode := ModeMirage
+	if r.ReuseWays > 0 {
+		mode = ModeMaya
+	}
 	return Config{
-		Mode:           ModeMaya,
-		Skews:          2,
+		Mode:           mode,
+		Skews:          r.Skews,
 		BucketsPerSkew: bucketsPerSkew,
-		Capacity:       15, // 6 base + 3 reuse + 6 invalid
-		AvgP0:          3,
-		AvgP1:          6,
+		Capacity:       r.Ways(),
+		AvgP0:          r.ReuseWays,
+		AvgP1:          r.BaseWays,
 		Seed:           seed,
 	}
 }
 
-// MirageDefault is Mirage's bucket model: 8 base + 6 extra ways per skew.
-func MirageDefault(bucketsPerSkew int, seed uint64) Config {
-	return Config{
-		Mode:           ModeMirage,
-		Skews:          2,
-		BucketsPerSkew: bucketsPerSkew,
-		Capacity:       14,
-		AvgP1:          8,
-		Seed:           seed,
-	}
+// MayaDefault is the Maya row's model, the paper's Table II configuration.
+func MayaDefault(bucketsPerSkew int, seed uint64) Config {
+	return ForRow(cachemodel.Maya, bucketsPerSkew, seed)
 }
 
 // ThresholdDefault models the Section VI non-decoupled design: a 16-way

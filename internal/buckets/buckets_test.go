@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mayacache/internal/analytic"
+	"mayacache/internal/cachemodel"
 )
 
 func TestConservationMaya(t *testing.T) {
@@ -16,7 +17,7 @@ func TestConservationMaya(t *testing.T) {
 }
 
 func TestConservationMirage(t *testing.T) {
-	m := New(MirageDefault(256, 2))
+	m := New(ForRow(cachemodel.Mirage, 256, 2))
 	m.Run(200000)
 	if err := m.Conservation(); err != nil {
 		t.Fatal(err)
@@ -83,7 +84,7 @@ func TestOccupancyMatchesAnalyticalModel(t *testing.T) {
 		m.SampleHistogram()
 	}
 	sim := m.Histogram()
-	d, err := analytic.Solve(9)
+	d, err := analytic.SolveRow(cachemodel.Maya)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestInstallAccounting(t *testing.T) {
 	if m.Installs() != 2000 {
 		t.Fatalf("Maya installs = %d after 1000 iterations, want 2000", m.Installs())
 	}
-	mm := New(MirageDefault(128, 9))
+	mm := New(ForRow(cachemodel.Mirage, 128, 9))
 	mm.Run(1000)
 	if mm.Installs() != 1000 {
 		t.Fatalf("Mirage installs = %d after 1000 iterations, want 1000", mm.Installs())
@@ -155,7 +156,7 @@ func TestThresholdSpillsQuickly(t *testing.T) {
 func TestMirageMoreRobustThanThreshold(t *testing.T) {
 	th := New(ThresholdDefault(1024, 12))
 	thIters, _ := th.RunUntilSpill(2_000_000)
-	mi := New(MirageDefault(1024, 12))
+	mi := New(ForRow(cachemodel.Mirage, 1024, 12))
 	miIters, miSpilled := mi.RunUntilSpill(2_000_000)
 	if miSpilled && miIters < thIters {
 		t.Fatalf("Mirage spilled faster (%d) than the threshold design (%d)", miIters, thIters)

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mayacache/internal/cachemodel"
 	"mayacache/internal/rng"
 )
 
@@ -96,7 +97,7 @@ func goldenRuns() []goldenRun {
 		}
 		return nil
 	}})
-	mirage := MirageDefault(64, 21)
+	mirage := ForRow(cachemodel.Mirage, 64, 21)
 	mirage.Capacity = 10
 	runs = append(runs, goldenRun{"mirage-cap10", mirage, runFor(300_000)})
 	runs = append(runs, goldenRun{"threshold-until-spill", ThresholdDefault(256, 31), func(m *Model) []untilSpillResult {

@@ -81,15 +81,15 @@ func (s *scalarRef) freeWay(skew, set int) int32 {
 // valid counts and invalid-way masks.
 func TestSWARMatchesScalar(t *testing.T) {
 	for _, design := range cachemodel.Registered() {
-		t.Run(design, func(t *testing.T) {
+		t.Run(design.Name, func(t *testing.T) {
 			const seed = 7
-			llc, err := cachemodel.Build(design, cachemodel.BuildOptions{Cores: 1, SetsPerCore: 256, Seed: seed, FastHash: true})
+			llc, err := design.Build(cachemodel.BuildOptions{Cores: 1, SetsPerCore: 256, Seed: seed, FastHash: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			g := llc.Geometry()
 			h := cachemodel.NewXorHasher(g.Skews, cachemodel.Log2(g.SetsPerSkew), seed)
-			st := probe.NewSkewed(nil, design, h, g.Skews, g.SetsPerSkew, g.WaysPerSkew, 0, seed)
+			st := probe.NewSkewed(nil, design.Name, h, g.Skews, g.SetsPerSkew, g.WaysPerSkew, 0, seed)
 			ref := newScalarRef(h, g)
 			fill := func(ti int32, line uint64, sdid uint8) {
 				st.Fill(ti, line, sdid)
@@ -155,9 +155,9 @@ func TestSWARMatchesScalar(t *testing.T) {
 // builds of Maya, Mirage and the CEASER family do.
 func TestRegistryMemoFollowsHasher(t *testing.T) {
 	for _, design := range cachemodel.Registered() {
-		t.Run(design, func(t *testing.T) {
+		t.Run(design.Name, func(t *testing.T) {
 			for _, fast := range []bool{true, false} {
-				llc, err := cachemodel.Build(design, cachemodel.BuildOptions{Cores: 1, SetsPerCore: 64, Seed: 3, FastHash: fast})
+				llc, err := design.Build(cachemodel.BuildOptions{Cores: 1, SetsPerCore: 64, Seed: 3, FastHash: fast})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -167,7 +167,7 @@ func TestRegistryMemoFollowsHasher(t *testing.T) {
 				}
 				s := llc.StatsSnapshot()
 				traffic := s.MemoHits + s.MemoMisses
-				wantMemo := !fast && design != "Baseline"
+				wantMemo := !fast && design.Family != cachemodel.FamilyBaseline
 				if (traffic != 0) != wantMemo {
 					t.Errorf("FastHash=%v: memo traffic %d hits + %d misses, want memo on = %v",
 						fast, s.MemoHits, s.MemoMisses, wantMemo)

@@ -2,30 +2,21 @@ package ceaser
 
 import "mayacache/internal/cachemodel"
 
-// The registry exposes the prior-generation randomized designs at the
-// same data capacity as the paper's baseline (16 ways over the scaled set
-// count), so mayabench and mayasim can compare them head-to-head with
-// Maya/Mirage/Baseline.
+// The family builder takes the variant from the row's shape: one skew is
+// CEASER, one way per skew Scatter-Cache, two skews CEASER-S.
 func init() {
-	register := func(name string, v Variant) {
-		cachemodel.Register(name, func(o cachemodel.BuildOptions) (cachemodel.LLC, error) {
-			sets, err := o.Sets()
-			if err != nil {
-				return nil, err
-			}
-			cfg := Config{Sets: sets, Ways: 16, Variant: v, Seed: o.Seed}
-			skews := 1
-			switch v {
-			case CEASERS:
-				skews = 2
-			case ScatterCache:
-				skews = cfg.Ways
-			}
-			cfg.Hasher = o.Hasher(skews, sets)
-			return NewChecked(cfg)
-		})
-	}
-	register("CEASER", CEASER)
-	register("CEASER-S", CEASERS)
-	register("ScatterCache", ScatterCache)
+	cachemodel.LinkFamily(cachemodel.FamilyCEASER, func(r cachemodel.Row, sets int, seed uint64, h cachemodel.IndexHasher) (cachemodel.LLC, error) {
+		var v Variant
+		switch {
+		case r.Skews == 1:
+			v = CEASER
+		case r.BaseWays == 1:
+			v = ScatterCache
+		case r.Skews == 2:
+			v = CEASERS
+		default:
+			return nil, cachemodel.BadConfigf("ceaser: no variant has %d skews of %d ways", r.Skews, r.BaseWays)
+		}
+		return NewChecked(Config{Sets: sets, Ways: r.Skews * r.BaseWays, Variant: v, Seed: seed, Hasher: h})
+	})
 }

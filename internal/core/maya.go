@@ -63,23 +63,13 @@ type Config struct {
 	// RekeyOnSAE refreshes the keys and flushes the cache when an SAE
 	// occurs, per the paper's key-management policy.
 	RekeyOnSAE bool
-	// ExtraLookupLatency adds cycles to LookupPenalty. The paper charges
-	// one extra cycle for five or more reuse ways per skew (the wider
-	// tag lookup); Fig 4's sweep sets this for those points.
-	ExtraLookupLatency int
 }
 
-// DefaultConfig returns the paper's 12MB Maya configuration: 2 skews x 16K
-// sets x (6 base + 3 reuse + 6 invalid) ways, 192K data entries.
+// DefaultConfig returns the paper's 12MB Maya configuration, the Maya row
+// at 8 cores: 2 skews x 16K sets x (6 base + 3 reuse + 6 invalid) ways,
+// 192K data entries.
 func DefaultConfig(seed uint64) Config {
-	return Config{
-		SetsPerSkew: 16384,
-		Skews:       2,
-		BaseWays:    6,
-		ReuseWays:   3,
-		InvalidWays: 6,
-		Seed:        seed,
-	}
+	return config(cachemodel.Maya, 8*cachemodel.DefaultSetsPerCore, seed, nil)
 }
 
 // tagEntry is the design's part of a tag: the store (probe.Skewed) holds
@@ -95,8 +85,9 @@ type tagEntry struct {
 
 // Maya implements cachemodel.LLC.
 type Maya struct {
-	cfg  Config
-	ways int // tag ways per skew per set
+	cfg     Config
+	ways    int // tag ways per skew per set
+	penalty int // LookupPenalty's cycles
 	// st is the skewed tag store (hasher, memo, each tag's line, SDID and
 	// validity, valid counts) and the data store; tags holds the rest of
 	// each tag's state beside it, indexed alike: skews, then sets, then
@@ -139,12 +130,18 @@ func NewChecked(cfg Config) (*Maya, error) {
 	m := &Maya{
 		cfg:     cfg,
 		ways:    ways,
+		penalty: prince.LatencyCycles + 1,
 		st:      probe.NewSkewed(ar, "maya", cfg.Hasher, cfg.Skews, cfg.SetsPerSkew, ways, nData, cfg.Seed),
 		tags:    probe.Alloc[tagEntry](ar, nTags),
 		p0List:  probe.Alloc[int32](ar, p0ListCap(cfg))[:0],
 		p0Cap:   cfg.Skews * cfg.SetsPerSkew * cfg.ReuseWays,
 		r:       rng.New(cfg.Seed ^ 0x4d617961), // "Maya"
 		candBuf: make([]int32, 0, ways),
+	}
+	if cfg.ReuseWays >= 5 {
+		// Five or more reuse ways widen the tag lookup by one cycle
+		// (Fig 4).
+		m.penalty++
 	}
 	for i := range m.tags {
 		m.tags[i].fptr = -1
@@ -476,10 +473,9 @@ func (m *Maya) Probe(line uint64, sdid uint8) (bool, bool) {
 }
 
 // LookupPenalty implements cachemodel.LLC: 3 cycles of PRINCE plus 1 cycle
-// of tag-to-data indirection, plus any configured extra tag-lookup cost.
-func (m *Maya) LookupPenalty() int {
-	return prince.LatencyCycles + 1 + m.cfg.ExtraLookupLatency
-}
+// of tag-to-data indirection, plus 1 for the wider tag lookup of five or
+// more reuse ways.
+func (m *Maya) LookupPenalty() int { return m.penalty }
 
 // StatsSnapshot implements cachemodel.LLC.
 func (m *Maya) StatsSnapshot() cachemodel.Stats {

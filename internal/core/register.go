@@ -2,38 +2,22 @@ package core
 
 import "mayacache/internal/cachemodel"
 
-// The registry factories carry the paper-geometry scaling: Maya keeps its
-// default way mix scaled to the core count, Maya-ISO grows the data store
-// back to the Mirage area envelope (8 base + 4 reuse ways per skew).
 func init() {
-	cachemodel.Register("Maya", func(o cachemodel.BuildOptions) (cachemodel.LLC, error) {
-		sets, err := o.Sets()
-		if err != nil {
-			return nil, err
-		}
-		cfg := DefaultConfig(o.Seed)
-		cfg.SetsPerSkew = sets
-		if o.ReuseWays > 0 {
-			cfg.ReuseWays = o.ReuseWays
-			if o.ReuseWays >= 5 {
-				// Fig 4: five or more reuse ways widen the tag lookup
-				// by one cycle.
-				cfg.ExtraLookupLatency = 1
-			}
-		}
-		cfg.Hasher = o.Hasher(cfg.Skews, sets)
-		return NewChecked(cfg)
+	cachemodel.LinkFamily(cachemodel.FamilyMaya, func(r cachemodel.Row, sets int, seed uint64, h cachemodel.IndexHasher) (cachemodel.LLC, error) {
+		return NewChecked(config(r, sets, seed, h))
 	})
-	cachemodel.Register("Maya-ISO", func(o cachemodel.BuildOptions) (cachemodel.LLC, error) {
-		sets, err := o.Sets()
-		if err != nil {
-			return nil, err
-		}
-		cfg := DefaultConfig(o.Seed)
-		cfg.SetsPerSkew = sets
-		cfg.BaseWays = 8
-		cfg.ReuseWays = 4
-		cfg.Hasher = o.Hasher(cfg.Skews, sets)
-		return NewChecked(cfg)
-	})
+}
+
+// config is row r's Maya at setsPerSkew sets per skew: the one row to
+// Config mapping, behind the family builder and DefaultConfig.
+func config(r cachemodel.Row, setsPerSkew int, seed uint64, h cachemodel.IndexHasher) Config {
+	return Config{
+		SetsPerSkew: setsPerSkew,
+		Skews:       r.Skews,
+		BaseWays:    r.BaseWays,
+		ReuseWays:   r.ReuseWays,
+		InvalidWays: r.InvalidWays,
+		Seed:        seed,
+		Hasher:      h,
+	}
 }

@@ -7,25 +7,24 @@ package experiments
 import (
 	"mayacache/internal/cachemodel"
 
-	// The designs register their registry factories in init(); the blank
-	// imports make every named design buildable through NewLLCChecked even
-	// though nothing here references the packages directly.
+	// The families link their builders in init(); the blank imports make
+	// every row of cachemodel's design table buildable here and in every
+	// binary that imports this package.
 	_ "mayacache/internal/baseline"
 	_ "mayacache/internal/ceaser"
 	_ "mayacache/internal/core"
 	_ "mayacache/internal/mirage"
 )
 
-// Design names a cache design under test.
+// Design names a cache design under test: a row of cachemodel's design
+// table.
 type Design string
 
-// The designs compared in the paper.
+// The designs of the paper's headline comparison.
 const (
-	DesignBaseline   Design = "Baseline"
-	DesignMirage     Design = "Mirage"
-	DesignMirageLite Design = "Mirage-Lite"
-	DesignMaya       Design = "Maya"
-	DesignMayaISO    Design = "Maya-ISO"
+	DesignBaseline Design = "Baseline"
+	DesignMirage   Design = "Mirage"
+	DesignMaya     Design = "Maya"
 )
 
 // LLCOptions parameterizes design construction.
@@ -40,14 +39,9 @@ type LLCOptions struct {
 	FastHash bool
 }
 
-// buildOptions translates LLCOptions into the registry's BuildOptions.
-func (o LLCOptions) buildOptions() cachemodel.BuildOptions {
-	return cachemodel.BuildOptions{Cores: o.Cores, Seed: o.Seed, FastHash: o.FastHash}
-}
-
 // NewLLCChecked constructs the named design scaled to opts.Cores through
 // the cachemodel registry, returning an error wrapping
 // cachemodel.ErrBadConfig for unknown designs or invalid geometry.
 func NewLLCChecked(d Design, opts LLCOptions) (cachemodel.LLC, error) {
-	return cachemodel.Build(string(d), opts.buildOptions())
+	return cachemodel.Build(string(d), cachemodel.BuildOptions{Cores: opts.Cores, Seed: opts.Seed, FastHash: opts.FastHash})
 }

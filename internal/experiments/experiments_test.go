@@ -8,6 +8,7 @@ import (
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/harness"
+	"mayacache/internal/power"
 	"mayacache/internal/trace"
 )
 
@@ -26,11 +27,21 @@ func mustBuild(t testing.TB, d Design, opts LLCOptions) cachemodel.LLC {
 	return llc
 }
 
+// TestNewLLCAllDesigns builds every row of the design table at 8 cores
+// and checks the simulated geometry against the row and against the
+// storage that power.Account derives from the same row, so neither can
+// drift from the other.
 func TestNewLLCAllDesigns(t *testing.T) {
-	for _, d := range []Design{DesignBaseline, DesignMirage, DesignMirageLite, DesignMaya, DesignMayaISO} {
-		g := mustBuild(t, d, LLCOptions{Cores: 1, Seed: 1, FastHash: true}).Geometry()
-		if g.DataEntries <= 0 {
-			t.Fatalf("%s: bad geometry %+v", d, g)
+	for _, r := range cachemodel.Registered() {
+		g := mustBuild(t, Design(r.Name), LLCOptions{Cores: 8, Seed: 1, FastHash: true}).Geometry()
+		st := power.Account(r)
+		if g.Skews != r.Skews || g.WaysPerSkew != r.Ways() || g.Decoupled != r.Decoupled() {
+			t.Errorf("%s: built %d skews of %d ways (decoupled %v), row %d of %d (decoupled %v)",
+				r, g.Skews, g.WaysPerSkew, g.Decoupled, r.Skews, r.Ways(), r.Decoupled())
+		}
+		if g.TagEntries != st.TagEntries || g.DataEntries != st.DataEntries {
+			t.Errorf("%s: built %d tag and %d data entries, storage accounts %d and %d",
+				r, g.TagEntries, g.DataEntries, st.TagEntries, st.DataEntries)
 		}
 	}
 }
@@ -48,12 +59,27 @@ func TestNewLLCGeometryScaling(t *testing.T) {
 }
 
 func TestMayaOptionOverrides(t *testing.T) {
-	llc, err := fig4Maya(7, "mcf", tiny()).llc()
-	if err != nil {
-		t.Fatal(err)
+	// Fig 4's Maya keeps 6 base and 6 invalid ways per skew, and five or
+	// more reuse ways widen its tag lookup by one cycle.
+	for _, tc := range []struct{ reuse, penalty int }{{1, 4}, {3, 4}, {5, 5}, {7, 5}} {
+		llc, err := fig4Maya(tc.reuse, "mcf", tiny()).llc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := llc.Geometry(); g.WaysPerSkew != 6+tc.reuse+6 {
+			t.Fatalf("%d reuse ways: ways per skew = %d, want %d", tc.reuse, g.WaysPerSkew, 6+tc.reuse+6)
+		}
+		if p := llc.LookupPenalty(); p != tc.penalty {
+			t.Errorf("%d reuse ways: LookupPenalty = %d, want %d", tc.reuse, p, tc.penalty)
+		}
 	}
-	if g := llc.Geometry(); g.WaysPerSkew != 6+7+6 {
-		t.Fatalf("ways per skew = %d, want 19", g.WaysPerSkew)
+	// A reuse-way override is in the key exactly when it changes the
+	// design's row, so a key never names two different LLCs.
+	iso := homSim(Design(cachemodel.MayaISO.Name), "mcf", 8, tiny())
+	same, other := iso, iso
+	same.ReuseWays, other.ReuseWays = cachemodel.MayaISO.ReuseWays, 3
+	if same.Key() != iso.Key() || other.Key() == iso.Key() {
+		t.Errorf("Maya-ISO keys: default %q, own reuse ways %q, 3 reuse ways %q", iso.Key(), same.Key(), other.Key())
 	}
 	// The LLC-size sweep's half-size Maya halves the data store.
 	half, err := llcSizePairs(tiny(), []float64{0.5})[0][0].x.llc()

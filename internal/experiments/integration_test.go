@@ -12,8 +12,8 @@ import (
 
 func allLLCs(t testing.TB, seed uint64) map[Design]cachemodel.LLC {
 	out := map[Design]cachemodel.LLC{}
-	for _, d := range []Design{DesignBaseline, DesignMirage, DesignMirageLite, DesignMaya, DesignMayaISO} {
-		out[d] = mustBuild(t, d, LLCOptions{Cores: 1, Seed: seed, FastHash: true})
+	for _, r := range []cachemodel.Row{cachemodel.Baseline, cachemodel.Mirage, cachemodel.MirageLite, cachemodel.Maya, cachemodel.MayaISO} {
+		out[Design(r.Name)] = mustBuild(t, Design(r.Name), LLCOptions{Cores: 1, Seed: seed, FastHash: true})
 	}
 	return out
 }
@@ -37,7 +37,7 @@ func TestAllDesignsConvergeOnFittingWorkingSet(t *testing.T) {
 }
 
 func TestSecureDesignsSeeNoSAEsUnderLoad(t *testing.T) {
-	for _, d := range []Design{DesignMirage, DesignMaya, DesignMayaISO} {
+	for _, d := range []Design{DesignMirage, DesignMaya, Design(cachemodel.MayaISO.Name)} {
 		c := mustBuild(t, d, LLCOptions{Cores: 1, Seed: 2, FastHash: true})
 		r := rng.New(7)
 		for i := 0; i < 500_000; i++ {
@@ -101,13 +101,13 @@ func TestAllDesignsDirtyWritebackEventually(t *testing.T) {
 }
 
 func TestLookupPenalties(t *testing.T) {
-	want := map[Design]int{
-		DesignBaseline: 0, DesignMirage: 4, DesignMirageLite: 4,
-		DesignMaya: 4, DesignMayaISO: 4,
-	}
 	for d, c := range allLLCs(t, 6) {
-		if p := c.LookupPenalty(); p != want[d] {
-			t.Errorf("%s: LookupPenalty %d, want %d", d, p, want[d])
+		want := 4 // PRINCE and the tag-to-data indirection
+		if d == DesignBaseline {
+			want = 0
+		}
+		if p := c.LookupPenalty(); p != want {
+			t.Errorf("%s: LookupPenalty %d, want %d", d, p, want)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // newPartitionLLC builds a partitioned LLC for Table XI, kind one of
-// "way", "set", "flex".
+// "way", "set", "flex": the Baseline row's SRRIP cache, partitioned.
 func newPartitionLLC(kind string, cores int, seed uint64) cachemodel.LLC {
 	var k partition.Kind
 	switch kind {
@@ -22,7 +22,7 @@ func newPartitionLLC(kind string, cores int, seed uint64) cachemodel.LLC {
 	}
 	return partition.New(partition.Config{
 		Sets:        cachemodel.DefaultSetsPerCore * cores,
-		Ways:        16,
+		Ways:        cachemodel.Baseline.Ways(),
 		Domains:     cores,
 		Kind:        k,
 		Replacement: baseline.SRRIP,

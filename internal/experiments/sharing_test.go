@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mayacache/internal/cachemodel"
 	"mayacache/internal/harness"
 	"mayacache/internal/trace"
 )
@@ -107,7 +108,7 @@ func TestSimulationSharing(t *testing.T) {
 
 	// overheads -perf: four designs against a shared baseline.
 	requested, distinct, _ = simCounts(pairSims(table10Pairs(sc,
-		[]Design{DesignMaya, DesignMirage, DesignMirageLite, DesignMayaISO})...))
+		[]Design{DesignMaya, DesignMirage, Design(cachemodel.MirageLite.Name), Design(cachemodel.MayaISO.Name)})...))
 	if requested != 135 || distinct != 90 {
 		t.Errorf("overheads -perf: %d requested / %d distinct simulations, want 135 / 90", requested, distinct)
 	}

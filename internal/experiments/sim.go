@@ -7,7 +7,6 @@ import (
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/cachesim"
-	"mayacache/internal/core"
 	"mayacache/internal/harness"
 	"mayacache/internal/metrics"
 	"mayacache/internal/snapshot"
@@ -20,7 +19,8 @@ import (
 // partition of the baseline.
 type Sim struct {
 	Design Design
-	// ReuseWays overrides Maya's reuse ways per skew (0: the default).
+	// ReuseWays, when nonzero, replaces the design row's reuse ways per
+	// skew (Fig 4's Maya sweep).
 	ReuseWays int
 	// SetsPerCore overrides the per-core set count (0:
 	// cachemodel.DefaultSetsPerCore).
@@ -44,9 +44,6 @@ func aloneSim(bench string, sc Scale) Sim {
 	return homSim(DesignBaseline, bench, 1, sc)
 }
 
-// defaultReuseWays is Maya's reuse ways per skew when none is given.
-var defaultReuseWays = core.DefaultConfig(0).ReuseWays
-
 // Key names the simulation by every input that determines its Results,
 // with defaults resolved, so two sweeps that need the same simulation
 // give it the same key and a checkpoint written at one configuration or
@@ -58,8 +55,10 @@ func (s Sim) Key() string {
 	if s.Partition != "" {
 		fmt.Fprintf(&b, "|part=%s", s.Partition)
 	}
-	if s.ReuseWays != 0 && s.ReuseWays != defaultReuseWays {
-		fmt.Fprintf(&b, "|rw=%d", s.ReuseWays)
+	if s.ReuseWays != 0 {
+		if r, _ := cachemodel.Lookup(string(s.Design)); s.ReuseWays != r.ReuseWays {
+			fmt.Fprintf(&b, "|rw=%d", s.ReuseWays)
+		}
 	}
 	if s.SetsPerCore != 0 && s.SetsPerCore != cachemodel.DefaultSetsPerCore {
 		fmt.Fprintf(&b, "|sets=%d", s.SetsPerCore)
@@ -102,12 +101,18 @@ func (s Sim) llc() (cachemodel.LLC, error) {
 	if s.Partition != "" {
 		return newPartitionLLC(s.Partition, len(s.Benches), s.Scale.Seed), nil
 	}
-	return cachemodel.Build(string(s.Design), cachemodel.BuildOptions{
+	r, err := cachemodel.Lookup(string(s.Design))
+	if err != nil {
+		return nil, err
+	}
+	if s.ReuseWays != 0 {
+		r.ReuseWays = s.ReuseWays
+	}
+	return r.Build(cachemodel.BuildOptions{
 		Cores:       len(s.Benches),
 		SetsPerCore: s.SetsPerCore,
 		Seed:        s.Scale.Seed,
 		FastHash:    true,
-		ReuseWays:   s.ReuseWays,
 	})
 }
 

@@ -7,8 +7,8 @@
 // owns a data entry, which is why it pays a 20% storage overhead where Maya
 // saves 2%.
 //
-// The package also provides Mirage-Lite (fewer extra ways) used in the
-// paper's Table X comparison.
+// The package also builds Mirage-Lite (fewer extra ways, the Mirage-Lite
+// row of cachemodel's design table) for the paper's Table X comparison.
 package mirage
 
 import (
@@ -48,25 +48,11 @@ type Config struct {
 	NameSuffix string
 }
 
-// DefaultConfig is the paper's Mirage configuration for a 16MB LLC:
-// 2 skews x 16K sets x (8 base + 6 extra) ways, 256K data entries.
+// DefaultConfig is the paper's Mirage configuration for a 16MB LLC, the
+// Mirage row at 8 cores: 2 skews x 16K sets x (8 base + 6 extra) ways,
+// 256K data entries.
 func DefaultConfig(seed uint64) Config {
-	return Config{
-		SetsPerSkew: 16384,
-		Skews:       2,
-		BaseWays:    8,
-		ExtraWays:   6,
-		Seed:        seed,
-	}
-}
-
-// LiteConfig is Mirage-Lite: the same structure with fewer extra ways,
-// trading security (10^21 installs per SAE) for storage (+17%).
-func LiteConfig(seed uint64) Config {
-	c := DefaultConfig(seed)
-	c.ExtraWays = 5
-	c.NameSuffix = "-Lite"
-	return c
+	return config(cachemodel.Mirage, 8*cachemodel.DefaultSetsPerCore, seed, nil)
 }
 
 // tagEntry is the design's part of a tag: the store (probe.Skewed) holds

@@ -203,8 +203,10 @@ func TestModelFootprint(t *testing.T) {
 	}
 }
 
+// TestLiteConfig checks the Mirage-Lite row's cache: one extra way fewer
+// per skew, and a name that carries the row's "-Lite".
 func TestLiteConfig(t *testing.T) {
-	c := mustNew(LiteConfig(1))
+	c := mustNew(config(cachemodel.MirageLite, 8*cachemodel.DefaultSetsPerCore, 1, nil))
 	if c.Geometry().WaysPerSkew != 13 {
 		t.Errorf("Mirage-Lite ways per skew = %d, want 13", c.Geometry().WaysPerSkew)
 	}

@@ -1,20 +1,29 @@
 package mirage
 
-import "mayacache/internal/cachemodel"
+import (
+	"strings"
+
+	"mayacache/internal/cachemodel"
+)
 
 func init() {
-	register := func(name string, base func(uint64) Config) {
-		cachemodel.Register(name, func(o cachemodel.BuildOptions) (cachemodel.LLC, error) {
-			sets, err := o.Sets()
-			if err != nil {
-				return nil, err
-			}
-			cfg := base(o.Seed)
-			cfg.SetsPerSkew = sets
-			cfg.Hasher = o.Hasher(cfg.Skews, sets)
-			return NewChecked(cfg)
-		})
+	cachemodel.LinkFamily(cachemodel.FamilyMirage, func(r cachemodel.Row, sets int, seed uint64, h cachemodel.IndexHasher) (cachemodel.LLC, error) {
+		return NewChecked(config(r, sets, seed, h))
+	})
+}
+
+// config is row r's Mirage at setsPerSkew sets per skew: the one row to
+// Config mapping, behind the family builder and DefaultConfig. The row's
+// invalid ways are Mirage's extra ways, and what its name adds to
+// "Mirage" (Mirage-Lite's "-Lite") suffixes the cache's name.
+func config(r cachemodel.Row, setsPerSkew int, seed uint64, h cachemodel.IndexHasher) Config {
+	return Config{
+		SetsPerSkew: setsPerSkew,
+		Skews:       r.Skews,
+		BaseWays:    r.BaseWays,
+		ExtraWays:   r.InvalidWays,
+		Seed:        seed,
+		Hasher:      h,
+		NameSuffix:  strings.TrimPrefix(r.Name, "Mirage"),
 	}
-	register("Mirage", DefaultConfig)
-	register("Mirage-Lite", LiteConfig)
 }

@@ -2,10 +2,10 @@
 // accounting of Table VIII and a P-CACTI-substitute energy/power/area
 // model for Table IX.
 //
-// Storage is pure arithmetic over the designs' geometries and per-entry
-// bit counts (a 46-bit line address space, MOESI coherence bits, FPTR/
-// RPTR widths sized to the pointed-to store, an 8-bit SDID, and Maya's
-// priority bit) and reproduces Table VIII bit-for-bit.
+// Storage is pure arithmetic over a design row of cachemodel's table and
+// per-entry bit counts (a 46-bit line address space, MOESI coherence bits,
+// FPTR/RPTR widths sized to the pointed-to store, an 8-bit SDID, and
+// Maya's priority bit) and reproduces Table VIII bit-for-bit.
 //
 // Energy, static power, and area come from an affine model in the data-
 // and tag-store sizes, calibrated on the paper's three P-CACTI rows
@@ -14,20 +14,10 @@
 package power
 
 import (
-	"fmt"
 	"math"
-)
+	"math/bits"
 
-// Design identifies a cache design for cost accounting.
-type Design string
-
-// Accounted designs.
-const (
-	Baseline   Design = "Baseline"
-	Mirage     Design = "Mirage"
-	MirageLite Design = "Mirage-Lite"
-	Maya       Design = "Maya"
-	MayaISO    Design = "Maya-ISO"
+	"mayacache/internal/cachemodel"
 )
 
 // lineAddressBits is the paper's 46-bit line address space.
@@ -35,7 +25,7 @@ const lineAddressBits = 40 // 46-bit byte address minus 6 line-offset bits
 
 // Storage describes one design's storage accounting (Table VIII).
 type Storage struct {
-	Design Design
+	Design string
 
 	TagBits       int // address tag bits per entry
 	CoherenceBits int
@@ -58,68 +48,36 @@ type Storage struct {
 // OverheadVsBaseline returns the fractional storage change vs the
 // baseline (+0.20 means +20%).
 func (s Storage) OverheadVsBaseline() float64 {
-	base := Account(Baseline)
+	base := Account(cachemodel.Baseline)
 	return s.TotalKB/base.TotalKB - 1
 }
 
-func ceilLog2(n int) int {
-	b := 0
-	for (1 << b) < n {
-		b++
-	}
-	return b
-}
+func ceilLog2(n int) int { return bits.Len(uint(n - 1)) }
 
-// Account computes the storage breakdown for a design at the paper's
-// 8-core scale (16K sets per skew).
-func Account(d Design) Storage {
-	const sets = 16384
-	var s Storage
-	s.Design = d
-	s.DataBits = 512
-	switch d {
-	case Baseline:
-		// 16-way set-associative: the 14 index bits come off the tag.
-		s.TagBits = lineAddressBits - ceilLog2(sets)
-		s.CoherenceBits = 3
-		s.TagEntries = sets * 16
-		s.DataEntries = sets * 16
-	case Mirage:
+// Account computes design row r's storage breakdown at the paper's 8-core
+// scale (16K sets per skew). A pointer-linked row (the Maya and Mirage
+// families) keeps the whole line address in each tag, an 8-bit SDID, and
+// FPTR/RPTR pointers as wide as the data and tag stores they point into;
+// any other row takes the set-index bits off its tag. A row with reuse
+// ways adds Maya's priority bit.
+func Account(r cachemodel.Row) Storage {
+	const sets = 8 * cachemodel.DefaultSetsPerCore
+	s := Storage{
+		Design:        r.Name,
+		TagBits:       lineAddressBits - ceilLog2(sets),
+		CoherenceBits: 3,
+		TagEntries:    r.TagEntries(sets),
+		DataBits:      512,
+		DataEntries:   r.DataEntries(sets),
+	}
+	if r.Decoupled() {
 		s.TagBits = lineAddressBits
-		s.CoherenceBits = 3
 		s.SDIDBits = 8
-		s.TagEntries = 2 * sets * (8 + 6)
-		s.DataEntries = 2 * sets * 8
 		s.FPTRBits = ceilLog2(s.DataEntries)
 		s.RPTRBits = ceilLog2(s.TagEntries)
-	case MirageLite:
-		s.TagBits = lineAddressBits
-		s.CoherenceBits = 3
-		s.SDIDBits = 8
-		s.TagEntries = 2 * sets * (8 + 5)
-		s.DataEntries = 2 * sets * 8
-		s.FPTRBits = ceilLog2(s.DataEntries)
-		s.RPTRBits = ceilLog2(s.TagEntries)
-	case Maya:
-		s.TagBits = lineAddressBits
-		s.CoherenceBits = 3
+	}
+	if r.ReuseWays > 0 {
 		s.PriorityBits = 1
-		s.SDIDBits = 8
-		s.TagEntries = 2 * sets * (6 + 3 + 6)
-		s.DataEntries = 2 * sets * 6
-		s.FPTRBits = 18 // sized for the 256K-entry baseline-equivalent store, as in the paper
-		s.RPTRBits = ceilLog2(s.TagEntries)
-	case MayaISO:
-		s.TagBits = lineAddressBits
-		s.CoherenceBits = 3
-		s.PriorityBits = 1
-		s.SDIDBits = 8
-		s.TagEntries = 2 * sets * (8 + 4 + 6)
-		s.DataEntries = 2 * sets * 8
-		s.FPTRBits = 18
-		s.RPTRBits = ceilLog2(s.TagEntries)
-	default:
-		panic(fmt.Sprintf("power: unknown design %q", d))
 	}
 	s.TagEntryBits = s.TagBits + s.CoherenceBits + s.PriorityBits + s.FPTRBits + s.SDIDBits
 	s.DataEntryBits = s.DataBits + s.RPTRBits
@@ -131,7 +89,7 @@ func Account(d Design) Storage {
 
 // Costs holds the Table IX metrics.
 type Costs struct {
-	Design        Design
+	Design        string
 	ReadEnergyNJ  float64
 	WriteEnergyNJ float64
 	StaticPowerMW float64
@@ -141,12 +99,12 @@ type Costs struct {
 // calibration rows: the paper's P-CACTI results at 7nm for (baseline,
 // Mirage, Maya), used to fit the affine model.
 var calibration = []struct {
-	d     Design
+	d     cachemodel.Row
 	costs Costs
 }{
-	{Baseline, Costs{Baseline, 3.153, 4.652, 622, 14.868}},
-	{Mirage, Costs{Mirage, 3.274, 4.857, 735, 15.887}},
-	{Maya, Costs{Maya, 2.661, 4.116, 588, 10.686}},
+	{cachemodel.Baseline, Costs{"Baseline", 3.153, 4.652, 622, 14.868}},
+	{cachemodel.Mirage, Costs{"Mirage", 3.274, 4.857, 735, 15.887}},
+	{cachemodel.Maya, Costs{"Maya", 2.661, 4.116, 588, 10.686}},
 }
 
 // model holds affine coefficients metric = a*dataKB + b*tagKB + c.
@@ -214,20 +172,15 @@ func gauss3(a [3][3]float64, b [3]float64) [3]float64 {
 	return x
 }
 
-// Estimate returns the Table IX metrics for a design (exact for the
+// Estimate returns the Table IX metrics for design row r (exact for the
 // calibration designs, extrapolated for variants).
-func Estimate(d Design) Costs {
-	s := Account(d)
+func Estimate(r cachemodel.Row) Costs {
+	s := Account(r)
 	return Costs{
-		Design:        d,
+		Design:        r.Name,
 		ReadEnergyNJ:  readModel.eval(s.DataStoreKB, s.TagStoreKB),
 		WriteEnergyNJ: writeModel.eval(s.DataStoreKB, s.TagStoreKB),
 		StaticPowerMW: staticModel.eval(s.DataStoreKB, s.TagStoreKB),
 		AreaMM2:       areaModel.eval(s.DataStoreKB, s.TagStoreKB),
 	}
-}
-
-// AllDesigns lists the accounted designs in table order.
-func AllDesigns() []Design {
-	return []Design{Baseline, Mirage, MirageLite, Maya, MayaISO}
 }

@@ -3,11 +3,13 @@ package power
 import (
 	"math"
 	"testing"
+
+	"mayacache/internal/cachemodel"
 )
 
 // Table VIII, reproduced exactly.
 func TestTable8Baseline(t *testing.T) {
-	s := Account(Baseline)
+	s := Account(cachemodel.Baseline)
 	if s.TagEntryBits != 29 {
 		t.Errorf("baseline tag entry bits = %d, want 29", s.TagEntryBits)
 	}
@@ -29,7 +31,7 @@ func TestTable8Baseline(t *testing.T) {
 }
 
 func TestTable8Mirage(t *testing.T) {
-	s := Account(Mirage)
+	s := Account(cachemodel.Mirage)
 	if s.TagEntryBits != 69 {
 		t.Errorf("Mirage tag entry bits = %d, want 69", s.TagEntryBits)
 	}
@@ -55,7 +57,7 @@ func TestTable8Mirage(t *testing.T) {
 }
 
 func TestTable8Maya(t *testing.T) {
-	s := Account(Maya)
+	s := Account(cachemodel.Maya)
 	if s.TagEntryBits != 70 {
 		t.Errorf("Maya tag entry bits = %d, want 70", s.TagEntryBits)
 	}
@@ -99,8 +101,8 @@ func TestTable9CalibrationExact(t *testing.T) {
 }
 
 func TestMayaSavingsMatchPaperHeadlines(t *testing.T) {
-	base := Estimate(Baseline)
-	maya := Estimate(Maya)
+	base := Estimate(cachemodel.Baseline)
+	maya := Estimate(cachemodel.Maya)
 	areaSaving := 1 - maya.AreaMM2/base.AreaMM2
 	if math.Abs(areaSaving-0.2811) > 0.005 {
 		t.Errorf("Maya area saving = %.4f, paper 28.11%%", areaSaving)
@@ -118,28 +120,28 @@ func TestMayaSavingsMatchPaperHeadlines(t *testing.T) {
 func TestMayaISOExtrapolation(t *testing.T) {
 	// The paper reports Maya-ISO at 16.085 mm^2 and 760 mW; the affine
 	// model extrapolates to the same ballpark.
-	iso := Estimate(MayaISO)
+	iso := Estimate(cachemodel.MayaISO)
 	if iso.AreaMM2 < 14.5 || iso.AreaMM2 > 17.5 {
 		t.Errorf("Maya-ISO area = %.3f mm^2, paper 16.085", iso.AreaMM2)
 	}
 	if iso.StaticPowerMW < 700 || iso.StaticPowerMW > 820 {
 		t.Errorf("Maya-ISO static power = %.1f mW, paper 760", iso.StaticPowerMW)
 	}
-	st := Account(MayaISO)
+	st := Account(cachemodel.MayaISO)
 	if ov := st.OverheadVsBaseline(); math.Abs(ov-0.26) > 0.04 {
 		t.Errorf("Maya-ISO storage overhead = %.3f, paper ~+26%%", ov)
 	}
 }
 
 func TestMirageLite(t *testing.T) {
-	s := Account(MirageLite)
+	s := Account(cachemodel.MirageLite)
 	if ov := s.OverheadVsBaseline(); math.Abs(ov-0.17) > 0.03 {
 		t.Errorf("Mirage-Lite storage overhead = %.3f, paper ~+17%%", ov)
 	}
 }
 
 func TestAllDesignsAccountable(t *testing.T) {
-	for _, d := range AllDesigns() {
+	for _, d := range cachemodel.Registered() {
 		s := Account(d)
 		if s.TotalKB <= 0 {
 			t.Errorf("%s: non-positive total storage", d)
@@ -149,13 +151,4 @@ func TestAllDesignsAccountable(t *testing.T) {
 			t.Errorf("%s: non-positive cost estimate %+v", d, c)
 		}
 	}
-}
-
-func TestUnknownDesignPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Account of unknown design did not panic")
-		}
-	}()
-	Account(Design("bogus"))
 }

@@ -101,6 +101,19 @@ func (t *Table) CSV(w io.Writer) {
 	}
 }
 
+// Emitter returns the cmd tools' table writer: each table goes to w as
+// CSV when csv is set, else rendered, followed by a blank line.
+func Emitter(w io.Writer, csv bool) func(*Table) {
+	return func(t *Table) {
+		if csv {
+			t.CSV(w)
+		} else {
+			t.Render(w)
+		}
+		fmt.Fprintln(w)
+	}
+}
+
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s

@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"mayacache/internal/cachesim"
 	"mayacache/internal/faults"
+	"mayacache/internal/harness"
 )
 
 // Tiny but real simulations: big enough to cross several auto-snapshot
@@ -429,6 +431,131 @@ func TestDrainResume(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(cells); err != nil || len(entries) != 0 {
 		t.Fatalf("cells/ after the resumed session: %d entries, err %v; want none", len(entries), err)
+	}
+}
+
+// TestSessionOrderPastSixDigits: session IDs keep admission order past
+// s999999, where s1000000 sorts before s999999 as a plain string. A
+// reopened journal queues and lists them in admission order, and the
+// next admission continues the count.
+func TestSessionOrderPastSixDigits(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "cells"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := harness.OpenCheckpoint(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"s999999", "s1000000"} {
+		if err := ck.Record("admit|"+id, testSpec("acme", 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := openServer(t, Config{Dir: dir, Workers: 1})
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	want := []string{"s999999", "s1000000"}
+	if !reflect.DeepEqual(s.queue, want) {
+		t.Errorf("recovered queue %v, want %v", s.queue, want)
+	}
+	var listed []string
+	for _, info := range s.Sessions() {
+		listed = append(listed, info.ID)
+	}
+	if !reflect.DeepEqual(listed, want) {
+		t.Errorf("Sessions() lists %v, want %v", listed, want)
+	}
+	if id, err := s.Admit(testSpec("zworks", 2)); err != nil || id != "s1000001" {
+		t.Errorf("next admission = %q (err %v), want s1000001", id, err)
+	}
+}
+
+// TestRecoveryRemovesDoneCells: a boot lists cells/ once. It removes the
+// cell file that a crash between a done record and its cleanup left
+// behind, and keeps the unfinished session's file, from which that
+// session resumes to the bytes of an undisturbed run.
+func TestRecoveryRemovesDoneCells(t *testing.T) {
+	ref := openServer(t, Config{Dir: t.TempDir(), Workers: 1})
+	ref.Start(context.Background())
+	refID, err := ref.Admit(testSpec("zworks", 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, ref, refID, StateDone)
+	refRaw, _, _ := ref.Result(refID)
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One session finishes; the next is drained after its first save.
+	dir := t.TempDir()
+	firstSave, drained := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s := openServer(t, Config{
+		Dir: dir, Workers: 1,
+		Faults: onSave(func(key string, _ int) {
+			if strings.Contains(key, "zworks") {
+				once.Do(func() {
+					close(firstSave)
+					<-drained
+				})
+			}
+		}),
+	})
+	s.Start(context.Background())
+	doneID, err := s.Admit(testSpec("acme", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, doneID, StateDone)
+	id, err := s.Admit(testSpec("zworks", 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-firstSave
+	s.Drain()
+	close(drained)
+	select {
+	case <-s.Done():
+	case <-time.After(60 * time.Second):
+		t.Fatal("drain did not park the workers")
+	}
+	s.mu.Lock()
+	orphan := s.cellPath(s.sessions[doneID])
+	s.mu.Unlock()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(orphan, []byte("MAYASNAP orphan"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openServer(t, Config{Dir: dir, Workers: 1})
+	if _, err := os.Stat(orphan); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("recovery left the done session's cell file: %v", err)
+	}
+	if got := s2.StatsNow(); got.Recovered != 1 {
+		t.Fatalf("recovered %d, want 1", got.Recovered)
+	}
+	s2.Start(context.Background())
+	info := waitState(t, s2, id, StateDone)
+	if info.Done >= info.Total {
+		t.Errorf("resumed session retired %d of %d instructions: it restarted instead of resuming from its cell", info.Done, info.Total)
+	}
+	raw, _, _ := s2.Result(id)
+	if !bytes.Equal(raw, refRaw) {
+		t.Fatalf("resumed result diverged:\n ref %s\n got %s", refRaw, raw)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

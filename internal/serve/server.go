@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,7 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -179,18 +180,16 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// recover replays the journal: done sessions become servable records
-// (their stray cell files removed), unfinished ones re-enter the queue in
-// admission order. A journal with records may have been left by a
-// process killed mid-write, so recover also removes the temp files of
-// cell writes that were never renamed; a fresh journal skips the scan.
+// recover replays the journal: done sessions become servable records,
+// unfinished ones re-enter the queue in admission order. A journal with
+// records may have been left by a process killed mid-write, so recover
+// then lists cells/ once to remove what no session will read: the temp
+// files of cell writes that were never renamed, and the cell files of
+// done sessions that a crash left between the done record and the
+// cleanup. A fresh journal skips the scan.
 func (s *Server) recover() error {
-	keys := s.ck.Keys() // sorted; zero-padded IDs keep admission order
-	if len(keys) > 0 {
-		if err := s.removeTornWrites(); err != nil {
-			return err
-		}
-	}
+	keys := s.ck.Keys()
+	var ids []string
 	for _, key := range keys {
 		id, ok := strings.CutPrefix(key, "admit|")
 		if !ok {
@@ -204,7 +203,10 @@ func (s *Server) recover() error {
 			s.nextID = n
 		}
 		s.sessions[id] = newSession(id, sp)
+		ids = append(ids, id)
 	}
+	slices.SortFunc(ids, compareIDs)
+	doneCells := map[string]bool{}
 	for _, key := range keys {
 		id, ok := strings.CutPrefix(key, "done|")
 		if !ok {
@@ -224,15 +226,14 @@ func (s *Server) recover() error {
 			sess.state = StateDone
 		}
 		close(sess.done)
-		// A crash between the done record and cell cleanup leaves an
-		// orphan cell file; remove it now.
-		_ = os.Remove(s.cellPath(sess))
+		doneCells[filepath.Base(s.cellPath(sess))] = true
 	}
-	for _, key := range keys {
-		id, ok := strings.CutPrefix(key, "admit|")
-		if !ok {
-			continue
+	if len(keys) > 0 {
+		if err := s.removeDeadCells(doneCells); err != nil {
+			return err
 		}
+	}
+	for _, id := range ids {
 		sess := s.sessions[id]
 		if sess.state != StateQueued {
 			continue
@@ -247,24 +248,34 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// removeTornWrites removes the temp files that snapshot.WriteFileAtomic
-// leaves in cells/ when the process dies before its rename. A temp file
-// that was never renamed is never state, and the journal's lock rules out
-// a live writer in another process.
-func (s *Server) removeTornWrites() error {
+// removeDeadCells removes, in one listing of cells/, the named cell files
+// of done sessions and the temp files that snapshot.WriteFileAtomic
+// leaves when the process dies before its rename. A temp file that was
+// never renamed is never state, and the journal's lock rules out a live
+// writer in another process.
+func (s *Server) removeDeadCells(doneCells map[string]bool) error {
 	dir := filepath.Join(s.cfg.Dir, "cells")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	for _, e := range entries {
-		if name := e.Name(); strings.HasPrefix(name, ".cell-") && strings.Contains(name, ".snap.tmp") {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return fmt.Errorf("serve: removing a torn cell write: %w", err)
-			}
+		name := e.Name()
+		if !doneCells[name] && !(strings.HasPrefix(name, ".cell-") && strings.Contains(name, ".snap.tmp")) {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("serve: removing a dead cell file: %w", err)
 		}
 	}
 	return nil
+}
+
+// compareIDs orders session IDs by admission. IDs are "s" and a number
+// of at least six digits, so a longer ID was admitted later: s1000000
+// follows s999999.
+func compareIDs(a, b string) int {
+	return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
 }
 
 // Start launches the worker pool under ctx. Cancelling ctx is the hard
@@ -404,7 +415,7 @@ func (s *Server) infoLocked(sess *session) *SessionInfo {
 	}
 }
 
-// Sessions lists all sessions in ID order.
+// Sessions lists all sessions in admission order.
 func (s *Server) Sessions() []*SessionInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -413,7 +424,7 @@ func (s *Server) Sessions() []*SessionInfo {
 	for id := range s.sessions {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.SortFunc(ids, compareIDs)
 	out := make([]*SessionInfo, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, s.infoLocked(s.sessions[id]))

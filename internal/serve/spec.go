@@ -28,7 +28,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"mayacache/internal/cachemodel"
@@ -86,7 +85,7 @@ func (sp Spec) Validate() error {
 			return badSpecf("tenant %q: only [a-z0-9_-] allowed", sp.Tenant)
 		}
 	}
-	if !slices.Contains(cachemodel.Registered(), sp.Design) {
+	if _, err := cachemodel.Lookup(sp.Design); err != nil {
 		return badSpecf("unknown design %q", sp.Design)
 	}
 	if _, err := trace.Lookup(sp.Bench); err != nil {

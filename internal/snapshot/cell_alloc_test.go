@@ -10,7 +10,7 @@ import (
 
 	"mayacache/internal/cachemodel"
 	"mayacache/internal/cachesim"
-	_ "mayacache/internal/core" // registers Maya
+	_ "mayacache/internal/core" // links the Maya family
 	"mayacache/internal/snapshot"
 	"mayacache/internal/trace"
 )

@@ -45,8 +45,14 @@ func ExampleInstallsPerSAE() {
 
 // Storage accounting reproduces Table VIII exactly.
 func ExampleStorageAccount() {
-	maya8 := maya.StorageAccount(maya.CostMaya)
-	mirage := maya.StorageAccount(maya.CostMirage)
+	maya8, err := maya.StorageAccount(maya.DesignMaya)
+	if err != nil {
+		panic(err)
+	}
+	mirage, err := maya.StorageAccount(maya.DesignMirage)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("Maya:   %.0f KB (%+.1f%%)\n", maya8.TotalKB, maya8.OverheadVsBaseline()*100)
 	fmt.Printf("Mirage: %.0f KB (%+.1f%%)\n", mirage.TotalKB, mirage.OverheadVsBaseline()*100)
 	// Output:

@@ -185,13 +185,30 @@ func TestBucketModelAPI(t *testing.T) {
 }
 
 func TestCostAPI(t *testing.T) {
-	st := StorageAccount(CostMaya)
+	st, err := StorageAccount(DesignMaya)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(st.OverheadVsBaseline()+0.021) > 0.01 {
 		t.Fatalf("Maya storage overhead %.3f, want ~-2%%", st.OverheadVsBaseline())
 	}
-	c := CostEstimate(CostMaya)
-	if c.AreaMM2 >= CostEstimate(CostBaseline).AreaMM2 {
+	c, err := CostEstimate(DesignMaya)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := CostEstimate(DesignBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.AreaMM2 >= base.AreaMM2 {
 		t.Fatal("Maya area not below baseline")
+	}
+	// A name the design table does not hold is a configuration error.
+	if _, err := StorageAccount("maya"); !errors.Is(err, cachemodel.ErrBadConfig) {
+		t.Errorf("StorageAccount(\"maya\"): err = %v, want one wrapping cachemodel.ErrBadConfig", err)
+	}
+	if _, err := CostEstimate("Maya-Typo"); !errors.Is(err, cachemodel.ErrBadConfig) {
+		t.Errorf("CostEstimate(\"Maya-Typo\"): err = %v, want one wrapping cachemodel.ErrBadConfig", err)
 	}
 }
 
