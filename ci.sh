@@ -115,6 +115,9 @@ step_race_dist() {
   # an injected mid-cell SIGKILL, dropped RPCs, and stalled heartbeats —
   # against the serial harness run, under the race detector.
   go test -race ./internal/dist/
+  # Again at GOMAXPROCS 1, 2 and 4: every open cell's attempt waits for a
+  # worker on one channel, and the lease RPCs race its expiry timer.
+  go test -race -cpu 1,2,4 ./internal/dist/
 }
 
 step_race_mc() {

@@ -21,11 +21,11 @@
 // Carlo engine's shard derivation).
 //
 // serial runs the grid through the plain in-process harness — the
-// reference execution the fabric byte-matches. coordinate owns the cell
-// table: -inproc N spins up N workers inside the process over pipes (no
-// networking); -listen ADDR serves net/rpc over TCP for external
-// `mayafleet work` processes and, with -addr-file, writes the bound
-// address for scripts. work pulls leases until the coordinator reports
+// reference execution the fabric byte-matches. coordinate runs the same
+// harness sweep, with each attempt leased to a worker: -inproc N spins
+// up N workers inside the process over pipes (no networking); -listen
+// ADDR serves net/rpc over TCP for external `mayafleet work` processes
+// and, with -addr-file, writes the bound address for scripts. work pulls leases until the coordinator reports
 // the run complete; SIGINT/SIGTERM makes its in-flight cell save and
 // upload its exact simulator state, stop early, and migrate to a
 // surviving worker — a SIGKILL instead costs at most one snapshot
@@ -41,7 +41,11 @@
 // workers).
 //
 // Both report paths emit one TSV row per cell on stdout —
-// key<TAB>OK<TAB>json or key<TAB>FAILED<TAB>error — sorted by key.
+// key<TAB>OK<TAB>json or key<TAB>FAILED<TAB>error — sorted by key. The
+// rows match byte for byte on a failing grid too: with -retries 1
+// -fault transient:bench=mcf:100, serial and coordinate -inproc 2 both
+// exit 1 and print the same FAILED rows, each ending "(retry budget
+// exhausted after 2 attempt(s))"; e2e.sh compares them.
 //
 // Exit status: 0 when every cell completed; 1 when any cell FAILED,
 // the run was interrupted, or a transport link died; 2 on usage errors.

@@ -4,10 +4,11 @@
 # simulations shared across experiments through one checkpoint, and
 # SIGKILL-mid-ROI snapshot resume; shard-parallel securitysim byte
 # compatibility and flag validation; attacksim worker invariance and flag
-# validation; the mayafleet chaos fabric, retry exhaustion and flag
-# misuse; and the mayaserve session daemon's kill -9 recovery (every
-# acknowledged session completes with byte-identical results) and 429
-# load shedding. Every check must pass.
+# validation; the mayafleet chaos fabric, retry exhaustion (the same
+# FAILED rows from serial and coordinate) and flag misuse; and the
+# mayaserve session daemon's kill -9 recovery (every acknowledged
+# session completes with byte-identical results) and 429 load shedding.
+# Every check must pass.
 set -eu
 
 echo "==> e2e: fault isolation + checkpoint resume (mayasim)"
@@ -135,6 +136,16 @@ if [ "$status" -ne 1 ]; then
 fi
 grep -q "FAILED" "$TMP/fleet-failed.tsv"
 grep -q "retry budget exhausted" "$TMP/fleet-failed.tsv"
+# The serial harness fails the same grid with the same rows, byte for
+# byte: both paths run one harness sweep and render one report.
+status=0
+"$TMP/mayafleet" serial -benches mcf,lbm -cores 2 \
+    -warmup 30000 -roi 15000 -retries 1 -fault transient:bench=mcf:100 \
+    > "$TMP/fleet-failed-serial.tsv" 2>/dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "ci: mayafleet serial exhausted-retry run exited $status, want 1" >&2; exit 1
+fi
+cmp "$TMP/fleet-failed-serial.tsv" "$TMP/fleet-failed.tsv"
 # Flag misuse must exit 2 before any simulation runs.
 for bad in "coordinate -inproc 2 -designs Bogus" "coordinate" "work"; do
   status=0

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/rpc"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,8 +18,9 @@ type CoordOptions struct {
 	Grid Grid
 
 	// Lease is how long a granted cell may go without a heartbeat before
-	// it is reclaimed and reassigned (default 10s). It bounds how long a
-	// dead, hung, or partitioned worker can stall a cell.
+	// its attempt fails and the cell is offered again (default 10s). It
+	// bounds how long a dead, hung, or partitioned worker can stall a
+	// cell.
 	Lease time.Duration
 	// Heartbeat is the cadence workers refresh leases at (default
 	// Lease/5). It also bounds coordinator-cancellation latency: workers
@@ -27,39 +29,21 @@ type CoordOptions struct {
 	// Retries bounds re-executions per cell: a cell may fail (transient
 	// error or lease expiry) at most Retries times and still be retried;
 	// total attempts = Retries+1. Non-transient failures are terminal
-	// immediately. harness.Retry decides, exactly as for the serial
-	// harness, and its delay gates the cell's next grant.
+	// immediately. The grid's sweep retries exactly as RunSerial's does.
 	Retries int
 	// Seed drives the backoff jitter.
 	Seed uint64
 	// SnapshotEvery is the periodic cell-snapshot cadence handed to
 	// workers (0 disables periodic saves).
 	SnapshotEvery uint64
-	// Checkpoint, when non-nil, restores completed cells on construction
-	// and streams each accepted completion through the fsync'd JSONL
-	// writer, so a killed coordinator resumes where it stopped.
+	// Checkpoint, when non-nil, is the sweep's checkpoint: completed
+	// cells are restored from it and each completion is recorded, so a
+	// killed coordinator resumes where it stopped. A coordinator whose
+	// checkpoint holds every cell is Done at construction.
 	Checkpoint *harness.Checkpoint
-	// Logf, when non-nil, receives progress lines (migrations, expiries,
-	// failures).
+	// Logf, when non-nil, receives progress lines (migrations, expiries).
 	Logf func(format string, args ...any)
 }
-
-// cellState is the lease state machine. Transitions:
-//
-//	PENDING -> LEASED            (lease granted, attempt begins)
-//	LEASED  -> DONE              (worker Completed with a value)
-//	LEASED  -> PENDING           (transient failure or lease expiry,
-//	                              retry budget left; notBefore gates the
-//	                              next grant by the backoff schedule)
-//	LEASED  -> FAILED            (non-transient failure, or budget spent)
-type cellState int
-
-const (
-	cellPending cellState = iota
-	cellLeased
-	cellDone
-	cellFailed
-)
 
 // AttemptRecord is the audit trail of one attempt at a cell, kept for
 // tests and operators; nothing in it feeds back into results.
@@ -72,51 +56,53 @@ type AttemptRecord struct {
 	Err       string // completion error, or "lease expired"
 }
 
+// cellRun is what outlives one attempt at a cell: the last uploaded
+// snapshot blob, the cumulative durable save count it embodies, and the
+// attempt log.
 type cellRun struct {
-	cell      Cell
-	state     cellState
-	attempts  int       // attempts started (grants)
-	notBefore time.Time // earliest next grant (backoff gate)
-
-	// Current lease, valid while state == cellLeased.
-	leaseID uint64
-	worker  string
-	expires time.Time
-
-	// Migration state: the last uploaded snapshot blob and the
-	// cumulative durable save count it embodies. snapBase pins the
-	// cumulative count at the current lease's grant, so attempt-relative
-	// upload counts fold in correctly.
 	snap       []byte
 	snapSaves  int
-	snapBase   int
 	migrations int
-
-	value json.RawMessage
-	err   string
-	log   []AttemptRecord
+	log        []AttemptRecord
 }
 
-// Coordinator owns the cell table and the lease state machine. It is
-// driven entirely by worker RPCs plus one expiry scanner goroutine
-// (Serve); all mutation happens under mu.
+// attempt is one remote attempt at a cell. It waits on the offers
+// channel until a Lease call grants it, and is then held by that lease
+// until its Complete, its expiry, or the end of the run.
+type attempt struct {
+	cell Cell
+	run  *cellRun
+	// The lease, set by the Lease call: its ID (0 until granted),
+	// holder and deadline, and run.snapSaves at grant, onto which the
+	// attempt's own upload counts fold.
+	id      uint64
+	worker  string
+	expires time.Time
+	base    int
+	result  chan CompleteArgs // the lease's accepted Complete
+}
+
+// Coordinator runs its grid as one harness sweep (Serve) whose cell
+// function is a remote attempt, and serves the RPCs through which
+// workers lease, renew, upload to and complete those attempts. What the
+// RPCs share is guarded by mu.
 type Coordinator struct {
-	opts CoordOptions
+	opts   CoordOptions
+	runner *harness.Runner
+	cells  []Cell
+	runs   map[string]*cellRun // by Cell.Key; the map itself is fixed at construction
+	offers chan *attempt
+	done   chan struct{}
 
 	mu        sync.Mutex
-	cells     map[string]*cellRun
-	order     []string // deterministic grant order (Grid.Cells order)
+	leases    map[uint64]*attempt // live leases by ID
 	nextLease uint64
 	nextWID   int
-	openN     int // cells not yet DONE/FAILED
-	stopped   bool
-
-	doneCh   chan struct{}
-	doneOnce sync.Once
+	report    Report
 }
 
-// NewCoordinator validates the grid, restores completed cells from the
-// checkpoint, and returns a coordinator ready to serve.
+// NewCoordinator validates the grid and returns a coordinator ready to
+// serve, or already Done when its checkpoint holds every cell.
 func NewCoordinator(opts CoordOptions) (*Coordinator, error) {
 	if err := opts.Grid.Validate(); err != nil {
 		return nil, err
@@ -133,45 +119,37 @@ func NewCoordinator(opts CoordOptions) (*Coordinator, error) {
 	if opts.Retries < 0 {
 		return nil, fmt.Errorf("dist: retries must be >= 0 (got %d)", opts.Retries)
 	}
+	cells := opts.Grid.Cells()
 	c := &Coordinator{
-		opts:   opts,
-		cells:  map[string]*cellRun{},
-		doneCh: make(chan struct{}),
+		opts: opts,
+		// Every open cell waits for a worker at once; the workers'
+		// leases bound how many run.
+		runner: harness.New(harness.Options{
+			Workers:    len(cells),
+			Retries:    opts.Retries,
+			Seed:       opts.Seed,
+			Checkpoint: opts.Checkpoint,
+		}),
+		cells:  cells,
+		runs:   map[string]*cellRun{},
+		offers: make(chan *attempt),
+		done:   make(chan struct{}),
+		leases: map[uint64]*attempt{},
 	}
-	for _, cell := range opts.Grid.Cells() {
-		key := fullKey(cell.Key)
-		if _, dup := c.cells[key]; dup {
-			return nil, fmt.Errorf("dist: duplicate grid cell %s", key)
+	restored := opts.Checkpoint != nil
+	for _, cell := range cells {
+		if c.runs[cell.Key] != nil {
+			return nil, fmt.Errorf("dist: duplicate grid cell %s", fullKey(cell.Key))
 		}
-		run := &cellRun{cell: cell}
-		if opts.Checkpoint != nil {
-			var raw json.RawMessage
-			hit, err := opts.Checkpoint.Lookup(key, &raw)
-			if err != nil {
-				return nil, err
-			}
-			if hit {
-				run.state = cellDone
-				run.value = raw
-			}
-		}
-		if run.state != cellDone {
-			c.openN++
-		}
-		c.cells[key] = run
-		c.order = append(c.order, key)
+		c.runs[cell.Key] = &cellRun{}
+		restored = restored && opts.Checkpoint.Has(fullKey(cell.Key))
 	}
-	if c.openN == 0 {
-		c.doneOnce.Do(func() { close(c.doneCh) })
+	if restored {
+		// The sweep restores every cell without an attempt.
+		c.run(context.Background())
 	}
 	return c, nil
 }
-
-// requeue returns the cell to PENDING, grantable from at. It is a method
-// so the wall-clock gate is written apart from the attempt count that
-// feeds harness.Retry's jitter: mayavet's seedflow taint is per struct,
-// not per field, and cannot tell the two apart within one function.
-func (r *cellRun) requeue(at time.Time) { r.state, r.notBefore = cellPending, at }
 
 // fullKey is the harness checkpoint key for a grid cell.
 func fullKey(cellKey string) string { return GridExperiment + "|" + cellKey }
@@ -193,9 +171,9 @@ func (c *Coordinator) NewServer() (*rpc.Server, error) {
 	return srv, nil
 }
 
-// Done is closed when every cell is resolved (DONE or FAILED) or the
-// run was cancelled.
-func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
+// Done is closed when every cell is resolved (done or failed) or the
+// run was cancelled, once Report holds the outcome.
+func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
 // Heartbeat returns the resolved worker heartbeat cadence. Transports
 // should linger about two of these after Done before tearing down, so
@@ -203,220 +181,107 @@ func (c *Coordinator) Done() <-chan struct{} { return c.doneCh }
 // cleanly instead of hitting a dead link.
 func (c *Coordinator) Heartbeat() time.Duration { return c.opts.Heartbeat }
 
-// Serve runs the lease-expiry scanner until ctx ends or all cells
-// resolve. On ctx cancellation it marks the run stopped, so subsequent
-// heartbeats carry Stop and subsequent lease requests return Done — the
-// bounded-latency cancellation path — and closes Done so waiters
-// unblock.
+// Serve runs the grid until every cell resolves or ctx ends, then closes
+// Done. By then every lease is revoked, so a cell still running on a
+// worker is cancelled at its next heartbeat — the bounded-latency
+// cancellation path — and lease requests are dismissed. The grid is one
+// harness.RunCells sweep, the same as RunSerial's, so retry, backoff,
+// checkpointing and the report are the serial harness's own.
 func (c *Coordinator) Serve(ctx context.Context) {
-	tick := c.opts.Heartbeat
-	if half := c.opts.Lease / 2; tick > half {
-		tick = half
+	select {
+	case <-c.done:
+	default:
+		c.run(ctx)
 	}
-	t := time.NewTicker(tick)
+}
+
+// run sweeps the grid with remote attempts and publishes the report.
+func (c *Coordinator) run(ctx context.Context) {
+	rep, _ := runGrid(ctx, c.runner, c.cells, c.remote)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.report = rep
+	// Fence off a lease granted as its attempt was cancelled.
+	clear(c.leases)
+	close(c.done)
+}
+
+// errLeaseExpired fails an attempt whose worker stopped heartbeating;
+// the sweep retries it like any transient failure.
+var errLeaseExpired = remoteError("lease expired (worker lost)", true)
+
+// remote is the sweep's cell function: one remote attempt at cell i. It
+// waits for a Lease call to take it, then for that lease's Complete, the
+// end of ctx, or the lease running out without a heartbeat, which it
+// checks once a heartbeat.
+func (c *Coordinator) remote(ctx context.Context, i int) (json.RawMessage, error) {
+	a := &attempt{cell: c.cells[i], run: c.runs[c.cells[i].Key], result: make(chan CompleteArgs, 1)}
+	select {
+	case c.offers <- a:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer c.release(a)
+	t := time.NewTicker(c.opts.Heartbeat)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			c.mu.Lock()
-			c.stopped = true
-			c.mu.Unlock()
-			c.doneOnce.Do(func() { close(c.doneCh) })
-			return
-		case <-c.doneCh:
-			return
-		case <-t.C:
-			c.expireLeases(time.Now())
-		}
-	}
-}
-
-// maybeFinishLocked closes doneCh once no cell remains open.
-func (c *Coordinator) maybeFinishLocked() {
-	if c.openN == 0 {
-		c.doneOnce.Do(func() { close(c.doneCh) })
-	}
-}
-
-// expireLeases reclaims every lease that has outlived its deadline,
-// treating each expiry as a failed (inherently transient) attempt: the
-// worker is presumed dead or partitioned, so the cell re-enters PENDING
-// behind its backoff gate — or FAILED if the budget is spent. The
-// worker's last uploaded snapshot stays attached for migration.
-func (c *Coordinator) expireLeases(now time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, key := range c.order {
-		run := c.cells[key]
-		if run.state != cellLeased || now.Before(run.expires) {
-			continue
-		}
-		run.log = append(run.log, AttemptRecord{
-			Worker:    run.worker,
-			Migrated:  run.migrations > 0,
-			SnapSaves: run.snapSaves,
-			Err:       "lease expired",
-		})
-		c.logf("lease expired: cell %s worker %s attempt %d", key, run.worker, run.attempts)
-		c.settleFailureLocked(key, run, "lease expired (worker lost)", true, now)
-	}
-}
-
-// settleFailureLocked routes a failed attempt (completion error or
-// expiry) through the retry rule.
-func (c *Coordinator) settleFailureLocked(key string, run *cellRun, msg string, transient bool, now time.Time) {
-	run.leaseID = 0
-	run.worker = ""
-	err := errors.New(msg)
-	if transient {
-		err = harness.Transient(err)
-	}
-	if delay, retry := harness.Retry(c.opts.Seed, key, run.attempts, c.opts.Retries, err); retry {
-		run.requeue(now.Add(delay))
-		return
-	}
-	run.state = cellFailed
-	if transient {
-		msg = fmt.Sprintf("%s (retry budget exhausted after %d attempt(s))", msg, run.attempts)
-	}
-	run.err = msg
-	c.logf("cell FAILED: %s: %s", key, msg)
-	c.openN--
-	c.maybeFinishLocked()
-}
-
-// grant finds the next grantable cell for worker id, or explains why
-// none is available.
-func (c *Coordinator) grant(workerID string, now time.Time, reply *LeaseReply) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.stopped || c.openN == 0 {
-		reply.Done = true
-		return
-	}
-	var soonest time.Time
-	for _, key := range c.order {
-		run := c.cells[key]
-		if run.state != cellPending {
-			continue
-		}
-		if now.Before(run.notBefore) {
-			if soonest.IsZero() || run.notBefore.Before(soonest) {
-				soonest = run.notBefore
+			return nil, ctx.Err()
+		case args := <-a.result:
+			if args.Err != "" {
+				return nil, remoteError(args.Err, args.Transient)
 			}
-			continue
-		}
-		c.nextLease++
-		run.state = cellLeased
-		run.attempts++
-		run.leaseID = c.nextLease
-		run.worker = workerID
-		run.expires = now.Add(c.opts.Lease)
-		reply.Granted = true
-		reply.LeaseID = run.leaseID
-		reply.Cell = run.cell
-		reply.Attempt = run.attempts
-		reply.Snapshot = run.snap
-		reply.SnapshotSaves = run.snapSaves
-		run.snapBase = run.snapSaves
-		if len(run.snap) > 0 {
-			run.migrations++
-			c.logf("migrating cell %s to worker %s (attempt %d, %d save(s) preserved)",
-				key, workerID, run.attempts, run.snapSaves)
-		}
-		return
-	}
-	// Nothing grantable right now: leased cells in flight, or pending
-	// cells behind their backoff gates. Tell the worker when to ask
-	// again.
-	wait := c.opts.Heartbeat
-	if !soonest.IsZero() {
-		if d := soonest.Sub(now); d < wait {
-			wait = d
+			return args.Value, nil
+		case <-t.C:
+			if c.expired(a) {
+				return nil, errLeaseExpired
+			}
 		}
 	}
-	if wait < time.Millisecond {
-		wait = time.Millisecond
-	}
-	reply.RetryAfter = wait
 }
 
-// complete settles a worker-reported attempt outcome.
-func (c *Coordinator) complete(args *CompleteArgs, now time.Time, reply *CompleteReply) {
+// expired revokes a's lease and logs the lost attempt once its deadline
+// has passed. A lease not recorded yet, or completed, has not expired.
+func (c *Coordinator) expired(a *attempt) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	run := c.leasedRunLocked(args.WorkerID, args.LeaseID)
-	if run == nil {
-		// Lease fencing: expiry already reassigned the cell (or the run
-		// finished). The late result is discarded — the cell's value
-		// comes from whichever attempt holds the valid lease, and since
-		// values are pure functions of the spec, dropping this one
-		// changes nothing but bookkeeping.
-		reply.Accepted = false
-		return
+	if c.leases[a.id] != a || time.Now().Before(a.expires) {
+		return false
 	}
-	reply.Accepted = true
-	key := fullKey(run.cell.Key)
-	run.log = append(run.log, AttemptRecord{
-		Worker:    args.WorkerID,
-		Migrated:  args.Migrated,
-		SnapSaves: run.snapSaves,
-		Saves:     args.Saves,
-		OK:        args.Err == "",
-		Err:       args.Err,
+	delete(c.leases, a.id)
+	a.run.log = append(a.run.log, AttemptRecord{
+		Worker:    a.worker,
+		Migrated:  a.run.migrations > 0,
+		SnapSaves: a.run.snapSaves,
+		Err:       "lease expired",
 	})
-	if args.Err != "" {
-		c.settleFailureLocked(key, run, args.Err, args.Transient, now)
-		return
-	}
-	run.state = cellDone
-	run.value = args.Value
-	run.leaseID = 0
-	run.worker = ""
-	run.snap = nil
-	if c.opts.Checkpoint != nil {
-		if err := c.opts.Checkpoint.Record(key, args.Value); err != nil {
-			// The value is correct but not durable; surface loudly and
-			// keep going — the run's report is still complete.
-			c.logf("checkpoint write failed for %s: %v", key, err)
-		}
-	}
-	c.openN--
-	c.maybeFinishLocked()
+	c.logf("lease expired: cell %s worker %s attempt %d", fullKey(a.cell.Key), a.worker, len(a.run.log))
+	return true
 }
 
-// leasedRunLocked resolves (worker, leaseID) to the cell run holding
-// that exact lease, or nil.
-func (c *Coordinator) leasedRunLocked(workerID string, leaseID uint64) *cellRun {
-	for _, key := range c.order {
-		run := c.cells[key]
-		if run.state == cellLeased && run.leaseID == leaseID && run.worker == workerID {
-			return run
-		}
+// release ends a's lease, if it is still live, when its attempt returns.
+func (c *Coordinator) release(a *attempt) {
+	c.mu.Lock()
+	delete(c.leases, a.id)
+	c.mu.Unlock()
+}
+
+// leasedLocked resolves (worker, leaseID) to the attempt holding that
+// exact lease, or nil: lease fencing.
+func (c *Coordinator) leasedLocked(workerID string, leaseID uint64) *attempt {
+	if a := c.leases[leaseID]; a != nil && a.worker == workerID {
+		return a
 	}
 	return nil
 }
 
-// Report assembles the final per-cell outcome table, sorted by key.
+// Report returns the per-cell outcome table, sorted by key. It reflects
+// the run once Done is closed.
 func (c *Coordinator) Report() Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rows := make([]Row, 0, len(c.order))
-	for _, key := range c.order {
-		run := c.cells[key]
-		row := Row{Key: run.cell.Key}
-		switch run.state {
-		case cellDone:
-			row.Value = run.value
-		case cellFailed:
-			row.Err = run.err
-		default:
-			row.Err = "not completed (run cancelled)"
-		}
-		rows = append(rows, row)
-	}
-	sortRows(rows)
-	return Report{Rows: rows}
+	return c.report
 }
 
 // AttemptLog returns the attempt audit trail for one cell (by cell key
@@ -425,13 +290,31 @@ func (c *Coordinator) Report() Report {
 func (c *Coordinator) AttemptLog(cellKey string) ([]AttemptRecord, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	run, ok := c.cells[fullKey(cellKey)]
+	run, ok := c.runs[cellKey]
 	if !ok {
 		return nil, 0
 	}
-	out := make([]AttemptRecord, len(run.log))
-	copy(out, run.log)
-	return out, run.migrations
+	return slices.Clone(run.log), run.migrations
+}
+
+// failure is an attempt's error as the report shows it: the text
+// verbatim, wrapping a harness.Transient error when the sweep may retry
+// it.
+type failure struct {
+	msg       string
+	transient error
+}
+
+func (f *failure) Error() string { return f.msg }
+func (f *failure) Unwrap() error { return f.transient }
+
+// remoteError rebuilds a failure from its text.
+func remoteError(msg string, transient bool) error {
+	f := &failure{msg: msg}
+	if transient {
+		f.transient = harness.Transient(errors.New(msg))
+	}
+	return f
 }
 
 // service is the net/rpc receiver: exactly the protocol methods, so
@@ -456,23 +339,59 @@ func (s *service) Register(args *RegisterArgs, reply *RegisterReply) error {
 	return nil
 }
 
-// Lease grants the next available cell (or schedules a re-poll).
+// Lease grants the worker the next waiting attempt, waiting up to one
+// heartbeat for one, and ships the cell's migration blob with it; once
+// the run is over it dismisses the worker.
 func (s *service) Lease(args *LeaseArgs, reply *LeaseReply) error {
-	s.c.grant(args.WorkerID, time.Now(), reply)
+	c := s.c
+	t := time.NewTimer(c.opts.Heartbeat)
+	defer t.Stop()
+	var a *attempt
+	select {
+	case a = <-c.offers:
+	case <-c.done:
+		reply.Done = true
+		return nil
+	case <-t.C:
+		return nil // nothing waiting: the worker asks again
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	select {
+	case <-c.done:
+		// The run ended as the attempt was taken: run has cleared the
+		// leases, so none may be recorded now.
+		reply.Done = true
+		return nil
+	default:
+	}
+	c.nextLease++
+	a.id, a.worker, a.base = c.nextLease, args.WorkerID, a.run.snapSaves
+	a.expires = time.Now().Add(c.opts.Lease)
+	c.leases[a.id] = a
+	reply.Granted = true
+	reply.LeaseID = a.id
+	reply.Cell = a.cell
+	reply.Snapshot = a.run.snap
+	reply.SnapshotSaves = a.run.snapSaves
+	if len(a.run.snap) > 0 {
+		a.run.migrations++
+		c.logf("migrating cell %s to worker %s (attempt %d, %d save(s) preserved)",
+			fullKey(a.cell.Key), args.WorkerID, len(a.run.log)+1, a.run.snapSaves)
+	}
 	return nil
 }
 
-// Heartbeat extends a live lease and reports revocation/shutdown.
+// Heartbeat extends a live lease or reports it revoked.
 func (s *service) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) error {
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
-	reply.Stop = s.c.stopped
-	run := s.c.leasedRunLocked(args.WorkerID, args.LeaseID)
-	if run == nil {
+	a := s.c.leasedLocked(args.WorkerID, args.LeaseID)
+	if a == nil {
 		reply.Revoked = true
 		return nil
 	}
-	run.expires = time.Now().Add(s.c.opts.Lease)
+	a.expires = time.Now().Add(s.c.opts.Lease)
 	return nil
 }
 
@@ -480,20 +399,45 @@ func (s *service) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) error {
 func (s *service) Upload(args *UploadArgs, reply *UploadReply) error {
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
-	run := s.c.leasedRunLocked(args.WorkerID, args.LeaseID)
-	if run == nil {
+	a := s.c.leasedLocked(args.WorkerID, args.LeaseID)
+	if a == nil {
 		reply.Stale = true
 		return nil
 	}
-	run.snap = args.State
+	a.run.snap = args.State
 	// Fold the attempt-relative count into the cumulative one: the blob
 	// embodies everything the grant shipped plus this attempt's saves.
-	run.snapSaves = run.snapBase + args.Saves
+	a.run.snapSaves = a.base + args.Saves
 	return nil
 }
 
-// Complete settles an attempt outcome.
+// Complete hands a worker-reported outcome to the attempt holding its
+// lease.
 func (s *service) Complete(args *CompleteArgs, reply *CompleteReply) error {
-	s.c.complete(args, time.Now(), reply)
+	c := s.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	a := c.leasedLocked(args.WorkerID, args.LeaseID)
+	if a == nil {
+		// Lease fencing: the lease expired and the cell was offered
+		// again (or the run finished). The late result is discarded —
+		// values are pure functions of the spec, so dropping this one
+		// changes nothing but bookkeeping.
+		return nil
+	}
+	delete(c.leases, a.id)
+	reply.Accepted = true
+	a.run.log = append(a.run.log, AttemptRecord{
+		Worker:    args.WorkerID,
+		Migrated:  args.Migrated,
+		SnapSaves: a.run.snapSaves,
+		Saves:     args.Saves,
+		OK:        args.Err == "",
+		Err:       args.Err,
+	})
+	if args.Err == "" {
+		a.run.snap = nil
+	}
+	a.result <- *args
 	return nil
 }

@@ -10,19 +10,18 @@
 // without perturbing results:
 //
 //   - a worker that dies, hangs, or partitions mid-cell stops
-//     heartbeating; its lease expires and the cell is reassigned, seeded
-//     with the worker's last uploaded MAYASNAP state blob so at most one
-//     snapshot interval of simulation is lost;
-//   - reassignment follows the serial harness's retry rule
-//     (harness.Retry: a seeded-jitter backoff that is a pure function of
-//     seed, cell key, and attempt), under a bounded retry budget;
-//   - each attempt runs through the serial harness's attempt path
-//     (harness.RunAttempt), so panics, deadlines and -fault specs
-//     behave exactly as in a local sweep;
-//   - cells that exhaust the budget become structured FAILED rows, never
-//     hangs or panics;
-//   - completed cells stream through the existing fsync'd, advisory-locked
-//     JSONL checkpoint writer, so an interrupted coordinator resumes.
+//     heartbeating; its lease expires and the cell is offered again,
+//     seeded with the worker's last uploaded MAYASNAP state blob so at
+//     most one snapshot interval of simulation is lost;
+//   - the coordinator runs its grid as one serial-harness sweep
+//     (harness.RunCells) whose cell function is a remote attempt, so
+//     retry and backoff (harness.Retry), the retry budget, checkpoint
+//     resume and the FAILED rows are the serial run's own: a lost lease
+//     is one transient failure, and a cell that exhausts the budget is
+//     a structured FAILED row, never a hang or a panic;
+//   - each attempt runs on its worker through the serial harness's
+//     attempt path (harness.RunAttempt), so panics, deadlines and -fault
+//     specs behave exactly as in a local sweep.
 //
 // A three-worker chaos run (kills, dropped RPCs, delayed heartbeats)
 // byte-compares equal to the serial harness run; internal/dist's tests
@@ -108,8 +107,9 @@ func (c Cell) Run(ctx context.Context) (json.RawMessage, error) {
 }
 
 // Cells expands the grid into its deterministic cell list:
-// design-major, then benchmark, then seed — the order the serial runner
-// executes and the coordinator grants leases in.
+// design-major, then benchmark, then seed — the order both grid runners
+// list their sweep's cells in. Reports sort by key, so no output
+// depends on which cell runs first.
 func (g Grid) Cells() []Cell {
 	out := make([]Cell, 0, len(g.Designs)*len(g.Benches)*len(g.Seeds))
 	for _, d := range g.Designs {
@@ -187,13 +187,19 @@ func (r Report) WriteTSV(w io.Writer) error {
 }
 
 // newReport assembles rows from parallel key/value/mask slices plus the
-// runner's failures, sorted by key.
+// runner's failures, sorted by key. A transient failure is one whose
+// retries ran out, and its row says so.
 func newReport(keys []string, vals []json.RawMessage, ok []bool, fails []*harness.RunError) Report {
 	failBy := make(map[string]string, len(fails))
 	for _, f := range fails {
-		if f.Experiment == GridExperiment {
-			failBy[f.Cell] = f.Err.Error()
+		if f.Experiment != GridExperiment {
+			continue
 		}
+		msg := f.Err.Error()
+		if harness.IsTransient(f.Err) {
+			msg = fmt.Sprintf("%s (retry budget exhausted after %d attempt(s))", msg, f.Attempts)
+		}
+		failBy[f.Cell] = msg
 	}
 	rows := make([]Row, len(keys))
 	for i, k := range keys {
@@ -206,13 +212,8 @@ func newReport(keys []string, vals []json.RawMessage, ok []bool, fails []*harnes
 			rows[i].Err = "not completed (run cancelled)"
 		}
 	}
-	sortRows(rows)
-	return Report{Rows: rows}
-}
-
-// sortRows orders report rows by cell key.
-func sortRows(rows []Row) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
+	return Report{Rows: rows}
 }
 
 // RunSerial executes the grid through the plain harness on this process
@@ -224,13 +225,19 @@ func RunSerial(ctx context.Context, r *harness.Runner, g Grid) (Report, error) {
 		return Report{}, err
 	}
 	cells := g.Cells()
+	return runGrid(ctx, r, cells, func(ctx context.Context, i int) (json.RawMessage, error) {
+		return cells[i].Run(ctx)
+	})
+}
+
+// runGrid runs cells as one sweep on r, computing cell i with run, and
+// reports every cell. It is the one grid runner: RunSerial passes
+// Cell.Run, and the coordinator a remote attempt.
+func runGrid(ctx context.Context, r *harness.Runner, cells []Cell, run func(ctx context.Context, i int) (json.RawMessage, error)) (Report, error) {
 	keys := make([]string, len(cells))
 	for i, c := range cells {
 		keys[i] = c.Key
 	}
-	vals, ok, err := harness.RunCells(ctx, r, GridExperiment, keys,
-		func(cctx context.Context, i int) (json.RawMessage, error) {
-			return cells[i].Run(cctx)
-		})
+	vals, ok, err := harness.RunCells(ctx, r, GridExperiment, keys, run)
 	return newReport(keys, vals, ok, r.Failures()), err
 }

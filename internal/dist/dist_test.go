@@ -241,15 +241,33 @@ func TestFabricByteMatchesSerial(t *testing.T) {
 
 // A transient-forever cell must exhaust its retry budget and become a
 // structured FAILED row — never a hang or a panic — while sibling cells
-// complete.
+// complete. The serial harness renders the same failing grid byte for
+// byte.
 func TestRetryBudgetExhaustionFails(t *testing.T) {
 	g := testGrid()
-	flaky := mustParse(t, "transient:bench=mcf|cores=2|w=30000:100")
+	const spec = "transient:bench=mcf|cores=2|w=30000:100"
+	flaky := mustParse(t, spec)
 	coord := fabricCoord(t, g, 1)
 	workers := inprocWorkers(t, 2, func(int) Faults { return flaky })
 	rep, err := RunFabric(context.Background(), coord, workers)
 	if err != nil {
 		t.Fatalf("RunFabric: %v", err)
+	}
+	serial, err := RunSerial(context.Background(), harness.New(harness.Options{
+		Workers: 2, Retries: 1, Seed: 99, Faults: mustParse(t, spec),
+	}), g)
+	if err != nil {
+		t.Fatalf("RunSerial: %v", err)
+	}
+	var got, want bytes.Buffer
+	if err := rep.WriteTSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.WriteTSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("failing grid: fabric != serial\nfabric:\n%s\nserial:\n%s", got.Bytes(), want.Bytes())
 	}
 	if !rep.Failed() {
 		t.Fatal("report does not record the failure")
@@ -277,8 +295,126 @@ func TestRetryBudgetExhaustionFails(t *testing.T) {
 	}
 }
 
-// Coordinator cancellation must reach an in-flight cell via the
-// heartbeat Stop bit — within roughly one heartbeat interval plus the
+// Lease fencing, driven by hand over the RPC service with no worker: once
+// a lease expires, its Complete, Upload and Heartbeat are refused, the
+// cell is granted again, and only a Complete under the new lease (from
+// the worker holding it) becomes the cell's value.
+func TestStaleLeaseIsFenced(t *testing.T) {
+	g := testGrid()
+	g.Designs, g.Benches = g.Designs[:1], g.Benches[:1]
+	coord, err := NewCoordinator(CoordOptions{
+		Grid: g, Lease: 200 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
+		Retries: 1, Seed: 99, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := coord.NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cliConn, srvConn := net.Pipe()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		srv.ServeConn(srvConn)
+	}()
+	go func() {
+		defer wg.Done()
+		coord.Serve(ctx)
+	}()
+	client := rpc.NewClient(cliConn)
+	defer func() {
+		client.Close()
+		wg.Wait()
+	}()
+	call := func(method string, args, reply any) {
+		t.Helper()
+		if err := client.Call(method, args, reply); err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+	}
+	register := func() string {
+		t.Helper()
+		var reg RegisterReply
+		call("Coord.Register", &RegisterArgs{}, &reg)
+		return reg.WorkerID
+	}
+	// lease polls until the coordinator grants w a cell.
+	lease := func(w string) LeaseReply {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			var reply LeaseReply
+			call("Coord.Lease", &LeaseArgs{WorkerID: w}, &reply)
+			switch {
+			case reply.Granted:
+				return reply
+			case reply.Done:
+				t.Fatal("coordinator dismissed the worker with the cell open")
+			case time.Now().After(deadline):
+				t.Fatal("no lease granted within 30s")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	w := register()
+	first := lease(w)
+	// No heartbeat: the first lease expires, and the cell is granted again.
+	second := lease(w)
+	if second.Cell.Key != first.Cell.Key || second.LeaseID == first.LeaseID {
+		t.Fatalf("second grant = cell %s lease %d, want cell %s under a new lease (first %d)",
+			second.Cell.Key, second.LeaseID, first.Cell.Key, first.LeaseID)
+	}
+
+	var cr CompleteReply
+	call("Coord.Complete", &CompleteArgs{WorkerID: w, LeaseID: first.LeaseID, Value: []byte(`{"stale":true}`)}, &cr)
+	if cr.Accepted {
+		t.Error("Complete under the expired lease was accepted")
+	}
+	var ur UploadReply
+	call("Coord.Upload", &UploadArgs{WorkerID: w, LeaseID: first.LeaseID, State: []byte("stale"), Saves: 1}, &ur)
+	if !ur.Stale {
+		t.Error("Upload under the expired lease was not reported stale")
+	}
+	var hr HeartbeatReply
+	call("Coord.Heartbeat", &HeartbeatArgs{WorkerID: w, LeaseID: first.LeaseID}, &hr)
+	if !hr.Revoked {
+		t.Error("Heartbeat under the expired lease was not revoked")
+	}
+	// The live lease ID from another worker is fenced too.
+	cr = CompleteReply{}
+	call("Coord.Complete", &CompleteArgs{WorkerID: register(), LeaseID: second.LeaseID, Value: []byte(`{"foreign":true}`)}, &cr)
+	if cr.Accepted {
+		t.Error("Complete from a worker not holding the lease was accepted")
+	}
+
+	cr = CompleteReply{}
+	call("Coord.Complete", &CompleteArgs{WorkerID: w, LeaseID: second.LeaseID, Value: []byte(`{"ipc":1}`)}, &cr)
+	if !cr.Accepted {
+		t.Fatal("Complete under the live lease was refused")
+	}
+	select {
+	case <-coord.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("coordinator not done after its only cell completed")
+	}
+	rows := coord.Report().Rows
+	if len(rows) != 1 || rows[0].Err != "" || string(rows[0].Value) != `{"ipc":1}` {
+		t.Fatalf("report rows = %+v, want the live lease's value", rows)
+	}
+	log, _ := coord.AttemptLog(first.Cell.Key)
+	if len(log) != 2 || !strings.Contains(log[0].Err, "lease expired") || !log[1].OK {
+		t.Fatalf("attempt log = %+v, want an expiry then a success", log)
+	}
+}
+
+// Coordinator cancellation must reach an in-flight cell via heartbeat
+// revocation — within roughly one heartbeat interval plus the
 // simulator's cancellation poll — even when the worker's own context is
 // untouched (the remote-worker topology).
 func TestCoordinatorCancellationReachesCell(t *testing.T) {

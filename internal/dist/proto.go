@@ -38,17 +38,15 @@ type LeaseArgs struct {
 	WorkerID string
 }
 
-// LeaseReply grants a cell (Granted), asks the worker to poll again
-// (RetryAfter), or dismisses it (Done: every cell is resolved, or the
-// run was cancelled).
+// LeaseReply grants a cell (Granted) or dismisses the worker (Done:
+// every cell is resolved, or the run was cancelled). With neither, no
+// cell waited for a worker within one heartbeat: the worker asks again.
 type LeaseReply struct {
-	Granted    bool
-	Done       bool
-	RetryAfter time.Duration
+	Granted bool
+	Done    bool
 
 	LeaseID uint64
 	Cell    Cell
-	Attempt int // 1-based attempt number for this cell
 
 	// Snapshot is the previous owner's last uploaded cell-state blob
 	// (nil for a fresh cell): the crash-migration payload. The worker
@@ -69,13 +67,12 @@ type HeartbeatArgs struct {
 
 // HeartbeatReply tells the worker where it stands.
 type HeartbeatReply struct {
-	// Revoked: the lease is no longer held (it expired and the cell was
-	// reassigned). The worker must abandon the cell and not Complete it.
-	Revoked bool
-	// Stop: the coordinator is shutting down; cancel the cell now. This
-	// is how coordinator cancellation reaches in-flight cells within one
+	// Revoked: the lease is no longer held — it expired and the cell was
+	// offered again, or the run ended. The worker must abandon the cell
+	// and not Complete it. A cancelled run revokes every lease, which is
+	// how coordinator cancellation reaches in-flight cells within one
 	// heartbeat interval.
-	Stop bool
+	Revoked bool
 }
 
 // UploadArgs ships a cell-state blob to the coordinator after a durable

@@ -166,7 +166,6 @@ func (w *Worker) runLoop(ctx context.Context) error {
 		case lease.Done:
 			return nil
 		case !lease.Granted:
-			harness.Sleep(ctx, lease.RetryAfter)
 			continue
 		}
 		w.runCell(ctx, &lease)
@@ -201,9 +200,9 @@ func (w *Worker) runCell(ctx context.Context, lease *LeaseReply) {
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var revoked, stopped atomic.Bool
+	var revoked atomic.Bool
 	hbDone := make(chan struct{})
-	go w.heartbeats(cctx, cancel, lease, key, &revoked, &stopped, hbDone)
+	go w.heartbeats(cctx, cancel, lease, key, &revoked, hbDone)
 
 	res := harness.RunAttempt(cctx, harness.Attempt{
 		Key:     key,
@@ -226,20 +225,17 @@ func (w *Worker) runCell(ctx context.Context, lease *LeaseReply) {
 
 	switch {
 	case revoked.Load():
-		// Fenced off: the coordinator reassigned the cell. Nothing to
-		// report — a stale Complete would be rejected anyway.
+		// Fenced off: the lease expired, or the coordinator's run ended.
+		// Nothing to report — a stale Complete would be rejected anyway,
+		// and the cell's unwinding context error is not a cell failure.
 		w.logf("%s: abandoning cell %s (lease lost)", w.id, lease.Cell.Key)
-	case stopped.Load():
-		// Coordinator shutdown interrupted the cell; its unwinding
-		// context error is cancellation fallout, not a cell failure.
-		w.logf("%s: abandoning cell %s (coordinator stopped)", w.id, lease.Cell.Key)
 	case res.Outcome == harness.Stopped:
 		// Graceful shutdown: state is durable locally and uploaded to
 		// the coordinator; the lease will expire and migrate it.
 		w.logf("%s: cell %s stopped after deadline snapshot", w.id, lease.Cell.Key)
 	case res.Outcome == harness.Cancelled:
-		// Worker-level cancellation (coordinator Stop or local signal):
-		// not a cell failure.
+		// Worker-level cancellation (a local signal): not a cell
+		// failure.
 	case res.Err != nil:
 		w.completeErr(ctx, lease, res.Err, migrated, saves)
 	default:
@@ -259,10 +255,11 @@ func (w *Worker) runCell(ctx context.Context, lease *LeaseReply) {
 }
 
 // heartbeats refreshes the lease every heartbeat interval until the cell
-// context ends, cancelling the cell on revocation, coordinator shutdown,
-// or a dead link (three consecutive failures — by then the lease has
-// little life left anyway).
-func (w *Worker) heartbeats(cctx context.Context, cancel context.CancelFunc, lease *LeaseReply, key string, revoked, stopped *atomic.Bool, done chan<- struct{}) {
+// context ends, cancelling the cell on revocation (which is how a
+// coordinator shutdown reaches it within one interval) or a dead link
+// (three consecutive failures — by then the lease has little life left
+// anyway).
+func (w *Worker) heartbeats(cctx context.Context, cancel context.CancelFunc, lease *LeaseReply, key string, revoked *atomic.Bool, done chan<- struct{}) {
 	defer close(done)
 	t := time.NewTicker(w.heartbeat)
 	defer t.Stop()
@@ -291,13 +288,6 @@ func (w *Worker) heartbeats(cctx context.Context, cancel context.CancelFunc, lea
 			}
 		case reply.Revoked:
 			revoked.Store(true)
-			cancel()
-			return
-		case reply.Stop:
-			// Coordinator shutdown: cancel the in-flight cell now, not
-			// at its natural end — the bounded-latency cancellation
-			// contract.
-			stopped.Store(true)
 			cancel()
 			return
 		default:

@@ -177,16 +177,15 @@ const (
 	backoffCap  = 2 * time.Second
 )
 
-// Retry is the one retry rule of the sweep harness and the fleet
-// coordinator. After failed attempt number attempt (1-based) of the cell
-// key, it reports whether to run the cell again — only Transient
-// failures are retried, at most retries times — and the delay before the
-// next attempt. The delay is a pure function of (seed, key, attempt): it
-// does not depend on how many other cells retried first, on worker
-// scheduling, or on any shared stream position, so a retry schedule
-// reproduces exactly given the seed, and the coordinator gates a cell's
-// next grant on the identical schedule no matter which worker's failure
-// triggered it.
+// Retry is the one retry rule of the sweep harness, and so of the fleet
+// coordinator's sweep. After failed attempt number attempt (1-based) of
+// the cell key, it reports whether to run the cell again — only
+// Transient failures are retried, at most retries times — and the delay
+// before the next attempt. The delay is a pure function of (seed, key,
+// attempt): it does not depend on how many other cells retried first,
+// on worker scheduling, or on any shared stream position, so a retry
+// schedule reproduces exactly given the seed, whichever worker's
+// failure triggered it.
 func Retry(seed uint64, key string, attempt, retries int, err error) (time.Duration, bool) {
 	if !IsTransient(err) || attempt > retries {
 		return 0, false

@@ -54,8 +54,8 @@ type Checkpoint struct {
 	mu        sync.Mutex
 	path      string
 	cells     map[string]json.RawMessage
-	f         *os.File // nil for in-memory checkpoints
-	lock      fileLock // held while f is open
+	f         *os.File // nil for in-memory checkpoints; once closed, it refuses writes
+	lock      fileLock // held while f is open, nil once closed
 	hasHeader bool     // header line already present in the file
 }
 
@@ -183,7 +183,16 @@ func (c *Checkpoint) Lookup(key string, v any) (bool, error) {
 	return true, nil
 }
 
-// Record stores key -> v and appends it to the backing file.
+// Has reports whether the checkpoint holds a value for key.
+func (c *Checkpoint) Has(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, hit := c.cells[key]
+	return hit
+}
+
+// Record stores key -> v and appends it to the backing file. After Close
+// a file-backed checkpoint's Record fails and stores nothing.
 func (c *Checkpoint) Record(key string, v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -232,7 +241,8 @@ func (c *Checkpoint) appendLocked(e checkpointEntry) error {
 // only reach the OS page cache (losing the in-flight cells of a machine
 // crash is acceptable for sweeps); callers whose records acknowledge
 // external work — the serve layer admitting a tenant session — call Sync
-// before acting on the record. In-memory checkpoints are a no-op.
+// before acting on the record. In-memory checkpoints are a no-op; a
+// closed file-backed one fails.
 func (c *Checkpoint) Sync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -266,24 +276,23 @@ func (c *Checkpoint) Keys() []string {
 }
 
 // Close syncs and releases the backing file and its lock (in-memory
-// checkpoints are a no-op).
+// checkpoints, and closed ones, are a no-op). The closed file stays
+// attached, so a later Record or Sync fails instead of acknowledging a
+// record that no file holds.
 func (c *Checkpoint) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.f == nil {
+	if c.lock == nil {
 		return nil
 	}
 	err := c.f.Sync()
 	if cerr := c.f.Close(); err == nil {
 		err = cerr
 	}
-	c.f = nil
-	if c.lock != nil {
-		if lerr := c.lock.release(); err == nil {
-			err = lerr
-		}
-		c.lock = nil
+	if lerr := c.lock.release(); err == nil {
+		err = lerr
 	}
+	c.lock = nil
 	return err
 }
 

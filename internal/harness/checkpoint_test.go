@@ -154,3 +154,48 @@ func TestCheckpointHeaderSurvivesEmptyRun(t *testing.T) {
 		t.Fatalf("len = %d, want 1", ck3.Len())
 	}
 }
+
+// A closed file-backed checkpoint refuses records instead of keeping
+// them in memory only; an in-memory checkpoint has no file and keeps
+// accepting them.
+func TestClosedCheckpointRefusesRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	ck, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Record("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Record("b", 2); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Fatalf("Record after Close = %v, want a closed-checkpoint error", err)
+	}
+	if err := ck.Sync(); err == nil {
+		t.Fatal("Sync after Close succeeded")
+	}
+	if ck.Has("b") {
+		t.Fatal("a refused record is served from memory")
+	}
+	ck2, err := OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ck2.Close() }()
+	if !ck2.Has("a") || ck2.Has("b") || ck2.Len() != 1 {
+		t.Fatalf("reopened checkpoint holds %v, want only a", ck2.Keys())
+	}
+
+	mem := NewMemCheckpoint()
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Record("c", 3); err != nil || !mem.Has("c") {
+		t.Fatalf("in-memory Record after Close = %v", err)
+	}
+	if err := mem.Sync(); err != nil {
+		t.Fatalf("in-memory Sync = %v", err)
+	}
+}

@@ -23,9 +23,10 @@
 //     nonzero on).
 //
 // The package is deliberately simulator-agnostic: cells are closures and
-// cell values are anything JSON-marshalable. The fleet worker and the
-// session server run their cells through the same attempt (RunAttempt)
-// and retry rule (Retry).
+// cell values are anything JSON-marshalable. The fleet coordinator runs
+// its grid as a RunCells sweep whose cells are remote attempts; the
+// fleet worker and the session server run their cells through the same
+// attempt (RunAttempt).
 package harness
 
 import (
@@ -460,13 +461,14 @@ func runOne[T any](ctx context.Context, r *Runner, key string, run func(ctx cont
 	for attempts := 1; ; attempts++ {
 		res := RunAttempt(ctx, a, run)
 		delay, retry := Retry(r.opts.Seed, key, attempts, r.opts.Retries, res.Err)
-		if res.Outcome != FailedTransient || !retry || ctx.Err() != nil {
+		if res.Outcome != FailedTransient || !retry {
 			return res, attempts
 		}
 		r.opts.Sleep(ctx, delay)
-		// A cancellation that arrived mid-backoff must not buy the cell one
-		// more full attempt: surface the last failure now.
+		// A cancellation before the retry leaves the cell unfinished, not
+		// failed: its budget is not spent, and a resumed sweep runs it.
 		if ctx.Err() != nil {
+			res.Outcome = Cancelled
 			return res, attempts
 		}
 	}

@@ -184,6 +184,26 @@ func TestParentCancellationIsNotAFailure(t *testing.T) {
 	}
 }
 
+// A cancellation during a transient failure's backoff leaves the cell
+// unfinished, not failed: its retry budget is not spent.
+func TestCancelledBackoffIsNotAFailure(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := Options{Workers: 1, Retries: 3}
+	opts.Sleep = func(context.Context, time.Duration) { cancel() }
+	r := New(opts)
+	_, ok, err := RunCells(ctx, r, "exp", []string{"cell=0"},
+		func(context.Context, int) (int, error) {
+			return 0, Transient(errors.New("flaky"))
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCells returned %v, want Canceled", err)
+	}
+	if ok[0] || r.Failed() {
+		t.Fatalf("ok=%v failures=%v, want the cell neither done nor failed", ok[0], r.Failures())
+	}
+}
+
 func TestRunCellsSkipsCheckpointedCells(t *testing.T) {
 	ck := NewMemCheckpoint()
 	if err := ck.Record("exp|cell=1", 111); err != nil {

@@ -721,3 +721,39 @@ func TestDeadline(t *testing.T) {
 	}
 	waitState(t, s, id2, StateDone)
 }
+
+// TestJournalClosedUnderRunningSession: a session whose outcome cannot be
+// journaled ends failed with the journaling error, never done with a
+// result no file holds. The journal is closed at the session's first
+// durable save, while it runs.
+func TestJournalClosedUnderRunningSession(t *testing.T) {
+	var s *Server
+	var once sync.Once
+	s = openServer(t, Config{
+		Dir: t.TempDir(), Workers: 1,
+		Faults: onSave(func(string, int) {
+			once.Do(func() {
+				if err := s.ck.Close(); err != nil {
+					t.Errorf("closing journal: %v", err)
+				}
+			})
+		}),
+	})
+	s.Start(context.Background())
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	id, err := s.Admit(testSpec("acme", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := waitState(t, s, id, StateFailed)
+	if !strings.Contains(info.Error, "journaling outcome") {
+		t.Fatalf("failure cause %q, want the journaling error", info.Error)
+	}
+	if _, msg, ok := s.Result(id); !ok || msg != info.Error {
+		t.Fatalf("Result = (%q, %v), want the journaling error", msg, ok)
+	}
+}
