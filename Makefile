@@ -91,14 +91,16 @@ bench-profile:
 	$(GO) tool pprof -top -nodecount=10 "$$TMP/micro.pprof"
 
 # fuzz-smoke gives each fuzz target a short budget — enough to catch
-# regressions in the PRINCE round-trip, snapshot-decoder robustness and
-# the fully-associative cache's flat index (against its map-based
-# reference) without stalling CI. Corpus crashers live under
-# testdata/fuzz and replay in normal `go test` runs.
+# regressions in the PRINCE round-trip, snapshot-decoder robustness, the
+# fully-associative cache's flat index (against its map-based reference)
+# and the LRU recency list (against the stamp scan) without stalling CI.
+# Corpus crashers live under testdata/fuzz and replay in normal `go test`
+# runs.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzEncryptDecryptRoundTrip -fuzztime=10s ./internal/prince/
 	$(GO) test -run=^$$ -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/snapshot/
 	$(GO) test -run=^$$ -fuzz=FuzzFAIndex -fuzztime=10s ./internal/baseline/
+	$(GO) test -run=^$$ -fuzz=FuzzLRUList -fuzztime=10s ./internal/baseline/
 
 # ci is the tier-1 verification gate: ci.sh, the one script that runs
 # every step in order (correctness first, the mayabench -compare timing

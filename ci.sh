@@ -29,7 +29,7 @@ step_vet() {
 }
 
 step_inline() {
-  echo "==> inlined Monte-Carlo draws and snapshot encoders (go build -gcflags=-m)"
+  echo "==> inlined Monte-Carlo draws, snapshot encoders and LRU victims (go build -gcflags=-m)"
   # The bucket-and-balls kernel is fast because every draw compiles inline:
   # rng's xoshiro step (Rand.Next, and (*Rand).Uint64 built on it) and the
   # precomputed bound's accept test (Bound.Map) must stay under the
@@ -38,10 +38,12 @@ step_inline() {
   # and the record helper ((*Encoder).U8/U32/U64/Record) inline into the
   # encode loops, as in Maya's and Mirage's tag loops, which also read each
   # tag's line and SDID from the skewed store ((*Skewed).Line/SDID) inline.
-  # An edit that pushes one over the budget passes every test while
-  # silently costing the Monte Carlo or the saves their speed, so it fails
-  # here.
-  inl=$(go build -gcflags=-m ./internal/rng ./internal/buckets ./internal/snapshot ./internal/core ./internal/mirage 2>&1)
+  # Every core's L1D and L2 pick an LRU victim with one load of the set's
+  # recency-list end, which only stays a load while (*lruPolicy).victim
+  # inlines into (*SetAssoc).Access. An edit that pushes one over the
+  # budget passes every test while silently costing the Monte Carlo, the
+  # saves or the private caches their speed, so it fails here.
+  inl=$(go build -gcflags=-m ./internal/rng ./internal/buckets ./internal/snapshot ./internal/core ./internal/mirage ./internal/baseline 2>&1)
   for want in 'rng\.go:.*can inline (\*Rand)\.Uint64$' 'rng\.go:.*can inline Rand\.Next$' \
       'rng\.go:.*can inline Bound\.Map$' 'buckets\.go:.*inlining call to rng\.Rand\.Next$' \
       'buckets\.go:.*inlining call to rng\.Bound\.Map$' \
@@ -52,9 +54,10 @@ step_inline() {
       'core/state\.go:.*inlining call to probe\.(\*Skewed)\.SDID$' \
       'mirage/state\.go:.*inlining call to snapshot\.(\*Encoder)\.Record$' \
       'mirage/state\.go:.*inlining call to probe\.(\*Skewed)\.Line$' \
-      'mirage/state\.go:.*inlining call to probe\.(\*Skewed)\.SDID$'; do
+      'mirage/state\.go:.*inlining call to probe\.(\*Skewed)\.SDID$' \
+      'baseline/baseline\.go:.*inlining call to (\*lruPolicy)\.victim$'; do
     if ! printf '%s\n' "$inl" | grep -q "$want"; then
-      echo "ci: '$want' missing from the -gcflags=-m output: a draw or an encoder no longer inlines" >&2; exit 1
+      echo "ci: '$want' missing from the -gcflags=-m output: a draw, an encoder or the LRU victim no longer inlines" >&2; exit 1
     fi
   done
 }

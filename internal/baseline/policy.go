@@ -1,9 +1,12 @@
 package baseline
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
+	"mayacache/internal/invariant"
 	"mayacache/internal/rng"
 	"mayacache/internal/snapshot"
 )
@@ -79,31 +82,95 @@ func newPolicy(k ReplacementKind, sets, ways int, r *rng.Rand) policy {
 	}
 }
 
-// lruPolicy keeps a per-way age stamp; the victim is the oldest.
+// lruPolicy keeps a per-way age stamp; the victim is the oldest way, the
+// lowest-indexed one among equal stamps. The stamps are the snapshot's
+// wire format. Each set also keeps its ways in a doubly-linked recency
+// list ordered by (stamp, way), so the victim is the list's LRU end, one
+// load, and a touch relinks one way in O(1). A touch stamps a way with a
+// clock value above every stamp in the cache, so moving it to the MRU end
+// keeps the order. Stamps tie only in a fresh cache, where they are all
+// zero and the list is in way order, and after a restore, which rebuilds
+// the list from them.
 type lruPolicy struct {
 	ways  int
 	clock uint64
 	stamp []uint64 // sets*ways
+
+	// older[i] and newer[i] are the neighbours of global way i in its
+	// set's list, as way indexes within the set; the LRU end's older
+	// and the MRU end's newer are unused. lruEnd[s] and mruEnd[s] are
+	// set s's oldest and newest ways. The links are int32, as wide as
+	// SetAssoc's mru hint and validCnt, so they fit every set SetAssoc
+	// can index.
+	older, newer   []int32 //mayavet:ignore snapshotfields -- derived: rebuilt from the stamps on restore
+	lruEnd, mruEnd []int32 //mayavet:ignore snapshotfields -- derived: rebuilt from the stamps on restore
 }
 
 func newLRUPolicy(sets, ways int) *lruPolicy {
-	return &lruPolicy{ways: ways, stamp: make([]uint64, sets*ways)}
+	p := &lruPolicy{
+		ways:   ways,
+		stamp:  make([]uint64, sets*ways),
+		older:  make([]int32, sets*ways),
+		newer:  make([]int32, sets*ways),
+		lruEnd: make([]int32, sets),
+		mruEnd: make([]int32, sets),
+	}
+	// Every stamp starts at zero, so (stamp, way) order is way order in
+	// every set: link the first set that way and copy it to the rest.
+	for w := 1; w < ways; w++ {
+		p.older[w] = int32(w - 1)
+		p.newer[w-1] = int32(w)
+	}
+	for base := ways; base < len(p.stamp); base += ways {
+		copy(p.older[base:base+ways], p.older[:ways])
+		copy(p.newer[base:base+ways], p.newer[:ways])
+	}
+	for s := range p.mruEnd {
+		p.mruEnd[s] = int32(ways - 1)
+	}
+	return p
 }
 
 func (p *lruPolicy) hit(set, way int) {
 	p.clock++
-	p.stamp[set*p.ways+way] = p.clock
+	base := set * p.ways
+	p.stamp[base+way] = p.clock
+	mru := int(p.mruEnd[set])
+	if way == mru {
+		return
+	}
+	// Unlink way (it has a newer neighbour, not being the MRU end) and
+	// append it after the MRU end.
+	o, n := p.older[base+way], p.newer[base+way]
+	if way == int(p.lruEnd[set]) {
+		p.lruEnd[set] = n
+	} else {
+		p.newer[base+int(o)] = n
+	}
+	p.older[base+int(n)] = o
+	p.newer[base+mru] = int32(way)
+	p.older[base+way] = int32(mru)
+	p.mruEnd[set] = int32(way)
 }
 
 func (p *lruPolicy) fill(set, way int) { p.hit(set, way) }
 
 func (p *lruPolicy) victim(set int) int {
-	base := set * p.ways
-	row := p.stamp[base : base+p.ways]
-	best, bestStamp := 0, row[0]
-	for w := 1; w < len(row); w++ {
-		if s := row[w]; s < bestStamp {
-			best, bestStamp = w, s
+	w := int(p.lruEnd[set])
+	if invariant.Enabled {
+		invariant.Check(w == p.oldest(set), "baseline: lru list victim %d in set %d, stamp scan %d", w, set, p.oldest(set))
+	}
+	return w
+}
+
+// oldest scans set's stamps for the lowest, the first way among equals:
+// the victim the list must name.
+func (p *lruPolicy) oldest(set int) int {
+	row := p.stamp[set*p.ways : (set+1)*p.ways]
+	best := 0
+	for w, s := range row {
+		if s < row[best] {
+			best = w
 		}
 	}
 	return best
@@ -121,16 +188,62 @@ func (p *lruPolicy) saveState(e *snapshot.Encoder) {
 
 func (p *lruPolicy) restoreState(d *snapshot.Decoder) {
 	p.clock = d.U64()
-	if !d.FixedCount(len(p.stamp), "lru stamps") {
-		return
-	}
-	for i := range p.stamp {
-		p.stamp[i] = d.U64()
-		if p.stamp[i] > p.clock {
-			d.Fail("lru stamps", "stamp %d ahead of clock %d", p.stamp[i], p.clock)
-			return
+	if d.FixedCount(len(p.stamp), "lru stamps") {
+		for i := range p.stamp {
+			p.stamp[i] = d.U64()
+			if p.stamp[i] > p.clock {
+				d.Fail("lru stamps", "stamp %d ahead of clock %d", p.stamp[i], p.clock)
+				break
+			}
 		}
 	}
+	p.rebuild()
+	if invariant.Enabled {
+		invariant.CheckErr(p.audit())
+	}
+}
+
+// rebuild relinks every set's list from the stamps, ordered by (stamp,
+// way), which names the victim the stamp scan would.
+func (p *lruPolicy) rebuild() {
+	order := make([]int32, p.ways)
+	for set := range p.lruEnd {
+		base := set * p.ways
+		row := p.stamp[base : base+p.ways]
+		for w := range order {
+			order[w] = int32(w)
+		}
+		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(row[a], row[b]) })
+		p.lruEnd[set] = order[0]
+		p.mruEnd[set] = order[len(order)-1]
+		for i := 1; i < len(order); i++ {
+			p.older[base+int(order[i])] = order[i-1]
+			p.newer[base+int(order[i-1])] = order[i]
+		}
+	}
+}
+
+// audit checks that each set's list holds each of its ways once, linked
+// both ways, in (stamp, way) order.
+func (p *lruPolicy) audit() error {
+	for set := range p.lruEnd {
+		base := set * p.ways
+		w := int(p.lruEnd[set])
+		for i := 1; i < p.ways; i++ {
+			n := int(p.newer[base+w])
+			if n >= p.ways || int(p.older[base+n]) != w {
+				return fmt.Errorf("baseline: lru list of set %d broken after way %d", set, w)
+			}
+			if s, t := p.stamp[base+w], p.stamp[base+n]; s > t || s == t && w > n {
+				return fmt.Errorf("baseline: lru list of set %d puts way %d (stamp %d) before way %d (stamp %d)", set, w, s, n, t)
+			}
+			w = n
+		}
+		if w != int(p.mruEnd[set]) {
+			return fmt.Errorf("baseline: lru list of set %d ends at way %d, MRU end is %d", set, w, p.mruEnd[set])
+		}
+	}
+	return nil
 }
 
 // rripPolicy implements SRRIP (and BRRIP when bimodal) with 2-bit RRPVs.

@@ -295,6 +295,56 @@ func TestRetryBudgetExhaustionFails(t *testing.T) {
 	}
 }
 
+// logSink collects the log lines of a whole fabric run.
+type logSink struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logSink) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// A run that ends on its own does not cancel its workers: they leave on
+// the coordinator's dismissal, so the worker whose Complete ends the run
+// gets its reply and logs no failure. The failing grid of
+// TestRetryBudgetExhaustionFails runs to completion 20 times; every report
+// is the same and no worker logs a cancelled call.
+func TestFabricWorkersLeaveOnDismissal(t *testing.T) {
+	g := testGrid()
+	var first []byte
+	for run := 0; run < 20; run++ {
+		flaky := mustParse(t, "transient:bench=mcf:100")
+		var sink logSink
+		coord := fabricCoord(t, g, 1)
+		coord.opts.Logf = sink.logf
+		workers := inprocWorkers(t, 2, func(int) Faults { return flaky })
+		for i := range workers {
+			workers[i].Opts.Logf = sink.logf
+		}
+		rep, err := RunFabric(context.Background(), coord, workers)
+		if err != nil {
+			t.Fatalf("run %d: RunFabric: %v", run, err)
+		}
+		var tsv bytes.Buffer
+		if err := rep.WriteTSV(&tsv); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = tsv.Bytes()
+		} else if !bytes.Equal(tsv.Bytes(), first) {
+			t.Fatalf("run %d: report changed\n%s\nfirst:\n%s", run, tsv.Bytes(), first)
+		}
+		for _, line := range sink.lines {
+			if strings.Contains(line, context.Canceled.Error()) {
+				t.Errorf("run %d logged a cancelled call: %s", run, line)
+			}
+		}
+	}
+}
+
 // Lease fencing, driven by hand over the RPC service with no worker: once
 // a lease expires, its Complete, Upload and Heartbeat are refused, the
 // cell is granted again, and only a Complete under the new lease (from

@@ -23,22 +23,23 @@ type InprocWorker struct {
 // RunFabric drives coord and n in-process workers to completion:
 // workers[i].Opts configures the i-th worker (its Kill, when nil, is
 // replaced by a hard cancel of that worker — the in-proc SIGKILL). It
-// returns the coordinator's report once every cell is resolved or ctx
-// ends; worker transport errors are collected but non-fatal (a dead
-// worker is exactly what the fabric tolerates).
+// returns the coordinator's report once every cell is resolved and every
+// worker has left, or once ctx ends; worker transport errors are
+// collected but non-fatal (a dead worker is exactly what the fabric
+// tolerates). Workers leave on the coordinator's dismissal, the Done
+// reply to their next lease request, so a worker's last Complete always
+// gets its reply; only the end of ctx cancels them.
 func RunFabric(ctx context.Context, coord *Coordinator, workers []InprocWorker) (Report, error) {
 	srv, err := coord.NewServer()
 	if err != nil {
 		return Report{}, err
 	}
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		coord.Serve(fctx)
+		coord.Serve(ctx)
 	}()
 
 	errs := make([]error, len(workers))
@@ -54,7 +55,7 @@ func RunFabric(ctx context.Context, coord *Coordinator, workers []InprocWorker) 
 			defer wg.Done()
 			client := rpc.NewClient(conn)
 			defer client.Close()
-			wctx, wcancel := context.WithCancel(fctx)
+			wctx, wcancel := context.WithCancel(ctx)
 			defer wcancel()
 			opts := workers[i].Opts
 			if opts.Kill == nil {
@@ -75,9 +76,10 @@ func RunFabric(ctx context.Context, coord *Coordinator, workers []InprocWorker) 
 	}
 
 	// The run ends when every cell resolves or the caller cancels;
-	// either way Done closes (Serve closes it on cancellation).
-	<-coord.Done()
-	cancel()
+	// either way Done closes (Serve closes it on cancellation), and
+	// every worker then leaves: dismissed at its next lease request,
+	// fenced off at its next heartbeat if it still runs a cell, or
+	// cancelled with ctx.
 	wg.Wait()
 
 	for i, werr := range errs {

@@ -216,7 +216,11 @@ func (s *Server) recover() error {
 		if sess == nil {
 			return fmt.Errorf("serve: journal has terminal record for unknown session %s", id)
 		}
-		var out Outcome
+		// Only the error is needed here; decoding the whole Outcome
+		// would copy every result's bytes at boot.
+		var out struct {
+			Error string `json:"error,omitempty"`
+		}
 		if _, err := s.ck.Lookup(key, &out); err != nil {
 			return fmt.Errorf("serve: journal %s: %w", key, err)
 		}
