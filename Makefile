@@ -72,7 +72,7 @@ e2e:
 # bench runs the continuous benchmark suite in quick mode and writes
 # BENCH.json: per-design LLC access-path microbenchmarks (ns/access,
 # allocs/access, B/access, memo hit rate) and a 4-core macro mix
-# (events/sec, serial and parallel). The workloads are pinned and
+# (events/sec, one row per design). The workloads are pinned and
 # seed-deterministic, so comparing BENCH.json across commits on the same
 # machine tracks simulator performance. Serve and Monte-Carlo cost are
 # the benchmark of record's serve-closed and secmc workloads

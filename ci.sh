@@ -106,10 +106,11 @@ step_check() {
 step_race_sim() {
   echo "==> race detector (multi-core simulator paths)"
   go test -race ./internal/cachesim/... ./internal/core/... ./internal/experiments/... ./internal/harness/... ./internal/faults/... ./internal/snapshot/...
-  # The parallel mode's batch channels again at GOMAXPROCS 1, 2 and 4:
-  # the two-core test systems' workers and merge share one P, then
-  # oversubscribe two, then each get their own.
-  go test -race -cpu 1,2,4 -run 'Parallel|ErrSpent' ./internal/cachesim/
+  # The one goroutine a run joins is its cell's write-behind save
+  # (snapshot.Cell). The cell tests and the spent-state test again at
+  # GOMAXPROCS 1, 2 and 4: the drive loop and the writer share one P,
+  # then each get their own.
+  go test -race -cpu 1,2,4 -run '^(TestErrSpent|TestRunResumableCellProtocol|TestRunFailsOnLostWrite|TestRunFailsOnLostLastWrite|TestCellFileBytes)$' ./internal/cachesim/
 }
 
 step_race_dist() {
@@ -160,7 +161,7 @@ step_bench_gate() {
   # The quick suite doubles as a smoke test of the bench pipeline itself:
   # it must build every design through the registry, run the pinned micro
   # workloads (an xor-hasher row per design, a real-hash row per randomized
-  # design) and macro workloads (serial and parallel rows per design), emit
+  # design) and macro workloads (one serial row per design), emit
   # a parseable BENCH.json, and hold every micro and macro row within 10%
   # of the committed baseline (ci-bench-baseline.json) after normalizing
   # out the run-wide machine-speed factor, so shared-runner noise does not

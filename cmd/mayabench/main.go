@@ -23,8 +23,7 @@
 // -compare loads a previously written report and fails (exit 1) when any
 // micro or macro row regresses more than 10% against its baseline row
 // after normalizing out the run-wide machine-speed factor — the CI perf
-// gate (see bench.CompareMicro/CompareMacro for the exact rule;
-// cpus_limited parallel rows are excluded).
+// gate (see bench.CompareMicro/CompareMacro for the exact rule).
 //
 // Exit status: 0 on success, 1 when any benchmark fails, 2 on flag
 // misuse.
@@ -94,13 +93,9 @@ func run() int {
 			m.Design, hasher, m.NsPerAccess, m.AllocsPerAccess, m.BytesPerAccess, hit)
 	}
 	fmt.Println()
-	fmt.Printf("%-10s %4s %14s %10s %8s %8s\n", "design", "par", "events/sec", "events", "IPCsum", "speedup")
+	fmt.Printf("%-10s %14s %10s %8s\n", "design", "events/sec", "events", "IPCsum")
 	for _, m := range r.Macro {
-		limited := ""
-		if m.CpusLimited {
-			limited = "  (cpus limited)"
-		}
-		fmt.Printf("%-10s %4d %14.0f %10d %8.3f %7.2fx%s\n", m.Design, m.Parallelism, m.EventsPerSec, m.Events, m.IPCSum, m.Speedup, limited)
+		fmt.Printf("%-10s %14.0f %10d %8.3f\n", m.Design, m.EventsPerSec, m.Events, m.IPCSum)
 	}
 	fmt.Printf("\nreport written to %s\n", *out)
 	if *compare != "" {

@@ -186,8 +186,19 @@ func (p *lruPolicy) saveState(e *snapshot.Encoder) {
 	}
 }
 
+// maxLRUClock bounds a restored LRU clock. The clock counts one cache's
+// touches, one per L1D or L2 hit or fill, and a run that touched one
+// cache 2^63 times would take centuries even at 10^9 touches a second.
+// So only a damaged snapshot holds a larger clock, and its next touches
+// could wrap the clock to 0: the touched way would get the oldest stamp
+// while the list made it the newest.
+const maxLRUClock = 1 << 63
+
 func (p *lruPolicy) restoreState(d *snapshot.Decoder) {
 	p.clock = d.U64()
+	if p.clock > maxLRUClock {
+		d.Fail("lru clock", "clock %d above %d", p.clock, uint64(maxLRUClock))
+	}
 	if d.FixedCount(len(p.stamp), "lru stamps") {
 		for i := range p.stamp {
 			p.stamp[i] = d.U64()

@@ -2,7 +2,9 @@ package baseline
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 
 	"mayacache/internal/cachemodel"
@@ -58,7 +60,8 @@ func TestSetAssocStateRoundTrip(t *testing.T) {
 }
 
 // TestSetAssocRestoreRejectsDamage checks truncation, out-of-range RRPVs,
-// and foreign geometry all fail structurally.
+// foreign geometry and an LRU clock that could wrap all fail
+// structurally.
 func TestSetAssocRestoreRejectsDamage(t *testing.T) {
 	cfg := Config{Sets: 64, Ways: 4, Replacement: SRRIP, Seed: 21}
 	orig := mustNew(cfg)
@@ -82,6 +85,25 @@ func TestSetAssocRestoreRejectsDamage(t *testing.T) {
 	other.Sets = 128
 	if err := mustNew(other).RestoreState(snapshot.NewDecoder(data)); err == nil {
 		t.Fatal("foreign geometry accepted")
+	}
+
+	// An LRU state ends with its clock, the stamp count and the stamps.
+	// Stamps 2^64-4 … 2^64-1 under clock 2^64-1 are none ahead of the
+	// clock, but the next touch would wrap it and stamp a way 0.
+	lru := Config{Sets: 1, Ways: 4, Replacement: LRU, Seed: 21}
+	var le snapshot.Encoder
+	mustNew(lru).SaveState(&le)
+	wrap := le.Data()
+	tail := wrap[len(wrap)-(8+4+4*8):]
+	if n := binary.LittleEndian.Uint32(tail[8:]); n != 4 {
+		t.Fatalf("LRU state layout: stamp count %d, want 4", n)
+	}
+	binary.LittleEndian.PutUint64(tail, math.MaxUint64)
+	for w := range 4 {
+		binary.LittleEndian.PutUint64(tail[12+8*w:], math.MaxUint64-3+uint64(w))
+	}
+	if err := mustNew(lru).RestoreState(snapshot.NewDecoder(wrap)); err == nil {
+		t.Fatal("LRU clock 2^64-1 accepted")
 	}
 }
 

@@ -48,10 +48,10 @@ func TestAccessPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// macroMallocs runs the full 4-core macro system (serial or parallel
-// drive loop) over the given ROI budget and returns the total heap
-// allocation count the run performed, with the collector quiesced.
-func macroMallocs(t *testing.T, design string, roi uint64, parallelism int) uint64 {
+// macroMallocs runs the full 4-core macro system over the given ROI
+// budget and returns the total heap allocation count the run performed,
+// with the collector quiesced.
+func macroMallocs(t *testing.T, design string, roi uint64) uint64 {
 	t.Helper()
 	llc, err := buildLLC(design, len(DefaultMix()), 1, true)
 	if err != nil {
@@ -79,7 +79,7 @@ func macroMallocs(t *testing.T, design string, roi uint64, parallelism int) uint
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := cachesim.Run(context.Background(), sys,
-		cachesim.RunSpec{Warmup: 50_000, ROI: roi, Parallelism: parallelism}); err != nil {
+		cachesim.RunSpec{Warmup: 50_000, ROI: roi}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -87,25 +87,23 @@ func macroMallocs(t *testing.T, design string, roi uint64, parallelism int) uint
 }
 
 // TestMacroDriveZeroAlloc extends the zero-alloc claim from the bare
-// access path to the whole 4-core macro drive loop, serial and parallel:
-// growing the ROI budget 4x must not grow the run's allocation count,
-// because every structure the steady-state loop touches — private
-// caches, LLC, DRAM, the outstanding windows, and the parallel mode's
-// record batches — reuses its memory. The subtraction cancels the fixed
-// per-run setup cost (system build, goroutines, batches); the slack
-// absorbs amortized one-time growth (e.g. an outstanding-window slice
-// doubling) that a longer run can still trigger.
+// access path to the whole 4-core macro drive loop: growing the ROI
+// budget 4x must not grow the run's allocation count, because every
+// structure the steady-state loop touches — private caches, LLC, DRAM,
+// the outstanding windows, and the step record's shared-op list — reuses
+// its memory. The subtraction cancels the fixed per-run setup cost
+// (system build); the slack absorbs amortized one-time growth (e.g. an
+// outstanding-window slice doubling) that a longer run can still
+// trigger.
 func TestMacroDriveZeroAlloc(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const slack = 16
 	for _, design := range Designs() {
-		for _, par := range []int{1, 4} {
-			small := macroMallocs(t, design, 100_000, par)
-			big := macroMallocs(t, design, 400_000, par)
-			if big > small+slack {
-				t.Errorf("%s parallelism %d: 4x ROI grew allocations %d -> %d (steady-state drive loop allocates)",
-					design, par, small, big)
-			}
+		small := macroMallocs(t, design, 100_000)
+		big := macroMallocs(t, design, 400_000)
+		if big > small+slack {
+			t.Errorf("%s: 4x ROI grew allocations %d -> %d (steady-state drive loop allocates)",
+				design, small, big)
 		}
 	}
 }

@@ -91,21 +91,15 @@ type MacroResult struct {
 	Mix          []string `json:"mix"`
 	WarmupInstrs uint64   `json:"warmup_instrs"`
 	ROIInstrs    uint64   `json:"roi_instrs"`
-	// Parallelism is the cachesim.RunSpec.Parallelism the row ran under
-	// (1 = the serial drive loop). Results are byte-identical either way;
-	// only throughput differs.
-	Parallelism int `json:"parallelism"`
-	// CpusLimited marks a parallel row recorded on a single-CPU machine:
-	// the number measures the mode's overhead, not a speedup, so
-	// CompareMacro skips the row on either side of a comparison.
-	CpusLimited  bool    `json:"cpus_limited,omitempty"`
+	// Parallelism is always 1: every simulation runs on one goroutine.
+	// It stays in the report because CompareMacro matches rows on
+	// (design, parallelism), which picks out the serial rows of older
+	// reports that also hold parallel ones.
+	Parallelism  int     `json:"parallelism"`
 	Events       uint64  `json:"events"`
 	Seconds      float64 `json:"seconds"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	IPCSum       float64 `json:"ipc_sum"`
-	// Speedup is this row's event rate over the same design's serial row
-	// (1.0 for serial rows). On a single-CPU machine it hovers near 1.
-	Speedup float64 `json:"speedup"`
 }
 
 // Report is the machine-readable output of a suite run (BENCH.json).
@@ -224,10 +218,10 @@ func (c *countingGen) Name() string      { return c.g.Name() }
 // CompareMacro regression gate needs to hold a tight tolerance.
 const macroReps = 3
 
-func bestMacro(design string, warmup, roi, seed uint64, parallelism int) (MacroResult, error) {
+func bestMacro(design string, warmup, roi, seed uint64) (MacroResult, error) {
 	var best MacroResult
 	for i := 0; i < macroReps; i++ {
-		m, err := RunMacro(design, DefaultMix(), warmup, roi, seed, parallelism)
+		m, err := RunMacro(design, DefaultMix(), warmup, roi, seed)
 		if err != nil {
 			return MacroResult{}, err
 		}
@@ -239,8 +233,8 @@ func bestMacro(design string, warmup, roi, seed uint64, parallelism int) (MacroR
 }
 
 // RunMacro measures one design's full-system simulation throughput over
-// the given mix, under the given run parallelism (<= 1 serial).
-func RunMacro(design string, mix []string, warmup, roi, seed uint64, parallelism int) (MacroResult, error) {
+// the given mix.
+func RunMacro(design string, mix []string, warmup, roi, seed uint64) (MacroResult, error) {
 	llc, err := buildLLC(design, len(mix), seed, true)
 	if err != nil {
 		return MacroResult{}, err
@@ -266,12 +260,8 @@ func RunMacro(design string, mix []string, warmup, roi, seed uint64, parallelism
 		DRAM:  cachesim.DefaultDRAMConfig(),
 		Seed:  seed,
 	}, gens)
-	if parallelism < 1 {
-		parallelism = 1
-	}
 	start := time.Now()
-	res, err := cachesim.Run(context.Background(), sys,
-		cachesim.RunSpec{Warmup: warmup, ROI: roi, Parallelism: parallelism})
+	res, err := cachesim.Run(context.Background(), sys, cachesim.RunSpec{Warmup: warmup, ROI: roi})
 	if err != nil {
 		return MacroResult{}, err
 	}
@@ -285,7 +275,7 @@ func RunMacro(design string, mix []string, warmup, roi, seed uint64, parallelism
 		Mix:          mix,
 		WarmupInstrs: warmup,
 		ROIInstrs:    roi,
-		Parallelism:  parallelism,
+		Parallelism:  1,
 		Events:       events,
 		Seconds:      elapsed.Seconds(),
 		EventsPerSec: float64(events) / elapsed.Seconds(),
@@ -338,31 +328,15 @@ func Run(opts Options) (*Report, error) {
 	if opts.MicroOnly {
 		return r, nil
 	}
-	// Macro rows come in serial/parallel pairs per design; the parallel
-	// row exercises the deterministic worker/merge mode at the machine's
-	// CPU count (floored at 2 so the mode is exercised even on one CPU).
-	macroPar := runtime.GOMAXPROCS(0)
-	if macroPar < 2 {
-		macroPar = 2
-	}
-	// Macro rows stay on the overhead hasher (fast, memo-free): they gauge
-	// the whole-system drive loop and transport, and must stay comparable
+	// One macro row per design, on the overhead hasher (fast, memo-free):
+	// the rows gauge the whole-system drive loop and must stay comparable
 	// with historical baselines.
 	for _, d := range Designs() {
-		serial, err := bestMacro(d, warmup, roi, seed, 1)
+		m, err := bestMacro(d, warmup, roi, seed)
 		if err != nil {
 			return nil, fmt.Errorf("macro %s: %w", d, err)
 		}
-		serial.Speedup = 1
-		par, err := bestMacro(d, warmup, roi, seed, macroPar)
-		if err != nil {
-			return nil, fmt.Errorf("macro %s (parallel): %w", d, err)
-		}
-		par.Speedup = par.EventsPerSec / serial.EventsPerSec
-		// A "parallel" row on one CPU measures transport overhead, not a
-		// speedup; flag it so regression gates on other machines skip it.
-		par.CpusLimited = runtime.NumCPU() == 1
-		r.Macro = append(r.Macro, serial, par)
+		r.Macro = append(r.Macro, m)
 	}
 	return r, nil
 }
@@ -402,26 +376,19 @@ func ReadJSON(path string) (*Report, error) {
 // relative to the others. The deliberate blind spot: a slowdown that hits
 // every design equally looks like machine noise and passes.
 //
-// Rows with no baseline counterpart — a new design, or a parallel row
-// recorded on a machine with a different CPU count — are skipped, so the
-// gate never breaks on legitimate suite growth. Rows flagged CpusLimited
-// on either side are likewise skipped: a single-CPU "parallel" row
-// measures transport overhead, and gating it would punish any change to
-// that overhead twice. Skipping never empties the gate: when r has
-// gate-eligible rows and none of them matches a baseline row (an empty or
-// renamed baseline), the tier fails.
+// Rows with no baseline counterpart — a new design, or a baseline's
+// parallel rows from before the parallel mode was deleted — are skipped,
+// so the gate never breaks on legitimate suite growth. Skipping never
+// empties the gate: when r has gate-eligible rows and none of them
+// matches a baseline row (an empty or renamed baseline), the tier fails.
 func CompareMacro(r, base *Report, tol float64) error {
 	type key struct {
 		design string
 		par    int
 	}
-	type refRow struct {
-		eps     float64
-		limited bool
-	}
-	ref := make(map[key]refRow, len(base.Macro))
+	ref := make(map[key]float64, len(base.Macro))
 	for _, m := range base.Macro {
-		ref[key{m.Design, m.Parallelism}] = refRow{m.EventsPerSec, m.CpusLimited}
+		ref[key{m.Design, m.Parallelism}] = m.EventsPerSec
 	}
 	type pair struct {
 		m     MacroResult
@@ -430,15 +397,15 @@ func CompareMacro(r, base *Report, tol float64) error {
 	var pairs []pair
 	logSum, eligible := 0.0, 0
 	for _, m := range r.Macro {
-		if m.EventsPerSec <= 0 || m.CpusLimited {
+		if m.EventsPerSec <= 0 {
 			continue
 		}
 		eligible++
 		b, ok := ref[key{m.Design, m.Parallelism}]
-		if !ok || b.eps <= 0 || b.limited {
+		if !ok || b <= 0 {
 			continue
 		}
-		rat := m.EventsPerSec / b.eps
+		rat := m.EventsPerSec / b
 		pairs = append(pairs, pair{m, rat})
 		logSum += math.Log(rat)
 	}
@@ -450,8 +417,8 @@ func CompareMacro(r, base *Report, tol float64) error {
 	for _, p := range pairs {
 		rel := p.ratio / scale
 		if rel < 1-tol {
-			bad = append(bad, fmt.Sprintf("%s (parallelism %d): %.0f events/sec vs %.0f expected at this run's speed (%.1f%% below the run-wide trend)",
-				p.m.Design, p.m.Parallelism, p.m.EventsPerSec, ref[key{p.m.Design, p.m.Parallelism}].eps*scale, (1-rel)*100))
+			bad = append(bad, fmt.Sprintf("%s: %.0f events/sec vs %.0f expected at this run's speed (%.1f%% below the run-wide trend)",
+				p.m.Design, p.m.EventsPerSec, ref[key{p.m.Design, p.m.Parallelism}]*scale, (1-rel)*100))
 		}
 	}
 	if len(bad) > 0 {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -43,7 +44,7 @@ func TestCompareMacroRelativeRegressionFails(t *testing.T) {
 
 func TestCompareMacroSkipsUnmatchedRows(t *testing.T) {
 	base := &Report{Macro: []MacroResult{macroRow("Maya", 1, 10e6)}}
-	// A new design and a different parallel fan-out have no baseline
+	// A new design and a row of another parallelism have no baseline
 	// counterpart; the gate must ignore them instead of erroring.
 	cur := &Report{Macro: []MacroResult{
 		macroRow("Maya", 1, 10e6), macroRow("NewDesign", 1, 1), macroRow("Maya", 8, 1),
@@ -83,5 +84,61 @@ func TestCompareMicroNoMatchFails(t *testing.T) {
 	}
 	if err := CompareMicro(&Report{}, &Report{}, 0.10); err != nil {
 		t.Fatalf("a run with no micro rows must pass vacuously: %v", err)
+	}
+}
+
+// TestCompareMacroAgainstCommittedBaseline runs the macro gate against
+// the committed ci-bench-baseline.json, as ci.sh does, with one row per
+// design as RunMacro emits it. Rows at the baseline's serial rates pass,
+// one row 20 % slower fails, and no row is matched against one of the
+// baseline's parallel rows, which predate the one run path: giving them
+// absurd rates, a different one each, leaves the verdict unchanged.
+func TestCompareMacroAgainstCommittedBaseline(t *testing.T) {
+	base, err := ReadJSON(filepath.Join("..", "..", "ci-bench-baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := map[string]float64{}
+	for _, m := range base.Macro {
+		if m.Parallelism == 1 {
+			serial[m.Design] = m.EventsPerSec
+		}
+	}
+	var rows []MacroResult
+	for _, d := range Designs() {
+		m, err := RunMacro(d, DefaultMix(), 1000, 1000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps, ok := serial[m.Design]
+		if !ok {
+			t.Fatalf("baseline has no row for %s at parallelism %d", m.Design, m.Parallelism)
+		}
+		m.EventsPerSec = eps
+		rows = append(rows, m)
+	}
+	current := func(slow string) *Report {
+		r := &Report{Macro: append([]MacroResult(nil), rows...)}
+		for i := range r.Macro {
+			if r.Macro[i].Design == slow {
+				r.Macro[i].EventsPerSec *= 0.8
+			}
+		}
+		return r
+	}
+
+	if err := CompareMacro(current(""), base, 0.10); err != nil {
+		t.Fatalf("rows at the baseline's rates failed the gate: %v", err)
+	}
+	if err := CompareMacro(current("Mirage"), base, 0.10); err == nil || !strings.Contains(err.Error(), "Mirage") {
+		t.Fatalf("a row 20%% slower than its baseline passed the gate: %v", err)
+	}
+	for i := range base.Macro {
+		if base.Macro[i].Parallelism != 1 {
+			base.Macro[i].EventsPerSec = float64(i + 1)
+		}
+	}
+	if err := CompareMacro(current(""), base, 0.10); err != nil {
+		t.Fatalf("a row was matched against a baseline parallel row: %v", err)
 	}
 }

@@ -102,34 +102,3 @@ func TestCompareMicro(t *testing.T) {
 		t.Fatalf("real-tier row matched an overhead-tier baseline: %v", err)
 	}
 }
-
-// TestCompareMacroSkipsCpusLimited checks that parallel rows recorded on
-// a single-CPU machine are excluded from the macro gate whichever side
-// carries the flag.
-func TestCompareMacroSkipsCpusLimited(t *testing.T) {
-	base := &Report{Macro: []MacroResult{
-		{Design: "Maya", Parallelism: 1, EventsPerSec: 1000},
-		{Design: "Mirage", Parallelism: 1, EventsPerSec: 1000},
-		{Design: "Maya", Parallelism: 2, EventsPerSec: 900, CpusLimited: true},
-	}}
-	// The parallel row cratered, but it is cpus_limited in the baseline.
-	cur := &Report{Macro: []MacroResult{
-		{Design: "Maya", Parallelism: 1, EventsPerSec: 1000},
-		{Design: "Mirage", Parallelism: 1, EventsPerSec: 1000},
-		{Design: "Maya", Parallelism: 2, EventsPerSec: 100},
-	}}
-	if err := CompareMacro(cur, base, 0.10); err != nil {
-		t.Fatalf("cpus_limited baseline row gated: %v", err)
-	}
-	// Same when only the current side carries the flag.
-	base.Macro[2].CpusLimited = false
-	cur.Macro[2].CpusLimited = true
-	if err := CompareMacro(cur, base, 0.10); err != nil {
-		t.Fatalf("cpus_limited current row gated: %v", err)
-	}
-	// And without the flag the same row is a real regression.
-	cur.Macro[2].CpusLimited = false
-	if err := CompareMacro(cur, base, 0.10); err == nil {
-		t.Fatal("unflagged parallel regression not caught")
-	}
-}

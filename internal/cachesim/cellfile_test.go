@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -45,7 +44,7 @@ const (
 
 // cellFileSaves runs one case under a cell that saves every 2^12 steps
 // and returns the SHA-256 of the cell file after each save.
-func cellFileSaves(t *testing.T, design string, benches []string, par int) []string {
+func cellFileSaves(t *testing.T, design string, benches []string) []string {
 	t.Helper()
 	llc, err := cachemodel.Build(design, cachemodel.BuildOptions{Cores: len(benches), Seed: cellFileSeed, FastHash: true})
 	if err != nil {
@@ -77,20 +76,18 @@ func cellFileSaves(t *testing.T, design string, benches []string, par int) []str
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), sys, RunSpec{Warmup: cellFileWarmup, ROI: cellFileROI, Cell: cell, Parallelism: par}); err != nil {
+	if _, err := Run(context.Background(), sys, RunSpec{Warmup: cellFileWarmup, ROI: cellFileROI, Cell: cell}); err != nil {
 		t.Fatal(err)
 	}
 	return digests
 }
 
-// TestCellFileBytes asserts the digest of the cell file after every save,
-// serially and at Parallelism 2, where the saved fronts are the
-// replicas' rather than the live ones.
+// TestCellFileBytes asserts the digest of the cell file after every save.
 func TestCellFileBytes(t *testing.T) {
 	if *updateCompat {
 		want := map[string][]string{}
 		for _, c := range cellFileCases {
-			want[c.name] = cellFileSaves(t, c.design, c.benches, 1)
+			want[c.name] = cellFileSaves(t, c.design, c.benches)
 		}
 		data, err := json.MarshalIndent(want, "", "  ")
 		if err != nil {
@@ -111,15 +108,13 @@ func TestCellFileBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cellFileCases {
-		for _, par := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/par=%d", c.name, par), func(t *testing.T) {
-				if len(want[c.name]) < 3 {
-					t.Fatalf("%d pinned saves, want at least 3", len(want[c.name]))
-				}
-				if got := cellFileSaves(t, c.design, c.benches, par); !reflect.DeepEqual(got, want[c.name]) {
-					t.Fatalf("cell file digests differ from the pinned ones:\n got  %v\n want %v", got, want[c.name])
-				}
-			})
-		}
+		t.Run(c.name, func(t *testing.T) {
+			if len(want[c.name]) < 3 {
+				t.Fatalf("%d pinned saves, want at least 3", len(want[c.name]))
+			}
+			if got := cellFileSaves(t, c.design, c.benches); !reflect.DeepEqual(got, want[c.name]) {
+				t.Fatalf("cell file digests differ from the pinned ones:\n got  %v\n want %v", got, want[c.name])
+			}
+		})
 	}
 }

@@ -15,23 +15,16 @@ package cachesim
 //     DRAM state are order-sensitive) and feed latencies back into clocks,
 //     so the drive loop applies them (System.applyStep) in laggard order.
 //
-// A front step emits one record — the event gap, how deep the access went
+// A front step fills one record — the event gap, how deep the access went
 // (L1 hit / L2 hit / LLC demand), and the ordered list of shared-LLC
-// operations the step performs — and the drive loop applies it. A serial
-// run steps the laggard's front inline; the deterministic parallel mode
-// (RunSpec.Parallelism > 1) runs each front ahead on its own worker
-// goroutine, which sends its records to the merge over a per-core channel
-// in batches of batchSteps (see parallel.go). Either way every shared
-// access, DRAM transaction, clock advance, and snapshot poll happens in
-// the same order with the same state, so Results and snapshots are
-// byte-identical.
+// operations the step performs — and the drive loop applies it. The drive
+// loop steps the laggard's front itself, into one reused record, so every
+// shared access, DRAM transaction, clock advance, and snapshot poll
+// happens in one fixed order on one goroutine.
 
 import (
-	"fmt"
-
 	"mayacache/internal/baseline"
 	"mayacache/internal/cachemodel"
-	"mayacache/internal/snapshot"
 	"mayacache/internal/trace"
 )
 
@@ -42,7 +35,8 @@ const (
 	stepLLC                 // LLC demand access (the opDemand in the op list)
 )
 
-// Shared-operation kinds, in the order the merge must replay them.
+// Shared-operation kinds. applyStep performs a step's ops in the order
+// the front recorded them.
 const (
 	opWB       = uint8(iota) // L2 dirty victim written back into the LLC
 	opDemand                 // the demand read reaching the LLC
@@ -56,64 +50,34 @@ type sharedOp struct {
 	sdid uint8
 }
 
-// batchSteps is the number of step records per batch a worker sends: one
-// channel send and one receive per 64 steps.
-const batchSteps = 64
-
-// batch is up to batchSteps consecutive step records of one core,
-// struct-of-arrays: step i's shared ops are the next nOps[i] entries of
-// ops, in replay order. The fixed-size lanes live inline; ops is the only
-// dynamic part and is reused in place, so after the first few batches
-// grow it, filling a batch allocates nothing. A serial run's inline
-// source reuses one batch that holds a single record.
-type batch struct {
-	n     int
-	gaps  [batchSteps]int32
-	kinds [batchSteps]uint8
-	nOps  [batchSteps]uint16
-	ops   []sharedOp
+// stepRec is one front step's record. ops is reused in place, so once
+// it has grown to the largest step, stepping allocates nothing (see
+// bench.TestMacroDriveZeroAlloc).
+type stepRec struct {
+	gap  int32
+	kind uint8
+	ops  []sharedOp
 }
 
-func (b *batch) reset() {
-	b.n = 0
-	b.ops = b.ops[:0]
-}
-
-// front is the timing-independent half of one core: its components and
-// the worker cursor (run progress as the front has stepped it). In a
-// parallel run the worker owns the core's front until it is joined, so
-// the merge never touches it; snapshot replicas use cloned fronts.
+// front is the timing-independent half of one core: its components.
 type front struct {
 	id  int
 	gen trace.Generator
 	l1d *baseline.SetAssoc
 	l2  *baseline.SetAssoc
 	pf  *prefetcher
-
-	retired uint64
-	target  uint64
-	roi     uint64
-	phase   uint8
-	done    bool
 }
 
-// seek moves f's cursor to core c's position in the current run.
-func (f *front) seek(c *core, s *System) {
-	f.retired, f.target, f.done = c.retired, c.target, c.done
-	f.roi, f.phase = s.roi, s.phase
-}
-
-// privateStep advances the front by one trace event and appends its
-// record to b. It is the only walk of the private hierarchy: every
+// privateStep advances the front by one trace event and fills r with its
+// record. It is the only walk of the private hierarchy: every
 // LLC-touching call is recorded instead of performed, in the order
 // applyStep must perform it. Stores hit the L1D as writebacks (RFO +
 // dirty); the fetch on a miss is a demand read, and dirtiness propagates
 // down the hierarchy through natural eviction. Prefetches walk the same
 // hierarchy and pollute it exactly as hardware prefetches do.
-func (f *front) privateStep(b *batch) {
+func (f *front) privateStep(r *stepRec) {
 	ev := f.gen.Next()
-	f.retired += uint64(ev.Gap) + 1
-	opStart := len(b.ops)
+	r.ops = r.ops[:0]
 	id := uint8(f.id)
 
 	kind := stepL1Hit
@@ -123,7 +87,7 @@ func (f *front) privateStep(b *batch) {
 	}
 	r1 := f.l1d.Access(cachemodel.Access{Line: ev.Line, Type: l1Type, SDID: id, Core: id})
 	for _, wb := range r1.Writebacks {
-		f.l2WB(b, wb)
+		f.l2WB(r, wb)
 	}
 	if !r1.DataHit {
 		acc := cachemodel.Access{Line: ev.Line, Type: cachemodel.Read, SDID: id, Core: id}
@@ -132,10 +96,10 @@ func (f *front) privateStep(b *batch) {
 			kind = stepL2Hit
 		} else {
 			for _, wb := range r2.Writebacks {
-				b.ops = append(b.ops, sharedOp{line: wb.Line, kind: opWB, sdid: wb.SDID})
+				r.ops = append(r.ops, sharedOp{line: wb.Line, kind: opWB, sdid: wb.SDID})
 			}
 			kind = stepLLC
-			b.ops = append(b.ops, sharedOp{line: ev.Line, kind: opDemand, sdid: id})
+			r.ops = append(r.ops, sharedOp{line: ev.Line, kind: opDemand, sdid: id})
 		}
 	}
 
@@ -146,114 +110,35 @@ func (f *front) privateStep(b *batch) {
 				continue
 			} else {
 				for _, wb := range r1.Writebacks {
-					f.l2WB(b, wb)
+					f.l2WB(r, wb)
 				}
 			}
 			if r2 := f.l2.Access(acc); r2.DataHit {
 				continue
 			} else {
 				for _, wb := range r2.Writebacks {
-					b.ops = append(b.ops, sharedOp{line: wb.Line, kind: opWB, sdid: wb.SDID})
+					r.ops = append(r.ops, sharedOp{line: wb.Line, kind: opWB, sdid: wb.SDID})
 				}
 			}
-			b.ops = append(b.ops, sharedOp{line: pl, kind: opPrefetch, sdid: id})
+			r.ops = append(r.ops, sharedOp{line: pl, kind: opPrefetch, sdid: id})
 		}
 	}
 
-	b.gaps[b.n] = ev.Gap
-	b.kinds[b.n] = kind
-	b.nOps[b.n] = uint16(len(b.ops) - opStart)
-	b.n++
+	r.gap, r.kind = ev.Gap, kind
 }
 
 // l2WB sends an L1 dirty victim into the L2 (writeback-allocate) and
 // records any L2 victims it displaces for the LLC.
-func (f *front) l2WB(b *batch, wb cachemodel.WritebackOut) {
-	r := f.l2.Access(cachemodel.Access{Line: wb.Line, Type: cachemodel.Writeback, SDID: wb.SDID, Core: uint8(f.id)})
-	for _, w := range r.Writebacks {
-		b.ops = append(b.ops, sharedOp{line: w.Line, kind: opWB, sdid: w.SDID})
+func (f *front) l2WB(r *stepRec, wb cachemodel.WritebackOut) {
+	res := f.l2.Access(cachemodel.Access{Line: wb.Line, Type: cachemodel.Writeback, SDID: wb.SDID, Core: uint8(f.id)})
+	for _, w := range res.Writebacks {
+		r.ops = append(r.ops, sharedOp{line: w.Line, kind: opWB, sdid: w.SDID})
 	}
 }
 
-// localBeginROI is the front half of beginROI. A worker applies it at its
-// core's own warmup→ROI sequence boundary, when its warmup budget is
-// spent — before its first ROI-phase access, which is when the reset
-// becomes observable. Inline fronts and snapshot replicas, whose state a
-// snapshot may observe in between, apply it at the global phase barrier
-// (System.beginROI, replica.advanceTo); the orders are indistinguishable
-// in Results because a finished core issues no accesses in between.
-func (f *front) localBeginROI() {
-	f.phase = snapshot.PhaseROI
+// resetStats clears the private caches' statistics at the warmup→ROI
+// barrier (System.beginROI).
+func (f *front) resetStats() {
 	f.l1d.ResetStats()
 	f.l2.ResetStats()
-	f.target = f.retired + f.roi
-}
-
-// workerRun produces f's record stream until the run's instruction budget
-// is spent, mirroring the phase structure the merge's drive loop consumes:
-// warmup steps while retired < target (a restored not-yet-done core always
-// has retired < target), then — matching beginROI's unconditional
-// done=false — at least one ROI step even when the ROI budget is zero.
-// It fills batches taken from free and sends them on full, which never
-// blocks because it can hold every batch. The deferred close of full runs
-// after the recover handler (LIFO), so the error slot is written before
-// the merge can observe the closed stream.
-func workerRun(f *front, free <-chan *batch, full chan<- *batch, stop <-chan struct{}, errp *error) {
-	defer close(full)
-	defer func() {
-		if rec := recover(); rec != nil {
-			*errp = fmt.Errorf("cachesim: core %d worker: %v", f.id, rec)
-		}
-	}()
-	var b *batch
-	// take waits for a free batch; it reports false once stop closes, as
-	// the merge has abandoned the run and will free no more.
-	take := func() bool {
-		select {
-		case b = <-free:
-			b.reset()
-			return true
-		case <-stop:
-			return false
-		}
-	}
-	if !take() {
-		return
-	}
-	step := func() bool {
-		f.privateStep(b)
-		if b.n >= batchSteps {
-			full <- b
-			return take()
-		}
-		return true
-	}
-
-	if f.phase == snapshot.PhaseWarmup {
-		if !f.done {
-			for f.retired < f.target {
-				if !step() {
-					return
-				}
-			}
-		}
-		f.localBeginROI()
-		for {
-			if !step() {
-				return
-			}
-			if f.retired >= f.target {
-				break
-			}
-		}
-	} else if !f.done {
-		for f.retired < f.target {
-			if !step() {
-				return
-			}
-		}
-	}
-	if b.n > 0 {
-		full <- b
-	}
 }

@@ -107,8 +107,7 @@ func prefetchSystem(t testing.TB, llc cachemodel.LLC) *System {
 }
 
 // TestPrefetchRunFixtures pins a prefetching run byte for byte: for every
-// LLC design, serially and in the parallel mode, the Results JSON must
-// match the committed testdata/prefetch_<design>.json. The prefetch walk
+// LLC design, the Results JSON must match the committed testdata/prefetch_<design>.json. The prefetch walk
 // (its L1D/L2 fills, the LLC reads it issues and the DRAM bandwidth they
 // consume) is otherwise unchecked: no golden or compat run prefetches.
 // The fixtures are frozen like the compat ones and regenerate only with
@@ -117,33 +116,31 @@ func TestPrefetchRunFixtures(t *testing.T) {
 	for _, d := range snapDesigns {
 		t.Run(d.name, func(t *testing.T) {
 			path := filepath.Join("testdata", "prefetch_"+d.name+".json")
-			for _, par := range []int{1, 4} {
-				sys := prefetchSystem(t, d.mk())
-				res, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI, Parallelism: par})
-				if err != nil {
+			sys := prefetchSystem(t, d.mk())
+			res, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var issued uint64
+			for _, c := range sys.cores {
+				issued += c.f.pf.Issued()
+			}
+			if issued < 1000 {
+				t.Fatalf("issued %d prefetches, want at least 1000", issued)
+			}
+			got := append(resultsJSON(t, res), '\n')
+			if *updateCompat {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				var issued uint64
-				for _, c := range sys.cores {
-					issued += c.f.pf.Issued()
-				}
-				if issued < 1000 {
-					t.Fatalf("parallelism %d issued %d prefetches, want at least 1000", par, issued)
-				}
-				got := append(resultsJSON(t, res), '\n')
-				if *updateCompat {
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing fixture (generate with -update-compat): %v", err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("parallelism %d results diverge from %s:\n got  %s\n want %s", par, path, got, want)
-				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing fixture (generate with -update-compat): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("results diverge from %s:\n got  %s\n want %s", path, got, want)
 			}
 		})
 	}

@@ -1,8 +1,8 @@
 package cachesim
 
 // The run entrypoint: one call covers a fresh run, the continuation of a
-// restored System, sweep-cell persistence, and the deterministic parallel
-// mode, each selected by the RunSpec.
+// restored System, and sweep-cell persistence, each selected by the
+// RunSpec.
 
 import (
 	"context"
@@ -33,11 +33,12 @@ type RunSpec struct {
 	// cannot serialize) runs plain.
 	Cell *snapshot.Cell
 
-	// Parallelism selects the execution mode: <= 1 steps each core's
-	// private front inline on the caller's goroutine; > 1 runs each front
-	// ahead on its own goroutine, feeding the same drive loop (see
-	// front.go). Results and snapshots are byte-identical either way —
-	// this is a scheduling knob, never a model parameter.
+	// Parallelism has no effect: every run steps its cores' fronts on
+	// the caller's goroutine (see front.go), and sweeps get their
+	// parallelism from running many cells at once. Results never depended
+	// on it. The field remains only because the benchmark module
+	// (internal/bench/workload) still sets it; it goes together with that
+	// last setter in the benchmark's next revision.
 	Parallelism int
 }
 
@@ -68,9 +69,9 @@ func Run(ctx context.Context, sys *System, spec RunSpec) (res Results, err error
 	if spec.Cell == nil || !sys.Snapshottable() {
 		sys.SetProgress(tracker)
 		if sys.started {
-			return sys.resumeWith(ctx, spec.Parallelism)
+			return sys.resumeWith(ctx)
 		}
-		return sys.runWith(ctx, spec.Warmup, spec.ROI, spec.Parallelism)
+		return sys.runWith(ctx, spec.Warmup, spec.ROI)
 	}
 
 	defer func() {
@@ -91,8 +92,8 @@ func Run(ctx context.Context, sys *System, spec RunSpec) (res Results, err error
 		// Installed after the restore so the tracker baseline is the
 		// resumed state: only instructions retired here are reported.
 		sys.SetProgress(tracker)
-		return sys.resumeWith(ctx, spec.Parallelism)
+		return sys.resumeWith(ctx)
 	}
 	sys.SetProgress(tracker)
-	return sys.runWith(ctx, spec.Warmup, spec.ROI, spec.Parallelism)
+	return sys.runWith(ctx, spec.Warmup, spec.ROI)
 }

@@ -44,23 +44,17 @@ func (s *System) Snapshottable() bool {
 // the shared LLC — into a snapshot container. Encoding only reads state,
 // so taking a snapshot never perturbs the simulation.
 func (s *System) EncodeState() ([]byte, error) {
-	fronts := make([]*front, len(s.cores))
-	for i, c := range s.cores {
-		fronts[i] = c.f
-	}
 	var e snapshot.Encoder
-	if err := s.encodeState(&e, fronts); err != nil {
+	if err := s.encodeState(&e); err != nil {
 		return nil, err
 	}
 	return e.Data(), nil
 }
 
-// encodeState appends the System container to e, with core i's private
-// front read from fronts[i]: a parallel run's live fronts are ahead of
-// the merge, so its snapshots read replicas at the merge position
-// instead. Each section is written in place by one Writer, and nothing is
-// allocated once e has room for the state.
-func (s *System) encodeState(e *snapshot.Encoder, fronts []*front) error {
+// encodeState appends the System container to e. Each section is written
+// in place by one Writer, and nothing is allocated once e has room for
+// the state.
+func (s *System) encodeState(e *snapshot.Encoder) error {
 	llcS, ok := s.llc.(snapshot.Stateful)
 	if !ok {
 		return fmt.Errorf("cachesim: LLC design %q does not support snapshots", s.design)
@@ -83,21 +77,21 @@ func (s *System) encodeState(e *snapshot.Encoder, fronts []*front) error {
 	})
 
 	w.Section("cores")
-	for i, c := range s.cores {
-		c.saveState(e, fronts[i].pf)
+	for _, c := range s.cores {
+		c.saveState(e)
 	}
 
 	w.Section("private")
-	for _, f := range fronts {
-		f.l1d.SaveState(e)
-		f.l2.SaveState(e)
+	for _, c := range s.cores {
+		c.f.l1d.SaveState(e)
+		c.f.l2.SaveState(e)
 	}
 
 	w.Section("gens")
-	for _, f := range fronts {
-		gen, ok := f.gen.(snapshot.Stateful)
+	for _, c := range s.cores {
+		gen, ok := c.f.gen.(snapshot.Stateful)
 		if !ok {
-			return fmt.Errorf("cachesim: workload %q does not support snapshots", f.gen.Name())
+			return fmt.Errorf("cachesim: workload %q does not support snapshots", c.f.gen.Name())
 		}
 		gen.SaveState(e)
 	}
@@ -236,12 +230,10 @@ func (s *System) RestoreState(data []byte) error {
 	return nil
 }
 
-// saveState serializes one core's pipeline scheduling state and the
-// given prefetcher (the core's own, or a replica's in a parallel run —
-// pf lives in the timing-independent front, unlike the drive loop's
-// fields above it). The outstanding window is written compacted (from
+// saveState serializes one core's pipeline scheduling state and its
+// front's prefetcher. The outstanding window is written compacted (from
 // outHead) — only the live entries affect future behaviour.
-func (c *core) saveState(e *snapshot.Encoder, pf *prefetcher) {
+func (c *core) saveState(e *snapshot.Encoder) {
 	e.U64(c.clock)
 	e.Int(c.subIssue)
 	win := c.outstanding[c.outHead:]
@@ -254,6 +246,7 @@ func (c *core) saveState(e *snapshot.Encoder, pf *prefetcher) {
 	e.Bool(c.done)
 	e.U64(c.roiStartClock)
 	e.U64(c.roiStartRetired)
+	pf := c.f.pf
 	if pf == nil {
 		e.Bool(false)
 		return

@@ -72,6 +72,16 @@ func encoded(encode func(*snapshot.Encoder) error) ([]byte, error) {
 	return e.Data(), nil
 }
 
+// resultsJSON renders Results deterministically for byte comparison.
+func resultsJSON(t *testing.T, r Results) []byte {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // captureMidROI runs a system with auto-snapshotting until the first save
 // taken in the ROI phase, captures those bytes, and aborts the run.
 func captureMidROI(t *testing.T, sys *System) []byte {
@@ -208,6 +218,36 @@ func TestTriggerWritesDeadlineSnapshot(t *testing.T) {
 	b, _ := json.Marshal(res)
 	if !bytes.Equal(a, b) {
 		t.Fatal("deadline-snapshot resume diverged from uninterrupted run")
+	}
+}
+
+// TestErrSpent pins the reuse-after-failure contract: a cancelled run
+// leaves the System spent, every further run attempt fails fast with
+// ErrSpent (instead of silently continuing from mid-run garbage), and
+// RestoreState clears the mark.
+func TestErrSpent(t *testing.T) {
+	d := snapDesigns[2]
+	sys := snapSystem(t, d.mk())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, sys, RunSpec{Warmup: snapWarmup, ROI: snapROI}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+
+	if _, err := Run(context.Background(), sys, RunSpec{Warmup: 1, ROI: 1}); !errors.Is(err, ErrSpent) {
+		t.Fatalf("Run after cancel returned %v, want ErrSpent", err)
+	}
+	if _, err := Run(context.Background(), sys, RunSpec{}); !errors.Is(err, ErrSpent) {
+		t.Fatalf("resuming Run after cancel returned %v, want ErrSpent", err)
+	}
+
+	// A restore installs coherent state: the System is usable again.
+	state := captureMidROI(t, snapSystem(t, d.mk()))
+	if err := sys.RestoreState(state); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), sys, RunSpec{}); err != nil {
+		t.Fatalf("run after restore returned %v", err)
 	}
 }
 

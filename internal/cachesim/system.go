@@ -129,6 +129,8 @@ type System struct {
 	spent bool
 
 	auto *AutoSnapshot
+	// rec is the drive loop's one step record, refilled by every step.
+	rec stepRec
 
 	// Progress reporting (not serialized: a restored System starts a new
 	// tracker epoch; progressSent rebases on the restored retired counts
@@ -202,8 +204,15 @@ func New(cfg Config, workloads []trace.Generator) *System {
 	}
 	s := &System{cfg: cfg, llc: cfg.LLC, dram: NewDRAM(cfg.DRAM), design: cfg.LLC.Name()}
 	names := make([]string, cfg.Cores)
+	p := &cfg.Core
 	for i := 0; i < cfg.Cores; i++ {
-		f := &front{id: i, gen: workloads[i], l1d: s.newL1D(i), l2: s.newL2(i), pf: newPrefetcher(cfg.Core.Prefetch)}
+		f := &front{
+			id:  i,
+			gen: workloads[i],
+			l1d: privateCache("L1D", i, p.L1DSets, p.L1DWays, cfg.Seed+uint64(i)*2+1),
+			l2:  privateCache("L2", i, p.L2Sets, p.L2Ways, cfg.Seed+uint64(i)*2+2),
+			pf:  newPrefetcher(p.Prefetch),
+		}
 		s.cores = append(s.cores, &core{id: i, f: f, outstanding: make([]uint64, 0, cfg.Core.MSHRs)})
 		names[i] = workloads[i].Name()
 	}
@@ -211,29 +220,14 @@ func New(cfg Config, workloads []trace.Generator) *System {
 	return s
 }
 
-// newL1D builds core i's L1D. Factored so snapshot replicas (parallel
-// runs) construct byte-identical twins.
-func (s *System) newL1D(i int) *baseline.SetAssoc {
-	return mustCache(baseline.NewChecked(baseline.Config{
-		Sets: s.cfg.Core.L1DSets, Ways: s.cfg.Core.L1DWays,
-		Replacement: baseline.LRU, Seed: s.cfg.Seed + uint64(i)*2 + 1,
-		NamePrefix: fmt.Sprintf("L1D[%d]", i),
-	}))
-}
-
-// newL2 builds core i's L2.
-func (s *System) newL2(i int) *baseline.SetAssoc {
-	return mustCache(baseline.NewChecked(baseline.Config{
-		Sets: s.cfg.Core.L2Sets, Ways: s.cfg.Core.L2Ways,
-		Replacement: baseline.LRU, Seed: s.cfg.Seed + uint64(i)*2 + 2,
-		NamePrefix: fmt.Sprintf("L2[%d]", i),
-	}))
-}
-
-// mustCache panics on private-cache construction errors: the geometries
-// come from CoreParams, so a failure is a caller bug exactly like the
-// panics New already raises for bad Config fields.
-func mustCache(c *baseline.SetAssoc, err error) *baseline.SetAssoc {
+// privateCache builds one of core i's private LRU caches. The geometry
+// comes from CoreParams, so an error is a caller bug, and it panics like
+// New does for bad Config fields.
+func privateCache(name string, i, sets, ways int, seed uint64) *baseline.SetAssoc {
+	c, err := baseline.NewChecked(baseline.Config{
+		Sets: sets, Ways: ways, Replacement: baseline.LRU, Seed: seed,
+		NamePrefix: fmt.Sprintf("%s[%d]", name, i),
+	})
 	if err != nil {
 		panic(fmt.Sprintf("cachesim: private cache: %v", err))
 	}
@@ -279,9 +273,8 @@ func (r Results) IPCSum() float64 {
 	return sum
 }
 
-// runWith starts a fresh run with the given per-phase budgets, serial
-// when par <= 1 and in the deterministic parallel mode otherwise.
-func (s *System) runWith(ctx context.Context, warmup, roi uint64, par int) (Results, error) {
+// runWith starts a fresh run with the given per-phase budgets.
+func (s *System) runWith(ctx context.Context, warmup, roi uint64) (Results, error) {
 	if s.spent {
 		return Results{}, ErrSpent
 	}
@@ -292,24 +285,24 @@ func (s *System) runWith(ctx context.Context, warmup, roi uint64, par int) (Resu
 		c.target = warmup
 		c.done = warmup == 0
 	}
-	return s.runFrom(ctx, par)
+	return s.runFrom(ctx)
 }
 
 // resumeWith continues the current run — one restored by RestoreState,
 // mid-warmup or mid-ROI — to its end.
-func (s *System) resumeWith(ctx context.Context, par int) (Results, error) {
+func (s *System) resumeWith(ctx context.Context) (Results, error) {
 	if s.spent {
 		return Results{}, ErrSpent
 	}
-	return s.runFrom(ctx, par)
+	return s.runFrom(ctx)
 }
 
 // runFrom drives the remaining phases of the current run and maintains
 // the spent/started lifecycle: an error of any kind (cancellation,
 // deadline stop, snapshot-save failure) leaves partial state behind and
 // marks the System spent.
-func (s *System) runFrom(ctx context.Context, par int) (Results, error) {
-	res, err := s.runPhases(ctx, par)
+func (s *System) runFrom(ctx context.Context) (Results, error) {
+	res, err := s.runPhases(ctx)
 	if err != nil {
 		s.spent = true
 		return Results{}, err
@@ -318,43 +311,29 @@ func (s *System) runFrom(ctx context.Context, par int) (Results, error) {
 	return res, nil
 }
 
-// runPhases drives the remaining phases with each step's record taken
-// from a source built for par (see records).
-func (s *System) runPhases(ctx context.Context, par int) (Results, error) {
-	src, err := s.records(par)
-	if err != nil {
-		return Results{}, err
-	}
-	defer src.join()
+// runPhases drives the remaining phases of the current run.
+func (s *System) runPhases(ctx context.Context) (Results, error) {
 	if s.phase == snapshot.PhaseWarmup {
-		if err := s.drive(ctx, src); err != nil {
+		if err := s.drive(ctx); err != nil {
 			return Results{}, err
 		}
-		s.beginROI(src.inline())
+		s.beginROI()
 	}
-	if err := s.drive(ctx, src); err != nil {
+	if err := s.drive(ctx); err != nil {
 		return Results{}, err
 	}
 	s.reportProgress()
-	// Every record the budgets allow was produced and consumed, so the
-	// live fronts hold the exact end-of-run private state. Join any
-	// workers before reading it.
-	src.join()
 	return s.collect(), nil
 }
 
 // beginROI transitions warmup → ROI at the global phase barrier: reset
-// stats, snapshot clocks. Fronts stepped inline reset their private stats
-// here; a parallel run's workers reset their own at their local boundary
-// (front.localBeginROI).
-func (s *System) beginROI(inline bool) {
+// stats, snapshot clocks.
+func (s *System) beginROI() {
 	s.phase = snapshot.PhaseROI
 	s.llc.ResetStats()
 	s.dram.ResetCounters()
 	for _, c := range s.cores {
-		if inline {
-			c.f.localBeginROI()
-		}
+		c.f.resetStats()
 		c.roiStartClock = c.clock
 		c.roiStartRetired = c.retired
 		c.target = c.retired + s.roi
@@ -384,12 +363,12 @@ func (s *System) collect() Results {
 }
 
 // drive interleaves cores by local clock until every core reaches target,
-// applying each laggard's next record from src. It returns ctx.Err() if
-// the context is cancelled mid-phase, and snapshot.ErrStopped if the
-// auto-snapshot trigger fired (after writing the deadline snapshot).
-func (s *System) drive(ctx context.Context, src *recordSource) error {
-	encode := func(e *snapshot.Encoder) error { return s.encodeState(e, src.fronts(s)) }
-	save := func() error { return s.auto.Save(encode) }
+// stepping each laggard's front and applying its record. It returns
+// ctx.Err() if the context is cancelled mid-phase, and
+// snapshot.ErrStopped if the auto-snapshot trigger fired (after writing
+// the deadline snapshot).
+func (s *System) drive(ctx context.Context) error {
+	save := func() error { return s.auto.Save(s.encodeState) }
 	var steps uint64
 	for {
 		// Pick the laggard core still running (first core in index order
@@ -445,11 +424,8 @@ func (s *System) drive(ctx context.Context, src *recordSource) error {
 					}
 				}
 			}
-			gap, kind, ops, err := src.next(next)
-			if err != nil {
-				return err
-			}
-			s.applyStep(next, gap, kind, ops)
+			next.f.privateStep(&s.rec)
+			s.applyStep(next, &s.rec)
 			if next.retired >= next.target {
 				next.drain()
 				next.done = true
@@ -463,7 +439,8 @@ func (s *System) drive(ctx context.Context, src *recordSource) error {
 // the recorded shared LLC/DRAM operations in order, and the ROB/MSHR
 // outstanding window — everything a step touches outside the core's
 // private front.
-func (s *System) applyStep(c *core, gap int32, kind uint8, ops []sharedOp) {
+func (s *System) applyStep(c *core, rec *stepRec) {
+	gap, kind := rec.gap, rec.kind
 	// Gap instructions cost gap/retireWidth cycles (retire, the narrower of
 	// Table V's 6-wide issue and 4-wide retire, bounds steady-state
 	// throughput; issue width is not modelled). subIssue is always
@@ -481,7 +458,7 @@ func (s *System) applyStep(c *core, gap int32, kind uint8, ops []sharedOp) {
 
 	p := &s.cfg.Core
 	var lat uint64
-	for _, op := range ops {
+	for _, op := range rec.ops {
 		switch op.kind {
 		case opWB:
 			r := s.llc.Access(cachemodel.Access{Line: op.line, Type: cachemodel.Writeback, SDID: op.sdid, Core: uint8(c.id)})

@@ -237,10 +237,10 @@ func BenchmarkSystemStep(b *testing.B) {
 		DRAM: DefaultDRAMConfig(), Seed: 1,
 	}, []trace.Generator{g})
 	c := s.cores[0]
-	var src recordSource
+	var r stepRec
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gap, kind, ops, _ := src.next(c)
-		s.applyStep(c, gap, kind, ops)
+		c.f.privateStep(&r)
+		s.applyStep(c, &r)
 	}
 }

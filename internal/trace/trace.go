@@ -124,12 +124,10 @@ type gen struct {
 	p        Profile
 	coreBase uint64
 	r        *rng.Rand
-	//mayavet:ignore snapshotfields -- immutable sampler parameters; its only mutable state is the shared RNG r, which the codec saves (Clone rebinds it, hence the write)
-	zipf *rng.Zipf // medium-set sampler (nil: uniform)
+	zipf     *rng.Zipf // medium-set sampler (nil: uniform)
 	// geom samples the gap distribution; it draws from r with exactly the
 	// same stream as r.Geometric(1/(meanGap+1)) but without per-event
 	// logarithms (nil when MemRatio is 1: every instruction is an access).
-	//mayavet:ignore snapshotfields -- immutable sampler tables; mutable state lives in the shared RNG r, which the codec saves (Clone rebinds it, hence the write)
 	geom *rng.GeometricSampler
 
 	// cumulative component weights, normalized.

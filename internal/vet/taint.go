@@ -47,12 +47,13 @@ func sanctionedDerivation(fn *types.Func) bool {
 }
 
 // sanctionedSpecField reports whether a named struct type's field is a
-// documented scheduling knob whose value never influences results. The
-// one such field is cachesim.RunSpec.Parallelism: it selects the worker
-// count of the deterministic parallel mode, which is bit-exact versus
-// serial by construction (and pinned by golden-fixture tests). Values
-// flowing into it are not tracked. Matching the package by name keeps
-// the fixture module's shim covered like the real package.
+// field whose value never influences results. The one such field is
+// cachesim.RunSpec.Parallelism, which no longer selects anything: every
+// run is single-threaded, and the field stays only until the benchmark
+// module stops setting it. Values flowing into it are not tracked. The
+// sanction and its fixtures go together with the field. Matching the
+// package by name keeps the fixture module's shim covered like the real
+// package.
 func sanctionedSpecField(named *types.Named, field string) bool {
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Name() == "cachesim" && obj.Name() == "RunSpec" && field == "Parallelism"

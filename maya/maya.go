@@ -203,13 +203,13 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 }
 
 // RunSpec re-exports the simulator's run specification: instruction
-// budgets plus scheduling knobs (checkpoint cell, worker parallelism).
+// budgets plus an optional checkpoint cell.
 type RunSpec = cachesim.RunSpec
 
 // Run simulates spec.Warmup then spec.ROI instructions per core and
-// returns the results: cancellation via ctx, checkpoint/resume through
-// spec.Cell, and deterministic parallel simulation at spec.Parallelism
-// (results are identical at any value).
+// returns the results, with cancellation via ctx and checkpoint/resume
+// through spec.Cell. A run is single-threaded; run several Systems at
+// once for parallelism.
 func (s *System) Run(ctx context.Context, spec RunSpec) (SystemResults, error) {
 	return cachesim.Run(ctx, s.inner, spec)
 }
