@@ -98,8 +98,11 @@ step_check() {
   echo "==> invariant-checked tests (-tags mayacheck)"
   # The index front cross-checks every memo hit and the skewed store audits
   # itself under this tag, so every design that uses them runs here, plus
-  # the golden and memo-equivalence runs of the bench package.
-  go test -tags mayacheck ./internal/core/... ./internal/mirage/... ./internal/buckets/... ./internal/cachesim/... ./internal/faults/... ./internal/ceaser/... ./internal/baseline/... ./internal/probe/... ./internal/cachemodel/...
+  # the golden and memo-equivalence runs of the bench package. Every System
+  # encode asserts that its image fit the System's StateBound, so the cell
+  # saves of the snapshot tests and the sessions of the serve tests run
+  # here too: a save that would regrow its buffer panics.
+  go test -tags mayacheck ./internal/core/... ./internal/mirage/... ./internal/buckets/... ./internal/cachesim/... ./internal/faults/... ./internal/ceaser/... ./internal/baseline/... ./internal/probe/... ./internal/cachemodel/... ./internal/snapshot/... ./internal/serve/...
   go test -tags mayacheck ./internal/bench -run 'TestGolden|TestMemoEquivalenceProperty'
 }
 
@@ -168,12 +171,14 @@ step_bench_gate() {
   # flake the gate (regenerate the baseline with
   # `go run ./cmd/mayabench -quick -out ci-bench-baseline.json` after an
   # intentional perf change); a tier none of whose rows matches the
-  # baseline fails. Serve and Monte-Carlo cost are measured by the
-  # benchmark of record's serve-closed and secmc workloads
-  # (internal/bench/workload/run.sh), not here. mayabench writes the report
-  # before it compares, so the pipeline checks run first and the gate's
-  # exit status applies last: a timing failure never hides a correctness
-  # one.
+  # baseline fails. mayabench compares both tiers on every run and prints
+  # each tier's verdict, micro then macro, and exits 1 if either failed,
+  # so a red micro tier never hides the macro rows. Serve and Monte-Carlo
+  # cost are measured by the benchmark of record's serve-closed and secmc
+  # workloads (internal/bench/workload/run.sh), not here. mayabench writes
+  # the report before it compares, so the pipeline checks run first and
+  # the gate's exit status applies last: a timing failure never hides a
+  # correctness one.
   gate=0
   go run ./cmd/mayabench -quick -out "$TMP/BENCH.json" -compare ci-bench-baseline.json || gate=$?
   test -s "$TMP/BENCH.json"

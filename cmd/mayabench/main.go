@@ -20,10 +20,12 @@
 //
 // -quick shrinks instruction budgets ~5x for CI smoke runs. A summary is
 // printed to stdout; the full report goes to -out as indented JSON.
-// -compare loads a previously written report and fails (exit 1) when any
-// micro or macro row regresses more than 10% against its baseline row
-// after normalizing out the run-wide machine-speed factor — the CI perf
-// gate (see bench.CompareMicro/CompareMacro for the exact rule).
+// -compare loads a previously written report, compares both tiers with
+// it and prints each tier's verdict, and fails (exit 1) when any micro or
+// macro row regresses more than 10% against its baseline row after
+// normalizing out the run-wide machine-speed factor — the CI perf gate
+// (see bench.CompareMicro/CompareMacro for the exact rule). A failing
+// micro tier does not stop the macro tier's comparison.
 //
 // Exit status: 0 on success, 1 when any benchmark fails, 2 on flag
 // misuse.
@@ -32,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mayacache/internal/bench"
@@ -104,15 +107,30 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "mayabench: %v\n", err)
 			return 1
 		}
-		if err := bench.CompareMicro(r, base, 0.10); err != nil {
-			fmt.Fprintf(os.Stderr, "mayabench: %v\n", err)
+		if !gate(os.Stdout, os.Stderr, r, base, *compare) {
 			return 1
 		}
-		if err := bench.CompareMacro(r, base, 0.10); err != nil {
-			fmt.Fprintf(os.Stderr, "mayabench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("micro and macro throughput within 10%% of %s\n", *compare)
 	}
 	return 0
+}
+
+// gate compares both tiers of r with base, the report read from
+// baseName, and prints each tier's verdict: a pass to out, a failure with
+// its rows to errw. Both tiers are always compared, so a red micro tier
+// never hides the macro tier's verdict. It reports whether both passed.
+func gate(out, errw io.Writer, r, base *bench.Report, baseName string) bool {
+	const tol = 0.10
+	ok := true
+	for _, tier := range []struct {
+		name    string
+		compare func(r, base *bench.Report, tol float64) error
+	}{{"micro", bench.CompareMicro}, {"macro", bench.CompareMacro}} {
+		if err := tier.compare(r, base, tol); err != nil {
+			fmt.Fprintf(errw, "mayabench: %s tier FAILED against %s: %v\n", tier.name, baseName, err)
+			ok = false
+			continue
+		}
+		fmt.Fprintf(out, "%s tier passed: within %.0f%% of %s\n", tier.name, tol*100, baseName)
+	}
+	return ok
 }

@@ -51,6 +51,8 @@ func (p *scanLRU) saveState(e *snapshot.Encoder) {
 	}
 }
 
+func (p *scanLRU) stateBound() int { return 8 + snapshot.CountBytes + 8*len(p.stamp) }
+
 func (p *scanLRU) restoreState(d *snapshot.Decoder) {
 	p.clock = d.U64()
 	if !d.FixedCount(len(p.stamp), "lru stamps") {

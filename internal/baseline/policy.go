@@ -63,6 +63,8 @@ type policy interface {
 	// The shared policy RNG is owned (and serialized) by SetAssoc.
 	saveState(e *snapshot.Encoder)
 	restoreState(d *snapshot.Decoder)
+	// stateBound is the size saveState writes.
+	stateBound() int
 }
 
 func newPolicy(k ReplacementKind, sets, ways int, r *rng.Rand) policy {
@@ -185,6 +187,8 @@ func (p *lruPolicy) saveState(e *snapshot.Encoder) {
 		binary.LittleEndian.PutUint64(e.Record(8), s)
 	}
 }
+
+func (p *lruPolicy) stateBound() int { return 8 + snapshot.CountBytes + 8*len(p.stamp) }
 
 // maxLRUClock bounds a restored LRU clock. The clock counts one cache's
 // touches, one per L1D or L2 hit or fill, and a run that touched one
@@ -319,6 +323,8 @@ func (p *rripPolicy) saveState(e *snapshot.Encoder) {
 	copy(e.Record(len(p.rrpv)), p.rrpv)
 }
 
+func (p *rripPolicy) stateBound() int { return snapshot.CountBytes + len(p.rrpv) }
+
 func (p *rripPolicy) restoreState(d *snapshot.Decoder) {
 	if !d.FixedCount(len(p.rrpv), "rrip rrpv") {
 		return
@@ -418,6 +424,8 @@ func (p *drripPolicy) saveState(e *snapshot.Encoder) {
 	e.Int(p.psel)
 }
 
+func (p *drripPolicy) stateBound() int { return p.srrip.stateBound() + p.brrip.stateBound() + 8 }
+
 func (p *drripPolicy) restoreState(d *snapshot.Decoder) {
 	p.srrip.restoreState(d)
 	p.brrip.restoreState(d)
@@ -443,3 +451,4 @@ func (p *randomPolicy) kind() ReplacementKind { return RandomRepl }
 // randomPolicy's only state is the shared RNG, serialized by SetAssoc.
 func (p *randomPolicy) saveState(*snapshot.Encoder)    {}
 func (p *randomPolicy) restoreState(*snapshot.Decoder) {}
+func (p *randomPolicy) stateBound() int                { return 0 }

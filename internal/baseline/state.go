@@ -16,7 +16,7 @@ func (c *SetAssoc) SaveState(e *snapshot.Encoder) {
 	c.stats.SaveState(e)
 	e.Count(len(c.meta))
 	for i, mv := range c.meta {
-		r := e.Record(13)
+		r := e.Record(wayRecord)
 		binary.LittleEndian.PutUint64(r, c.lineArr[i])
 		r[8] = metaSDID(mv)
 		r[9] = metaCore(mv)
@@ -25,6 +25,18 @@ func (c *SetAssoc) SaveState(e *snapshot.Encoder) {
 		r[12] = snapshot.BoolByte(mv&metaReused != 0)
 	}
 	c.pol.saveState(e)
+}
+
+// wayRecord is the wire size of one way: line, SDID, core, valid, dirty
+// and reused.
+const wayRecord = 13
+
+// StateBound implements snapshot.Stateful, exact for the geometry: the
+// RNG, the hasher's epoch, the stats, a record per way and the policy's
+// metadata.
+func (c *SetAssoc) StateBound() int {
+	return snapshot.RNGBytes + snapshot.EpochBytes + c.stats.StateBound() +
+		snapshot.CountBytes + wayRecord*len(c.meta) + c.pol.stateBound()
 }
 
 // RestoreState implements snapshot.Stateful on a freshly constructed

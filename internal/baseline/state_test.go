@@ -39,6 +39,9 @@ func TestSetAssocStateRoundTrip(t *testing.T) {
 
 			var e snapshot.Encoder
 			orig.SaveState(&e)
+			if got, want := len(e.Data()), orig.StateBound(); got != want {
+				t.Fatalf("SaveState wrote %d bytes, StateBound is %d", got, want)
+			}
 			fresh := mustNew(cfg)
 			if err := fresh.RestoreState(snapshot.NewDecoder(e.Data())); err != nil {
 				t.Fatalf("RestoreState: %v", err)

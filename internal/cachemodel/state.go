@@ -33,6 +33,10 @@ func (s *Stats) SaveState(e *snapshot.Encoder) {
 	e.U64(s.Rekeys)
 }
 
+// StateBound implements snapshot.Stateful: the field count and every
+// counter.
+func (*Stats) StateBound() int { return 1 + 8*statsFieldCount }
+
 // RestoreState deserializes counters written by SaveState.
 func (s *Stats) RestoreState(d *snapshot.Decoder) error {
 	if n := d.U8(); d.Err() == nil && n != statsFieldCount {

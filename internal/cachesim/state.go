@@ -3,6 +3,7 @@ package cachesim
 import (
 	"fmt"
 
+	"mayacache/internal/invariant"
 	"mayacache/internal/snapshot"
 )
 
@@ -39,31 +40,13 @@ func (s *System) Snapshottable() bool {
 	return true
 }
 
-// EncodeState serializes the complete simulation state — run progress,
-// every core's pipeline/cache/prefetcher/workload state, DRAM timing, and
-// the shared LLC — into a snapshot container. Encoding only reads state,
-// so taking a snapshot never perturbs the simulation.
-func (s *System) EncodeState() ([]byte, error) {
-	var e snapshot.Encoder
-	if err := s.encodeState(&e); err != nil {
-		return nil, err
-	}
-	return e.Data(), nil
-}
-
-// encodeState appends the System container to e. Each section is written
-// in place by one Writer, and nothing is allocated once e has room for
-// the state.
-func (s *System) encodeState(e *snapshot.Encoder) error {
-	llcS, ok := s.llc.(snapshot.Stateful)
-	if !ok {
-		return fmt.Errorf("cachesim: LLC design %q does not support snapshots", s.design)
-	}
+// header is the System container's header for the current state.
+func (s *System) header() snapshot.Header {
 	var progress uint64
 	for _, c := range s.cores {
 		progress += c.retired
 	}
-	w := snapshot.NewWriter(e, snapshot.Header{
+	return snapshot.Header{
 		Kind:      SystemKind,
 		Seed:      s.cfg.Seed,
 		Design:    s.design,
@@ -74,7 +57,61 @@ func (s *System) encodeState(e *snapshot.Encoder) error {
 		ROI:       s.roi,
 		Phase:     s.phase,
 		Progress:  progress,
-	})
+	}
+}
+
+// StateBound is the most bytes EncodeState can write for this System:
+// the container's framing around its five sections plus every
+// component's StateBound. It depends only on the configuration, so it is
+// the same at every save of a run, and a buffer sized to it once holds
+// them all. It is 0 for a System that is not Snapshottable.
+func (s *System) StateBound() int {
+	llc, ok := s.llc.(snapshot.Stateful)
+	if !ok {
+		return 0
+	}
+	h := s.header()
+	n := snapshot.FramingBytes(&h, "cores", "private", "gens", "dram", "llc") +
+		s.dram.StateBound() + llc.StateBound()
+	for _, c := range s.cores {
+		gen, ok := c.f.gen.(snapshot.Stateful)
+		if !ok {
+			return 0
+		}
+		n += c.stateBound(s.maxOutstanding()) + c.f.l1d.StateBound() + c.f.l2.StateBound() + gen.StateBound()
+	}
+	return n
+}
+
+// EncodeState serializes the complete simulation state — run progress,
+// every core's pipeline/cache/prefetcher/workload state, DRAM timing, and
+// the shared LLC — into a snapshot container. Encoding only reads state,
+// so taking a snapshot never perturbs the simulation. The container is
+// encoded into one buffer, allocated at StateBound, which becomes the
+// caller's: EncodeState allocates nothing else.
+func (s *System) EncodeState() ([]byte, error) {
+	e := &s.enc
+	e.Reserve(s.StateBound())
+	err := s.encodeState(e)
+	data := e.Data()
+	*e = snapshot.Encoder{}
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// encodeState appends the System container to e. Each section is written
+// in place by one Writer, and nothing is allocated once e has room for
+// StateBound more bytes; under mayacheck, an image that outgrows the
+// bound panics.
+func (s *System) encodeState(e *snapshot.Encoder) error {
+	llcS, ok := s.llc.(snapshot.Stateful)
+	if !ok {
+		return fmt.Errorf("cachesim: LLC design %q does not support snapshots", s.design)
+	}
+	start := len(e.Data())
+	w := snapshot.NewWriter(e, s.header())
 
 	w.Section("cores")
 	for _, c := range s.cores {
@@ -103,6 +140,13 @@ func (s *System) encodeState(e *snapshot.Encoder) error {
 	llcS.SaveState(e)
 
 	w.End()
+	if invariant.Enabled {
+		// The message's arguments are boxed only on failure, so a checked
+		// encode still allocates nothing.
+		if n, bound := len(e.Data())-start, s.StateBound(); n > bound {
+			invariant.Check(false, "cachesim: a %d-byte System image exceeds its %d-byte StateBound", n, bound)
+		}
+	}
 	return nil
 }
 
@@ -264,6 +308,17 @@ func (c *core) saveState(e *snapshot.Encoder) {
 	e.U64(pf.issued)
 }
 
+// stateBound is the most bytes saveState writes: the outstanding window
+// counts at maxOut entries, the most restoreState accepts, and the
+// prefetch table at its fixed size.
+func (c *core) stateBound(maxOut int) int {
+	n := 8 + 8 + snapshot.CountBytes + 8*maxOut + 8 + 8 + 1 + 8 + 8 + 1
+	if pf := c.f.pf; pf != nil {
+		n += snapshot.CountBytes + (8+4+4+1+1)*len(pf.entries) + 8
+	}
+	return n
+}
+
 func (c *core) restoreState(d *snapshot.Decoder, s *System) error {
 	c.clock = d.U64()
 	c.subIssue = d.Int()
@@ -337,6 +392,12 @@ func (d *DRAM) SaveState(e *snapshot.Encoder) {
 	e.U64(d.writes)
 	e.U64(d.rowHits)
 	e.U64(d.rowMisses)
+}
+
+// StateBound implements snapshot.Stateful, exact for the geometry: a
+// record per bank, each channel's free time and the four counters.
+func (d *DRAM) StateBound() int {
+	return snapshot.CountBytes + (8+1+8)*len(d.banks) + snapshot.CountBytes + 8*len(d.chanFree) + 4*8
 }
 
 // RestoreState implements snapshot.Stateful for the DRAM model.

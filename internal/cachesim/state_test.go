@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mayacache/internal/baseline"
@@ -90,7 +91,7 @@ func captureMidROI(t *testing.T, sys *System) []byte {
 	var state []byte
 	sys.SetAutoSnapshot(&AutoSnapshot{
 		Every: 4096,
-		Save: func(encode func(*snapshot.Encoder) error) error {
+		Save: func(_ int, encode func(*snapshot.Encoder) error) error {
 			data, err := encoded(encode)
 			if err != nil {
 				return err
@@ -147,6 +148,64 @@ func TestResumeBitExact(t *testing.T) {
 	}
 }
 
+// savePoint identifies the step a save falls on: the phase and the
+// instructions all cores had retired, which every step raises.
+type savePoint struct {
+	phase   uint8
+	retired uint64
+}
+
+// savePoints runs a fresh snapshot system saving every every steps and
+// returns where each save fell. The sink skips the encode: only the
+// cadence is under test.
+func savePoints(t *testing.T, every uint64) []savePoint {
+	t.Helper()
+	sys := snapSystem(t, snapDesigns[0].mk())
+	var points []savePoint
+	sys.SetAutoSnapshot(&AutoSnapshot{
+		Every: every,
+		Save: func(int, func(*snapshot.Encoder) error) error {
+			p := savePoint{phase: sys.phase}
+			for _, c := range sys.cores {
+				p.retired += c.retired
+			}
+			points = append(points, p)
+			return nil
+		},
+	})
+	if _, err := Run(context.Background(), sys, RunSpec{Warmup: snapWarmup, ROI: snapROI}); err != nil {
+		t.Fatal(err)
+	}
+	return points
+}
+
+// TestSaveCadence pins the steps periodic saves fall on to the rule
+// steps%Every == 0, with steps counted from 1 in each phase, at cadences
+// that are not powers of two. A run that saves at every step gives the
+// point of each step k of a phase, the (k-1)-th save in it, so the rule
+// picks every Every-th of those.
+func TestSaveCadence(t *testing.T) {
+	each := savePoints(t, 1)
+	for _, every := range []uint64{3, 1000} {
+		var want []savePoint
+		var k uint64 // the step of each's point within its phase
+		for i, p := range each {
+			if i == 0 || p.phase != each[i-1].phase {
+				k = 0
+			}
+			if k++; k%every == 0 {
+				want = append(want, p)
+			}
+		}
+		if got := savePoints(t, every); !slices.Equal(got, want) {
+			t.Errorf("every %d: %d saves differ from the %d the modulo rule picks", every, len(got), len(want))
+		}
+		if len(want) < 2 {
+			t.Errorf("every %d: only %d saves; the run is too short to pin the cadence", every, len(want))
+		}
+	}
+}
+
 // TestSnapshotTimingDoesNotPerturb: taking periodic snapshots must be
 // invisible to the simulation — a run that saves every 2048 steps yields
 // the same results as one that never saves.
@@ -159,7 +218,7 @@ func TestSnapshotTimingDoesNotPerturb(t *testing.T) {
 	saves := 0
 	noisy.SetAutoSnapshot(&AutoSnapshot{
 		Every: 2048,
-		Save: func(encode func(*snapshot.Encoder) error) error {
+		Save: func(_ int, encode func(*snapshot.Encoder) error) error {
 			saves++
 			_, err := encoded(encode)
 			return err
@@ -194,7 +253,7 @@ func TestTriggerWritesDeadlineSnapshot(t *testing.T) {
 	sys := snapSystem(t, snapDesigns[0].mk())
 	sys.SetAutoSnapshot(&AutoSnapshot{
 		Trigger: &trig,
-		Save: func(encode func(*snapshot.Encoder) error) (err error) {
+		Save: func(_ int, encode func(*snapshot.Encoder) error) (err error) {
 			state, err = encoded(encode)
 			return err
 		},

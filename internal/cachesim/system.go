@@ -131,6 +131,11 @@ type System struct {
 	auto *AutoSnapshot
 	// rec is the drive loop's one step record, refilled by every step.
 	rec stepRec
+	// enc is EncodeState's Encoder, empty between calls. The components'
+	// SaveState methods make any Encoder they are handed escape, so a
+	// local one would cost each call a second allocation besides its
+	// buffer.
+	enc snapshot.Encoder
 
 	// Progress reporting (not serialized: a restored System starts a new
 	// tracker epoch; progressSent rebases on the restored retired counts
@@ -146,12 +151,13 @@ type AutoSnapshot struct {
 	Every   uint64
 	Trigger *snapshot.Trigger
 	// Save persists one snapshot: during the call it calls encode once,
-	// which appends the System container to an Encoder the sink owns. A
-	// Cell's is its reused buffer, which the next save rewrites once the
-	// write of this one is done; the write may outlive Save (see
-	// snapshot.Cell). encode reads the live System and must not be called
-	// after Save returns. A failure aborts the run.
-	Save func(encode func(*snapshot.Encoder) error) error
+	// which appends the System container, at most bound bytes (the
+	// System's StateBound), to an Encoder the sink owns. A Cell's is its
+	// reused buffer, sized from bound at its first save, which the next
+	// save rewrites once the write of this one is done; the write may
+	// outlive Save (see snapshot.Cell). encode reads the live System and
+	// must not be called after Save returns. A failure aborts the run.
+	Save func(bound int, encode func(*snapshot.Encoder) error) error
 }
 
 // SetAutoSnapshot installs (or, with nil, removes) auto-snapshotting for
@@ -368,8 +374,14 @@ func (s *System) collect() Results {
 // snapshot.ErrStopped if the auto-snapshot trigger fired (after writing
 // the deadline snapshot).
 func (s *System) drive(ctx context.Context) error {
-	save := func() error { return s.auto.Save(s.encodeState) }
-	var steps uint64
+	save := func() error { return s.auto.Save(s.StateBound(), s.encodeState) }
+	// Steps count from 1 in each call, and a periodic save falls on every
+	// Every-th. nextSave is the next one's step, 0 when the run makes
+	// none, so the loop compares instead of dividing by a runtime Every.
+	var steps, nextSave uint64
+	if s.auto != nil {
+		nextSave = s.auto.Every
+	}
 	for {
 		// Pick the laggard core still running (first core in index order
 		// with the strictly smallest clock) and the runner-up threshold:
@@ -412,10 +424,11 @@ func (s *System) drive(ctx context.Context) error {
 					return err
 				}
 			}
-			if s.auto != nil && s.auto.Every > 0 && steps%s.auto.Every == 0 {
+			if steps == nextSave {
 				if err := save(); err != nil {
 					return err
 				}
+				nextSave += s.auto.Every
 			}
 			if invariant.Enabled {
 				if invariant.Every(steps, llcAuditPeriod) {

@@ -26,6 +26,18 @@ func (c *Cache) SaveState(e *snapshot.Encoder) {
 	}
 }
 
+// entryRecord is the wire size of one entry: line, SDID, core, valid,
+// dirty, reused and stamp.
+const entryRecord = 8 + 5 + 8
+
+// StateBound implements snapshot.Stateful, exact for the geometry: the
+// RNG, the key epoch, the stats, the clock and fill count, and a record
+// per entry.
+func (c *Cache) StateBound() int {
+	return snapshot.RNGBytes + c.front.StateBound() + c.stats.StateBound() + 8 + 8 +
+		snapshot.CountBytes + entryRecord*len(c.entries)
+}
+
 // RestoreState implements snapshot.Stateful on a freshly constructed
 // Cache with identical configuration.
 func (c *Cache) RestoreState(d *snapshot.Decoder) error {

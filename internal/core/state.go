@@ -22,7 +22,7 @@ func (m *Maya) SaveState(e *snapshot.Encoder) {
 	e.Count(len(m.tags))
 	for ti := range int32(len(m.tags)) {
 		t := &m.tags[ti]
-		r := e.Record(21)
+		r := e.Record(tagRecord)
 		binary.LittleEndian.PutUint64(r, m.st.Line(ti))
 		binary.LittleEndian.PutUint32(r[8:], uint32(t.fptr))
 		binary.LittleEndian.PutUint32(r[12:], uint32(t.p0pos))
@@ -34,6 +34,18 @@ func (m *Maya) SaveState(e *snapshot.Encoder) {
 	}
 	m.st.SaveState(e)
 	probe.EncodeSlotList(e, m.p0List)
+}
+
+// tagRecord is the wire size of one tag: line, FPTR, p0pos, SDID, core,
+// state, dirty and reused.
+const tagRecord = 21
+
+// StateBound implements snapshot.Stateful: the RNG, the key epoch, the
+// stats, a record per tag, the store, and p0List at p0Cap entries, which
+// no access leaves it above and RestoreState refuses to exceed.
+func (m *Maya) StateBound() int {
+	return snapshot.RNGBytes + m.st.Front.StateBound() + m.stats.StateBound() +
+		snapshot.CountBytes + tagRecord*len(m.tags) + m.st.StateBound() + probe.SlotListBound(m.p0Cap)
 }
 
 // RestoreState implements snapshot.Stateful on a freshly constructed Maya
@@ -79,7 +91,7 @@ func (m *Maya) RestoreState(d *snapshot.Decoder) error {
 	if err := m.st.RestoreState(d); err != nil {
 		return err
 	}
-	m.p0List = probe.DecodeSlotList(d, m.p0List[:0], nTags, "maya p0List")
+	m.p0List = probe.DecodeSlotList(d, m.p0List[:0], m.p0Cap, nTags, "maya p0List")
 	if err := d.Err(); err != nil {
 		return err
 	}

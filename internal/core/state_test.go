@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mayacache/internal/cachemodel"
+	"mayacache/internal/probe"
 	"mayacache/internal/rng"
 	"mayacache/internal/snapshot"
 )
@@ -37,6 +38,10 @@ func TestMayaStateRoundTrip(t *testing.T) {
 
 	var e snapshot.Encoder
 	orig.SaveState(&e)
+	// The bound counts p0List at p0Cap; everything else is fixed-width.
+	if got, want := len(e.Data()), orig.StateBound()-4*(orig.p0Cap-len(orig.p0List)); got != want {
+		t.Fatalf("SaveState wrote %d bytes; StateBound less p0List's unused cap is %d", got, want)
+	}
 	fresh := mustNew(smallConfig(7))
 	if err := fresh.RestoreState(snapshot.NewDecoder(e.Data())); err != nil {
 		t.Fatalf("RestoreState: %v", err)
@@ -76,26 +81,39 @@ func TestMayaRestoreRejectsDamage(t *testing.T) {
 	orig.st.Front.SaveState(&head)
 	orig.stats.SaveState(&head)
 	head.Count(len(orig.tags))
-	record := func(b []byte, ti int) []byte { return b[len(head.Data())+21*ti:] }
+	record := func(b []byte, ti int) []byte { return b[len(head.Data())+tagRecord*ti:] }
 	invalid := slices.IndexFunc(orig.tags, func(e tagEntry) bool { return e.state == stInvalid })
+	// p0List ends the state: its count, then one int32 per entry.
+	p0At := len(data) - probe.SlotListBound(len(orig.p0List))
+	longP0 := func(b []byte) []byte {
+		var e snapshot.Encoder
+		probe.EncodeSlotList(&e, make([]int32, orig.p0Cap+1))
+		return append(b[:p0At], e.Data()...)
+	}
 
 	for _, c := range []struct {
 		name   string
 		damage func(b []byte) []byte
+		at     string // where the restore must refuse it, if one place
 	}{
-		{"empty", func(b []byte) []byte { return b[:0] }},
-		{"truncated to 1 byte", func(b []byte) []byte { return b[:1] }},
-		{"truncated to 8 bytes", func(b []byte) []byte { return b[:8] }},
-		{"truncated to 32 bytes", func(b []byte) []byte { return b[:32] }},
-		{"truncated to half", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"last byte missing", func(b []byte) []byte { return b[:len(b)-1] }},
-		{"invalid tag with a line", func(b []byte) []byte { record(b, invalid)[0] = 1; return b }},
-		{"invalid tag with an SDID", func(b []byte) []byte { record(b, invalid)[16] = 1; return b }},
+		{"empty", func(b []byte) []byte { return b[:0] }, ""},
+		{"truncated to 1 byte", func(b []byte) []byte { return b[:1] }, ""},
+		{"truncated to 8 bytes", func(b []byte) []byte { return b[:8] }, ""},
+		{"truncated to 32 bytes", func(b []byte) []byte { return b[:32] }, ""},
+		{"truncated to half", func(b []byte) []byte { return b[:len(b)/2] }, ""},
+		{"last byte missing", func(b []byte) []byte { return b[:len(b)-1] }, ""},
+		{"invalid tag with a line", func(b []byte) []byte { record(b, invalid)[0] = 1; return b }, ""},
+		{"invalid tag with an SDID", func(b []byte) []byte { record(b, invalid)[16] = 1; return b }, ""},
+		// A p0List above p0Cap would encode past StateBound, so its
+		// count is refused before any entry is read.
+		{"p0List above its cap", longP0, "maya p0List"},
 	} {
 		err := mustNew(smallConfig(7)).RestoreState(snapshot.NewDecoder(c.damage(slices.Clone(data))))
 		var corrupt *snapshot.CorruptError
 		if !errors.As(err, &corrupt) {
 			t.Errorf("%s: restore returned %v, want a *snapshot.CorruptError", c.name, err)
+		} else if c.at != "" && corrupt.At != c.at {
+			t.Errorf("%s: restore refused it at %q (%v), want at %q", c.name, corrupt.At, err, c.at)
 		}
 	}
 	other := smallConfig(7)

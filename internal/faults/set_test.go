@@ -198,9 +198,10 @@ func (r recordKill) OnSave(key string, saves int) bool {
 	return false
 }
 
-// state is a SaveSystem callback whose System state is the one byte b.
-func state(b byte) func(*snapshot.Encoder) error {
-	return func(e *snapshot.Encoder) error {
+// state is SaveSystem's bound and callback for a System state of the one
+// byte b.
+func state(b byte) (int, func(*snapshot.Encoder) error) {
+	return 1, func(e *snapshot.Encoder) error {
 		e.U8(b)
 		return nil
 	}

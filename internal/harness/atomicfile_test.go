@@ -10,10 +10,10 @@ import (
 	"mayacache/internal/snapshot"
 )
 
-// state is a SaveSystem callback that writes p verbatim as the System
-// state.
-func state(p []byte) func(*snapshot.Encoder) error {
-	return func(e *snapshot.Encoder) error {
+// state is SaveSystem's bound and callback for a System state of p
+// verbatim.
+func state(p []byte) (int, func(*snapshot.Encoder) error) {
+	return len(p), func(e *snapshot.Encoder) error {
 		copy(e.Record(len(p)), p)
 		return nil
 	}

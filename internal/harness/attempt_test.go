@@ -78,9 +78,10 @@ func TestAttemptOutcomes(t *testing.T) {
 	}
 }
 
-// saveState is a SaveSystem callback whose System state is the one byte b.
-func saveState(b byte) func(*snapshot.Encoder) error {
-	return func(e *snapshot.Encoder) error {
+// saveState is SaveSystem's bound and callback for a System state of the
+// one byte b.
+func saveState(b byte) (int, func(*snapshot.Encoder) error) {
+	return 1, func(e *snapshot.Encoder) error {
 		e.U8(b)
 		return nil
 	}

@@ -20,7 +20,7 @@ func (c *Mirage) SaveState(e *snapshot.Encoder) {
 	e.Count(len(c.tags))
 	for ti := range int32(len(c.tags)) {
 		t := &c.tags[ti]
-		r := e.Record(17)
+		r := e.Record(tagRecord)
 		binary.LittleEndian.PutUint64(r, c.st.Line(ti))
 		binary.LittleEndian.PutUint32(r[8:], uint32(t.fptr))
 		r[12] = c.st.SDID(ti)
@@ -30,6 +30,17 @@ func (c *Mirage) SaveState(e *snapshot.Encoder) {
 		r[16] = snapshot.BoolByte(t.reused)
 	}
 	c.st.SaveState(e)
+}
+
+// tagRecord is the wire size of one tag: line, FPTR, SDID, core, valid,
+// dirty and reused.
+const tagRecord = 17
+
+// StateBound implements snapshot.Stateful, exact for the geometry: the
+// RNG, the key epoch, the stats, a record per tag and the store.
+func (c *Mirage) StateBound() int {
+	return snapshot.RNGBytes + c.st.Front.StateBound() + c.stats.StateBound() +
+		snapshot.CountBytes + tagRecord*len(c.tags) + c.st.StateBound()
 }
 
 // RestoreState implements snapshot.Stateful on a freshly constructed

@@ -35,6 +35,9 @@ func TestMirageStateRoundTrip(t *testing.T) {
 
 	var e snapshot.Encoder
 	orig.SaveState(&e)
+	if got, want := len(e.Data()), orig.StateBound(); got != want {
+		t.Fatalf("SaveState wrote %d bytes, StateBound is %d", got, want)
+	}
 	fresh := mustNew(smallConfig(11))
 	if err := fresh.RestoreState(snapshot.NewDecoder(e.Data())); err != nil {
 		t.Fatalf("RestoreState: %v", err)

@@ -119,6 +119,9 @@ func (f *Front) SaveState(e *snapshot.Encoder) {
 	snapshot.SaveHasherEpoch(e, f.hasher)
 }
 
+// StateBound is the size SaveState writes: the key epoch.
+func (*Front) StateBound() int { return snapshot.EpochBytes }
+
 // RestoreState restores the key epoch and wipes the memo, whose entries
 // belong to the keys the hasher held before. It refills lazily, which
 // moves speed, never results.

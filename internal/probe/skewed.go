@@ -340,7 +340,7 @@ func (s *Skewed) SaveState(e *snapshot.Encoder) {
 	e.Count(len(s.data))
 	for i := range s.data {
 		d := &s.data[i]
-		r := e.Record(9)
+		r := e.Record(slotRecord)
 		binary.LittleEndian.PutUint32(r, uint32(d.rptr))
 		pos, used := uint32(0), d.pos < s.used
 		if used {
@@ -355,6 +355,18 @@ func (s *Skewed) SaveState(e *snapshot.Encoder) {
 	for i := len(free) - 1; i >= 0; i-- {
 		binary.LittleEndian.PutUint32(e.Record(4), uint32(free[i]))
 	}
+}
+
+// slotRecord is the wire size of one data slot: RPTR, used-list position
+// and the used byte.
+const slotRecord = 9
+
+// StateBound is the size SaveState writes, exact for the geometry: the
+// valid counts, a record per data slot, and the used list and free
+// stack, which partition the slots between them.
+func (s *Skewed) StateBound() int {
+	return snapshot.CountBytes + 2*len(s.validCnt) + snapshot.CountBytes + slotRecord*len(s.data) +
+		snapshot.CountBytes + SlotListBound(len(s.data))
 }
 
 // RestoreTag sets tag ti's line, SDID and validity as the design decodes
@@ -408,9 +420,10 @@ func (s *Skewed) RestoreState(d *snapshot.Decoder) error {
 		}
 	}
 	// Both lists decode into slots' backing array: the used list from the
-	// front, the free stack (bottom first on the wire) right after it.
-	used := DecodeSlotList(d, s.slots[:0], nData, s.name+" dataUsed")
-	free := DecodeSlotList(d, s.slots[len(used):len(used)], nData, s.name+" dataFree")
+	// front, the free stack (bottom first on the wire) right after it, in
+	// the room the used list leaves.
+	used := DecodeSlotList(d, s.slots[:0], nData, nData, s.name+" dataUsed")
+	free := DecodeSlotList(d, s.slots[len(used):len(used)], nData-len(used), nData, s.name+" dataFree")
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -466,10 +479,21 @@ func EncodeSlotList(e *snapshot.Encoder, list []int32) {
 	}
 }
 
-// DecodeSlotList reads a dense index list whose entries must lie in
-// [0, limit). The count is bounded by limit before any element is read.
-func DecodeSlotList(d *snapshot.Decoder, dst []int32, limit int, what string) []int32 {
+// SlotListBound is the size EncodeSlotList writes for a list of at most
+// n entries.
+func SlotListBound(n int) int { return snapshot.CountBytes + 4*n }
+
+// DecodeSlotList reads a dense index list of at most maxLen entries, each
+// in [0, limit), and appends it to dst. A longer list is refused before
+// any entry is read, so a restored list never outgrows the bound its
+// owner's StateBound counts it at, nor dst's capacity when maxLen fits
+// there.
+func DecodeSlotList(d *snapshot.Decoder, dst []int32, maxLen, limit int, what string) []int32 {
 	n := d.Count(limit)
+	if n > maxLen {
+		d.Fail(what, "%d entries exceed the cap %d", n, maxLen)
+		return dst
+	}
 	for i := 0; i < n; i++ {
 		v := d.I32()
 		if d.Err() != nil {

@@ -90,6 +90,24 @@ func TestSkewedStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSkewedRestoreCapsFreeStack checks that a free stack longer than
+// the slots the used list leaves, which StateBound does not count, is
+// refused at its count, before an entry is read.
+func TestSkewedRestoreCapsFreeStack(t *testing.T) {
+	s, _ := filledSkewed(t)
+	var e snapshot.Encoder
+	s.SaveState(&e)
+	b := e.Data()
+	free := len(s.slots) - int(s.used)
+	var long snapshot.Encoder
+	EncodeSlotList(&long, make([]int32, free+1)) // the stack's wire form: count, then entries
+	_, err := restored(s, append(slices.Clone(b[:len(b)-SlotListBound(free)]), long.Data()...))
+	var corrupt *snapshot.CorruptError
+	if !errors.As(err, &corrupt) || corrupt.At != "test dataFree" {
+		t.Fatalf("restore returned %v, want a *snapshot.CorruptError at %q", err, "test dataFree")
+	}
+}
+
 // TestSkewedFreeSlotForms pins the data store's wire records: a slot
 // never used is (0, 0, 0), a freed one (-1, 0, 0), and a used one its
 // owner, its used-list position and 1; the used list follows in order,
@@ -113,8 +131,8 @@ func TestSkewedFreeSlotForms(t *testing.T) {
 			got = append(got, rec{int64(d.I32()), int64(d.I32()), int64(d.U8())})
 		}
 	}
-	used := DecodeSlotList(d, nil, 4, "used")
-	free := DecodeSlotList(d, nil, 4, "free")
+	used := DecodeSlotList(d, nil, 4, 4, "used")
+	free := DecodeSlotList(d, nil, 4-len(used), 4, "free")
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
 	}

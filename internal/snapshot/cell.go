@@ -64,9 +64,10 @@ type Cell struct {
 	// may call a method that takes it.
 	mu sync.Mutex
 	// buf holds the file image of the last save and is reused by the
-	// next, so once the first save has sized it a save allocates nothing
-	// to encode. The write in flight reads it, so nothing touches it
-	// before joining that write.
+	// next. The first save allocates it once, at the bound on the image,
+	// so no save regrows it and a save allocates nothing to encode. The
+	// write in flight reads it, so nothing touches it before joining that
+	// write.
 	buf Encoder
 	// writer counts the write in flight, 0 or 1. The writer sets saves
 	// and err before it is done, so a joiner reads them after writer.Wait.
@@ -132,13 +133,15 @@ func (c *Cell) SystemState() []byte { return c.state }
 // one, and writes it behind the caller. It joins the previous write
 // first: if that write failed, SaveSystem returns its error and saves
 // nothing. Then it runs PreSave and encodes. system appends one System
-// container to the Encoder it is given: the cell's own buffer, in which
-// that container is the payload of the file's system section, so the
-// state is encoded once, in place, and the buffer is reused by the next
-// save. Last it starts the writer goroutine, which writes the file
-// atomically and then runs OnSave, and returns. The save is durable once
-// a later join succeeds. Concurrent savers of one cell take turns.
-func (c *Cell) SaveSystem(system func(*Encoder) error) error {
+// container of at most bound bytes (the System's StateBound) to the
+// Encoder it is given: the cell's own buffer, in which that container is
+// the payload of the file's system section, so the state is encoded
+// once, in place, and the buffer is reused by the next save. The first
+// save sizes the buffer to the whole image's bound. Last it starts the
+// writer goroutine, which writes the file atomically and then runs
+// OnSave, and returns. The save is durable once a later join succeeds.
+// Concurrent savers of one cell take turns.
+func (c *Cell) SaveSystem(bound int, system func(*Encoder) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.join(); err != nil {
@@ -149,7 +152,7 @@ func (c *Cell) SaveSystem(system func(*Encoder) error) error {
 			return err
 		}
 	}
-	data, err := c.image(&c.buf, system)
+	data, err := c.image(&c.buf, bound, system)
 	if err != nil {
 		return err
 	}
@@ -198,10 +201,15 @@ func (c *Cell) join() error {
 }
 
 // image replaces e's contents with the cell file's container, whose
-// system section is the System container system writes, and returns it.
-func (c *Cell) image(e *Encoder, system func(*Encoder) error) ([]byte, error) {
+// system section is the System container system writes, at most bound
+// bytes, and returns it. It first reserves the whole image's bound, so
+// a fresh Encoder is allocated once, at that size, and a reused one not
+// at all.
+func (c *Cell) image(e *Encoder, bound int, system func(*Encoder) error) ([]byte, error) {
+	h := Header{Kind: cellKind, CellKey: c.key}
 	e.b = e.b[:0]
-	w := NewWriter(e, Header{Kind: cellKind, CellKey: c.key})
+	e.Reserve(FramingBytes(&h, "system") + bound)
+	w := NewWriter(e, h)
 	w.Section("system")
 	if err := system(e); err != nil {
 		return nil, err

@@ -40,8 +40,31 @@ func (e *Encoder) Record(n int) []byte {
 }
 
 // grow makes room for n more bytes and at least doubles the capacity, so
-// a buffer filled record by record is copied about once per byte.
+// an unsized buffer filled record by record is copied about once per
+// byte. A buffer reserved for a bound on what it will hold never gets
+// here.
 func (e *Encoder) grow(n int) { e.b = slices.Grow(e.b, max(n, cap(e.b))) }
+
+// Reserve makes room for n more bytes. A buffer with less room is
+// reallocated to exactly its length plus n, not doubled, so an Encoder
+// reserved once for a bound on everything it will hold (a Stateful's
+// StateBound, plus its container's framing) is allocated once and never
+// regrows.
+func (e *Encoder) Reserve(n int) {
+	if cap(e.b)-len(e.b) < n {
+		b := make([]byte, len(e.b), len(e.b)+n)
+		copy(b, e.b)
+		e.b = b
+	}
+}
+
+// Wire sizes of the Encoder's composite values, for StateBound sums.
+const (
+	// CountBytes is the size of a Count, and of a Str's length prefix.
+	CountBytes = 4
+	// RNGBytes is the size of an RNG: four state words.
+	RNGBytes = 4 * 8
+)
 
 // BoolByte is a bool's wire byte: 1 for true, 0 for false.
 func BoolByte(v bool) uint8 {

@@ -83,9 +83,16 @@ func (e *MismatchError) Error() string {
 // freshly constructed component with identical configuration; it must
 // validate everything it reads (lengths, index ranges, enum values) and
 // return an error — never panic — on inconsistent input.
+//
+// StateBound is the most bytes SaveState can append for the component's
+// geometry, computed in O(1) so a buffer can be sized once before an
+// encode. Each fixed-width array counts at its length and each
+// variable-length list at the cap RestoreState enforces on it, so no
+// state SaveState meets, run-made or restored, encodes past the bound.
 type Stateful interface {
 	SaveState(e *Encoder)
 	RestoreState(d *Decoder) error
+	StateBound() int
 }
 
 // EpochHasher is implemented by index randomizers whose full mutable state
@@ -96,6 +103,9 @@ type EpochHasher interface {
 	Epoch() uint64
 	RestoreEpoch(epoch uint64)
 }
+
+// EpochBytes is the size SaveHasherEpoch writes.
+const EpochBytes = 8
 
 // SaveHasherEpoch records h's remap epoch, or 0 for stateless hashers.
 func SaveHasherEpoch(e *Encoder, h any) {
@@ -169,6 +179,14 @@ func (h *Header) encode(e *Encoder) {
 	e.U64(h.Progress)
 }
 
+// size is the number of bytes encode writes: four length-prefixed
+// strings, then the seed, core count, geometry words, budgets, phase and
+// progress.
+func (h *Header) size() int {
+	return 4*CountBytes + len(h.Kind) + len(h.CellKey) + len(h.Design) + len(h.Workloads) +
+		8 + 8 + 8*len(h.Geometry) + 8 + 8 + 1 + 8
+}
+
 func (h *Header) decode(d *Decoder) error {
 	h.Kind = d.Str(maxHeaderStr)
 	h.CellKey = d.Str(maxHeaderStr)
@@ -215,6 +233,19 @@ type Writer struct {
 	n     int // sections opened
 	name  int // offset of the open section's name
 	size  int // offset of its reserved payload length; -1 when none is open
+}
+
+// FramingBytes is what a Writer writes around the payloads of a
+// container with header h and one section per name: the magic, the
+// version, the header with its length and CRC, the section count, and
+// each section's name, length and CRC. The container is this many bytes
+// plus its payloads.
+func FramingBytes(h *Header, sections ...string) int {
+	n := len(magic) + 2 + 4 + h.size() + 4 + 2
+	for _, name := range sections {
+		n += 2 + len(name) + 4 + 4
+	}
+	return n
 }
 
 // NewWriter starts a container with header h at the end of e.

@@ -48,9 +48,10 @@ func encodeSections(h Header, secs ...section) []byte {
 	return e.Data()
 }
 
-// payload is a SaveSystem callback that writes p verbatim.
-func payload(p string) func(*Encoder) error {
-	return func(e *Encoder) error {
+// payload is SaveSystem's arguments for a System state of p verbatim:
+// its exact bound and a callback that writes it.
+func payload(p string) (int, func(*Encoder) error) {
+	return len(p), func(e *Encoder) error {
 		copy(e.Record(len(p)), p)
 		return nil
 	}
@@ -77,6 +78,48 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 	if got.Section("absent") != nil {
 		t.Fatal("absent section not nil")
+	}
+}
+
+// TestFramingBytes checks FramingBytes against containers the Writer
+// writes: with it and the payloads added up, a container's size is
+// known before a byte of it is written.
+func TestFramingBytes(t *testing.T) {
+	for _, c := range []struct {
+		h    Header
+		secs []section
+	}{
+		{Header{}, nil},
+		{Header{Kind: cellKind, CellKey: "sim|a=1"}, []section{{"system", []byte("state")}}},
+		{testHeader(), []section{{"cores", nil}, {"llc", make([]byte, 300)}, {"gens", []byte{7}}}},
+	} {
+		names, payload := []string{}, 0
+		for _, s := range c.secs {
+			names = append(names, s.name)
+			payload += len(s.payload)
+		}
+		if got, want := FramingBytes(&c.h, names...)+payload, len(encodeSections(c.h, c.secs...)); got != want {
+			t.Errorf("%q with sections %v: framing plus payloads is %d bytes, the container %d", c.h.Kind, names, got, want)
+		}
+	}
+}
+
+// TestReserve checks that Reserve grows a short buffer to exactly the
+// room asked for, keeping its bytes, and that writes within the
+// reservation never move it.
+func TestReserve(t *testing.T) {
+	var e Encoder
+	e.U32(7)
+	e.Reserve(100)
+	if cap(e.b) != 104 || len(e.b) != 4 || e.b[0] != 7 {
+		t.Fatalf("after Reserve(100) on 4 bytes: len %d, cap %d, first byte %d; want 4, 104, 7", len(e.b), cap(e.b), e.b[0])
+	}
+	start := &e.b[0]
+	e.Reserve(100) // room enough: a no-op
+	e.U64(1)
+	copy(e.Record(92), make([]byte, 92))
+	if &e.b[0] != start || cap(e.b) != 104 {
+		t.Fatal("writes within the reservation moved or regrew the buffer")
 	}
 }
 

@@ -18,6 +18,10 @@ func (g *gen) SaveState(e *snapshot.Encoder) {
 	e.Int(g.repeatsLeft)
 }
 
+// StateBound implements snapshot.Stateful: the RNG, the four walk
+// positions, the write flag and the repeat count.
+func (*gen) StateBound() int { return snapshot.RNGBytes + 4*8 + 1 + 8 }
+
 // RestoreState implements snapshot.Stateful on a generator freshly built
 // from the same profile, core ID, and seed.
 func (g *gen) RestoreState(d *snapshot.Decoder) error {

@@ -23,6 +23,9 @@ func TestGenStateRoundTrip(t *testing.T) {
 
 	var e snapshot.Encoder
 	orig.(snapshot.Stateful).SaveState(&e)
+	if got, want := len(e.Data()), orig.(snapshot.Stateful).StateBound(); got != want {
+		t.Fatalf("SaveState wrote %d bytes, StateBound is %d", got, want)
+	}
 	fresh := testGen(t, p, 1, 77)
 	if err := fresh.(snapshot.Stateful).RestoreState(snapshot.NewDecoder(e.Data())); err != nil {
 		t.Fatalf("RestoreState: %v", err)
